@@ -239,6 +239,7 @@ var benchKeyMap = map[string]string{
 	"BenchmarkReplayThroughput":      "replay_backed_ns_per_op",
 	"BenchmarkSweepPlanner":          "planner_ns_per_op",
 	"BenchmarkSampledSweep":          "sampled_ns_per_op",
+	"BenchmarkSampledSweepFirst":     "sampled_first_ns_per_op",
 }
 
 // loadBenchText parses `go test -bench` output: lines of the form

@@ -39,9 +39,10 @@ func (b *busRecorder) OnRef(r trace.Ref) { b.rec.Add(r) }
 // OnMsg implements fsb.Snooper.
 func (b *busRecorder) OnMsg(m fsb.Message) { b.rec.Add(fsb.EncodeMessage(m)) }
 
-// traceKey normalizes the run identity so equivalent configurations
-// (zero vs explicit defaults) share one captured stream.
-func traceKey(name string, p workloads.Params, pc PlatformConfig) tracestore.Key {
+// TraceKey is the identity a run's capture is stored under in a
+// tracestore.Store, normalized so equivalent configurations (zero vs
+// explicit defaults) share one captured stream.
+func TraceKey(name string, p workloads.Params, pc PlatformConfig) tracestore.Key {
 	p = p.WithDefaults()
 	threads := pc.Threads
 	if threads == 0 {
@@ -93,7 +94,7 @@ func runReplayed(name string, p workloads.Params, pc PlatformConfig, ro runOpts,
 	// and records which of those it was, so a slow request's tree says
 	// where the time went, not just that Do took long.
 	lookup := ro.span.StartChild("store")
-	tr, outcome, err := ro.store.DoOutcome(traceKey(name, p, pc), func() (*tracestore.Trace, error) {
+	tr, outcome, err := ro.store.DoOutcome(TraceKey(name, p, pc), func() (*tracestore.Trace, error) {
 		ro.step(Progress{Phase: PhaseCapture})
 		cro := ro
 		cro.span = lookup.StartChild("capture")

@@ -132,11 +132,14 @@ func sampledSweep(name string, p workloads.Params, pc PlatformConfig, grids [][]
 		store = tracestore.New(0, "")
 	}
 
+	// Every span of the sweep ends on every return path (End is
+	// idempotent): a failed job must not seal a trace with open children.
 	ro.span = ro.rootSpan("sampledsweep/" + name)
+	defer ro.span.End()
 	start := time.Now()
 
 	lookup := ro.span.StartChild("store")
-	tr, outcome, err := store.DoOutcome(traceKey(name, p, pc), func() (*tracestore.Trace, error) {
+	tr, outcome, err := store.DoOutcome(TraceKey(name, p, pc), func() (*tracestore.Trace, error) {
 		ro.step(Progress{Phase: PhaseCapture})
 		cro := ro
 		cro.span = lookup.StartChild("capture")
@@ -157,25 +160,40 @@ func sampledSweep(name string, p workloads.Params, pc PlatformConfig, grids [][]
 		BusEvents:    tr.Summary.BusEvents,
 	}
 
-	// Phase 1: fingerprint the stream and build the sample plan.
+	// Phase 1: the sample plan. It depends on the stream and the
+	// parameters only, never on the grid, so it is memoized on the
+	// Trace: the first sampled sweep of a capture fingerprints and
+	// clusters, every later one finds the plan. The phase is announced
+	// either way — it is a job state callers observe.
 	ro.step(Progress{Phase: PhaseSample})
 	sampSpan := ro.span.StartChild("sampling")
-	fpSpan := sampSpan.StartChild("fingerprint")
-	fp := sampling.NewFingerprinter(params, tr.Summary.BusEvents)
-	fro := ro
-	fro.batch = 0 // single snooper: synchronous delivery is the fast path
-	if err := replayTrace(tr, fro, []fsb.Snooper{fp}); err != nil {
-		return nil, nil, RunSummary{}, err
-	}
-	fpSpan.End()
-	clSpan := sampSpan.StartChild("cluster")
-	plan, err := fp.Build()
-	clSpan.End()
+	defer sampSpan.End()
+	plan, hit, err := tr.SamplePlan(params, func() (*sampling.Plan, error) {
+		fpSpan := sampSpan.StartChild("fingerprint")
+		defer fpSpan.End()
+		fp := sampling.NewFingerprinter(params, tr.Summary.BusEvents)
+		fro := ro
+		fro.batch = 0 // single snooper: synchronous delivery is the fast path
+		if err := replayTrace(tr, fro, []fsb.Snooper{fp}); err != nil {
+			return nil, err
+		}
+		fpSpan.End()
+		clSpan := sampSpan.StartChild("cluster")
+		defer clSpan.End()
+		return fp.Build()
+	})
 	if err != nil {
 		return nil, nil, RunSummary{}, err
 	}
 	replayed := plan.ReplayedRefs()
 	reg := ro.tel.Registry()
+	if hit {
+		reg.Counter("core_sampling_plan_hits_total").Inc()
+		sampSpan.SetAttr("plan", "hit")
+	} else {
+		reg.Counter("core_sampling_plan_builds_total").Inc()
+		sampSpan.SetAttr("plan", "built")
+	}
 	reg.Counter("core_sampling_intervals_total").Add(uint64(len(plan.Intervals)))
 	reg.Counter("core_sampling_clusters_total").Add(uint64(len(plan.Clusters)))
 	reg.Counter("core_sampling_replayed_refs_total").Add(replayed)
@@ -211,6 +229,7 @@ func sampledSweep(name string, p workloads.Params, pc PlatformConfig, grids [][]
 	// Phase 2: measure the plan's windows in one pass over the stream.
 	ro.step(Progress{Phase: PhaseReplay})
 	meas := ro.span.StartChild("measure")
+	defer meas.End()
 	ordered := make([]*cache.Cache, len(canonIdx))
 	for j, i := range canonIdx {
 		ordered[j] = caches[i]
@@ -223,6 +242,7 @@ func sampledSweep(name string, p workloads.Params, pc PlatformConfig, grids [][]
 
 	// Phase 3: extrapolate per canonical geometry and fan out.
 	collect := ro.span.StartChild("collect")
+	defer collect.End()
 	ests := make(map[int]*sampling.Estimate, len(canonIdx))
 	for j, i := range canonIdx {
 		perCluster := make([]cache.Stats, len(plan.Clusters))

@@ -12,11 +12,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"cmpmem/internal/cache"
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/sampling"
+	"cmpmem/internal/telemetry"
 	"cmpmem/internal/tracestore"
 	"cmpmem/internal/verify"
 	"cmpmem/internal/workloads"
@@ -230,5 +233,222 @@ func TestSamplingWarmupMonotonic(t *testing.T) {
 	// is already perfect.
 	if e2 > e0+0.05 {
 		t.Errorf("longer warmup worsened the error: %.4f (warmup 2) > %.4f (warmup 0) + 0.05", e2, e0)
+	}
+}
+
+// memoSink is a telemetry sink whose registry the plan-memo tests read
+// the build/hit counters from.
+func memoSink() *telemetry.Sink {
+	return telemetry.NewSink(telemetry.NewRegistry(), nil, nil)
+}
+
+func planBuildsAndHits(s *telemetry.Sink) (builds, hits uint64) {
+	reg := s.Registry()
+	return reg.Counter("core_sampling_plan_builds_total").Value(),
+		reg.Counter("core_sampling_plan_hits_total").Value()
+}
+
+// TestSamplePlanSharedAcrossGrids: a plan depends on the capture and
+// the parameters, never on the grid, so two sampled sweeps of one
+// stored capture with different grids fingerprint once — and return
+// exactly what the same sweeps return from private stores, where each
+// builds its own plan.
+func TestSamplePlanSharedAcrossGrids(t *testing.T) {
+	p := samplingGradeParams()
+	pc := PlatformConfig{Threads: 4, Seed: p.Seed}
+	grids := [][]cache.Config{verifyConfigs(p.Scale), LineSweepConfigs(p.Scale)}
+
+	sink := memoSink()
+	store := tracestore.New(0, "")
+	var phases [][]string
+	for _, g := range grids {
+		var seen []string
+		shared, _, err := LLCSweep("MDS", p, pc, g, WithTraceReuse(store), WithSampling(SamplingFast),
+			WithTelemetry(sink), WithProgress(func(pr Progress) {
+				if pr.Phase != PhaseConfig {
+					seen = append(seen, pr.Phase)
+				}
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases = append(phases, seen)
+		private, _, err := LLCSweep("MDS", p, pc, g, WithSampling(SamplingFast))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(shared, private) {
+			t.Errorf("grid of %d: sweep over the shared store differs from the private-store sweep", len(g))
+		}
+	}
+	if builds, hits := planBuildsAndHits(sink); builds != 1 || hits != 1 {
+		t.Errorf("%d plan builds and %d hits over two grids of one capture, want 1 and 1", builds, hits)
+	}
+	// The job-state contract: the sampling phase is announced before the
+	// replay phase whether the plan was built or found.
+	if want := []string{PhaseCapture, PhaseSample, PhaseReplay}; !reflect.DeepEqual(phases[0], want) {
+		t.Errorf("first sweep announced %v, want %v", phases[0], want)
+	}
+	if want := []string{PhaseSample, PhaseReplay}; !reflect.DeepEqual(phases[1], want) {
+		t.Errorf("memo-hit sweep announced %v, want %v", phases[1], want)
+	}
+}
+
+// TestSamplePlanKeyedByParams: different sampling parameters are
+// different plans of the same capture, each built once.
+func TestSamplePlanKeyedByParams(t *testing.T) {
+	p := samplingGradeParams()
+	pc := PlatformConfig{Threads: 4, Seed: p.Seed}
+	cfgs := verifyConfigs(p.Scale)[:2]
+	sink := memoSink()
+	store := tracestore.New(0, "")
+	clusters := map[int]int{}
+	for round := 0; round < 2; round++ {
+		for _, k := range []int{4, 8} {
+			params := sampling.Fast()
+			params.MaxClusters = k
+			res, _, err := LLCSweep("MDS", p, pc, cfgs, WithTraceReuse(store),
+				WithSamplingParams(params), WithTelemetry(sink))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 1 && res[0].Sampling.Clusters != clusters[k] {
+				t.Errorf("MaxClusters %d: %d clusters on the memo hit, %d when built", k, res[0].Sampling.Clusters, clusters[k])
+			}
+			clusters[k] = res[0].Sampling.Clusters
+		}
+	}
+	if clusters[4] == clusters[8] {
+		t.Fatalf("both parameter sets produced %d clusters; the test needs distinct plans", clusters[4])
+	}
+	if builds, hits := planBuildsAndHits(sink); builds != 2 || hits != 2 {
+		t.Errorf("%d builds and %d hits for two parameter sets swept twice, want 2 and 2", builds, hits)
+	}
+	if st := store.StatsSnapshot(); st.Misses != 1 {
+		t.Errorf("%d captures, want 1", st.Misses)
+	}
+}
+
+// TestSamplePlanDiesWithCapture: the memo's lifetime is the capture's
+// residency. A store too small to keep anything recaptures on every
+// sweep, and every recapture fingerprints again.
+func TestSamplePlanDiesWithCapture(t *testing.T) {
+	p := samplingGradeParams()
+	pc := PlatformConfig{Threads: 4, Seed: p.Seed}
+	cfgs := verifyConfigs(p.Scale)[:2]
+	sink := memoSink()
+	store := tracestore.New(1, "") // every insert is evicted at once
+	var first []LLCResult
+	for i := 0; i < 2; i++ {
+		res, _, err := LLCSweep("MDS", p, pc, cfgs, WithTraceReuse(store),
+			WithSampling(SamplingFast), WithTelemetry(sink))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res
+		} else if !reflect.DeepEqual(res, first) {
+			t.Error("the rebuilt plan gave different results")
+		}
+	}
+	if builds, hits := planBuildsAndHits(sink); builds != 2 || hits != 0 {
+		t.Errorf("%d builds and %d hits across an eviction, want 2 and 0", builds, hits)
+	}
+	if st := store.StatsSnapshot(); st.Misses != 2 || st.Evictions != 2 {
+		t.Errorf("store saw %d captures and %d evictions, want 2 and 2", st.Misses, st.Evictions)
+	}
+}
+
+// TestConcurrentSampledSweepsShareOnePlan: N sampled sweeps racing on a
+// cold capture cost one execution and one fingerprint pass (run under
+// -race in CI: the plan and the trace are shared across goroutines).
+func TestConcurrentSampledSweepsShareOnePlan(t *testing.T) {
+	p := samplingGradeParams()
+	pc := PlatformConfig{Threads: 4, Seed: p.Seed}
+	grids := [][]cache.Config{verifyConfigs(p.Scale), LineSweepConfigs(p.Scale), CacheSweepConfigs(p.Scale)}
+	sink := memoSink()
+	store := tracestore.New(0, "")
+	const sweeps = 6
+	results := make([][]LLCResult, sweeps)
+	var wg sync.WaitGroup
+	for i := 0; i < sweeps; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, _, err := LLCSweep("MDS", p, pc, grids[i%len(grids)], WithTraceReuse(store),
+				WithSampling(SamplingFast), WithTelemetry(sink))
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = res
+		}()
+	}
+	wg.Wait()
+	if builds, hits := planBuildsAndHits(sink); builds != 1 || hits != sweeps-1 {
+		t.Errorf("%d builds and %d hits for %d concurrent sweeps, want 1 and %d", builds, hits, sweeps, sweeps-1)
+	}
+	if st := store.StatsSnapshot(); st.Misses != 1 {
+		t.Errorf("%d captures, want 1", st.Misses)
+	}
+	for i := len(grids); i < sweeps; i++ {
+		if !reflect.DeepEqual(results[i], results[i-len(grids)]) {
+			t.Errorf("sweep %d differs from sweep %d of the same grid", i, i-len(grids))
+		}
+	}
+}
+
+// firstOpenSpan returns the first span in the tree that was never
+// ended (an ended span has a non-zero wall time).
+func firstOpenSpan(s *telemetry.Span) *telemetry.Span {
+	if s.WallNS == 0 {
+		return s
+	}
+	for _, c := range s.Children {
+		if open := firstOpenSpan(c); open != nil {
+			return open
+		}
+	}
+	return nil
+}
+
+// TestFailedSampledSweepEndsItsSpans: a sampled sweep that fails — here
+// on a capture whose stream is corrupt past the header — must end every
+// span it opened, or the job's sealed trace keeps zero-length children
+// forever.
+func TestFailedSampledSweepEndsItsSpans(t *testing.T) {
+	p := samplingGradeParams()
+	pc := PlatformConfig{Threads: 4, Seed: p.Seed}
+	cfgs := verifyConfigs(p.Scale)[:2]
+	store := tracestore.New(0, "")
+	good, err := store.Do(TraceKey("MDS", p, pc), func() (*tracestore.Trace, error) {
+		return captureTrace("MDS", p, pc, runOpts{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 0xff sets a record header's reserved bits and never terminates a
+	// varint, so the decoder rejects the stream wherever the run lands.
+	enc := good.Encoded()
+	for i := len(enc) / 2; i < len(enc); i++ {
+		enc[i] = 0xff
+	}
+	bad := tracestore.New(0, "")
+	if _, err := bad.Do(TraceKey("MDS", p, pc), func() (*tracestore.Trace, error) {
+		return tracestore.NewTrace(good.Summary, enc), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	root := telemetry.StartSpan("job")
+	_, _, err = LLCSweep("MDS", p, pc, cfgs, WithTraceReuse(bad), WithSampling(SamplingFast), WithParentSpan(root))
+	root.End()
+	if err == nil {
+		t.Fatal("a sampled sweep of a corrupt stream succeeded")
+	}
+	if root.Find("fingerprint") == nil {
+		t.Fatal("the sweep failed before the fingerprint pass; the test needs it to fail inside")
+	}
+	if open := firstOpenSpan(root); open != nil {
+		t.Errorf("span %q was left open by the failed sweep", open.Name)
 	}
 }

@@ -105,7 +105,7 @@ func (p *Plan) Estimate(deltas []cache.Stats, cfgSize uint64) (Estimate, error) 
 	if p.Exact {
 		return Estimate{Stats: stats, MissLow: stats.Misses, MissHigh: stats.Misses}, nil
 	}
-	pr := p.Params.withDefaults()
+	pr := p.Params.Defaulted()
 	var capLines uint64
 	if p.LineSize > 0 {
 		capLines = cfgSize / p.LineSize

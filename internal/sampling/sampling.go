@@ -1,5 +1,5 @@
 // Package sampling implements representative-interval trace sampling —
-// the approximate fast tier of the sweep engines (ROADMAP item 1, after
+// the approximate fast tier of the sweep engines (ROADMAP item 3, after
 // Bueno et al., "Improving the Representativeness of Simulation
 // Intervals for the Cache Memory System").
 //
@@ -19,7 +19,9 @@
 // The package computes plans and extrapolations only; the replay
 // machinery that measures representative windows lives in core (the
 // owner of the trace substrate). Everything here is deterministic for
-// a fixed Params.Seed.
+// a fixed Params.Seed, and a Plan is a function of the stream and the
+// Params alone — no cache geometry enters it — so tracestore memoizes
+// one per capture (Trace.SamplePlan) and sweeps share it read-only.
 package sampling
 
 import (
@@ -51,8 +53,8 @@ const NumBuckets = 28
 const minIntervalRefs = 1024
 
 // Params tunes the sampler. The zero value is not runnable; use Fast()
-// or fill TargetIntervals/MaxClusters explicitly (withDefaults patches
-// the statistical knobs).
+// or fill TargetIntervals/MaxClusters explicitly (Defaulted patches the
+// statistical knobs).
 type Params struct {
 	// IntervalRefs fixes the interval length in in-window memory
 	// transactions. 0 derives it from the stream size so the trace
@@ -104,8 +106,10 @@ const (
 // this few misses, counting noise dominates any model.
 const minAbsCI = 64.0
 
-// withDefaults fills the statistical knobs.
-func (p Params) withDefaults() Params {
+// Defaulted fills the unset knobs. Two Params with equal Defaulted
+// forms build the same Plan from the same stream, which makes the
+// defaulted form the identity a plan is memoized under.
+func (p Params) Defaulted() Params {
 	if p.TargetIntervals <= 0 {
 		p.TargetIntervals = 160
 	}
@@ -369,8 +373,9 @@ type Fingerprinter struct {
 	window    bool
 	ignored   uint64
 
-	sd     *stackdist.Analyzer
-	lastIv map[uint64]uint64 // line -> 1 + ordinal of the interval that last touched it
+	// sd yields every block's whole-history stack distance and, as the
+	// line's tag, 1 + the ordinal of the interval that last touched it.
+	sd *stackdist.Analyzer
 
 	cur       Fingerprint
 	intervals []Interval
@@ -381,7 +386,7 @@ type Fingerprinter struct {
 // BusEvents): the interval length is derived from it up front so
 // fingerprinting is single-pass.
 func NewFingerprinter(p Params, hintRefs uint64) *Fingerprinter {
-	p = p.withDefaults()
+	p = p.Defaulted()
 	ivlen := p.IntervalRefs
 	if ivlen == 0 {
 		ivlen = hintRefs / uint64(p.TargetIntervals)
@@ -394,8 +399,7 @@ func NewFingerprinter(p Params, hintRefs uint64) *Fingerprinter {
 		ivlen:  ivlen,
 		// maxLines=1: only Record's returned distances are used, never
 		// the analyzer's own histogram, so keep it minimal.
-		sd:     stackdist.New(LineSize, 1),
-		lastIv: make(map[uint64]uint64),
+		sd: stackdist.New(LineSize, 1),
 	}
 	for s := uint64(LineSize); s > 1; s >>= 1 {
 		f.lineShift++
@@ -430,12 +434,11 @@ func (f *Fingerprinter) OnRef(r trace.Ref) {
 	}
 	first := uint64(r.Addr) >> f.lineShift
 	last := (uint64(r.Addr) + uint64(size) - 1) >> f.lineShift
-	iv := uint64(len(f.intervals)) + 1
+	iv := uint32(len(f.intervals)) + 1
 	warm := uint64(f.params.Warmup)
 	for blk := first; blk <= last; blk++ {
 		f.cur.Blocks++
-		prev := f.lastIv[blk]
-		d := f.sd.Record(mem.Addr(blk << f.lineShift))
+		d, prev := f.sd.RecordTagged(mem.Addr(blk<<f.lineShift), iv)
 		if d == stackdist.Infinite {
 			f.cur.Cold++
 		} else {
@@ -444,12 +447,11 @@ func (f *Fingerprinter) OnRef(r trace.Ref) {
 				b = NumBuckets - 1
 			}
 			f.cur.Hist[b]++
-			if prev != 0 && iv-prev > warm {
+			if prev != 0 && uint64(iv-prev) > warm {
 				f.cur.HistStale[b]++
 			}
 		}
 		if prev != iv {
-			f.lastIv[blk] = iv
 			f.cur.Footprint++
 		}
 	}

@@ -68,6 +68,32 @@ func TestPlanDeterministic(t *testing.T) {
 	}
 }
 
+// TestPlanIsReadOnlyInUse: a plan is memoized on its capture and shared
+// by every sampled sweep of it, concurrently — so nothing a sweep calls
+// may write to it, and what it hands out must not alias its state.
+func TestPlanIsReadOnlyInUse(t *testing.T) {
+	used := buildPlan(t, sampledParams(), 64, 1024)
+	pristine := buildPlan(t, sampledParams(), 64, 1024)
+
+	wins := used.Windows()
+	for i := range wins {
+		wins[i] = Window{}
+	}
+	_ = used.ReplayedRefs()
+	deltas := make([]cache.Stats, len(used.Clusters))
+	for c := range deltas {
+		deltas[c] = cache.Stats{Accesses: 1024, Misses: uint64(10 * c)}
+	}
+	for _, size := range []uint64{64 << 10, 4 << 20} {
+		if _, err := used.Estimate(deltas, size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(used, pristine) {
+		t.Error("Windows / ReplayedRefs / Estimate changed the plan they were called on")
+	}
+}
+
 func TestPlanSeedSensitivity(t *testing.T) {
 	// Different seeds may legitimately converge to the same clustering;
 	// the property that matters is that each is internally valid and

@@ -6,18 +6,33 @@
 // simulator: a fully-associative cache of N lines must miss exactly
 // hist[>=N] + cold times.
 //
-// Algorithm: classic Bentley/Olken counting. For each line we remember
-// the time of its previous access; a Fenwick tree over time positions
-// holds a 1 at the *most recent* access time of every distinct line, so
-// the number of 1s after the previous access time is exactly the LRU
-// stack depth of the line being re-referenced. The tree is compacted
-// whenever the live fraction of slots drops below 1/2, keeping memory
-// proportional to the number of distinct lines rather than trace length.
+// Algorithm: Bentley/Olken counting over recency slots. Every distinct
+// line owns exactly one slot, handed out in access order, so the LRU
+// stack depth of a re-referenced line is the number of occupied slots
+// above its own. Three structures carry that:
+//
+//   - One open-addressed line table (linear probing, Fibonacci hash)
+//     maps a line to its slot plus one uint32 of caller state (the tag
+//     of RecordTagged). Lines are never deleted, so there are no
+//     tombstones and a probe is one cache line in the common case.
+//   - Slot occupancy is a bitset, one bit per slot.
+//   - A Fenwick tree over the popcounts of the bitset's 64-slot words —
+//     64x fewer nodes than a tree over slots, so it stays cache-resident.
+//     The occupied total is the distinct-line count, so a depth costs
+//     one prefix sum plus one masked popcount, and a move that lands in
+//     the word it left touches no tree node.
+//
+// A re-reference to the most recent line (the common case in a bus
+// stream) is answered before the table probe. When the slots run out
+// the occupied ones are renumbered by rank (a prefix popcount per table
+// entry, no sort) into a bitset of twice the distinct lines, so memory
+// stays proportional to the footprint, not the trace length, and the
+// buffers are reused once the footprint stops growing.
 package stackdist
 
 import (
 	"math"
-	"sort"
+	"math/bits"
 
 	"cmpmem/internal/mem"
 )
@@ -25,13 +40,33 @@ import (
 // Infinite is the distance reported for a cold (first-ever) reference.
 const Infinite = math.MaxUint32
 
+// lineEntry is one line-table cell. pos is the line's slot plus one; a
+// zero pos marks the cell empty, so line 0 needs no reserved key.
+type lineEntry struct {
+	line uint64
+	pos  uint32
+	tag  uint32
+}
+
+// minTable is the initial line-table size (a power of two): small,
+// because the oracle's deep families create one Analyzer per touched
+// set.
+const minTable = 8
+
 // Analyzer accumulates reuse distances, line-granular.
 type Analyzer struct {
 	lineShift uint
-	lastTime  map[uint64]int32 // line number -> slot of its latest access
-	bit       []int32          // Fenwick tree over slots, 1-based
-	slots     int32            // slots handed out so far
-	live      int32            // slots currently holding a 1
+
+	table     []lineEntry // open-addressed, power-of-two length, load <= 3/4
+	hashShift uint        // 64 - log2(len(table))
+	live      uint32      // distinct lines = occupied slots = table entries
+
+	words []uint64 // slot occupancy, slot s is bit s&63 of words[s>>6]
+	tree  []uint32 // Fenwick tree over popcount(words[i]), 1-based
+	next  uint32   // next slot to hand out; len(words)*64 means full
+
+	mruLine uint64 // line of the latest reference (valid once live > 0)
+	mruIdx  int    // its table index
 
 	// hist[d] counts references with stack distance exactly d, for
 	// d < len(hist); deeper ones fall into overflow.
@@ -45,9 +80,11 @@ type Analyzer struct {
 // keeps an exact histogram up to maxLines distinct lines of depth.
 func New(lineSize uint64, maxLines int) *Analyzer {
 	a := &Analyzer{
-		lastTime: make(map[uint64]int32),
-		bit:      make([]int32, 1),
-		hist:     make([]uint64, maxLines),
+		table:     make([]lineEntry, minTable),
+		hashShift: uint(64 - bits.TrailingZeros(minTable)),
+		words:     make([]uint64, 1),
+		tree:      make([]uint32, 2),
+		hist:      make([]uint64, maxLines),
 	}
 	for s := lineSize; s > 1; s >>= 1 {
 		a.lineShift++
@@ -55,89 +92,153 @@ func New(lineSize uint64, maxLines int) *Analyzer {
 	return a
 }
 
-// bitAdd adds delta at slot i (1-based).
-func (a *Analyzer) bitAdd(i, delta int32) {
-	for ; int(i) < len(a.bit); i += i & (-i) {
-		a.bit[i] += delta
+// treeAdd adds delta to the count of word w (0-based).
+func (a *Analyzer) treeAdd(w uint32, delta uint32) {
+	for i := w + 1; int(i) < len(a.tree); i += i & -i {
+		a.tree[i] += delta
 	}
 }
 
-// bitSum returns the prefix sum over slots [1,i].
-func (a *Analyzer) bitSum(i int32) int32 {
-	var s int32
-	for ; i > 0; i -= i & (-i) {
-		s += a.bit[i]
+// above returns the number of occupied slots above slot s — the LRU
+// stack depth of the line that owns s.
+func (a *Analyzer) above(s uint32) uint32 {
+	w := s >> 6
+	atOrBelow := uint32(bits.OnesCount64(a.words[w] << (63 - s&63)))
+	for i := w; i > 0; i -= i & -i {
+		atOrBelow += a.tree[i]
 	}
-	return s
+	return a.live - atOrBelow
 }
 
-// newSlot appends a slot holding 1 and returns its index. A Fenwick
-// tree cannot be grown by zero-extension (new covering nodes would miss
-// prior contributions), so growth triggers a compacting rebuild.
-func (a *Analyzer) newSlot() int32 {
-	if int(a.slots)+1 >= len(a.bit) {
-		a.compact()
+// find returns the table index of ln, or of the empty cell where it
+// belongs.
+func (a *Analyzer) find(ln uint64) int {
+	mask := len(a.table) - 1
+	i := int((ln * 0x9E3779B97F4A7C15) >> a.hashShift)
+	for a.table[i].pos != 0 && a.table[i].line != ln {
+		i = (i + 1) & mask
 	}
-	a.slots++
-	a.bitAdd(a.slots, 1)
-	a.live++
-	return a.slots
+	return i
 }
 
-// compact rebuilds the tree keeping only live slots, preserving order,
-// with room for at least as many again.
+// growTable doubles the line table and rehashes every entry.
+func (a *Analyzer) growTable() {
+	old := a.table
+	a.table = make([]lineEntry, 2*len(old))
+	a.hashShift--
+	for _, e := range old {
+		if e.pos != 0 {
+			a.table[a.find(e.line)] = e
+		}
+	}
+}
+
+// compact renumbers the occupied slots 0..live-1 in order and leaves
+// room for as many again. A line's new slot is the rank of its old one
+// among the occupied slots, read off per-word prefix counts — which
+// live in the tree's own array until the tree is rebuilt, so a
+// compaction at a settled footprint allocates nothing.
 func (a *Analyzer) compact() {
-	type pair struct {
-		line uint64
-		slot int32
+	var run uint32
+	for w, word := range a.words {
+		a.tree[w] = run
+		run += uint32(bits.OnesCount64(word))
 	}
-	pairs := make([]pair, 0, len(a.lastTime))
-	for ln, s := range a.lastTime {
-		pairs = append(pairs, pair{ln, s})
+	for i := range a.table {
+		if e := &a.table[i]; e.pos != 0 {
+			s := e.pos - 1
+			below := a.words[s>>6] & (1<<(s&63) - 1)
+			e.pos = a.tree[s>>6] + uint32(bits.OnesCount64(below)) + 1
+		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].slot < pairs[j].slot })
-	a.bit = make([]int32, 2*len(pairs)+64)
-	a.slots = 0
-	a.live = 0
-	for _, p := range pairs {
-		a.slots++
-		a.bitAdd(a.slots, 1)
-		a.live++
-		a.lastTime[p.line] = a.slots
+
+	if nwords := int(a.live/64)*2 + 2; nwords > len(a.words) {
+		a.words = make([]uint64, nwords)
+		a.tree = make([]uint32, nwords+1)
 	}
+	full := int(a.live >> 6)
+	for w := range a.words {
+		switch {
+		case w < full:
+			a.words[w] = ^uint64(0)
+		case w == full:
+			a.words[w] = 1<<(a.live&63) - 1
+		default:
+			a.words[w] = 0
+		}
+	}
+	for i := 1; i < len(a.tree); i++ {
+		a.tree[i] = uint32(bits.OnesCount64(a.words[i-1]))
+	}
+	for i := 1; i < len(a.tree); i++ {
+		if j := i + i&-i; j < len(a.tree) {
+			a.tree[j] += a.tree[i]
+		}
+	}
+	a.next = a.live
 }
 
 // Record processes one reference to addr and returns its stack distance
 // (Infinite for cold references).
 func (a *Analyzer) Record(addr mem.Addr) uint32 {
+	d, _ := a.RecordTagged(addr, 0)
+	return d
+}
+
+// RecordTagged is Record for a caller that keeps one uint32 of its own
+// state per line (the fingerprinter's last-interval ordinal): it stores
+// tag with the line and returns the tag stored by the line's previous
+// reference, 0 when cold. Sharing the table entry spares the caller a
+// second line-keyed map. Use either Record or RecordTagged on one
+// Analyzer: Record stores tag 0.
+func (a *Analyzer) RecordTagged(addr mem.Addr, tag uint32) (dist, prevTag uint32) {
 	a.total++
 	ln := uint64(addr) >> a.lineShift
-	prev, seen := a.lastTime[ln]
-	var dist uint32
-	if !seen {
-		a.cold++
-		dist = Infinite
-	} else {
-		// Stack depth = number of distinct lines accessed after prev.
-		d := a.bitSum(a.slots) - a.bitSum(prev)
-		dist = uint32(d)
-		a.bitAdd(prev, -1)
-		a.live--
-		// Drop the stale mapping before newSlot: a compaction inside
-		// newSlot rebuilds from lastTime and must not resurrect the
-		// slot we just retired.
-		delete(a.lastTime, ln)
-		if int(dist) < len(a.hist) {
-			a.hist[dist]++
-		} else {
-			a.overflow++
-		}
+	if ln == a.mruLine && a.live != 0 {
+		// The latest line again: already on top, nothing moves.
+		e := &a.table[a.mruIdx]
+		prevTag, e.tag = e.tag, tag
+		a.countDist(0)
+		return 0, prevTag
 	}
-	a.lastTime[ln] = a.newSlot()
-	if a.slots > 64 && a.live*2 < a.slots {
+	if int(a.next) == len(a.words)*64 {
 		a.compact()
 	}
-	return dist
+	i := a.find(ln)
+	if a.table[i].pos == 0 {
+		if (int(a.live)+1)*4 > len(a.table)*3 {
+			a.growTable()
+			i = a.find(ln)
+		}
+		a.cold++
+		a.live++
+		a.treeAdd(a.next>>6, 1)
+		dist = Infinite
+	} else {
+		prevTag = a.table[i].tag
+		s := a.table[i].pos - 1
+		dist = a.above(s)
+		a.countDist(dist)
+		a.words[s>>6] &^= 1 << (s & 63)
+		if s>>6 != a.next>>6 {
+			a.treeAdd(s>>6, ^uint32(0))
+			a.treeAdd(a.next>>6, 1)
+		}
+	}
+	a.words[a.next>>6] |= 1 << (a.next & 63)
+	a.next++
+	a.table[i] = lineEntry{line: ln, pos: a.next, tag: tag}
+	a.mruLine, a.mruIdx = ln, i
+	return dist, prevTag
+}
+
+// countDist files one finite distance in the histogram.
+func (a *Analyzer) countDist(d uint32) {
+	if int(d) < len(a.hist) {
+		a.hist[d]++
+	} else {
+		a.overflow++
+	}
 }
 
 // Total returns the number of references recorded.
@@ -147,7 +248,7 @@ func (a *Analyzer) Total() uint64 { return a.total }
 func (a *Analyzer) Cold() uint64 { return a.cold }
 
 // DistinctLines returns the number of distinct lines touched.
-func (a *Analyzer) DistinctLines() int { return len(a.lastTime) }
+func (a *Analyzer) DistinctLines() int { return int(a.live) }
 
 // MissesForLines returns the miss count of a fully-associative LRU cache
 // holding the given number of lines: cold misses plus every reference
@@ -190,9 +291,10 @@ func (a *Analyzer) Histogram() (hist []uint64, overflow uint64) {
 // capacity: it is resident in a cache of A lines iff depth < A.
 // Iteration order is unspecified. The analyzer is not mutated.
 func (a *Analyzer) FinalDepths(fn func(line uint64, depth int)) {
-	total := a.bitSum(a.slots)
-	for ln, slot := range a.lastTime {
-		fn(ln, int(total-a.bitSum(slot)))
+	for i := range a.table {
+		if e := &a.table[i]; e.pos != 0 {
+			fn(e.line, int(a.above(e.pos-1)))
+		}
 	}
 }
 

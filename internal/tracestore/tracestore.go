@@ -17,15 +17,18 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
+	"cmpmem/internal/sampling"
 	"cmpmem/internal/telemetry"
 	"cmpmem/internal/trace"
 )
@@ -72,10 +75,69 @@ type Summary struct {
 // sequence is kept v2-encoded — roughly 4x smaller than a []Ref slice —
 // and decoded on the fly during replay; Player returns an independent
 // zero-allocation cursor, so one Trace serves any number of concurrent
-// replays.
+// replays. The sample plans the fast tier derives from the stream are
+// memoized here too (SamplePlan), so they share the capture's lifetime.
 type Trace struct {
 	Summary Summary
 	enc     []byte // complete v2 trace stream, header included
+
+	mu    sync.Mutex
+	plans []*planCall // sample plans built from this stream, oldest first
+}
+
+// maxPlans caps the distinct sampling.Params memoized on one Trace;
+// one more evicts the oldest. The cap is a count, not bytes, because
+// SizeBytes must not change once the trace is in a Store: the store
+// subtracts it again on eviction.
+const maxPlans = 4
+
+// planCall is one memoized (or in-flight) plan build.
+type planCall struct {
+	params sampling.Params
+	done   chan struct{}
+	plan   *sampling.Plan
+	err    error
+}
+
+// SamplePlan returns the stream's sample plan under p, calling build at
+// most once per defaulted Params: a plan depends on the stream and the
+// Params only — never on the cache grid — so every sampled sweep of a
+// capture after the first skips the fingerprint pass. Concurrent callers
+// for the same Params wait for the one build; hit reports that this
+// call did not run build. The memo lives and dies with the Trace: a
+// capture evicted from its Store and captured again starts empty.
+// Failed builds are not kept. The returned Plan is shared; treat it as
+// immutable.
+func (t *Trace) SamplePlan(p sampling.Params, build func() (*sampling.Plan, error)) (plan *sampling.Plan, hit bool, err error) {
+	p = p.Defaulted()
+	t.mu.Lock()
+	for _, c := range t.plans {
+		if c.params == p {
+			t.mu.Unlock()
+			<-c.done
+			return c.plan, true, c.err
+		}
+	}
+	c := &planCall{params: p, done: make(chan struct{})}
+	if len(t.plans) == maxPlans {
+		t.plans = slices.Delete(t.plans, 0, 1)
+	}
+	t.plans = append(t.plans, c)
+	t.mu.Unlock()
+
+	c.err = errors.New("tracestore: sample plan build panicked")
+	defer func() {
+		if c.err != nil {
+			t.mu.Lock()
+			if i := slices.Index(t.plans, c); i >= 0 {
+				t.plans = slices.Delete(t.plans, i, i+1)
+			}
+			t.mu.Unlock()
+		}
+		close(c.done)
+	}()
+	c.plan, c.err = build()
+	return c.plan, false, c.err
 }
 
 // Player returns a fresh decode cursor over the stream.
@@ -101,7 +163,8 @@ func NewTrace(sum Summary, enc []byte) *Trace {
 // EncodedLen reports the stream's encoded size in bytes.
 func (t *Trace) EncodedLen() int { return len(t.enc) }
 
-// SizeBytes estimates the resident footprint of the trace.
+// SizeBytes estimates the resident footprint of the trace. It is fixed
+// at construction (memoized plans are not counted; see maxPlans).
 func (t *Trace) SizeBytes() uint64 {
 	return uint64(len(t.enc)) + 128
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cmpmem/internal/mem"
+	"cmpmem/internal/sampling"
 	"cmpmem/internal/trace"
 )
 
@@ -318,5 +319,142 @@ func TestEvictionUnderSingleFlightRace(t *testing.T) {
 	}
 	if st.Hits+st.Misses > goroutines*rounds {
 		t.Errorf("stats overcount: %d hits + %d misses > %d calls", st.Hits, st.Misses, goroutines*rounds)
+	}
+}
+
+// planBuilder counts builds and returns a distinguishable plan each
+// time (the memo never looks inside one).
+type planBuilder struct{ builds atomic.Int64 }
+
+func (b *planBuilder) build() (*sampling.Plan, error) {
+	return &sampling.Plan{TotalRefs: uint64(b.builds.Add(1))}, nil
+}
+
+// TestSamplePlanMemo pins the memo's contract: one build per defaulted
+// Params, distinct Params kept apart, the oldest of more than maxPlans
+// forgotten, failed builds not kept, and SizeBytes — which the store
+// subtracts on eviction — untouched by any of it.
+func TestSamplePlanMemo(t *testing.T) {
+	tr := fakeTrace(1, 100)
+	size := tr.SizeBytes()
+	var b planBuilder
+
+	first, hit, err := tr.SamplePlan(sampling.Fast(), b.build)
+	if err != nil || hit {
+		t.Fatalf("first call: hit=%v err=%v, want a build", hit, err)
+	}
+	// Fast() spelled with its statistical defaults filled in is the
+	// same plan identity.
+	spelled := sampling.Fast().Defaulted()
+	again, hit, err := tr.SamplePlan(spelled, b.build)
+	if err != nil || !hit || again != first {
+		t.Fatalf("second call: hit=%v err=%v same=%v, want the memoized plan", hit, err, again == first)
+	}
+
+	// maxPlans-1 more Params fill the memo; every one is its own plan.
+	params := func(seed int64) sampling.Params {
+		p := sampling.Fast()
+		p.Seed = seed
+		return p
+	}
+	for s := int64(2); s <= maxPlans; s++ {
+		pl, hit, _ := tr.SamplePlan(params(s), b.build)
+		if hit || pl == first {
+			t.Fatalf("seed %d: hit=%v, want a distinct build", s, hit)
+		}
+	}
+	if _, hit, _ := tr.SamplePlan(sampling.Fast(), b.build); !hit {
+		t.Fatal("the first plan was forgotten before the cap was reached")
+	}
+	// One more evicts the oldest — Fast() — and only it.
+	tr.SamplePlan(params(maxPlans+1), b.build)
+	if _, hit, _ := tr.SamplePlan(params(2), b.build); !hit {
+		t.Error("a younger plan was evicted instead of the oldest")
+	}
+	builds := b.builds.Load()
+	if pl, hit, _ := tr.SamplePlan(sampling.Fast(), b.build); hit || pl == first || b.builds.Load() != builds+1 {
+		t.Error("the oldest plan survived the cap")
+	}
+
+	boom := errors.New("boom")
+	failing := params(99)
+	if _, _, err := tr.SamplePlan(failing, func() (*sampling.Plan, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("failed build returned %v", err)
+	}
+	if _, hit, err := tr.SamplePlan(failing, b.build); hit || err != nil {
+		t.Errorf("after a failed build: hit=%v err=%v, want a fresh build", hit, err)
+	}
+
+	if tr.SizeBytes() != size {
+		t.Errorf("SizeBytes moved from %d to %d with plans memoized", size, tr.SizeBytes())
+	}
+}
+
+// TestSamplePlanSingleFlight: concurrent callers for one Params share
+// one build, whether they arrive while it runs or after.
+func TestSamplePlanSingleFlight(t *testing.T) {
+	tr := fakeTrace(1, 100)
+	var b planBuilder
+	release := make(chan struct{})
+	const callers = 8
+	var hits atomic.Int64
+	plans := make([]*sampling.Plan, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pl, hit, err := tr.SamplePlan(sampling.Fast(), func() (*sampling.Plan, error) {
+				<-release
+				return b.build()
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			if hit {
+				hits.Add(1)
+			}
+			plans[i] = pl
+		}()
+	}
+	close(release)
+	wg.Wait()
+	if b.builds.Load() != 1 || hits.Load() != callers-1 {
+		t.Errorf("%d builds and %d hits for %d callers, want 1 and %d", b.builds.Load(), hits.Load(), callers, callers-1)
+	}
+	for i, pl := range plans {
+		if pl != plans[0] {
+			t.Errorf("caller %d got a different plan", i)
+		}
+	}
+}
+
+// TestSamplePlanBuildPanic: a build that panics must not strand the
+// callers waiting on it, nor leave a poisoned entry behind.
+func TestSamplePlanBuildPanic(t *testing.T) {
+	tr := fakeTrace(1, 100)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	waiter := make(chan error, 1)
+	go func() {
+		defer func() { recover() }()
+		tr.SamplePlan(sampling.Fast(), func() (*sampling.Plan, error) {
+			close(entered)
+			<-release
+			panic("emulator fail-loud")
+		})
+	}()
+	<-entered
+	go func() {
+		_, _, err := tr.SamplePlan(sampling.Fast(), func() (*sampling.Plan, error) { return &sampling.Plan{}, nil })
+		waiter <- err
+	}()
+	close(release)
+	// The second caller either waited on the panicking build (and is
+	// told it failed) or arrived after it was dropped (and built).
+	<-waiter
+	var b planBuilder
+	if _, _, err := tr.SamplePlan(sampling.Fast(), b.build); err != nil {
+		t.Errorf("after a panicking build: %v", err)
 	}
 }
