@@ -21,6 +21,9 @@
 //	                      stdin) and print the result JSON — the same
 //	                      execution path and output bytes as cosimd, so a
 //	                      served result diffs clean against a local run
+//	cosim trace [-fold] [-job id] [-kind k] [-last] [file]
+//	                      render the span trees of a manifest stream
+//	                      (see trace.go)
 //
 // Flags:
 //
@@ -39,12 +42,13 @@
 //	-trace-dir  spill captured streams to this directory in the compact
 //	            v2 trace codec, so later invocations skip execution too
 //	            (implies -replay)
-//	-engine e   sweep execution engine: emulate (default; per-config
-//	            cache emulation), auto (compile each sweep into one
-//	            analytic stack-distance pass plus an emulation leg for
-//	            configs the profile cannot express), or oracle (strict:
-//	            error out if any config needs emulation); results are
-//	            bit-identical across engines — run -verify to prove it
+//	-engine e   sweep execution engine: emulate (default; one cache
+//	            emulator per distinct geometry), auto (compile each
+//	            sweep into one analytic stack-distance pass plus an
+//	            emulation leg for configs the profile cannot express),
+//	            or oracle (strict: error out if any config needs
+//	            emulation); results are bit-identical across engines —
+//	            run -verify to prove it
 //	-sampling m approximate fast mode: off (default, exact) or fast
 //	            (replay only representative trace intervals and
 //	            extrapolate with confidence intervals; unlike -engine
@@ -71,7 +75,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -146,11 +149,7 @@ func run(args []string) error {
 	// so it bypasses telemetry setup (which would open the manifest file
 	// for appending).
 	if fs.Arg(0) == "trace" {
-		in := *manifestPath
-		if fs.NArg() > 1 {
-			in = fs.Arg(1)
-		}
-		return traceCmd(in, *foldFlag)
+		return traceCmd(fs.Args()[1:], *foldFlag, *manifestPath, os.Stdout)
 	}
 	p := workloads.Params{Seed: *seed, Scale: *scale}
 	sel := selector(*subset)
@@ -354,59 +353,6 @@ func sweepCmd(specPath string, opts []core.RunOption) error {
 	return err
 }
 
-// traceCmd renders the span trees in a JSONL manifest stream (from
-// -manifest, a file argument, or stdin with "-") as waterfalls, or as
-// folded stacks with -fold. Each line may be a run manifest or a job
-// status body; lines without a trace are skipped.
-func traceCmd(path string, fold bool) error {
-	var in io.Reader = os.Stdin
-	if path != "" && path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
-	}
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	rendered := 0
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var m telemetry.Manifest
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		if m.Trace == nil {
-			continue
-		}
-		if fold {
-			if err := telemetry.WriteFolded(os.Stdout, m.Trace); err != nil {
-				return err
-			}
-			rendered++
-			continue
-		}
-		if rendered > 0 {
-			fmt.Println()
-		}
-		fmt.Printf("# kind=%s workload=%s job=%s trace=%s\n", m.Kind, m.Workload, m.Job, m.TraceID)
-		if err := telemetry.WriteWaterfall(os.Stdout, m.Trace); err != nil {
-			return err
-		}
-		rendered++
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if rendered == 0 {
-		return fmt.Errorf("trace: no span trees found (is this a manifest stream?)")
-	}
-	return nil
-}
-
 // selector builds a name filter from the -workloads flag.
 func selector(subset string) func(string) bool {
 	if subset == "" {
@@ -473,18 +419,10 @@ func figCache(p workloads.Params, sel func(string) bool, cores int, csv bool, sv
 	if err != nil {
 		return err
 	}
-	series = filterSeries(series, sel)
 	figNo := map[int]int{8: 4, 16: 5, 32: 6}[cores]
 	title := fmt.Sprintf("Figure %d: LLC misses per 1000 instructions on %d cores", figNo, cores)
-	if svgDir != "" {
-		return writeSVG(svgDir, fmt.Sprintf("fig%d.svg", figNo), report.SVGOptions{
-			Title: title, XLabel: "cache size (paper-equivalent MB)", YLabel: "MPKI", LogX: true,
-		}, series)
-	}
-	if csv {
-		return report.CSV(os.Stdout, "cache_MB_paper_equiv", series)
-	}
-	return report.Plot(os.Stdout, title, "cache size (paper-equivalent MB)", "MPKI", series, 16)
+	return renderMPKI(filterSeries(series, sel), fmt.Sprintf("fig%d.svg", figNo), title,
+		"cache size (paper-equivalent MB)", "cache_MB_paper_equiv", csv, svgDir)
 }
 
 func fig7(p workloads.Params, sel func(string) bool, csv bool, svgDir string, opts []core.RunOption) error {
@@ -492,17 +430,20 @@ func fig7(p workloads.Params, sel func(string) bool, csv bool, svgDir string, op
 	if err != nil {
 		return err
 	}
-	series = filterSeries(series, sel)
-	title := "Figure 7: line size sensitivity on LCMP with 32MB LLC"
+	return renderMPKI(filterSeries(series, sel), "fig7.svg", "Figure 7: line size sensitivity on LCMP with 32MB LLC",
+		"line size (bytes)", "line_bytes", csv, svgDir)
+}
+
+// renderMPKI writes one MPKI-vs-x figure: an SVG file, CSV, or an
+// ASCII plot on stdout.
+func renderMPKI(series []metrics.Series, file, title, xLabel, csvColumn string, csv bool, svgDir string) error {
 	if svgDir != "" {
-		return writeSVG(svgDir, "fig7.svg", report.SVGOptions{
-			Title: title, XLabel: "line size (bytes)", YLabel: "MPKI", LogX: true,
-		}, series)
+		return writeSVG(svgDir, file, report.SVGOptions{Title: title, XLabel: xLabel, YLabel: "MPKI", LogX: true}, series)
 	}
 	if csv {
-		return report.CSV(os.Stdout, "line_bytes", series)
+		return report.CSV(os.Stdout, csvColumn, series)
 	}
-	return report.Plot(os.Stdout, title, "line size (bytes)", "MPKI", series, 16)
+	return report.Plot(os.Stdout, title, xLabel, "MPKI", series, 16)
 }
 
 // writeSVG renders one figure file and reports its path on stderr.

@@ -240,8 +240,8 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
 			t.Fatalf("manifest line %d is not JSON: %v", i+1, err)
 		}
-		if m["kind"] != "llcsweep" {
-			t.Errorf("manifest line %d kind = %v, want llcsweep", i+1, m["kind"])
+		if m["kind"] != "plansweep" {
+			t.Errorf("manifest line %d kind = %v, want plansweep", i+1, m["kind"])
 		}
 	}
 }

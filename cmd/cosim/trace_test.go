@@ -11,8 +11,14 @@ import (
 // (one per job) and one record without a trace (tracing disabled).
 const sampleManifests = `{"kind":"request","job":"j-1","tenant":"alice","trace_id":"aaaa","trace":{"name":"request","wall_ns":2000000,"children":[{"name":"queue_wait","wall_ns":500000},{"name":"plansweep/SNP","wall_ns":1400000,"children":[{"name":"store","wall_ns":1300000,"attrs":{"outcome":"miss"},"children":[{"name":"capture","wall_ns":1250000}]}]}]}}
 {"kind":"request","job":"j-2","tenant":"bob","trace_id":"bbbb","trace":{"name":"request","wall_ns":900000,"children":[{"name":"cache_lookup","wall_ns":1000,"attrs":{"hit":"true"}}]}}
-{"kind":"llcsweep","seed":1,"duration_ns":5}
+{"kind":"plansweep","seed":1,"duration_ns":5}
 `
+
+// traceRun drives the trace subcommand as `cosim trace args...` does,
+// with no global -fold or -manifest in effect.
+func traceRun(out *strings.Builder, args ...string) error {
+	return traceCmd(args, false, "", out)
+}
 
 func writeSample(t *testing.T, body string) string {
 	t.Helper()
@@ -25,7 +31,7 @@ func writeSample(t *testing.T, body string) string {
 
 func TestWaterfallOutput(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{writeSample(t, sampleManifests)}, &sb); err != nil {
+	if err := traceRun(&sb, writeSample(t, sampleManifests)); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -45,7 +51,7 @@ func TestWaterfallOutput(t *testing.T) {
 
 func TestFoldedOutput(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-fold", writeSample(t, sampleManifests)}, &sb); err != nil {
+	if err := traceRun(&sb, "-fold", writeSample(t, sampleManifests)); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -60,26 +66,35 @@ func TestFoldedOutput(t *testing.T) {
 	if strings.Contains(out, "#") {
 		t.Error("folded output must carry no headers (flamegraph input)")
 	}
+	// `cosim -fold -manifest f trace`: the global flags are the
+	// subcommand's defaults.
+	var viaGlobals strings.Builder
+	if err := traceCmd(nil, true, writeSample(t, sampleManifests), &viaGlobals); err != nil {
+		t.Fatal(err)
+	}
+	if viaGlobals.String() != out {
+		t.Errorf("global -fold/-manifest rendered differently:\n%s", viaGlobals.String())
+	}
 }
 
 func TestJobAndKindFilters(t *testing.T) {
 	p := writeSample(t, sampleManifests)
 	var sb strings.Builder
-	if err := run([]string{"-job", "j-2", p}, &sb); err != nil {
+	if err := traceRun(&sb, "-job", "j-2", p); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(sb.String(), "j-1") || !strings.Contains(sb.String(), "j-2") {
 		t.Errorf("job filter failed:\n%s", sb.String())
 	}
 	var sb2 strings.Builder
-	if err := run([]string{"-kind", "request", "-last", p}, &sb2); err != nil {
+	if err := traceRun(&sb2, "-kind", "request", "-last", p); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(sb2.String(), "j-1") || !strings.Contains(sb2.String(), "j-2") {
 		t.Errorf("-kind -last must keep only the final request:\n%s", sb2.String())
 	}
 	var sb3 strings.Builder
-	if err := run([]string{"-job", "no-such", p}, &sb3); err == nil {
+	if err := traceRun(&sb3, "-job", "no-such", p); err == nil {
 		t.Error("a filter matching nothing must error")
 	}
 }
@@ -90,7 +105,7 @@ func TestBareSpanAndJobStatusShapes(t *testing.T) {
 {"name":"plansweep/KM","wall_ns":77,"children":[{"name":"store","wall_ns":70}]}
 `
 	var sb strings.Builder
-	if err := run([]string{writeSample(t, body)}, &sb); err != nil {
+	if err := traceRun(&sb, writeSample(t, body)); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -104,7 +119,7 @@ func TestBareSpanAndJobStatusShapes(t *testing.T) {
 
 func TestNoTracesIsAnError(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{writeSample(t, `{"kind":"llcsweep","seed":1,"duration_ns":5}`)}, &sb); err == nil {
+	if err := traceRun(&sb, writeSample(t, `{"kind":"plansweep","seed":1,"duration_ns":5}`)); err == nil {
 		t.Error("trace-free input must error, not print nothing")
 	}
 }

@@ -20,7 +20,7 @@
 //	-mix n      distinct grid variants per seed (default 4)
 //	-timeout d  per-job completion timeout (default 120s)
 //	-verify     recompute one served result locally and compare bytes
-//	-out path   write the benchmark JSON here (default BENCH_server.json)
+//	-out path   write the benchmark JSON here (default cosimload.json)
 //
 // A request rejected with 429 honors Retry-After and retries; a job
 // that fails or times out counts as a failure and fails the run.
@@ -50,7 +50,7 @@ func main() {
 	}
 }
 
-// bench is the BENCH_server.json schema.
+// bench is the cosimload.json schema.
 type bench struct {
 	GitRev     string  `json:"git_rev"`
 	Tenants    int     `json:"tenants"`
@@ -93,7 +93,7 @@ func run(args []string) error {
 	mix := fs.Int("mix", 4, "distinct grid variants per seed")
 	timeout := fs.Duration("timeout", 120*time.Second, "per-job completion timeout")
 	verify := fs.Bool("verify", false, "recompute one served result locally and compare bytes")
-	out := fs.String("out", "BENCH_server.json", "benchmark JSON output path")
+	out := fs.String("out", "cosimload.json", "benchmark JSON output path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -68,8 +68,7 @@ type Series = metrics.Series
 type Ref = trace.Ref
 
 // Snooper is a passive front-side-bus observer; see fsb.Snooper. Run
-// attaches snoopers to a live execution, ReplayBus to a captured
-// stream.
+// attaches snoopers to a live execution.
 type Snooper = fsb.Snooper
 
 // Message is a bus control message (start/stop/core-id/counters); see
@@ -136,8 +135,8 @@ var NewTraceStore = tracestore.New
 
 // WithTraceReuse executes each (workload, params, platform, seed) tuple
 // at most once and replays the memoized bus-event stream for every
-// other experiment on the same tuple (nil selects a process-wide
-// store). Results are bit-identical to live execution.
+// other experiment on the same tuple. Results are bit-identical to live
+// execution.
 var WithTraceReuse = core.WithTraceReuse
 
 // TraceStoreStats is a point-in-time trace store snapshot: hits, disk
@@ -163,10 +162,6 @@ const (
 // The hook runs synchronously on the run's goroutine; keep it cheap.
 var WithProgress = core.WithProgress
 
-// ReplayBus drives any snooper set from a captured bus-event stream in
-// captured order, returning the number of events delivered.
-var ReplayBus = core.ReplayBus
-
 // Run executes a workload on the platform with optional snoopers; most
 // callers want LLCSweep or RunHier instead.
 var Run = core.Run
@@ -175,7 +170,7 @@ var Run = core.Run
 var LLCSweep = core.LLCSweep
 
 // Engine selects how a sweep executes: EngineEmulate (the default;
-// one cache emulator per config), EngineAuto (a sweep planner compiles
+// one cache emulator per distinct geometry), EngineAuto (a sweep planner compiles
 // the grid into one analytic stack-distance pass plus an emulation leg
 // for configs the profile cannot express), or EngineOracle (strict:
 // planning fails if any config needs emulation). Results are

@@ -23,6 +23,7 @@ import (
 	"cmpmem/internal/softsdv"
 	"cmpmem/internal/telemetry"
 	"cmpmem/internal/trace"
+	"cmpmem/internal/tracestore"
 	"cmpmem/internal/workloads"
 	"cmpmem/internal/workloads/registry"
 )
@@ -66,15 +67,10 @@ type LLCResult struct {
 	Sampling *SamplingEstimate `json:"Sampling,omitempty"`
 }
 
-// RunSummary captures execution-side totals of a run.
-type RunSummary struct {
-	Workload     string
-	Threads      int
-	Instructions uint64
-	Loads        uint64
-	Stores       uint64
-	BusEvents    uint64
-}
+// RunSummary captures execution-side totals of a run. It is the
+// trace store's Summary: a replayed run returns the captured totals
+// as they were recorded.
+type RunSummary = tracestore.Summary
 
 // Run executes the named workload once on the platform, with the given
 // extra snoopers attached to the bus, and returns the execution summary.
@@ -83,40 +79,40 @@ func Run(name string, p workloads.Params, pc PlatformConfig, snoopers ...fsb.Sno
 	return runNamed(name, p, pc, runOpts{}, snoopers)
 }
 
-// runNamed is Run with explicit concurrency and reuse options. With a
-// trace store configured it serves the run from the memoized bus-event
-// stream (executing only on the first request for the key); otherwise
-// it executes live.
+// runNamed is Run with explicit concurrency and reuse options: the
+// source step of every exact run. With a trace store configured the
+// snoopers are fed from the memoized bus-event stream (executing only
+// on the first request for the key); otherwise the guest executes live.
 func runNamed(name string, p workloads.Params, pc PlatformConfig, ro runOpts, snoopers []fsb.Snooper) (RunSummary, error) {
-	if ro.store != nil {
-		return runReplayed(name, p, pc, ro, snoopers)
+	if ro.store == nil {
+		return runNamedLive(name, p, pc, ro, snoopers)
 	}
-	return runNamedLive(name, p, pc, ro, snoopers)
+	tr, err := ro.openTrace(name, p, pc)
+	if err != nil {
+		return RunSummary{}, err
+	}
+	ro.step(Progress{Phase: PhaseReplay})
+	replay := ro.span.StartChild("replay")
+	defer replay.End()
+	if err := replayTrace(tr, ro, snoopers); err != nil {
+		return RunSummary{}, err
+	}
+	return tr.Summary, nil
 }
 
-// runNamedLive always executes the guest simulation. The progress hook
-// sees PhaseExecute only on direct live runs: capture runs strip the
-// hook (runReplayed already reported PhaseCapture for them).
+// runNamedLive always executes the guest simulation, and owns the bus
+// lifecycle of the execution: build, attach, run, then Close — which on
+// a batched bus flushes remaining batches, joins the per-snooper
+// delivery workers, and finalizes the snoopers so their counters are
+// sealed before any caller reads them. The progress hook sees
+// PhaseExecute only on direct live runs: capture runs strip the hook
+// (openTrace already reported PhaseCapture for them).
 func runNamedLive(name string, p workloads.Params, pc PlatformConfig, ro runOpts, snoopers []fsb.Snooper) (RunSummary, error) {
 	ro.step(Progress{Phase: PhaseExecute})
 	w, err := registry.New(name, p)
 	if err != nil {
 		return RunSummary{}, err
 	}
-	return runWorkload(w, pc, ro, snoopers)
-}
-
-// RunWorkload executes a pre-built workload value. Workload instances
-// are single-use: construct a fresh one per run.
-func RunWorkload(w workloads.Workload, pc PlatformConfig, snoopers ...fsb.Snooper) (RunSummary, error) {
-	return runWorkload(w, pc, runOpts{}, snoopers)
-}
-
-// runWorkload owns the bus lifecycle of one execution: build, attach,
-// run, then Close — which on a batched bus flushes remaining batches,
-// joins the per-snooper delivery workers, and finalizes the snoopers so
-// their counters are sealed before any caller reads them.
-func runWorkload(w workloads.Workload, pc PlatformConfig, ro runOpts, snoopers []fsb.Snooper) (RunSummary, error) {
 	if pc.Threads == 0 {
 		pc.Threads = 1
 	}
@@ -170,149 +166,6 @@ func runWorkload(w workloads.Workload, pc PlatformConfig, ro runOpts, snoopers [
 	}, nil
 }
 
-// bankedConfig fits the physical board's CC banking to one LLC: tiny
-// scaled caches (large lines at small Scale) may have fewer sets than
-// the four banks, so the banking shrinks to fit (exact-equivalence
-// makes this free). Banks never drops below one; a cache too small to
-// hold even one set per line is rejected here with a clear error
-// instead of surfacing a confusing failure from dragonhead.New.
-func bankedConfig(llc cache.Config) (dragonhead.Config, error) {
-	cfg := dragonhead.DefaultConfig(llc)
-	lines := uint64(0)
-	if llc.LineSize > 0 {
-		lines = llc.Size / llc.LineSize
-	}
-	sets := lines
-	if assoc := uint64(llc.Assoc); assoc > 0 && lines > 0 {
-		sets = lines / assoc
-	}
-	if sets == 0 {
-		return dragonhead.Config{}, fmt.Errorf(
-			"core: LLC %s: cache too small for line size (size %d B, line %d B, assoc %d leaves no sets)",
-			llc.Name, llc.Size, llc.LineSize, llc.Assoc)
-	}
-	for cfg.Banks > 1 && uint64(cfg.Banks) > sets {
-		cfg.Banks /= 2
-	}
-	return cfg, nil
-}
-
-// LLCSweep runs the named workload once while emulating every given LLC
-// configuration in parallel on the bus (one Dragonhead per config).
-// With WithBusBatch, each emulator consumes the stream on its own
-// worker goroutine — the paper's decoupled FPGA consumers — and the
-// whole sweep costs about one emulator's wall-clock instead of N.
-func LLCSweep(name string, p workloads.Params, pc PlatformConfig, llcs []cache.Config, opts ...RunOption) ([]LLCResult, RunSummary, error) {
-	ro := applyOpts(opts)
-	if ro.engine != EngineEmulate || ro.sampling != SamplingOff {
-		// Planner path (WithEngine(EngineAuto|EngineOracle)): answer
-		// analytically expressible configs with the Mattson engine,
-		// emulate the rest, dedupe duplicates — bit-identical results.
-		// With WithSampling, plannedSweep further routes to the
-		// fast tier, whatever the engine.
-		_, results, sum, err := plannedSweep(name, p, pc, [][]cache.Config{llcs}, ro)
-		return results, sum, err
-	}
-	ro.span = ro.rootSpan("llcsweep/" + name)
-	start := time.Now()
-	cfgSpan := ro.span.StartChild("configure")
-	emus := make([]*dragonhead.Emulator, len(llcs))
-	snoopers := make([]fsb.Snooper, len(llcs))
-	for i, llc := range llcs {
-		cfg, err := bankedConfig(llc)
-		if err != nil {
-			return nil, RunSummary{}, err
-		}
-		cfg.Shards = ro.shardCount(cfg.Banks)
-		cfg.Telemetry = ro.tel.Registry()
-		cfg.Trace = ro.span
-		e, err := dragonhead.New(cfg)
-		if err != nil {
-			return nil, RunSummary{}, fmt.Errorf("core: LLC %s: %w", llc.Name, err)
-		}
-		emus[i] = e
-		snoopers[i] = e
-	}
-	cfgSpan.End()
-	sum, err := runNamed(name, p, pc, ro, snoopers)
-	if err != nil {
-		return nil, RunSummary{}, err
-	}
-	collect := ro.span.StartChild("collect")
-	out := make([]LLCResult, len(llcs))
-	for i, e := range emus {
-		out[i] = LLCResult{
-			LLC:          e.Config().LLC,
-			Stats:        e.Stats(),
-			Instructions: e.Instructions(),
-			MPKI:         e.MPKI(),
-			Samples:      e.Samples(),
-			Ignored:      e.Ignored(),
-		}
-		ro.step(Progress{Phase: PhaseConfig, Config: llcs[i].Name, Done: i + 1, Total: len(llcs)})
-	}
-	collect.End()
-	ro.span.End()
-	ro.reportSweep("llcsweep", name, p, pc, sum, out, time.Since(start))
-	return out, sum, nil
-}
-
-// reportSweep emits the sweep's run manifest and progress line. The
-// manifest's Summary mirrors RunSummary field-for-field and the LLC
-// records carry the exact access/miss totals of the returned results, so
-// downstream consumers can bit-match the manifest against the API.
-func (o runOpts) reportSweep(kind, name string, p workloads.Params, pc PlatformConfig, sum RunSummary, res []LLCResult, d time.Duration) {
-	if o.tel == nil {
-		return
-	}
-	m := telemetry.Manifest{
-		Kind:       kind,
-		Workload:   name,
-		Threads:    pc.Threads,
-		Seed:       pc.Seed,
-		Scale:      p.Scale,
-		Quantum:    pc.Quantum,
-		DurationNS: uint64(d.Nanoseconds()),
-		Summary: &telemetry.RunTotals{
-			Instructions: sum.Instructions,
-			Loads:        sum.Loads,
-			Stores:       sum.Stores,
-			BusEvents:    sum.BusEvents,
-		},
-		Trace: o.span,
-	}
-	var acc, miss uint64
-	for _, r := range res {
-		acc += r.Stats.Accesses
-		miss += r.Stats.Misses
-		m.LLCs = append(m.LLCs, telemetry.LLCRecord{
-			Name:      r.LLC.Name,
-			SizeBytes: r.LLC.Size,
-			LineSize:  r.LLC.LineSize,
-			Assoc:     r.LLC.Assoc,
-			Accesses:  r.Stats.Accesses,
-			Misses:    r.Stats.Misses,
-			MPKI:      r.MPKI,
-			Samples:   len(r.Samples),
-		})
-	}
-	o.tel.Emit(&m)
-	missPct := 0.0
-	if acc > 0 {
-		missPct = 100 * float64(miss) / float64(acc)
-	}
-	o.tel.Stepf("%s llcs=%d %s miss=%.2f%%", name, len(res), rateString(sum.BusEvents, d), missPct)
-}
-
-// rateString renders a bus-event throughput as "N Mrefs/s".
-func rateString(events uint64, d time.Duration) string {
-	secs := d.Seconds()
-	if secs <= 0 {
-		secs = 1e-9
-	}
-	return fmt.Sprintf("%.1f Mrefs/s", float64(events)/secs/1e6)
-}
-
 // HierResult is the outcome of a timing-hierarchy run.
 type HierResult struct {
 	Summary       RunSummary
@@ -332,6 +185,7 @@ type HierResult struct {
 func RunHier(name string, p workloads.Params, pc PlatformConfig, hc hier.Config, opts ...RunOption) (HierResult, error) {
 	ro := applyOpts(opts)
 	ro.span = ro.rootSpan("hier/" + name)
+	defer ro.span.End() // on every path; End is idempotent
 	start := time.Now()
 	m, err := hier.New(hc)
 	if err != nil {
@@ -352,18 +206,26 @@ func RunHier(name string, p workloads.Params, pc PlatformConfig, hc hier.Config,
 		Invalidations: m.Invalidations(),
 	}
 	ro.span.End()
-	ro.reportHier(name, p, pc, res, time.Since(start))
+	if ro.tel != nil {
+		d := time.Since(start)
+		man := ro.manifest("hier", name, p, pc, sum, d)
+		man.Hier = map[string]float64{
+			"ipc":       res.IPC,
+			"cycles":    res.Cycles,
+			"l1_misses": float64(res.L1.Misses),
+			"l2_misses": float64(res.L2.Misses),
+		}
+		ro.tel.Emit(&man)
+		ro.tel.Stepf("%s hier ipc=%.3f %s", name, res.IPC, rateString(sum.BusEvents, d))
+	}
 	return res, nil
 }
 
-// reportHier emits the timing run's manifest and progress line.
-func (o runOpts) reportHier(name string, p workloads.Params, pc PlatformConfig, res HierResult, d time.Duration) {
-	if o.tel == nil {
-		return
-	}
-	sum := res.Summary
-	o.tel.Emit(&telemetry.Manifest{
-		Kind:       "hier",
+// manifest fills the fields every run manifest shares: identity, wall
+// time, the run summary's totals verbatim, and the (sealed) span tree.
+func (o runOpts) manifest(kind, name string, p workloads.Params, pc PlatformConfig, sum RunSummary, d time.Duration) telemetry.Manifest {
+	return telemetry.Manifest{
+		Kind:       kind,
 		Workload:   name,
 		Threads:    pc.Threads,
 		Seed:       pc.Seed,
@@ -376,15 +238,17 @@ func (o runOpts) reportHier(name string, p workloads.Params, pc PlatformConfig, 
 			Stores:       sum.Stores,
 			BusEvents:    sum.BusEvents,
 		},
-		Hier: map[string]float64{
-			"ipc":       res.IPC,
-			"cycles":    res.Cycles,
-			"l1_misses": float64(res.L1.Misses),
-			"l2_misses": float64(res.L2.Misses),
-		},
 		Trace: o.span,
-	})
-	o.tel.Stepf("%s hier ipc=%.3f %s", name, res.IPC, rateString(sum.BusEvents, d))
+	}
+}
+
+// rateString renders a bus-event throughput as "N Mrefs/s".
+func rateString(events uint64, d time.Duration) string {
+	secs := d.Seconds()
+	if secs <= 0 {
+		secs = 1e-9
+	}
+	return fmt.Sprintf("%.1f Mrefs/s", float64(events)/secs/1e6)
 }
 
 // TraceCapture runs the named workload and forwards every in-window

@@ -23,7 +23,7 @@ import (
 // error cancels whatever has not started yet.
 func forEachWorkload(ro runOpts, fn func(i int, name string) error) error {
 	names := registry.Names()
-	return par.ForEach(ro.workers(), len(names), func(i int) error {
+	return par.ForEach(ro.jobs, len(names), func(i int) error {
 		return fn(i, names[i])
 	})
 }
@@ -160,44 +160,32 @@ func Table2(p workloads.Params, opts ...RunOption) ([]Table2Row, error) {
 // series per workload, at the given core count.
 func CacheSweep(p workloads.Params, cores int, opts ...RunOption) ([]metrics.Series, error) {
 	p = p.WithDefaults()
-	ro := applyOpts(opts)
-	ro.tel.Expect(len(registry.Names()))
-	configs := CacheSweepConfigs(p.Scale)
-	out := make([]metrics.Series, len(registry.Names()))
-	err := forEachWorkload(ro, func(i int, name string) error {
-		results, _, err := LLCSweep(name, p, PlatformConfig{Threads: cores, Seed: p.Seed}, configs, opts...)
-		if err != nil {
-			return fmt.Errorf("cache sweep %s on %d cores: %w", name, cores, err)
-		}
-		s := metrics.Series{Name: name}
-		for k, r := range results {
-			s.Add(float64(PaperCacheSizesMB[k]), r.MPKI)
-		}
-		out[i] = s
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	x := func(k int) float64 { return float64(PaperCacheSizesMB[k]) }
+	return mpkiSeries(fmt.Sprintf("cache sweep on %d cores", cores), p, cores, CacheSweepConfigs(p.Scale), x, opts)
 }
 
 // LineSweep produces the Figure 7 series: LLC MPKI vs line size on the
 // 32-core LCMP with a 32 MB paper-equivalent LLC.
 func LineSweep(p workloads.Params, opts ...RunOption) ([]metrics.Series, error) {
 	p = p.WithDefaults()
+	x := func(k int) float64 { return float64(PaperLineSizes[k]) }
+	return mpkiSeries("line sweep", p, 32, LineSweepConfigs(p.Scale), x, opts)
+}
+
+// mpkiSeries sweeps configs for every workload on the given core count
+// and returns one MPKI series per workload, config k plotted at x(k).
+func mpkiSeries(what string, p workloads.Params, cores int, configs []cache.Config, x func(k int) float64, opts []RunOption) ([]metrics.Series, error) {
 	ro := applyOpts(opts)
 	ro.tel.Expect(len(registry.Names()))
-	configs := LineSweepConfigs(p.Scale)
 	out := make([]metrics.Series, len(registry.Names()))
 	err := forEachWorkload(ro, func(i int, name string) error {
-		results, _, err := LLCSweep(name, p, PlatformConfig{Threads: 32, Seed: p.Seed}, configs, opts...)
+		results, _, err := LLCSweep(name, p, PlatformConfig{Threads: cores, Seed: p.Seed}, configs, opts...)
 		if err != nil {
-			return fmt.Errorf("line sweep %s: %w", name, err)
+			return fmt.Errorf("%s: %s: %w", what, name, err)
 		}
 		s := metrics.Series{Name: name}
 		for k, r := range results {
-			s.Add(float64(PaperLineSizes[k]), r.MPKI)
+			s.Add(x(k), r.MPKI)
 		}
 		out[i] = s
 		return nil

@@ -101,7 +101,7 @@ type runOpts struct {
 	// fresh root on the telemetry sink. See WithParentSpan.
 	parent *telemetry.Span
 	// engine selects the sweep execution engine (see WithEngine); the
-	// zero value is the legacy per-config emulation. engineSet records
+	// zero value plans with emulators only. engineSet records
 	// whether the caller chose explicitly, so CombinedSweep can default
 	// to planning while WithEngine(EngineEmulate) still means emulate.
 	engine    Engine
@@ -148,25 +148,13 @@ func WithBusBatch(n int) RunOption {
 	}
 }
 
-// DefaultTraceStore is the process-wide store WithTraceReuse(nil)
-// selects: one capture per key across every experiment in the process,
-// bounded by tracestore.DefaultMaxBytes, no disk spill.
-var DefaultTraceStore = tracestore.New(0, "")
-
 // WithTraceReuse memoizes each named workload execution's bus-event
-// stream in s (nil selects DefaultTraceStore) and replays it for every
-// later run with the same (workload, params, platform, seed) key.
-// Replay is bit-identical to live execution — per-snooper delivery
-// order is the captured order — so only wall-clock changes. Runs of
-// pre-built workload values (RunWorkload) are never memoized: without a
-// registry name their datasets have no stable identity.
+// stream in s and replays it for every later run with the same
+// (workload, params, platform, seed) key. Replay is bit-identical to
+// live execution — per-snooper delivery order is the captured order —
+// so only wall-clock changes. A nil s is no store: runs execute live.
 func WithTraceReuse(s *tracestore.Store) RunOption {
-	return func(o *runOpts) {
-		if s == nil {
-			s = DefaultTraceStore
-		}
-		o.store = s
-	}
+	return func(o *runOpts) { o.store = s }
 }
 
 // WithTelemetry instruments every run made with this option set: the
@@ -180,7 +168,7 @@ func WithTelemetry(s *telemetry.Sink) RunOption {
 }
 
 // WithParentSpan roots the run's span tree under s: the experiment
-// runner's top span (llcsweep/…, plansweep/…, hier/…) becomes a child
+// runner's top span (plansweep/…, sampledsweep/…, hier/…) becomes a child
 // of s rather than a fresh root, so a request-scoped trace carried from
 // an HTTP handler (telemetry.FromContext) contains the full execution
 // tree. Works with or without WithTelemetry — spans record timing even
@@ -246,14 +234,6 @@ func applyOpts(opts []RunOption) runOpts {
 		opt(&o)
 	}
 	return o
-}
-
-// workers returns the bounded pool width for independent runs.
-func (o runOpts) workers() int {
-	if o.jobs > 0 {
-		return o.jobs
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // newBus builds the bus this option set calls for.

@@ -1,5 +1,6 @@
-// The sweep planner: compile an experiment grid into analytic and
-// emulation legs, then answer the whole grid in one trace pass.
+// The sweep planner — step one of the executor (sweep.go): compile an
+// experiment grid into analytic and emulation legs, so the whole grid
+// is answered in one trace pass.
 //
 // The paper's operational flow reprograms the Dragonhead board once per
 // cache configuration — a 14-experiment CacheSweep + LineSweep session
@@ -18,23 +19,17 @@ package core
 
 import (
 	"fmt"
-	"strconv"
-	"time"
 
 	"cmpmem/internal/cache"
-	"cmpmem/internal/dragonhead"
-	"cmpmem/internal/fsb"
-	"cmpmem/internal/oracle"
-	"cmpmem/internal/workloads"
 )
 
 // Engine selects how a sweep answers its cache configurations.
 type Engine int
 
 const (
-	// EngineEmulate is the legacy path: one Dragonhead emulator per
-	// config, no planning. The zero value, so existing callers are
-	// untouched.
+	// EngineEmulate plans with emulators only: one Dragonhead per
+	// canonical geometry, no analytic leg — the reference every other
+	// engine is verified against. The zero value.
 	EngineEmulate Engine = iota
 	// EngineAuto plans the sweep: analytically expressible configs are
 	// answered by the Mattson engine, the rest by emulation, duplicates
@@ -62,22 +57,17 @@ func (e Engine) String() string {
 
 // ParseEngine parses the -engine flag vocabulary.
 func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "emulate":
-		return EngineEmulate, nil
-	case "auto":
-		return EngineAuto, nil
-	case "oracle":
-		return EngineOracle, nil
-	default:
-		return 0, fmt.Errorf("core: unknown engine %q (want auto, emulate, or oracle)", s)
+	for _, e := range []Engine{EngineEmulate, EngineAuto, EngineOracle} {
+		if e.String() == s {
+			return e, nil
+		}
 	}
+	return 0, fmt.Errorf("core: unknown engine %q (want auto, emulate, or oracle)", s)
 }
 
 // WithEngine selects the sweep execution engine. The default
-// (EngineEmulate) reproduces the legacy per-config emulation exactly;
-// EngineAuto and EngineOracle route eligible configs through the
-// analytic engine. Results are bit-identical across engines — the
+// (EngineEmulate) emulates every canonical config; EngineAuto and
+// EngineOracle route eligible configs through the analytic engine. Results are bit-identical across engines — the
 // option changes wall-clock, never statistics.
 func WithEngine(e Engine) RunOption {
 	return func(o *runOpts) { o.engine, o.engineSet = e, true }
@@ -214,149 +204,4 @@ func sectoredNote(cfg cache.Config) string {
 		return ", sectored"
 	}
 	return ""
-}
-
-// planClockHz is the CB sampling clock of the analytic leg — the same
-// 3.0 GHz Xeon reference clock dragonhead.DefaultConfig uses, so
-// analytic per-sample series land on identical cycle boundaries.
-const planClockHz = 3e9
-
-// CombinedSweep runs the named workload once while answering several
-// config grids — e.g. the Figure 4-6 cache sweep plus the Figure 7
-// line sweep — in a single planned pass. Geometries shared across
-// grids are computed once; the result slices mirror the input grids
-// element for element, each config under its own name. The engine
-// defaults to EngineAuto (pass WithEngine(EngineEmulate) to plan with
-// emulators only; deduplication and the single pass remain).
-func CombinedSweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.Config, opts ...RunOption) ([][]LLCResult, RunSummary, error) {
-	ro := applyOpts(opts)
-	if !ro.engineSet {
-		ro.engine = EngineAuto
-	}
-	_, results, sum, err := plannedSweep(name, p, pc, grids, ro)
-	if err != nil {
-		return nil, RunSummary{}, err
-	}
-	out := make([][]LLCResult, len(grids))
-	k := 0
-	for gi, g := range grids {
-		out[gi] = results[k : k+len(g) : k+len(g)]
-		k += len(g)
-	}
-	return out, sum, nil
-}
-
-// plannedSweep is the planner-backed sweep executor shared by LLCSweep
-// (under WithEngine) and CombinedSweep: compile the plan, build one
-// analytic engine plus the emulation leg, answer everything in a
-// single bus pass, then fan results back out to the caller's order.
-func plannedSweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.Config, ro runOpts) ([]cache.Config, []LLCResult, RunSummary, error) {
-	if ro.sampling != SamplingOff {
-		// The fast tier replaces both legs: representative-interval
-		// replay with extrapolated (approximate) statistics.
-		return sampledSweep(name, p, pc, grids, ro)
-	}
-	var flat []cache.Config
-	for _, g := range grids {
-		flat = append(flat, g...)
-	}
-	plan, err := PlanSweep(flat, ro.engine)
-	if err != nil {
-		return nil, nil, RunSummary{}, err
-	}
-
-	ro.span = ro.rootSpan("plansweep/" + name)
-	ro.span.SetAttr("analytic_configs", strconv.Itoa(len(plan.Analytic)))
-	ro.span.SetAttr("emulated_configs", strconv.Itoa(len(plan.Emulated)))
-	start := time.Now()
-	cfgSpan := ro.span.StartChild("configure")
-	reg := ro.tel.Registry()
-	reg.Counter("core_plan_analytic_configs_total").Add(uint64(len(plan.Analytic)))
-	reg.Counter("core_plan_emulated_configs_total").Add(uint64(len(plan.Emulated)))
-	reg.Counter("core_plan_deduped_configs_total").Add(uint64(len(flat) - len(plan.Analytic) - len(plan.Emulated)))
-	if saved := len(flat) - plan.Passes(); saved > 0 {
-		reg.Counter("core_plan_passes_saved_total").Add(uint64(saved))
-	}
-
-	var eng *oracle.Engine
-	tracked := make(map[int]*oracle.Tracked, len(plan.Analytic))
-	var snoopers []fsb.Snooper
-	if len(plan.Analytic) > 0 {
-		if eng, err = oracle.New(plan.LineSize); err != nil {
-			return nil, nil, RunSummary{}, err
-		}
-		if err := eng.EnableSampling(planClockHz, dragonhead.DefaultSamplePeriod); err != nil {
-			return nil, nil, RunSummary{}, err
-		}
-		for _, i := range plan.Analytic {
-			if tracked[i], err = eng.Track(flat[i]); err != nil {
-				return nil, nil, RunSummary{}, fmt.Errorf("core: LLC %s: %w", flat[i].Name, err)
-			}
-		}
-		snoopers = append(snoopers, eng)
-	}
-	emus := make(map[int]*dragonhead.Emulator, len(plan.Emulated))
-	for _, i := range plan.Emulated {
-		dcfg, err := bankedConfig(flat[i])
-		if err != nil {
-			return nil, nil, RunSummary{}, err
-		}
-		dcfg.Shards = ro.shardCount(dcfg.Banks)
-		dcfg.Telemetry = reg
-		dcfg.Trace = ro.span
-		e, err := dragonhead.New(dcfg)
-		if err != nil {
-			return nil, nil, RunSummary{}, fmt.Errorf("core: LLC %s: %w", flat[i].Name, err)
-		}
-		emus[i] = e
-		snoopers = append(snoopers, e)
-	}
-	cfgSpan.End()
-
-	sum, err := runNamed(name, p, pc, ro, snoopers)
-	if err != nil {
-		return nil, nil, RunSummary{}, err
-	}
-
-	collect := ro.span.StartChild("collect")
-	results := make([]LLCResult, len(flat))
-	for i := range flat {
-		can := plan.Entries[i].Canonical
-		if t, ok := tracked[can]; ok {
-			results[i] = LLCResult{
-				LLC:          flat[i],
-				Stats:        t.Stats(),
-				Instructions: eng.Instructions(),
-				MPKI:         t.MPKI(),
-				Samples:      toDragonheadSamples(t.Samples()),
-				Ignored:      eng.Ignored(),
-			}
-		} else {
-			e := emus[can]
-			results[i] = LLCResult{
-				LLC:          flat[i],
-				Stats:        e.Stats(),
-				Instructions: e.Instructions(),
-				MPKI:         e.MPKI(),
-				Samples:      e.Samples(),
-				Ignored:      e.Ignored(),
-			}
-		}
-		ro.step(Progress{Phase: PhaseConfig, Config: flat[i].Name, Done: i + 1, Total: len(flat)})
-	}
-	collect.End()
-	ro.span.End()
-	ro.reportSweep("plansweep", name, p, pc, sum, results, time.Since(start))
-	return flat, results, sum, nil
-}
-
-// toDragonheadSamples converts the engine's CB series into the
-// emulator's sample type (the structs are field-wise identical; the
-// conversion exists so LLCResult keeps a single sample vocabulary).
-func toDragonheadSamples(in []oracle.Sample) []dragonhead.Sample {
-	out := make([]dragonhead.Sample, len(in))
-	for i, s := range in {
-		out[i] = dragonhead.Sample(s)
-	}
-	return out
 }

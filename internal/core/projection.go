@@ -25,14 +25,6 @@ import (
 	"cmpmem/internal/workloads/registry"
 )
 
-// dragonheadConfig builds an emulator config for one LLC, shared
-// (privateSlices 0) or private-per-core.
-func dragonheadConfig(llc cache.Config, privateSlices int) dragonhead.Config {
-	cfg := dragonhead.DefaultConfig(llc)
-	cfg.PrivatePerCore = privateSlices
-	return cfg
-}
-
 // ProjectionRow reports one workload's measured working set at a given
 // core count.
 type ProjectionRow struct {
@@ -127,11 +119,13 @@ func SharedVsPrivate(p workloads.Params, cores int, paperMB int, opts ...RunOpti
 	}
 	rows := make([]LLCOrgRow, len(registry.Names()))
 	err := forEachWorkload(ro, func(i int, name string) error {
-		shared, err := dragonhead.New(dragonheadConfig(llc, 0))
+		shared, err := dragonhead.New(dragonhead.DefaultConfig(llc))
 		if err != nil {
 			return err
 		}
-		private, err := dragonhead.New(dragonheadConfig(llc, cores))
+		privCfg := dragonhead.DefaultConfig(llc)
+		privCfg.PrivatePerCore = cores
+		private, err := dragonhead.New(privCfg)
 		if err != nil {
 			return err
 		}

@@ -63,95 +63,35 @@ func TraceKey(name string, p workloads.Params, pc PlatformConfig) tracestore.Key
 	}
 }
 
-// captureTrace executes the named workload once with only the recorder
-// on the bus (synchronous delivery: capture is a single consumer, so
-// fan-out would only add handoffs) and returns the memoizable stream.
-// Only the caller's telemetry sink and span carry over into the capture
-// run; its store and batch options must not (capture IS the store fill,
-// and the recorder is single-consumer).
-func captureTrace(name string, p workloads.Params, pc PlatformConfig, ro runOpts) (*tracestore.Trace, error) {
-	rec := &busRecorder{rec: tracestore.NewRecorder()}
-	sum, err := runNamedLive(name, p, pc, runOpts{tel: ro.tel, span: ro.span}, []fsb.Snooper{rec})
-	if err != nil {
-		return nil, err
-	}
-	return rec.rec.Finish(tracestore.Summary{
-		Workload:     sum.Workload,
-		Threads:      sum.Threads,
-		Instructions: sum.Instructions,
-		Loads:        sum.Loads,
-		Stores:       sum.Stores,
-		BusEvents:    sum.BusEvents,
-	})
-}
-
-// runReplayed serves one experiment run from the memoized store:
-// execute on the first request for the key, replay on every other.
-func runReplayed(name string, p workloads.Params, pc PlatformConfig, ro runOpts, snoopers []fsb.Snooper) (RunSummary, error) {
+// openTrace is the source step of every stored run, exact or sampled,
+// and the only tracestore lookup in core: the run's stream comes out of
+// ro.store, executing the guest on the first request for the key.
+func (ro runOpts) openTrace(name string, p workloads.Params, pc PlatformConfig) (*tracestore.Trace, error) {
 	// The store span covers the whole single-flight interaction — an
 	// in-memory hit, a blocking wait behind another caller's capture, a
 	// disk revival, or a fresh execution (which nests the capture span) —
 	// and records which of those it was, so a slow request's tree says
 	// where the time went, not just that Do took long.
 	lookup := ro.span.StartChild("store")
+	defer lookup.End()
 	tr, outcome, err := ro.store.DoOutcome(TraceKey(name, p, pc), func() (*tracestore.Trace, error) {
+		// Capture executes the workload once with only the recorder on
+		// the bus, delivered synchronously (a single consumer: fan-out
+		// would only add handoffs). Only the caller's telemetry sink and
+		// the capture span carry over into the run; its store and batch
+		// options must not — capture IS the store fill.
 		ro.step(Progress{Phase: PhaseCapture})
-		cro := ro
-		cro.span = lookup.StartChild("capture")
-		defer cro.span.End()
-		return captureTrace(name, p, pc, cro)
+		capture := lookup.StartChild("capture")
+		defer capture.End()
+		rec := &busRecorder{rec: tracestore.NewRecorder()}
+		sum, err := runNamedLive(name, p, pc, runOpts{tel: ro.tel, span: capture}, []fsb.Snooper{rec})
+		if err != nil {
+			return nil, err
+		}
+		return rec.rec.Finish(sum)
 	})
 	lookup.SetAttr("outcome", outcome.String())
-	lookup.End()
-	if err != nil {
-		return RunSummary{}, err
-	}
-	ro.step(Progress{Phase: PhaseReplay})
-	replay := ro.span.StartChild("replay")
-	err = replayTrace(tr, ro, snoopers)
-	replay.End()
-	if err != nil {
-		return RunSummary{}, err
-	}
-	return RunSummary{
-		Workload:     tr.Summary.Workload,
-		Threads:      tr.Summary.Threads,
-		Instructions: tr.Summary.Instructions,
-		Loads:        tr.Summary.Loads,
-		Stores:       tr.Summary.Stores,
-		BusEvents:    tr.Summary.BusEvents,
-	}, nil
-}
-
-// ReplayBus drives any snooper set from a captured bus-event stream, as
-// if the original execution were happening live: message-window
-// transactions are decoded back into control messages, everything else
-// is delivered as a memory transaction, in captured order. The replay
-// inner loop allocates nothing per reference, and the options compose
-// with WithBusBatch — a batched replay fans the stream out across
-// per-snooper workers exactly like a live batched run.
-//
-// It returns the number of bus events delivered.
-func ReplayBus(stream []trace.Ref, snoopers []fsb.Snooper, opts ...RunOption) (uint64, error) {
-	ro := applyOpts(opts)
-	if err := replayStream(stream, ro, snoopers); err != nil {
-		return 0, err
-	}
-	return uint64(len(stream)), nil
-}
-
-// replayStream drives the snoopers from an in-memory []Ref slice
-// (public ReplayBus entry point).
-func replayStream(stream []trace.Ref, ro runOpts, snoopers []fsb.Snooper) error {
-	bus := ro.newBus()
-	for _, s := range snoopers {
-		bus.Attach(s)
-	}
-	p := trace.NewPlayer(stream)
-	for r, ok := p.Next(); ok; r, ok = p.Next() {
-		dispatch(bus, r)
-	}
-	return bus.Close()
+	return tr, err
 }
 
 // replayBatch is the decode granularity of the replay engine: 64

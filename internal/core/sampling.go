@@ -1,9 +1,8 @@
-// The approximate fast tier: sampled sweeps. WithSampling routes
-// LLCSweep / CombinedSweep / plannedSweep through sampledSweep, which
-// fingerprints the captured stream once (internal/sampling), replays
-// only the plan's representative windows into one cache per canonical
-// geometry, and extrapolates full-trace statistics with confidence
-// intervals. Unlike every other run option, sampling changes results —
+// The approximate fast tier: sampled sweeps. WithSampling makes the
+// executor (sweep.go) answer with sampledPass, which fingerprints the
+// captured stream once (internal/sampling), replays only the plan's
+// representative windows into one cache per canonical geometry, and
+// extrapolates full-trace statistics with confidence intervals. Unlike every other run option, sampling changes results —
 // they become estimates — which is why the mode is part of a spec's
 // cache identity in the server and of LLCResult via the Sampling field.
 
@@ -12,7 +11,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"cmpmem/internal/cache"
 	"cmpmem/internal/fsb"
@@ -107,65 +105,113 @@ type SamplingEstimate struct {
 	MissRelCI float64 `json:"miss_rel_ci"`
 }
 
-// samplingParams resolves the active parameter set.
-func (o runOpts) samplingParams() sampling.Params {
-	if o.sampling == SamplingCustom && o.sparams != nil {
-		return *o.sparams
-	}
-	return sampling.Fast()
+// sampledPass is the fast tier's pass (see sweepPass): one plain cache
+// per canonical geometry, measured over the sample plan's windows of
+// the stored stream only, each extrapolated to a full-trace estimate.
+type sampledPass struct {
+	mode   string
+	cfgs   []cache.Config
+	canon  []int          // canonical config indices, first-appearance order
+	caches []*cache.Cache // caches[j] measures config canon[j]
+
+	// Filled by run.
+	plan         *sampling.Plan
+	replayed     uint64
+	instructions uint64
+	ests         []sampling.Estimate // by config index
 }
 
-// sampledSweep is the fast-tier sweep executor behind WithSampling:
-// capture (or reuse) the trace, fingerprint + cluster it, replay only
-// the plan's windows into one cache per canonical geometry, and fan
-// extrapolated results back out in caller order.
-func sampledSweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.Config, ro runOpts) ([]cache.Config, []LLCResult, RunSummary, error) {
-	var flat []cache.Config
-	for _, g := range grids {
-		flat = append(flat, g...)
+func newSampledPass(plan *SweepPlan, ro runOpts) (sweepPass, error) {
+	s := &sampledPass{
+		mode:   ro.sampling.String(),
+		cfgs:   plan.Configs,
+		canon:  plan.Emulated, // an EngineEmulate plan: every canonical config
+		caches: make([]*cache.Cache, len(plan.Emulated)),
+		ests:   make([]sampling.Estimate, len(plan.Configs)),
 	}
-	params := ro.samplingParams()
-	store := ro.store
-	if store == nil {
+	for j, i := range s.canon {
+		c, err := cache.New(s.cfgs[i])
+		if err != nil {
+			return nil, fmt.Errorf("core: LLC %s: %w", s.cfgs[i].Name, err)
+		}
+		s.caches[j] = c
+	}
+	return s, nil
+}
+
+func (s *sampledPass) run(name string, p workloads.Params, pc PlatformConfig, ro runOpts) (RunSummary, error) {
+	if ro.store == nil {
 		// Sampling is replay-shaped by construction; without a caller
 		// store the capture is memoized privately for this sweep.
-		store = tracestore.New(0, "")
+		ro.store = tracestore.New(0, "")
 	}
-
-	// Every span of the sweep ends on every return path (End is
-	// idempotent): a failed job must not seal a trace with open children.
-	ro.span = ro.rootSpan("sampledsweep/" + name)
-	defer ro.span.End()
-	start := time.Now()
-
-	lookup := ro.span.StartChild("store")
-	tr, outcome, err := store.DoOutcome(TraceKey(name, p, pc), func() (*tracestore.Trace, error) {
-		ro.step(Progress{Phase: PhaseCapture})
-		cro := ro
-		cro.span = lookup.StartChild("capture")
-		defer cro.span.End()
-		return captureTrace(name, p, pc, cro)
-	})
-	lookup.SetAttr("outcome", outcome.String())
-	lookup.End()
+	tr, err := ro.openTrace(name, p, pc)
 	if err != nil {
-		return nil, nil, RunSummary{}, err
-	}
-	sum := RunSummary{
-		Workload:     tr.Summary.Workload,
-		Threads:      tr.Summary.Threads,
-		Instructions: tr.Summary.Instructions,
-		Loads:        tr.Summary.Loads,
-		Stores:       tr.Summary.Stores,
-		BusEvents:    tr.Summary.BusEvents,
+		return RunSummary{}, err
 	}
 
-	// Phase 1: the sample plan. It depends on the stream and the
-	// parameters only, never on the grid, so it is memoized on the
-	// Trace: the first sampled sweep of a capture fingerprints and
-	// clusters, every later one finds the plan. The phase is announced
-	// either way — it is a job state callers observe.
+	// Phase 1: the sample plan. The phase is announced whether the plan
+	// is built or found — it is a job state callers observe.
 	ro.step(Progress{Phase: PhaseSample})
+	plan, replayed, err := samplePlan(tr, ro)
+	if err != nil {
+		return RunSummary{}, err
+	}
+
+	// Phase 2: measure the plan's windows in one pass over the stream.
+	ro.step(Progress{Phase: PhaseReplay})
+	meas := ro.span.StartChild("measure")
+	deltas, err := measureWindows(tr, plan.Windows(), s.caches, len(plan.Clusters))
+	meas.End()
+	if err != nil {
+		return RunSummary{}, err
+	}
+
+	// Phase 3: extrapolate per canonical geometry.
+	for j, i := range s.canon {
+		perCluster := make([]cache.Stats, len(plan.Clusters))
+		for c := range perCluster {
+			perCluster[c] = deltas[c][j]
+		}
+		if s.ests[i], err = plan.Estimate(perCluster, s.cfgs[i].Size); err != nil {
+			return RunSummary{}, err
+		}
+	}
+	s.plan, s.replayed, s.instructions = plan, replayed, tr.Summary.Instructions
+	return tr.Summary, nil
+}
+
+func (s *sampledPass) result(i int) LLCResult {
+	e, plan := &s.ests[i], s.plan
+	return LLCResult{
+		Stats:        e.Stats,
+		Instructions: s.instructions,
+		MPKI:         e.Stats.MPKI(s.instructions),
+		Ignored:      plan.Ignored,
+		Sampling: &SamplingEstimate{
+			Mode:         s.mode,
+			Exact:        plan.Exact,
+			Intervals:    len(plan.Intervals),
+			Clusters:     len(plan.Clusters),
+			ReplayedRefs: s.replayed,
+			TotalRefs:    plan.TotalRefs,
+			MissLow:      e.MissLow,
+			MissHigh:     e.MissHigh,
+			MissRelCI:    e.MissRelCI,
+		},
+	}
+}
+
+// samplePlan returns the stream's sample plan under the active
+// parameters. A plan depends on the stream and the parameters only,
+// never on the grid, so it is memoized on the Trace: the first sampled
+// sweep of a capture fingerprints and clusters, every later one finds
+// the plan. Also returns how many transactions the plan's windows replay.
+func samplePlan(tr *tracestore.Trace, ro runOpts) (plan *sampling.Plan, replayed uint64, err error) {
+	params := sampling.Fast()
+	if ro.sampling == SamplingCustom && ro.sparams != nil {
+		params = *ro.sparams
+	}
 	sampSpan := ro.span.StartChild("sampling")
 	defer sampSpan.End()
 	plan, hit, err := tr.SamplePlan(params, func() (*sampling.Plan, error) {
@@ -183,9 +229,9 @@ func sampledSweep(name string, p workloads.Params, pc PlatformConfig, grids [][]
 		return fp.Build()
 	})
 	if err != nil {
-		return nil, nil, RunSummary{}, err
+		return nil, 0, err
 	}
-	replayed := plan.ReplayedRefs()
+	replayed = plan.ReplayedRefs()
 	reg := ro.tel.Registry()
 	if hit {
 		reg.Counter("core_sampling_plan_hits_total").Inc()
@@ -201,87 +247,7 @@ func sampledSweep(name string, p workloads.Params, pc PlatformConfig, grids [][]
 	sampSpan.SetAttr("clusters", strconv.Itoa(len(plan.Clusters)))
 	sampSpan.SetAttr("replayed_refs", strconv.FormatUint(replayed, 10))
 	sampSpan.SetAttr("exact", strconv.FormatBool(plan.Exact))
-	sampSpan.End()
-
-	// Dedupe canonical geometries: one measured cache per behavioral
-	// identity, duplicates copy the canonical estimate (the planner's
-	// geomKey contract).
-	canonical := make(map[geomKey]int, len(flat))
-	canonOf := make([]int, len(flat))
-	var canonIdx []int
-	caches := make(map[int]*cache.Cache, len(flat))
-	for i, cfg := range flat {
-		k := geomKey{cfg.Size, cfg.LineSize, cfg.Assoc, cfg.Repl, cfg.SectorSize}
-		if first, ok := canonical[k]; ok {
-			canonOf[i] = first
-			continue
-		}
-		canonical[k] = i
-		canonOf[i] = i
-		c, err := cache.New(cfg)
-		if err != nil {
-			return nil, nil, RunSummary{}, fmt.Errorf("core: LLC %s: %w", cfg.Name, err)
-		}
-		caches[i] = c
-		canonIdx = append(canonIdx, i)
-	}
-
-	// Phase 2: measure the plan's windows in one pass over the stream.
-	ro.step(Progress{Phase: PhaseReplay})
-	meas := ro.span.StartChild("measure")
-	defer meas.End()
-	ordered := make([]*cache.Cache, len(canonIdx))
-	for j, i := range canonIdx {
-		ordered[j] = caches[i]
-	}
-	deltas, err := measureWindows(tr, plan.Windows(), ordered, len(plan.Clusters))
-	meas.End()
-	if err != nil {
-		return nil, nil, RunSummary{}, err
-	}
-
-	// Phase 3: extrapolate per canonical geometry and fan out.
-	collect := ro.span.StartChild("collect")
-	defer collect.End()
-	ests := make(map[int]*sampling.Estimate, len(canonIdx))
-	for j, i := range canonIdx {
-		perCluster := make([]cache.Stats, len(plan.Clusters))
-		for c := range perCluster {
-			perCluster[c] = deltas[c][j]
-		}
-		e, err := plan.Estimate(perCluster, flat[i].Size)
-		if err != nil {
-			return nil, nil, RunSummary{}, err
-		}
-		ests[i] = &e
-	}
-	results := make([]LLCResult, len(flat))
-	for i := range flat {
-		e := ests[canonOf[i]]
-		results[i] = LLCResult{
-			LLC:          flat[i],
-			Stats:        e.Stats,
-			Instructions: sum.Instructions,
-			MPKI:         e.Stats.MPKI(sum.Instructions),
-			Ignored:      plan.Ignored,
-			Sampling: &SamplingEstimate{
-				Mode:         ro.sampling.String(),
-				Exact:        plan.Exact,
-				Intervals:    len(plan.Intervals),
-				Clusters:     len(plan.Clusters),
-				ReplayedRefs: replayed,
-				TotalRefs:    plan.TotalRefs,
-				MissLow:      e.MissLow,
-				MissHigh:     e.MissHigh,
-				MissRelCI:    e.MissRelCI,
-			},
-		}
-		ro.step(Progress{Phase: PhaseConfig, Config: flat[i].Name, Done: i + 1, Total: len(flat)})
-	}
-	collect.End()
-	ro.span.End()
-	ro.reportSweep("sampledsweep", name, p, pc, sum, results, time.Since(start))
-	return flat, results, sum, nil
+	return plan, replayed, nil
 }
 
 // measureWindows replays only the plan's windows from the stored

@@ -396,59 +396,3 @@ func TestConcurrentSampledSweepsShareOnePlan(t *testing.T) {
 		}
 	}
 }
-
-// firstOpenSpan returns the first span in the tree that was never
-// ended (an ended span has a non-zero wall time).
-func firstOpenSpan(s *telemetry.Span) *telemetry.Span {
-	if s.WallNS == 0 {
-		return s
-	}
-	for _, c := range s.Children {
-		if open := firstOpenSpan(c); open != nil {
-			return open
-		}
-	}
-	return nil
-}
-
-// TestFailedSampledSweepEndsItsSpans: a sampled sweep that fails — here
-// on a capture whose stream is corrupt past the header — must end every
-// span it opened, or the job's sealed trace keeps zero-length children
-// forever.
-func TestFailedSampledSweepEndsItsSpans(t *testing.T) {
-	p := samplingGradeParams()
-	pc := PlatformConfig{Threads: 4, Seed: p.Seed}
-	cfgs := verifyConfigs(p.Scale)[:2]
-	store := tracestore.New(0, "")
-	good, err := store.Do(TraceKey("MDS", p, pc), func() (*tracestore.Trace, error) {
-		return captureTrace("MDS", p, pc, runOpts{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0xff sets a record header's reserved bits and never terminates a
-	// varint, so the decoder rejects the stream wherever the run lands.
-	enc := good.Encoded()
-	for i := len(enc) / 2; i < len(enc); i++ {
-		enc[i] = 0xff
-	}
-	bad := tracestore.New(0, "")
-	if _, err := bad.Do(TraceKey("MDS", p, pc), func() (*tracestore.Trace, error) {
-		return tracestore.NewTrace(good.Summary, enc), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	root := telemetry.StartSpan("job")
-	_, _, err = LLCSweep("MDS", p, pc, cfgs, WithTraceReuse(bad), WithSampling(SamplingFast), WithParentSpan(root))
-	root.End()
-	if err == nil {
-		t.Fatal("a sampled sweep of a corrupt stream succeeded")
-	}
-	if root.Find("fingerprint") == nil {
-		t.Fatal("the sweep failed before the fingerprint pass; the test needs it to fail inside")
-	}
-	if open := firstOpenSpan(root); open != nil {
-		t.Errorf("span %q was left open by the failed sweep", open.Name)
-	}
-}

@@ -1,0 +1,280 @@
+// The sweep executor: the one implementation of "run a sweep".
+//
+// The paper's platform is one pipeline — execute under SoftSDV, snoop
+// the FSB, emulate on Dragonhead, read the CB counters — and every
+// sweep entry point runs the same four steps, each written once:
+//
+//	plan    PlanSweep on the flattened grids: geometry dedupe and the
+//	        analytic/emulated partition (plan.go)
+//	source  the live bus, or the memoized stream of a trace store —
+//	        runNamed / openTrace (core.go, replay.go)
+//	pass    one pass over the source feeding every answerer: the exact
+//	        pass below, or the sampled pass (sampling.go)
+//	results one fan-out to caller order, one manifest
+//
+// The rule that keeps failures cheap and traces sealed: an answerer is
+// built, and its geometry validated, before the source is touched.
+
+package core
+
+import (
+	"fmt"
+	"strconv"
+	"time"
+
+	"cmpmem/internal/cache"
+	"cmpmem/internal/dragonhead"
+	"cmpmem/internal/fsb"
+	"cmpmem/internal/oracle"
+	"cmpmem/internal/telemetry"
+	"cmpmem/internal/workloads"
+)
+
+// LLCSweep runs the named workload once while answering every given LLC
+// configuration on one pass over its bus stream. The engine defaults to
+// EngineEmulate — one Dragonhead per distinct geometry, all snooping
+// the same execution; with WithBusBatch each consumes the stream on its
+// own worker goroutine, the paper's decoupled FPGA consumers.
+// WithEngine(EngineAuto|EngineOracle) answers analytically expressible
+// configs with the Mattson engine instead (bit-identical results);
+// WithSampling routes to the fast tier (estimates), whatever the engine.
+func LLCSweep(name string, p workloads.Params, pc PlatformConfig, llcs []cache.Config, opts ...RunOption) ([]LLCResult, RunSummary, error) {
+	return sweep(name, p, pc, [][]cache.Config{llcs}, applyOpts(opts))
+}
+
+// CombinedSweep runs the named workload once while answering several
+// config grids — e.g. the Figure 4-6 cache sweep plus the Figure 7
+// line sweep — in a single planned pass. Geometries shared across
+// grids are computed once; the result slices mirror the input grids
+// element for element, each config under its own name. The engine
+// defaults to EngineAuto (pass WithEngine(EngineEmulate) to plan with
+// emulators only; deduplication and the single pass remain).
+func CombinedSweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.Config, opts ...RunOption) ([][]LLCResult, RunSummary, error) {
+	ro := applyOpts(opts)
+	if !ro.engineSet {
+		ro.engine = EngineAuto
+	}
+	results, sum, err := sweep(name, p, pc, grids, ro)
+	if err != nil {
+		return nil, RunSummary{}, err
+	}
+	out := make([][]LLCResult, len(grids))
+	k := 0
+	for gi, g := range grids {
+		out[gi] = results[k : k+len(g) : k+len(g)]
+		k += len(g)
+	}
+	return out, sum, nil
+}
+
+// sweepPass is step three: the answerers of one plan and the single
+// pass over the source that feeds them. Its constructor builds and
+// validates every answerer, so a bad geometry fails the sweep before
+// any guest instruction executes.
+type sweepPass interface {
+	// run touches the source — executes, replays or samples the
+	// workload's bus stream — and returns the execution totals.
+	run(name string, p workloads.Params, pc PlatformConfig, ro runOpts) (RunSummary, error)
+	// result is the answer for canonical config i of the plan (LLC left
+	// for the caller to name). Valid once run has returned.
+	result(i int) LLCResult
+}
+
+// sweep is the executor behind LLCSweep and CombinedSweep. The results
+// come back flattened in grid order.
+func sweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.Config, ro runOpts) ([]LLCResult, RunSummary, error) {
+	var flat []cache.Config
+	for _, g := range grids {
+		flat = append(flat, g...)
+	}
+
+	// Plan. The two manifest kinds keep the one distinction that
+	// changes numbers visible at top level: exact or estimated.
+	kind, engine, build := "plansweep", ro.engine, newExactPass
+	if ro.sampling != SamplingOff {
+		// The fast tier replaces both legs; it takes only the dedupe
+		// from the plan, which EngineEmulate never refuses.
+		kind, engine, build = "sampledsweep", EngineEmulate, newSampledPass
+	}
+	plan, err := PlanSweep(flat, engine)
+	if err != nil {
+		return nil, RunSummary{}, err
+	}
+	ro.span = ro.rootSpan(kind + "/" + name)
+	// A failed sweep must not seal a trace with open spans: the root
+	// ends here on every path (End is idempotent), and each step below
+	// ends its own children the same way.
+	defer ro.span.End()
+	start := time.Now()
+
+	// Answerers, then source and pass.
+	pass, err := build(plan, ro)
+	if err != nil {
+		return nil, RunSummary{}, err
+	}
+	sum, err := pass.run(name, p, pc, ro)
+	if err != nil {
+		return nil, RunSummary{}, err
+	}
+
+	// Results: every config copies its canonical geometry's answer
+	// under its own name, in caller order.
+	collect := ro.span.StartChild("collect")
+	results := make([]LLCResult, len(flat))
+	for i, cfg := range flat {
+		results[i] = pass.result(plan.Entries[i].Canonical)
+		results[i].LLC = cfg
+		ro.step(Progress{Phase: PhaseConfig, Config: cfg.Name, Done: i + 1, Total: len(flat)})
+	}
+	collect.End()
+	ro.span.End()
+	ro.reportSweep(kind, name, p, pc, sum, results, time.Since(start))
+	return results, sum, nil
+}
+
+// reportSweep emits the sweep's run manifest and progress line. The LLC
+// records carry the exact access/miss totals of the returned results,
+// so downstream consumers can bit-match the manifest against the API.
+func (o runOpts) reportSweep(kind, name string, p workloads.Params, pc PlatformConfig, sum RunSummary, res []LLCResult, d time.Duration) {
+	if o.tel == nil {
+		return
+	}
+	m := o.manifest(kind, name, p, pc, sum, d)
+	var acc, miss uint64
+	for _, r := range res {
+		acc += r.Stats.Accesses
+		miss += r.Stats.Misses
+		m.LLCs = append(m.LLCs, telemetry.LLCRecord{
+			Name:      r.LLC.Name,
+			SizeBytes: r.LLC.Size,
+			LineSize:  r.LLC.LineSize,
+			Assoc:     r.LLC.Assoc,
+			Accesses:  r.Stats.Accesses,
+			Misses:    r.Stats.Misses,
+			MPKI:      r.MPKI,
+			Samples:   len(r.Samples),
+		})
+	}
+	o.tel.Emit(&m)
+	missPct := 0.0
+	if acc > 0 {
+		missPct = 100 * float64(miss) / float64(acc)
+	}
+	o.tel.Stepf("%s llcs=%d %s miss=%.2f%%", name, len(res), rateString(sum.BusEvents, d), missPct)
+}
+
+// planClockHz is the CB sampling clock of the analytic leg — the same
+// 3.0 GHz Xeon reference clock dragonhead.DefaultConfig uses, so
+// analytic per-sample series land on identical cycle boundaries.
+const planClockHz = 3e9
+
+// exactPass answers a plan bit-exactly: one Mattson engine tracking
+// the analytic leg's geometries plus one Dragonhead per emulated
+// geometry, all co-snoopers of a single bus pass.
+type exactPass struct {
+	eng      *oracle.Engine
+	tracked  []*oracle.Tracked      // by config index; nil off the analytic leg
+	emus     []*dragonhead.Emulator // by config index; nil off the emulated leg
+	snoopers []fsb.Snooper
+}
+
+func newExactPass(plan *SweepPlan, ro runOpts) (sweepPass, error) {
+	flat := plan.Configs
+	ro.span.SetAttr("analytic_configs", strconv.Itoa(len(plan.Analytic)))
+	ro.span.SetAttr("emulated_configs", strconv.Itoa(len(plan.Emulated)))
+	cfgSpan := ro.span.StartChild("configure")
+	defer cfgSpan.End()
+	reg := ro.tel.Registry()
+	reg.Counter("core_plan_analytic_configs_total").Add(uint64(len(plan.Analytic)))
+	reg.Counter("core_plan_emulated_configs_total").Add(uint64(len(plan.Emulated)))
+	reg.Counter("core_plan_deduped_configs_total").Add(uint64(len(flat) - len(plan.Analytic) - len(plan.Emulated)))
+	if saved := len(flat) - plan.Passes(); saved > 0 {
+		reg.Counter("core_plan_passes_saved_total").Add(uint64(saved))
+	}
+
+	x := &exactPass{
+		tracked: make([]*oracle.Tracked, len(flat)),
+		emus:    make([]*dragonhead.Emulator, len(flat)),
+	}
+	if len(plan.Analytic) > 0 {
+		eng, err := oracle.New(plan.LineSize)
+		if err != nil {
+			return nil, err
+		}
+		if err := eng.EnableSampling(planClockHz, dragonhead.DefaultSamplePeriod); err != nil {
+			return nil, err
+		}
+		for _, i := range plan.Analytic {
+			if x.tracked[i], err = eng.Track(flat[i]); err != nil {
+				return nil, fmt.Errorf("core: LLC %s: %w", flat[i].Name, err)
+			}
+		}
+		x.eng = eng
+		x.snoopers = append(x.snoopers, eng)
+	}
+	for _, i := range plan.Emulated {
+		dcfg, err := bankedConfig(flat[i])
+		if err != nil {
+			return nil, err
+		}
+		dcfg.Shards = ro.shardCount(dcfg.Banks)
+		dcfg.Telemetry = reg
+		dcfg.Trace = ro.span
+		if x.emus[i], err = dragonhead.New(dcfg); err != nil {
+			return nil, fmt.Errorf("core: LLC %s: %w", flat[i].Name, err)
+		}
+		x.snoopers = append(x.snoopers, x.emus[i])
+	}
+	return x, nil
+}
+
+func (x *exactPass) run(name string, p workloads.Params, pc PlatformConfig, ro runOpts) (RunSummary, error) {
+	return runNamed(name, p, pc, ro, x.snoopers)
+}
+
+func (x *exactPass) result(i int) LLCResult {
+	if t := x.tracked[i]; t != nil {
+		return LLCResult{
+			Stats:        t.Stats(),
+			Instructions: x.eng.Instructions(),
+			MPKI:         t.MPKI(),
+			Samples:      t.Samples(),
+			Ignored:      x.eng.Ignored(),
+		}
+	}
+	e := x.emus[i]
+	return LLCResult{
+		Stats:        e.Stats(),
+		Instructions: e.Instructions(),
+		MPKI:         e.MPKI(),
+		Samples:      e.Samples(),
+		Ignored:      e.Ignored(),
+	}
+}
+
+// bankedConfig fits the physical board's CC banking to one LLC: tiny
+// scaled caches (large lines at small Scale) may have fewer sets than
+// the four banks, so the banking shrinks to fit (exact-equivalence
+// makes this free). Banks never drops below one; a cache too small to
+// hold even one set per line is rejected here with a clear error
+// instead of surfacing a confusing failure from dragonhead.New.
+func bankedConfig(llc cache.Config) (dragonhead.Config, error) {
+	cfg := dragonhead.DefaultConfig(llc)
+	lines := uint64(0)
+	if llc.LineSize > 0 {
+		lines = llc.Size / llc.LineSize
+	}
+	sets := lines
+	if assoc := uint64(llc.Assoc); assoc > 0 && lines > 0 {
+		sets = lines / assoc
+	}
+	if sets == 0 {
+		return dragonhead.Config{}, fmt.Errorf(
+			"core: LLC %s: cache too small for line size (size %d B, line %d B, assoc %d leaves no sets)",
+			llc.Name, llc.Size, llc.LineSize, llc.Assoc)
+	}
+	for cfg.Banks > 1 && uint64(cfg.Banks) > sets {
+		cfg.Banks /= 2
+	}
+	return cfg, nil
+}

@@ -53,7 +53,7 @@ func TestLLCSweepManifestBitMatch(t *testing.T) {
 		t.Fatalf("got %d manifests, want 1", len(ms))
 	}
 	m := ms[0]
-	if m.Kind != "llcsweep" || m.Workload != "FIMI" || m.Threads != 4 {
+	if m.Kind != "plansweep" || m.Workload != "FIMI" || m.Threads != 4 {
 		t.Errorf("manifest identity wrong: %+v", m)
 	}
 	want := telemetry.RunTotals{
@@ -81,7 +81,7 @@ func TestLLCSweepManifestBitMatch(t *testing.T) {
 		t.Errorf("softsdv counter %d != instructions %d",
 			m.Counters.Counters["softsdv_instructions_total"], sum.Instructions)
 	}
-	if m.Trace == nil || m.Trace.Name != "llcsweep/FIMI" || m.Trace.WallNS == 0 {
+	if m.Trace == nil || m.Trace.Name != "plansweep/FIMI" || m.Trace.WallNS == 0 {
 		t.Errorf("span tree missing or unnamed: %+v", m.Trace)
 	}
 	if prog.Len() == 0 || !strings.Contains(prog.String(), "FIMI") {

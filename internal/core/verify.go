@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"cmpmem/internal/cache"
@@ -226,16 +227,17 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 	// monolithic set space).
 	neutral := cfgs[len(cfgs)-1] // largest grid entry: most sets to split
 	neutralSets := neutral.Size / neutral.LineSize / uint64(neutral.Assoc)
+	shardBase, err := bankedConfig(neutral)
+	if err != nil {
+		return err
+	}
 	var variants []*dragonhead.Emulator
 	var vsnoop []fsb.Snooper
 	for _, banks := range []int{1, 2, 4} {
 		if uint64(banks) > neutralSets {
 			continue // cannot split further than one set per bank
 		}
-		dcfg, err := bankedConfig(neutral)
-		if err != nil {
-			return err
-		}
+		dcfg := shardBase
 		dcfg.Banks = banks
 		e, err := dragonhead.New(dcfg)
 		if err != nil {
@@ -258,10 +260,6 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 	// execution paths of one emulator configuration must agree on every
 	// published number: Stats, the CB sample series, MPKI, and the AF
 	// drop count.
-	shardBase, err := bankedConfig(neutral)
-	if err != nil {
-		return err
-	}
 	serialEmu, err := dragonhead.New(shardBase)
 	if err != nil {
 		return err
@@ -295,7 +293,7 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 		case e.MPKI() != serialEmu.MPKI() || e.Ignored() != serialEmu.Ignored():
 			rep.Failf(id, "MPKI/ignored diverge: %g/%d != %g/%d",
 				e.MPKI(), e.Ignored(), serialEmu.MPKI(), serialEmu.Ignored())
-		case !sameSamples(e.Samples(), serialEmu.Samples()):
+		case !slices.Equal(e.Samples(), serialEmu.Samples()):
 			rep.Failf(id, "CB sample series diverges (%d vs %d samples)",
 				len(e.Samples()), len(serialEmu.Samples()))
 		default:
@@ -507,7 +505,7 @@ func verifyPlanner(rep *verify.Report, name string, p workloads.Params, pc Platf
 				rep.Failf(id, "inst/MPKI/ignored diverge: %d/%g/%d != %d/%g/%d",
 					got.Instructions, got.MPKI, got.Ignored,
 					want.Instructions, want.MPKI, want.Ignored)
-			case !sameSamples(got.Samples, want.Samples):
+			case !slices.Equal(got.Samples, want.Samples):
 				rep.Failf(id, "CB sample series diverges (%d vs %d samples)",
 					len(got.Samples), len(want.Samples))
 			case len(want.Samples) == 0:
@@ -522,19 +520,6 @@ func verifyPlanner(rep *verify.Report, name string, p workloads.Params, pc Platf
 		}
 	}
 	return nil
-}
-
-// sameSamples reports element-wise equality of two CB sample series.
-func sameSamples(a, b []dragonhead.Sample) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // verifyFaults exercises the injected-failure paths end to end: spill

@@ -7,6 +7,7 @@ import (
 
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/mem"
+	"cmpmem/internal/telemetry"
 	"cmpmem/internal/trace"
 )
 
@@ -55,11 +56,16 @@ func TestShardedEquivalence(t *testing.T) {
 	for _, shards := range []int{2, 4, 8} {
 		scfg := cfg
 		scfg.Shards = shards
+		scfg.Trace = telemetry.StartSpan("run")
 		sharded := newEmu(t, scfg)
 		if sharded.Shards() != shards {
 			t.Fatalf("Shards() = %d, want %d", sharded.Shards(), shards)
 		}
 		shardTraffic(sharded, 7)
+		// A traced sharded run attaches its workers' busy time post-hoc.
+		if g := scfg.Trace.Find("shards"); g == nil || len(g.Children) != shards {
+			t.Errorf("shards=%d: traced run attached no per-shard spans: %+v", shards, g)
+		}
 		if !reflect.DeepEqual(serial.Stats(), sharded.Stats()) {
 			t.Errorf("shards=%d: Stats diverge", shards)
 		}

@@ -4,20 +4,13 @@ import (
 	"fmt"
 
 	"cmpmem/internal/cache"
+	"cmpmem/internal/dragonhead"
 )
 
-// Sample is one CB counter snapshot for a tracked geometry, field-wise
-// identical to dragonhead.Sample so planner-answered series can be
-// compared (and converted) bit for bit.
-type Sample struct {
-	// Cycles is the cumulative cycles-completed at collection time.
-	Cycles uint64
-	// Instructions is the cumulative instructions retired (all cores).
-	Instructions uint64
-	// Accesses and Misses are cumulative LLC counters.
-	Accesses uint64
-	Misses   uint64
-}
+// Sample is one CB counter snapshot for a tracked geometry: the
+// emulator's own sample type, so a planner-answered series is the same
+// vocabulary as an emulated one and compares bit for bit.
+type Sample = dragonhead.Sample
 
 // Tracked is a per-configuration handle returned by Track: it carries
 // running counters (misses, per-core misses, gap-observed writebacks,

@@ -1,6 +1,6 @@
 // Machine-readable run manifests: one JSON object per experiment run,
 // appended to a JSONL stream. A manifest records everything needed to
-// regenerate or audit a BENCH_*.json entry — workload, parameters,
+// regenerate or audit a recorded benchmark number — workload, parameters,
 // platform, seed, git revision, wall/CPU time, the span tree, the
 // execution-side totals, per-LLC results, and a counter snapshot — so
 // benchmark records become generated output instead of hand-edited

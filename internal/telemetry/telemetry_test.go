@@ -209,7 +209,7 @@ func TestSpanConcurrentChildren(t *testing.T) {
 func TestManifestWriter(t *testing.T) {
 	var buf bytes.Buffer
 	mw := NewManifestWriter(&buf)
-	m := &Manifest{Kind: "llcsweep", Workload: "FIMI", Seed: 1,
+	m := &Manifest{Kind: "plansweep", Workload: "FIMI", Seed: 1,
 		Summary: &RunTotals{Instructions: 123, BusEvents: 456}}
 	if err := mw.Emit(m); err != nil {
 		t.Fatal(err)

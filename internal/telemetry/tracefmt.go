@@ -1,7 +1,7 @@
 // Span-tree rendering: folded-stack output (one line per stack path,
 // flamegraph.pl / speedscope compatible) and a human-readable waterfall
 // that shows phase start offsets, durations, and a proportional bar.
-// Shared by `cosim trace` and cmd/tracedump.
+// Rendered by `cosim trace`.
 
 package telemetry
 

@@ -2,7 +2,7 @@
 // between the execution engine and the cache emulator, plus compact
 // binary codecs so traces can be captured once (cmd/tracegen, the
 // memoized trace store) and replayed through many cache configurations
-// (cmd/cachesim, core.ReplayBus).
+// (cmd/cachesim, the replay engine in internal/core).
 //
 // Two wire formats share one file header ("CMPT" + version byte):
 //
@@ -337,38 +337,6 @@ func ReadAll(rd io.Reader) ([]Ref, error) {
 		refs = append(refs, ref)
 	}
 }
-
-// Player iterates an in-memory captured stream for replay. It performs
-// no allocation per reference — the replay engine's inner loop is a
-// slice walk — and can be rewound, so one captured execution drives any
-// number of cache configurations ("execute once, replay many").
-type Player struct {
-	refs []Ref
-	pos  int
-}
-
-// NewPlayer returns a Player over refs. The slice is not copied; the
-// caller must not mutate it while replaying.
-func NewPlayer(refs []Ref) *Player { return &Player{refs: refs} }
-
-// Len returns the total stream length.
-func (p *Player) Len() int { return len(p.refs) }
-
-// Remaining returns how many references are left to play.
-func (p *Player) Remaining() int { return len(p.refs) - p.pos }
-
-// Next returns the next reference, or ok=false at end of stream.
-func (p *Player) Next() (Ref, bool) {
-	if p.pos >= len(p.refs) {
-		return Ref{}, false
-	}
-	r := p.refs[p.pos]
-	p.pos++
-	return r, true
-}
-
-// Rewind resets the Player to the start of the stream.
-func (p *Player) Rewind() { p.pos = 0 }
 
 // StreamPlayer decodes an encoded trace stream (v1 or v2, including the
 // file header) directly from a byte slice: the memoized trace store

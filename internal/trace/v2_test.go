@@ -186,50 +186,6 @@ func TestCrossVersionDetection(t *testing.T) {
 	}
 }
 
-func TestPlayer(t *testing.T) {
-	refs := []Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}}
-	p := NewPlayer(refs)
-	if p.Len() != 3 || p.Remaining() != 3 {
-		t.Fatalf("Len/Remaining = %d/%d, want 3/3", p.Len(), p.Remaining())
-	}
-	for i, want := range refs {
-		got, ok := p.Next()
-		if !ok || got != want {
-			t.Fatalf("Next %d: got %+v ok=%v", i, got, ok)
-		}
-	}
-	if _, ok := p.Next(); ok {
-		t.Error("Next past end returned ok")
-	}
-	p.Rewind()
-	if p.Remaining() != 3 {
-		t.Error("Rewind did not reset position")
-	}
-	if r, ok := p.Next(); !ok || r.Addr != 1 {
-		t.Error("replay after Rewind diverges")
-	}
-}
-
-// TestPlayerZeroAlloc: the replay inner loop must not allocate.
-func TestPlayerZeroAlloc(t *testing.T) {
-	refs := make([]Ref, 4096)
-	for i := range refs {
-		refs[i] = Ref{Addr: mem.Addr(i * 64), Size: 8}
-	}
-	p := NewPlayer(refs)
-	var sink uint64
-	allocs := testing.AllocsPerRun(10, func() {
-		p.Rewind()
-		for r, ok := p.Next(); ok; r, ok = p.Next() {
-			sink += uint64(r.Addr)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("replay loop allocates %.1f objects per pass, want 0", allocs)
-	}
-	_ = sink
-}
-
 func TestStreamPlayerMatchesReader(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	refs := make([]Ref, 5000)
