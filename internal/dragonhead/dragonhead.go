@@ -321,9 +321,15 @@ func (e *Emulator) OnRef(r trace.Ref) {
 		e.ignored++
 		return
 	}
-	// Regulate: split into line-granular requests, route to banks.
+	// Regulate: split into line-granular requests, route to banks. A
+	// zero-size transaction still occupies one byte, as in every other
+	// model of the AF (cache, oracle, verify.RefCache, sampling).
+	size := r.Size
+	if size == 0 {
+		size = 1
+	}
 	first := uint64(r.Addr) >> e.lineShift
-	last := (uint64(r.Addr) + uint64(r.Size) - 1) >> e.lineShift
+	last := (uint64(r.Addr) + uint64(size) - 1) >> e.lineShift
 	if e.nshards > 1 {
 		// Sharded path: the AF has already regulated to lines, so route
 		// the raw block number to the worker owning its bank. shardMask

@@ -25,11 +25,16 @@
 //     million-line reuse summaries) fall back to one Fenwick-tree
 //     stackdist.Analyzer per set, O(log n) per reference at any depth.
 //
+// Sets are bit-selected, so a family with more sets partitions one with
+// fewer (Hill & Smith's set refinement) and a line's distance can only
+// shrink as sets split. record visits the shallow families in that
+// order: what one family finds bounds, and often settles, its
+// neighbours' answers.
+//
 // Cold detection and dirty state are line-granular and therefore shared
-// by every family: the engine keeps a single block -> dirty-bitmask map
-// whose presence doubles as the first-touch set, so the per-reference
-// map traffic is one lookup regardless of how many geometries are
-// registered.
+// by every family: one open-addressed line table (block -> dirty
+// bitmask) whose membership doubles as the first-touch set, consulted
+// only by requests that need it (see charge).
 //
 // The engine mirrors the Dragonhead AF and CB stages bit for bit: it
 // honors the start/stop emulation window, decodes control-message
@@ -52,6 +57,7 @@ package oracle
 
 import (
 	"fmt"
+	"sort"
 
 	"cmpmem/internal/cache"
 	"cmpmem/internal/fsb"
@@ -73,13 +79,6 @@ const fastDepth = 256
 // sets x maxAssoc; two uint64 arrays of that length).
 const fastBudget = 1 << 22
 
-// deepDist is the distance reported by a fast family for a reused block
-// deeper than its stack: not exact, but provably >= maxAssoc, which is
-// all any consumer of that family may ask about. Distinct from
-// stackdist.Infinite so cold and deep-reuse stay distinguishable (the
-// dirty-writeback accounting needs that).
-const deepDist = uint32(stackdist.Infinite - 1)
-
 // setFamily holds the per-set distance state of one set count, plus the
 // Tracked handles (geometries wanting full Stats) that share it.
 type setFamily struct {
@@ -92,13 +91,20 @@ type setFamily struct {
 	// Representation, chosen at freeze time (first recorded request).
 	fast bool
 
-	// Fast path: per-set bounded LRU stacks and distance histograms in
-	// flat arrays, sets x maxAssoc each; depth/deep/cold are per set.
+	// floor is the smallest distance at which a request needs the line
+	// table: the least tracked associativity (a miss there reads and
+	// resets the dirty bit), maxAssoc with nothing tracked (a block
+	// beyond the stack may be a first touch).
+	floor uint32
+
+	// Fast path: per-set bounded LRU stacks (of block number plus one, so
+	// an empty slot matches nothing) and distance histograms in flat
+	// arrays, sets x maxAssoc each; depth and deep are per set. hist
+	// holds distances 1 and up: distance 0 is Engine.onTop.
 	stack []uint64
 	hist  []uint64
 	depth []int32
-	deep  []uint64
-	cold  []uint64
+	deep  []uint64 // requests not resident in the stack: cold or deeper
 
 	// Slow path: one Fenwick analyzer per touched set.
 	perSet map[uint64]*stackdist.Analyzer
@@ -107,6 +113,12 @@ type setFamily struct {
 // freeze picks the family's representation; no geometry may be added
 // afterwards (the engine guards on accesses > 0).
 func (f *setFamily) freeze() {
+	f.floor = uint32(f.maxAssoc)
+	for _, t := range f.tracked {
+		if t.assoc32 < f.floor {
+			f.floor = t.assoc32
+		}
+	}
 	entries := f.sets * uint64(f.maxAssoc)
 	if f.maxAssoc <= fastDepth && entries <= fastBudget {
 		f.fast = true
@@ -114,41 +126,39 @@ func (f *setFamily) freeze() {
 		f.hist = make([]uint64, entries)
 		f.depth = make([]int32, f.sets)
 		f.deep = make([]uint64, f.sets)
-		f.cold = make([]uint64, f.sets)
 		return
 	}
 	f.perSet = make(map[uint64]*stackdist.Analyzer)
 }
 
-// touchFast records one request in the bounded-stack representation and
-// returns its distance: the exact stack index when resident, deepDist
-// for a too-deep reuse, Infinite for a cold touch.
-func (f *setFamily) touchFast(set, blk uint64, cold bool) uint32 {
+// touchFast records one request in the bounded-stack representation,
+// given that the block's distance in this set is at least lo (and at
+// least 1: the caller has checked the top). It returns the exact stack
+// index when resident and maxAssoc otherwise — deeper or cold, which
+// only the line table can tell apart.
+func (f *setFamily) touchFast(set, key uint64, lo int) int {
 	base := int(set) * f.maxAssoc
 	n := int(f.depth[set])
 	s := f.stack[base : base+n]
-	for i, b := range s {
-		if b == blk {
+	for i := lo; i < n; i++ {
+		if s[i] == key {
 			copy(s[1:i+1], s[:i])
-			s[0] = blk
+			s[0] = key
 			f.hist[base+i]++
-			return uint32(i)
+			return i
 		}
 	}
 	// Not resident within maxAssoc: grow the stack if it still has
 	// room, then push the block on top (the LRU block falls off).
 	if n < f.maxAssoc {
-		f.depth[set] = int32(n + 1)
-		s = f.stack[base : base+n+1]
+		n++
+		f.depth[set] = int32(n)
+		s = f.stack[base : base+n]
 	}
-	copy(s[1:], s[:len(s)-1])
-	s[0] = blk
-	if cold {
-		f.cold[set]++
-		return stackdist.Infinite
-	}
+	copy(s[1:], s[:n-1])
+	s[0] = key
 	f.deep[set]++
-	return deepDist
+	return f.maxAssoc
 }
 
 // touchSlow records one request in the Fenwick representation.
@@ -169,7 +179,7 @@ func (f *setFamily) touchSlow(set uint64, blk uint64) uint32 {
 // associativity (cold + deeper-than-assoc reuses).
 func (f *setFamily) setMisses(set uint64, assoc int) uint64 {
 	if f.fast {
-		m := f.cold[set] + f.deep[set]
+		m := f.deep[set]
 		base := int(set) * f.maxAssoc
 		for d := assoc; d < f.maxAssoc; d++ {
 			m += f.hist[base+d]
@@ -203,14 +213,30 @@ type Engine struct {
 	perCoreAccesses [cache.MaxCores]uint64
 
 	families map[uint64]*setFamily
-	famList  []*setFamily // stable iteration, no map-order cost per ref
-	frozen   bool
+	// famList is registration order until freeze, then refinement order:
+	// the nfast bounded-stack families coarse to fine, the Fenwick
+	// families after them.
+	famList []*setFamily
+	nfast   int
 
-	// seen maps block number -> dirty bitmask (one bit per tracked
-	// geometry, engine-wide). Presence doubles as the first-touch set,
-	// so cold detection and dirty state cost one lookup per request.
-	seen         map[uint64]uint64
+	// onTop[k] counts requests whose first fast family, coarse to fine,
+	// with the block on top of its set was famList[k] (nfast: none). The
+	// block is on top in every finer family too, so a fast family's
+	// distance-0 count is the sum of onTop up to its own index. Nil
+	// until freeze.
+	onTop []uint64
+	// finerBits[k] is the OR of the tracked bits of famList[k:nfast].
+	finerBits []uint64
+
+	// lines holds every block touched with its dirty bitmask, one bit
+	// per tracked geometry, engine-wide.
+	lines        lineTable
 	trackedCount int
+
+	// dirtyLines[i] is the number of lines whose bit i is set, counted
+	// by Tracked.Stats and good while accesses == dirtyAt.
+	dirtyLines []uint64
+	dirtyAt    uint64
 
 	// CB state (EnableSampling).
 	instRetired   [cache.MaxCores]uint64
@@ -229,7 +255,7 @@ func New(lineSize uint64) (*Engine, error) {
 	e := &Engine{
 		lineSize: lineSize,
 		families: make(map[uint64]*setFamily),
-		seen:     make(map[uint64]uint64),
+		lines:    newLineTable(),
 	}
 	for s := lineSize; s > 1; s >>= 1 {
 		e.lineShift++
@@ -313,62 +339,119 @@ func (e *Engine) EnableSampling(clockHz, samplePeriod float64) error {
 	return nil
 }
 
-// record processes one line-granular request to block number blk.
-func (e *Engine) record(blk uint64, kind mem.Kind, core uint8) {
-	if !e.frozen {
-		for _, f := range e.famList {
-			f.freeze()
+// freeze fixes every family's representation and the order record
+// visits them in.
+func (e *Engine) freeze() {
+	for _, f := range e.famList {
+		f.freeze()
+	}
+	sort.SliceStable(e.famList, func(i, j int) bool {
+		a, b := e.famList[i], e.famList[j]
+		if a.fast != b.fast {
+			return a.fast
 		}
-		e.frozen = true
+		return a.sets < b.sets
+	})
+	for e.nfast < len(e.famList) && e.famList[e.nfast].fast {
+		e.nfast++
+	}
+	e.onTop = make([]uint64, e.nfast+1)
+	e.finerBits = make([]uint64, e.nfast+1)
+	for k := e.nfast - 1; k >= 0; k-- {
+		e.finerBits[k] = e.finerBits[k+1]
+		for _, t := range e.famList[k].tracked {
+			e.finerBits[k] |= t.bit
+		}
+	}
+}
+
+// record processes one line-granular request to block number blk.
+func (e *Engine) record(blk uint64, store bool, core uint8) {
+	if e.onTop == nil {
+		e.freeze()
 	}
 	e.accesses++
 	e.perCoreAccesses[core]++
-	store := kind == mem.Store
 	if store {
 		e.stores++
 	} else {
 		e.loads++
 	}
-	mask, seenBefore := e.seen[blk]
-	newMask := mask
-	for _, f := range e.famList {
-		set := blk & f.setMask
-		var d uint32
-		if f.fast {
-			d = f.touchFast(set, blk, !seenBefore)
-		} else {
-			d = f.touchSlow(set, blk)
+	key := blk + 1
+	fams := e.famList[:e.nfast]
+
+	// The first family, coarse to fine, with the block on top of its set.
+	// It and every finer family see distance 0: nothing moves, nothing
+	// misses, and k == 0 — one compare — is the common request.
+	k := 0
+	for ; k < len(fams); k++ {
+		if f := fams[k]; f.stack[int(blk&f.setMask)*f.maxAssoc] == key {
+			break
 		}
-		// Apply the outcome to every tracked geometry of the family. By
-		// inclusion, the request misses in an A-way geometry iff its
-		// distance is >= A (cold and deep always qualify). A non-cold
-		// miss whose line was dirty at its previous access means the
-		// line was evicted dirty during the reuse gap: exactly one
-		// writeback of the simulated cache, charged here at reuse time.
-		for _, t := range f.tracked {
-			if d >= t.assoc32 {
-				t.misses++
-				t.perCoreMisses[core]++
-				if !store {
-					t.loadMisses++
-				}
-				if d != stackdist.Infinite && mask&t.bit != 0 {
-					t.writebacks++
-				}
-				// Refill resets the dirty bit to the filling access's kind.
-				if store {
-					newMask |= t.bit
-				} else {
-					newMask &^= t.bit
-				}
-			} else if store {
-				newMask |= t.bit
+	}
+	e.onTop[k]++
+	var c *lineCell // the block's line-table cell, once something needs it
+	if store {
+		c = e.lines.at(key)
+		c.mask |= e.finerBits[k]
+	}
+
+	// The coarser families, fine to coarse: a family's distance is a
+	// lower bound on its coarser neighbour's, so each scan starts where
+	// the last one ended, and a bound at or past a family's own depth
+	// (they need not be equal) leaves only the push.
+	lo := 1
+	for i := k - 1; i >= 0; i-- {
+		f := fams[i]
+		d := f.touchFast(blk&f.setMask, key, lo)
+		if d > lo {
+			lo = d
+		}
+		c = e.charge(f, uint32(d), c, key, store, core)
+	}
+	for _, f := range e.famList[e.nfast:] {
+		c = e.charge(f, f.touchSlow(blk&f.setMask, blk), c, key, store, core)
+	}
+}
+
+// charge applies a request at distance d in f to f's tracked geometries.
+// c is the block's line-table cell if the caller holds it; charge
+// consults the table only if it must — which includes every first touch,
+// since a cold block is beyond every stack — and returns the cell.
+func (e *Engine) charge(f *setFamily, d uint32, c *lineCell, key uint64, store bool, core uint8) *lineCell {
+	if d < f.floor && !store {
+		return c
+	}
+	if c == nil {
+		c = e.lines.at(key)
+	}
+	// By inclusion, the request misses in an A-way geometry iff its
+	// distance is >= A (cold and deep always qualify). A miss whose line
+	// was dirty at its previous access — never a cold one, whose cell is
+	// new — means the line was evicted dirty during the reuse gap:
+	// exactly one writeback of the simulated cache, charged here at
+	// reuse time.
+	for _, t := range f.tracked {
+		if d >= t.assoc32 {
+			t.misses++
+			t.perCoreMisses[core]++
+			if !store {
+				t.loadMisses++
 			}
+			if c.mask&t.bit != 0 {
+				t.writebacks++
+			}
+			// Refill resets the dirty bit to the filling access's kind.
+			if store {
+				c.mask |= t.bit
+			} else {
+				c.mask &^= t.bit
+			}
+		} else if store {
+			c.mask |= t.bit
 		}
 	}
-	if !seenBefore || newMask != mask {
-		e.seen[blk] = newMask
-	}
+	return c
 }
 
 // OnRef implements fsb.Snooper: the AF stage. Control-message
@@ -393,8 +476,9 @@ func (e *Engine) OnRef(r trace.Ref) {
 	}
 	first := uint64(r.Addr) >> e.lineShift
 	last := (uint64(r.Addr) + uint64(size) - 1) >> e.lineShift
+	store := r.Kind == mem.Store
 	for blk := first; blk <= last; blk++ {
-		e.record(blk, r.Kind, r.Core)
+		e.record(blk, store, r.Core)
 	}
 }
 

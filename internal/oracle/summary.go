@@ -39,12 +39,20 @@ func (e *Engine) Summary(sets uint64) (DistanceSummary, error) {
 	var s DistanceSummary
 	s.Depth = f.maxAssoc
 	s.Requests = e.accesses
-	s.Distinct = uint64(len(e.seen))
+	s.Distinct = uint64(e.lines.n)
 	if f.fast {
+		// Every block's first touch is cold in every family; distance 0
+		// is counted per engine (see Engine.onTop), the rest per set.
+		s.Cold = s.Distinct
+		for k, g := range e.famList {
+			merged[0] += e.onTop[k]
+			if g == f {
+				break
+			}
+		}
 		for set := uint64(0); set < f.sets; set++ {
-			s.Cold += f.cold[set]
 			base := int(set) * f.maxAssoc
-			for d := 0; d < f.maxAssoc; d++ {
+			for d := 1; d < f.maxAssoc; d++ {
 				merged[d] += f.hist[base+d]
 			}
 		}

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cmpmem/internal/cache"
 	"cmpmem/internal/dragonhead"
@@ -113,8 +114,9 @@ func (t *Tracked) MPKI() float64 {
 //     exactly, and the Fenwick path enumerates final depths directly.
 //   - TrafficBytes = LineSize x (fills + writebacks).
 //
-// Stats walks the family's per-set state and the engine's dirty map;
-// call it after the stream is delivered (not a hot-path accessor).
+// Stats walks the family's per-set state; the line table is walked
+// once for all tracked geometries (see dirtyCounts). Call it after the
+// stream is delivered (not a hot-path accessor).
 func (t *Tracked) Stats() cache.Stats {
 	e := t.eng
 	s := cache.Stats{
@@ -139,32 +141,27 @@ func (t *Tracked) Stats() cache.Stats {
 		// Dirty lines evicted after their last access: all dirty lines,
 		// minus the ones still resident (within the first assoc stack
 		// positions of their set).
-		var dirty, resident uint64
-		for _, mask := range e.seen {
-			if mask&t.bit != 0 {
-				dirty++
-			}
-		}
+		var resident uint64
 		for set := uint64(0); set < f.sets; set++ {
 			base := int(set) * f.maxAssoc
 			n := int(f.depth[set])
 			if n > t.assoc {
 				n = t.assoc
 			}
-			for _, blk := range f.stack[base : base+n] {
-				if e.seen[blk]&t.bit != 0 {
+			for _, key := range f.stack[base : base+n] {
+				if e.lines.mask(key)&t.bit != 0 {
 					resident++
 				}
 			}
 		}
-		wb += dirty - resident
+		wb += e.dirtyCounts()[bits.TrailingZeros64(t.bit)] - resident
 	} else {
 		for _, a := range f.perSet {
 			if m := a.MissesForLines(t.assoc); m > assoc {
 				s.Evictions += m - assoc
 			}
 			a.FinalDepths(func(blk uint64, depth int) {
-				if depth >= t.assoc && e.seen[blk]&t.bit != 0 {
+				if depth >= t.assoc && e.lines.mask(blk+1)&t.bit != 0 {
 					wb++
 				}
 			})
@@ -173,4 +170,20 @@ func (t *Tracked) Stats() cache.Stats {
 	s.Writebacks = wb
 	s.TrafficBytes = e.lineSize * (t.misses + wb)
 	return s
+}
+
+// dirtyCounts returns, per tracked bit, the number of lines that are
+// dirty in that geometry: one walk of the line table answers every
+// handle's Stats, and is redone only if a request was recorded since.
+func (e *Engine) dirtyCounts() []uint64 {
+	if e.dirtyLines == nil || e.dirtyAt != e.accesses {
+		e.dirtyLines = make([]uint64, maxTracked)
+		for _, c := range e.lines.cells {
+			for m := c.mask; m != 0; m &= m - 1 {
+				e.dirtyLines[bits.TrailingZeros64(m)]++
+			}
+		}
+		e.dirtyAt = e.accesses
+	}
+	return e.dirtyLines
 }

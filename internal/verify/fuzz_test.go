@@ -4,16 +4,18 @@ import (
 	"testing"
 
 	"cmpmem/internal/cache"
+	"cmpmem/internal/dragonhead"
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/mem"
 	"cmpmem/internal/trace"
 )
 
-// FuzzVerifyOracle feeds an arbitrary access sequence to all three
+// FuzzVerifyOracle feeds an arbitrary access sequence to all four
 // independent LRU implementations — the production cache, the naive
-// reference cache, and the stack-distance oracle — and requires exact
-// agreement on accesses, misses, and (cache vs reference) replacement
-// state. The fuzzer explores the adversarial corner the random tests
+// reference cache, the stack-distance oracle, and a banked Dragonhead
+// emulator behind its own AF — and requires exact agreement on
+// accesses, misses, and (cache vs reference) replacement state. The
+// fuzzer explores the adversarial corner the random tests
 // cannot: pathological conflict patterns, straddling sizes, and
 // aliasing address bits.
 func FuzzVerifyOracle(f *testing.F) {
@@ -36,6 +38,7 @@ func FuzzVerifyOracle(f *testing.F) {
 			cfg cache.Config
 			c   *cache.Cache
 			ref *RefCache
+			emu *dragonhead.Emulator
 		}
 		var models []model
 		for _, cfg := range cfgs {
@@ -50,23 +53,42 @@ func FuzzVerifyOracle(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			models = append(models, model{cfg, c, rc})
+			// As many banks as the board has, halved until each holds a
+			// set — the rule core.bankedConfig applies.
+			dcfg := dragonhead.DefaultConfig(cfg)
+			sets := cfg.Size / cfg.LineSize
+			if cfg.Assoc > 0 {
+				sets /= uint64(cfg.Assoc)
+			} else {
+				sets = 1
+			}
+			for uint64(dcfg.Banks) > sets {
+				dcfg.Banks /= 2
+			}
+			emu, err := dragonhead.New(dcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			emu.OnMsg(fsb.Message{Kind: fsb.MsgStart})
+			models = append(models, model{cfg, c, rc, emu})
 		}
 		oracle.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 
 		// Decode the fuzz input as a stream of accesses: 4 bytes form a
 		// 16-bit address (dense enough to alias), a size, and a kind.
-		// The oracle consumes the refs through its exported AF front
-		// end, which applies the same size clamp and line split the
-		// caches do internally.
+		// The oracle and the emulators consume the refs through their
+		// exported AF front ends, which apply the same size clamp and
+		// line split the caches do internally.
 		for i := 0; i+3 < len(data); i += 4 {
 			addr := mem.Addr(uint64(data[i]) | uint64(data[i+1])<<8)
 			size := data[i+2]
 			kind := mem.Kind(data[i+3] & 1)
-			oracle.OnRef(trace.Ref{Addr: addr, Size: size, Kind: kind})
+			ref := trace.Ref{Addr: addr, Size: size, Kind: kind}
+			oracle.OnRef(ref)
 			for _, m := range models {
 				m.c.Access(addr, size, kind, 0)
 				m.ref.Access(addr, size, kind, 0)
+				m.emu.OnRef(ref)
 			}
 		}
 
@@ -88,6 +110,12 @@ func FuzzVerifyOracle(f *testing.F) {
 			}
 			if err := DiffSnapshots(m.c.Snapshot(), m.ref.Snapshot()); err != nil {
 				t.Fatalf("%s: %v", m.cfg.Name, err)
+			}
+			m.emu.Finalize()
+			if got := m.emu.Stats(); got != *st {
+				t.Fatalf("%s: emulator diverges from cache (emulator/cache): accesses %d/%d, misses %d/%d, evictions %d/%d, writebacks %d/%d",
+					m.cfg.Name, got.Accesses, st.Accesses, got.Misses, st.Misses,
+					got.Evictions, st.Evictions, got.Writebacks, st.Writebacks)
 			}
 		}
 	})
