@@ -35,7 +35,7 @@ func benchParams() cmpmem.Params { return cmpmem.Params{Seed: 1, Scale: benchSca
 // construction only — the cheapest exhibit).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := cmpmem.Table1(benchParams())
+		rows := cmpmem.Table1(nil, benchParams())
 		if len(rows) != 8 {
 			b.Fatal("incomplete table")
 		}
@@ -48,7 +48,7 @@ func BenchmarkTable2(b *testing.B) {
 	var rows []cmpmem.Table2Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cmpmem.Table2(benchParams())
+		rows, err = cmpmem.Table2(nil, benchParams())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func benchCacheSweep(b *testing.B, cores int) {
 	var series []cmpmem.Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		series, err = cmpmem.CacheSweep(benchParams(), cores)
+		series, err = cmpmem.CacheSweep(nil, benchParams(), cores)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func BenchmarkFig7(b *testing.B) {
 	var series []cmpmem.Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		series, err = cmpmem.LineSweep(benchParams())
+		series, err = cmpmem.LineSweep(nil, benchParams())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func BenchmarkFig8(b *testing.B) {
 	var rows []cmpmem.Fig8Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cmpmem.Fig8(benchParams())
+		rows, err = cmpmem.Fig8(nil, benchParams())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -300,7 +300,7 @@ func BenchmarkDRAMCacheStudy(b *testing.B) {
 	var rows []cmpmem.DRAMCacheRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cmpmem.DRAMCacheStudy(benchParams(), 16)
+		rows, err = cmpmem.DRAMCacheStudy(nil, benchParams(), 16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func BenchmarkLLCOrganization(b *testing.B) {
 	var rows []cmpmem.LLCOrgRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cmpmem.SharedVsPrivate(benchParams(), 8, 32)
+		rows, err = cmpmem.SharedVsPrivate(nil, benchParams(), 8, 32)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -21,6 +21,13 @@
 //	                      stdin) and print the result JSON — the same
 //	                      execution path and output bytes as cosimd, so a
 //	                      served result diffs clean against a local run
+//	cosim traceinfo       profile each selected workload's in-window
+//	                      reference stream on -threads cores: access mix,
+//	                      footprint, strides, per-core counts; -windows n
+//	                      adds a phase timeline, -stackdist a Mattson
+//	                      reuse-distance summary. Like every exhibit it
+//	                      runs live or, with -trace-dir, from the stored
+//	                      capture
 //	cosim trace [-fold] [-job id] [-kind k] [-last] [file]
 //	                      render the span trees of a manifest stream
 //	                      (see trace.go)
@@ -30,12 +37,16 @@
 //	-scale f    footprint scale relative to the paper (default 1/16)
 //	-seed n     dataset seed (default 1)
 //	-csv        emit CSV instead of tables/plots
-//	-workloads  comma-separated subset (default: all eight)
+//	-workloads  comma-separated subset (default: all eight); only the
+//	            selected workloads execute
 //	-j n        run up to n independent workload executions concurrently
 //	            (default GOMAXPROCS; 1 forces serial orchestration)
 //	-batch n    deliver bus events to emulators in n-event batches on
 //	            per-snooper worker goroutines (0 = synchronous delivery;
 //	            results are bit-identical either way)
+//	-shards n   bank shards per emulator for intra-run parallel emulation
+//	            (1 = serial, the default, as in cosimd; 0 = one per CPU
+//	            up to the bank count; results are bit-identical)
 //	-replay     memoize each workload's captured bus-event stream and
 //	            replay it across exhibits instead of re-executing
 //	            (default true; results are bit-identical either way)
@@ -84,6 +95,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -116,7 +128,7 @@ func run(args []string) error {
 	subset := fs.String("workloads", "", "comma-separated workload subset")
 	jobs := fs.Int("j", 0, "concurrent workload runs (0 = GOMAXPROCS, 1 = serial)")
 	batch := fs.Int("batch", 0, "bus events per batch for parallel emulator delivery (0 = synchronous)")
-	shards := fs.Int("shards", 0, "bank shards per emulator for intra-run parallel emulation (0 = auto: one per CPU up to the bank count; 1 = serial)")
+	shards := fs.Int("shards", 1, "bank shards per emulator for intra-run parallel emulation (1 = serial; 0 = auto: one per CPU up to the bank count)")
 	replay := fs.Bool("replay", true, "execute each workload once and replay its bus stream across exhibits")
 	traceDir := fs.String("trace-dir", "", "spill captured bus streams to this directory (implies -replay)")
 	engineName := fs.String("engine", core.EngineEmulate.String(), "sweep execution engine: emulate|auto|oracle")
@@ -127,6 +139,9 @@ func run(args []string) error {
 	verifyOut := fs.String("verify-out", "", "with -verify, write the report as JSON to this file")
 	specPath := fs.String("spec", "", "with the sweep subcommand, the JSON spec file (- reads stdin)")
 	foldFlag := fs.Bool("fold", false, "with the trace subcommand, emit folded stacks instead of a waterfall")
+	threads := fs.Int("threads", 8, "with the traceinfo subcommand, virtual cores")
+	windows := fs.Int("windows", 0, "with the traceinfo subcommand, also print a phase timeline with this many windows")
+	stackdist := fs.Bool("stackdist", false, "with the traceinfo subcommand, also print a stack-distance (LRU reuse) summary")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -138,12 +153,17 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	names, err := selectWorkloads(*subset)
+	if err != nil {
+		return err
+	}
+	p := workloads.Params{Seed: *seed, Scale: *scale}
 	if *verifyMode {
-		return runVerify(workloads.Params{Seed: *seed, Scale: *scale}, selector(*subset), *verifyOut, engine)
+		return runVerify(p, names, *verifyOut, engine)
 	}
 	if fs.NArg() < 1 {
 		fs.Usage()
-		return fmt.Errorf("missing subcommand (table1|table2|fig4|fig5|fig6|fig7|fig8|all|sweep|trace)")
+		return fmt.Errorf("missing subcommand (table1|table2|fig4|fig5|fig6|fig7|fig8|all|sweep|traceinfo|trace)")
 	}
 	// The trace subcommand renders manifests instead of producing them,
 	// so it bypasses telemetry setup (which would open the manifest file
@@ -151,8 +171,6 @@ func run(args []string) error {
 	if fs.Arg(0) == "trace" {
 		return traceCmd(fs.Args()[1:], *foldFlag, *manifestPath, os.Stdout)
 	}
-	p := workloads.Params{Seed: *seed, Scale: *scale}
-	sel := selector(*subset)
 	opts := []core.RunOption{core.WithParallelism(*jobs), core.WithEngine(engine)}
 	if samplingMode != core.SamplingOff {
 		opts = append(opts, core.WithSampling(samplingMode))
@@ -182,31 +200,33 @@ func run(args []string) error {
 		var err error
 		switch cmd {
 		case "table1":
-			err = table1(p, sel)
+			err = table1(names, p)
 		case "table2":
-			err = table2(p, sel, opts)
+			err = table2(names, p, opts)
 		case "fig4":
-			err = figCache(p, sel, 8, *csv, *svgDir, opts)
+			err = figCache(names, p, 8, *csv, *svgDir, opts)
 		case "fig5":
-			err = figCache(p, sel, 16, *csv, *svgDir, opts)
+			err = figCache(names, p, 16, *csv, *svgDir, opts)
 		case "fig6":
-			err = figCache(p, sel, 32, *csv, *svgDir, opts)
+			err = figCache(names, p, 32, *csv, *svgDir, opts)
 		case "fig7":
-			err = fig7(p, sel, *csv, *svgDir, opts)
+			err = fig7(names, p, *csv, *svgDir, opts)
 		case "fig8":
-			err = fig8(p, sel, opts)
+			err = fig8(names, p, opts)
 		case "proj128":
-			err = proj128(p, sel, opts)
+			err = proj128(names, p, opts)
 		case "dramcache":
-			err = dramcache(p, sel, opts)
+			err = dramcache(names, p, opts)
 		case "phases":
-			err = phases(p, sel, *csv, opts)
+			err = phases(names, p, *csv, opts)
 		case "llcorg":
-			err = llcorg(p, sel, opts)
+			err = llcorg(names, p, opts)
 		case "workingsets":
-			err = workingsets(p, sel, opts)
+			err = workingsets(names, p, opts)
 		case "sweep":
-			err = sweepCmd(*specPath, opts)
+			err = sweepCmd(os.Stdout, *specPath, opts)
+		case "traceinfo":
+			err = traceinfo(os.Stdout, names, p, *threads, *windows, *stackdist, opts)
 		default:
 			err = fmt.Errorf("unknown subcommand %q", cmd)
 		}
@@ -224,16 +244,7 @@ func run(args []string) error {
 // goes to outPath (the CI artifact). A failed check is a non-zero exit.
 // The engine selection reaches the planner gate: -engine=oracle checks
 // the planner in strict mode over the oracle-answerable grid.
-func runVerify(p workloads.Params, sel func(string) bool, outPath string, engine core.Engine) error {
-	var names []string
-	for _, n := range registry.Names() {
-		if sel(n) {
-			names = append(names, n)
-		}
-	}
-	if len(names) == 0 {
-		return fmt.Errorf("-workloads selected nothing to verify")
-	}
+func runVerify(p workloads.Params, names []string, outPath string, engine core.Engine) error {
 	start := time.Now()
 	rep, err := core.VerifyAll(p, core.VerifyConfig{Workloads: names}, core.WithEngine(engine))
 	if err != nil {
@@ -320,11 +331,11 @@ func setupTelemetry(addr, manifestPath string) ([]core.RunOption, func(), error)
 }
 
 // sweepCmd answers one spec file through server.ExecuteSpec — the exact
-// path cosimd's workers run — and prints the result JSON on stdout.
+// path cosimd's workers run — and prints the result JSON to w.
 // The CLI's flag-derived options go in first; the spec's own fields
 // (engine, shards, batch) are applied last and win, so the output is a
 // pure function of the spec regardless of local flags.
-func sweepCmd(specPath string, opts []core.RunOption) error {
+func sweepCmd(w io.Writer, specPath string, opts []core.RunOption) error {
 	if specPath == "" {
 		return fmt.Errorf("sweep: missing -spec file (use - for stdin)")
 	}
@@ -349,47 +360,42 @@ func sweepCmd(specPath string, opts []core.RunOption) error {
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(os.Stdout, "%s\n", body)
+	_, err = fmt.Fprintf(w, "%s\n", body)
 	return err
 }
 
-// selector builds a name filter from the -workloads flag.
-func selector(subset string) func(string) bool {
+// selectWorkloads resolves the -workloads flag to workload names in
+// Table 1 order (all eight when the flag is empty). Only these execute:
+// every exhibit runner takes the selection.
+func selectWorkloads(subset string) ([]string, error) {
+	all := registry.Names()
 	if subset == "" {
-		return func(string) bool { return true }
+		return all, nil
 	}
 	keep := map[string]bool{}
 	for _, n := range strings.Split(subset, ",") {
-		keep[strings.ToUpper(strings.TrimSpace(n))] = true
-	}
-	return func(name string) bool { return keep[strings.ToUpper(name)] }
-}
-
-func filterSeries(in []metrics.Series, sel func(string) bool) []metrics.Series {
-	out := in[:0]
-	for _, s := range in {
-		if sel(s.Name) {
-			out = append(out, s)
+		n = strings.ToUpper(strings.TrimSpace(n))
+		if !slices.Contains(all, n) {
+			return nil, fmt.Errorf("unknown workload %q in -workloads (valid: %s)", n, strings.Join(all, ", "))
 		}
+		keep[n] = true
 	}
-	return out
+	return slices.DeleteFunc(all, func(n string) bool { return !keep[n] }), nil
 }
 
-func table1(p workloads.Params, sel func(string) bool) error {
+func table1(names []string, p workloads.Params) error {
 	t := &report.Table{
 		Title:   "Table 1: Input parameters and datasets (scaled)",
 		Headers: []string{"Workloads", "Parameters", "Size of Data Input"},
 	}
-	for _, row := range core.Table1(p) {
-		if sel(row.Workload) {
-			t.AddRow(row.Workload, row.Parameters, row.DataSize)
-		}
+	for _, row := range core.Table1(names, p) {
+		t.AddRow(row.Workload, row.Parameters, row.DataSize)
 	}
 	return t.Render(os.Stdout)
 }
 
-func table2(p workloads.Params, sel func(string) bool, opts []core.RunOption) error {
-	rows, err := core.Table2(p, opts...)
+func table2(names []string, p workloads.Params, opts []core.RunOption) error {
+	rows, err := core.Table2(names, p, opts...)
 	if err != nil {
 		return err
 	}
@@ -399,9 +405,6 @@ func table2(p workloads.Params, sel func(string) bool, opts []core.RunOption) er
 			"% Memory Read", "DL1 Acc/1k", "DL1 Miss/1k", "DL2 Miss/1k"},
 	}
 	for _, r := range rows {
-		if !sel(r.Workload) {
-			continue
-		}
 		t.AddRow(r.Workload,
 			fmt.Sprintf("%.2f", r.IPC),
 			fmt.Sprintf("%.1f", float64(r.Instructions)/1e6),
@@ -414,23 +417,23 @@ func table2(p workloads.Params, sel func(string) bool, opts []core.RunOption) er
 	return t.Render(os.Stdout)
 }
 
-func figCache(p workloads.Params, sel func(string) bool, cores int, csv bool, svgDir string, opts []core.RunOption) error {
-	series, err := core.CacheSweep(p, cores, opts...)
+func figCache(names []string, p workloads.Params, cores int, csv bool, svgDir string, opts []core.RunOption) error {
+	series, err := core.CacheSweep(names, p, cores, opts...)
 	if err != nil {
 		return err
 	}
 	figNo := map[int]int{8: 4, 16: 5, 32: 6}[cores]
 	title := fmt.Sprintf("Figure %d: LLC misses per 1000 instructions on %d cores", figNo, cores)
-	return renderMPKI(filterSeries(series, sel), fmt.Sprintf("fig%d.svg", figNo), title,
+	return renderMPKI(series, fmt.Sprintf("fig%d.svg", figNo), title,
 		"cache size (paper-equivalent MB)", "cache_MB_paper_equiv", csv, svgDir)
 }
 
-func fig7(p workloads.Params, sel func(string) bool, csv bool, svgDir string, opts []core.RunOption) error {
-	series, err := core.LineSweep(p, opts...)
+func fig7(names []string, p workloads.Params, csv bool, svgDir string, opts []core.RunOption) error {
+	series, err := core.LineSweep(names, p, opts...)
 	if err != nil {
 		return err
 	}
-	return renderMPKI(filterSeries(series, sel), "fig7.svg", "Figure 7: line size sensitivity on LCMP with 32MB LLC",
+	return renderMPKI(series, "fig7.svg", "Figure 7: line size sensitivity on LCMP with 32MB LLC",
 		"line size (bytes)", "line_bytes", csv, svgDir)
 }
 
@@ -464,8 +467,8 @@ func writeSVG(dir, name string, opt report.SVGOptions, series []metrics.Series) 
 	return nil
 }
 
-func fig8(p workloads.Params, sel func(string) bool, opts []core.RunOption) error {
-	rows, err := core.Fig8(p, opts...)
+func fig8(names []string, p workloads.Params, opts []core.RunOption) error {
+	rows, err := core.Fig8(names, p, opts...)
 	if err != nil {
 		return err
 	}
@@ -474,9 +477,6 @@ func fig8(p workloads.Params, sel func(string) bool, opts []core.RunOption) erro
 		Headers: []string{"Workloads", "Serial gain", "16-thread gain"},
 	}
 	for _, r := range rows {
-		if !sel(r.Workload) {
-			continue
-		}
 		t.AddRow(r.Workload,
 			fmt.Sprintf("%+.1f%%", r.SerialGainPct),
 			fmt.Sprintf("%+.1f%%", r.ParallelGainPct))
@@ -484,8 +484,8 @@ func fig8(p workloads.Params, sel func(string) bool, opts []core.RunOption) erro
 	return t.Render(os.Stdout)
 }
 
-func proj128(p workloads.Params, sel func(string) bool, opts []core.RunOption) error {
-	rows, err := core.Projection128(p, 128, opts...)
+func proj128(names []string, p workloads.Params, opts []core.RunOption) error {
+	rows, err := core.Projection128(names, p, 128, opts...)
 	if err != nil {
 		return err
 	}
@@ -496,9 +496,6 @@ func proj128(p workloads.Params, sel func(string) bool, opts []core.RunOption) e
 	}
 	wants := 0
 	for _, r := range rows {
-		if !sel(r.Workload) {
-			continue
-		}
 		verdict := "no (small LLC suffices)"
 		if r.WantsDRAMCache {
 			verdict = "YES (working set > 32MB)"
@@ -519,8 +516,8 @@ func proj128(p workloads.Params, sel func(string) bool, opts []core.RunOption) e
 	return nil
 }
 
-func dramcache(p workloads.Params, sel func(string) bool, opts []core.RunOption) error {
-	rows, err := core.DRAMCacheStudy(p, 32, opts...)
+func dramcache(names []string, p workloads.Params, opts []core.RunOption) error {
+	rows, err := core.DRAMCacheStudy(names, p, 32, opts...)
 	if err != nil {
 		return err
 	}
@@ -530,9 +527,6 @@ func dramcache(p workloads.Params, sel func(string) bool, opts []core.RunOption)
 			"DRAM LLC miss rate"},
 	}
 	for _, r := range rows {
-		if !sel(r.Workload) {
-			continue
-		}
 		t.AddRow(r.Workload,
 			fmt.Sprintf("%+.1f%%", r.GainSRAMPct),
 			fmt.Sprintf("%+.1f%%", r.GainDRAMPct),
@@ -541,26 +535,19 @@ func dramcache(p workloads.Params, sel func(string) bool, opts []core.RunOption)
 	return t.Render(os.Stdout)
 }
 
-func workingsets(p workloads.Params, sel func(string) bool, opts []core.RunOption) error {
+func workingsets(names []string, p workloads.Params, opts []core.RunOption) error {
 	t := &report.Table{
 		Title: "Working sets by platform (stack distance, 0.5% miss-ratio knee, paper-equiv)",
 		Headers: []string{"Workloads", "SCMP (8c)", "MCMP (16c)", "LCMP (32c)",
 			"Category (Section 4.3)"},
 	}
 	cells := map[string][]string{}
-	var names []string
 	for _, cores := range []int{8, 16, 32} {
-		rows, err := core.Projection128(p, cores, opts...)
+		rows, err := core.Projection128(names, p, cores, opts...)
 		if err != nil {
 			return err
 		}
 		for _, r := range rows {
-			if !sel(r.Workload) {
-				continue
-			}
-			if _, seen := cells[r.Workload]; !seen {
-				names = append(names, r.Workload)
-			}
 			cells[r.Workload] = append(cells[r.Workload], fmt.Sprintf("%.0fMB", r.WorkingSetPaperMB))
 		}
 	}
@@ -577,8 +564,8 @@ func workingsets(p workloads.Params, sel func(string) bool, opts []core.RunOptio
 	return t.Render(os.Stdout)
 }
 
-func llcorg(p workloads.Params, sel func(string) bool, opts []core.RunOption) error {
-	rows, err := core.SharedVsPrivate(p, 8, 32, opts...)
+func llcorg(names []string, p workloads.Params, opts []core.RunOption) error {
+	rows, err := core.SharedVsPrivate(names, p, 8, 32, opts...)
 	if err != nil {
 		return err
 	}
@@ -587,9 +574,6 @@ func llcorg(p workloads.Params, sel func(string) bool, opts []core.RunOption) er
 		Headers: []string{"Workloads", "Shared MPKI", "Private MPKI", "Private/Shared"},
 	}
 	for _, r := range rows {
-		if !sel(r.Workload) {
-			continue
-		}
 		ratio := "-"
 		if r.SharedMPKI > 0 {
 			ratio = fmt.Sprintf("%.2fx", r.PrivateMPKI/r.SharedMPKI)
@@ -602,15 +586,12 @@ func llcorg(p workloads.Params, sel func(string) bool, opts []core.RunOption) er
 	return t.Render(os.Stdout)
 }
 
-func phases(p workloads.Params, sel func(string) bool, csv bool, opts []core.RunOption) error {
+func phases(names []string, p workloads.Params, csv bool, opts []core.RunOption) error {
 	// One mid-size LLC; the CB samples give the miss-rate timeline.
 	cfgs := core.CacheSweepConfigs(p.Scale)
 	llc := cfgs[3] // the 32 MB paper-equivalent point
 	var series []metrics.Series
-	for _, name := range registry.Names() {
-		if !sel(name) {
-			continue
-		}
+	for _, name := range names {
 		results, _, err := core.LLCSweep(name, p,
 			core.PlatformConfig{Threads: 8, Seed: p.Seed},
 			[]cache.Config{llc}, opts...)

@@ -7,10 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"cmpmem/internal/telemetry"
 )
 
 // tinyArgs keeps CLI tests fast: 1/512-scale workloads.
@@ -312,12 +316,98 @@ func TestCLIErrors(t *testing.T) {
 }
 
 func TestSelector(t *testing.T) {
-	sel := selector("plsa, SHOT")
-	if !sel("PLSA") || !sel("SHOT") || sel("MDS") {
-		t.Error("selector filter wrong")
+	got, err := selectWorkloads("shot, plsa")
+	if err != nil || !slices.Equal(got, []string{"PLSA", "SHOT"}) {
+		t.Errorf("selectWorkloads = %v, %v; want [PLSA SHOT] in Table 1 order", got, err)
 	}
-	all := selector("")
-	if !all("ANYTHING") {
-		t.Error("empty selector must accept everything")
+	all, err := selectWorkloads("")
+	if err != nil || len(all) != 8 {
+		t.Errorf("empty selection = %v, %v; want all eight", all, err)
+	}
+	for _, bad := range []string{"NOSUCH", "SHOT,NOSUCH", ","} {
+		_, err := selectWorkloads(bad)
+		if err == nil || !strings.Contains(err.Error(), "SNP, SVM-RFE") {
+			t.Errorf("selectWorkloads(%q) = %v, want an error listing the valid names", bad, err)
+		}
+	}
+}
+
+// sweepManifests runs one cosim invocation with a manifest and returns
+// the plansweep records it wrote, one per executed workload sweep.
+func sweepManifests(t *testing.T, args ...string) []traceRecord {
+	t.Helper()
+	manifest := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := run(tinyArgs(append([]string{"-manifest", manifest}, args...)...)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := decodeTraceRecords(f, "", "plansweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestCLIWorkloadsSelectsTheWork: -workloads decides what executes, not
+// what is printed — one selected workload is one sweep — and a name
+// that selects nothing is an error naming the valid ones, before
+// anything runs.
+func TestCLIWorkloadsSelectsTheWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	recs := sweepManifests(t, "-csv", "-workloads", "SHOT", "fig4")
+	if len(recs) != 1 || recs[0].Workload != "SHOT" {
+		t.Errorf("-workloads SHOT fig4 ran %d sweeps (%v), want SHOT alone", len(recs), recs)
+	}
+	err := run(tinyArgs("-workloads", "NOSUCH", "fig4"))
+	if err == nil || !strings.Contains(err.Error(), "VIEWTYPE") {
+		t.Errorf("-workloads NOSUCH fig4 = %v, want an error listing the valid workloads", err)
+	}
+}
+
+// TestCLIDefaultIsSerial: like cosimd, the CLI shards an emulator only
+// when asked. With four CPUs to tempt an auto default, a plain sweep
+// must leave no shards span and move no core_shard_* counter; -shards 0
+// (auto) and an explicit count must still fan out.
+func TestCLIDefaultIsSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sharded := func(args ...string) bool {
+		var folded strings.Builder
+		for _, r := range sweepManifests(t, append(args, "-csv", "-workloads", "SHOT", "fig4")...) {
+			if err := telemetry.WriteFolded(&folded, r.Trace); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return strings.Contains(folded.String(), ";shards")
+	}
+	shardCounters := func() uint64 {
+		var n uint64
+		for name, v := range telemetry.Enable().Snapshot().Counters {
+			if strings.HasPrefix(name, "core_shard_") {
+				n += v
+			}
+		}
+		return n
+	}
+	before := shardCounters()
+	if sharded() {
+		t.Error("default cosim sweep opened a shards span")
+	}
+	if after := shardCounters(); after != before {
+		t.Errorf("default cosim sweep moved core_shard_* counters by %d", after-before)
+	}
+	if !sharded("-shards", "0") {
+		t.Error("-shards 0 (auto) no longer shards on a 4-CPU host")
+	}
+	if !sharded("-shards", "2") {
+		t.Error("-shards 2 no longer shards")
 	}
 }

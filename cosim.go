@@ -248,7 +248,8 @@ var (
 	Xeon16    = hier.Xeon16
 )
 
-// Exhibit runners.
+// Exhibit runners. Each takes the workload selection first (nil = all
+// eight, in Table 1 order); only the selected workloads execute.
 var (
 	// Table1 lists input parameters and dataset sizes.
 	Table1 = core.Table1
@@ -262,7 +263,8 @@ var (
 	Fig8 = core.Fig8
 )
 
-// Beyond-the-paper studies (see `cosim proj128|dramcache|llcorg|phases`).
+// Beyond-the-paper studies (see `cosim proj128|dramcache|llcorg|phases`);
+// the same selection-first signature.
 var (
 	// Projection128 measures Section 4.3's 128-core working sets
 	// directly instead of extrapolating them.

@@ -74,7 +74,7 @@ func TestPublicAPITraceCapture(t *testing.T) {
 }
 
 func TestPublicAPITable1(t *testing.T) {
-	rows := cmpmem.Table1(tiny)
+	rows := cmpmem.Table1(nil, tiny)
 	if len(rows) != 8 {
 		t.Fatalf("Table 1 rows = %d", len(rows))
 	}

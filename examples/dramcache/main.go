@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	rows, err := cmpmem.DRAMCacheStudy(cmpmem.Params{Seed: 5}, 16)
+	rows, err := cmpmem.DRAMCacheStudy(nil, cmpmem.Params{Seed: 5}, 16)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -251,14 +251,20 @@ func rateString(events uint64, d time.Duration) string {
 	return fmt.Sprintf("%.1f Mrefs/s", float64(events)/secs/1e6)
 }
 
-// TraceCapture runs the named workload and forwards every in-window
-// memory transaction to fn (message transactions excluded). It is the
-// basis of cmd/tracegen and the stack-distance analyses. With
-// WithTraceReuse the forwarded stream is served from the memoized
-// capture and is identical to a live run's.
+// Snoop attaches snoopers to the named run's complete bus-event stream
+// (memory transactions and the control messages that open and close the
+// AF window) through the executor's source step: the guest executes
+// live, or with WithTraceReuse the stream is the store's capture.
+func Snoop(name string, p workloads.Params, pc PlatformConfig, snoopers []fsb.Snooper, opts ...RunOption) (RunSummary, error) {
+	return runNamed(name, p, pc, applyOpts(opts), snoopers)
+}
+
+// TraceCapture is Snoop for consumers of plain references: it forwards
+// every in-window memory transaction to fn (message transactions
+// excluded). It is the basis of the stack-distance analyses and of
+// `cosim traceinfo`.
 func TraceCapture(name string, p workloads.Params, pc PlatformConfig, fn func(trace.Ref), opts ...RunOption) (RunSummary, error) {
-	cap := &captureSnooper{fn: fn}
-	return runNamed(name, p, pc, applyOpts(opts), []fsb.Snooper{cap})
+	return Snoop(name, p, pc, []fsb.Snooper{&captureSnooper{fn: fn}}, opts...)
 }
 
 // captureSnooper honors the start/stop window like Dragonhead's AF.

@@ -8,6 +8,7 @@ import (
 	"cmpmem/internal/dragonhead"
 	"cmpmem/internal/hier"
 	"cmpmem/internal/trace"
+	"cmpmem/internal/tracestore"
 	"cmpmem/internal/workloads"
 )
 
@@ -135,7 +136,7 @@ func TestLineSweepConfigs(t *testing.T) {
 }
 
 func TestTable1Complete(t *testing.T) {
-	rows := Table1(workloads.Params{Seed: 1, Scale: 1.0 / 512})
+	rows := Table1(nil, workloads.Params{Seed: 1, Scale: 1.0 / 512})
 	if len(rows) != 8 {
 		t.Fatalf("Table 1 has %d rows, want 8", len(rows))
 	}
@@ -143,6 +144,30 @@ func TestTable1Complete(t *testing.T) {
 		if r.Parameters == "" || r.DataSize == "" {
 			t.Errorf("%s: incomplete row", r.Workload)
 		}
+	}
+}
+
+// TestWorkloadSelectionBoundsTheWork: an exhibit runner given a
+// selection executes those workloads and no others — rows in selection
+// order, one guest execution each — and fails on a name it cannot run.
+func TestWorkloadSelectionBoundsTheWork(t *testing.T) {
+	p := workloads.Params{Seed: 1, Scale: 1.0 / 512}
+	store := tracestore.New(0, "")
+	series, err := CacheSweep([]string{"SHOT", "PLSA"}, p, 4, WithTraceReuse(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 2 || series[0].Name != "SHOT" || series[1].Name != "PLSA" {
+		t.Errorf("series = %v, want SHOT then PLSA", series)
+	}
+	if n := store.Stats().Executions(); n != 2 {
+		t.Errorf("a two-workload selection executed %d guests, want 2", n)
+	}
+	if rows := Table1([]string{"SHOT"}, p); len(rows) != 1 || rows[0].Workload != "SHOT" {
+		t.Errorf("Table1 selection = %v, want SHOT alone", rows)
+	}
+	if _, err := CacheSweep([]string{"NOSUCH"}, p, 4); err == nil {
+		t.Error("an unknown workload in the selection was accepted")
 	}
 }
 

@@ -72,11 +72,11 @@ func TestSerialParallelEquivalence(t *testing.T) {
 // identical series serial vs on the worker pool with batched buses.
 func TestCacheSweepParallelEquivalence(t *testing.T) {
 	p := tinyParams()
-	serial, err := CacheSweep(p, 4, WithParallelism(1))
+	serial, err := CacheSweep(nil, p, 4, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := CacheSweep(p, 4, WithParallelism(4), WithBusBatch(256))
+	parallel, err := CacheSweep(nil, p, 4, WithParallelism(4), WithBusBatch(256))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"cmpmem/internal/cache"
 	"cmpmem/internal/hier"
@@ -16,16 +17,32 @@ import (
 	"cmpmem/internal/workloads/registry"
 )
 
-// forEachWorkload runs fn once per registered workload on the option
-// set's bounded worker pool (default GOMAXPROCS). Runs are independent
-// — each builds its own dataset, address space, and platform — and fn
-// writes results by index, so ordering is deterministic and the first
-// error cancels whatever has not started yet.
-func forEachWorkload(ro runOpts, fn func(i int, name string) error) error {
-	names := registry.Names()
-	return par.ForEach(ro.jobs, len(names), func(i int) error {
-		return fn(i, names[i])
+// orAll resolves an exhibit's workload selection: nil is every
+// registered workload, in Table 1 order.
+func orAll(names []string) []string {
+	if names == nil {
+		return registry.Names()
+	}
+	return names
+}
+
+// forEachWorkload runs fn once per selected workload on the option
+// set's bounded worker pool (default GOMAXPROCS) and returns the rows
+// in selection order. Runs are independent — each builds its own
+// dataset, address space, and platform — so ordering is deterministic,
+// and the first error cancels whatever has not started yet.
+func forEachWorkload[T any](names []string, ro runOpts, fn func(name string) (T, error)) ([]T, error) {
+	names = orAll(names)
+	rows := make([]T, len(names))
+	err := par.ForEach(ro.jobs, len(names), func(i int) error {
+		var err error
+		rows[i], err = fn(names[i])
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
 // PaperCacheSizesMB is the Figure 4-6 sweep in paper units.
@@ -101,12 +118,16 @@ type Table1Row struct {
 	DataSize   string
 }
 
-// Table1 returns the dataset descriptions at the configured scale.
-func Table1(p workloads.Params) []Table1Row {
-	rows := make([]Table1Row, 0, 8)
+// Table1 returns the selected workloads' dataset descriptions at the
+// configured scale (nil names = all eight). Nothing executes.
+func Table1(names []string, p workloads.Params) []Table1Row {
+	names = orAll(names)
+	rows := make([]Table1Row, 0, len(names))
 	for _, w := range registry.All(p) {
-		params, size := w.Table1()
-		rows = append(rows, Table1Row{Workload: w.Name(), Parameters: params, DataSize: size})
+		if slices.Contains(names, w.Name()) {
+			params, size := w.Table1()
+			rows = append(rows, Table1Row{Workload: w.Name(), Parameters: params, DataSize: size})
+		}
 	}
 	return rows
 }
@@ -124,20 +145,20 @@ type Table2Row struct {
 	DL2MissPer1k   float64
 }
 
-// Table2 profiles every workload single-threaded through the P4
-// hierarchy model, one profiling run per pool worker.
-func Table2(p workloads.Params, opts ...RunOption) ([]Table2Row, error) {
+// Table2 profiles the selected workloads (nil names = all eight)
+// single-threaded through the P4 hierarchy model, one profiling run per
+// pool worker.
+func Table2(names []string, p workloads.Params, opts ...RunOption) ([]Table2Row, error) {
 	ro := applyOpts(opts)
-	ro.tel.Expect(len(registry.Names()))
-	rows := make([]Table2Row, len(registry.Names()))
-	err := forEachWorkload(ro, func(i int, name string) error {
+	ro.tel.Expect(len(orAll(names)))
+	return forEachWorkload(names, ro, func(name string) (Table2Row, error) {
 		res, err := RunHier(name, p, PlatformConfig{Threads: 1, Seed: p.Seed}, hier.PentiumIV(p.Scale), opts...)
 		if err != nil {
-			return fmt.Errorf("table2 %s: %w", name, err)
+			return Table2Row{}, fmt.Errorf("table2 %s: %w", name, err)
 		}
 		inst := res.Summary.Instructions
 		memInst := res.Summary.Loads + res.Summary.Stores
-		rows[i] = Table2Row{
+		return Table2Row{
 			Workload:       name,
 			IPC:            res.IPC,
 			Instructions:   inst,
@@ -146,54 +167,45 @@ func Table2(p workloads.Params, opts ...RunOption) ([]Table2Row, error) {
 			DL1AccessPer1k: metrics.MPKI(res.L1.Accesses, inst),
 			DL1MissPer1k:   metrics.MPKI(res.L1.Misses, inst),
 			DL2MissPer1k:   metrics.MPKI(res.L2.Misses, inst),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // CacheSweep produces the Figure 4/5/6 series: LLC misses per 1000
 // instructions as a function of (paper-equivalent) cache size, one
-// series per workload, at the given core count.
-func CacheSweep(p workloads.Params, cores int, opts ...RunOption) ([]metrics.Series, error) {
+// series per selected workload (nil names = all eight), at the given
+// core count.
+func CacheSweep(names []string, p workloads.Params, cores int, opts ...RunOption) ([]metrics.Series, error) {
 	p = p.WithDefaults()
 	x := func(k int) float64 { return float64(PaperCacheSizesMB[k]) }
-	return mpkiSeries(fmt.Sprintf("cache sweep on %d cores", cores), p, cores, CacheSweepConfigs(p.Scale), x, opts)
+	return mpkiSeries(fmt.Sprintf("cache sweep on %d cores", cores), names, p, cores, CacheSweepConfigs(p.Scale), x, opts)
 }
 
 // LineSweep produces the Figure 7 series: LLC MPKI vs line size on the
 // 32-core LCMP with a 32 MB paper-equivalent LLC.
-func LineSweep(p workloads.Params, opts ...RunOption) ([]metrics.Series, error) {
+func LineSweep(names []string, p workloads.Params, opts ...RunOption) ([]metrics.Series, error) {
 	p = p.WithDefaults()
 	x := func(k int) float64 { return float64(PaperLineSizes[k]) }
-	return mpkiSeries("line sweep", p, 32, LineSweepConfigs(p.Scale), x, opts)
+	return mpkiSeries("line sweep", names, p, 32, LineSweepConfigs(p.Scale), x, opts)
 }
 
-// mpkiSeries sweeps configs for every workload on the given core count
-// and returns one MPKI series per workload, config k plotted at x(k).
-func mpkiSeries(what string, p workloads.Params, cores int, configs []cache.Config, x func(k int) float64, opts []RunOption) ([]metrics.Series, error) {
+// mpkiSeries sweeps configs for each selected workload on the given
+// core count and returns one MPKI series per workload, config k plotted
+// at x(k).
+func mpkiSeries(what string, names []string, p workloads.Params, cores int, configs []cache.Config, x func(k int) float64, opts []RunOption) ([]metrics.Series, error) {
 	ro := applyOpts(opts)
-	ro.tel.Expect(len(registry.Names()))
-	out := make([]metrics.Series, len(registry.Names()))
-	err := forEachWorkload(ro, func(i int, name string) error {
+	ro.tel.Expect(len(orAll(names)))
+	return forEachWorkload(names, ro, func(name string) (metrics.Series, error) {
 		results, _, err := LLCSweep(name, p, PlatformConfig{Threads: cores, Seed: p.Seed}, configs, opts...)
 		if err != nil {
-			return fmt.Errorf("%s: %s: %w", what, name, err)
+			return metrics.Series{}, fmt.Errorf("%s: %s: %w", what, name, err)
 		}
 		s := metrics.Series{Name: name}
 		for k, r := range results {
 			s.Add(x(k), r.MPKI)
 		}
-		out[i] = s
-		return nil
+		return s, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Fig8Row reports the hardware-prefetching gain for one workload.
@@ -208,30 +220,25 @@ type Fig8Row struct {
 const Fig8Threads = 16
 
 // Fig8 measures the performance gain of enabling the stride prefetcher
-// on the Xeon-class hierarchy model, serial and 16-threaded.
-func Fig8(p workloads.Params, opts ...RunOption) ([]Fig8Row, error) {
+// on the Xeon-class hierarchy model, serial and 16-threaded, for the
+// selected workloads (nil names = all eight).
+func Fig8(names []string, p workloads.Params, opts ...RunOption) ([]Fig8Row, error) {
 	p = p.WithDefaults()
 	ro := applyOpts(opts)
 	// Each workload costs four hierarchy runs (prefetch off/on, serial
 	// and 16-thread), and each run prints its own progress step.
-	ro.tel.Expect(4 * len(registry.Names()))
-	rows := make([]Fig8Row, len(registry.Names()))
-	err := forEachWorkload(ro, func(i int, name string) error {
+	ro.tel.Expect(4 * len(orAll(names)))
+	return forEachWorkload(names, ro, func(name string) (Fig8Row, error) {
 		serial, err := prefetchGain(name, p, 1, opts)
 		if err != nil {
-			return fmt.Errorf("fig8 %s serial: %w", name, err)
+			return Fig8Row{}, fmt.Errorf("fig8 %s serial: %w", name, err)
 		}
 		par16, err := prefetchGain(name, p, Fig8Threads, opts)
 		if err != nil {
-			return fmt.Errorf("fig8 %s parallel: %w", name, err)
+			return Fig8Row{}, fmt.Errorf("fig8 %s parallel: %w", name, err)
 		}
-		rows[i] = Fig8Row{Workload: name, SerialGainPct: serial, ParallelGainPct: par16}
-		return nil
+		return Fig8Row{Workload: name, SerialGainPct: serial, ParallelGainPct: par16}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // prefetchGain runs the workload with and without the prefetcher and

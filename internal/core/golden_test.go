@@ -58,7 +58,7 @@ func TestGoldenTable2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs are slow")
 	}
-	rows, err := Table2(goldenParams())
+	rows, err := Table2(nil, goldenParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestGoldenFig8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs are slow")
 	}
-	rows, err := Fig8(goldenParams())
+	rows, err := Fig8(nil, goldenParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestGoldenCacheSweepPlanner(t *testing.T) {
 	if *update {
 		engine = EngineEmulate
 	}
-	series, err := CacheSweep(goldenParams(), 8, WithEngine(engine))
+	series, err := CacheSweep(nil, goldenParams(), 8, WithEngine(engine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +111,12 @@ func TestGoldenPlannerNeutralExhibits(t *testing.T) {
 	if *update {
 		t.Skip("fixtures are authored by the emulation-path tests")
 	}
-	rows2, err := Table2(goldenParams(), WithEngine(EngineAuto))
+	rows2, err := Table2(nil, goldenParams(), WithEngine(EngineAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "table2.json", rows2)
-	rows8, err := Fig8(goldenParams(), WithEngine(EngineAuto))
+	rows8, err := Fig8(nil, goldenParams(), WithEngine(EngineAuto))
 	if err != nil {
 		t.Fatal(err)
 	}

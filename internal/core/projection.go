@@ -22,7 +22,6 @@ import (
 	"cmpmem/internal/stackdist"
 	"cmpmem/internal/trace"
 	"cmpmem/internal/workloads"
-	"cmpmem/internal/workloads/registry"
 )
 
 // ProjectionRow reports one workload's measured working set at a given
@@ -45,22 +44,20 @@ type ProjectionRow struct {
 // candidates for large DRAM caches".
 const dramThresholdPaperMB = 32
 
-// Projection128 measures every workload's working set on very large
-// CMPs (default 128 cores) with single-pass stack-distance analysis,
-// one capture run per pool worker.
-func Projection128(p workloads.Params, cores int, opts ...RunOption) ([]ProjectionRow, error) {
+// Projection128 measures the selected workloads' working sets (nil
+// names = all eight) on very large CMPs (default 128 cores) with
+// single-pass stack-distance analysis, one capture run per pool worker.
+func Projection128(names []string, p workloads.Params, cores int, opts ...RunOption) ([]ProjectionRow, error) {
 	p = p.WithDefaults()
-	ro := applyOpts(opts)
 	if cores == 0 {
 		cores = 128
 	}
-	rows := make([]ProjectionRow, len(registry.Names()))
-	err := forEachWorkload(ro, func(i int, name string) error {
+	return forEachWorkload(names, applyOpts(opts), func(name string) (ProjectionRow, error) {
 		an := stackdist.New(64, 1<<22)
 		_, err := TraceCapture(name, p, PlatformConfig{Threads: cores, Seed: p.Seed},
 			func(r trace.Ref) { an.Record(r.Addr) }, opts...)
 		if err != nil {
-			return fmt.Errorf("projection %s: %w", name, err)
+			return ProjectionRow{}, fmt.Errorf("projection %s: %w", name, err)
 		}
 		// 0.5% miss ratio marks the knee: line-granular workloads touch
 		// a new line every ~20 references, so a looser threshold would
@@ -72,19 +69,14 @@ func Projection128(p workloads.Params, cores int, opts ...RunOption) ([]Projecti
 		}
 		toPaperMB := func(b float64) float64 { return b / p.Scale / (1 << 20) }
 		ws := toPaperMB(wsBytes)
-		rows[i] = ProjectionRow{
+		return ProjectionRow{
 			Workload:          name,
 			Cores:             cores,
 			WorkingSetPaperMB: ws,
 			DistinctPaperMB:   toPaperMB(float64(an.DistinctLines()) * 64),
 			WantsDRAMCache:    ws > dramThresholdPaperMB,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // LLCOrgRow compares the shared LLC organization against private
@@ -95,14 +87,15 @@ type LLCOrgRow struct {
 	PrivateMPKI float64
 }
 
-// SharedVsPrivate runs every workload on the given core count with the
-// same total LLC capacity organized two ways: one shared cache (the
-// paper's Dragonhead configuration) vs per-core private slices. Both
-// emulators snoop the same execution. Shared wins for the
+// SharedVsPrivate runs the selected workloads (nil names = all eight)
+// on the given core count with the same total LLC capacity organized
+// two ways: one shared cache (the paper's Dragonhead configuration) vs
+// per-core private slices. Both emulators snoop the same execution.
+// Shared wins for the
 // shared-working-set workloads (one copy of the shared structure
 // instead of N); private is competitive only for the private-working-
 // set video workloads.
-func SharedVsPrivate(p workloads.Params, cores int, paperMB int, opts ...RunOption) ([]LLCOrgRow, error) {
+func SharedVsPrivate(names []string, p workloads.Params, cores int, paperMB int, opts ...RunOption) ([]LLCOrgRow, error) {
 	p = p.WithDefaults()
 	ro := applyOpts(opts)
 	if cores == 0 {
@@ -117,33 +110,27 @@ func SharedVsPrivate(p workloads.Params, cores int, paperMB int, opts ...RunOpti
 		LineSize: 64,
 		Assoc:    LLCAssoc,
 	}
-	rows := make([]LLCOrgRow, len(registry.Names()))
-	err := forEachWorkload(ro, func(i int, name string) error {
+	return forEachWorkload(names, ro, func(name string) (LLCOrgRow, error) {
 		shared, err := dragonhead.New(dragonhead.DefaultConfig(llc))
 		if err != nil {
-			return err
+			return LLCOrgRow{}, err
 		}
 		privCfg := dragonhead.DefaultConfig(llc)
 		privCfg.PrivatePerCore = cores
 		private, err := dragonhead.New(privCfg)
 		if err != nil {
-			return err
+			return LLCOrgRow{}, err
 		}
 		if _, err := runNamed(name, p, PlatformConfig{Threads: cores, Seed: p.Seed}, ro,
 			[]fsb.Snooper{shared, private}); err != nil {
-			return fmt.Errorf("llc organization %s: %w", name, err)
+			return LLCOrgRow{}, fmt.Errorf("llc organization %s: %w", name, err)
 		}
-		rows[i] = LLCOrgRow{
+		return LLCOrgRow{
 			Workload:    name,
 			SharedMPKI:  shared.MPKI(),
 			PrivateMPKI: private.MPKI(),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // DRAMCacheRow reports the effect of adding a large DRAM LLC to one
@@ -159,13 +146,13 @@ type DRAMCacheRow struct {
 	L3MissRateDRAM float64
 }
 
-// DRAMCacheStudy runs every workload on the given core count three
-// ways — no LLC, a small fast SRAM LLC, and a large slow DRAM LLC —
-// and reports the cycle gains. It quantifies the paper's conclusion
-// that large DRAM caches serve the big-working-set workloads.
-func DRAMCacheStudy(p workloads.Params, cores int, opts ...RunOption) ([]DRAMCacheRow, error) {
+// DRAMCacheStudy runs the selected workloads (nil names = all eight)
+// on the given core count three ways — no LLC, a small fast SRAM LLC,
+// and a large slow DRAM LLC — and reports the cycle gains. It
+// quantifies the paper's conclusion that large DRAM caches serve the
+// big-working-set workloads.
+func DRAMCacheStudy(names []string, p workloads.Params, cores int, opts ...RunOption) ([]DRAMCacheRow, error) {
 	p = p.WithDefaults()
-	ro := applyOpts(opts)
 	if cores == 0 {
 		cores = 32
 	}
@@ -182,34 +169,28 @@ func DRAMCacheStudy(p workloads.Params, cores int, opts ...RunOption) ([]DRAMCac
 		return RunHier(name, p, PlatformConfig{Threads: cores, Seed: p.Seed}, hc, opts...)
 	}
 
-	rows := make([]DRAMCacheRow, len(registry.Names()))
-	err := forEachWorkload(ro, func(i int, name string) error {
+	return forEachWorkload(names, applyOpts(opts), func(name string) (DRAMCacheRow, error) {
 		none, err := run(name, nil, 0)
 		if err != nil {
-			return fmt.Errorf("dram study %s (no LLC): %w", name, err)
+			return DRAMCacheRow{}, fmt.Errorf("dram study %s (no LLC): %w", name, err)
 		}
 		sram, err := run(name, &sramCfg, 40)
 		if err != nil {
-			return fmt.Errorf("dram study %s (SRAM): %w", name, err)
+			return DRAMCacheRow{}, fmt.Errorf("dram study %s (SRAM): %w", name, err)
 		}
 		dram, err := run(name, &dramCfg, 120)
 		if err != nil {
-			return fmt.Errorf("dram study %s (DRAM): %w", name, err)
+			return DRAMCacheRow{}, fmt.Errorf("dram study %s (DRAM): %w", name, err)
 		}
 		var missRate float64
 		if acc := dram.L3.Accesses; acc > 0 {
 			missRate = float64(dram.L3.Misses) / float64(acc)
 		}
-		rows[i] = DRAMCacheRow{
+		return DRAMCacheRow{
 			Workload:       name,
 			GainSRAMPct:    (none.Cycles/sram.Cycles - 1) * 100,
 			GainDRAMPct:    (none.Cycles/dram.Cycles - 1) * 100,
 			L3MissRateDRAM: missRate,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

@@ -16,7 +16,7 @@ func TestProjectionShapes(t *testing.T) {
 		t.Skip("projection is too slow for -short")
 	}
 	p := workloads.Params{Seed: 1, Scale: 1.0 / 128}
-	rows, err := Projection128(p, 64)
+	rows, err := Projection128(nil, p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestDRAMCacheStudyShapes(t *testing.T) {
 		t.Skip("DRAM study is too slow for -short")
 	}
 	p := workloads.Params{Seed: 1, Scale: 1.0 / 64}
-	rows, err := DRAMCacheStudy(p, 16)
+	rows, err := DRAMCacheStudy(nil, p, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestSharedVsPrivateShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rows, err := SharedVsPrivate(workloads.Params{Seed: 1, Scale: 1.0 / 128}, 8, 32)
+	rows, err := SharedVsPrivate(nil, workloads.Params{Seed: 1, Scale: 1.0 / 128}, 8, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestProjectionDefaultCores(t *testing.T) {
 		t.Skip("slow")
 	}
 	// cores=0 defaults to 128 and must run end to end at tiny scale.
-	rows, err := Projection128(workloads.Params{Seed: 1, Scale: 1.0 / 512}, 0)
+	rows, err := Projection128(nil, workloads.Params{Seed: 1, Scale: 1.0 / 512}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

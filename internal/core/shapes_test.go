@@ -32,7 +32,7 @@ func TestFigure4Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cache sweep is too slow for -short")
 	}
-	series, err := CacheSweep(shapeParams(), 8)
+	series, err := CacheSweep(nil, shapeParams(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestThreadScalingShapes(t *testing.T) {
 		t.Skip("cache sweeps are too slow for -short")
 	}
 	p := shapeParams()
-	s8, err := CacheSweep(p, 8)
+	s8, err := CacheSweep(nil, p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s32, err := CacheSweep(p, 32)
+	s32, err := CacheSweep(nil, p, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFigure7Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("line sweep is too slow for -short")
 	}
-	series, err := LineSweep(shapeParams())
+	series, err := LineSweep(nil, shapeParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestFigure8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("prefetch study is too slow for -short")
 	}
-	rows, err := Fig8(shapeParams())
+	rows, err := Fig8(nil, shapeParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestTable2Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 2 profiling is too slow for -short")
 	}
-	rows, err := Table2(shapeParams())
+	rows, err := Table2(nil, shapeParams())
 	if err != nil {
 		t.Fatal(err)
 	}

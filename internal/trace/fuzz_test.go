@@ -1,15 +1,14 @@
 package trace
 
 import (
-	"bytes"
-	"io"
+	"errors"
 	"testing"
 
 	"cmpmem/internal/mem"
 )
 
 // FuzzCodecRoundTrip: any record the writer accepts must read back
-// identically.
+// identically through the reference decoder.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(uint64(0x1000), uint8(3), uint8(8), false)
 	f.Add(uint64(0), uint8(255), uint8(1), true)
@@ -20,35 +19,20 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			kind = mem.Store
 		}
 		want := Ref{Addr: mem.Addr(addr), Core: core, Size: size, Kind: kind}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
+		got, err := decodeNext(encodeAll(t, []Ref{want}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Write(want); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		if len(got) != 1 || got[0] != want {
 			t.Fatalf("round trip: got %+v, want %+v", got, want)
 		}
 	})
 }
 
 // FuzzCodecV2RoundTrip: a short sequence of records derived from the
-// fuzz inputs must encode and decode identically through the v2 delta
-// codec, with the same bytes never misparsing as v1 (the version byte
-// is part of the header, so cross-version detection is exact).
+// fuzz inputs must encode and decode identically through the batch
+// decoder, and the same payload under the retired v1 version byte must
+// be rejected at the header, never decoded.
 func FuzzCodecV2RoundTrip(f *testing.F) {
 	f.Add(uint64(0x1000), uint64(8), uint8(3), uint8(8), true)
 	f.Add(uint64(0), ^uint64(0), uint8(255), uint8(1), false)
@@ -68,20 +52,8 @@ func FuzzCodecV2RoundTrip(f *testing.F) {
 			{Addr: mem.Addr(addr + stride), Core: core, Size: 8, Kind: kind},
 			{Addr: mem.Addr(addr), Core: core ^ 1, Size: size, Kind: mem.Store},
 		}
-		var buf bytes.Buffer
-		w, err := NewWriterV2(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range want {
-			if err := w.Write(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+		enc := encodeAll(t, want)
+		got, err := decodeBatch(enc, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,29 +65,17 @@ func FuzzCodecV2RoundTrip(f *testing.F) {
 				t.Fatalf("record %d: got %+v, want %+v", i, got[i], want[i])
 			}
 		}
-		// Cross-version detection: the v2 payload with a v1 version byte
-		// must not silently decode — v1 either errors on the truncated
-		// tail or returns records; it must never panic, and the original
-		// stream must keep auto-detecting as v2.
-		r2, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil || r2.Version() != Version2 {
-			t.Fatalf("v2 stream misdetected: version=%v err=%v", r2, err)
-		}
-		forged := append([]byte{}, buf.Bytes()...)
-		forged[4] = Version1
-		if fr, err := NewReader(bytes.NewReader(forged)); err == nil {
-			for {
-				if _, err := fr.Read(); err != nil {
-					break
-				}
-			}
+		forged := append([]byte{}, enc...)
+		forged[4] = 1
+		if _, err := NewStreamPlayer(forged); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("v1 version byte: got %v, want ErrBadMagic", err)
 		}
 	})
 }
 
-// FuzzReaderRobustness: arbitrary bytes must never panic the reader —
-// they either parse as records or fail with an error. Covers both
-// version headers.
+// FuzzReaderRobustness: arbitrary bytes must never panic a decoder —
+// they are rejected at the header, or parse as records, or fail with an
+// error — and the two decoders must treat them alike.
 func FuzzReaderRobustness(f *testing.F) {
 	f.Add([]byte("CMPT\x01\x00\x00\x00garbagegarbage"))
 	f.Add([]byte("CMPT\x02\x00\x00\x00\x07\x22\xff\x81\x80"))
@@ -123,59 +83,38 @@ func FuzzReaderRobustness(f *testing.F) {
 	f.Add([]byte("NOTAHEADER"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return // rejected header: fine
-		}
-		for {
-			_, err := r.Read()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				return // malformed tail: fine
-			}
-		}
+		requireDecodersAgree(t, data)
 	})
 }
 
-// FuzzFaultDecode is the fault-injection differential: build a valid v2
+// FuzzFaultDecode is the fault-injection differential: build a valid
 // stream, flip one byte, and require (a) no decoder ever panics, and
-// (b) the two independent decode paths — the io.Reader-based Reader and
-// the zero-alloc StreamPlayer — agree exactly on the corrupted bytes:
-// same records, same success/error outcome. A disagreement would mean
-// replay could silently diverge from capture on a corrupt spill.
+// (b) the two decode loops — Next, the plain reference that validates
+// spills, and NextBatch, the one every replay runs through — agree
+// exactly on the corrupted bytes: same records, same success/error
+// outcome. A disagreement would mean replay could silently diverge from
+// what validation accepted on a corrupt spill.
 func FuzzFaultDecode(f *testing.F) {
 	f.Add(uint64(0x1000), uint64(64), uint8(8), 9, byte(0x81))
 	f.Add(uint64(0xFFFF0000), uint64(1), uint8(30), 0, byte(0x01))
 	f.Add(uint64(7), ^uint64(0)/3, uint8(3), 12, byte(0xFF))
 	f.Add(uint64(0), uint64(0), uint8(2), 4, byte(0x20)) // header region
 	f.Fuzz(func(t *testing.T, addr, stride uint64, n uint8, off int, mask byte) {
-		// Build a small, structurally varied v2 stream.
-		var buf bytes.Buffer
-		w, err := NewWriterV2(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		records := int(n%32) + 2
-		for i := 0; i < records; i++ {
+		// Build a small, structurally varied stream.
+		refs := make([]Ref, int(n%32)+2)
+		for i := range refs {
 			kind := mem.Load
 			if i%3 == 0 {
 				kind = mem.Store
 			}
-			if err := w.Write(Ref{
+			refs[i] = Ref{
 				Addr: mem.Addr(addr + uint64(i)*stride),
 				Core: uint8(i % 5),
 				Size: uint8(1 << (i % 4)),
 				Kind: kind,
-			}); err != nil {
-				t.Fatal(err)
 			}
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		enc := buf.Bytes()
+		enc := encodeAll(t, refs)
 
 		// Flip exactly one byte (offset wrapped into range).
 		if mask == 0 {
@@ -186,49 +125,27 @@ func FuzzFaultDecode(f *testing.F) {
 		}
 		bad := append([]byte(nil), enc...)
 		bad[off%len(bad)] ^= mask
-
-		// Path 1: Reader.
-		var rRefs []Ref
-		var rErr error
-		if rd, err := NewReader(bytes.NewReader(bad)); err != nil {
-			rErr = err
-		} else {
-			for {
-				rec, err := rd.Read()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					rErr = err
-					break
-				}
-				rRefs = append(rRefs, rec)
-			}
-		}
-
-		// Path 2: StreamPlayer.
-		var pRefs []Ref
-		var pErr error
-		if sp, err := NewStreamPlayer(bad); err != nil {
-			pErr = err
-		} else {
-			for rec, ok := sp.Next(); ok; rec, ok = sp.Next() {
-				pRefs = append(pRefs, rec)
-			}
-			pErr = sp.Err()
-		}
-
-		if (rErr == nil) != (pErr == nil) {
-			t.Fatalf("decoders disagree on outcome: Reader err=%v, StreamPlayer err=%v", rErr, pErr)
-		}
-		if len(rRefs) != len(pRefs) {
-			t.Fatalf("decoders disagree on length: Reader %d records, StreamPlayer %d (errs %v / %v)",
-				len(rRefs), len(pRefs), rErr, pErr)
-		}
-		for i := range rRefs {
-			if rRefs[i] != pRefs[i] {
-				t.Fatalf("record %d diverges: Reader %+v, StreamPlayer %+v", i, rRefs[i], pRefs[i])
-			}
-		}
+		requireDecodersAgree(t, bad)
 	})
+}
+
+// requireDecodersAgree runs Next and NextBatch (at a batch size that
+// splits the stream mid-way) over the same bytes and fails on any
+// difference in records or error/no-error outcome.
+func requireDecodersAgree(t *testing.T, data []byte) {
+	t.Helper()
+	nRefs, nErr := decodeNext(data)
+	bRefs, bErr := decodeBatch(data, 3)
+	if (nErr == nil) != (bErr == nil) {
+		t.Fatalf("decoders disagree on outcome: Next err=%v, NextBatch err=%v", nErr, bErr)
+	}
+	if len(nRefs) != len(bRefs) {
+		t.Fatalf("decoders disagree on length: Next %d records, NextBatch %d (errs %v / %v)",
+			len(nRefs), len(bRefs), nErr, bErr)
+	}
+	for i := range nRefs {
+		if nRefs[i] != bRefs[i] {
+			t.Fatalf("record %d diverges: Next %+v, NextBatch %+v", i, nRefs[i], bRefs[i])
+		}
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -19,7 +18,7 @@ func TestCodecRoundTripSmall(t *testing.T) {
 		{Addr: 0, Core: 255, Size: 255, Kind: mem.Load},
 	}
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewWriterV2(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,96 +34,69 @@ func TestCodecRoundTripSmall(t *testing.T) {
 		t.Errorf("Count = %d, want %d", w.Count(), len(refs))
 	}
 
-	r, err := NewReader(&buf)
+	p, err := NewStreamPlayer(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range refs {
-		got, err := r.Read()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+		got, ok := p.Next()
+		if !ok {
+			t.Fatalf("record %d: %v", i, p.Err())
 		}
 		if got != want {
 			t.Errorf("record %d: got %+v, want %+v", i, got, want)
 		}
 	}
-	if _, err := r.Read(); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
+	if _, ok := p.Next(); ok || p.Err() != nil {
+		t.Errorf("expected a clean end of stream, got ok=%v err=%v", ok, p.Err())
 	}
 }
 
-// TestCodecRoundTripProperty: any sequence of records round-trips.
+// TestCodecRoundTripProperty: any sequence of records round-trips
+// through the reference decoder.
 func TestCodecRoundTripProperty(t *testing.T) {
-	check := func(addrs []uint64, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		want := make([]Ref, len(addrs))
-		for i, a := range addrs {
-			want[i] = Ref{
-				Addr: mem.Addr(a),
-				Core: uint8(rng.Intn(256)),
-				Size: uint8(rng.Intn(255) + 1),
-				Kind: mem.Kind(rng.Intn(2)),
-			}
-			if err := w.Write(want[i]); err != nil {
-				return false
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
-		for _, wr := range want {
-			got, err := r.Read()
-			if err != nil || got != wr {
-				return false
-			}
-		}
-		_, err = r.Read()
-		return err == io.EOF
-	}
+	check := func(addrs []uint64, seed int64) bool { return roundTrips(addrs, seed, decodeNext) }
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestReaderRejectsBadMagic(t *testing.T) {
-	_, err := NewReader(strings.NewReader("NOTATRACEFILE###"))
-	if !errors.Is(err, ErrBadMagic) {
-		t.Errorf("got %v, want ErrBadMagic", err)
+	for _, data := range []string{
+		"NOTATRACEFILE###",
+		"CMPT\x01\x00\x00\x00" + strings.Repeat("\x00", 16), // the retired v1 codec
+		"CMPT\x02\x00\x00", // short
+		"",
+	} {
+		if _, err := NewStreamPlayer([]byte(data)); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%q: got %v, want ErrBadMagic", data, err)
+		}
 	}
 }
 
+// TestReaderTruncatedRecord: a stream chopped mid-record reports a
+// truncation through the batch decoder, after the whole records.
 func TestReaderTruncatedRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Write(Ref{Addr: 1, Size: 8})
-	w.Flush()
-	data := buf.Bytes()[:buf.Len()-5] // chop mid-record
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	refs := []Ref{{Addr: 1, Size: 8}, {Addr: 0xDEAD_BEEF_0000, Core: 4, Size: 2}}
+	data := encodeAll(t, refs)
+	got, err := decodeBatch(data[:len(data)-3], 64)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("got %v, want a truncation error", err)
 	}
-	if _, err := r.Read(); err == nil {
-		t.Error("expected error on truncated record")
+	if len(got) != 1 || got[0] != refs[0] {
+		t.Errorf("whole records before the cut: got %v, want %v", got, refs[:1])
 	}
 }
 
 func TestWriterStickyError(t *testing.T) {
-	w, err := NewWriter(&failAfter{n: 1})
+	w, err := NewWriterV2(&failAfter{n: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last error
-	for i := 0; i < 1<<14; i++ {
-		last = w.Write(Ref{Addr: mem.Addr(i), Size: 8})
+	// 5-byte records: the 64 KB buffer spills twice inside the loop.
+	for i := 0; i < 1<<15; i++ {
+		last = w.Write(Ref{Addr: mem.Addr(i) << 20, Size: 8})
 		if last != nil {
 			break
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -10,12 +11,12 @@ import (
 	"cmpmem/internal/mem"
 )
 
-// encodeAll writes refs through the given writer constructor and
-// returns the encoded bytes.
-func encodeAll(t testing.TB, refs []Ref, newW func(w io.Writer) (*Writer, error)) []byte {
+// encodeAll writes refs through the Writer and returns the encoded
+// bytes.
+func encodeAll(t testing.TB, refs []Ref) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := newW(&buf)
+	w, err := NewWriterV2(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,6 +31,49 @@ func encodeAll(t testing.TB, refs []Ref, newW func(w io.Writer) (*Writer, error)
 	return buf.Bytes()
 }
 
+// decodeNext drains data through the reference decoder.
+func decodeNext(data []byte) ([]Ref, error) {
+	p, err := NewStreamPlayer(data)
+	if err != nil {
+		return nil, err
+	}
+	var out []Ref
+	for r, ok := p.Next(); ok; r, ok = p.Next() {
+		out = append(out, r)
+	}
+	return out, p.Err()
+}
+
+// decodeBatch drains data through the batch decoder, batch records at
+// a time.
+func decodeBatch(data []byte, batch int) ([]Ref, error) {
+	p, err := NewStreamPlayer(data)
+	if err != nil {
+		return nil, err
+	}
+	var out []Ref
+	dst := make([]Ref, batch)
+	for n := p.NextBatch(dst); n > 0; n = p.NextBatch(dst) {
+		out = append(out, dst[:n]...)
+	}
+	return out, p.Err()
+}
+
+// randomRefs returns n records with adversarial core interleaving.
+func randomRefs(seed int64, n int) []Ref {
+	rng := rand.New(rand.NewSource(seed))
+	refs := make([]Ref, n)
+	for i := range refs {
+		refs[i] = Ref{
+			Addr: mem.Addr(rng.Uint64()),
+			Core: uint8(rng.Intn(64)),
+			Size: uint8(1 + rng.Intn(64)),
+			Kind: mem.Kind(rng.Intn(2)),
+		}
+	}
+	return refs
+}
+
 func TestV2RoundTripSmall(t *testing.T) {
 	refs := []Ref{
 		{Addr: 0x1000, Core: 0, Size: 8, Kind: mem.Load},
@@ -40,83 +84,80 @@ func TestV2RoundTripSmall(t *testing.T) {
 		{Addr: ^mem.Addr(0), Core: 255, Size: 8, Kind: mem.Store}, // wrap-scale delta
 		{Addr: 4, Core: 31, Size: 4, Kind: mem.Load},              // per-core state kept across interleave
 	}
-	data := encodeAll(t, refs, NewWriterV2)
-	r, err := NewReader(bytes.NewReader(data))
+	got, err := decodeBatch(encodeAll(t, refs), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Version() != Version2 {
-		t.Fatalf("detected version %d, want 2", r.Version())
+	if len(got) != len(refs) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(refs))
 	}
 	for i, want := range refs {
-		got, err := r.Read()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+		if got[i] != want {
+			t.Errorf("record %d: got %+v, want %+v", i, got[i], want)
 		}
-		if got != want {
-			t.Errorf("record %d: got %+v, want %+v", i, got, want)
-		}
-	}
-	if _, err := r.Read(); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
 	}
 }
 
 // TestV2RoundTripProperty: any load/store sequence round-trips through
-// the delta codec, including adversarial core interleavings.
+// the delta codec and the batch decoder, including adversarial core
+// interleavings.
 func TestV2RoundTripProperty(t *testing.T) {
 	check := func(addrs []uint64, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		want := make([]Ref, len(addrs))
-		for i, a := range addrs {
-			want[i] = Ref{
-				Addr: mem.Addr(a),
-				Core: uint8(rng.Intn(256)),
-				Size: uint8(rng.Intn(255) + 1),
-				Kind: mem.Kind(rng.Intn(2)),
-			}
-		}
-		var buf bytes.Buffer
-		w, err := NewWriterV2(&buf)
-		if err != nil {
-			return false
-		}
-		for _, r := range want {
-			if err := w.Write(r); err != nil {
-				return false
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		got, err := ReadAll(bytes.NewReader(buf.Bytes()))
-		if err != nil || len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return roundTrips(addrs, seed, func(data []byte) ([]Ref, error) { return decodeBatch(data, 64) })
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
+// roundTrips encodes one record per address (core, size and kind drawn
+// from seed) and reports whether decode returns exactly those records.
+func roundTrips(addrs []uint64, seed int64, decode func([]byte) ([]Ref, error)) bool {
+	rng := rand.New(rand.NewSource(seed))
+	want := make([]Ref, len(addrs))
+	var buf bytes.Buffer
+	w, err := NewWriterV2(&buf)
+	if err != nil {
+		return false
+	}
+	for i, a := range addrs {
+		want[i] = Ref{
+			Addr: mem.Addr(a),
+			Core: uint8(rng.Intn(256)),
+			Size: uint8(rng.Intn(255) + 1),
+			Kind: mem.Kind(rng.Intn(2)),
+		}
+		if err := w.Write(want[i]); err != nil {
+			return false
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return false
+	}
+	got, err := decode(buf.Bytes())
+	if err != nil || len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestV2ShrinksSequentialStream: a same-core strided stream must encode
-// far below v1's 16 bytes per record (2 bytes: header + 1-byte varint).
+// far below a fixed 16-byte record (2 bytes: header + 1-byte varint).
 func TestV2ShrinksSequentialStream(t *testing.T) {
 	refs := make([]Ref, 10000)
 	for i := range refs {
 		refs[i] = Ref{Addr: mem.Addr(0x4000 + 8*i), Core: 2, Size: 8, Kind: mem.Load}
 	}
-	v1 := encodeAll(t, refs, NewWriter)
-	v2 := encodeAll(t, refs, NewWriterV2)
-	if ratio := float64(len(v1)) / float64(len(v2)); ratio < 6 {
-		t.Errorf("v1/v2 = %.2fx on a sequential stream, want >= 6x (v1 %d B, v2 %d B)",
-			ratio, len(v1), len(v2))
+	fixed := len(magic) + 16*len(refs)
+	v2 := encodeAll(t, refs)
+	if ratio := float64(fixed) / float64(len(v2)); ratio < 6 {
+		t.Errorf("fixed/v2 = %.2fx on a sequential stream, want >= 6x (fixed %d B, v2 %d B)",
+			ratio, fixed, len(v2))
 	}
 }
 
@@ -135,150 +176,120 @@ func TestV2RejectsExoticKind(t *testing.T) {
 }
 
 func TestV2RejectsReservedHeaderBits(t *testing.T) {
-	magic := magicFor(Version2)
-	data := append(magic[:], 0x80, 0x10) // reserved bit set
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Read(); err == nil {
-		t.Error("reader accepted reserved header bits")
+	data := append(magic[:len(magic):len(magic)], 0x80, 0x10) // reserved bit set
+	for name, decode := range map[string]func([]byte) ([]Ref, error){
+		"Next":      decodeNext,
+		"NextBatch": func(d []byte) ([]Ref, error) { return decodeBatch(d, 64) },
+	} {
+		if refs, err := decode(data); err == nil || len(refs) != 0 {
+			t.Errorf("%s accepted reserved header bits (refs %v, err %v)", name, refs, err)
+		}
 	}
 }
 
 func TestV2TruncatedRecord(t *testing.T) {
 	refs := []Ref{{Addr: 0xDEADBEEF, Core: 9, Size: 4, Kind: mem.Store}}
-	data := encodeAll(t, refs, NewWriterV2)
-	for cut := len(data) - 1; cut > 8; cut-- {
-		r, err := NewReader(bytes.NewReader(data[:cut]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Read(); err == nil || err == io.EOF {
+	data := encodeAll(t, refs)
+	for cut := len(data) - 1; cut > len(magic); cut-- {
+		if _, err := decodeNext(data[:cut]); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("cut at %d: want a truncation error, got %v", cut, err)
 		}
 	}
 }
 
-// TestCrossVersionDetection: each header version routes to its own
-// decoder, and the same records written both ways read back identically.
+// TestCrossVersionDetection: the version byte is part of the magic, so
+// a stream is either this codec's or rejected at the header — the
+// retired fixed-record v1 layout and unknown versions alike, whatever
+// follows the header.
 func TestCrossVersionDetection(t *testing.T) {
 	refs := []Ref{
 		{Addr: 0x10_0000, Core: 1, Size: 8, Kind: mem.Load},
 		{Addr: 0x10_0040, Core: 1, Size: 2, Kind: mem.Store},
 		{Addr: 0xFFFF_0000_0000_0000, Core: 0, Size: 8, Kind: mem.Store},
 	}
-	v1 := encodeAll(t, refs, NewWriter)
-	v2 := encodeAll(t, refs, NewWriterV2)
-	got1, err := ReadAll(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
+	enc := encodeAll(t, refs)
+	if _, err := NewStreamPlayer(enc); err != nil {
+		t.Fatalf("own header rejected: %v", err)
 	}
-	got2, err := ReadAll(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range refs {
-		if got1[i] != refs[i] || got2[i] != refs[i] {
-			t.Errorf("record %d diverges across versions: v1 %+v, v2 %+v, want %+v",
-				i, got1[i], got2[i], refs[i])
+	v1 := append([]byte("CMPT\x01\x00\x00\x00"), make([]byte, 16)...) // one well-formed v1 record
+	for name, data := range map[string][]byte{
+		"v1 file":            v1,
+		"v1 byte on v2 body": append([]byte("CMPT\x01\x00\x00\x00"), enc[len(magic):]...),
+		"version 3":          append([]byte("CMPT\x03\x00\x00\x00"), enc[len(magic):]...),
+	} {
+		if _, err := NewStreamPlayer(data); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%s: got %v, want ErrBadMagic", name, err)
 		}
 	}
 }
 
+// TestStreamPlayerMatchesReader pins the two decode loops to each other
+// on a valid stream: Next and NextBatch return the written records, on
+// a first pass and again after Rewind.
 func TestStreamPlayerMatchesReader(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	refs := make([]Ref, 5000)
-	for i := range refs {
-		refs[i] = Ref{
-			Addr: mem.Addr(rng.Uint64()),
-			Core: uint8(rng.Intn(64)),
-			Size: uint8(1 + rng.Intn(64)),
-			Kind: mem.Kind(rng.Intn(2)),
-		}
+	refs := randomRefs(11, 5000)
+	p, err := NewStreamPlayer(encodeAll(t, refs))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, newW := range map[string]func(w io.Writer) (*Writer, error){
-		"v1": NewWriter, "v2": NewWriterV2,
-	} {
-		data := encodeAll(t, refs, newW)
-		p, err := NewStreamPlayer(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			for i, want := range refs {
-				got, ok := p.Next()
-				if !ok {
-					t.Fatalf("%s pass %d: stream ended at record %d: %v", name, pass, i, p.Err())
-				}
-				if got != want {
-					t.Fatalf("%s pass %d record %d: got %+v, want %+v", name, pass, i, got, want)
-				}
+	dst := make([]Ref, 7)
+	for pass := 0; pass < 2; pass++ {
+		for i, want := range refs {
+			got, ok := p.Next()
+			if !ok {
+				t.Fatalf("pass %d: stream ended at record %d: %v", pass, i, p.Err())
 			}
-			if _, ok := p.Next(); ok || p.Err() != nil {
-				t.Fatalf("%s pass %d: want clean end of stream, ok=%v err=%v", name, pass, ok, p.Err())
+			if got != want {
+				t.Fatalf("pass %d record %d: got %+v, want %+v", pass, i, got, want)
 			}
-			p.Rewind()
 		}
+		if _, ok := p.Next(); ok || p.Err() != nil {
+			t.Fatalf("pass %d: want clean end of stream, ok=%v err=%v", pass, ok, p.Err())
+		}
+		p.Rewind()
+		for i := 0; i < len(refs); {
+			n := p.NextBatch(dst)
+			if n == 0 {
+				t.Fatalf("pass %d: batch decode ended at record %d: %v", pass, i, p.Err())
+			}
+			for _, got := range dst[:n] {
+				if got != refs[i] {
+					t.Fatalf("pass %d batch record %d: got %+v, want %+v", pass, i, got, refs[i])
+				}
+				i++
+			}
+		}
+		if n := p.NextBatch(dst); n != 0 || p.Err() != nil {
+			t.Fatalf("pass %d: want clean end of batch decode, n=%d err=%v", pass, n, p.Err())
+		}
+		p.Rewind()
 	}
 }
 
-// TestStreamPlayerNextBatch pins the batch decode to Next record for
-// record: arbitrary batch sizes, both codec versions, resume after a
-// partial batch, and the same truncation errors.
+// TestStreamPlayerNextBatch pins the batch decode to the written
+// records: arbitrary batch sizes, resume after a partial batch, and the
+// same truncation errors.
 func TestStreamPlayerNextBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	refs := make([]Ref, 5000)
-	for i := range refs {
-		refs[i] = Ref{
-			Addr: mem.Addr(rng.Uint64()),
-			Core: uint8(rng.Intn(64)),
-			Size: uint8(1 + rng.Intn(64)),
-			Kind: mem.Kind(rng.Intn(2)),
+	refs := randomRefs(13, 5000)
+	data := encodeAll(t, refs)
+	for _, batch := range []int{1, 3, 64, 4096} {
+		got, err := decodeBatch(data, batch)
+		if err != nil {
+			t.Fatalf("batch=%d: %v", batch, err)
+		}
+		if len(got) != len(refs) {
+			t.Fatalf("batch=%d: decoded %d records, want %d", batch, len(got), len(refs))
+		}
+		for i := range refs {
+			if got[i] != refs[i] {
+				t.Fatalf("batch=%d record %d: got %+v, want %+v", batch, i, got[i], refs[i])
+			}
 		}
 	}
-	for name, newW := range map[string]func(w io.Writer) (*Writer, error){
-		"v1": NewWriter, "v2": NewWriterV2,
-	} {
-		data := encodeAll(t, refs, newW)
-		for _, batch := range []int{1, 3, 64, 4096} {
-			p, err := NewStreamPlayer(data)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			dst := make([]Ref, batch)
-			var got []Ref
-			for {
-				n := p.NextBatch(dst)
-				if n == 0 {
-					break
-				}
-				got = append(got, dst[:n]...)
-			}
-			if p.Err() != nil {
-				t.Fatalf("%s batch=%d: %v", name, batch, p.Err())
-			}
-			if len(got) != len(refs) {
-				t.Fatalf("%s batch=%d: decoded %d records, want %d", name, batch, len(got), len(refs))
-			}
-			for i := range refs {
-				if got[i] != refs[i] {
-					t.Fatalf("%s batch=%d record %d: got %+v, want %+v", name, batch, i, got[i], refs[i])
-				}
-			}
-		}
-		// Truncated streams must surface the same error through the
-		// batch path.
-		p, err := NewStreamPlayer(data[:len(data)-1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]Ref, 64)
-		for p.NextBatch(dst) != 0 {
-		}
-		if p.Err() == nil {
-			t.Fatalf("%s: truncated stream decoded cleanly via NextBatch", name)
-		}
+	// Truncated streams must surface the same error through the batch
+	// path.
+	if _, err := decodeBatch(data[:len(data)-1], 64); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated stream via NextBatch: got %v, want a truncation error", err)
 	}
 }
 
@@ -289,37 +300,21 @@ func TestStreamPlayerErrors(t *testing.T) {
 	if _, err := NewStreamPlayer([]byte("notatrace")); err != ErrBadMagic {
 		t.Errorf("bad magic: got %v, want ErrBadMagic", err)
 	}
-	refs := []Ref{{Addr: 0x5000, Core: 3, Size: 8, Kind: mem.Store}}
-	for name, newW := range map[string]func(w io.Writer) (*Writer, error){
-		"v1": NewWriter, "v2": NewWriterV2,
-	} {
-		data := encodeAll(t, refs, newW)
-		p, err := NewStreamPlayer(data[:len(data)-1])
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, ok := p.Next(); ok {
-			t.Fatalf("%s: truncated record decoded", name)
-		}
-		if p.Err() == nil {
-			t.Fatalf("%s: truncated record reported clean end of stream", name)
-		}
-	}
-	// Reserved header bits must be rejected, exactly like Reader.
-	bad := append([]byte(nil), magicV2()...)
-	bad = append(bad, 0x80, 0x00)
-	p, err := NewStreamPlayer(bad)
+	data := encodeAll(t, []Ref{{Addr: 0x5000, Core: 3, Size: 8, Kind: mem.Store}})
+	p, err := NewStreamPlayer(data[:len(data)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.Next(); ok || p.Err() == nil {
-		t.Fatalf("reserved bits: ok=%v err=%v, want decode error", ok, p.Err())
+	if _, ok := p.Next(); ok {
+		t.Fatal("truncated record decoded")
 	}
-}
-
-func magicV2() []byte {
-	m := magicFor(Version2)
-	return m[:]
+	if p.Err() == nil {
+		t.Fatal("truncated record reported clean end of stream")
+	}
+	// An error is sticky until Rewind.
+	if _, ok := p.Next(); ok || p.NextBatch(make([]Ref, 4)) != 0 {
+		t.Fatal("decoding continued past an error")
+	}
 }
 
 func TestStreamPlayerZeroAlloc(t *testing.T) {
@@ -327,7 +322,7 @@ func TestStreamPlayerZeroAlloc(t *testing.T) {
 	for i := range refs {
 		refs[i] = Ref{Addr: mem.Addr(i * 64), Core: uint8(i % 8), Size: 8, Kind: mem.Load}
 	}
-	data := encodeAll(t, refs, NewWriterV2)
+	data := encodeAll(t, refs)
 	p, err := NewStreamPlayer(data)
 	if err != nil {
 		t.Fatal(err)

@@ -152,8 +152,8 @@ func (t *Trace) Encoded() []byte {
 	return append([]byte(nil), t.enc...)
 }
 
-// NewTrace builds a Trace directly from an encoded stream (v1 or v2,
-// header included) — the injection point for fault testing and for
+// NewTrace builds a Trace directly from an encoded stream (header
+// included) — the injection point for fault testing and for
 // replaying externally captured streams. The encoding is validated
 // lazily: a corrupt stream surfaces as a Player decode error.
 func NewTrace(sum Summary, enc []byte) *Trace {

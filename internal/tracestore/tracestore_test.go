@@ -1,6 +1,7 @@
 package tracestore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -197,29 +198,47 @@ func TestDiskSpillRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCorruptSpillRecomputes: a spill that cannot be revived degrades to
+// a recompute — whether the file is garbage or a well-formed, correctly
+// checksummed spill whose stream carries a header the codec no longer
+// reads (the retired v1 layout: to the decoder, one more bad magic).
 func TestCorruptSpillRecomputes(t *testing.T) {
-	dir := t.TempDir()
-	s := New(0, dir)
-	if _, err := s.Do(key(9), func() (*Trace, error) { return fakeTrace(9, 50), nil }); err != nil {
+	v1 := append([]byte("CMPT\x01\x00\x00\x00"), make([]byte, 50*16)...)
+	var v1Spill bytes.Buffer
+	if err := writeSpillFile(&v1Spill, key(9), NewTrace(fakeTrace(9, 50).Summary, v1)); err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.ctrace"))
-	if len(files) != 1 {
-		t.Fatal("no spill written")
-	}
-	if err := os.WriteFile(files[0], []byte("corrupted beyond repair"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2 := New(0, dir)
-	var calls int32
-	if _, err := s2.Do(key(9), func() (*Trace, error) {
-		atomic.AddInt32(&calls, 1)
-		return fakeTrace(9, 50), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Error("corrupt spill was not recomputed")
+	for name, content := range map[string][]byte{
+		"garbage":          []byte("corrupted beyond repair"),
+		"v1 stream inside": v1Spill.Bytes(),
+	} {
+		dir := t.TempDir()
+		s := New(0, dir)
+		if _, err := s.Do(key(9), func() (*Trace, error) { return fakeTrace(9, 50), nil }); err != nil {
+			t.Fatal(err)
+		}
+		files, _ := filepath.Glob(filepath.Join(dir, "*.ctrace"))
+		if len(files) != 1 {
+			t.Fatalf("%s: no spill written", name)
+		}
+		if err := os.WriteFile(files[0], content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2 := New(0, dir)
+		var calls int32
+		tr, outcome, err := s2.DoOutcome(key(9), func() (*Trace, error) {
+			atomic.AddInt32(&calls, 1)
+			return fakeTrace(9, 50), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 || outcome != OutcomeMiss {
+			t.Errorf("%s: spill was not recomputed (calls %d, outcome %v)", name, calls, outcome)
+		}
+		if got := decodeAll(t, tr); len(got) != 50 {
+			t.Errorf("%s: recomputed stream has %d records, want 50", name, len(got))
+		}
 	}
 }
 

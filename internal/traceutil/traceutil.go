@@ -1,11 +1,12 @@
-// Package traceutil analyzes captured memory-reference traces: access
-// mix, footprints, stride distribution, and windowed working sets (the
-// phase-behavior view that motivated the paper's run-to-completion
-// methodology).
+// Package traceutil analyzes memory-reference streams one reference at
+// a time: access mix, footprints, stride distribution, and windowed
+// working sets (the phase-behavior view that motivated the paper's
+// run-to-completion methodology). Its accumulators take references
+// from whatever delivers them — core.TraceCapture's callback, live or
+// from a stored capture.
 package traceutil
 
 import (
-	"io"
 	"math/bits"
 
 	"cmpmem/internal/mem"
@@ -97,21 +98,6 @@ func (c *Collector) Stats() Stats {
 	return s
 }
 
-// Collect consumes a trace reader to completion.
-func Collect(r *trace.Reader) (Stats, error) {
-	c := NewCollector()
-	for {
-		ref, err := r.Read()
-		if err == io.EOF {
-			return c.Stats(), nil
-		}
-		if err != nil {
-			return Stats{}, err
-		}
-		c.Add(ref)
-	}
-}
-
 // WindowStat is the footprint of one fixed-size reference window — the
 // phase-behavior timeline.
 type WindowStat struct {
@@ -123,45 +109,54 @@ type WindowStat struct {
 	StoreFraction float64
 }
 
-// Windows segments the trace into windows of windowRefs references and
-// reports each window's footprint.
-func Windows(r *trace.Reader, windowRefs uint64) ([]WindowStat, error) {
+// Windower segments a reference stream into windows of a fixed number
+// of references and accumulates each window's footprint.
+type Windower struct {
+	per       uint64
+	out       []WindowStat
+	lines     map[uint64]struct{}
+	n, stores uint64
+}
+
+// NewWindower returns a Windower cutting every windowRefs references
+// (0 selects 1M).
+func NewWindower(windowRefs uint64) *Windower {
 	if windowRefs == 0 {
 		windowRefs = 1 << 20
 	}
-	var out []WindowStat
-	lines := make(map[uint64]struct{}, 1<<12)
-	var n, stores uint64
-	flush := func() {
-		if n == 0 {
-			return
-		}
-		out = append(out, WindowStat{
-			Refs:          n,
-			DistinctBytes: uint64(len(lines)) * 64,
-			StoreFraction: float64(stores) / float64(n),
-		})
-		lines = make(map[uint64]struct{}, len(lines))
-		n, stores = 0, 0
+	return &Windower{per: windowRefs, lines: make(map[uint64]struct{}, 1<<12)}
+}
+
+// Add accumulates one reference.
+func (w *Windower) Add(r trace.Ref) {
+	w.lines[uint64(r.Addr)>>6] = struct{}{}
+	w.n++
+	if r.Kind == mem.Store {
+		w.stores++
 	}
-	for {
-		ref, err := r.Read()
-		if err == io.EOF {
-			flush()
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		lines[uint64(ref.Addr)>>6] = struct{}{}
-		n++
-		if ref.Kind == mem.Store {
-			stores++
-		}
-		if n == windowRefs {
-			flush()
-		}
+	if w.n == w.per {
+		w.flush()
 	}
+}
+
+func (w *Windower) flush() {
+	if w.n == 0 {
+		return
+	}
+	w.out = append(w.out, WindowStat{
+		Refs:          w.n,
+		DistinctBytes: uint64(len(w.lines)) * 64,
+		StoreFraction: float64(w.stores) / float64(w.n),
+	})
+	w.lines = make(map[uint64]struct{}, len(w.lines))
+	w.n, w.stores = 0, 0
+}
+
+// Windows closes the final (possibly shorter) window and returns the
+// timeline.
+func (w *Windower) Windows() []WindowStat {
+	w.flush()
+	return w.out
 }
 
 // DominantStride returns the histogram bucket (as a byte count lower

@@ -1,33 +1,28 @@
 package traceutil
 
 import (
-	"bytes"
 	"testing"
 
 	"cmpmem/internal/mem"
 	"cmpmem/internal/trace"
 )
 
-func mkTrace(t *testing.T, refs []trace.Ref) *trace.Reader {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+// collect feeds refs through a Collector.
+func collect(refs []trace.Ref) Stats {
+	c := NewCollector()
 	for _, r := range refs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
+		c.Add(r)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+	return c.Stats()
+}
+
+// windows feeds refs through a Windower.
+func windows(refs []trace.Ref, per uint64) []WindowStat {
+	w := NewWindower(per)
+	for _, r := range refs {
+		w.Add(r)
 	}
-	r, err := trace.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return w.Windows()
 }
 
 func TestCollectBasics(t *testing.T) {
@@ -37,10 +32,7 @@ func TestCollectBasics(t *testing.T) {
 		{Addr: 0x2000, Core: 1, Size: 8, Kind: mem.Load},
 		{Addr: 0x1010, Core: 0, Size: 8, Kind: mem.Load},
 	}
-	s, err := Collect(mkTrace(t, refs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(refs)
 	if s.Refs != 4 || s.Loads != 3 || s.Stores != 1 {
 		t.Errorf("mix wrong: %+v", s)
 	}
@@ -63,10 +55,7 @@ func TestStrideHistogram(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		refs = append(refs, trace.Ref{Addr: mem.Addr(i * 256), Core: 0, Size: 8, Kind: mem.Load})
 	}
-	s, err := Collect(mkTrace(t, refs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(refs)
 	// 256 = 2^8 -> bucket 8.
 	if s.StrideHist[8] != 9 {
 		t.Errorf("stride bucket 8 = %d, want 9 (hist %v)", s.StrideHist[8], s.StrideHist[:10])
@@ -85,10 +74,7 @@ func TestInterleavedCoresDoNotPolluteStrides(t *testing.T) {
 			trace.Ref{Addr: mem.Addr(0x90000 + i*8), Core: 1, Size: 8, Kind: mem.Load},
 		)
 	}
-	s, err := Collect(mkTrace(t, refs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(refs)
 	if s.SeqFraction != 1.0 {
 		t.Errorf("per-core stride tracking broken: seq fraction %v", s.SeqFraction)
 	}
@@ -106,10 +92,7 @@ func TestWindows(t *testing.T) {
 	}
 	refs = append(refs, trace.Ref{Addr: 0x5000, Size: 8, Kind: mem.Store})
 
-	ws, err := Windows(mkTrace(t, refs), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := windows(refs, 4)
 	if len(ws) != 3 {
 		t.Fatalf("got %d windows, want 3", len(ws))
 	}
@@ -122,25 +105,18 @@ func TestWindows(t *testing.T) {
 }
 
 func TestWindowsDefaultSize(t *testing.T) {
-	ws, err := Windows(mkTrace(t, []trace.Ref{{Addr: 0, Size: 8}}), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := windows([]trace.Ref{{Addr: 0, Size: 8}}, 0)
 	if len(ws) != 1 {
 		t.Fatalf("got %d windows", len(ws))
 	}
 }
 
 func TestEmptyTrace(t *testing.T) {
-	s, err := Collect(mkTrace(t, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(nil)
 	if s.Refs != 0 || s.FootprintBytes != 0 || s.SeqFraction != 0 {
 		t.Errorf("empty trace stats: %+v", s)
 	}
-	ws, err := Windows(mkTrace(t, nil), 4)
-	if err != nil || len(ws) != 0 {
-		t.Errorf("empty trace windows: %v, %v", ws, err)
+	if ws := windows(nil, 4); len(ws) != 0 {
+		t.Errorf("empty trace windows: %v", ws)
 	}
 }
