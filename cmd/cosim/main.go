@@ -41,9 +41,9 @@
 //	            selected workloads execute
 //	-j n        run up to n independent workload executions concurrently
 //	            (default GOMAXPROCS; 1 forces serial orchestration)
-//	-batch n    deliver bus events to emulators in n-event batches on
-//	            per-snooper worker goroutines (0 = synchronous delivery;
-//	            results are bit-identical either way)
+//	-batch n    events per batch the bus delivers (0 = 4096, the default
+//	            and maximum); batches fan out over min(GOMAXPROCS,
+//	            snoopers) workers by themselves, results bit-identical
 //	-shards n   bank shards per emulator for intra-run parallel emulation
 //	            (1 = serial, the default, as in cosimd; 0 = one per CPU
 //	            up to the bank count; results are bit-identical)
@@ -53,13 +53,13 @@
 //	-trace-dir  spill captured streams to this directory in the compact
 //	            v2 trace codec, so later invocations skip execution too
 //	            (implies -replay)
-//	-engine e   sweep execution engine: emulate (default; one cache
-//	            emulator per distinct geometry), auto (compile each
-//	            sweep into one analytic stack-distance pass plus an
-//	            emulation leg for configs the profile cannot express),
-//	            or oracle (strict: error out if any config needs
-//	            emulation); results are bit-identical across engines —
-//	            run -verify to prove it
+//	-engine e   sweep execution engine: auto (default, as in cosimd:
+//	            compile each sweep into one analytic stack-distance pass
+//	            plus an emulation leg for configs the profile cannot
+//	            express), emulate (one cache emulator per distinct
+//	            geometry), or oracle (strict: error out if any config
+//	            needs emulation); results are bit-identical across
+//	            engines — run -verify to prove it
 //	-sampling m approximate fast mode: off (default, exact) or fast
 //	            (replay only representative trace intervals and
 //	            extrapolate with confidence intervals; unlike -engine
@@ -127,11 +127,11 @@ func run(args []string) error {
 	svgDir := fs.String("svg", "", "write figures as SVG files into this directory")
 	subset := fs.String("workloads", "", "comma-separated workload subset")
 	jobs := fs.Int("j", 0, "concurrent workload runs (0 = GOMAXPROCS, 1 = serial)")
-	batch := fs.Int("batch", 0, "bus events per batch for parallel emulator delivery (0 = synchronous)")
+	batch := fs.Int("batch", 0, "bus events per delivered batch (0 = default 4096, the maximum)")
 	shards := fs.Int("shards", 1, "bank shards per emulator for intra-run parallel emulation (1 = serial; 0 = auto: one per CPU up to the bank count)")
 	replay := fs.Bool("replay", true, "execute each workload once and replay its bus stream across exhibits")
 	traceDir := fs.String("trace-dir", "", "spill captured bus streams to this directory (implies -replay)")
-	engineName := fs.String("engine", core.EngineEmulate.String(), "sweep execution engine: emulate|auto|oracle")
+	engineName := fs.String("engine", core.EngineAuto.String(), "sweep execution engine: auto|emulate|oracle")
 	samplingName := fs.String("sampling", core.SamplingOff.String(), "accuracy tier: off (exact) or fast (sampled estimates with confidence intervals)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run")
 	manifestPath := fs.String("manifest", "", "append JSONL run manifests to this file (default cosim_manifest.jsonl with -metrics-addr)")

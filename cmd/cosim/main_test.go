@@ -146,8 +146,10 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 	boundMetricsAddr.Store("")
 	done := make(chan error, 1)
 	go func() {
+		// Emulators, so the Dragonhead counters below have a source:
+		// under the default engine Figure 4 is all analytic.
 		done <- run(tinyArgs("-metrics-addr", "127.0.0.1:0", "-manifest", manifest,
-			"-batch", "256", "fig4"))
+			"-engine", "emulate", "-batch", "256", "fig4"))
 	}()
 
 	// Readiness: the listener binds synchronously before the sweep
@@ -404,10 +406,54 @@ func TestCLIDefaultIsSerial(t *testing.T) {
 	if after := shardCounters(); after != before {
 		t.Errorf("default cosim sweep moved core_shard_* counters by %d", after-before)
 	}
-	if !sharded("-shards", "0") {
+	// Figure 4 is all analytic under the default engine: only emulators
+	// have banks to shard.
+	if !sharded("-engine", "emulate", "-shards", "0") {
 		t.Error("-shards 0 (auto) no longer shards on a 4-CPU host")
 	}
-	if !sharded("-shards", "2") {
+	if !sharded("-engine", "emulate", "-shards", "2") {
 		t.Error("-shards 2 no longer shards")
+	}
+}
+
+// TestCLIDefaultEngineIsAuto: like cosimd and SweepSpec, the CLI plans
+// every sweep unless told otherwise — a default fig4 answers its grid
+// analytically — and prints exactly what -engine emulate prints.
+func TestCLIDefaultEngineIsAuto(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	stdout := func(args ...string) (string, []traceRecord) {
+		tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tmp.Close()
+		defer func(old *os.File) { os.Stdout = old }(os.Stdout)
+		os.Stdout = tmp
+		recs := sweepManifests(t, append(args, "-workloads", "PLSA,SHOT", "fig4")...)
+		out, err := os.ReadFile(tmp.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out), recs
+	}
+	planned, recs := stdout()
+	if len(recs) != 2 {
+		t.Fatalf("default fig4 on two workloads wrote %d plansweep manifests", len(recs))
+	}
+	for _, r := range recs {
+		if n, _ := strconv.Atoi(r.Trace.Attrs["analytic_configs"]); n == 0 {
+			t.Errorf("%s: default fig4 answered no config analytically (attrs %v)", r.Workload, r.Trace.Attrs)
+		}
+	}
+	emulated, recs := stdout("-engine", "emulate")
+	for _, r := range recs {
+		if r.Trace.Attrs["analytic_configs"] != "0" {
+			t.Errorf("%s: -engine emulate still answered configs analytically (attrs %v)", r.Workload, r.Trace.Attrs)
+		}
+	}
+	if planned != emulated || planned == "" {
+		t.Errorf("default fig4 prints\n%s\n-engine emulate prints\n%s", planned, emulated)
 	}
 }

@@ -112,10 +112,10 @@ type RunOption = core.RunOption
 // runner executes concurrently (default GOMAXPROCS; 1 forces serial).
 var WithParallelism = core.WithParallelism
 
-// WithBusBatch enables batched asynchronous bus delivery inside each
-// run: every attached emulator drains its own bounded channel on a
-// dedicated worker goroutine, so an N-config LLCSweep costs about one
-// emulator's wall-clock instead of N.
+// WithBusBatch sizes the batches of events the bus delivers inside each
+// run (at most, and by default, 4096). It is not a mode: the bus itself
+// shares the attached emulators out over min(GOMAXPROCS, emulators)
+// worker goroutines whenever that is two or more.
 var WithBusBatch = core.WithBusBatch
 
 // WithBankShards spreads each Dragonhead emulator's bank lookups

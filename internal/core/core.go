@@ -101,10 +101,10 @@ func runNamed(name string, p workloads.Params, pc PlatformConfig, ro runOpts, sn
 }
 
 // runNamedLive always executes the guest simulation, and owns the bus
-// lifecycle of the execution: build, attach, run, then Close — which on
-// a batched bus flushes remaining batches, joins the per-snooper
-// delivery workers, and finalizes the snoopers so their counters are
-// sealed before any caller reads them. The progress hook sees
+// lifecycle of the execution: build, attach, run, then Close — which
+// flushes the last batch, joins the delivery workers of a fanned bus,
+// and finalizes the snoopers so their counters are sealed before any
+// caller reads them. The progress hook sees
 // PhaseExecute only on direct live runs: capture runs strip the hook
 // (openTrace already reported PhaseCapture for them).
 func runNamedLive(name string, p workloads.Params, pc PlatformConfig, ro runOpts, snoopers []fsb.Snooper) (RunSummary, error) {
@@ -140,7 +140,7 @@ func runNamedLive(name string, p workloads.Params, pc PlatformConfig, ro runOpts
 		return RunSummary{}, fmt.Errorf("core: building %s: %w", w.Name(), err)
 	}
 	// "execute" covers the DEX capture plus bus fan-out and snooping;
-	// "drain" is the batched bus's flush-and-join tail.
+	// "drain" is the bus's flush-and-join tail.
 	exec := ro.span.StartChild("execute")
 	runErr := sched.Run(prog)
 	exec.End()
@@ -179,9 +179,9 @@ type HierResult struct {
 }
 
 // RunHier executes the named workload against the per-core L1/L2 timing
-// model (the Table 2 profiler and Figure 8 testbed). WithBusBatch
-// pipelines the timing model against the execution engine on a second
-// goroutine; WithParallelism has no effect on a single run.
+// model (the Table 2 profiler and Figure 8 testbed). The model is the
+// bus's only snooper, so it runs on the execution engine's goroutine;
+// WithParallelism has no effect on a single run.
 func RunHier(name string, p workloads.Params, pc PlatformConfig, hc hier.Config, opts ...RunOption) (HierResult, error) {
 	ro := applyOpts(opts)
 	ro.span = ro.rootSpan("hier/" + name)

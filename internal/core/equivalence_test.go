@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,12 +11,13 @@ import (
 )
 
 // TestSerialParallelEquivalence is the concurrency pipeline's ground
-// truth: the same workload + seed swept with synchronous in-goroutine
-// bus delivery and with batched per-snooper fan-out must produce
-// bit-identical cache.Stats, CB Samples, and MPKI for every config.
-// Per-snooper total order is preserved by construction (one SPSC
-// channel per emulator, batches published in order), so any divergence
-// here is a real pipeline bug, not nondeterminism.
+// truth: the same workload + seed swept on one processor (every batch
+// consumed on the producer's goroutine) and on four (the bus fans the
+// batches out over workers) must produce bit-identical cache.Stats, CB
+// Samples, and MPKI for every config. Per-snooper total order is
+// preserved by construction (each worker takes the batches in publish
+// order), so any divergence here is a real pipeline bug, not
+// nondeterminism.
 func TestSerialParallelEquivalence(t *testing.T) {
 	platforms := []struct {
 		name string
@@ -30,12 +32,14 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			t.Run(wl+"/"+plat.name, func(t *testing.T) {
 				pc := plat.pc
 				pc.Seed = 7
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 				serial, ssum, err := LLCSweep(wl, tinyParams(), pc, tinyLLCs())
 				if err != nil {
 					t.Fatal(err)
 				}
 				// A small batch forces many publishes (partial final
 				// batch included) — the hardest case for ordering.
+				runtime.GOMAXPROCS(4)
 				batched, bsum, err := LLCSweep(wl, tinyParams(), pc, tinyLLCs(), WithBusBatch(64))
 				if err != nil {
 					t.Fatal(err)

@@ -1,20 +1,18 @@
 // Run options: the concurrency and reuse knobs of the experiment
 // runners.
 //
-// Two independent axes of parallelism mirror the paper's platform:
+// Two axes of parallelism mirror the paper's platform:
 //
-//   - Bus batching (WithBusBatch) decouples the producer from its
-//     consumers inside ONE run: the execution engine publishes event
-//     batches and each attached emulator drains its own bounded channel
-//     on a dedicated worker, like the Dragonhead FPGAs passively
-//     snooping the FSB in parallel with SoftSDV. Per-snooper delivery
-//     order is total, so results are bit-identical to serial delivery.
+//   - Inside ONE run the bus fans each batch of events out over
+//     min(GOMAXPROCS, attached snoopers) workers, like the Dragonhead
+//     FPGAs passively snooping the FSB in parallel with SoftSDV; a pass
+//     with one snooper stays on the producer's goroutine (fsb.Bus).
+//     Nothing selects this — WithBusBatch only sizes the batch — and
+//     per-snooper delivery order is total, so results are bit-identical.
 //   - Experiment parallelism (WithParallelism) runs INDEPENDENT
 //     (workload, platform, hierarchy-config) executions on a bounded
-//     worker pool, like racking up several co-simulation platforms.
-//
-// Both default to conservative values: serial bus delivery, and a
-// GOMAXPROCS-wide pool for the exhibit runners.
+//     worker pool, GOMAXPROCS wide by default, like racking up several
+//     co-simulation platforms.
 //
 // A third axis removes redundant work entirely: WithTraceReuse memoizes
 // each workload's captured bus-event stream in a tracestore.Store, so
@@ -82,8 +80,7 @@ func WithProgress(fn func(Progress)) RunOption {
 type runOpts struct {
 	// jobs bounds the worker pool for independent runs (0 = GOMAXPROCS).
 	jobs int
-	// batch is the bus batch size; 0 keeps synchronous in-goroutine
-	// delivery, > 0 enables the batched per-snooper fan-out.
+	// batch is the bus batch size in events (0 = fsb.DefaultBatch).
 	batch int
 	// store, when non-nil, memoizes captured event streams: named runs
 	// execute once per key and replay everywhere else.
@@ -135,17 +132,12 @@ func WithParallelism(n int) RunOption {
 	return func(o *runOpts) { o.jobs = n }
 }
 
-// WithBusBatch enables batched asynchronous bus delivery with the given
-// events-per-batch inside each run (n <= 0 selects fsb.DefaultBatch).
-// Each snooper then consumes the stream on its own worker goroutine;
-// statistics remain bit-identical to synchronous delivery.
+// WithBusBatch sizes the batches the bus delivers inside each run, in
+// events (n <= 0 or above fsb.DefaultBatch selects fsb.DefaultBatch).
+// Whether batches fan out over worker goroutines is the bus's own
+// decision (see fsb.Bus); statistics are bit-identical at every size.
 func WithBusBatch(n int) RunOption {
-	return func(o *runOpts) {
-		if n <= 0 {
-			n = fsb.DefaultBatch
-		}
-		o.batch = n
-	}
+	return func(o *runOpts) { o.batch = n }
 }
 
 // WithTraceReuse memoizes each named workload execution's bus-event
@@ -238,12 +230,8 @@ func applyOpts(opts []RunOption) runOpts {
 
 // newBus builds the bus this option set calls for.
 func (o runOpts) newBus() *fsb.Bus {
-	var b *fsb.Bus
-	if o.batch > 0 {
-		b = fsb.NewBatchedBus(o.batch)
-	} else {
-		b = fsb.NewBus()
-	}
+	b := fsb.NewBatchedBus(o.batch)
 	b.Instrument(o.tel.Registry())
+	b.TraceSpan(o.span)
 	return b
 }

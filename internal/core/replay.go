@@ -39,6 +39,14 @@ func (b *busRecorder) OnRef(r trace.Ref) { b.rec.Add(r) }
 // OnMsg implements fsb.Snooper.
 func (b *busRecorder) OnMsg(m fsb.Message) { b.rec.Add(fsb.EncodeMessage(m)) }
 
+// OnBatch implements fsb.BatchSnooper: the batch is already in the
+// stored encoding.
+func (b *busRecorder) OnBatch(batch []trace.Ref) {
+	for _, r := range batch {
+		b.rec.Add(r)
+	}
+}
+
 // TraceKey is the identity a run's capture is stored under in a
 // tracestore.Store, normalized so equivalent configurations (zero vs
 // explicit defaults) share one captured stream.
@@ -76,10 +84,9 @@ func (ro runOpts) openTrace(name string, p workloads.Params, pc PlatformConfig) 
 	defer lookup.End()
 	tr, outcome, err := ro.store.DoOutcome(TraceKey(name, p, pc), func() (*tracestore.Trace, error) {
 		// Capture executes the workload once with only the recorder on
-		// the bus, delivered synchronously (a single consumer: fan-out
-		// would only add handoffs). Only the caller's telemetry sink and
-		// the capture span carry over into the run; its store and batch
-		// options must not — capture IS the store fill.
+		// the bus (one snooper: the bus delivers on this goroutine). Only
+		// the caller's telemetry sink and the capture span carry over into
+		// the run; its store must not — capture IS the store fill.
 		ro.step(Progress{Phase: PhaseCapture})
 		capture := lookup.StartChild("capture")
 		defer capture.End()
@@ -94,16 +101,10 @@ func (ro runOpts) openTrace(name string, p workloads.Params, pc PlatformConfig) 
 	return tr, err
 }
 
-// replayBatch is the decode granularity of the replay engine: 64
-// records per NextBatch call keeps the v2 cursor state in registers
-// across a whole batch while the working buffer (1 KB) stays resident
-// in L1.
-const replayBatch = 64
-
 // replayTrace is the zero-alloc replay engine behind every memoized
-// sweep: it decodes the stored v2 stream 64 records at a time
-// (StreamPlayer.NextBatch) and feeds the bus, never materializing the
-// stream as a slice.
+// sweep: it decodes the stored v2 stream one bus batch at a time
+// (StreamPlayer.NextBatch) and hands each to the bus as it is —
+// message transactions included — never materializing the stream.
 func replayTrace(tr *tracestore.Trace, ro runOpts, snoopers []fsb.Snooper) error {
 	p, err := tr.Player()
 	if err != nil {
@@ -113,30 +114,13 @@ func replayTrace(tr *tracestore.Trace, ro runOpts, snoopers []fsb.Snooper) error
 	for _, s := range snoopers {
 		bus.Attach(s)
 	}
-	var buf [replayBatch]trace.Ref
-	for {
-		n := p.NextBatch(buf[:])
-		if n == 0 {
-			break
-		}
-		for i := 0; i < n; i++ {
-			dispatch(bus, buf[i])
-		}
+	buf := make([]trace.Ref, fsb.DefaultBatch)
+	for n := p.NextBatch(buf); n > 0; n = p.NextBatch(buf) {
+		bus.Refs(buf[:n])
 	}
 	if err := p.Err(); err != nil {
 		bus.Close()
 		return err
 	}
 	return bus.Close()
-}
-
-// dispatch delivers one captured event as if the original execution
-// were happening live: message-window transactions are decoded back
-// into control messages, everything else is a memory transaction.
-func dispatch(bus *fsb.Bus, r trace.Ref) {
-	if m, isMsg := fsb.DecodeMessage(r); isMsg {
-		bus.Msg(m)
-	} else {
-		bus.Ref(r)
-	}
 }

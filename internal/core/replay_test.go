@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cmpmem/internal/hier"
@@ -74,16 +75,18 @@ func TestReplayEquivalenceAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestReplayBatchedBusEquivalence: replay composes with the batched
-// per-snooper fan-out — the memoized stream delivered through
-// NewBatchedBus must match synchronous live delivery bit-for-bit.
+// TestReplayBatchedBusEquivalence: replay composes with the bus's
+// fan-out — the memoized stream delivered in small batches over four
+// workers must match synchronous live delivery bit-for-bit.
 func TestReplayBatchedBusEquivalence(t *testing.T) {
 	pc := MCMP()
 	pc.Seed = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	live, lsum, err := LLCSweep("FIMI", tinyParams(), pc, tinyLLCs())
 	if err != nil {
 		t.Fatal(err)
 	}
+	runtime.GOMAXPROCS(4)
 	store := tracestore.New(0, "")
 	replay, rsum, err := LLCSweep("FIMI", tinyParams(), pc, tinyLLCs(),
 		WithTraceReuse(store), WithBusBatch(64))

@@ -218,9 +218,7 @@ func samplePlan(tr *tracestore.Trace, ro runOpts) (plan *sampling.Plan, replayed
 		fpSpan := sampSpan.StartChild("fingerprint")
 		defer fpSpan.End()
 		fp := sampling.NewFingerprinter(params, tr.Summary.BusEvents)
-		fro := ro
-		fro.batch = 0 // single snooper: synchronous delivery is the fast path
-		if err := replayTrace(tr, fro, []fsb.Snooper{fp}); err != nil {
+		if err := replayTrace(tr, ro, []fsb.Snooper{fp}); err != nil {
 			return nil, err
 		}
 		fpSpan.End()
@@ -276,7 +274,7 @@ func measureWindows(tr *tracestore.Trace, wins []sampling.Window, caches []*cach
 		}
 	}
 	var (
-		buf       [replayBatch]trace.Ref
+		buf       [64]trace.Ref // 1 KB: the decode buffer stays in L1
 		window    bool
 		t         uint64 // in-window transaction index
 		wi        int

@@ -33,8 +33,8 @@ import (
 // LLCSweep runs the named workload once while answering every given LLC
 // configuration on one pass over its bus stream. The engine defaults to
 // EngineEmulate — one Dragonhead per distinct geometry, all snooping
-// the same execution; with WithBusBatch each consumes the stream on its
-// own worker goroutine, the paper's decoupled FPGA consumers.
+// the same execution, shared out over the host's cores by the bus like
+// the paper's decoupled FPGA consumers.
 // WithEngine(EngineAuto|EngineOracle) answers analytically expressible
 // configs with the Mattson engine instead (bit-identical results);
 // WithSampling routes to the fast tier (estimates), whatever the engine.

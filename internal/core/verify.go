@@ -308,15 +308,16 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 }
 
 // verifyDelivery is the reusable delivery-equality checker: the same
-// run under synchronous live delivery, batched live delivery, and
-// store replay must produce one digest, one event count, and one run
-// summary. replaySum/replayDigest come from a store-served run the
-// caller already made.
+// run under synchronous live delivery (one snooper), live delivery in
+// small batches beside a second snooper (fanned out wherever the host
+// has two processors), and store replay must produce one digest, one
+// event count, and one run summary. replaySum/replayDigest come from a
+// store-served run the caller already made.
 func verifyDelivery(name string, p workloads.Params, pc PlatformConfig, replaySum RunSummary, replayDigest *fsb.StreamDigest, opts []RunOption) *verify.Report {
 	rep := &verify.Report{}
-	run := func(ro runOpts) (RunSummary, *fsb.StreamDigest, error) {
+	run := func(ro runOpts, beside ...fsb.Snooper) (RunSummary, *fsb.StreamDigest, error) {
 		d := fsb.NewStreamDigest()
-		sum, err := runNamed(name, p, pc, ro, []fsb.Snooper{d})
+		sum, err := runNamed(name, p, pc, ro, append([]fsb.Snooper{d}, beside...))
 		return sum, d, err
 	}
 	serialRO := applyOpts(opts)
@@ -328,7 +329,7 @@ func verifyDelivery(name string, p workloads.Params, pc PlatformConfig, replaySu
 	}
 	batchRO := serialRO
 	batchRO.batch = 64 // small batches force many publishes — worst case
-	batchSum, batchDigest, err := run(batchRO)
+	batchSum, batchDigest, err := run(batchRO, fsb.NewStreamDigest())
 	if err != nil {
 		rep.Failf("delivery/"+name, "batched live run failed: %v", err)
 		return rep

@@ -100,6 +100,9 @@ type Emulator struct {
 	bankMask  uint64
 	bankShift uint
 	lineShift uint
+	// The AF regulates to units of unitMask+1 bytes: lines, or sectors
+	// when the LLC is sectored.
+	unitMask uint64
 
 	// AF state.
 	window      bool
@@ -113,10 +116,10 @@ type Emulator struct {
 	nextSampleAt  uint64
 	cyclesPerTick uint64
 
-	// Delivery state. live is set while the emulator is attached to a
-	// batched (asynchronous) bus: its counters are then owned by the
-	// delivery worker, and reading them would race. Finalize — called by
-	// fsb.Bus.Close after the worker drains — clears it. Like the
+	// Delivery state. live is set while a bus worker serves the
+	// emulator: its counters are then owned by that worker, and reading
+	// them would race. Finalize — called by fsb.Bus.Close after the
+	// workers drain — clears it. Like the
 	// hardware, where the host may only read the CB after emulation
 	// stops, misuse fails loudly instead of returning racy numbers.
 	live bool
@@ -238,35 +241,23 @@ func New(cfg Config) (*Emulator, error) {
 	for s := cfg.LLC.LineSize; s > 1; s >>= 1 {
 		e.lineShift++
 	}
-	if n := cfg.PrivatePerCore; n > 0 {
-		// Private organization: one slice per core, routed by core ID.
-		sliceCfg := cfg.LLC
-		sliceCfg.Size = cfg.LLC.Size / uint64(n)
-		for i := 0; i < n; i++ {
-			sliceCfg.Name = fmt.Sprintf("%s/P%d", cfg.LLC.Name, i)
-			c, err := cache.New(sliceCfg)
-			if err != nil {
-				return nil, fmt.Errorf("dragonhead: private slice %d: %w", i, err)
-			}
-			e.banks = append(e.banks, c)
-		}
-		e.cyclesPerTick = uint64(cfg.SamplePeriod * cfg.ClockHz)
-		if e.cyclesPerTick == 0 {
-			e.cyclesPerTick = 1
-		}
-		e.nextSampleAt = e.cyclesPerTick
-		if cfg.Telemetry != nil {
-			e.tel = newEmuTelemetry(cfg.Telemetry, len(e.banks))
-		}
-		return e, nil
+	e.unitMask = cfg.LLC.LineSize - 1
+	if cfg.LLC.SectorSize != 0 {
+		e.unitMask = cfg.LLC.SectorSize - 1
 	}
-	bankCfg := cfg.LLC
-	bankCfg.Size = cfg.LLC.Size / uint64(cfg.Banks)
-	for i := 0; i < cfg.Banks; i++ {
-		bankCfg.Name = fmt.Sprintf("%s/CC%d", cfg.LLC.Name, i)
-		c, err := cache.New(bankCfg)
+	// Shared organization: one slice per CC bank, routed by address;
+	// private: one per core, routed by core ID.
+	n, what := cfg.Banks, "CC"
+	if cfg.PrivatePerCore > 0 {
+		n, what = cfg.PrivatePerCore, "P"
+	}
+	sliceCfg := cfg.LLC
+	sliceCfg.Size = cfg.LLC.Size / uint64(n)
+	for i := 0; i < n; i++ {
+		sliceCfg.Name = fmt.Sprintf("%s/%s%d", cfg.LLC.Name, what, i)
+		c, err := cache.New(sliceCfg)
 		if err != nil {
-			return nil, fmt.Errorf("dragonhead: bank %d: %w", i, err)
+			return nil, fmt.Errorf("dragonhead: slice %s%d: %w", what, i, err)
 		}
 		e.banks = append(e.banks, c)
 	}
@@ -311,54 +302,90 @@ func (e *Emulator) mustBeQuiesced(what string) {
 
 // OnRef implements fsb.Snooper: the AF stage for memory transactions.
 func (e *Emulator) OnRef(r trace.Ref) {
-	if fsb.IsMessage(r) {
-		if m, ok := fsb.DecodeMessage(r); ok {
-			e.OnMsg(m)
-		}
+	if m, ok := fsb.DecodeMessage(r); ok {
+		e.OnMsg(m)
 		return
 	}
 	if !e.window {
 		e.ignored++
 		return
 	}
-	// Regulate: split into line-granular requests, route to banks. A
-	// zero-size transaction still occupies one byte, as in every other
-	// model of the AF (cache, oracle, verify.RefCache, sampling).
-	size := r.Size
-	if size == 0 {
-		size = 1
-	}
-	first := uint64(r.Addr) >> e.lineShift
-	last := (uint64(r.Addr) + uint64(size) - 1) >> e.lineShift
-	if e.nshards > 1 {
-		// Sharded path: the AF has already regulated to lines, so route
-		// the raw block number to the worker owning its bank. shardMask
-		// is a subset of bankMask (nshards divides Banks), so
-		// blk mod nshards picks the same partition as bank mod nshards.
-		e.ensureSharder()
-		for blk := first; blk <= last; blk++ {
-			e.sharder.Ref(int(blk)&(e.nshards-1), trace.Ref{Addr: mem.Addr(blk), Kind: r.Kind, Core: r.Core})
+	e.regulate(r)
+}
+
+// OnBatch implements fsb.BatchSnooper: the AF stage for a run of bus
+// events, one pass and no call through an interface.
+func (e *Emulator) OnBatch(batch []trace.Ref) {
+	direct := len(e.banks) == 1 && e.nshards == 1
+	for i := 0; i < len(batch); i++ {
+		r := batch[i]
+		if m, ok := fsb.DecodeMessage(r); ok {
+			e.OnMsg(m)
+			continue
 		}
-		return
-	}
-	for blk := first; blk <= last; blk++ {
-		e.lookupLine(blk, r.Kind, r.Core)
+		switch {
+		case !e.window:
+			e.ignored++
+		case direct:
+			// One bank sees whole addresses: the cache's own line and
+			// sector split regulates the stretch up to the next message.
+			j := i + 1
+			for j < len(batch) && !fsb.IsMessage(batch[j]) {
+				j++
+			}
+			e.banks[0].AccessBatch(batch[i:j])
+			i = j - 1
+		default:
+			// Nearly every transaction lies inside one unit: it is its
+			// own regulated request.
+			a, n := uint64(r.Addr), uint64(r.Size)
+			if e.nshards == 1 && n != 0 && (a^(a+n-1))&^e.unitMask == 0 {
+				e.lookup(a, r.Kind, r.Core)
+			} else {
+				e.regulate(r)
+			}
+		}
 	}
 }
 
-// lookupLine routes one line request to its CC bank. In the shared
-// organization, bank select uses the low line-number bits and the bank
-// sees the line number with the bank bits stripped, so the union of
-// bank set spaces equals the monolithic mapping exactly. In the
-// private organization, requests route by issuing core.
-func (e *Emulator) lookupLine(blk uint64, kind mem.Kind, core uint8) {
-	if e.cfg.PrivatePerCore > 0 {
-		slice := e.banks[int(core)%len(e.banks)]
-		slice.Touch(mem.Addr(blk)<<e.lineShift, kind, core)
+// regulate splits one in-window transaction into unit-granular requests
+// and routes them to the banks. A zero-size transaction still occupies
+// one byte, as in every other model of the AF (cache, oracle,
+// verify.RefCache, sampling).
+func (e *Emulator) regulate(r trace.Ref) {
+	size := uint64(r.Size)
+	if size == 0 {
+		size = 1
+	}
+	a := uint64(r.Addr) &^ e.unitMask
+	last := uint64(r.Addr) + size - 1
+	if e.nshards > 1 {
+		// Sharded path: the unit goes to the worker owning its bank.
+		// nshards divides Banks, so blk mod nshards cuts along bank lines.
+		e.ensureSharder()
+		for ; a <= last; a += e.unitMask + 1 {
+			e.sharder.Ref(int(a>>e.lineShift)&(e.nshards-1), trace.Ref{Addr: mem.Addr(a), Kind: r.Kind, Core: r.Core})
+		}
 		return
 	}
-	bank := e.banks[blk&e.bankMask]
-	bank.Touch(mem.Addr(blk>>e.bankShift)<<e.lineShift, kind, core)
+	for ; a <= last; a += e.unitMask + 1 {
+		e.lookup(a, r.Kind, r.Core)
+	}
+}
+
+// lookup routes the request for the unit holding address a to its CC bank.
+// In the shared organization, bank select uses the low line-number bits
+// and the bank sees the address with those bits stripped, so the union
+// of bank set spaces equals the monolithic mapping exactly. In the
+// private organization, requests route by issuing core.
+func (e *Emulator) lookup(a uint64, kind mem.Kind, core uint8) {
+	if e.cfg.PrivatePerCore > 0 {
+		e.banks[int(core)%len(e.banks)].Touch(mem.Addr(a), kind, core)
+		return
+	}
+	blk := a >> (e.lineShift & 63)
+	inLine := a & (1<<(e.lineShift&63) - 1)
+	e.banks[blk&e.bankMask].Touch(mem.Addr(blk>>(e.bankShift&63)<<(e.lineShift&63)|inLine), kind, core)
 }
 
 // OnMsg implements fsb.Snooper: the AF stage for control messages.

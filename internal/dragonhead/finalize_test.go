@@ -1,6 +1,8 @@
 package dragonhead
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,9 +11,9 @@ import (
 	"cmpmem/internal/trace"
 )
 
-// The emulator must participate in the batched bus's lifecycle.
+// The emulator must participate in the bus's lifecycle.
 var (
-	_ fsb.Snooper      = (*Emulator)(nil)
+	_ fsb.BatchSnooper = (*Emulator)(nil)
 	_ fsb.AsyncSnooper = (*Emulator)(nil)
 	_ fsb.Finalizer    = (*Emulator)(nil)
 )
@@ -50,26 +52,51 @@ func TestLiveReadsPanic(t *testing.T) {
 	}
 }
 
-// TestFinalizeViaBatchedBus: the canonical path — bus.Close seals the
-// emulator and the counters match synchronous delivery exactly.
+// TestFinalizeViaBatchedBus: the canonical path — batches fanned out
+// over two workers, the emulator unreadable while they run, bus.Close
+// sealing it — and the counters match per-event delivery exactly.
 func TestFinalizeViaBatchedBus(t *testing.T) {
-	run := func(bus *fsb.Bus, e *Emulator) {
-		bus.Attach(e)
-		bus.Msg(fsb.Message{Kind: fsb.MsgStart})
-		for i := 0; i < 10_000; i++ {
-			bus.Ref(trace.Ref{Addr: mem.Addr(i * 64 % (1 << 22)), Core: uint8(i % 4), Size: 8, Kind: mem.Load})
-		}
-		bus.Msg(fsb.Message{Kind: fsb.MsgInstRetired, Core: 0, Value: 10_000})
-		bus.Msg(fsb.Message{Kind: fsb.MsgCycles, Value: 10_000})
-		bus.Msg(fsb.Message{Kind: fsb.MsgStop})
-		if err := bus.Close(); err != nil {
-			t.Fatal(err)
+	stream := []trace.Ref{fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStart})}
+	for i := 0; i < 10_000; i++ {
+		stream = append(stream, trace.Ref{Addr: mem.Addr(i * 64 % (1 << 22)), Core: uint8(i % 4), Size: 8, Kind: mem.Load})
+	}
+	stream = append(stream,
+		fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgInstRetired, Core: 0, Value: 10_000}),
+		fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgCycles, Value: 10_000}),
+		fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStop}))
+
+	serial := newEmu(t, Config{LLC: llc(256 << 10)})
+	bus := fsb.NewBus()
+	bus.Attach(serial)
+	for _, r := range stream {
+		if m, ok := fsb.DecodeMessage(r); ok {
+			bus.Msg(m)
+		} else {
+			bus.Ref(r)
 		}
 	}
-	serial := newEmu(t, Config{LLC: llc(256 << 10)})
-	run(fsb.NewBus(), serial)
+	if err := bus.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	batched := newEmu(t, Config{LLC: llc(256 << 10)})
-	run(fsb.NewBatchedBus(64), batched)
+	bus = fsb.NewBatchedBus(64)
+	bus.Attach(batched)
+	bus.Attach(newEmu(t, Config{LLC: llc(256 << 10)}))
+	bus.Refs(stream[:5000])
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Stats readable while a bus worker owns the emulator")
+			}
+		}()
+		batched.Stats()
+	}()
+	bus.Refs(stream[5000:])
+	if err := bus.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	if serial.Stats() != batched.Stats() {
 		t.Errorf("stats diverge: serial %+v, batched %+v", serial.Stats(), batched.Stats())
@@ -77,12 +104,7 @@ func TestFinalizeViaBatchedBus(t *testing.T) {
 	if serial.MPKI() != batched.MPKI() {
 		t.Errorf("MPKI diverges: %v vs %v", serial.MPKI(), batched.MPKI())
 	}
-	if len(serial.Samples()) != len(batched.Samples()) {
-		t.Fatalf("sample counts diverge: %d vs %d", len(serial.Samples()), len(batched.Samples()))
-	}
-	for i := range serial.Samples() {
-		if serial.Samples()[i] != batched.Samples()[i] {
-			t.Errorf("sample %d diverges", i)
-		}
+	if !reflect.DeepEqual(serial.Samples(), batched.Samples()) {
+		t.Errorf("samples diverge: %d vs %d", len(serial.Samples()), len(batched.Samples()))
 	}
 }

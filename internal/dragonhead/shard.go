@@ -32,7 +32,6 @@ import (
 
 	"cmpmem/internal/cache"
 	"cmpmem/internal/fsb"
-	"cmpmem/internal/mem"
 	"cmpmem/internal/trace"
 )
 
@@ -62,14 +61,9 @@ type emuShard struct {
 }
 
 // OnRef implements fsb.Snooper for shard delivery. The event's Addr
-// carries the raw block number (the AF already regulated to line
-// granularity), so the bank select here is the same computation
-// lookupLine does serially.
-func (s *emuShard) OnRef(r trace.Ref) {
-	blk := uint64(r.Addr)
-	bank := s.e.banks[blk&s.e.bankMask]
-	bank.Touch(mem.Addr(blk>>s.e.bankShift)<<s.e.lineShift, r.Kind, r.Core)
-}
+// carries the unit's address (the AF already regulated), so this is the
+// lookup the serial path does.
+func (s *emuShard) OnRef(r trace.Ref) { s.e.lookup(uint64(r.Addr), r.Kind, r.Core) }
 
 // OnMsg implements fsb.Snooper: the sampling replica. Only MsgCycles is
 // broadcast to shards; everything else is AF/CB producer state.

@@ -3,6 +3,7 @@ package dragonhead
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cmpmem/internal/fsb"
@@ -87,38 +88,42 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedViaBatchedBus: sharding composes with batched bus delivery
-// (the producer goroutine is then a bus worker) and bus.Close seals
+// TestShardedViaBatchedBus: sharding composes with fanned bus delivery
+// (the sharder's producer is then a bus worker) and bus.Close seals
 // everything through Finalize.
 func TestShardedViaBatchedBus(t *testing.T) {
-	run := func(e *Emulator) {
-		bus := fsb.NewBatchedBus(64)
-		bus.Attach(e)
-		bus.Msg(fsb.Message{Kind: fsb.MsgStart})
-		for i := 0; i < 20000; i++ {
-			bus.Ref(trace.Ref{Addr: mem.Addr(0x4000_0000 + i*192), Size: 8, Kind: mem.Load, Core: uint8(i % 4)})
-			if i%1000 == 999 {
-				bus.Msg(fsb.Message{Kind: fsb.MsgCycles, Value: uint64(i)})
-			}
-		}
-		bus.Msg(fsb.Message{Kind: fsb.MsgInstRetired, Core: 0, Value: 123_000})
-		bus.Msg(fsb.Message{Kind: fsb.MsgStop})
-		if err := bus.Close(); err != nil {
-			t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	stream := []trace.Ref{fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStart})}
+	for i := 0; i < 20000; i++ {
+		stream = append(stream, trace.Ref{Addr: mem.Addr(0x4000_0000 + i*192), Size: 8, Kind: mem.Load, Core: uint8(i % 4)})
+		if i%1000 == 999 {
+			stream = append(stream, fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgCycles, Value: uint64(i)}))
 		}
 	}
+	stream = append(stream,
+		fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgInstRetired, Core: 0, Value: 123_000}),
+		fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStop}))
+
 	cfg := Config{LLC: llc(1 << 18), ClockHz: 1e6}
-	serial := newEmu(t, cfg)
-	run(serial)
 	scfg := cfg
 	scfg.Shards = 4
-	sharded := newEmu(t, scfg)
-	run(sharded)
+	serial, sharded := newEmu(t, cfg), newEmu(t, scfg)
+	bus := fsb.NewBatchedBus(64)
+	bus.Attach(serial)
+	bus.Attach(sharded)
+	for len(stream) > 0 {
+		n := min(777, len(stream))
+		bus.Refs(stream[:n])
+		stream = stream[n:]
+	}
+	if err := bus.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if serial.Stats() != sharded.Stats() {
-		t.Error("stats diverge through batched bus")
+		t.Error("stats diverge through the fanned bus")
 	}
 	if !reflect.DeepEqual(serial.Samples(), sharded.Samples()) {
-		t.Error("samples diverge through batched bus")
+		t.Error("samples diverge through the fanned bus")
 	}
 }
 

@@ -1,13 +1,70 @@
 package fsb
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"cmpmem/internal/mem"
+	"cmpmem/internal/telemetry"
 	"cmpmem/internal/trace"
 )
+
+// withProcs runs the rest of the test at GOMAXPROCS n: the bus fans out
+// over min(GOMAXPROCS, snoopers) workers, so both sides of that
+// selection are a matter of the setting, not of the host.
+func withProcs(t testing.TB, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// encodedStream is n memory transactions with a control message before
+// every 97th, as the encoded run a producer hands to Refs.
+func encodedStream(n int) []trace.Ref {
+	var out []trace.Ref
+	for i := 0; i < n; i++ {
+		if i%97 == 0 {
+			out = append(out, EncodeMessage(Message{Kind: MsgCoreID, Core: uint8(i % 32)}))
+		}
+		out = append(out, trace.Ref{Addr: mem.Addr(i * 64), Core: uint8(i % 8), Size: 8, Kind: mem.Load})
+	}
+	return out
+}
+
+// feedCuts hands stream to the bus in batches cut at random places.
+func feedCuts(b *Bus, stream []trace.Ref, rng *rand.Rand, maxCut int) {
+	for len(stream) > 0 {
+		n := 1 + rng.Intn(maxCut)
+		if n > len(stream) {
+			n = len(stream)
+		}
+		b.Refs(stream[:n])
+		stream = stream[n:]
+	}
+}
+
+// batchDigest is a StreamDigest that takes batches whole: the
+// BatchSnooper beside the plain ones in the mixed-bus tests.
+type batchDigest struct {
+	StreamDigest
+	batches int
+	maxLen  int
+	bases   map[*trace.Ref]bool
+}
+
+func (d *batchDigest) OnBatch(batch []trace.Ref) {
+	d.batches++
+	d.maxLen = max(d.maxLen, len(batch))
+	if d.bases == nil {
+		d.bases = make(map[*trace.Ref]bool)
+	}
+	d.bases[&batch[0]] = true
+	Deliver(&d.StreamDigest, batch)
+}
 
 // finalizingSnooper records events plus the Finalize/AttachAsync calls.
 type finalizingSnooper struct {
@@ -19,57 +76,170 @@ type finalizingSnooper struct {
 func (s *finalizingSnooper) AttachAsync() { s.asyncAttached = true }
 func (s *finalizingSnooper) Finalize()    { s.finalized = true }
 
-// TestBatchedBusOrderIdentical: every snooper on a batched bus must see
-// the exact event sequence a synchronous bus delivers, regardless of
-// batch size (including partial final batches).
+// TestBatchedBusOrderIdentical: every snooper of a bus fed in batches
+// must see the exact event sequence per-event delivery gives, whatever
+// the batch size, the cut points and the worker count.
 func TestBatchedBusOrderIdentical(t *testing.T) {
-	const n = 10_000
-	feed := func(b *Bus) {
-		for i := 0; i < n; i++ {
-			if i%97 == 0 {
-				b.Msg(Message{Kind: MsgCoreID, Core: uint8(i % 32)})
-			}
-			b.Ref(trace.Ref{Addr: mem.Addr(i * 64), Core: uint8(i % 8), Size: 8, Kind: mem.Load})
-		}
-	}
+	stream := encodedStream(10_000)
 
 	serial := NewBus()
 	var want recordingSnooper
 	serial.Attach(&want)
-	feed(serial)
+	for _, r := range stream {
+		if m, ok := DecodeMessage(r); ok {
+			serial.Msg(m)
+		} else {
+			serial.Ref(r)
+		}
+	}
 	if err := serial.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, batch := range []int{1, 7, 64, DefaultBatch, 3 * n} {
-		bus := NewBatchedBus(batch)
-		var a, b recordingSnooper
-		bus.Attach(&a)
-		bus.Attach(&b)
-		feed(bus)
-		if err := bus.Close(); err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
+	for _, procs := range []int{1, 2, 4} {
+		for _, batch := range []int{1, 7, 64, DefaultBatch, 3 * len(stream)} {
+			t.Run(fmt.Sprintf("procs=%d/batch=%d", procs, batch), func(t *testing.T) {
+				withProcs(t, procs)
+				bus := NewBatchedBus(batch)
+				var a, b, c recordingSnooper
+				bus.Attach(&a)
+				bus.Attach(&b)
+				bus.Attach(&c)
+				feedCuts(bus, stream, rand.New(rand.NewSource(int64(batch))), 9000)
+				if err := bus.Close(); err != nil {
+					t.Fatal(err)
+				}
+				for name, got := range map[string]*recordingSnooper{"a": &a, "b": &b, "c": &c} {
+					if len(got.refs) != len(want.refs) || len(got.msgs) != len(want.msgs) {
+						t.Fatalf("%s: %d refs %d msgs, want %d refs %d msgs",
+							name, len(got.refs), len(got.msgs), len(want.refs), len(want.msgs))
+					}
+					for i := range want.refs {
+						if got.refs[i] != want.refs[i] {
+							t.Fatalf("%s: ref %d = %+v, want %+v", name, i, got.refs[i], want.refs[i])
+						}
+					}
+					for i := range want.msgs {
+						if got.msgs[i] != want.msgs[i] {
+							t.Fatalf("%s: msg %d = %+v, want %+v", name, i, got.msgs[i], want.msgs[i])
+						}
+					}
+				}
+				if bus.Events() != serial.Events() || bus.Messages() != serial.Messages() {
+					t.Errorf("counters %d/%d, want %d/%d",
+						bus.Events(), bus.Messages(), serial.Events(), serial.Messages())
+				}
+			})
 		}
-		for name, got := range map[string]*recordingSnooper{"a": &a, "b": &b} {
-			if len(got.refs) != len(want.refs) || len(got.msgs) != len(want.msgs) {
-				t.Fatalf("batch=%d %s: %d refs %d msgs, want %d refs %d msgs",
-					batch, name, len(got.refs), len(got.msgs), len(want.refs), len(want.msgs))
+	}
+}
+
+// TestBusFanOutMixedSnoopers: batch and plain snoopers side by side, at
+// one, two and four processors, with single events between the batches:
+// every snooper's digest equals the per-event reference, the counters
+// agree, and a fanned bus never has more than its pool in flight.
+func TestBusFanOutMixedSnoopers(t *testing.T) {
+	stream := encodedStream(60_000)
+	ref := NewStreamDigest()
+	Deliver(ref, stream)
+	var msgs uint64
+	for _, r := range stream {
+		if IsMessage(r) {
+			msgs++
+		}
+	}
+
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			withProcs(t, procs)
+			bus := NewBus()
+			reg := telemetry.NewRegistry()
+			bus.Instrument(reg)
+			root := telemetry.StartSpan("test")
+			bus.TraceSpan(root)
+			plain := []*StreamDigest{NewStreamDigest(), NewStreamDigest(), NewStreamDigest()}
+			batched := []*batchDigest{{StreamDigest: *NewStreamDigest()}, {StreamDigest: *NewStreamDigest()}}
+			bus.Attach(plain[0])
+			bus.Attach(batched[0])
+			bus.Attach(plain[1])
+			bus.Attach(batched[1])
+			bus.Attach(plain[2])
+
+			// A DEX-slice-sized batch first, then random cuts with a single
+			// Ref or Msg between them.
+			rest := stream
+			bus.Refs(rest[:50_000])
+			rest = rest[50_000:]
+			rng := rand.New(rand.NewSource(int64(procs)))
+			for len(rest) > 0 {
+				if m, ok := DecodeMessage(rest[0]); ok {
+					bus.Msg(m)
+				} else {
+					bus.Ref(rest[0])
+				}
+				rest = rest[1:]
+				n := min(rng.Intn(3000), len(rest))
+				bus.Refs(rest[:n])
+				rest = rest[n:]
 			}
-			for i := range want.refs {
-				if got.refs[i] != want.refs[i] {
-					t.Fatalf("batch=%d %s: ref %d = %+v, want %+v", batch, name, i, got.refs[i], want.refs[i])
+			if err := bus.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for i, d := range plain {
+				if d.Sum() != ref.Sum() || d.Events() != ref.Events() {
+					t.Errorf("plain snooper %d: digest %x over %d events, want %x over %d", i, d.Sum(), d.Events(), ref.Sum(), ref.Events())
 				}
 			}
-			for i := range want.msgs {
-				if got.msgs[i] != want.msgs[i] {
-					t.Fatalf("batch=%d %s: msg %d = %+v, want %+v", batch, name, i, got.msgs[i], want.msgs[i])
+			for i, d := range batched {
+				if d.Sum() != ref.Sum() || d.Events() != ref.Events() {
+					t.Errorf("batch snooper %d: digest %x over %d events, want %x over %d", i, d.Sum(), d.Events(), ref.Sum(), ref.Events())
+				}
+				if d.maxLen > DefaultBatch {
+					t.Errorf("batch snooper %d saw a batch of %d events, bound %d", i, d.maxLen, DefaultBatch)
+				}
+				if procs > 1 && len(d.bases) > batchDepth+1 {
+					t.Errorf("batch snooper %d saw %d distinct buffers, pool is %d", i, len(d.bases), batchDepth+1)
 				}
 			}
-		}
-		if bus.Events() != serial.Events() || bus.Messages() != serial.Messages() {
-			t.Errorf("batch=%d: counters %d/%d, want %d/%d",
-				batch, bus.Events(), bus.Messages(), serial.Events(), serial.Messages())
-		}
+			if bus.Events() != uint64(len(stream)) || bus.Messages() != msgs {
+				t.Errorf("bus counted %d events %d msgs, want %d and %d", bus.Events(), bus.Messages(), len(stream), msgs)
+			}
+			snap := reg.Snapshot()
+			if got := snap.Counters["fsb_deliveries_total"]; got != uint64(len(stream))*5 {
+				t.Errorf("fsb_deliveries_total = %d, want events x snoopers = %d", got, len(stream)*5)
+			}
+			if got := snap.Counters["fsb_batches_total"]; got != uint64(batched[0].batches) {
+				t.Errorf("fsb_batches_total = %d, a batch snooper saw %d", got, batched[0].batches)
+			}
+
+			fan := root.Find("fanout")
+			if procs == 1 {
+				if fan != nil {
+					t.Error("synchronous delivery recorded a fanout span")
+				}
+				return
+			}
+			if fan == nil {
+				t.Fatal("no fanout span under the traced parent")
+			}
+			if fan.Attrs[telemetry.AttrConcurrent] != "true" || fan.Attrs["n"] != fmt.Sprint(procs) || len(fan.Children) != procs {
+				t.Errorf("fanout span: attrs %v, %d children, want concurrent, n=%d", fan.Attrs, len(fan.Children), procs)
+			}
+			served, critical := 0, uint64(0)
+			for i, c := range fan.Children {
+				if c.Name != fmt.Sprintf("worker%d", i) || c.Attrs[telemetry.AttrConcurrent] != "true" || c.WallNS == 0 {
+					t.Errorf("worker span %d: %q attrs %v wall %d", i, c.Name, c.Attrs, c.WallNS)
+				}
+				var n int
+				fmt.Sscan(c.Attrs["snoopers"], &n)
+				served += n
+				critical = max(critical, c.WallNS)
+			}
+			if served != 5 || fan.WallNS != critical {
+				t.Errorf("workers serve %d snoopers (want 5), fanout wall %d vs busiest worker %d", served, fan.WallNS, critical)
+			}
+		})
 	}
 }
 
@@ -85,52 +255,70 @@ func (s *countingSnooper) OnMsg(Message)   { s.msgs.Add(1) }
 // TestBatchedBusFlushOnClose: events still sitting in a partial batch at
 // Close time must reach every snooper before Close returns.
 func TestBatchedBusFlushOnClose(t *testing.T) {
-	bus := NewBatchedBus(1 << 20) // batch never fills on its own
-	var s countingSnooper
+	withProcs(t, 2)
+	bus := NewBus() // 1001 events: the batch never fills on its own
+	var s, s2 countingSnooper
 	bus.Attach(&s)
+	bus.Attach(&s2)
+	stream := make([]trace.Ref, 0, 1001)
 	for i := 0; i < 1000; i++ {
-		bus.Ref(trace.Ref{Addr: mem.Addr(i), Size: 8})
+		stream = append(stream, trace.Ref{Addr: mem.Addr(i), Size: 8})
 	}
-	bus.Msg(Message{Kind: MsgStop})
+	bus.Refs(append(stream, EncodeMessage(Message{Kind: MsgStop})))
 	if err := bus.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.refs.Load() != 1000 || s.msgs.Load() != 1 {
-		t.Fatalf("after Close: %d refs %d msgs, want 1000 and 1", s.refs.Load(), s.msgs.Load())
+	for _, s := range []*countingSnooper{&s, &s2} {
+		if s.refs.Load() != 1000 || s.msgs.Load() != 1 {
+			t.Fatalf("after Close: %d refs %d msgs, want 1000 and 1", s.refs.Load(), s.msgs.Load())
+		}
 	}
 }
 
-// TestBatchedBusLifecycleHooks: AttachAsync fires at attach, Finalize at
-// Close; a synchronous bus finalizes but never attaches async.
+// TestBatchedBusLifecycleHooks: AttachAsync fires when the bus fans out
+// — never at attach, never when delivery stays on the producer's
+// goroutine — and Finalize at Close either way.
 func TestBatchedBusLifecycleHooks(t *testing.T) {
-	bus := NewBatchedBus(8)
-	var s finalizingSnooper
-	bus.Attach(&s)
-	if !s.asyncAttached {
-		t.Error("AttachAsync not called on batched attach")
-	}
-	if s.finalized {
-		t.Error("finalized before Close")
-	}
-	bus.Ref(trace.Ref{Addr: 64, Size: 8})
-	if err := bus.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.finalized {
-		t.Error("Finalize not called by Close")
-	}
-
-	sync := NewBus()
-	var s2 finalizingSnooper
-	sync.Attach(&s2)
-	if s2.asyncAttached {
-		t.Error("AttachAsync called on synchronous bus")
-	}
-	if err := sync.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !s2.finalized {
-		t.Error("synchronous Close must still finalize")
+	one := []trace.Ref{{Addr: 64, Size: 8}}
+	for _, tc := range []struct {
+		name         string
+		procs, extra int
+		perEvent     bool
+		wantAsync    bool
+	}{
+		{"fanned", 2, 1, false, true},
+		{"one processor", 1, 1, false, false},
+		{"one snooper", 2, 0, false, false},
+		{"per-event first", 2, 1, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			withProcs(t, tc.procs)
+			bus := NewBatchedBus(8)
+			var s finalizingSnooper
+			bus.Attach(&s)
+			for i := 0; i < tc.extra; i++ {
+				bus.Attach(&countingSnooper{})
+			}
+			if s.asyncAttached {
+				t.Error("AttachAsync called at attach")
+			}
+			if tc.perEvent {
+				bus.Ref(one[0])
+			}
+			bus.Refs(one)
+			if s.asyncAttached != tc.wantAsync {
+				t.Errorf("AttachAsync called = %v, want %v", s.asyncAttached, tc.wantAsync)
+			}
+			if s.finalized {
+				t.Error("finalized before Close")
+			}
+			if err := bus.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !s.finalized {
+				t.Error("Finalize not called by Close")
+			}
+		})
 	}
 }
 
@@ -153,23 +341,27 @@ func (s *panickingSnooper) OnRef(trace.Ref) {
 func (s *panickingSnooper) OnMsg(Message) {}
 
 // TestBatchedBusPanicPropagation: a panicking snooper must not deadlock
-// the producer; its panic surfaces as an error from Close, the poisoned
-// worker stops delivering, and healthy snoopers still get everything.
+// the producer; its panic surfaces as an error from Close naming it, the
+// poisoned worker stops delivering, and the other workers' snoopers
+// still get everything.
 func TestBatchedBusPanicPropagation(t *testing.T) {
+	withProcs(t, 2)
 	bus := NewBatchedBus(16)
 	bad := &panickingSnooper{n: 100}
 	var good countingSnooper
-	bus.Attach(bad)
 	bus.Attach(&good)
-	for i := 0; i < 5000; i++ {
-		bus.Ref(trace.Ref{Addr: mem.Addr(i * 64), Size: 8})
+	bus.Attach(bad)
+	stream := make([]trace.Ref, 5000)
+	for i := range stream {
+		stream[i] = trace.Ref{Addr: mem.Addr(i * 64), Size: 8}
 	}
+	feedCuts(bus, stream, rand.New(rand.NewSource(1)), 300)
 	err := bus.Close()
 	if err == nil {
 		t.Fatal("snooper panic not propagated from Close")
 	}
-	if !strings.Contains(err.Error(), "emulator fault") {
-		t.Errorf("panic cause lost: %v", err)
+	if !strings.Contains(err.Error(), "emulator fault") || !strings.Contains(err.Error(), "snooper 1 (*fsb.panickingSnooper)") {
+		t.Errorf("panic cause or culprit lost: %v", err)
 	}
 	if got := good.refs.Load(); got != 5000 {
 		t.Errorf("healthy snooper got %d refs, want 5000", got)
@@ -179,8 +371,8 @@ func TestBatchedBusPanicPropagation(t *testing.T) {
 	}
 }
 
-// TestBatchedBusMisuse: the batched bus fails loudly on API misuse
-// instead of silently corrupting the stream.
+// TestBatchedBusMisuse: the bus fails loudly on API misuse instead of
+// silently corrupting the stream.
 func TestBatchedBusMisuse(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		t.Helper()
@@ -192,31 +384,39 @@ func TestBatchedBusMisuse(t *testing.T) {
 		f()
 	}
 
-	bus := NewBatchedBus(4)
-	var s countingSnooper
-	bus.Attach(&s)
-	bus.Ref(trace.Ref{Addr: 64, Size: 8})
-	expectPanic("late attach", func() { bus.Attach(&countingSnooper{}) })
-	if err := bus.Close(); err != nil {
-		t.Fatal(err)
+	for _, procs := range []int{1, 2} {
+		withProcs(t, procs)
+		bus := NewBatchedBus(4)
+		bus.Attach(&countingSnooper{})
+		bus.Attach(&countingSnooper{})
+		bus.Refs([]trace.Ref{{Addr: 64, Size: 8}})
+		expectPanic("late attach", func() { bus.Attach(&countingSnooper{}) })
+		if err := bus.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := bus.Close(); err != nil {
+			t.Fatalf("Close not idempotent: %v", err)
+		}
+		expectPanic("ref after close", func() { bus.Ref(trace.Ref{Addr: 128, Size: 8}) })
+		expectPanic("batch after close", func() { bus.Refs([]trace.Ref{{Addr: 128, Size: 8}}) })
+		expectPanic("attach after close", func() { bus.Attach(&countingSnooper{}) })
 	}
-	if err := bus.Close(); err != nil {
-		t.Fatalf("Close not idempotent: %v", err)
-	}
-	expectPanic("ref after close", func() { bus.Ref(trace.Ref{Addr: 128, Size: 8}) })
-	expectPanic("attach after close", func() { bus.Attach(&countingSnooper{}) })
+
+	bus := NewBus()
+	bus.Attach(&countingSnooper{})
+	bus.Msg(Message{Kind: MsgStart})
+	expectPanic("late attach after a single event", func() { bus.Attach(&countingSnooper{}) })
 }
 
-// TestBatchedBusDefaultBatch: batchSize <= 0 selects DefaultBatch.
+// TestBatchedBusDefaultBatch: a batch size outside (0, DefaultBatch]
+// selects DefaultBatch — the pool's buffers are bounded by it.
 func TestBatchedBusDefaultBatch(t *testing.T) {
-	bus := NewBatchedBus(0)
-	if bus.batchSize != DefaultBatch {
-		t.Fatalf("batchSize = %d, want %d", bus.batchSize, DefaultBatch)
+	for n, want := range map[int]int{0: DefaultBatch, -3: DefaultBatch, 1 << 20: DefaultBatch, 64: 64} {
+		if got := NewBatchedBus(n).batchSize; got != want {
+			t.Errorf("NewBatchedBus(%d).batchSize = %d, want %d", n, got, want)
+		}
 	}
-	if !bus.Batched() {
-		t.Fatal("not batched")
-	}
-	if NewBus().Batched() {
-		t.Fatal("synchronous bus claims batched")
+	if got := NewBus().batchSize; got != DefaultBatch {
+		t.Errorf("NewBus().batchSize = %d, want %d", got, DefaultBatch)
 	}
 }

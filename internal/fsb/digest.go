@@ -1,6 +1,6 @@
 // Stream digest: an order-sensitive fingerprint of bus traffic.
 //
-// Every delivery guarantee the pipeline makes — serial == batched,
+// Every delivery guarantee the pipeline makes — per-event == batched,
 // live == replay, no event lost or reordered per snooper — collapses to
 // one checkable claim: two deliveries of the same run produce the same
 // digest. The digest is FNV-1a over each event's fields in delivery
@@ -21,8 +21,8 @@ const (
 
 // StreamDigest fingerprints the event stream it snoops. It implements
 // Snooper; attach it to a live bus or a replay alongside the emulators.
-// Read Sum only after the bus has closed (batched delivery runs the
-// digest on a worker goroutine until then).
+// Read Sum only after the bus has closed (a fanned bus runs the digest
+// on a worker goroutine until then).
 type StreamDigest struct {
 	sum    uint64
 	events uint64

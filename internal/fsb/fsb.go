@@ -20,6 +20,10 @@ package fsb
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"cmpmem/internal/mem"
@@ -90,13 +94,6 @@ type Message struct {
 	Value uint64
 }
 
-// Event is the unit that flows over the bus: either a memory reference
-// or a control message (Msg != nil).
-type Event struct {
-	Ref trace.Ref
-	Msg *Message
-}
-
 // EncodeMessage converts a control message into the reserved-address
 // memory transaction that carries it on a physical bus.
 func EncodeMessage(m Message) trace.Ref {
@@ -127,39 +124,104 @@ func IsMessage(r trace.Ref) bool {
 	return r.Addr >= msgWindowBase
 }
 
-// Bus carries events from the execution engine to any number of snoopers
-// (the Dragonhead emulator, trace writers, bandwidth meters).
-//
-// A Bus built with NewBus delivers synchronously and in order on the
-// producer's goroutine — the software analogue of a physical bus. A Bus
-// built with NewBatchedBus restores the paper's producer/consumer
-// decoupling: the execution engine appends events to a batch buffer and
-// publishes full batches to one bounded SPSC channel per snooper, each
-// drained by a dedicated worker goroutine — the software analogue of the
-// FPGAs passively consuming the bus in parallel with SoftSDV. Every
-// snooper still observes the complete event stream in the exact order it
-// was produced, so per-snooper results are bit-identical to synchronous
-// delivery; only cross-snooper timing changes.
-//
-// In batched mode the producer side (Ref, Msg, Close, Events, Messages)
-// must stay on one goroutine, and results held by the snoopers may only
-// be read after Close has returned.
-type Bus struct {
-	snoopers []Snooper
-	events   uint64
-	msgs     uint64
+// Snooper observes bus traffic. OnRef is called for memory transactions,
+// OnMsg for control messages.
+type Snooper interface {
+	OnRef(r trace.Ref)
+	OnMsg(m Message)
+}
 
-	// Batched asynchronous delivery (nil/zero for a synchronous bus).
+// BatchSnooper is a Snooper that consumes a run of encoded events —
+// memory transactions, and control messages as EncodeMessage writes
+// them — in one call. OnBatch must leave the snooper exactly where one
+// OnRef/OnMsg per event would, and may neither keep nor modify the slice.
+type BatchSnooper interface {
+	Snooper
+	OnBatch(batch []trace.Ref)
+}
+
+// Finalizer is implemented by snoopers that need to know when the event
+// stream is complete — e.g. to seal counters so that reading them is
+// known to be safe. Bus.Close calls Finalize on every attached snooper
+// that implements it, after all deliveries have drained.
+type Finalizer interface {
+	Finalize()
+}
+
+// AsyncSnooper is implemented by snoopers that want to be told their
+// events will arrive on a worker goroutine rather than the producer's.
+// Dragonhead uses this to reject racy stats reads loudly.
+type AsyncSnooper interface {
+	AttachAsync()
+}
+
+// Deliver hands one batch to s: through OnBatch when s has one, else
+// event by event, message transactions decoded back into OnMsg. The
+// per-event form is the reference every OnBatch is tested against.
+func Deliver(s Snooper, batch []trace.Ref) {
+	if bs, ok := s.(BatchSnooper); ok {
+		bs.OnBatch(batch)
+		return
+	}
+	for _, r := range batch {
+		if m, ok := DecodeMessage(r); ok {
+			s.OnMsg(m)
+		} else {
+			s.OnRef(r)
+		}
+	}
+}
+
+// DefaultBatch is the most events one batch carries: large enough to
+// amortize a channel handoff over tens of microseconds of emulation,
+// small enough that a batch (64 KB) stays cache-resident while every
+// snooper of a worker walks it.
+const DefaultBatch = 4096
+
+// batchDepth bounds the batches queued per worker; one more buffer is
+// being filled. The producer blocks when every buffer is out — the
+// backpressure that keeps memory bounded.
+const batchDepth = 4
+
+// Bus carries events from the execution engine to any number of snoopers
+// (the Dragonhead emulator, trace writers, bandwidth meters). Its unit
+// is the batch: Refs takes a run of encoded events — a DEX slice, a
+// decoded stretch of a stored stream — and the bus chooses how to
+// deliver it when the first one arrives, from what it can observe. With
+// w = min(GOMAXPROCS, attached snoopers) <= 1 there is nothing to
+// overlap: every snooper consumes the batch where it lies, on the
+// producer's goroutine. With w >= 2 the snoopers are partitioned over w
+// workers, the software analogue of the FPGAs passively consuming the
+// bus in parallel with SoftSDV: batches are copied into batchDepth+1
+// recycled buffers of at most DefaultBatch events, each returned to the
+// pool by the last worker done with it. Every snooper observes the
+// complete stream in the order it was produced, so per-snooper results
+// are bit-identical either way.
+//
+// Ref and Msg deliver one event at once, synchronously: a bus whose
+// first event arrives that way never fans out, and on a fanned bus the
+// event queues behind the batches in flight. The producer side (Refs,
+// Ref, Msg, Close, Events, Messages) must stay on one goroutine, and
+// results held by the snoopers may only be read after Close has returned.
+type Bus struct {
+	snoopers  []Snooper
+	events    uint64
+	msgs      uint64
 	batchSize int
-	batch     []Event
-	workers   []*busWorker
 	started   bool // events have flowed; attaching now would lose history
 	closed    bool
+
+	// Fan-out state, nil until the first batch on a bus with w >= 2.
+	workers []*fanWorker
+	free    chan *fanBatch // cap batchDepth+1: returning a buffer never blocks
+	pend    *fanBatch      // the buffer being filled
+	one     [1]trace.Ref   // Ref/Msg's batch of one while workers run
 
 	// tel is nil unless Instrument attached a registry; all pushes go
 	// through nil-safe handles at batch/close granularity, so the
 	// per-event hot path is untouched.
-	tel *busTelemetry
+	tel  *busTelemetry
+	span *telemetry.Span
 }
 
 // busTelemetry holds the bus's registered metrics.
@@ -167,9 +229,9 @@ type busTelemetry struct {
 	events     *telemetry.Counter   // fsb_events_total: refs + msgs broadcast
 	msgs       *telemetry.Counter   // fsb_msgs_total: control messages broadcast
 	deliveries *telemetry.Counter   // fsb_deliveries_total: events fanned out (events x snoopers)
-	batches    *telemetry.Counter   // fsb_batches_total: batches published
-	occupancy  *telemetry.Histogram // fsb_batch_occupancy: events per published batch
-	queueDepth *telemetry.Histogram // fsb_snooper_queue_depth: batches queued per snooper at publish
+	batches    *telemetry.Counter   // fsb_batches_total: batches delivered
+	occupancy  *telemetry.Histogram // fsb_batch_occupancy: events per batch
+	queueDepth *telemetry.Histogram // fsb_snooper_queue_depth: batches queued per worker at publish
 }
 
 // Instrument registers the bus's metrics into r (nil r disables). Call
@@ -188,97 +250,76 @@ func (b *Bus) Instrument(r *telemetry.Registry) {
 	}
 }
 
-// Snooper observes bus traffic. OnRef is called for memory transactions,
-// OnMsg for control messages.
-type Snooper interface {
-	OnRef(r trace.Ref)
-	OnMsg(m Message)
+// TraceSpan attaches parent as the span under which Close records where
+// a fanned run's time went: a "fanout" group over one "worker<i>" span
+// per worker (see traceWorkers). Call before the first event; nil
+// disables. Timing costs two clock reads per delivered batch.
+func (b *Bus) TraceSpan(parent *telemetry.Span) { b.span = parent }
+
+// fanBatch is one pooled buffer of a fanned bus.
+type fanBatch struct {
+	refs []trace.Ref
+	left atomic.Int32 // workers still to finish with it
 }
 
-// Finalizer is implemented by snoopers that need to know when the event
-// stream is complete — e.g. to seal counters so that reading them is
-// known to be safe. Bus.Close calls Finalize on every attached snooper
-// that implements it, after all deliveries have drained.
-type Finalizer interface {
-	Finalize()
-}
-
-// AsyncSnooper is implemented by snoopers that want to be told their
-// events will arrive on a worker goroutine (batched bus) rather than the
-// producer's. Dragonhead uses this to reject racy stats reads loudly.
-type AsyncSnooper interface {
-	AttachAsync()
-}
-
-// DefaultBatch is the default events-per-batch of a batched bus. Large
-// enough to amortize channel handoffs over tens of microseconds of
-// emulation, small enough that per-batch buffers stay cache-friendly.
-const DefaultBatch = 4096
-
-// batchDepth bounds each snooper's channel (in batches). The producer
-// blocks when a snooper falls this far behind — the backpressure that
-// keeps memory bounded.
-const batchDepth = 4
-
-// busWorker drains one snooper's SPSC batch channel.
-type busWorker struct {
-	s    Snooper
-	ch   chan []Event
-	done chan struct{}
-	// panicked is written only by the worker goroutine and read only
-	// after done is closed.
+// fanWorker delivers every batch, in order, to snoopers first,
+// first+w, first+2w, ... of its bus.
+type fanWorker struct {
+	bus   *Bus
+	first int
+	ch    chan *fanBatch // cap batchDepth: a publish never blocks on it
+	done  chan struct{}
+	// The rest is written only by the worker goroutine and read only
+	// after done is closed: at is the snooper being served (the culprit
+	// after a panic), busyNS the delivery wall time when the bus is traced.
+	at       int
 	panicked any
-	// timed, when set before the worker starts, accumulates per-batch
-	// delivery wall time into busyNS (two clock reads per batch — far
-	// off the per-event path). Same ownership rule as panicked.
-	timed  bool
-	busyNS uint64
+	busyNS   uint64
 }
 
-// NewBus returns an empty synchronous bus.
-func NewBus() *Bus { return &Bus{} }
+// NewBus returns an empty bus with batches of DefaultBatch events.
+func NewBus() *Bus { return NewBatchedBus(0) }
 
-// NewBatchedBus returns a bus in batched asynchronous delivery mode.
-// batchSize <= 0 selects DefaultBatch.
+// NewBatchedBus returns an empty bus whose batches carry at most
+// batchSize events; batchSize <= 0 or above DefaultBatch selects
+// DefaultBatch.
 func NewBatchedBus(batchSize int) *Bus {
-	if batchSize <= 0 {
+	if batchSize <= 0 || batchSize > DefaultBatch {
 		batchSize = DefaultBatch
 	}
-	return &Bus{batchSize: batchSize, batch: make([]Event, 0, batchSize)}
+	return &Bus{batchSize: batchSize}
 }
 
-// Batched reports whether the bus delivers asynchronously.
-func (b *Bus) Batched() bool { return b.batchSize > 0 }
-
-// Attach registers a snooper. Order of attachment is delivery order on a
-// synchronous bus. On a batched bus, Attach starts the snooper's worker
-// and must happen before the first event.
+// Attach registers a snooper. Order of attachment is delivery order
+// among the snoopers of one goroutine. Attach must happen before the
+// first event: a late snooper would have lost history.
 func (b *Bus) Attach(s Snooper) {
 	if b.closed {
 		panic("fsb: Attach on closed bus")
 	}
-	b.snoopers = append(b.snoopers, s)
-	if !b.Batched() {
-		return
-	}
 	if b.started {
-		panic("fsb: Attach after delivery started on batched bus")
+		panic("fsb: Attach after delivery started")
 	}
-	if a, ok := s.(AsyncSnooper); ok {
-		a.AttachAsync()
+	b.snoopers = append(b.snoopers, s)
+}
+
+// begin is the entry check of every event.
+func (b *Bus) begin() {
+	if b.closed {
+		panic("fsb: event published after Close")
 	}
-	w := &busWorker{s: s, ch: make(chan []Event, batchDepth), done: make(chan struct{})}
-	b.workers = append(b.workers, w)
-	go w.run()
+	b.started = true
 }
 
 // Ref broadcasts a memory transaction.
 func (b *Bus) Ref(r trace.Ref) {
-	b.events++
-	if b.Batched() {
-		b.enqueue(Event{Ref: r})
+	if b.workers != nil {
+		b.one[0] = r
+		b.Refs(b.one[:])
 		return
 	}
+	b.begin()
+	b.events++
 	for _, s := range b.snoopers {
 		s.OnRef(r)
 	}
@@ -286,87 +327,142 @@ func (b *Bus) Ref(r trace.Ref) {
 
 // Msg broadcasts a control message.
 func (b *Bus) Msg(m Message) {
-	b.events++
-	b.msgs++
-	if b.Batched() {
-		b.enqueue(Event{Msg: &m})
+	if b.workers != nil {
+		b.one[0] = EncodeMessage(m)
+		b.Refs(b.one[:])
 		return
 	}
+	b.begin()
+	b.events++
+	b.msgs++
 	for _, s := range b.snoopers {
 		s.OnMsg(m)
 	}
 }
 
-// enqueue appends one event to the current batch, publishing when full.
-func (b *Bus) enqueue(ev Event) {
-	if b.closed {
-		panic("fsb: event published after Close")
+// Refs broadcasts a run of encoded events, control messages as their
+// reserved-window transactions. The slice is the caller's again when
+// Refs returns.
+func (b *Bus) Refs(batch []trace.Ref) {
+	first := !b.started
+	b.begin()
+	b.events += uint64(len(batch))
+	for i := range batch {
+		if IsMessage(batch[i]) {
+			b.msgs++
+		}
 	}
-	b.started = true
-	b.batch = append(b.batch, ev)
-	if len(b.batch) >= b.batchSize {
-		b.publish()
+	if first {
+		b.fanOut()
+	}
+	if b.workers == nil {
+		for len(batch) > 0 {
+			n := min(len(batch), b.batchSize)
+			b.observe(n)
+			for _, s := range b.snoopers {
+				Deliver(s, batch[:n])
+			}
+			batch = batch[n:]
+		}
+		return
+	}
+	for len(batch) > 0 {
+		p := b.pend
+		n := copy(p.refs[len(p.refs):b.batchSize], batch)
+		p.refs = p.refs[:len(p.refs)+n]
+		batch = batch[n:]
+		if len(p.refs) == b.batchSize {
+			b.publish()
+		}
 	}
 }
 
-// publish hands the current batch to every worker. The slice is shared:
-// workers only read it, and the producer never touches it again — a
-// fresh buffer is allocated for the next batch.
-func (b *Bus) publish() {
-	if len(b.batch) == 0 {
-		return
-	}
-	batch := b.batch
+// observe records one delivered batch of n events.
+func (b *Bus) observe(n int) {
 	if b.tel != nil {
 		b.tel.batches.Inc()
-		b.tel.occupancy.Observe(uint64(len(batch)))
+		b.tel.occupancy.Observe(uint64(n))
 	}
+}
+
+// fanOut starts the workers when the first batch arrives on a bus that
+// has both snoopers to overlap and processors to overlap them on.
+func (b *Bus) fanOut() {
+	w := min(runtime.GOMAXPROCS(0), len(b.snoopers))
+	if w < 2 {
+		return
+	}
+	b.free = make(chan *fanBatch, batchDepth+1)
+	for i := 0; i <= batchDepth; i++ {
+		b.free <- &fanBatch{refs: make([]trace.Ref, 0, b.batchSize)}
+	}
+	b.pend = <-b.free
+	for _, s := range b.snoopers {
+		if a, ok := s.(AsyncSnooper); ok {
+			a.AttachAsync()
+		}
+	}
+	for i := 0; i < w; i++ {
+		fw := &fanWorker{bus: b, first: i, ch: make(chan *fanBatch, batchDepth), done: make(chan struct{})}
+		b.workers = append(b.workers, fw)
+		go fw.run()
+	}
+}
+
+// publish hands the pending batch to every worker and takes the next
+// free buffer, waiting while all are in flight.
+func (b *Bus) publish() {
+	p := b.pend
+	if len(p.refs) == 0 {
+		return
+	}
+	b.observe(len(p.refs))
+	p.left.Store(int32(len(b.workers)))
 	for _, w := range b.workers {
 		if b.tel != nil {
 			b.tel.queueDepth.Observe(uint64(len(w.ch)))
 		}
-		w.ch <- batch
+		w.ch <- p
 	}
-	b.batch = make([]Event, 0, b.batchSize)
+	b.pend = <-b.free
+	b.pend.refs = b.pend.refs[:0]
 }
 
-// run is the worker loop: deliver each batch in order to one snooper.
-// A panicking snooper poisons the worker, which then keeps draining
-// (without delivering) so the producer is never blocked by a corpse;
-// the panic value resurfaces from Close.
-func (w *busWorker) run() {
+// run is the worker loop. A panicking snooper poisons the worker, which
+// then keeps draining (without delivering) so the producer is never
+// blocked by a corpse; the panic value resurfaces from Close.
+func (w *fanWorker) run() {
 	defer close(w.done)
-	for batch := range w.ch {
-		if w.panicked != nil {
-			continue
+	for p := range w.ch {
+		if w.panicked == nil {
+			w.deliver(p.refs)
 		}
-		w.deliver(batch)
+		if p.left.Add(-1) == 0 {
+			w.bus.free <- p
+		}
 	}
 }
 
-func (w *busWorker) deliver(batch []Event) {
+func (w *fanWorker) deliver(batch []trace.Ref) {
 	defer func() {
 		if r := recover(); r != nil {
 			w.panicked = r
 		}
 	}()
-	if w.timed {
+	if w.bus.span != nil {
 		start := time.Now()
 		defer func() { w.busyNS += uint64(time.Since(start)) }()
 	}
-	for _, ev := range batch {
-		if ev.Msg != nil {
-			w.s.OnMsg(*ev.Msg)
-		} else {
-			w.s.OnRef(ev.Ref)
-		}
+	for w.at = w.first; w.at < len(w.bus.snoopers); w.at += len(w.bus.workers) {
+		Deliver(w.bus.snoopers[w.at], batch)
 	}
 }
 
 // Close flushes the partial batch, waits for every worker to drain, and
-// finalizes snoopers. On a batched bus it reports the first snooper
-// panic as an error; on a synchronous bus it only finalizes. Close is
-// idempotent; after Close the bus accepts no more events.
+// finalizes snoopers. It reports the first panic of a snooper served by
+// a worker as an error (on the producer's goroutine a snooper's panic
+// simply propagates). Close is idempotent; after Close the bus accepts
+// no more events.
 func (b *Bus) Close() error {
 	if b.closed {
 		return nil
@@ -379,21 +475,31 @@ func (b *Bus) Close() error {
 		b.tel.msgs.Add(b.msgs)
 		b.tel.deliveries.Add(b.events * uint64(len(b.snoopers)))
 	}
-	var err error
-	if b.Batched() {
+	if b.workers != nil {
 		b.publish()
 		for _, w := range b.workers {
 			close(w.ch)
 		}
-		for i, w := range b.workers {
+		var err error
+		for _, w := range b.workers {
 			<-w.done
 			if w.panicked != nil && err == nil {
-				err = fmt.Errorf("fsb: snooper %d (%T) panicked during delivery: %v", i, w.s, w.panicked)
+				err = fmt.Errorf("fsb: snooper %d (%T) panicked during delivery: %v", w.at, b.snoopers[w.at], w.panicked)
 			}
 		}
-	}
-	if err != nil {
-		return err
+		if b.span != nil {
+			busy := make([]uint64, len(b.workers))
+			for i, w := range b.workers {
+				busy[i] = w.busyNS
+			}
+			for i, c := range traceWorkers(b.span, "fanout", "worker", busy) {
+				served := (len(b.snoopers) - i + len(busy) - 1) / len(busy)
+				c.SetAttr("snoopers", strconv.Itoa(served))
+			}
+		}
+		if err != nil {
+			return err
+		}
 	}
 	for _, s := range b.snoopers {
 		if f, ok := s.(Finalizer); ok {
@@ -401,6 +507,22 @@ func (b *Bus) Close() error {
 		}
 	}
 	return nil
+}
+
+// traceWorkers attaches a joined fan-out's busy times to parent: one
+// group span carrying the critical path (the busiest worker) and the
+// worker count, over one sealed <child><i> span per worker, returned.
+// All are telemetry.AttrConcurrent: they overlap the producer's phase.
+func traceWorkers(parent *telemetry.Span, group, child string, busy []uint64) []*telemetry.Span {
+	g := parent.AddTimedChild(group, 0, slices.Max(busy))
+	g.SetAttr(telemetry.AttrConcurrent, "true")
+	g.SetAttr("n", strconv.Itoa(len(busy)))
+	out := make([]*telemetry.Span, len(busy))
+	for i, ns := range busy {
+		out[i] = g.AddTimedChild(child+strconv.Itoa(i), 0, ns)
+		out[i].SetAttr(telemetry.AttrConcurrent, "true")
+	}
+	return out
 }
 
 // Events returns the total events (refs + msgs) broadcast.

@@ -1,6 +1,6 @@
 // Sharded delivery: an address-partitioned SPSC fan-out for intra-run
-// parallelism. Where the batched Bus broadcasts the full event stream
-// to every snooper (inter-experiment parallelism: N configs, one
+// parallelism. Where the Bus broadcasts the full event stream to every
+// snooper (inter-experiment parallelism: N configs, one
 // stream), the Sharder routes each event to exactly one of N consumers
 // by a key the producer derives from the address — bank-interleave bits
 // for the Dragonhead CC banks. Each consumer owns a disjoint address
@@ -14,14 +14,69 @@ package fsb
 import (
 	"fmt"
 	"strconv"
+	"time"
 
 	"cmpmem/internal/telemetry"
 	"cmpmem/internal/trace"
 )
 
-// Sharder fans events out to per-shard workers over the same bounded
-// SPSC batch rings as NewBatchedBus: one chan []Event of depth
-// batchDepth per shard, batches shared read-only with the worker, the
+// Event is the unit the sharder queues: either a memory reference or a
+// control message (Msg != nil).
+type Event struct {
+	Ref trace.Ref
+	Msg *Message
+}
+
+// busWorker drains one shard's SPSC batch channel.
+type busWorker struct {
+	s    Snooper
+	ch   chan []Event
+	done chan struct{}
+	// panicked is written only by the worker goroutine and read only
+	// after done is closed.
+	panicked any
+	// timed, when set before the worker starts, accumulates per-batch
+	// delivery wall time into busyNS (two clock reads per batch — far
+	// off the per-event path). Same ownership rule as panicked.
+	timed  bool
+	busyNS uint64
+}
+
+// run is the worker loop: deliver each batch in order to one consumer.
+// A panicking consumer poisons the worker, which then keeps draining
+// (without delivering) so the producer is never blocked by a corpse;
+// the panic value resurfaces from Close.
+func (w *busWorker) run() {
+	defer close(w.done)
+	for batch := range w.ch {
+		if w.panicked != nil {
+			continue
+		}
+		w.deliver(batch)
+	}
+}
+
+func (w *busWorker) deliver(batch []Event) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.panicked = r
+		}
+	}()
+	if w.timed {
+		start := time.Now()
+		defer func() { w.busyNS += uint64(time.Since(start)) }()
+	}
+	for _, ev := range batch {
+		if ev.Msg != nil {
+			w.s.OnMsg(*ev.Msg)
+		} else {
+			w.s.OnRef(ev.Ref)
+		}
+	}
+}
+
+// Sharder fans events out to per-shard workers over bounded SPSC batch
+// rings: one chan []Event of depth batchDepth per shard, batches shared read-only with the worker, the
 // producer blocking only when a shard falls batchDepth batches behind.
 //
 // The producer side (Ref, Broadcast, Close) must stay on one goroutine,
@@ -94,15 +149,12 @@ func (s *Sharder) Instrument(r *telemetry.Registry, prefix string) {
 }
 
 // TraceSpan attaches parent as the span under which Close records the
-// fan-out's measured shard busy times: one "shards" child carrying the
-// critical-path (max) worker busy time, with one sealed "shard<i>"
-// span per worker beneath it. All of them are marked
-// telemetry.AttrConcurrent — they overlap the producer's execute/replay
-// phase, so reconciliation sums must not double-count them. Like
-// Instrument, call before the first event: the timed flag reaches each
-// worker through its batch channel's happens-before edge. Nil parent
-// disables (the free path). Timing costs two clock reads per delivered
-// batch, never per event.
+// fan-out's measured shard busy times: a "shards" group over one
+// "shard<i>" span per worker (see traceWorkers). Like Instrument, call
+// before the first event: the timed flag reaches each worker through
+// its batch channel's happens-before edge. Nil parent disables (the
+// free path). Timing costs two clock reads per delivered batch, never
+// per event.
 func (s *Sharder) TraceSpan(parent *telemetry.Span) {
 	if parent == nil {
 		return
@@ -200,28 +252,13 @@ func (s *Sharder) Close() error {
 		s.tel.refs.Add(s.nrefs)
 	}
 	if s.span != nil {
-		var critical uint64
-		for _, w := range s.workers {
-			if w.busyNS > critical {
-				critical = w.busyNS
-			}
-		}
-		group := s.span.AddTimedChild("shards", 0, critical)
-		group.SetAttr(telemetry.AttrConcurrent, "true")
-		group.SetAttr("n", strconv.Itoa(len(s.workers)))
+		busy := make([]uint64, len(s.workers))
 		for i, w := range s.workers {
-			c := group.AddTimedChild("shard"+strconv.Itoa(i), 0, w.busyNS)
-			c.SetAttr(telemetry.AttrConcurrent, "true")
+			busy[i] = w.busyNS
+		}
+		for i, c := range traceWorkers(s.span, "shards", "shard", busy) {
 			c.SetAttr("events", strconv.FormatUint(s.counts[i], 10))
 		}
 	}
 	return err
-}
-
-// ShardEvents returns the number of events (refs routed plus broadcast
-// copies) delivered to each shard. Only meaningful after Close.
-func (s *Sharder) ShardEvents() []uint64 {
-	out := make([]uint64, len(s.counts))
-	copy(out, s.counts)
-	return out
 }

@@ -56,10 +56,10 @@ func TestSharderRoutesAndOrders(t *testing.T) {
 			}
 		}
 	}
-	ev := s.ShardEvents()
+	ev := s.counts
 	for sh, n := range ev {
 		if want := uint64(refs/shards + 3); n != want {
-			t.Errorf("ShardEvents[%d] = %d, want %d", sh, n, want)
+			t.Errorf("shard events[%d] = %d, want %d", sh, n, want)
 		}
 	}
 }

@@ -460,10 +460,8 @@ func (e *Engine) charge(f *setFamily, d uint32, c *lineCell, key uint64, store b
 // dropped; everything else is regulated into line-granular requests
 // exactly like Dragonhead.
 func (e *Engine) OnRef(r trace.Ref) {
-	if fsb.IsMessage(r) {
-		if m, ok := fsb.DecodeMessage(r); ok {
-			e.OnMsg(m)
-		}
+	if m, ok := fsb.DecodeMessage(r); ok {
+		e.OnMsg(m)
 		return
 	}
 	if !e.window {
@@ -479,6 +477,14 @@ func (e *Engine) OnRef(r trace.Ref) {
 	store := r.Kind == mem.Store
 	for blk := first; blk <= last; blk++ {
 		e.record(blk, store, r.Core)
+	}
+}
+
+// OnBatch implements fsb.BatchSnooper: a run of bus events, one
+// concrete call each instead of one interface dispatch.
+func (e *Engine) OnBatch(batch []trace.Ref) {
+	for i := range batch {
+		e.OnRef(batch[i])
 	}
 }
 

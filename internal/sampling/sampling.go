@@ -409,10 +409,8 @@ func NewFingerprinter(p Params, hintRefs uint64) *Fingerprinter {
 
 // OnRef implements fsb.Snooper.
 func (f *Fingerprinter) OnRef(r trace.Ref) {
-	if fsb.IsMessage(r) {
-		if m, ok := fsb.DecodeMessage(r); ok {
-			f.OnMsg(m)
-		}
+	if m, ok := fsb.DecodeMessage(r); ok {
+		f.OnMsg(m)
 		return
 	}
 	if !f.window {
@@ -454,6 +452,13 @@ func (f *Fingerprinter) OnRef(r trace.Ref) {
 		if prev != iv {
 			f.cur.Footprint++
 		}
+	}
+}
+
+// OnBatch implements fsb.BatchSnooper.
+func (f *Fingerprinter) OnBatch(batch []trace.Ref) {
+	for i := range batch {
+		f.OnRef(batch[i])
 	}
 }
 

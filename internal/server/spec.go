@@ -67,8 +67,8 @@ type SweepSpec struct {
 	// cache entry.
 	Sampling string `json:"sampling,omitempty"`
 	// Shards and Batch are wall-clock knobs (intra-run bank sharding,
-	// batched bus delivery). They never change results and are excluded
-	// from the content hash; 0 defers to the server's defaults.
+	// bus batch size). They never change results and are excluded from
+	// the content hash; 0 defers to the server's defaults.
 	Shards int `json:"shards,omitempty"`
 	Batch  int `json:"batch,omitempty"`
 }

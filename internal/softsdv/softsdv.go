@@ -333,28 +333,27 @@ func (s *Scheduler) Run(p Program) error {
 	return nil
 }
 
-// dispatch grants one slice to t and flushes its traffic to the bus.
+// dispatch grants one slice to t and hands its traffic to the bus as
+// one batch: the thread's buffer with the protocol's messages, as the
+// reserved-window transactions that carry them, written around the
+// guest's own.
 func (s *Scheduler) dispatch(t *Thread) {
 	s.slices++
 	t.slice = 0
 	t.buf.Reset()
+	// The emulation window opens for the guest's transactions and closes
+	// for host noise.
+	t.buf.Append(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStart}))
+	t.buf.Append(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgCoreID, Core: t.core}))
 	t.resume <- struct{}{}
 	<-t.yielded
 
-	// Slice boundary: emit the protocol. The emulation window opens for
-	// the guest's transactions and closes for host noise.
-	s.bus.Msg(fsb.Message{Kind: fsb.MsgStart})
-	s.bus.Msg(fsb.Message{Kind: fsb.MsgCoreID, Core: t.core})
-	for _, r := range t.buf.Refs() {
-		s.bus.Ref(r)
-	}
 	s.cycles += t.slice
 	s.telInst.Add(t.slice)
 	s.telSlices.Inc()
-	s.bus.Msg(fsb.Message{Kind: fsb.MsgInstRetired, Core: t.core, Value: t.inst})
-	s.bus.Msg(fsb.Message{Kind: fsb.MsgCycles, Value: s.cycles})
-	s.bus.Msg(fsb.Message{Kind: fsb.MsgStop})
-
+	t.buf.Append(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgInstRetired, Core: t.core, Value: t.inst}))
+	t.buf.Append(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgCycles, Value: s.cycles}))
+	t.buf.Append(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStop}))
 	for i := 0; i < s.cfg.HostNoiseRefs; i++ {
 		// Host/simulator activity: addresses in a window no guest arena
 		// occupies (below spaceBase), random-walk pattern.
@@ -363,8 +362,9 @@ func (s *Scheduler) dispatch(t *Thread) {
 		if s.noise.Intn(4) == 0 {
 			kind = mem.Store
 		}
-		s.bus.Ref(trace.Ref{Addr: addr, Core: t.core, Size: 8, Kind: kind})
+		t.buf.Append(trace.Ref{Addr: addr, Core: t.core, Size: 8, Kind: kind})
 	}
+	s.bus.Refs(t.buf.Refs())
 }
 
 // drain unblocks and discards any still-parked goroutines so they do not
