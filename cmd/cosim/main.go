@@ -25,9 +25,9 @@
 //	                      reference stream on -threads cores: access mix,
 //	                      footprint, strides, per-core counts; -windows n
 //	                      adds a phase timeline, -stackdist a Mattson
-//	                      reuse-distance summary. Like every exhibit it
-//	                      runs live or, with -trace-dir, from the stored
-//	                      capture
+//	                      reuse-distance summary. It captures once and
+//	                      replays its other passes (from -trace-dir's
+//	                      spill when there is one)
 //	cosim trace [-fold] [-job id] [-kind k] [-last] [file]
 //	                      render the span trees of a manifest stream
 //	                      (see trace.go)
@@ -48,8 +48,8 @@
 //	            (1 = serial, the default, as in cosimd; 0 = one per CPU
 //	            up to the bank count; results are bit-identical)
 //	-replay     memoize each workload's captured bus-event stream and
-//	            replay it across exhibits instead of re-executing
-//	            (default true; results are bit-identical either way)
+//	            replay it across exhibits (default false; implied by
+//	            -trace-dir, -sampling and traceinfo; bit-identical results)
 //	-trace-dir  spill captured streams to this directory in the compact
 //	            v2 trace codec, so later invocations skip execution too
 //	            (implies -replay)
@@ -129,7 +129,7 @@ func run(args []string) error {
 	jobs := fs.Int("j", 0, "concurrent workload runs (0 = GOMAXPROCS, 1 = serial)")
 	batch := fs.Int("batch", 0, "bus events per delivered batch (0 = default 4096, the maximum)")
 	shards := fs.Int("shards", 1, "bank shards per emulator for intra-run parallel emulation (1 = serial; 0 = auto: one per CPU up to the bank count)")
-	replay := fs.Bool("replay", true, "execute each workload once and replay its bus stream across exhibits")
+	replay := fs.Bool("replay", false, "execute each workload once and replay its bus stream across exhibits (implied by -trace-dir, -sampling and traceinfo)")
 	traceDir := fs.String("trace-dir", "", "spill captured bus streams to this directory (implies -replay)")
 	engineName := fs.String("engine", core.EngineAuto.String(), "sweep execution engine: auto|emulate|oracle")
 	samplingName := fs.String("sampling", core.SamplingOff.String(), "accuracy tier: off (exact) or fast (sampled estimates with confidence intervals)")
@@ -187,11 +187,13 @@ func run(args []string) error {
 	}
 	defer telClose()
 	opts = append(opts, telOpt...)
-	if *replay || *traceDir != "" {
+	cmds := fs.Args()
+	// Re-executing the guest is cheaper than holding its stream: a store
+	// pays only where the stream is reused (several passes, or a spill).
+	if *replay || *traceDir != "" || samplingMode != core.SamplingOff || slices.Contains(cmds, "traceinfo") {
 		opts = append(opts, core.WithTraceReuse(tracestore.New(0, *traceDir)))
 	}
 
-	cmds := fs.Args()
 	if len(cmds) == 1 && cmds[0] == "all" {
 		cmds = []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8"}
 	}

@@ -65,6 +65,38 @@ func TestCLITraceDirSpill(t *testing.T) {
 	}
 }
 
+// TestCLIReplayIsOptIn: a default run executes live — its manifest has
+// no store span — while -trace-dir still captures on the first
+// invocation (store miss, the capture feeding the sweep itself, no
+// replay) and revives the spill on the next (disk, then replay).
+func TestCLIReplayIsOptIn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	for _, r := range sweepManifests(t, "-csv", "-workloads", "SHOT", "fig4") {
+		if r.Trace.Find("store") != nil {
+			t.Errorf("%s: a default run went through a trace store", r.Workload)
+		}
+	}
+	dir := t.TempDir()
+	for _, want := range []struct {
+		outcome string
+		replay  bool
+	}{{"miss", false}, {"disk", true}} {
+		recs := sweepManifests(t, "-trace-dir", dir, "-csv", "-workloads", "SHOT", "fig4")
+		if len(recs) != 1 {
+			t.Fatalf("-trace-dir fig4 on SHOT wrote %d plansweep manifests", len(recs))
+		}
+		tree := recs[0].Trace
+		if lookup := tree.Find("store"); lookup == nil || lookup.Attrs["outcome"] != want.outcome {
+			t.Fatalf("store span %+v, want outcome %s", lookup, want.outcome)
+		}
+		if replayed := tree.Find("replay") != nil; replayed != want.replay {
+			t.Errorf("%s: replay span present = %v, want %v", want.outcome, replayed, want.replay)
+		}
+	}
+}
+
 func TestCLISVGOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

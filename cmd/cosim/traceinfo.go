@@ -8,8 +8,7 @@
 //	cosim -workloads SHOT -threads 8 -windows 16 -stackdist traceinfo
 //
 // Every report reaches the stream the way a sweep does: through the
-// executor's source step, so it runs live or, with -replay/-trace-dir,
-// from the one stored capture.
+// executor's source step; its up to three passes replay one capture.
 
 package main
 

@@ -10,7 +10,8 @@
 //	                            201 + job id, or 429 + Retry-After when
 //	                            the admission queue is full
 //	GET  /v1/sweeps/{id}        job status; result JSON once done
-//	GET  /v1/sweeps/{id}/events SSE progress: queued, capturing,
+//	GET  /v1/sweeps/{id}/events SSE progress: queued, capturing (a store
+//	                            miss answers the job as it captures) or
 //	                            replaying, per-config completion, done
 //	GET  /v1/healthz            liveness
 //	GET  /v1/version            git revision

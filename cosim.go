@@ -141,7 +141,7 @@ var WithTraceReuse = core.WithTraceReuse
 
 // TraceStoreStats is a point-in-time trace store snapshot: hits, disk
 // hits, misses (= actual executions), single-flight waits, evictions,
-// and resident bytes. Obtain one with (*TraceStore).StatsSnapshot.
+// and resident bytes. Obtain one with (*TraceStore).Stats.
 type TraceStoreStats = tracestore.Stats
 
 // Progress is one observation from a run's progress hook; see

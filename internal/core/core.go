@@ -81,15 +81,18 @@ func Run(name string, p workloads.Params, pc PlatformConfig, snoopers ...fsb.Sno
 
 // runNamed is Run with explicit concurrency and reuse options: the
 // source step of every exact run. With a trace store configured the
-// snoopers are fed from the memoized bus-event stream (executing only
-// on the first request for the key); otherwise the guest executes live.
+// snoopers are fed from the memoized bus-event stream or, on a miss,
+// by the execution that captures it; otherwise the guest executes live.
 func runNamed(name string, p workloads.Params, pc PlatformConfig, ro runOpts, snoopers []fsb.Snooper) (RunSummary, error) {
 	if ro.store == nil {
 		return runNamedLive(name, p, pc, ro, snoopers)
 	}
-	tr, err := ro.openTrace(name, p, pc)
+	tr, fed, err := ro.openTrace(name, p, pc, snoopers)
 	if err != nil {
 		return RunSummary{}, err
+	}
+	if fed {
+		return tr.Summary, nil
 	}
 	ro.step(Progress{Phase: PhaseReplay})
 	replay := ro.span.StartChild("replay")
@@ -117,6 +120,9 @@ func runNamedLive(name string, p workloads.Params, pc PlatformConfig, ro runOpts
 		pc.Threads = 1
 	}
 	bus := ro.newBus()
+	// Close (idempotent) on every path, a panic included: unjoined
+	// delivery workers would leak, and later stats reads race.
+	defer bus.Close()
 	for _, s := range snoopers {
 		bus.Attach(s)
 	}
@@ -128,7 +134,6 @@ func runNamedLive(name string, p workloads.Params, pc PlatformConfig, ro runOpts
 		Telemetry:     ro.tel.Registry(),
 	}, bus)
 	if err != nil {
-		bus.Close()
 		return RunSummary{}, err
 	}
 	build := ro.span.StartChild("build")
@@ -136,7 +141,6 @@ func runNamedLive(name string, p workloads.Params, pc PlatformConfig, ro runOpts
 	prog, err := w.Build(sp, sched, pc.Threads)
 	build.End()
 	if err != nil {
-		bus.Close()
 		return RunSummary{}, fmt.Errorf("core: building %s: %w", w.Name(), err)
 	}
 	// "execute" covers the DEX capture plus bus fan-out and snooping;
@@ -145,8 +149,6 @@ func runNamedLive(name string, p workloads.Params, pc PlatformConfig, ro runOpts
 	runErr := sched.Run(prog)
 	exec.End()
 	drain := ro.span.StartChild("drain")
-	// Close unconditionally: the delivery workers must be joined even on
-	// an execution error, or they would leak and later stats reads race.
 	closeErr := bus.Close()
 	drain.End()
 	if runErr != nil {

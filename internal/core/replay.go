@@ -15,6 +15,8 @@
 package core
 
 import (
+	"strconv"
+
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/softsdv"
 	"cmpmem/internal/trace"
@@ -73,8 +75,11 @@ func TraceKey(name string, p workloads.Params, pc PlatformConfig) tracestore.Key
 
 // openTrace is the source step of every stored run, exact or sampled,
 // and the only tracestore lookup in core: the run's stream comes out of
-// ro.store, executing the guest on the first request for the key.
-func (ro runOpts) openTrace(name string, p workloads.Params, pc PlatformConfig) (*tracestore.Trace, error) {
+// ro.store, executing the guest on the first request for the key with
+// the recorder beside the caller's snoopers — the paper's FPGAs consumed
+// the FSB while SoftSDV ran, not after. fed reports that the snoopers
+// saw that execution and must not be replayed.
+func (ro runOpts) openTrace(name string, p workloads.Params, pc PlatformConfig, snoopers []fsb.Snooper) (tr *tracestore.Trace, fed bool, err error) {
 	// The store span covers the whole single-flight interaction — an
 	// in-memory hit, a blocking wait behind another caller's capture, a
 	// disk revival, or a fresh execution (which nests the capture span) —
@@ -83,22 +88,22 @@ func (ro runOpts) openTrace(name string, p workloads.Params, pc PlatformConfig) 
 	lookup := ro.span.StartChild("store")
 	defer lookup.End()
 	tr, outcome, err := ro.store.DoOutcome(TraceKey(name, p, pc), func() (*tracestore.Trace, error) {
-		// Capture executes the workload once with only the recorder on
-		// the bus (one snooper: the bus delivers on this goroutine). Only
-		// the caller's telemetry sink and the capture span carry over into
-		// the run; its store must not — capture IS the store fill.
+		// The run takes the caller's sink and batch size but not its
+		// store: capture IS the store fill.
 		ro.step(Progress{Phase: PhaseCapture})
 		capture := lookup.StartChild("capture")
 		defer capture.End()
+		capture.SetAttr("answerers", strconv.Itoa(len(snoopers)))
 		rec := &busRecorder{rec: tracestore.NewRecorder()}
-		sum, err := runNamedLive(name, p, pc, runOpts{tel: ro.tel, span: capture}, []fsb.Snooper{rec})
+		sum, err := runNamedLive(name, p, pc, runOpts{tel: ro.tel, span: capture, batch: ro.batch},
+			append([]fsb.Snooper{rec}, snoopers...))
 		if err != nil {
 			return nil, err
 		}
 		return rec.rec.Finish(sum)
 	})
 	lookup.SetAttr("outcome", outcome.String())
-	return tr, err
+	return tr, err == nil && outcome == tracestore.OutcomeMiss, err
 }
 
 // replayTrace is the zero-alloc replay engine behind every memoized
@@ -111,6 +116,7 @@ func replayTrace(tr *tracestore.Trace, ro runOpts, snoopers []fsb.Snooper) error
 		return err
 	}
 	bus := ro.newBus()
+	defer bus.Close() // idempotent: joins the delivery workers if a snooper panics
 	for _, s := range snoopers {
 		bus.Attach(s)
 	}
@@ -119,7 +125,6 @@ func replayTrace(tr *tracestore.Trace, ro runOpts, snoopers []fsb.Snooper) error
 		bus.Refs(buf[:n])
 	}
 	if err := p.Err(); err != nil {
-		bus.Close()
 		return err
 	}
 	return bus.Close()

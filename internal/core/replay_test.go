@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"cmpmem/internal/hier"
 	"cmpmem/internal/trace"
@@ -72,6 +74,101 @@ func TestReplayEquivalenceAllWorkloads(t *testing.T) {
 				t.Errorf("store hits = %d, want 1 (second sweep must replay)", st.Hits)
 			}
 		})
+	}
+}
+
+// TestEverySourceAnswersAlike: a store miss feeds the answerers from the
+// capturing execution's own bus, beside the recorder; a hit and a disk
+// revival replay; a single-flight waiter replays what another caller's
+// answerers were fed live. Every one of them must return the whole
+// LLCResult a store-less live run returns — under both engines, on a
+// grid with a sectored config, FIFO/Random and two line sizes — and the
+// same for the timing hierarchy.
+func TestEverySourceAnswersAlike(t *testing.T) {
+	grids := differentialGrids()
+	p, pc := tinyParams(), PlatformConfig{Threads: 2, Seed: 9}
+	sweep := func(opts ...RunOption) ([][]LLCResult, RunSummary) {
+		t.Helper()
+		res, sum, err := CombinedSweep("SNP", p, pc, grids, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sum
+	}
+	same := func(tag string, want, got any) {
+		t.Helper()
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: differs from the live run", tag)
+		}
+	}
+	for _, engine := range []Engine{EngineEmulate, EngineAuto} {
+		live, lsum := sweep(WithEngine(engine))
+		dir := t.TempDir()
+		store := tracestore.New(0, dir)
+		for _, leg := range []struct {
+			tag   string
+			store *tracestore.Store
+			stat  func(tracestore.Stats) uint64
+		}{
+			{"miss", store, func(s tracestore.Stats) uint64 { return s.Misses }},
+			{"hit", store, func(s tracestore.Stats) uint64 { return s.Hits }},
+			{"disk", tracestore.New(0, dir), func(s tracestore.Stats) uint64 { return s.DiskHits }},
+		} {
+			tag := fmt.Sprintf("%v/%s", engine, leg.tag)
+			got, sum := sweep(WithEngine(engine), WithTraceReuse(leg.store))
+			if n := leg.stat(leg.store.Stats()); n != 1 {
+				t.Fatalf("%s: the store counted %d of this outcome (%+v)", tag, n, leg.store.Stats())
+			}
+			same(tag, live, got)
+			same(tag+" summary", lsum, sum)
+		}
+
+		// The waiter arrives while the leader's capture is in flight: the
+		// leader's progress hook runs inside the capture and holds it until
+		// the second sweep has collapsed onto it.
+		store = tracestore.New(0, "")
+		var waited [][]LLCResult
+		var wsum RunSummary
+		var werr error
+		done := make(chan struct{})
+		hook := WithProgress(func(pr Progress) {
+			if pr.Phase != PhaseCapture {
+				return
+			}
+			go func() {
+				defer close(done)
+				waited, wsum, werr = CombinedSweep("SNP", p, pc, grids, WithEngine(engine), WithTraceReuse(store))
+			}()
+			for store.Stats().Waits == 0 {
+				time.Sleep(time.Millisecond)
+			}
+		})
+		led, sum := sweep(WithEngine(engine), WithTraceReuse(store), hook)
+		if <-done; werr != nil {
+			t.Fatalf("%v/waiter: %v", engine, werr)
+		}
+		same(fmt.Sprintf("%v/leader", engine), live, led)
+		same(fmt.Sprintf("%v/waiter", engine), live, waited)
+		same(fmt.Sprintf("%v/waiter summary", engine), lsum, wsum)
+		same(fmt.Sprintf("%v/leader summary", engine), lsum, sum)
+	}
+
+	hc := hier.Xeon16(pc.Threads, p.Scale, nil)
+	live, err := RunHier("SNP", p, pc, hc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store := tracestore.New(0, dir)
+	for _, leg := range []struct {
+		tag   string
+		store *tracestore.Store
+	}{{"miss", store}, {"hit", store}, {"disk", tracestore.New(0, dir)}} {
+		got, err := RunHier("SNP", p, pc, hc, WithTraceReuse(leg.store))
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("hier/"+leg.tag, live, got)
 	}
 }
 

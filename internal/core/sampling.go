@@ -145,7 +145,8 @@ func (s *sampledPass) run(name string, p workloads.Params, pc PlatformConfig, ro
 		// store the capture is memoized privately for this sweep.
 		ro.store = tracestore.New(0, "")
 	}
-	tr, err := ro.openTrace(name, p, pc)
+	// The plan is built from the finished stream: capture alone.
+	tr, _, err := ro.openTrace(name, p, pc, nil)
 	if err != nil {
 		return RunSummary{}, err
 	}

@@ -324,7 +324,7 @@ func TestSamplePlanKeyedByParams(t *testing.T) {
 	if builds, hits := planBuildsAndHits(sink); builds != 2 || hits != 2 {
 		t.Errorf("%d builds and %d hits for two parameter sets swept twice, want 2 and 2", builds, hits)
 	}
-	if st := store.StatsSnapshot(); st.Misses != 1 {
+	if st := store.Stats(); st.Misses != 1 {
 		t.Errorf("%d captures, want 1", st.Misses)
 	}
 }
@@ -354,7 +354,7 @@ func TestSamplePlanDiesWithCapture(t *testing.T) {
 	if builds, hits := planBuildsAndHits(sink); builds != 2 || hits != 0 {
 		t.Errorf("%d builds and %d hits across an eviction, want 2 and 0", builds, hits)
 	}
-	if st := store.StatsSnapshot(); st.Misses != 2 || st.Evictions != 2 {
+	if st := store.Stats(); st.Misses != 2 || st.Evictions != 2 {
 		t.Errorf("store saw %d captures and %d evictions, want 2 and 2", st.Misses, st.Evictions)
 	}
 }
@@ -387,7 +387,7 @@ func TestConcurrentSampledSweepsShareOnePlan(t *testing.T) {
 	if builds, hits := planBuildsAndHits(sink); builds != 1 || hits != sweeps-1 {
 		t.Errorf("%d builds and %d hits for %d concurrent sweeps, want 1 and %d", builds, hits, sweeps, sweeps-1)
 	}
-	if st := store.StatsSnapshot(); st.Misses != 1 {
+	if st := store.Stats(); st.Misses != 1 {
 		t.Errorf("%d captures, want 1", st.Misses)
 	}
 	for i := len(grids); i < sweeps; i++ {

@@ -147,7 +147,8 @@ func TestSweepProgressOrder(t *testing.T) {
 		want []string
 	}{
 		{"live", func() []RunOption { return nil }, []string{PhaseExecute}},
-		{"store miss", func() []RunOption { return []RunOption{cold()} }, []string{PhaseCapture, PhaseReplay}},
+		// A miss feeds the answerers from the capturing execution itself.
+		{"store miss", func() []RunOption { return []RunOption{cold()} }, []string{PhaseCapture}},
 		{"store hit", func() []RunOption { return []RunOption{WithTraceReuse(warm)} }, []string{PhaseReplay}},
 		{"sampled, private store", func() []RunOption { return []RunOption{sampled} }, []string{PhaseCapture, PhaseSample, PhaseReplay}},
 		{"sampled, store miss", func() []RunOption { return []RunOption{sampled, cold()} }, []string{PhaseCapture, PhaseSample, PhaseReplay}},
@@ -220,7 +221,7 @@ func TestFailedSampledSweepEndsItsSpans(t *testing.T) {
 	badHier := goodHier
 	badHier.Cores = 0
 
-	tr, err := runOpts{store: tracestore.New(0, "")}.openTrace("MDS", p, pc)
+	tr, _, err := runOpts{store: tracestore.New(0, "")}.openTrace("MDS", p, pc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -100,9 +101,12 @@ func spanNames(s *telemetry.Span, out *[]string) {
 	}
 }
 
-// TestReplaySpansAndEquivalence runs the same sweep live and memoized
-// with telemetry attached: the numbers stay bit-identical, and the span
-// trees name the phases each path actually took.
+// TestReplaySpansAndEquivalence runs the same sweep live, on a store
+// miss and on a store hit with telemetry attached: the numbers stay
+// bit-identical, and the span trees name the phases each path actually
+// took — a miss captures with the answerers on the capturing bus
+// (store{outcome=miss} > capture > build/execute/drain, no replay), a
+// hit replays.
 func TestReplaySpansAndEquivalence(t *testing.T) {
 	p := workloads.Params{Seed: 3, Scale: 0.002}
 	pc := PlatformConfig{Threads: 2, Seed: 3}
@@ -113,23 +117,6 @@ func TestReplaySpansAndEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	store := tracestore.New(0, "")
-	var capBuf, capProg bytes.Buffer
-	memRes, memSum, err := LLCSweep("SHOT", p, pc, cfgs,
-		WithTelemetry(sinkForTest(&capBuf, &capProg)), WithTraceReuse(store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if liveSum != memSum {
-		t.Errorf("memoized summary diverged: %+v vs %+v", memSum, liveSum)
-	}
-	for i := range liveRes {
-		if liveRes[i].Stats != memRes[i].Stats {
-			t.Errorf("LLC %d stats diverged under replay", i)
-		}
-	}
-
 	live := decodeManifests(t, &liveBuf)[0]
 	var names []string
 	spanNames(live.Trace, &names)
@@ -139,12 +126,48 @@ func TestReplaySpansAndEquivalence(t *testing.T) {
 		}
 	}
 
-	mem := decodeManifests(t, &capBuf)[0]
-	names = names[:0]
-	spanNames(mem.Trace, &names)
-	for _, want := range []string{"capture", "replay"} {
-		if !contains(names, want) {
-			t.Errorf("memoized span tree missing %q: %v", want, names)
+	store := tracestore.New(0, "")
+	for _, outcome := range []string{"miss", "hit"} {
+		var buf, prog bytes.Buffer
+		res, sum, err := LLCSweep("SHOT", p, pc, cfgs,
+			WithTelemetry(sinkForTest(&buf, &prog)), WithTraceReuse(store))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if liveSum != sum {
+			t.Errorf("%s: memoized summary diverged: %+v vs %+v", outcome, sum, liveSum)
+		}
+		requireLLCResultsEqual(t, outcome, liveRes, res)
+
+		tree := decodeManifests(t, &buf)[0].Trace
+		lookup := tree.Find("store")
+		if lookup == nil || lookup.Attrs["outcome"] != outcome {
+			t.Fatalf("%s: store span %+v, want outcome %s", outcome, lookup, outcome)
+		}
+		names = names[:0]
+		spanNames(tree, &names)
+		capture := lookup.Find("capture")
+		switch outcome {
+		case "miss":
+			if capture == nil {
+				t.Fatalf("miss: no capture span under store: %v", names)
+			}
+			// LLCSweep emulates: one Dragonhead per config.
+			if want := strconv.Itoa(len(cfgs)); capture.Attrs["answerers"] != want {
+				t.Errorf("miss: capture fed %q answerers, want %s", capture.Attrs["answerers"], want)
+			}
+			for _, want := range []string{"build", "execute", "drain"} {
+				if capture.Find(want) == nil {
+					t.Errorf("miss: capture span has no %q child", want)
+				}
+			}
+			if contains(names, "replay") {
+				t.Errorf("miss: the answerers were replayed after the capture fed them: %v", names)
+			}
+		case "hit":
+			if capture != nil || !contains(names, "replay") {
+				t.Errorf("hit: want a replay and no capture: %v", names)
+			}
 		}
 	}
 }

@@ -134,9 +134,18 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 	}
 	replayDigest := fsb.NewStreamDigest()
 	snoopers = append(snoopers, replayDigest)
+	// Capture alone first: leg 4's serial-vs-replay finding must compare
+	// a stored stream, not the capturing execution's bus.
+	if _, _, err := ro.openTrace(name, p, pc, nil); err != nil {
+		return err
+	}
+	hits := store.Stats().Hits
 	replaySum, err := runNamed(name, p, pc, ro, snoopers)
 	if err != nil {
 		return err
+	}
+	if store.Stats().Hits != hits+1 {
+		return fmt.Errorf("the replay leg was not a store hit")
 	}
 
 	for i, llc := range cfgs {

@@ -17,7 +17,7 @@
 // over tenant FIFOs, so one greedy tenant cannot starve the rest) →
 // a bounded worker pool running CombinedSweep → the shared tracestore
 // and result cache. Progress streams to clients over SSE (queued →
-// capturing → replaying → per-config completion → done), fed by the
+// capturing or replaying → per-config completion → done), fed by the
 // core progress hooks and a per-job telemetry.Sink; /metrics exposes
 // the cosimd_* counters alongside the simulator's own.
 package server

@@ -18,8 +18,9 @@ import (
 )
 
 // Job states, in submission order. Capturing and replaying surface the
-// core progress phases; a live (non-replayed) execution reports
-// "running".
+// core progress phases: a capture answers its exact job, so "capturing"
+// goes straight to the config events and "done"; a job that finds the
+// stream stored reports "replaying", a store-less one "running".
 const (
 	StateQueued    = "queued"
 	StateCapturing = "capturing"

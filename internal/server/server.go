@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -87,6 +88,7 @@ type Server struct {
 	mAccepted *telemetry.Counter   // cosimd_jobs_accepted_total
 	mDone     *telemetry.Counter   // cosimd_jobs_done_total
 	mFailed   *telemetry.Counter   // cosimd_jobs_failed_total
+	mPanics   *telemetry.Counter   // cosimd_job_panics_total
 	mCached   *telemetry.Counter   // cosimd_jobs_cached_total
 	mRejected *telemetry.Counter   // cosimd_admission_rejected_total
 	mRunning  *telemetry.Gauge     // cosimd_jobs_running
@@ -124,6 +126,7 @@ func New(cfg Config) *Server {
 		mAccepted: reg.Counter("cosimd_jobs_accepted_total"),
 		mDone:     reg.Counter("cosimd_jobs_done_total"),
 		mFailed:   reg.Counter("cosimd_jobs_failed_total"),
+		mPanics:   reg.Counter("cosimd_job_panics_total"),
 		mCached:   reg.Counter("cosimd_jobs_cached_total"),
 		mRejected: reg.Counter("cosimd_admission_rejected_total"),
 		mRunning:  reg.Gauge("cosimd_jobs_running"),
@@ -138,7 +141,7 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // StoreStats snapshots the shared tracestore (the dedupe evidence:
 // Misses counts actual executions, Waits counts single-flight joins).
-func (s *Server) StoreStats() tracestore.Stats { return s.store.StatsSnapshot() }
+func (s *Server) StoreStats() tracestore.Stats { return s.store.Stats() }
 
 // Start launches the worker pool.
 func (s *Server) Start() {
@@ -164,12 +167,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopOnce.Do(func() {
 		close(s.shutdown)
 		for _, j := range s.queue.Close() {
-			errDrain := fmt.Errorf("server shutting down")
 			j.queueSpan.End()
-			s.sealTrace(j)
-			s.emitRequestManifest(j, j.trace, errDrain)
-			j.fail(errDrain, time.Now())
-			s.mFailed.Inc()
+			s.failJob(j, fmt.Errorf("server shutting down"))
 		}
 		done := make(chan struct{})
 		go func() { s.wg.Wait(); close(done) }()
@@ -437,7 +436,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	st.QueueDepth = s.queue.Depth()
 	st.Tenants = s.queue.TenantDepths()
 	st.QueueWait = s.phases.queueWaitPercentiles()
-	st.TraceStore = s.store.StatsSnapshot()
+	st.TraceStore = s.store.Stats()
 	st.ResultCache = s.results.Stats()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
@@ -511,8 +510,18 @@ func (j *job) isTerminal() bool {
 
 // runJob executes one dequeued job on a worker: result-cache check,
 // then ExecuteSpec against the shared tracestore with progress mapped
-// onto job states and per-config SSE events.
+// onto job states and per-config SSE events. It is the fault boundary:
+// a panic below (an emulator's fail-loud check, say) fails this job
+// alone, its stack in the error and on the trace.
 func (s *Server) runJob(j *job) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.mPanics.Inc()
+			err := fmt.Errorf("job panicked: %v\n%s", r, debug.Stack())
+			j.trace.Root.SetAttr("panic", err.Error())
+			s.failJob(j, err)
+		}
+	}()
 	j.markStarted(time.Now())
 	j.queueSpan.End()
 	if s.preRun != nil {
@@ -553,19 +562,12 @@ func (s *Server) runJob(j *job) {
 		}),
 	)
 	if err != nil {
-		s.sealTrace(j)
-		s.emitRequestManifest(j, j.trace, err)
-		j.fail(err, time.Now())
-		s.mFailed.Inc()
+		s.failJob(j, err)
 		return
 	}
 	body, err := json.Marshal(res)
 	if err != nil {
-		err = fmt.Errorf("marshal result: %w", err)
-		s.sealTrace(j)
-		s.emitRequestManifest(j, j.trace, err)
-		j.fail(err, time.Now())
-		s.mFailed.Inc()
+		s.failJob(j, fmt.Errorf("marshal result: %w", err))
 		return
 	}
 	s.results.Put(hash, body)
@@ -573,4 +575,12 @@ func (s *Server) runJob(j *job) {
 	s.emitRequestManifest(j, j.trace, nil)
 	j.finish(body, false, time.Now())
 	s.mDone.Inc()
+}
+
+// failJob seals j's trace and fails it with err.
+func (s *Server) failJob(j *job, err error) {
+	s.sealTrace(j)
+	s.emitRequestManifest(j, j.trace, err)
+	j.fail(err, time.Now())
+	s.mFailed.Inc()
 }

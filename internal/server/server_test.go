@@ -181,6 +181,54 @@ func TestConcurrentIdenticalSpecsExecuteOnce(t *testing.T) {
 	}
 }
 
+// TestJobPanicIsContained: a job that panics fails alone — with the
+// stack in its error and on its sealed trace, counted in
+// cosimd_job_panics_total — and the one worker goes on to answer the
+// next job with the bytes a direct ExecuteSpec returns.
+func TestJobPanicIsContained(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real sweep")
+	}
+	reg := telemetry.NewRegistry()
+	s, ts := testServer(t, Config{Workers: 1, Registry: reg})
+	s.preRun = func(j *job) {
+		if j.spec.Seed == 41 {
+			panic("emulator fail-loud")
+		}
+	}
+	bad := await(t, ts, submit(t, ts, "doomed", tinySpecJSON(41, 1<<18)).ID)
+	goodSpec := tinySpecJSON(42, 1<<18)
+	good := await(t, ts, submit(t, ts, "bystander", goodSpec).ID)
+
+	if bad.State != StateFailed || !strings.Contains(bad.Error, "emulator fail-loud") || !strings.Contains(bad.Error, "runJob") {
+		t.Errorf("panicking job: state %s, error %q; want failed with the panic and its stack", bad.State, bad.Error)
+	}
+	if bad.Trace == nil || !strings.Contains(bad.Trace.Attrs["panic"], "emulator fail-loud") {
+		t.Errorf("panicking job's sealed trace carries no panic attribute: %+v", bad.Trace)
+	}
+	if n := reg.Counter("cosimd_job_panics_total").Value(); n != 1 {
+		t.Errorf("cosimd_job_panics_total = %d, want 1", n)
+	}
+	if good.State != StateDone {
+		t.Fatalf("the job after the panic: state %s, error %q", good.State, good.Error)
+	}
+	spec, err := DecodeSpec(strings.NewReader(goodSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ExecuteSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(good.Result, want) {
+		t.Error("the job after the panic does not bit-match a direct ExecuteSpec")
+	}
+}
+
 // TestAdmissionControl429 is acceptance criterion (c): a submit past
 // the queue cap is rejected with 429 and a Retry-After hint.
 func TestAdmissionControl429(t *testing.T) {

@@ -96,7 +96,6 @@ const (
 type Thread struct {
 	core    uint8
 	sched   *Scheduler
-	buf     *trace.Buffer
 	inst    uint64 // cumulative instructions retired
 	loads   uint64
 	stores  uint64
@@ -127,7 +126,7 @@ func (t *Thread) Stores() uint64 { return t.stores }
 
 // Access implements mem.Recorder: one memory instruction.
 func (t *Thread) Access(addr mem.Addr, size uint8, kind mem.Kind) {
-	t.buf.Append(trace.Ref{Addr: addr, Core: t.core, Size: size, Kind: kind})
+	t.sched.buf = append(t.sched.buf, trace.Ref{Addr: addr, Core: t.core, Size: size, Kind: kind})
 	t.inst++
 	t.slice++
 	if kind == mem.Load {
@@ -225,6 +224,9 @@ type Scheduler struct {
 	cycles  uint64
 	slices  uint64
 	noise   *rand.Rand
+	// buf holds the running slice's traffic: DEX runs one core at a time,
+	// so all cores share it (one each would hold cores x quantum refs).
+	buf []trace.Ref
 
 	// Telemetry handles (nil = disabled, no-op Adds).
 	telInst   *telemetry.Counter // softsdv_instructions_total
@@ -286,11 +288,11 @@ var ErrDeadlock = errors.New("softsdv: all runnable cores are blocked (guest dea
 // error on guest deadlock or if a guest body panics.
 func (s *Scheduler) Run(p Program) error {
 	s.threads = make([]*Thread, s.cfg.Cores)
+	s.buf = make([]trace.Ref, 0, s.cfg.Quantum)
 	for i := range s.threads {
 		t := &Thread{
 			core:    uint8(i),
 			sched:   s,
-			buf:     trace.NewBuffer(int(s.cfg.Quantum)),
 			resume:  make(chan struct{}),
 			yielded: make(chan struct{}),
 		}
@@ -334,26 +336,27 @@ func (s *Scheduler) Run(p Program) error {
 }
 
 // dispatch grants one slice to t and hands its traffic to the bus as
-// one batch: the thread's buffer with the protocol's messages, as the
+// one batch: the slice buffer with the protocol's messages, as the
 // reserved-window transactions that carry them, written around the
 // guest's own.
 func (s *Scheduler) dispatch(t *Thread) {
 	s.slices++
 	t.slice = 0
-	t.buf.Reset()
 	// The emulation window opens for the guest's transactions and closes
 	// for host noise.
-	t.buf.Append(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStart}))
-	t.buf.Append(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgCoreID, Core: t.core}))
+	s.buf = append(s.buf[:0],
+		fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStart}),
+		fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgCoreID, Core: t.core}))
 	t.resume <- struct{}{}
 	<-t.yielded
 
 	s.cycles += t.slice
 	s.telInst.Add(t.slice)
 	s.telSlices.Inc()
-	t.buf.Append(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgInstRetired, Core: t.core, Value: t.inst}))
-	t.buf.Append(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgCycles, Value: s.cycles}))
-	t.buf.Append(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStop}))
+	s.buf = append(s.buf,
+		fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgInstRetired, Core: t.core, Value: t.inst}),
+		fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgCycles, Value: s.cycles}),
+		fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStop}))
 	for i := 0; i < s.cfg.HostNoiseRefs; i++ {
 		// Host/simulator activity: addresses in a window no guest arena
 		// occupies (below spaceBase), random-walk pattern.
@@ -362,9 +365,9 @@ func (s *Scheduler) dispatch(t *Thread) {
 		if s.noise.Intn(4) == 0 {
 			kind = mem.Store
 		}
-		t.buf.Append(trace.Ref{Addr: addr, Core: t.core, Size: 8, Kind: kind})
+		s.buf = append(s.buf, trace.Ref{Addr: addr, Core: t.core, Size: 8, Kind: kind})
 	}
-	s.bus.Refs(t.buf.Refs())
+	s.bus.Refs(s.buf)
 }
 
 // drain unblocks and discards any still-parked goroutines so they do not

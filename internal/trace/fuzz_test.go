@@ -89,11 +89,11 @@ func FuzzReaderRobustness(f *testing.F) {
 
 // FuzzFaultDecode is the fault-injection differential: build a valid
 // stream, flip one byte, and require (a) no decoder ever panics, and
-// (b) the two decode loops — Next, the plain reference that validates
-// spills, and NextBatch, the one every replay runs through — agree
+// (b) the two decode loops — Next, the plain reference, and NextBatch,
+// the one every replay and spill validation runs through — agree
 // exactly on the corrupted bytes: same records, same success/error
-// outcome. A disagreement would mean replay could silently diverge from
-// what validation accepted on a corrupt spill.
+// outcome. A disagreement would mean the decoder's two paths (NextBatch
+// takes Next's at every chunk seam) could read one stream two ways.
 func FuzzFaultDecode(f *testing.F) {
 	f.Add(uint64(0x1000), uint64(64), uint8(8), 9, byte(0x81))
 	f.Add(uint64(0xFFFF0000), uint64(1), uint8(30), 0, byte(0x01))
@@ -126,6 +126,81 @@ func FuzzFaultDecode(f *testing.F) {
 		bad := append([]byte(nil), enc...)
 		bad[off%len(bad)] ^= mask
 		requireDecodersAgree(t, bad)
+	})
+}
+
+// FuzzChunkedDecode: the chunk boundaries belong to the decoder. Any
+// byte string cut into chunks at fuzzer-chosen places (empty chunks,
+// 1-byte chunks, cuts inside the header and inside every record field)
+// and drained by a fuzzer-chosen mix of Next calls and NextBatch sizes
+// must yield what the one-chunk Next loop yields: the same records, and
+// an error exactly when it errs.
+func FuzzChunkedDecode(f *testing.F) {
+	valid := encodeAll(f, randomRefs(3, 200))
+	f.Add(valid, []byte{1}, []byte{7})                 // 1-byte chunks
+	f.Add(valid, []byte{13, 0, 5, 1, 2}, []byte{0, 3}) // uneven cuts, Next and NextBatch mixed
+	f.Add(valid[:len(valid)-1], []byte{4, 9}, []byte{64})
+	f.Add([]byte("CMPT\x02\x00\x00\x00\x07\x22\xff\x81\x80"), []byte{3}, []byte{1})
+	f.Add([]byte("NOTAHEADER"), []byte{2}, []byte{5})
+	f.Fuzz(func(t *testing.T, data, cuts, batches []byte) {
+		wantRefs, wantErr := decodeNext(data)
+
+		var chunks [][]byte
+		for rest, i, idle := data, 0, 0; len(rest) > 0; i++ {
+			n := len(rest)
+			if len(cuts) > 0 {
+				n = min(n, int(cuts[i%len(cuts)]%32))
+			}
+			if idle == len(cuts) { // a whole cycle of empty cuts: stop cutting
+				n = len(rest)
+			}
+			if n == 0 {
+				idle++
+			} else {
+				idle = 0
+			}
+			chunks = append(chunks, rest[:n])
+			rest = rest[n:]
+		}
+		p, err := NewStreamPlayer(chunks...)
+		if err != nil {
+			if !errors.Is(wantErr, ErrBadMagic) || !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("chunked header: %v, one chunk: %v", err, wantErr)
+			}
+			return
+		}
+		var got []Ref
+		dst := make([]Ref, 64)
+		for i := 0; ; i++ {
+			b := 1
+			if len(batches) > 0 {
+				b = int(batches[i%len(batches)] % 65)
+			}
+			if b == 0 {
+				r, ok := p.Next()
+				if !ok {
+					break
+				}
+				got = append(got, r)
+				continue
+			}
+			n := p.NextBatch(dst[:b])
+			got = append(got, dst[:n]...)
+			if n < b {
+				break
+			}
+		}
+		if (p.Err() == nil) != (wantErr == nil) {
+			t.Fatalf("chunked err %v, one chunk err %v", p.Err(), wantErr)
+		}
+		if len(got) != len(wantRefs) {
+			t.Fatalf("chunked decode: %d records, one chunk: %d", len(got), len(wantRefs))
+		}
+		for i := range got {
+			if got[i] != wantRefs[i] {
+				t.Fatalf("record %d: chunked %+v, one chunk %+v", i, got[i], wantRefs[i])
+			}
+		}
 	})
 }
 

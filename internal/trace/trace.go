@@ -141,28 +141,32 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
-// StreamPlayer decodes an encoded trace stream (including the file
-// header) directly from a byte slice: the memoized trace store keeps
-// streams compressed in memory (~4x smaller than []Ref), and the replay
-// engine walks them through this decoder with no per-record allocation
-// and no io.Reader indirection.
+// StreamPlayer decodes an encoded trace stream (header included) in
+// place, with no per-record allocation, from chunks that cut it anywhere
+// — a record, even the header, may straddle several — so the decoder
+// owns the boundaries: NextBatch's hot loop decodes the records lying
+// wholly inside a chunk, Next (the seam) those near its end.
 type StreamPlayer struct {
-	data []byte
-	pos  int
-	err  error
+	chunks [][]byte
+	ci     int    // index of the chunk being decoded
+	data   []byte // chunks[ci]
+	pos    int    // cursor in data
+	err    error
+	seam   [maxRecSize]byte // one record spliced across a chunk boundary
 
 	// Delta state, mirroring the Writer.
 	last     [256]mem.Addr
 	prevCore uint8
 }
 
-// NewStreamPlayer validates the header and returns a player positioned
-// at the first record.
-func NewStreamPlayer(data []byte) (*StreamPlayer, error) {
-	if len(data) < len(magic) || [len(magic)]byte(data) != magic {
-		return nil, ErrBadMagic
+// NewStreamPlayer validates the header of the stream the chunks hold in
+// order and returns a player positioned at its first record.
+func NewStreamPlayer(chunks ...[]byte) (*StreamPlayer, error) {
+	p := &StreamPlayer{chunks: chunks}
+	if p.Rewind(); p.err != nil {
+		return nil, p.err
 	}
-	return &StreamPlayer{data: data, pos: len(magic)}, nil
+	return p, nil
 }
 
 // Err returns the decode error that terminated playback, or nil after a
@@ -171,50 +175,77 @@ func (p *StreamPlayer) Err() error { return p.err }
 
 // Rewind resets the player to the first record.
 func (p *StreamPlayer) Rewind() {
-	p.pos = len(magic)
-	p.err = nil
-	p.last = [256]mem.Addr{}
-	p.prevCore = 0
+	*p = StreamPlayer{chunks: p.chunks, ci: -1}
+	p.advance(0) // onto the first non-empty chunk
+	if w := p.window(); len(w) < len(magic) || [len(magic)]byte(w) != magic {
+		p.err = ErrBadMagic
+		return
+	}
+	p.advance(len(magic))
+}
+
+// window returns at least maxRecSize bytes of the stream from the
+// cursor on (fewer only at its end), spliced into p.seam at a seam.
+func (p *StreamPlayer) window() []byte {
+	rest := p.data[p.pos:]
+	if len(rest) >= maxRecSize || p.ci+1 >= len(p.chunks) {
+		return rest
+	}
+	w := append(p.seam[:0], rest...)
+	for _, c := range p.chunks[p.ci+1:] {
+		w = append(w, c[:min(len(c), maxRecSize-len(w))]...)
+		if len(w) == maxRecSize {
+			break
+		}
+	}
+	return w
+}
+
+// advance moves the cursor n bytes on, across chunk boundaries.
+func (p *StreamPlayer) advance(n int) {
+	for p.pos += n; p.pos >= len(p.data) && p.ci+1 < len(p.chunks); p.ci++ {
+		p.pos -= len(p.data)
+		p.data = p.chunks[p.ci+1]
+	}
 }
 
 // Next returns the next record, or ok=false at end of stream or on a
 // decode error (check Err to distinguish). It is the plain reference
-// decoder: NextBatch must agree with it record for record.
+// decoder and NextBatch's seam path.
 func (p *StreamPlayer) Next() (Ref, bool) {
-	if p.err != nil || p.pos >= len(p.data) {
+	if p.err != nil {
 		return Ref{}, false
 	}
-	hdr := p.data[p.pos]
-	p.pos++
+	w := p.window()
+	if len(w) == 0 {
+		return Ref{}, false
+	}
+	hdr := w[0]
 	if hdr&hdrReserved != 0 {
 		p.err = fmt.Errorf("trace: corrupt v2 record (reserved header bits %#x set)", hdr&hdrReserved)
 		return Ref{}, false
 	}
-	core := p.prevCore
-	if hdr&hdrSameCore == 0 {
-		if p.pos >= len(p.data) {
-			return Ref{}, p.truncate()
-		}
-		core = p.data[p.pos]
-		p.pos++
-	}
-	size := uint8(8)
-	if hdr&hdrSize8 == 0 {
-		if p.pos >= len(p.data) {
-			return Ref{}, p.truncate()
-		}
-		size = p.data[p.pos]
-		p.pos++
-	}
-	zig, n := binary.Uvarint(p.data[p.pos:])
-	if n == 0 {
+	// n counts the header and the core and size bytes it does not elide.
+	n := 1 + int(^hdr>>1&1) + int(^hdr>>2&1)
+	if n >= len(w) {
 		return Ref{}, p.truncate()
 	}
-	if n < 0 {
+	core, size := p.prevCore, uint8(8)
+	if hdr&hdrSameCore == 0 {
+		core = w[1]
+	}
+	if hdr&hdrSize8 == 0 {
+		size = w[n-1]
+	}
+	zig, vn := binary.Uvarint(w[n:])
+	if vn == 0 {
+		return Ref{}, p.truncate()
+	}
+	if vn < 0 {
 		p.err = fmt.Errorf("trace: corrupt v2 record (address delta varint overflows 64 bits)")
 		return Ref{}, false
 	}
-	p.pos += n
+	p.advance(n + vn)
 	delta := int64(zig>>1) ^ -int64(zig&1)
 	addr := mem.Addr(uint64(p.last[core]) + uint64(delta))
 	kind := mem.Load
@@ -235,10 +266,10 @@ func (p *StreamPlayer) truncate() bool {
 // NextBatch decodes up to len(dst) records into dst and returns how
 // many were produced. It is the replay hot path's entry point: the
 // decode loop runs with the cursor and the same-core state in locals,
-// so the per-record cost is the varint decode itself rather than a call
-// into Next per record. A short return means end of stream or a decode
-// error (check Err). Record-for-record, the output is identical to
-// repeated Next calls.
+// and while maxRecSize bytes remain in the chunk no record can run off
+// its end, so it needs no truncation checks; the last few records of a
+// chunk go through Next. A short return means end of stream or a decode
+// error (check Err). The output is identical to repeated Next calls.
 func (p *StreamPlayer) NextBatch(dst []Ref) int {
 	if p.err != nil {
 		return 0
@@ -247,7 +278,18 @@ func (p *StreamPlayer) NextBatch(dst []Ref) int {
 	pos := p.pos
 	core := p.prevCore
 	n := 0
-	for n < len(dst) && pos < len(data) {
+	for n < len(dst) {
+		if len(data)-pos < maxRecSize {
+			p.pos, p.prevCore = pos, core
+			r, ok := p.Next()
+			if !ok {
+				return n
+			}
+			dst[n] = r
+			n++
+			data, pos, core = p.data, p.pos, p.prevCore
+			continue
+		}
 		hdr := data[pos]
 		pos++
 		if hdr&hdrReserved != 0 {
@@ -255,27 +297,15 @@ func (p *StreamPlayer) NextBatch(dst []Ref) int {
 			break
 		}
 		if hdr&hdrSameCore == 0 {
-			if pos >= len(data) {
-				p.truncate()
-				break
-			}
 			core = data[pos]
 			pos++
 		}
 		size := uint8(8)
 		if hdr&hdrSize8 == 0 {
-			if pos >= len(data) {
-				p.truncate()
-				break
-			}
 			size = data[pos]
 			pos++
 		}
 		zig, vn := binary.Uvarint(data[pos:])
-		if vn == 0 {
-			p.truncate()
-			break
-		}
 		if vn < 0 {
 			p.err = fmt.Errorf("trace: corrupt v2 record (address delta varint overflows 64 bits)")
 			break
@@ -295,26 +325,3 @@ func (p *StreamPlayer) NextBatch(dst []Ref) int {
 	p.prevCore = core
 	return n
 }
-
-// Buffer is an in-memory trace used by tests and by the DEX scheduler
-// to batch one time slice of references before handing them to the bus.
-type Buffer struct {
-	refs []Ref
-}
-
-// NewBuffer returns a Buffer with the given capacity hint.
-func NewBuffer(capHint int) *Buffer {
-	return &Buffer{refs: make([]Ref, 0, capHint)}
-}
-
-// Append adds one reference.
-func (b *Buffer) Append(r Ref) { b.refs = append(b.refs, r) }
-
-// Len returns the number of buffered references.
-func (b *Buffer) Len() int { return len(b.refs) }
-
-// Refs returns the underlying slice (valid until the next Reset).
-func (b *Buffer) Refs() []Ref { return b.refs }
-
-// Reset empties the buffer, retaining capacity.
-func (b *Buffer) Reset() { b.refs = b.refs[:0] }

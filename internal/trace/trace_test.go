@@ -123,23 +123,6 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestBuffer(t *testing.T) {
-	b := NewBuffer(4)
-	for i := 0; i < 10; i++ {
-		b.Append(Ref{Addr: mem.Addr(i)})
-	}
-	if b.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", b.Len())
-	}
-	if b.Refs()[9].Addr != 9 {
-		t.Error("wrong tail element")
-	}
-	b.Reset()
-	if b.Len() != 0 {
-		t.Error("Reset did not empty buffer")
-	}
-}
-
 func TestRefString(t *testing.T) {
 	s := Ref{Addr: 0x40, Core: 3, Size: 8, Kind: mem.Store}.String()
 	if !strings.Contains(s, "core3") || !strings.Contains(s, "store") {

@@ -73,16 +73,44 @@ type Summary struct {
 // transactions plus control messages encoded as reserved-window
 // transactions, in exact delivery order) and the run summary. The
 // sequence is kept v2-encoded — roughly 4x smaller than a []Ref slice —
-// and decoded on the fly during replay; Player returns an independent
-// zero-allocation cursor, so one Trace serves any number of concurrent
-// replays. The sample plans the fast tier derives from the stream are
-// memoized here too (SamplePlan), so they share the capture's lifetime.
+// in fixed-size chunks, and decoded on the fly during replay; Player
+// returns an independent zero-allocation cursor, so one Trace serves any
+// number of concurrent replays. The sample plans the fast tier derives
+// from the stream are memoized here too (SamplePlan), so they share the
+// capture's lifetime.
 type Trace struct {
 	Summary Summary
-	enc     []byte // complete v2 trace stream, header included
+	chunks  [][]byte // the v2 stream, header included, cut anywhere
+	n       int      // encoded bytes across chunks
 
 	mu    sync.Mutex
 	plans []*planCall // sample plans built from this stream, oldest first
+}
+
+// chunkSize is the capacity of every chunk a Recorder or a spill load
+// fills: a stream is resident within one chunk of its encoded length,
+// and its seams are one record in tens of thousands.
+const chunkSize = 256 << 10
+
+// chunkWriter is an io.Writer that appends into chunkSize chunks,
+// never moving what it has written.
+type chunkWriter struct {
+	chunks [][]byte
+	n      int
+}
+
+// Write implements io.Writer; it never fails.
+func (w *chunkWriter) Write(b []byte) (int, error) {
+	w.n += len(b)
+	for rest := b; len(rest) > 0; {
+		if len(w.chunks) == 0 || len(w.chunks[len(w.chunks)-1]) == chunkSize {
+			w.chunks = append(w.chunks, make([]byte, 0, chunkSize))
+		}
+		c := &w.chunks[len(w.chunks)-1]
+		k := min(len(rest), chunkSize-len(*c))
+		*c, rest = append(*c, rest[:k]...), rest[k:]
+	}
+	return len(b), nil
 }
 
 // maxPlans caps the distinct sampling.Params memoized on one Trace;
@@ -142,38 +170,47 @@ func (t *Trace) SamplePlan(p sampling.Params, build func() (*sampling.Plan, erro
 
 // Player returns a fresh decode cursor over the stream.
 func (t *Trace) Player() (*trace.StreamPlayer, error) {
-	return trace.NewStreamPlayer(t.enc)
+	return trace.NewStreamPlayer(t.chunks...)
 }
 
 // Encoded returns a copy of the complete encoded stream (header
 // included). The verification layer corrupts such copies to prove the
 // decode path fails loudly; the store's own bytes stay immutable.
 func (t *Trace) Encoded() []byte {
-	return append([]byte(nil), t.enc...)
+	return slices.Concat(t.chunks...)
 }
 
 // NewTrace builds a Trace directly from an encoded stream (header
-// included) — the injection point for fault testing and for
-// replaying externally captured streams. The encoding is validated
+// included), as one chunk — the injection point for fault testing and
+// for replaying externally captured streams. The encoding is validated
 // lazily: a corrupt stream surfaces as a Player decode error.
 func NewTrace(sum Summary, enc []byte) *Trace {
-	return &Trace{Summary: sum, enc: enc}
+	return &Trace{Summary: sum, chunks: [][]byte{enc}, n: len(enc)}
 }
 
 // EncodedLen reports the stream's encoded size in bytes.
-func (t *Trace) EncodedLen() int { return len(t.enc) }
+func (t *Trace) EncodedLen() int { return t.n }
 
-// SizeBytes estimates the resident footprint of the trace. It is fixed
-// at construction (memoized plans are not counted; see maxPlans).
+// traceOverhead approximates a Trace's own struct and chunk list.
+const traceOverhead = 128
+
+// SizeBytes is the resident footprint of the trace: its chunks'
+// capacities plus a fixed overhead. It is fixed at construction
+// (memoized plans are not counted; see maxPlans).
 func (t *Trace) SizeBytes() uint64 {
-	return uint64(len(t.enc)) + 128
+	size := uint64(traceOverhead)
+	for _, c := range t.chunks {
+		size += uint64(cap(c))
+	}
+	return size
 }
 
 // Recorder accumulates a bus-event stream during live capture, encoding
 // each event straight into the compact v2 codec — the raw []Ref form of
-// a full run never materializes.
+// a full run never materializes — and into fixed-size chunks, so what a
+// capture holds is what it stores.
 type Recorder struct {
-	buf bytes.Buffer
+	out chunkWriter
 	w   *trace.Writer
 	n   uint64
 	err error
@@ -182,8 +219,7 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	r := &Recorder{}
-	w, err := trace.NewWriterV2(&r.buf)
-	r.w, r.err = w, err
+	r.w, r.err = trace.NewWriterV2(&r.out)
 	return r
 }
 
@@ -199,9 +235,6 @@ func (r *Recorder) Add(ref trace.Ref) {
 	r.n++
 }
 
-// Len reports how many events have been recorded.
-func (r *Recorder) Len() uint64 { return r.n }
-
 // Finish seals the stream and returns the memoizable trace.
 func (r *Recorder) Finish(sum Summary) (*Trace, error) {
 	if r.err != nil {
@@ -211,7 +244,7 @@ func (r *Recorder) Finish(sum Summary) (*Trace, error) {
 		return nil, err
 	}
 	sum.BusEvents = r.n
-	return &Trace{Summary: sum, enc: r.buf.Bytes()}, nil
+	return &Trace{Summary: sum, chunks: r.out.chunks, n: r.out.n}, nil
 }
 
 // DefaultMaxBytes is the default in-memory budget: large enough to hold
@@ -353,9 +386,6 @@ func New(maxBytes uint64, dir string) *Store {
 	return s
 }
 
-// Dir returns the spill directory ("" when spilling is disabled).
-func (s *Store) Dir() string { return s.dir }
-
 // SetFS replaces the spill filesystem (fault injection; nil restores
 // the OS filesystem). Call before the store sees traffic.
 func (s *Store) SetFS(fs FS) {
@@ -374,13 +404,13 @@ func (s *Store) spillFS() FS {
 	return s.fs
 }
 
-// StatsSnapshot returns a point-in-time reading of the store counters:
+// Stats returns a point-in-time reading of the store counters:
 // hits, disk hits, misses (= workload executions), single-flight waits,
 // evictions, and current residency. It is the programmatic equivalent
 // of the tracestore_* Prometheus series, for callers — the cosimd
 // status endpoint, cosimload's dedupe report — that want real numbers
 // without scraping text.
-func (s *Store) StatsSnapshot() Stats {
+func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
@@ -388,9 +418,6 @@ func (s *Store) StatsSnapshot() Stats {
 	st.Bytes = s.bytes
 	return st
 }
-
-// Stats is the historical name of StatsSnapshot.
-func (s *Store) Stats() Stats { return s.StatsSnapshot() }
 
 // Outcome classifies how one Do/DoOutcome call was satisfied. Request
 // tracing annotates the store span with it, so a slow request can say
@@ -433,25 +460,41 @@ func (s *Store) Do(k Key, execute func() (*Trace, error)) (*Trace, error) {
 
 // DoOutcome is Do plus the classification of how the call was served —
 // memory hit, single-flight wait, disk revival, or fresh execution.
+//
+// A failed or panicking execution is not shared: its waiters look the
+// key up again, since the leader's capture may have failed for its own
+// answerers' reasons, and the panic goes on once the key is released.
 func (s *Store) DoOutcome(k Key, execute func() (*Trace, error)) (*Trace, Outcome, error) {
 	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
-		s.lru.MoveToFront(e.elem)
-		s.stats.Hits++
-		s.mu.Unlock()
-		s.telHits.Inc()
-		return e.tr, OutcomeHit, nil
-	}
-	if c, ok := s.inflight[k]; ok {
+	for {
+		if e, ok := s.entries[k]; ok {
+			s.lru.MoveToFront(e.elem)
+			s.stats.Hits++
+			s.mu.Unlock()
+			s.telHits.Inc()
+			return e.tr, OutcomeHit, nil
+		}
+		c, ok := s.inflight[k]
+		if !ok {
+			break
+		}
 		s.stats.Waits++
 		s.mu.Unlock()
 		s.telWaits.Inc()
-		<-c.done
-		return c.tr, OutcomeWait, c.err
+		if <-c.done; c.err == nil {
+			return c.tr, OutcomeWait, nil
+		}
+		s.mu.Lock()
 	}
-	c := &call{done: make(chan struct{})}
+	c := &call{done: make(chan struct{}), err: errExecutePanicked}
 	s.inflight[k] = c
 	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.inflight, k)
+		s.mu.Unlock()
+		close(c.done)
+	}()
 
 	tr, fromDisk := s.loadSpill(k)
 	var err error
@@ -464,7 +507,6 @@ func (s *Store) DoOutcome(k Key, execute func() (*Trace, error)) (*Trace, Outcom
 
 	outcome := OutcomeMiss
 	s.mu.Lock()
-	delete(s.inflight, k)
 	if err == nil {
 		if fromDisk {
 			outcome = OutcomeDisk
@@ -478,9 +520,11 @@ func (s *Store) DoOutcome(k Key, execute func() (*Trace, error)) (*Trace, Outcom
 	}
 	c.tr, c.err = tr, err
 	s.mu.Unlock()
-	close(c.done)
 	return tr, outcome, err
 }
+
+// errExecutePanicked is a call's error until its execute returns.
+var errExecutePanicked = errors.New("tracestore: execute panicked")
 
 // insertLocked adds the entry and evicts LRU entries past the budget.
 // The newly inserted entry may itself be evicted when it alone exceeds
@@ -509,21 +553,6 @@ func (s *Store) insertLocked(k Key, tr *Trace) {
 // Version 2 added the checksum; files from older versions fail the
 // magic check and degrade to a recompute.
 var spillMagic = [8]byte{'C', 'M', 'P', 'S', 2, 0, 0, 0}
-
-// payloadChecksum fingerprints everything after the checksum field —
-// header and stream alike (FNV-1a). The codec's own structure catches
-// most stream corruption — records that fail to decode, reserved bits,
-// a wrong event count — but a bit flip inside a varint payload can
-// decode into a *different valid stream*, and a flipped summary field
-// has no structure at all. The checksum closes both holes: any spill
-// corruption degrades to a recompute, never to wrong replayed numbers.
-func payloadChecksum(parts ...[]byte) uint64 {
-	h := fnv.New64a()
-	for _, p := range parts {
-		h.Write(p)
-	}
-	return h.Sum64()
-}
 
 // spillPath derives a stable filename from the key. The full key is
 // echoed inside the file and verified on load, so a hash collision
@@ -566,29 +595,35 @@ func (s *Store) writeSpill(k Key, tr *Trace) {
 		return
 	}
 	if fs.Rename(tmp.Name(), path) == nil {
-		s.telSpilled.Add(uint64(len(tr.enc)))
+		s.telSpilled.Add(uint64(tr.n))
 	}
 }
 
+// writeSpillFile writes the magic, an FNV-1a checksum of the payload,
+// and the payload: the header, then the stream's chunks as they are.
+// The codec's own structure catches most stream corruption — records that fail to
+// decode, reserved bits, a wrong event count — but a bit flip inside a
+// varint payload can decode into a *different valid stream*, and a
+// flipped summary field has no structure at all. The checksum closes
+// both holes: any spill corruption degrades to a recompute, never to
+// wrong replayed numbers.
 func writeSpillFile(w io.Writer, k Key, tr *Trace) error {
 	var hdr bytes.Buffer
 	if err := writeKeyAndSummary(&hdr, k, tr.Summary); err != nil {
 		return err
 	}
-	if _, err := w.Write(spillMagic[:]); err != nil {
-		return err
+	payload := append([][]byte{hdr.Bytes()}, tr.chunks...)
+	h := fnv.New64a()
+	for _, p := range payload {
+		h.Write(p)
 	}
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], payloadChecksum(hdr.Bytes(), tr.enc))
-	if _, err := w.Write(sum[:]); err != nil {
-		return err
+	head := binary.LittleEndian.AppendUint64(spillMagic[:len(spillMagic):len(spillMagic)], h.Sum64())
+	for _, p := range append([][]byte{head}, payload...) {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
 	}
-	if _, err := w.Write(hdr.Bytes()); err != nil {
-		return err
-	}
-	// The in-memory form is already a self-contained v2 stream.
-	_, err := w.Write(tr.enc)
-	return err
+	return nil
 }
 
 // loadSpill returns the stream from disk, or nil when absent/invalid.
@@ -608,26 +643,19 @@ func (s *Store) loadSpill(k Key) (*Trace, bool) {
 	return tr, true
 }
 
+// readSpillFile revives a spill: the stream goes straight from r into
+// chunkSize chunks, hashed on the way in, so nothing is read twice or
+// held in a second copy.
 func readSpillFile(r io.Reader, want Key) (*Trace, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	var head [16]byte // spill magic, then the payload checksum
+	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, err
 	}
-	if magic != spillMagic {
+	if [8]byte(head[:8]) != spillMagic {
 		return nil, fmt.Errorf("tracestore: bad spill magic")
 	}
-	var sumBuf [8]byte
-	if _, err := io.ReadFull(r, sumBuf[:]); err != nil {
-		return nil, err
-	}
-	payload, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	if got, recorded := payloadChecksum(payload), binary.LittleEndian.Uint64(sumBuf[:]); got != recorded {
-		return nil, fmt.Errorf("tracestore: spill checksum %#x != recorded %#x", got, recorded)
-	}
-	body := bytes.NewReader(payload)
+	h := fnv.New64a()
+	body := io.TeeReader(r, h)
 	k, sum, err := readKeyAndSummary(body)
 	if err != nil {
 		return nil, err
@@ -635,19 +663,32 @@ func readSpillFile(r io.Reader, want Key) (*Trace, error) {
 	if k != want {
 		return nil, fmt.Errorf("tracestore: spill key mismatch: have %v, want %v", k, want)
 	}
-	enc, err := io.ReadAll(body)
-	if err != nil {
-		return nil, err
+	tr := &Trace{Summary: sum}
+	for {
+		c := make([]byte, chunkSize)
+		n, err := io.ReadFull(body, c)
+		if n > 0 {
+			tr.chunks, tr.n = append(tr.chunks, c[:n]), tr.n+n
+		}
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
+	}
+	if got, recorded := h.Sum64(), binary.LittleEndian.Uint64(head[8:]); got != recorded {
+		return nil, fmt.Errorf("tracestore: spill checksum %#x != recorded %#x", got, recorded)
 	}
 	// Verify the stream decodes cleanly and matches the recorded length
 	// before trusting it — a corrupt spill degrades to a recompute.
-	p, err := trace.NewStreamPlayer(enc)
+	p, err := tr.Player()
 	if err != nil {
 		return nil, err
 	}
+	var buf [64]trace.Ref
 	var n uint64
-	for _, ok := p.Next(); ok; _, ok = p.Next() {
-		n++
+	for k := p.NextBatch(buf[:]); k > 0; k = p.NextBatch(buf[:]) {
+		n += uint64(k)
 	}
 	if err := p.Err(); err != nil {
 		return nil, err
@@ -656,61 +697,40 @@ func readSpillFile(r io.Reader, want Key) (*Trace, error) {
 		return nil, fmt.Errorf("tracestore: spill stream length %d != recorded %d",
 			n, sum.BusEvents)
 	}
-	return &Trace{Summary: sum, enc: enc}, nil
+	return tr, nil
 }
 
-// writeKeyAndSummary serializes the key echo and summary as fixed-width
-// little-endian fields plus a length-prefixed workload name.
+// writeKeyAndSummary serializes the key echo and summary: a
+// little-endian uint16 name length, the workload name, then eleven
+// little-endian uint64 fields.
 func writeKeyAndSummary(w io.Writer, k Key, sum Summary) error {
-	name := []byte(k.Workload)
-	if len(name) > math.MaxUint16 {
+	if len(k.Workload) > math.MaxUint16 {
 		return fmt.Errorf("tracestore: workload name too long")
 	}
-	fields := []uint64{
-		uint64(k.Seed),
-		math.Float64bits(k.Scale),
-		uint64(k.Threads),
-		k.Quantum,
-		uint64(k.Noise),
-		uint64(k.PlatSeed),
-		uint64(sum.Threads),
-		sum.Instructions,
-		sum.Loads,
-		sum.Stores,
-		sum.BusEvents,
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint16(buf[:2], uint16(len(name)))
-	if _, err := w.Write(buf[:2]); err != nil {
+	fields := []uint64{uint64(k.Seed), math.Float64bits(k.Scale), uint64(k.Threads), k.Quantum,
+		uint64(k.Noise), uint64(k.PlatSeed),
+		uint64(sum.Threads), sum.Instructions, sum.Loads, sum.Stores, sum.BusEvents}
+	if err := binary.Write(w, binary.LittleEndian, uint16(len(k.Workload))); err != nil {
 		return err
 	}
-	if _, err := w.Write(name); err != nil {
+	if _, err := io.WriteString(w, k.Workload); err != nil {
 		return err
 	}
-	for _, f := range fields {
-		binary.LittleEndian.PutUint64(buf[:], f)
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return binary.Write(w, binary.LittleEndian, fields)
 }
 
 func readKeyAndSummary(r io.Reader) (Key, Summary, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:2]); err != nil {
+	var n uint16
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return Key{}, Summary{}, err
 	}
-	name := make([]byte, binary.LittleEndian.Uint16(buf[:2]))
+	name := make([]byte, n)
+	fields := make([]uint64, 11)
 	if _, err := io.ReadFull(r, name); err != nil {
 		return Key{}, Summary{}, err
 	}
-	fields := make([]uint64, 11)
-	for i := range fields {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return Key{}, Summary{}, err
-		}
-		fields[i] = binary.LittleEndian.Uint64(buf[:])
+	if err := binary.Read(r, binary.LittleEndian, fields); err != nil {
+		return Key{}, Summary{}, err
 	}
 	k := Key{
 		Workload: string(name),
