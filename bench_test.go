@@ -220,17 +220,14 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := workloads.Params{Seed: 1, Scale: benchScale}
 				pc := core.PlatformConfig{Threads: 1, Seed: 1}
-				off, err := core.RunHier("SHOT", p, pc, cmpmem.Xeon16(1, benchScale, nil))
-				if err != nil {
-					b.Fatal(err)
-				}
 				pf := prefetch.DefaultConfig(64)
 				pf.Degree = degree
-				on, err := core.RunHier("SHOT", p, pc, cmpmem.Xeon16(1, benchScale, &pf))
+				res, _, err := core.RunHier("SHOT", p, pc, []cmpmem.HierConfig{
+					cmpmem.Xeon16(1, benchScale, nil), cmpmem.Xeon16(1, benchScale, &pf)})
 				if err != nil {
 					b.Fatal(err)
 				}
-				gain = (off.Cycles/on.Cycles - 1) * 100
+				gain = (res[0].Cycles/res[1].Cycles - 1) * 100
 			}
 			b.ReportMetric(gain, "gainPct")
 		})
@@ -338,14 +335,14 @@ func BenchmarkAblationCoherence(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				hc := cmpmem.Xeon16(8, benchScale, nil)
 				hc.Coherent = coherent
-				res, err := core.RunHier("SVM-RFE",
+				res, _, err := core.RunHier("SVM-RFE",
 					workloads.Params{Seed: 1, Scale: benchScale},
-					core.PlatformConfig{Threads: 8, Seed: 1}, hc)
+					core.PlatformConfig{Threads: 8, Seed: 1}, []cmpmem.HierConfig{hc})
 				if err != nil {
 					b.Fatal(err)
 				}
-				cycles = res.Cycles
-				invs = res.Invalidations
+				cycles = res[0].Cycles
+				invs = res[0].Invalidations
 			}
 			b.ReportMetric(cycles/1e6, "Mcycles")
 			b.ReportMetric(float64(invs), "invalidations")

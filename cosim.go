@@ -229,7 +229,7 @@ var WithSamplingParams = core.WithSamplingParams
 // pass. It defaults to EngineAuto; results mirror the grids exactly.
 var CombinedSweep = core.CombinedSweep
 
-// RunHier runs one workload against the per-core L1/L2 timing model.
+// RunHier times every given per-core L1/L2 hierarchy on one execution.
 var RunHier = core.RunHier
 
 // TraceCapture streams a workload's in-window references to a callback.

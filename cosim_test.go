@@ -51,13 +51,16 @@ func TestPublicAPIPlatformPresets(t *testing.T) {
 }
 
 func TestPublicAPIHier(t *testing.T) {
-	res, err := cmpmem.RunHier("PLSA", tiny, cmpmem.PlatformConfig{Threads: 1},
-		cmpmem.PentiumIV(tiny.Scale))
+	res, sum, err := cmpmem.RunHier("PLSA", tiny, cmpmem.PlatformConfig{Threads: 1},
+		[]cmpmem.HierConfig{cmpmem.PentiumIV(tiny.Scale)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.IPC <= 0 {
-		t.Errorf("IPC = %v", res.IPC)
+	if len(res) != 1 || res[0].IPC <= 0 {
+		t.Errorf("results = %+v", res)
+	}
+	if sum.Workload != "PLSA" || sum.Instructions == 0 {
+		t.Errorf("summary wrong: %+v", sum)
 	}
 }
 

@@ -23,18 +23,17 @@ func main() {
 		for _, threads := range []int{1, 16} {
 			pc := cmpmem.PlatformConfig{Threads: threads, Seed: 11}
 
-			off, err := cmpmem.RunHier(name, params, pc,
-				cmpmem.Xeon16(threads, params.Scale, nil))
-			if err != nil {
-				log.Fatal(err)
-			}
+			// Prefetch off and on time the same execution.
 			pf := prefetch.DefaultConfig(64)
-			on, err := cmpmem.RunHier(name, params, pc,
-				cmpmem.Xeon16(threads, params.Scale, &pf))
+			res, _, err := cmpmem.RunHier(name, params, pc, []cmpmem.HierConfig{
+				cmpmem.Xeon16(threads, params.Scale, nil),
+				cmpmem.Xeon16(threads, params.Scale, &pf),
+			})
 			if err != nil {
 				log.Fatal(err)
 			}
 
+			off, on := res[0], res[1]
 			gain := (off.Cycles/on.Cycles - 1) * 100
 			fmt.Printf("  %2d thread(s): %+6.1f%%  (cycles %0.f -> %0.f; %d prefetches issued, %d dropped)\n",
 				threads, gain, off.Cycles, on.Cycles,

@@ -13,15 +13,12 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"cmpmem/internal/cache"
 	"cmpmem/internal/dragonhead"
 	"cmpmem/internal/fsb"
-	"cmpmem/internal/hier"
 	"cmpmem/internal/mem"
 	"cmpmem/internal/softsdv"
-	"cmpmem/internal/telemetry"
 	"cmpmem/internal/trace"
 	"cmpmem/internal/tracestore"
 	"cmpmem/internal/workloads"
@@ -166,91 +163,6 @@ func runNamedLive(name string, p workloads.Params, pc PlatformConfig, ro runOpts
 		Stores:       stores,
 		BusEvents:    bus.Events(),
 	}, nil
-}
-
-// HierResult is the outcome of a timing-hierarchy run.
-type HierResult struct {
-	Summary       RunSummary
-	IPC           float64
-	Cycles        float64
-	L1            cache.Stats
-	L2            cache.Stats
-	L3            cache.Stats // zero unless the config had an L3
-	Prefetches    hier.PrefetchReport
-	Invalidations uint64 // zero unless the config was Coherent
-}
-
-// RunHier executes the named workload against the per-core L1/L2 timing
-// model (the Table 2 profiler and Figure 8 testbed). The model is the
-// bus's only snooper, so it runs on the execution engine's goroutine;
-// WithParallelism has no effect on a single run.
-func RunHier(name string, p workloads.Params, pc PlatformConfig, hc hier.Config, opts ...RunOption) (HierResult, error) {
-	ro := applyOpts(opts)
-	ro.span = ro.rootSpan("hier/" + name)
-	defer ro.span.End() // on every path; End is idempotent
-	start := time.Now()
-	m, err := hier.New(hc)
-	if err != nil {
-		return HierResult{}, err
-	}
-	sum, err := runNamed(name, p, pc, ro, []fsb.Snooper{m})
-	if err != nil {
-		return HierResult{}, err
-	}
-	res := HierResult{
-		Summary:       sum,
-		IPC:           m.IPC(),
-		Cycles:        m.Cycles(),
-		L1:            m.L1Stats(),
-		L2:            m.L2Stats(),
-		L3:            m.L3Stats(),
-		Prefetches:    m.Prefetches(),
-		Invalidations: m.Invalidations(),
-	}
-	ro.span.End()
-	if ro.tel != nil {
-		d := time.Since(start)
-		man := ro.manifest("hier", name, p, pc, sum, d)
-		man.Hier = map[string]float64{
-			"ipc":       res.IPC,
-			"cycles":    res.Cycles,
-			"l1_misses": float64(res.L1.Misses),
-			"l2_misses": float64(res.L2.Misses),
-		}
-		ro.tel.Emit(&man)
-		ro.tel.Stepf("%s hier ipc=%.3f %s", name, res.IPC, rateString(sum.BusEvents, d))
-	}
-	return res, nil
-}
-
-// manifest fills the fields every run manifest shares: identity, wall
-// time, the run summary's totals verbatim, and the (sealed) span tree.
-func (o runOpts) manifest(kind, name string, p workloads.Params, pc PlatformConfig, sum RunSummary, d time.Duration) telemetry.Manifest {
-	return telemetry.Manifest{
-		Kind:       kind,
-		Workload:   name,
-		Threads:    pc.Threads,
-		Seed:       pc.Seed,
-		Scale:      p.Scale,
-		Quantum:    pc.Quantum,
-		DurationNS: uint64(d.Nanoseconds()),
-		Summary: &telemetry.RunTotals{
-			Instructions: sum.Instructions,
-			Loads:        sum.Loads,
-			Stores:       sum.Stores,
-			BusEvents:    sum.BusEvents,
-		},
-		Trace: o.span,
-	}
-}
-
-// rateString renders a bus-event throughput as "N Mrefs/s".
-func rateString(events uint64, d time.Duration) string {
-	secs := d.Seconds()
-	if secs <= 0 {
-		secs = 1e-9
-	}
-	return fmt.Sprintf("%.1f Mrefs/s", float64(events)/secs/1e6)
 }
 
 // Snoop attaches snoopers to the named run's complete bus-event stream

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cmpmem/internal/cache"
@@ -37,17 +38,18 @@ func TestRunDefaultsToOneThread(t *testing.T) {
 }
 
 func TestRunHierProfile(t *testing.T) {
-	res, err := RunHier("PLSA", tinyParams(), PlatformConfig{Threads: 1}, hier.PentiumIV(1.0/512))
+	hres, sum, err := RunHier("PLSA", tinyParams(), PlatformConfig{Threads: 1}, []hier.Config{hier.PentiumIV(1.0 / 512)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := hres[0]
 	if res.IPC <= 0 || res.IPC > 2 {
 		t.Errorf("implausible IPC %v", res.IPC)
 	}
 	if res.L1.Accesses == 0 {
 		t.Error("hierarchy saw no accesses")
 	}
-	if res.Cycles <= float64(res.Summary.Instructions)*0.5 {
+	if res.Cycles <= float64(sum.Instructions)*0.5 {
 		t.Errorf("cycles %v below any possible execution time", res.Cycles)
 	}
 }
@@ -55,7 +57,7 @@ func TestRunHierProfile(t *testing.T) {
 func TestRunHierRejectsBadConfig(t *testing.T) {
 	bad := hier.PentiumIV(1)
 	bad.Cores = 0
-	if _, err := RunHier("PLSA", tinyParams(), PlatformConfig{Threads: 1}, bad); err == nil {
+	if _, _, err := RunHier("PLSA", tinyParams(), PlatformConfig{Threads: 1}, []hier.Config{hier.PentiumIV(1), bad}); err == nil {
 		t.Fatal("invalid hierarchy accepted")
 	}
 }
@@ -168,6 +170,31 @@ func TestWorkloadSelectionBoundsTheWork(t *testing.T) {
 	}
 	if _, err := CacheSweep([]string{"NOSUCH"}, p, 4); err == nil {
 		t.Error("an unknown workload in the selection was accepted")
+	}
+}
+
+// TestHierExhibitsExecuteOncePerPlatform: the timing exhibits time all
+// their hierarchy configs on one execution per (workload, threads) —
+// Figure 8's prefetch off and on, the DRAM study's three L3s.
+func TestHierExhibitsExecuteOncePerPlatform(t *testing.T) {
+	names := []string{"SHOT", "PLSA"}
+	count := func(run func(opt RunOption) error) int64 {
+		t.Helper()
+		var n atomic.Int64
+		if err := run(WithProgress(func(pr Progress) {
+			if pr.Phase == PhaseExecute {
+				n.Add(1)
+			}
+		})); err != nil {
+			t.Fatal(err)
+		}
+		return n.Load()
+	}
+	if n := count(func(opt RunOption) error { _, err := Fig8(names, tinyParams(), opt); return err }); n != 4 {
+		t.Errorf("Fig8 on two workloads executed %d times, want 4 (serial and 16-thread each)", n)
+	}
+	if n := count(func(opt RunOption) error { _, err := DRAMCacheStudy(names, tinyParams(), 4, opt); return err }); n != 2 {
+		t.Errorf("DRAMCacheStudy on two workloads executed %d times, want 2", n)
 	}
 }
 

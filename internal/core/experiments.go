@@ -152,18 +152,18 @@ func Table2(names []string, p workloads.Params, opts ...RunOption) ([]Table2Row,
 	ro := applyOpts(opts)
 	ro.tel.Expect(len(orAll(names)))
 	return forEachWorkload(names, ro, func(name string) (Table2Row, error) {
-		res, err := RunHier(name, p, PlatformConfig{Threads: 1, Seed: p.Seed}, hier.PentiumIV(p.Scale), opts...)
+		hres, sum, err := RunHier(name, p, PlatformConfig{Threads: 1, Seed: p.Seed}, []hier.Config{hier.PentiumIV(p.Scale)}, opts...)
 		if err != nil {
 			return Table2Row{}, fmt.Errorf("table2 %s: %w", name, err)
 		}
-		inst := res.Summary.Instructions
-		memInst := res.Summary.Loads + res.Summary.Stores
+		res, inst := hres[0], sum.Instructions
+		memInst := sum.Loads + sum.Stores
 		return Table2Row{
 			Workload:       name,
 			IPC:            res.IPC,
 			Instructions:   inst,
 			PctMem:         100 * metrics.Rate(memInst, inst),
-			PctMemRead:     100 * metrics.Rate(res.Summary.Loads, inst),
+			PctMemRead:     100 * metrics.Rate(sum.Loads, inst),
 			DL1AccessPer1k: metrics.MPKI(res.L1.Accesses, inst),
 			DL1MissPer1k:   metrics.MPKI(res.L1.Misses, inst),
 			DL2MissPer1k:   metrics.MPKI(res.L2.Misses, inst),
@@ -225,9 +225,9 @@ const Fig8Threads = 16
 func Fig8(names []string, p workloads.Params, opts ...RunOption) ([]Fig8Row, error) {
 	p = p.WithDefaults()
 	ro := applyOpts(opts)
-	// Each workload costs four hierarchy runs (prefetch off/on, serial
-	// and 16-thread), and each run prints its own progress step.
-	ro.tel.Expect(4 * len(orAll(names)))
+	// Each workload costs two executions (serial and 16-thread), each
+	// timing prefetch off and on, and each prints its own progress step.
+	ro.tel.Expect(2 * len(orAll(names)))
 	return forEachWorkload(names, ro, func(name string) (Fig8Row, error) {
 		serial, err := prefetchGain(name, p, 1, opts)
 		if err != nil {
@@ -241,18 +241,14 @@ func Fig8(names []string, p workloads.Params, opts ...RunOption) ([]Fig8Row, err
 	})
 }
 
-// prefetchGain runs the workload with and without the prefetcher and
-// returns the percentage cycle reduction.
+// prefetchGain times the workload with and without the prefetcher on
+// one execution and returns the percentage cycle reduction.
 func prefetchGain(name string, p workloads.Params, threads int, opts []RunOption) (float64, error) {
-	pc := PlatformConfig{Threads: threads, Seed: p.Seed}
-	off, err := RunHier(name, p, pc, hier.Xeon16(threads, p.Scale, nil), opts...)
-	if err != nil {
-		return 0, err
-	}
 	pf := prefetch.DefaultConfig(64)
-	on, err := RunHier(name, p, pc, hier.Xeon16(threads, p.Scale, &pf), opts...)
+	hcs := []hier.Config{hier.Xeon16(threads, p.Scale, nil), hier.Xeon16(threads, p.Scale, &pf)}
+	res, _, err := RunHier(name, p, PlatformConfig{Threads: threads, Seed: p.Seed}, hcs, opts...)
 	if err != nil {
 		return 0, err
 	}
-	return metrics.SpeedupPct(off.Cycles, on.Cycles), nil
+	return metrics.SpeedupPct(res[0].Cycles, res[1].Cycles), nil
 }

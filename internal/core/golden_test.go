@@ -100,8 +100,8 @@ func TestGoldenCacheSweepPlanner(t *testing.T) {
 }
 
 // TestGoldenPlannerNeutralExhibits re-runs the hierarchy-based golden
-// exhibits with the planner engine selected: RunHier always emulates
-// (per-level timing and prefetch are outside the stack-distance
+// exhibits with the planner engine selected: a timing hierarchy is never
+// planned (per-level timing and prefetch are outside the stack-distance
 // profile), so the engine option must be a no-op there — the same
 // fixtures must match byte for byte.
 func TestGoldenPlannerNeutralExhibits(t *testing.T) {

@@ -10,7 +10,7 @@
 //     Nothing selects this — WithBusBatch only sizes the batch — and
 //     per-snooper delivery order is total, so results are bit-identical.
 //   - Experiment parallelism (WithParallelism) runs INDEPENDENT
-//     (workload, platform, hierarchy-config) executions on a bounded
+//     (workload, platform) executions on a bounded
 //     worker pool, GOMAXPROCS wide by default, like racking up several
 //     co-simulation platforms.
 //
@@ -160,7 +160,7 @@ func WithTelemetry(s *telemetry.Sink) RunOption {
 }
 
 // WithParentSpan roots the run's span tree under s: the experiment
-// runner's top span (plansweep/…, sampledsweep/…, hier/…) becomes a child
+// runner's top span (plansweep/… or sampledsweep/…) becomes a child
 // of s rather than a fresh root, so a request-scoped trace carried from
 // an HTTP handler (telemetry.FromContext) contains the full execution
 // tree. Works with or without WithTelemetry — spans record timing even

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"cmpmem/internal/cache"
+	"cmpmem/internal/hier"
 )
 
 // Engine selects how a sweep answers its cache configurations.
@@ -112,14 +113,17 @@ type SweepPlan struct {
 	// sizes, sectored lines, non-LRU policies, invalid geometries
 	// (those fail in the emulator constructor with the legacy error).
 	Emulated []int
+	// Hiers are the timing-hierarchy configs (RunHier) answered on the
+	// same pass, one hier.Machine each; the planner does not touch them.
+	Hiers []hier.Config
 }
 
 // Passes returns how many snooping passes over the trace the plan
 // needs: one combined pass when any config must be answered, zero for
 // an empty grid. The per-config baseline this saves against is
-// len(Configs) passes — the reprogram-per-experiment hardware flow.
+// len(Configs)+len(Hiers) passes — the reprogram-per-experiment flow.
 func (p *SweepPlan) Passes() int {
-	if len(p.Analytic)+len(p.Emulated) == 0 {
+	if len(p.Analytic)+len(p.Emulated)+len(p.Hiers) == 0 {
 		return 0
 	}
 	return 1

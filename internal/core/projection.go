@@ -146,9 +146,10 @@ type DRAMCacheRow struct {
 	L3MissRateDRAM float64
 }
 
-// DRAMCacheStudy runs the selected workloads (nil names = all eight)
+// DRAMCacheStudy times the selected workloads (nil names = all eight)
 // on the given core count three ways — no LLC, a small fast SRAM LLC,
-// and a large slow DRAM LLC — and reports the cycle gains. It
+// and a large slow DRAM LLC — all on one execution per workload, and
+// reports the cycle gains. It
 // quantifies the paper's conclusion that large DRAM caches serve the
 // big-working-set workloads.
 func DRAMCacheStudy(names []string, p workloads.Params, cores int, opts ...RunOption) ([]DRAMCacheRow, error) {
@@ -156,32 +157,20 @@ func DRAMCacheStudy(names []string, p workloads.Params, cores int, opts ...RunOp
 	if cores == 0 {
 		cores = 32
 	}
-	scaled := func(paperMB int) uint64 {
-		return scaledCacheBytes(paperMB, p.Scale)
-	}
-	sramCfg := cache.Config{Name: "L3-SRAM-8MB", Size: scaled(8), LineSize: 64, Assoc: 16}
-	dramCfg := cache.Config{Name: "L3-DRAM-256MB", Size: scaled(256), LineSize: 64, Assoc: 16}
-
-	run := func(name string, l3 *cache.Config, l3Hit float64) (HierResult, error) {
-		hc := hier.Xeon16(cores, p.Scale, nil)
-		hc.L3 = l3
-		hc.Lat.L3Hit = l3Hit
-		return RunHier(name, p, PlatformConfig{Threads: cores, Seed: p.Seed}, hc, opts...)
-	}
+	// No L3, then an 8 MB SRAM L3 and a 256 MB DRAM L3 (paper units).
+	noL3 := hier.Xeon16(cores, p.Scale, nil)
+	sramL3, dramL3 := noL3, noL3
+	sramL3.L3 = &cache.Config{Name: "L3-SRAM-8MB", Size: scaledCacheBytes(8, p.Scale), LineSize: 64, Assoc: 16}
+	dramL3.L3 = &cache.Config{Name: "L3-DRAM-256MB", Size: scaledCacheBytes(256, p.Scale), LineSize: 64, Assoc: 16}
+	sramL3.Lat.L3Hit, dramL3.Lat.L3Hit = 40, 120
+	hcs := []hier.Config{noL3, sramL3, dramL3}
 
 	return forEachWorkload(names, applyOpts(opts), func(name string) (DRAMCacheRow, error) {
-		none, err := run(name, nil, 0)
+		res, _, err := RunHier(name, p, PlatformConfig{Threads: cores, Seed: p.Seed}, hcs, opts...)
 		if err != nil {
-			return DRAMCacheRow{}, fmt.Errorf("dram study %s (no LLC): %w", name, err)
+			return DRAMCacheRow{}, fmt.Errorf("dram study %s: %w", name, err)
 		}
-		sram, err := run(name, &sramCfg, 40)
-		if err != nil {
-			return DRAMCacheRow{}, fmt.Errorf("dram study %s (SRAM): %w", name, err)
-		}
-		dram, err := run(name, &dramCfg, 120)
-		if err != nil {
-			return DRAMCacheRow{}, fmt.Errorf("dram study %s (DRAM): %w", name, err)
-		}
+		none, sram, dram := res[0], res[1], res[2]
 		var missRate float64
 		if acc := dram.L3.Accesses; acc > 0 {
 			missRate = float64(dram.L3.Misses) / float64(acc)

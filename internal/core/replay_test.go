@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cmpmem/internal/hier"
+	"cmpmem/internal/prefetch"
 	"cmpmem/internal/trace"
 	"cmpmem/internal/tracestore"
 	"cmpmem/internal/workloads/registry"
@@ -153,22 +154,33 @@ func TestEverySourceAnswersAlike(t *testing.T) {
 		same(fmt.Sprintf("%v/leader summary", engine), lsum, sum)
 	}
 
-	hc := hier.Xeon16(pc.Threads, p.Scale, nil)
-	live, err := RunHier("SNP", p, pc, hc)
-	if err != nil {
-		t.Fatal(err)
+	// Two hierarchies co-snooping one pass answer what each answers
+	// alone, from every source.
+	pf := prefetch.DefaultConfig(64)
+	hcs := []hier.Config{hier.Xeon16(pc.Threads, p.Scale, nil), hier.Xeon16(pc.Threads, p.Scale, &pf)}
+	hierRun := func(hcs []hier.Config, opts ...RunOption) ([]HierResult, RunSummary) {
+		t.Helper()
+		res, sum, err := RunHier("SNP", p, pc, hcs, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sum
 	}
+	off, osum := hierRun(hcs[:1])
+	on, _ := hierRun(hcs[1:])
+	alone := append(off, on...)
+	live, lsum := hierRun(hcs)
+	same("hier/live", alone, live)
+	same("hier/live summary", osum, lsum)
 	dir := t.TempDir()
 	store := tracestore.New(0, dir)
 	for _, leg := range []struct {
 		tag   string
 		store *tracestore.Store
 	}{{"miss", store}, {"hit", store}, {"disk", tracestore.New(0, dir)}} {
-		got, err := RunHier("SNP", p, pc, hc, WithTraceReuse(leg.store))
-		if err != nil {
-			t.Fatal(err)
-		}
-		same("hier/"+leg.tag, live, got)
+		got, sum := hierRun(hcs, WithTraceReuse(leg.store))
+		same("hier/"+leg.tag, alone, got)
+		same("hier/"+leg.tag+" summary", osum, sum)
 	}
 }
 
@@ -203,13 +215,13 @@ func TestReplayHierEquivalence(t *testing.T) {
 	pc := SCMP()
 	pc.Seed = 11
 	hc := hier.Xeon16(pc.Threads, p.Scale, nil)
-	live, err := RunHier("SNP", p, pc, hc)
+	live, _, err := RunHier("SNP", p, pc, []hier.Config{hc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := tracestore.New(0, "")
 	for pass := 1; pass <= 2; pass++ {
-		replay, err := RunHier("SNP", p, pc, hc, WithTraceReuse(store))
+		replay, _, err := RunHier("SNP", p, pc, []hier.Config{hc}, WithTraceReuse(store))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +280,7 @@ func TestReplaySharedAcrossExperiments(t *testing.T) {
 		t.Fatal(err)
 	}
 	hc := hier.Xeon16(pc.Threads, p.Scale, nil)
-	if _, err := RunHier("MDS", p, pc, hc, WithTraceReuse(store)); err != nil {
+	if _, _, err := RunHier("MDS", p, pc, []hier.Config{hc}, WithTraceReuse(store)); err != nil {
 		t.Fatal(err)
 	}
 	n := 0

@@ -203,6 +203,10 @@ func (s *sampledPass) result(i int) LLCResult {
 	}
 }
 
+// hierResult is never asked for: RunHier, the only caller with
+// hierarchy configs, times the whole stream and so never samples.
+func (s *sampledPass) hierResult(int) HierResult { return HierResult{} }
+
 // samplePlan returns the stream's sample plan under the active
 // parameters. A plan depends on the stream and the parameters only,
 // never on the grid, so it is memoized on the Trace: the first sampled

@@ -9,7 +9,8 @@
 //	source  the live bus, or the memoized stream of a trace store —
 //	        runNamed / openTrace (core.go, replay.go)
 //	pass    one pass over the source feeding every answerer: the exact
-//	        pass below, or the sampled pass (sampling.go)
+//	        pass below (oracle, Dragonheads, timing hierarchies), or the
+//	        sampled pass (sampling.go)
 //	results one fan-out to caller order, one manifest
 //
 // The rule that keeps failures cheap and traces sealed: an answerer is
@@ -25,6 +26,7 @@ import (
 	"cmpmem/internal/cache"
 	"cmpmem/internal/dragonhead"
 	"cmpmem/internal/fsb"
+	"cmpmem/internal/hier"
 	"cmpmem/internal/oracle"
 	"cmpmem/internal/telemetry"
 	"cmpmem/internal/workloads"
@@ -39,7 +41,8 @@ import (
 // configs with the Mattson engine instead (bit-identical results);
 // WithSampling routes to the fast tier (estimates), whatever the engine.
 func LLCSweep(name string, p workloads.Params, pc PlatformConfig, llcs []cache.Config, opts ...RunOption) ([]LLCResult, RunSummary, error) {
-	return sweep(name, p, pc, [][]cache.Config{llcs}, applyOpts(opts))
+	res, _, sum, err := sweep(name, p, pc, [][]cache.Config{llcs}, nil, applyOpts(opts))
+	return res, sum, err
 }
 
 // CombinedSweep runs the named workload once while answering several
@@ -54,7 +57,7 @@ func CombinedSweep(name string, p workloads.Params, pc PlatformConfig, grids [][
 	if !ro.engineSet {
 		ro.engine = EngineAuto
 	}
-	results, sum, err := sweep(name, p, pc, grids, ro)
+	results, _, sum, err := sweep(name, p, pc, grids, nil, ro)
 	if err != nil {
 		return nil, RunSummary{}, err
 	}
@@ -65,6 +68,30 @@ func CombinedSweep(name string, p workloads.Params, pc PlatformConfig, grids [][
 		k += len(g)
 	}
 	return out, sum, nil
+}
+
+// HierResult is the outcome of one timing-hierarchy config.
+type HierResult struct {
+	IPC           float64
+	Cycles        float64
+	L1            cache.Stats
+	L2            cache.Stats
+	L3            cache.Stats // zero unless the config had an L3
+	Prefetches    hier.PrefetchReport
+	Invalidations uint64 // zero unless the config was Coherent
+}
+
+// RunHier runs the named workload once while timing every given
+// per-core L1/L2 hierarchy config (the Table 2 profiler and Figure 8
+// testbed) on one pass over its bus stream: one hier.Machine per config,
+// all co-snooping the same execution like LLCSweep's emulators. The
+// results mirror hcs. A hierarchy is always timed over the whole
+// stream, so WithSampling does not apply.
+func RunHier(name string, p workloads.Params, pc PlatformConfig, hcs []hier.Config, opts ...RunOption) ([]HierResult, RunSummary, error) {
+	ro := applyOpts(opts)
+	ro.sampling = SamplingOff
+	_, res, sum, err := sweep(name, p, pc, nil, hcs, ro)
+	return res, sum, err
 }
 
 // sweepPass is step three: the answerers of one plan and the single
@@ -78,11 +105,14 @@ type sweepPass interface {
 	// result is the answer for canonical config i of the plan (LLC left
 	// for the caller to name). Valid once run has returned.
 	result(i int) LLCResult
+	// hierResult is the answer for the plan's hierarchy config j.
+	hierResult(j int) HierResult
 }
 
-// sweep is the executor behind LLCSweep and CombinedSweep. The results
-// come back flattened in grid order.
-func sweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.Config, ro runOpts) ([]LLCResult, RunSummary, error) {
+// sweep is the executor behind LLCSweep, CombinedSweep and RunHier. The
+// LLC results come back flattened in grid order, the hierarchy results
+// in the order of hcs.
+func sweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.Config, hcs []hier.Config, ro runOpts) ([]LLCResult, []HierResult, RunSummary, error) {
 	var flat []cache.Config
 	for _, g := range grids {
 		flat = append(flat, g...)
@@ -98,8 +128,9 @@ func sweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.C
 	}
 	plan, err := PlanSweep(flat, engine)
 	if err != nil {
-		return nil, RunSummary{}, err
+		return nil, nil, RunSummary{}, err
 	}
+	plan.Hiers = hcs
 	ro.span = ro.rootSpan(kind + "/" + name)
 	// A failed sweep must not seal a trace with open spans: the root
 	// ends here on every path (End is idempotent), and each step below
@@ -110,11 +141,11 @@ func sweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.C
 	// Answerers, then source and pass.
 	pass, err := build(plan, ro)
 	if err != nil {
-		return nil, RunSummary{}, err
+		return nil, nil, RunSummary{}, err
 	}
 	sum, err := pass.run(name, p, pc, ro)
 	if err != nil {
-		return nil, RunSummary{}, err
+		return nil, nil, RunSummary{}, err
 	}
 
 	// Results: every config copies its canonical geometry's answer
@@ -126,20 +157,41 @@ func sweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.C
 		results[i].LLC = cfg
 		ro.step(Progress{Phase: PhaseConfig, Config: cfg.Name, Done: i + 1, Total: len(flat)})
 	}
+	hiers := make([]HierResult, len(hcs))
+	for j := range hiers {
+		hiers[j] = pass.hierResult(j)
+	}
 	collect.End()
 	ro.span.End()
-	ro.reportSweep(kind, name, p, pc, sum, results, time.Since(start))
-	return results, sum, nil
+	ro.reportSweep(kind, name, p, pc, sum, results, hiers, time.Since(start))
+	return results, hiers, sum, nil
 }
 
-// reportSweep emits the sweep's run manifest and progress line. The LLC
-// records carry the exact access/miss totals of the returned results,
-// so downstream consumers can bit-match the manifest against the API.
-func (o runOpts) reportSweep(kind, name string, p workloads.Params, pc PlatformConfig, sum RunSummary, res []LLCResult, d time.Duration) {
+// reportSweep emits the sweep's run manifest — identity, wall time, the
+// run summary's totals verbatim, the sealed span tree — and progress
+// line. The LLC and hierarchy records carry the exact totals of the
+// returned results, so downstream consumers can bit-match the manifest
+// against the API.
+func (o runOpts) reportSweep(kind, name string, p workloads.Params, pc PlatformConfig, sum RunSummary, res []LLCResult, hiers []HierResult, d time.Duration) {
 	if o.tel == nil {
 		return
 	}
-	m := o.manifest(kind, name, p, pc, sum, d)
+	m := telemetry.Manifest{
+		Kind:       kind,
+		Workload:   name,
+		Threads:    pc.Threads,
+		Seed:       pc.Seed,
+		Scale:      p.Scale,
+		Quantum:    pc.Quantum,
+		DurationNS: uint64(d.Nanoseconds()),
+		Summary: &telemetry.RunTotals{
+			Instructions: sum.Instructions,
+			Loads:        sum.Loads,
+			Stores:       sum.Stores,
+			BusEvents:    sum.BusEvents,
+		},
+		Trace: o.span,
+	}
 	var acc, miss uint64
 	for _, r := range res {
 		acc += r.Stats.Accesses
@@ -155,12 +207,21 @@ func (o runOpts) reportSweep(kind, name string, p workloads.Params, pc PlatformC
 			Samples:   len(r.Samples),
 		})
 	}
+	for _, h := range hiers {
+		m.Hiers = append(m.Hiers, telemetry.HierRecord{
+			IPC:      h.IPC,
+			Cycles:   h.Cycles,
+			L1Misses: h.L1.Misses,
+			L2Misses: h.L2.Misses,
+		})
+	}
 	o.tel.Emit(&m)
 	missPct := 0.0
 	if acc > 0 {
 		missPct = 100 * float64(miss) / float64(acc)
 	}
-	o.tel.Stepf("%s llcs=%d %s miss=%.2f%%", name, len(res), rateString(sum.BusEvents, d), missPct)
+	mrefs := float64(sum.BusEvents) / max(d.Seconds(), 1e-9) / 1e6
+	o.tel.Stepf("%s llcs=%d hiers=%d %.1f Mrefs/s miss=%.2f%%", name, len(res), len(hiers), mrefs, missPct)
 }
 
 // planClockHz is the CB sampling clock of the analytic leg — the same
@@ -169,12 +230,14 @@ func (o runOpts) reportSweep(kind, name string, p workloads.Params, pc PlatformC
 const planClockHz = 3e9
 
 // exactPass answers a plan bit-exactly: one Mattson engine tracking
-// the analytic leg's geometries plus one Dragonhead per emulated
-// geometry, all co-snoopers of a single bus pass.
+// the analytic leg's geometries, one Dragonhead per emulated geometry
+// and one timing hierarchy per hierarchy config, all co-snoopers of a
+// single bus pass.
 type exactPass struct {
 	eng      *oracle.Engine
 	tracked  []*oracle.Tracked      // by config index; nil off the analytic leg
 	emus     []*dragonhead.Emulator // by config index; nil off the emulated leg
+	machines []*hier.Machine        // by hierarchy config index
 	snoopers []fsb.Snooper
 }
 
@@ -188,7 +251,7 @@ func newExactPass(plan *SweepPlan, ro runOpts) (sweepPass, error) {
 	reg.Counter("core_plan_analytic_configs_total").Add(uint64(len(plan.Analytic)))
 	reg.Counter("core_plan_emulated_configs_total").Add(uint64(len(plan.Emulated)))
 	reg.Counter("core_plan_deduped_configs_total").Add(uint64(len(flat) - len(plan.Analytic) - len(plan.Emulated)))
-	if saved := len(flat) - plan.Passes(); saved > 0 {
+	if saved := len(flat) + len(plan.Hiers) - plan.Passes(); saved > 0 {
 		reg.Counter("core_plan_passes_saved_total").Add(uint64(saved))
 	}
 
@@ -225,6 +288,14 @@ func newExactPass(plan *SweepPlan, ro runOpts) (sweepPass, error) {
 		}
 		x.snoopers = append(x.snoopers, x.emus[i])
 	}
+	for _, hc := range plan.Hiers {
+		m, err := hier.New(hc)
+		if err != nil {
+			return nil, err
+		}
+		x.machines = append(x.machines, m)
+		x.snoopers = append(x.snoopers, m)
+	}
 	return x, nil
 }
 
@@ -249,6 +320,19 @@ func (x *exactPass) result(i int) LLCResult {
 		MPKI:         e.MPKI(),
 		Samples:      e.Samples(),
 		Ignored:      e.Ignored(),
+	}
+}
+
+func (x *exactPass) hierResult(j int) HierResult {
+	m := x.machines[j]
+	return HierResult{
+		IPC:           m.IPC(),
+		Cycles:        m.Cycles(),
+		L1:            m.L1Stats(),
+		L2:            m.L2Stats(),
+		L3:            m.L3Stats(),
+		Prefetches:    m.Prefetches(),
+		Invalidations: m.Invalidations(),
 	}
 }
 

@@ -258,7 +258,7 @@ func TestFailedSampledSweepEndsItsSpans(t *testing.T) {
 			return err
 		}},
 		{"hier", func(valid bool, opts ...RunOption) error {
-			_, err := RunHier("MDS", p, pc, pick(valid, goodHier, badHier), opts...)
+			_, _, err := RunHier("MDS", p, pc, []hier.Config{goodHier, pick(valid, goodHier, badHier)}, opts...)
 			return err
 		}},
 	}

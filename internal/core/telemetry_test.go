@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"cmpmem/internal/hier"
+	"cmpmem/internal/prefetch"
 	"cmpmem/internal/telemetry"
 	"cmpmem/internal/tracestore"
 	"cmpmem/internal/workloads"
@@ -181,24 +183,38 @@ func contains(ss []string, want string) bool {
 	return false
 }
 
-// TestHierManifest checks the timing-model manifest kind.
+// TestHierManifest: a timing-hierarchy run is a plansweep like any
+// other, whose manifest carries one record per hierarchy config, equal
+// to the returned results.
 func TestHierManifest(t *testing.T) {
 	var buf, prog bytes.Buffer
 	sink := sinkForTest(&buf, &prog)
 	p := workloads.Params{Seed: 3, Scale: 0.002}
-	res, err := RunHier("SHOT", p, PlatformConfig{Threads: 1, Seed: 3},
-		hier.PentiumIV(p.Scale), WithTelemetry(sink))
+	pf := prefetch.DefaultConfig(64)
+	hcs := []hier.Config{hier.PentiumIV(p.Scale), hier.Xeon16(1, p.Scale, &pf)}
+	res, sum, err := RunHier("SHOT", p, PlatformConfig{Threads: 1, Seed: 3}, hcs, WithTelemetry(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := decodeManifests(t, &buf)[0]
-	if m.Kind != "hier" {
-		t.Errorf("kind = %q, want hier", m.Kind)
+	ms := decodeManifests(t, &buf)
+	if len(ms) != 1 {
+		t.Fatalf("got %d manifests, want 1", len(ms))
 	}
-	if m.Hier["ipc"] != res.IPC {
-		t.Errorf("manifest ipc %v != result %v", m.Hier["ipc"], res.IPC)
+	m := ms[0]
+	if m.Kind != "plansweep" || m.Trace == nil || m.Trace.Name != "plansweep/SHOT" {
+		t.Errorf("kind %q, root span %+v; want a plansweep", m.Kind, m.Trace)
 	}
-	if m.Summary == nil || m.Summary.Instructions != res.Summary.Instructions {
+	var want []telemetry.HierRecord
+	for _, r := range res {
+		want = append(want, telemetry.HierRecord{IPC: r.IPC, Cycles: r.Cycles, L1Misses: r.L1.Misses, L2Misses: r.L2.Misses})
+	}
+	if !reflect.DeepEqual(m.Hiers, want) {
+		t.Errorf("manifest hierarchy records %+v, want %+v", m.Hiers, want)
+	}
+	if len(m.LLCs) != 0 {
+		t.Errorf("a hierarchy run recorded %d LLCs", len(m.LLCs))
+	}
+	if m.Summary == nil || m.Summary.Instructions != sum.Instructions {
 		t.Error("hier manifest summary does not match")
 	}
 }

@@ -169,8 +169,8 @@ func annotateRequestSpan(root *telemetry.Span, j *job) {
 }
 
 // sweepSpanOf returns the execution child of the request root (the
-// span core opened under WithParentSpan: plansweep/*, sampledsweep/*,
-// or hier/*), or nil on cache-served requests.
+// span core opened under WithParentSpan: plansweep/* or
+// sampledsweep/*), or nil on cache-served requests.
 func sweepSpanOf(root *telemetry.Span) *telemetry.Span {
 	if root == nil {
 		return nil
@@ -214,7 +214,7 @@ func (s *Server) recordRequestPhases(j *job, root *telemetry.Span) {
 	if n, err := strconv.Atoi(sweep.Attrs["emulated_configs"]); err == nil && n > 0 {
 		phase = phaseEmulate
 	} else if sweep.Attrs["emulated_configs"] == "" && sweep.Attrs["analytic_configs"] == "" {
-		// sampledsweep/hier trees (no planner attrs) replay into caches.
+		// sampledsweep trees (no planner attrs) replay into caches.
 		phase = phaseEmulate
 	}
 	s.phases.observe(phase, j.tenant, time.Duration(sweep.WallNS))

@@ -40,6 +40,14 @@ type LLCRecord struct {
 	Samples   int     `json:"cb_samples"`
 }
 
+// HierRecord is one timing-hierarchy configuration's outcome.
+type HierRecord struct {
+	IPC      float64 `json:"ipc"`
+	Cycles   float64 `json:"cycles"`
+	L1Misses uint64  `json:"l1_misses"`
+	L2Misses uint64  `json:"l2_misses"`
+}
+
 // Manifest is one run record. Emit stamps Time, GitRev, GoVersion,
 // Host, and the counter snapshot; callers fill the rest.
 type Manifest struct {
@@ -59,9 +67,9 @@ type Manifest struct {
 
 	Summary *RunTotals  `json:"summary,omitempty"`
 	LLCs    []LLCRecord `json:"llcs,omitempty"`
-	// Hier carries timing-hierarchy scalars (ipc, cycles, ...) for
-	// RunHier manifests.
-	Hier map[string]float64 `json:"hier,omitempty"`
+	// Hiers has one record per timing-hierarchy config the run answered,
+	// in the caller's order.
+	Hiers []HierRecord `json:"hiers,omitempty"`
 
 	// Request-scoped manifests (kind "request", emitted by cosimd per
 	// completed job) carry the correlation triple below.

@@ -222,9 +222,11 @@ func (w *Workload) Build(sp *mem.Space, sched *softsdv.Scheduler, threads int) (
 	w.offsets = dbArena.Int32s(len(w.db.Offsets))
 	copy(w.offsets.Raw(), w.db.Offsets)
 
+	// Five nitems-sized int32 arrays: counts, rank, rankItm, and the
+	// tree's headLink and headCnt.
 	treeCap := len(w.db.Items) + 1
 	shared := sp.NewArena("fimi/tree",
-		uint64(treeCap)*nodeFields*4+uint64(w.nitems)*16+1<<16)
+		uint64(treeCap)*nodeFields*4+uint64(w.nitems)*20+1<<16)
 	w.counts = shared.Int32s(w.nitems)
 	w.rank = shared.Int32s(w.nitems)
 	w.global = newTree(shared, treeCap, w.nitems)

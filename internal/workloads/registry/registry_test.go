@@ -1,9 +1,13 @@
 package registry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"cmpmem/internal/fsb"
+	"cmpmem/internal/mem"
+	"cmpmem/internal/softsdv"
 	"cmpmem/internal/workloads"
 )
 
@@ -73,6 +77,45 @@ func TestAllCategorized(t *testing.T) {
 			t.Errorf("%s category = %v, want %v", w.Name(), c.Category(), want[w.Name()])
 		}
 	}
+}
+
+// TestEveryWorkloadBuildsAtPaperScale builds, and never runs, every
+// workload from 1/64 of the paper's footprint up to the paper's own, so
+// an arena sized too small fails here rather than at `cosim -scale 1`.
+// MDS stops at 1/16: its dataset generation alone takes seconds above.
+func TestEveryWorkloadBuildsAtPaperScale(t *testing.T) {
+	for _, scale := range []float64{1.0 / 64, 1.0 / 16, 1.0 / 4, 1} {
+		for _, name := range Names() {
+			if name == "MDS" && scale > 1.0/16 {
+				continue
+			}
+			for _, threads := range []int{1, 32} {
+				if err := buildOnly(name, workloads.Params{Seed: 1, Scale: scale}, threads); err != nil {
+					t.Errorf("%s at scale %g on %d threads: %v", name, scale, threads, err)
+				}
+			}
+		}
+	}
+}
+
+// buildOnly builds the named workload's guest program, turning a
+// fail-loud panic (an exhausted arena) into an error.
+func buildOnly(name string, p workloads.Params, threads int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	w, err := New(name, p)
+	if err != nil {
+		return err
+	}
+	sched, err := softsdv.NewScheduler(softsdv.Config{Cores: threads}, fsb.NewBus())
+	if err != nil {
+		return err
+	}
+	_, err = w.Build(mem.NewSpace(), sched, threads)
+	return err
 }
 
 func TestAllReturnsFreshInstances(t *testing.T) {
