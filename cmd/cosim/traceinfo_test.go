@@ -44,14 +44,14 @@ func paritySources(t *testing.T, fn func(source string, opts []core.RunOption)) 
 	dir := t.TempDir()
 	first := tracestore.New(0, dir)
 	fn("captured", []core.RunOption{core.WithTraceReuse(first)})
-	if st := first.Stats(); st.Executions() != 1 {
-		t.Errorf("capturing store: %d guest executions, want 1 (%+v)", st.Executions(), st)
+	if st := first.Stats(); st.Misses != 1 {
+		t.Errorf("capturing store: %d guest executions, want 1 (%+v)", st.Misses, st)
 	}
 	second := tracestore.New(0, dir)
 	fn("from disk", []core.RunOption{core.WithTraceReuse(second)})
-	if st := second.Stats(); st.Executions() != 0 || st.DiskHits != 1 {
+	if st := second.Stats(); st.Misses != 0 || st.DiskHits != 1 {
 		t.Errorf("store on the spilled directory: %d guest executions, %d disk hits, want 0 and 1 (%+v)",
-			st.Executions(), st.DiskHits, st)
+			st.Misses, st.DiskHits, st)
 	}
 }
 

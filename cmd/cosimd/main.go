@@ -23,7 +23,9 @@
 //	-addr             listen address (default :8344)
 //	-workers n        concurrent sweep executions (default 2)
 //	-queue-cap n      admission queue bound (default 256)
-//	-tenant-weights   comma list of tenant=weight DRR overrides
+//	-tenant-weights   comma list of tenant=weight DRR overrides; only
+//	                  these tenants get per-tenant metric series, the
+//	                  rest share the "other" series
 //	-result-cache-mb  result cache budget (default 256)
 //	-trace-mb         tracestore resident budget (default 1024)
 //	-trace-dir        spill captured traces to this directory

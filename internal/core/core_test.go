@@ -162,7 +162,7 @@ func TestWorkloadSelectionBoundsTheWork(t *testing.T) {
 	if len(series) != 2 || series[0].Name != "SHOT" || series[1].Name != "PLSA" {
 		t.Errorf("series = %v, want SHOT then PLSA", series)
 	}
-	if n := store.Stats().Executions(); n != 2 {
+	if n := store.Stats().Misses; n != 2 {
 		t.Errorf("a two-workload selection executed %d guests, want 2", n)
 	}
 	if rows := Table1([]string{"SHOT"}, p); len(rows) != 1 || rows[0].Workload != "SHOT" {

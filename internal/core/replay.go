@@ -84,7 +84,7 @@ func (ro runOpts) openTrace(name string, p workloads.Params, pc PlatformConfig, 
 	// in-memory hit, a blocking wait behind another caller's capture, a
 	// disk revival, or a fresh execution (which nests the capture span) —
 	// and records which of those it was, so a slow request's tree says
-	// where the time went, not just that Do took long.
+	// where the time went, not just that DoOutcome took long.
 	lookup := ro.span.StartChild("store")
 	defer lookup.End()
 	tr, outcome, err := ro.store.DoOutcome(TraceKey(name, p, pc), func() (*tracestore.Trace, error) {

@@ -233,7 +233,7 @@ func TestFailedSampledSweepEndsItsSpans(t *testing.T) {
 	}
 	corruptStore := func() *tracestore.Store {
 		s := tracestore.New(0, "")
-		if _, err := s.Do(TraceKey("MDS", p, pc), func() (*tracestore.Trace, error) {
+		if _, _, err := s.DoOutcome(TraceKey("MDS", p, pc), func() (*tracestore.Trace, error) {
 			return tracestore.NewTrace(tr.Summary, enc), nil
 		}); err != nil {
 			t.Fatal(err)

@@ -207,9 +207,6 @@ type Machine struct {
 	pfIssued    uint64
 	l2LineShift uint
 
-	utilSum     float64
-	utilSamples uint64
-
 	// Coherence directory: line number -> bitmask of cores that may
 	// hold the line. Conservative (sharers are never removed on silent
 	// eviction; stale entries self-correct because invalidating a
@@ -384,10 +381,7 @@ func (m *Machine) serviceL2(cs *coreState, lineAddr mem.Addr, kind mem.Kind, cor
 			cs.nextStr = (cs.nextStr + 1) % missStreams
 		}
 		// Bus contention: queueing delay grows with utilization.
-		util := m.busUtil()
-		m.utilSum += util
-		m.utilSamples++
-		if util > queueFloor {
+		if util := m.busUtil(); util > queueFloor {
 			stall += m.cfg.Lat.Mem * m.cfg.Lat.QueueFactor * (util - queueFloor)
 		}
 		m.stall += stall
@@ -483,31 +477,6 @@ func (m *Machine) aggregate(pick func(*coreState) *cache.Cache) cache.Stats {
 		out.LoadMisses += s.LoadMisses
 		out.Writebacks += s.Writebacks
 		out.Evictions += s.Evictions
-	}
-	return out
-}
-
-// AvgBusUtil returns the mean bus-window utilization observed at demand
-// misses (a contention diagnostic for the Figure 8 study).
-func (m *Machine) AvgBusUtil() float64 {
-	if m.utilSamples == 0 {
-		return 0
-	}
-	return m.utilSum / float64(m.utilSamples)
-}
-
-// PrefetcherStats aggregates the detector-level counters across cores
-// (predictions made, streams detected), as opposed to Prefetches(),
-// which reports fills that actually reached the cache.
-func (m *Machine) PrefetcherStats() prefetch.Stats {
-	var out prefetch.Stats
-	for _, cs := range m.cores {
-		if cs.pf != nil {
-			s := cs.pf.Stats()
-			out.Trainings += s.Trainings
-			out.Issued += s.Issued
-			out.Streams += s.Streams
-		}
 	}
 	return out
 }

@@ -29,12 +29,13 @@ var errQueueClosed = errors.New("server: sweep queue is closed")
 // DefaultQueueCap is the default global queue bound.
 const DefaultQueueCap = 256
 
-// tenantQueue is one tenant's FIFO plus its DRR scheduling state.
+// tenantQueue is one tenant's FIFO plus its DRR scheduling state. It
+// exists only while the tenant has queued jobs.
 type tenantQueue struct {
 	jobs    []*job
 	weight  int
 	credits int
-	gauge   *telemetry.Gauge // cosimd_tenant_queue_depth_<tenant>
+	gauge   *telemetry.Gauge // cosimd_tenant_queue_depth_<series>, shared
 }
 
 // fairQueue is the bounded, weighted-fair job queue.
@@ -44,10 +45,10 @@ type fairQueue struct {
 	cap     int
 	size    int
 	closed  bool
-	weights map[string]int // configured tenant weights (default 1)
-	tenants map[string]*tenantQueue
-	active  []string // tenants with queued work, in rotation order
-	rr      int      // rotation cursor into active
+	weights map[string]int          // configured tenant weights (default 1)
+	tenants map[string]*tenantQueue // tenants with queued jobs
+	active  []string                // tenants with queued work, in rotation order
+	rr      int                     // rotation cursor into active
 	reg     *telemetry.Registry
 	depth   *telemetry.Gauge // cosimd_queue_depth
 }
@@ -77,6 +78,20 @@ func (q *fairQueue) tenantWeight(tenant string) int {
 	return 1
 }
 
+// otherTenant is the metric series shared by every tenant without a
+// configured weight: X-Tenant is chosen by the client, so a series per
+// distinct value would grow /metrics without bound.
+const otherTenant = "other"
+
+// tenantSeries maps a tenant to its metric-name suffix: its own name
+// if it has a configured weight, otherTenant if not.
+func tenantSeries(weights map[string]int, tenant string) string {
+	if _, ok := weights[tenant]; ok {
+		return sanitizeTenant(tenant)
+	}
+	return otherTenant
+}
+
 // sanitizeTenant maps a tenant name into the metric-name charset.
 func sanitizeTenant(t string) string {
 	b := []byte(t)
@@ -104,16 +119,14 @@ func (q *fairQueue) Push(j *job) error {
 	if !ok {
 		tq = &tenantQueue{
 			weight: q.tenantWeight(j.tenant),
-			gauge:  q.reg.Gauge("cosimd_tenant_queue_depth_" + sanitizeTenant(j.tenant)),
+			gauge:  q.reg.Gauge("cosimd_tenant_queue_depth_" + tenantSeries(q.weights, j.tenant)),
 		}
 		q.tenants[j.tenant] = tq
-	}
-	if len(tq.jobs) == 0 {
 		q.active = append(q.active, j.tenant)
 	}
 	tq.jobs = append(tq.jobs, j)
 	q.size++
-	tq.gauge.Set(int64(len(tq.jobs)))
+	tq.gauge.Add(1)
 	q.depth.Set(int64(q.size))
 	q.cond.Signal()
 	return nil
@@ -161,13 +174,13 @@ func (q *fairQueue) popLocked() *job {
 		j := tq.jobs[0]
 		tq.jobs = tq.jobs[1:]
 		q.size--
-		tq.gauge.Set(int64(len(tq.jobs)))
+		tq.gauge.Add(-1)
 		q.depth.Set(int64(q.size))
 		if len(tq.jobs) == 0 {
-			// Tenant drained: leave the rotation (it re-enters on its
-			// next Push with fresh position and zero credits, so a
-			// bursty tenant cannot bank service from an idle period).
-			tq.credits = 0
+			// Tenant drained: its record goes (it re-enters on its next
+			// Push with fresh position and zero credits, so a bursty
+			// tenant cannot bank service from an idle period).
+			delete(q.tenants, t)
 			q.active = append(q.active[:idx:idx], q.active[idx+1:]...)
 			if n--; n > 0 {
 				q.rr = idx % n
@@ -200,9 +213,7 @@ func (q *fairQueue) TenantDepths() map[string]int {
 	defer q.mu.Unlock()
 	out := make(map[string]int, len(q.tenants))
 	for t, tq := range q.tenants {
-		if len(tq.jobs) > 0 {
-			out[t] = len(tq.jobs)
-		}
+		out[t] = len(tq.jobs)
 	}
 	return out
 }
@@ -220,8 +231,8 @@ func (q *fairQueue) Close() []*job {
 	for _, t := range q.active {
 		tq := q.tenants[t]
 		drained = append(drained, tq.jobs...)
-		tq.jobs = nil
-		tq.gauge.Set(0)
+		tq.gauge.Add(-int64(len(tq.jobs)))
+		delete(q.tenants, t)
 	}
 	q.active = nil
 	q.size = 0

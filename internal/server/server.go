@@ -34,6 +34,8 @@ type Config struct {
 	// QueueCap bounds the admission queue (jobs waiting past the pool).
 	QueueCap int
 	// TenantWeights maps tenant names to DRR weights (default 1 each).
+	// Only these tenants get per-tenant metric series of their own;
+	// every other tenant shares the "other" series.
 	TenantWeights map[string]int
 	// ResultCacheBytes budgets the content-addressed result cache.
 	ResultCacheBytes uint64
@@ -118,7 +120,7 @@ func New(cfg Config) *Server {
 		results:  newResultCache(cfg.ResultCacheBytes, reg),
 		queue:    newFairQueue(cfg.QueueCap, cfg.TenantWeights, reg),
 		man:      cfg.Manifest,
-		phases:   newPhaseRecorder(reg),
+		phases:   &phaseRecorder{reg: reg, weights: cfg.TenantWeights},
 		slow:     newSlowProfiler(cfg.SlowTrace, cfg.ProfileDir, reg),
 		jobs:     make(map[string]*job),
 		shutdown: make(chan struct{}),
@@ -404,8 +406,8 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]string{"git_rev": telemetry.GitRev()})
 }
 
-// Statusz is the GET /v1/statusz body: the shared-state snapshot load
-// generators read to compute dedupe ratios.
+// Statusz is the GET /v1/statusz body: a snapshot of the jobs, the
+// queue and the shared state every job draws from.
 type Statusz struct {
 	Jobs struct {
 		Accepted uint64 `json:"accepted"`
@@ -417,8 +419,9 @@ type Statusz struct {
 	} `json:"jobs"`
 	QueueDepth int            `json:"queue_depth"`
 	Tenants    map[string]int `json:"tenant_queue_depths,omitempty"`
-	// QueueWait holds per-tenant (plus "all") queue-wait percentiles
-	// computed from the cosimd_phase_queue_wait_micros histograms.
+	// QueueWait holds queue-wait percentiles per configured tenant, for
+	// "other" and for "all", computed from the
+	// cosimd_phase_queue_wait_micros histograms.
 	QueueWait   map[string]Percentiles `json:"queue_wait_micros,omitempty"`
 	TraceStore  tracestore.Stats       `json:"trace_store"`
 	ResultCache ResultCacheStats       `json:"result_cache"`

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -173,8 +175,8 @@ func TestConcurrentIdenticalSpecsExecuteOnce(t *testing.T) {
 		t.Error("identical specs returned different result bytes")
 	}
 	stats := s.StoreStats()
-	if stats.Executions() != 1 {
-		t.Errorf("trace executions = %d, want 1 (single-flight)", stats.Executions())
+	if stats.Misses != 1 {
+		t.Errorf("trace executions = %d, want 1 (single-flight)", stats.Misses)
 	}
 	if stats.Waits+stats.Hits < 1 {
 		t.Errorf("no evidence of sharing: waits=%d hits=%d", stats.Waits, stats.Hits)
@@ -350,6 +352,138 @@ func TestResultCacheServesRepeats(t *testing.T) {
 	}
 	if !bytes.Equal(st1.Result, st2.Result) {
 		t.Error("cached result differs from original")
+	}
+}
+
+// TestBurstAcrossTenants: 8 tenants submit 4 requests each at once over
+// an overlapping mix — 2 seeds x 4 grids, so 8 distinct results that
+// share 2 captures. Every request completes and leaves one request
+// manifest line, each seed's guest executes once, and the repeats are
+// answered by the result cache.
+func TestBurstAcrossTenants(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real sweeps")
+	}
+	const tenants, perTenant, seeds, grids = 8, 4, 2, 4
+	manifestPath := filepath.Join(t.TempDir(), "manifest.jsonl")
+	man, err := telemetry.OpenManifestFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer man.Close()
+	s, ts := testServer(t, Config{Workers: 2, Manifest: man})
+
+	sizes := []uint64{1 << 14, 1 << 15, 1 << 16, 1 << 17, 1 << 18}
+	var specs []string
+	for seed := 1; seed <= seeds; seed++ {
+		for v := 0; v < grids; v++ {
+			specs = append(specs, tinySpecJSON(int64(seed), sizes[v], sizes[v+1]))
+		}
+	}
+	var ids []string
+	for i := 0; i < perTenant; i++ {
+		for tn := 0; tn < tenants; tn++ {
+			spec := specs[(tn*perTenant+i)%len(specs)]
+			ids = append(ids, submit(t, ts, fmt.Sprintf("tenant-%d", tn), spec).ID)
+		}
+	}
+	cached := 0
+	for _, id := range ids {
+		st := await(t, ts, id)
+		if st.State != StateDone {
+			t.Fatalf("job %s: state %s, error %q", id, st.State, st.Error)
+		}
+		if st.Cached {
+			cached++
+		}
+	}
+
+	if n := s.StoreStats().Misses; n != seeds {
+		t.Errorf("trace executions = %d, want %d (one capture per seed)", n, seeds)
+	}
+	// Every distinct spec executes at least once, and at most once per
+	// worker: a job dequeued after the first execution of its spec
+	// finished finds the result cached.
+	if fresh := len(ids) - cached; fresh < len(specs) || fresh > 2*len(specs) {
+		t.Errorf("%d of %d requests executed, want %d to %d", fresh, len(ids), len(specs), 2*len(specs))
+	}
+	data, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var m telemetry.Manifest
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("manifest line: %v", err)
+		}
+		if m.Kind == "request" {
+			requests++
+		}
+	}
+	if requests != len(ids) {
+		t.Errorf("%d request manifest lines, want %d", requests, len(ids))
+	}
+}
+
+// TestDistinctTenantsStayBounded: X-Tenant is chosen by the client, so
+// a thousand distinct values must leave neither a thousand queue
+// records nor a thousand metric series behind. Tenants without a
+// configured weight share the "other" series, and a drained tenant's
+// queue record goes.
+func TestDistinctTenantsStayBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real sweep")
+	}
+	const n = 1000
+	gate := make(chan struct{})
+	reg := telemetry.NewRegistry()
+	s, ts := testServer(t, Config{Workers: 1, QueueCap: n + 1, Registry: reg,
+		TenantWeights: map[string]int{"named": 1}})
+	s.preRun = func(*job) { <-gate }
+
+	// Hold the worker so every request goes through the queue, then let
+	// the first execute and the rest find its result cached.
+	spec := tinySpecJSON(23, 1<<18)
+	ids := []string{submit(t, ts, "named", spec).ID}
+	for i := 0; i < n; i++ {
+		ids = append(ids, submit(t, ts, fmt.Sprintf("tenant-%d", i), spec).ID)
+	}
+	close(gate)
+	for _, id := range ids {
+		if st := await(t, ts, id); st.State != StateDone {
+			t.Fatalf("job %s: state %s, error %q", id, st.State, st.Error)
+		}
+	}
+
+	s.queue.mu.Lock()
+	records := len(s.queue.tenants)
+	s.queue.mu.Unlock()
+	if records != 0 {
+		t.Errorf("%d tenant queue records left after the queue drained, want 0", records)
+	}
+	snap := reg.Snapshot()
+	var series []string
+	for name := range snap.Gauges {
+		if strings.Contains(name, "_tenant_") {
+			series = append(series, name)
+		}
+	}
+	for name := range snap.Histograms {
+		if strings.Contains(name, "_tenant_") {
+			series = append(series, name)
+		}
+	}
+	// A queue-depth gauge and at most five phase histograms for each of
+	// "named" and "other".
+	if len(series) > 12 {
+		t.Errorf("%d per-tenant metric series after %d distinct tenants, want at most 12", len(series), n+1)
+	}
+	if total := len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms); total > n/4 {
+		t.Errorf("registry holds %d metrics after %d distinct tenants", total, n+1)
+	}
+	if d := reg.Gauge("cosimd_tenant_queue_depth_other").Value(); d != 0 {
+		t.Errorf("shared queue-depth gauge = %d after the queue drained, want 0", d)
 	}
 }
 

@@ -249,15 +249,6 @@ func (c ConfigSpec) cacheConfig() (cache.Config, error) {
 	}, nil
 }
 
-// ConfigCount returns the flattened grid size.
-func (s *SweepSpec) ConfigCount() int {
-	n := 0
-	for _, g := range s.Grids {
-		n += len(g)
-	}
-	return n
-}
-
 // specIdentity is the canonical content of a spec: every field that
 // determines the result bit-for-bit, and nothing else. Shards and
 // Batch are wall-clock knobs and stay out; Engine stays in (engines

@@ -8,7 +8,8 @@
 //
 // The same phases feed cosimd_phase_*_micros histograms, both aggregate
 // and per-tenant (the registry's name-suffix idiom, as with
-// cosimd_tenant_queue_depth_*), which /v1/statusz folds into queue-wait
+// cosimd_tenant_queue_depth_*; tenants without a configured weight
+// share one "other" series), which /v1/statusz folds into queue-wait
 // percentiles. Requests slower than Config.SlowTrace additionally
 // trigger a short CPU profile of the live process, attached to the job
 // as a file reference.
@@ -21,7 +22,6 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,17 +39,11 @@ const (
 )
 
 // phaseRecorder observes per-phase latencies into aggregate and
-// per-tenant histograms and remembers which tenants it has seen (for
-// the statusz percentile listing).
+// per-tenant histograms: one series per tenant with a configured
+// weight, and the shared otherTenant series for the rest.
 type phaseRecorder struct {
-	reg *telemetry.Registry
-
-	mu      sync.Mutex
-	tenants map[string]struct{}
-}
-
-func newPhaseRecorder(reg *telemetry.Registry) *phaseRecorder {
-	return &phaseRecorder{reg: reg, tenants: make(map[string]struct{})}
+	reg     *telemetry.Registry
+	weights map[string]int
 }
 
 // observe records one phase duration for a tenant.
@@ -59,10 +53,7 @@ func (p *phaseRecorder) observe(phase, tenant string, d time.Duration) {
 	}
 	us := uint64(d.Microseconds())
 	p.reg.Histogram("cosimd_phase_" + phase + "_micros").Observe(us)
-	p.reg.Histogram("cosimd_phase_" + phase + "_micros_tenant_" + sanitizeTenant(tenant)).Observe(us)
-	p.mu.Lock()
-	p.tenants[tenant] = struct{}{}
-	p.mu.Unlock()
+	p.reg.Histogram("cosimd_phase_" + phase + "_micros_tenant_" + tenantSeries(p.weights, tenant)).Observe(us)
 }
 
 // Percentiles is a p50/p95/p99 reading (microseconds) of one phase
@@ -74,8 +65,9 @@ type Percentiles struct {
 	P99   uint64 `json:"p99_micros"`
 }
 
-// queueWaitPercentiles returns the per-tenant (plus "all" aggregate)
-// queue-wait percentile table for /v1/statusz.
+// queueWaitPercentiles returns the queue-wait percentile table for
+// /v1/statusz: one row per configured tenant, otherTenant and the "all"
+// aggregate, each present once it has an observation.
 func (p *phaseRecorder) queueWaitPercentiles() map[string]Percentiles {
 	out := make(map[string]Percentiles)
 	add := func(key, histName string) {
@@ -91,13 +83,8 @@ func (p *phaseRecorder) queueWaitPercentiles() map[string]Percentiles {
 		}
 	}
 	add("all", "cosimd_phase_"+phaseQueueWait+"_micros")
-	p.mu.Lock()
-	tenants := make([]string, 0, len(p.tenants))
-	for t := range p.tenants {
-		tenants = append(tenants, t)
-	}
-	p.mu.Unlock()
-	for _, t := range tenants {
+	add(otherTenant, "cosimd_phase_"+phaseQueueWait+"_micros_tenant_"+otherTenant)
+	for t := range p.weights {
 		add(t, "cosimd_phase_"+phaseQueueWait+"_micros_tenant_"+sanitizeTenant(t))
 	}
 	return out

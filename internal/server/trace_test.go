@@ -33,7 +33,8 @@ func TestRequestTraceReconciles(t *testing.T) {
 	}
 	defer man.Close()
 	reg := telemetry.NewRegistry()
-	s, ts := testServer(t, Config{Workers: 1, Registry: reg, Manifest: man})
+	s, ts := testServer(t, Config{Workers: 1, Registry: reg, Manifest: man,
+		TenantWeights: map[string]int{"tracer": 1}})
 
 	st := await(t, ts, submit(t, ts, "tracer", tinySpecJSON(31, 1<<18, 1<<19)).ID)
 	if st.State != StateDone {

@@ -15,63 +15,25 @@
 //     *Histogram, *Span, *Sink, *Progress) is nil-safe: a nil receiver
 //     is a no-op, so instrumented code pays one predictable branch when
 //     telemetry is off. A nil *Registry hands out nil handles.
-//   - Enabled is lock-free on the write path. Counters stripe their
-//     value across per-goroutine-affine cache-line-padded atomic cells
-//     and merge on read, so concurrent writers (the batched bus's
-//     per-snooper workers, the parallel exhibit runners) never contend
-//     on one cache line.
+//   - Enabled is lock-free on the write path: a counter is one atomic
+//     word.
 //   - Hot loops stay untouched. Instrumented packages push counter
 //     deltas at natural batch boundaries (a DEX slice, a bus batch, a
-//     CB sample), never per memory reference.
+//     CB sample, a request), never per memory reference, so no counter
+//     is written often enough for its one cache line to be contended.
 package telemetry
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
-
-// shardCount is the number of striped cells per counter: the smallest
-// power of two covering GOMAXPROCS at package init, capped so huge
-// hosts do not bloat every counter.
-var shardCount = func() uint32 {
-	n := runtime.GOMAXPROCS(0)
-	c := uint32(1)
-	for c < uint32(n) {
-		c <<= 1
-	}
-	if c > 64 {
-		c = 64
-	}
-	return c
-}()
-
-// cell is one padded counter stripe. The padding keeps two stripes from
-// sharing a cache line, which would re-serialize concurrent writers.
-type cell struct {
-	n atomic.Uint64
-	_ [56]byte
-}
-
-// shardHint returns a cheap goroutine-affine stripe index: goroutine
-// stacks live in distinct address regions, so hashing the address of a
-// stack local spreads goroutines across stripes without any runtime
-// support or goroutine-local storage. Any index is correct — the hint
-// only shapes contention, never the merged value.
-func shardHint() uint32 {
-	var b byte
-	p := uintptr(unsafe.Pointer(&b))
-	return uint32((uint64(p>>10) * 0x9E3779B97F4A7C15) >> 33)
-}
 
 // Counter is a monotonically increasing metric. The zero of a nil
 // pointer is a no-op handle.
 type Counter struct {
-	name  string
-	cells []cell
-	mask  uint32
+	name string
+	n    atomic.Uint64
 }
 
 // Add increments the counter by n.
@@ -79,22 +41,18 @@ func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.cells[shardHint()&c.mask].n.Add(n)
+	c.n.Add(n)
 }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value merges the stripes into the current total.
+// Value returns the current total.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	var total uint64
-	for i := range c.cells {
-		total += c.cells[i].n.Load()
-	}
-	return total
+	return c.n.Load()
 }
 
 // Name returns the registered name ("" for a nil handle).
@@ -142,7 +100,7 @@ const histBuckets = 65
 
 // Histogram is a power-of-two-bucketed distribution (batch occupancy,
 // queue depth). Observations are low-frequency (per batch, not per
-// event), so buckets are plain atomics without striping.
+// event), so buckets are plain atomics, as a counter is.
 type Histogram struct {
 	name    string
 	count   atomic.Uint64
@@ -272,7 +230,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name, cells: make([]cell, shardCount), mask: shardCount - 1}
+	c := &Counter{name: name}
 	r.counters[name] = c
 	return c
 }
@@ -314,9 +272,9 @@ type Snapshot struct {
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot merges every metric. Counter totals are a sum of stripes
-// read without a global barrier: each read is atomic, so a snapshot
-// taken mid-run is approximately-now and never torn within a stripe.
+// Snapshot reads every metric. The reads are atomic but not taken
+// under a global barrier, so a snapshot taken mid-run is
+// approximately-now and never torn within one metric.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}

@@ -70,8 +70,7 @@ func TestNilHandlesAreFree(t *testing.T) {
 	}
 }
 
-// The counter's merged total must be exact under concurrent writers —
-// the stripes only shape contention.
+// The counter's total must be exact under concurrent writers.
 func TestCounterConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("concurrent_total")
@@ -304,12 +303,13 @@ func BenchmarkCounterEnabled(b *testing.B) {
 		c.Add(1)
 	}
 	if c.Value() != uint64(b.N) {
-		b.Fatal("merged total wrong")
+		b.Fatal("total wrong")
 	}
 }
 
-// BenchmarkCounterParallel measures contention across goroutines — the
-// case the striping exists for.
+// BenchmarkCounterParallel measures the worst case of one word shared
+// by every goroutine writing in a tight loop, which no instrumented
+// package does: they write once per batch.
 func BenchmarkCounterParallel(b *testing.B) {
 	c := NewRegistry().Counter("par")
 	b.ReportAllocs()

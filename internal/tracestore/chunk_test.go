@@ -88,7 +88,7 @@ func TestSpillRevivalAllocations(t *testing.T) {
 	tr, refs := bigTrace(t)
 	dir := t.TempDir()
 	s := New(0, dir)
-	if _, err := s.Do(key(1), func() (*Trace, error) { return tr, nil }); err != nil {
+	if _, _, err := s.DoOutcome(key(1), func() (*Trace, error) { return tr, nil }); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(s.spillPath(key(1)))
@@ -169,7 +169,7 @@ func TestDoPanicReleasesKey(t *testing.T) {
 	leader := make(chan any, 1)
 	go func() {
 		defer func() { leader <- recover() }()
-		s.Do(key(3), func() (*Trace, error) {
+		s.DoOutcome(key(3), func() (*Trace, error) {
 			close(entered)
 			<-release
 			panic("emulator fail-loud")

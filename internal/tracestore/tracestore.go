@@ -252,9 +252,8 @@ func (r *Recorder) Finish(sum Summary) (*Trace, error) {
 // comfortable beside the workloads' own datasets.
 const DefaultMaxBytes = 1 << 30
 
-// Stats reports store effectiveness. The JSON form feeds the cosimd
-// status endpoint and cosimload's dedupe-ratio report, which read the
-// store directly instead of scraping the Prometheus text surface.
+// Stats reports store effectiveness. The JSON form is the trace_store
+// record of cosimd's /v1/statusz.
 type Stats struct {
 	// Hits served from memory; DiskHits served by decoding a spill
 	// file; Misses executed the workload.
@@ -273,10 +272,6 @@ type Stats struct {
 	Entries int    `json:"entries"`
 	Bytes   uint64 `json:"resident_bytes"`
 }
-
-// Executions reports how many times the store actually ran a workload
-// (cold misses), the denominator of any dedupe-ratio calculation.
-func (s Stats) Executions() uint64 { return s.Misses }
 
 // FS abstracts the spill directory's filesystem operations so the
 // verification layer can inject I/O faults (verify.FaultFS). The
@@ -407,9 +402,8 @@ func (s *Store) spillFS() FS {
 // Stats returns a point-in-time reading of the store counters:
 // hits, disk hits, misses (= workload executions), single-flight waits,
 // evictions, and current residency. It is the programmatic equivalent
-// of the tracestore_* Prometheus series, for callers — the cosimd
-// status endpoint, cosimload's dedupe report — that want real numbers
-// without scraping text.
+// of the tracestore_* Prometheus series, for callers such as the cosimd
+// status endpoint that want real numbers without scraping text.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -419,7 +413,7 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Outcome classifies how one Do/DoOutcome call was satisfied. Request
+// Outcome classifies how one DoOutcome call was satisfied. Request
 // tracing annotates the store span with it, so a slow request can say
 // "blocked behind another tenant's capture" versus "executed fresh".
 type Outcome uint8
@@ -449,17 +443,12 @@ func (o Outcome) String() string {
 	}
 }
 
-// Do returns the stream for k, computing it with execute exactly once
-// per key: concurrent callers for the same key wait for the first
+// DoOutcome returns the stream for k, computing it with execute exactly
+// once per key: concurrent callers for the same key wait for the first
 // execution instead of re-running the workload. The returned Trace is
 // shared and immutable; each replay obtains its own cursor via Player.
-func (s *Store) Do(k Key, execute func() (*Trace, error)) (*Trace, error) {
-	tr, _, err := s.DoOutcome(k, execute)
-	return tr, err
-}
-
-// DoOutcome is Do plus the classification of how the call was served —
-// memory hit, single-flight wait, disk revival, or fresh execution.
+// The Outcome says how the call was served — memory hit, single-flight
+// wait, disk revival, or fresh execution.
 //
 // A failed or panicking execution is not shared: its waiters look the
 // key up again, since the leader's capture may have failed for its own

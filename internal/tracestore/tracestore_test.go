@@ -68,11 +68,11 @@ func TestDoMemoizes(t *testing.T) {
 		atomic.AddInt32(&calls, 1)
 		return fakeTrace(1, 100), nil
 	}
-	a, err := s.Do(key(1), exec)
+	a, _, err := s.DoOutcome(key(1), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Do(key(1), exec)
+	b, _, err := s.DoOutcome(key(1), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDoMemoizes(t *testing.T) {
 		t.Errorf("execute ran %d times, want 1", calls)
 	}
 	if a != b {
-		t.Error("second Do returned a different Trace pointer")
+		t.Error("second DoOutcome returned a different Trace pointer")
 	}
 	st := s.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
@@ -98,7 +98,7 @@ func TestDoSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			tr, err := s.Do(key(7), func() (*Trace, error) {
+			tr, _, err := s.DoOutcome(key(7), func() (*Trace, error) {
 				atomic.AddInt32(&calls, 1)
 				return fakeTrace(7, 1000), nil
 			})
@@ -117,11 +117,11 @@ func TestDoSingleFlight(t *testing.T) {
 func TestDoPropagatesError(t *testing.T) {
 	s := New(0, "")
 	boom := errors.New("boom")
-	if _, err := s.Do(key(2), func() (*Trace, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := s.DoOutcome(key(2), func() (*Trace, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want boom", err)
 	}
-	// Errors are not memoized: the next Do retries.
-	tr, err := s.Do(key(2), func() (*Trace, error) { return fakeTrace(2, 10), nil })
+	// Errors are not memoized: the next DoOutcome retries.
+	tr, _, err := s.DoOutcome(key(2), func() (*Trace, error) { return fakeTrace(2, 10), nil })
 	if err != nil || tr == nil {
 		t.Fatalf("retry after error failed: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestLRUEviction(t *testing.T) {
 	s := New(budget, "")
 	for n := 0; n < 4; n++ {
 		n := n
-		if _, err := s.Do(key(n), func() (*Trace, error) { return fakeTrace(n, 100), nil }); err != nil {
+		if _, _, err := s.DoOutcome(key(n), func() (*Trace, error) { return fakeTrace(n, 100), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// Most recent key must still be resident.
 	var calls int32
-	if _, err := s.Do(key(3), func() (*Trace, error) {
+	if _, _, err := s.DoOutcome(key(3), func() (*Trace, error) {
 		atomic.AddInt32(&calls, 1)
 		return fakeTrace(3, 100), nil
 	}); err != nil {
@@ -163,7 +163,7 @@ func TestDiskSpillRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s1 := New(0, dir)
 	want := fakeTrace(5, 500)
-	if _, err := s1.Do(key(5), func() (*Trace, error) { return want, nil }); err != nil {
+	if _, _, err := s1.DoOutcome(key(5), func() (*Trace, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.ctrace"))
@@ -174,7 +174,7 @@ func TestDiskSpillRoundTrip(t *testing.T) {
 	// A fresh store (fresh process, conceptually) must load from disk
 	// without executing.
 	s2 := New(0, dir)
-	got, err := s2.Do(key(5), func() (*Trace, error) {
+	got, _, err := s2.DoOutcome(key(5), func() (*Trace, error) {
 		t.Error("execute ran despite a valid spill file")
 		return fakeTrace(5, 500), nil
 	})
@@ -214,7 +214,7 @@ func TestCorruptSpillRecomputes(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		s := New(0, dir)
-		if _, err := s.Do(key(9), func() (*Trace, error) { return fakeTrace(9, 50), nil }); err != nil {
+		if _, _, err := s.DoOutcome(key(9), func() (*Trace, error) { return fakeTrace(9, 50), nil }); err != nil {
 			t.Fatal(err)
 		}
 		files, _ := filepath.Glob(filepath.Join(dir, "*.ctrace"))
@@ -289,7 +289,7 @@ func TestEvictionUnderSingleFlightRace(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				n := (g + r) % keys
-				tr, err := s.Do(key(n), func() (*Trace, error) {
+				tr, _, err := s.DoOutcome(key(n), func() (*Trace, error) {
 					execs[n].Add(1)
 					return want[n], nil
 				})
@@ -330,9 +330,9 @@ func TestEvictionUnderSingleFlightRace(t *testing.T) {
 		}
 		total += e
 	}
-	// Executions == misses (no spill dir: every eviction is a full loss),
-	// and every Do call is accounted as exactly one hit or miss (waiters
-	// coalesced into the winner's stat).
+	// Misses == executions (no spill dir: every eviction is a full loss),
+	// and every DoOutcome call is accounted as exactly one hit or miss
+	// (waiters coalesced into the winner's stat).
 	if total != st.Misses {
 		t.Errorf("%d executions != %d misses", total, st.Misses)
 	}

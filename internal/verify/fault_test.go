@@ -66,7 +66,7 @@ func TestSpillRoundTripThroughFaultFS(t *testing.T) {
 	execs := 0
 	s1 := tracestore.New(0, "spill")
 	s1.SetFS(ffs)
-	if _, err := s1.Do(storeKey, executeCounter(tr, &execs)); err != nil {
+	if _, _, err := s1.DoOutcome(storeKey, executeCounter(tr, &execs)); err != nil {
 		t.Fatal(err)
 	}
 	if execs != 1 {
@@ -79,7 +79,7 @@ func TestSpillRoundTripThroughFaultFS(t *testing.T) {
 	// A fresh store sharing the filesystem must hit disk, not execute.
 	s2 := tracestore.New(0, "spill")
 	s2.SetFS(ffs)
-	got, err := s2.Do(storeKey, executeCounter(tr, &execs))
+	got, _, err := s2.DoOutcome(storeKey, executeCounter(tr, &execs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,9 @@ func TestSpillRoundTripThroughFaultFS(t *testing.T) {
 }
 
 // TestSpillWriteFaultsDegradeGracefully checks that every write-side
-// fault leaves the store fully functional: Do succeeds, the result is
-// correct, and the only cost is that the next process re-executes.
+// fault leaves the store fully functional: DoOutcome succeeds, the
+// result is correct, and the only cost is that the next process
+// re-executes.
 func TestSpillWriteFaultsDegradeGracefully(t *testing.T) {
 	tr := makeTrace(t, 200)
 	wantSum, _ := digestTrace(t, tr)
@@ -118,9 +119,9 @@ func TestSpillWriteFaultsDegradeGracefully(t *testing.T) {
 			execs := 0
 			s := tracestore.New(0, "spill")
 			s.SetFS(ffs)
-			got, err := s.Do(storeKey, executeCounter(tr, &execs))
+			got, _, err := s.DoOutcome(storeKey, executeCounter(tr, &execs))
 			if err != nil {
-				t.Fatalf("write fault leaked into Do: %v", err)
+				t.Fatalf("write fault leaked into DoOutcome: %v", err)
 			}
 			if gotSum, _ := digestTrace(t, got); gotSum != wantSum {
 				t.Fatalf("write fault corrupted the returned stream")
@@ -132,7 +133,7 @@ func TestSpillWriteFaultsDegradeGracefully(t *testing.T) {
 			execs2 := 0
 			s2 := tracestore.New(0, "spill")
 			s2.SetFS(ffs)
-			if _, err := s2.Do(storeKey, executeCounter(tr, &execs2)); err != nil {
+			if _, _, err := s2.DoOutcome(storeKey, executeCounter(tr, &execs2)); err != nil {
 				t.Fatal(err)
 			}
 			if execs2 != 1 {
@@ -155,7 +156,7 @@ func TestSpillReadFaultsDegradeGracefully(t *testing.T) {
 	s0 := tracestore.New(0, "spill")
 	s0.SetFS(seed)
 	execs0 := 0
-	if _, err := s0.Do(storeKey, executeCounter(tr, &execs0)); err != nil {
+	if _, _, err := s0.DoOutcome(storeKey, executeCounter(tr, &execs0)); err != nil {
 		t.Fatal(err)
 	}
 	files := seed.Files()
@@ -169,7 +170,7 @@ func TestSpillReadFaultsDegradeGracefully(t *testing.T) {
 		execs := 0
 		s := tracestore.New(0, "spill")
 		s.SetFS(ffs)
-		if _, err := s.Do(storeKey, executeCounter(tr, &execs)); err != nil {
+		if _, _, err := s.DoOutcome(storeKey, executeCounter(tr, &execs)); err != nil {
 			t.Fatal(err)
 		}
 		if execs != 1 {
@@ -231,9 +232,9 @@ func TestSpillReadFaultsDegradeGracefully(t *testing.T) {
 		execs := 0
 		s := tracestore.New(0, "spill")
 		s.SetFS(ffs)
-		got, err := s.Do(storeKey, executeCounter(tr, &execs))
+		got, _, err := s.DoOutcome(storeKey, executeCounter(tr, &execs))
 		if err != nil {
-			t.Fatalf("offset %d: corruption leaked into Do: %v", off, err)
+			t.Fatalf("offset %d: corruption leaked into DoOutcome: %v", off, err)
 		}
 		if execs != 1 {
 			t.Fatalf("offset %d: corrupted spill replayed instead of re-executing", off)
