@@ -80,23 +80,52 @@ func TestGoldenFig8(t *testing.T) {
 
 // TestGoldenCacheSweepPlanner proves the sweep planner byte-matches an
 // emulation-authored fixture: with -update the Figure 4 series is
-// regenerated through the legacy per-config emulation path, while the
-// regular run produces it through the analytic planner — so the
-// comparison is planner output vs checked-in emulated output, exact to
-// the JSON byte.
+// regenerated through the emulators, while the regular run produces it
+// both ways — emulated, which pins the Dragonhead's own numbers, and
+// through the analytic planner — so each is compared against checked-in
+// emulated output, exact to the JSON byte.
 func TestGoldenCacheSweepPlanner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs are slow")
 	}
-	engine := EngineAuto
+	engines := []Engine{EngineEmulate, EngineAuto}
 	if *update {
-		engine = EngineEmulate
+		engines = engines[:1]
 	}
-	series, err := CacheSweep(nil, goldenParams(), 8, WithEngine(engine))
+	for _, engine := range engines {
+		series, err := CacheSweep(nil, goldenParams(), 8, WithEngine(engine))
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldenCompare(t, "cachesweep_scmp.json", series)
+	}
+}
+
+// TestGoldenLineSweep pins Figure 7, which no analytic engine answers:
+// every line size but the modal 64 B is emulated, on banks clamped to
+// the set count at the largest lines.
+func TestGoldenLineSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden runs are slow")
+	}
+	series, err := LineSweep(nil, goldenParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenCompare(t, "cachesweep_scmp.json", series)
+	goldenCompare(t, "linesweep.json", series)
+}
+
+// TestGoldenLLCOrg pins the shared-vs-private study: one shared
+// Dragonhead routed by address and one private one routed by core.
+func TestGoldenLLCOrg(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden runs are slow")
+	}
+	rows, err := SharedVsPrivate(nil, goldenParams(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, "llcorg.json", rows)
 }
 
 // TestGoldenPlannerNeutralExhibits re-runs the hierarchy-based golden
