@@ -232,6 +232,10 @@ type Cache struct {
 	// hit has no flag side effects (nothing to clear, nothing to
 	// dirty), so the fast path skips the flags array read entirely.
 	pfLive int
+	// runN/runLoads are AccessBanked's deferred hit-side tallies: the
+	// accesses and loads this bank took in the current core's run. Zero
+	// outside a call.
+	runN, runLoads uint64
 
 	tags    []uint64 // nsets*assoc block numbers (invalidTag = empty)
 	flags   []uint8  // nsets*assoc flagDirty|flagPF bits
@@ -365,19 +369,20 @@ func (c *Cache) LineAddr(addr mem.Addr) mem.Addr {
 func (c *Cache) Access(addr mem.Addr, size uint8, kind mem.Kind, core uint8) int {
 	// One bound covers both off-ramps: a zero size wraps the end offset
 	// to 2^64-1, and a straddling reference pushes it past the line —
-	// either way accessSlow takes over (as it does for sectored caches).
+	// either way the per-unit route takes over (as it does for sectored
+	// caches).
 	endOff := uint64(addr)&(c.cfg.LineSize-1) + uint64(size) - 1
 	if c.sectors != nil || endOff >= c.cfg.LineSize {
-		return c.accessSlow(addr, size, kind, core)
+		return accessUnits([]*Cache{c}, addr, size, kind, core)
 	}
 	blk := uint64(addr) >> c.lineShift
 	// The overwhelmingly common case — an unsectored cache and a
 	// reference inside one line — runs here with no further calls:
 	// the same counters, replacement updates, and flag effects as
 	// touchLine with secBit 1, with the sector plumbing and the
-	// prefetch-attribution return compiled out. Touch and AccessBatch
-	// land here too, so the emulator's per-event cost is this body
-	// plus one call frame.
+	// prefetch-attribution return compiled out. Touch lands here too:
+	// the hierarchy's levels and the Dragonhead's per-event route
+	// (OnRef, the private organisation) pay this body plus one frame.
 	set := blk & c.setMask
 	base := int(set) * c.assoc
 	st := &c.stats
@@ -437,22 +442,28 @@ func (c *Cache) Access(addr mem.Addr, size uint8, kind mem.Kind, core uint8) int
 	return 1
 }
 
-// accessSlow handles sectored caches, straddling references, and the
-// zero-size clamp — everything off the Access fast path.
-func (c *Cache) accessSlow(addr mem.Addr, size uint8, kind mem.Kind, core uint8) int {
+// accessUnits is the per-unit route for sectored caches, straddling
+// references, and the zero-size clamp — everything off the fast paths.
+// It splits the reference into units (sectors when sectored, else
+// lines) and touches each in its bank of the address-interleaved banks
+// (see AccessBanked), with the bank bits stripped from the block number.
+func accessUnits(banks []*Cache, addr mem.Addr, size uint8, kind mem.Kind, core uint8) int {
 	// A zero-size reference still probes one byte: without the clamp,
 	// addr+size-1 underflows and either skips the access entirely or
 	// (at addr 0) walks the whole address space.
 	if size == 0 {
 		size = 1
 	}
-	first := uint64(addr) >> c.sectorShift
-	last := (uint64(addr) + uint64(size) - 1) >> c.sectorShift
+	c0 := banks[0]
+	bankMask := uint64(len(banks) - 1)
+	bankShift := uint(bits.TrailingZeros(uint(len(banks))))
+	first := uint64(addr) >> c0.sectorShift
+	last := (uint64(addr) + uint64(size) - 1) >> c0.sectorShift
 	misses := 0
 	for s := first; s <= last; s++ {
-		blk := s >> (c.lineShift - c.sectorShift)
-		secBit := uint64(1) << (s & (c.secPerLine - 1))
-		if miss, _ := c.touchLine(blk, secBit, kind, core); miss {
+		blk := s >> (c0.lineShift - c0.sectorShift)
+		secBit := uint64(1) << (s & (c0.secPerLine - 1))
+		if miss, _ := banks[blk&bankMask].touchLine(blk>>bankShift, secBit, kind, core); miss {
 			misses++
 		}
 	}
@@ -490,59 +501,73 @@ func (c *Cache) AccessRef(r trace.Ref) int {
 }
 
 // AccessBatch applies a batch of references in order and returns the
-// total misses incurred. It is the data-oriented hot-path entry point:
-// the replay engine decodes 64 refs at a time from the v2 stream
-// (trace.StreamPlayer.NextBatch) and applies them here. Final
-// statistics are identical to calling AccessRef per element — but
-// because no observer can read Stats mid-call, the access/load/store
-// and per-core counters accumulate in registers across the batch
-// (per-core as run-lengths, exploiting that the DEX scheduler emits
-// long single-core runs) instead of paying three read-modify-write
-// dependency chains through memory per reference.
+// total misses incurred: AccessBanked over this one cache. Final
+// statistics are identical to calling AccessRef per element.
 func (c *Cache) AccessBatch(refs []trace.Ref) int {
+	return AccessBanked([]*Cache{c}, refs)
+}
+
+// AccessBanked applies a stretch of references, in order, to an
+// address-interleaved set of caches and returns the misses incurred.
+// len(banks) is a power of two n and the banks are built from one
+// Config, names aside: bank b holds the lines whose block number is
+// b mod n and sees the block number with those bits stripped
+// (block >> log2 n) — the Dragonhead's CC interleave, and with one bank
+// the cache itself.
+// The result is exactly that of splitting every reference into units
+// (lines, or sectors when sectored), stripping the bank bits and
+// touching each unit's bank in arrival order: each bank's Stats,
+// contents and Random stream.
+//
+// The kernel walks the stretch once and routes each reference to its
+// bank inside the loop. Because no observer can read Stats mid-call,
+// the hit-side counters (accesses, loads/stores, per-core accesses)
+// are tallied per bank as a run of the current core and flushed at a
+// core switch and at return — the DEX scheduler emits long single-core
+// runs — instead of paying three read-modify-write chains through
+// Stats per reference. Straddlers, zero sizes, sectored lines and
+// associativities above 64 take the per-unit route (accessUnits),
+// which does its own exact accounting outside the tallies.
+func AccessBanked(banks []*Cache, refs []trace.Ref) int {
+	c0 := banks[0]
 	misses := 0
-	if !c.rankPath || c.sectors != nil {
+	if c0.sectors != nil || !c0.rankPath {
 		for i := range refs {
-			misses += c.Access(refs[i].Addr, refs[i].Size, refs[i].Kind, refs[i].Core)
+			misses += accessUnits(banks, refs[i].Addr, refs[i].Size, refs[i].Kind, refs[i].Core)
 		}
 		return misses
 	}
-	st := &c.stats
-	lineSize := c.cfg.LineSize
-	var nAcc, nLoad, pcN uint64
-	var pcCore uint8
+	lineSize, lineShift := c0.cfg.LineSize, c0.lineShift
+	bankMask := uint64(len(banks) - 1)
+	bankShift := uint(bits.TrailingZeros(uint(len(banks))))
+	core := uint8(0) // every bank's pending run belongs to this core
+next:
 	for i := range refs {
 		r := &refs[i]
-		endOff := uint64(r.Addr)&(lineSize-1) + uint64(r.Size) - 1
-		if endOff >= lineSize {
-			// Straddler or zero size: the slow path does its own exact
-			// accounting, so this ref stays out of the deferred tallies.
-			misses += c.accessSlow(r.Addr, r.Size, r.Kind, r.Core)
+		if uint64(r.Addr)&(lineSize-1)+uint64(r.Size)-1 >= lineSize {
+			misses += accessUnits(banks, r.Addr, r.Size, r.Kind, r.Core)
 			continue
 		}
-		nAcc++
+		if r.Core != core {
+			flushRuns(banks, core)
+			core = r.Core
+		}
+		line := uint64(r.Addr) >> lineShift
+		c := banks[line&bankMask]
+		blk := line >> bankShift
+		c.runN++
 		if r.Kind == mem.Load {
-			nLoad++
+			c.runLoads++
 		}
-		if r.Core != pcCore {
-			st.PerCoreAccesses[pcCore] += pcN
-			pcCore = r.Core
-			pcN = 0
-		}
-		pcN++
-		blk := uint64(r.Addr) >> c.lineShift
 		set := blk & c.setMask
 		if c.mruTag[set] == blk {
-			if r.Kind == mem.Load && c.pfLive == 0 {
-				continue
+			if r.Kind != mem.Load || c.pfLive != 0 {
+				c.hitFlags(int(set)*c.assoc+int(c.mru[set]), r.Kind)
 			}
-			c.hitFlags(int(set)*c.assoc+int(c.mru[set]), r.Kind)
 			continue
 		}
 		base := int(set) * c.assoc
-		tags := c.tags[base : base+c.assoc]
-		hit := false
-		for w, t := range tags {
+		for w, t := range c.tags[base : base+c.assoc] {
 			if t != blk {
 				continue
 			}
@@ -554,28 +579,30 @@ func (c *Cache) AccessBatch(refs []trace.Ref) int {
 			if r.Kind != mem.Load || c.pfLive != 0 {
 				c.hitFlags(base+w, r.Kind)
 			}
-			hit = true
-			break
-		}
-		if hit {
-			continue
+			continue next
 		}
 		// Miss-side counters are rare enough to stay direct.
-		st.Misses++
-		st.PerCoreMisses[r.Core]++
-		if r.Kind == mem.Load {
-			st.LoadMisses++
-		}
-		st.SectorFetches++
-		st.TrafficBytes += lineSize
+		c.missAccounting(r.Kind, r.Core)
+		c.stats.SectorFetches++
+		c.stats.TrafficBytes += lineSize
 		c.insert(int(set), base, blk, r.Kind == mem.Store, false, 1)
 		misses++
 	}
-	st.Accesses += nAcc
-	st.Loads += nLoad
-	st.Stores += nAcc - nLoad
-	st.PerCoreAccesses[pcCore] += pcN
+	flushRuns(banks, core)
 	return misses
+}
+
+// flushRuns moves every bank's pending run, which core issued, into its
+// Stats.
+func flushRuns(banks []*Cache, core uint8) {
+	for _, c := range banks {
+		st := &c.stats
+		st.Accesses += c.runN
+		st.PerCoreAccesses[core] += c.runN
+		st.Loads += c.runLoads
+		st.Stores += c.runN - c.runLoads
+		c.runN, c.runLoads = 0, 0
+	}
 }
 
 // Touch performs a line-granular access (used by prefetchers and by

@@ -66,6 +66,8 @@ var batchSubjects = []batchSubject{
 	emulatorSubject("emulator/sharded", dragonhead.Config{LLC: cache.Config{Name: "h", Size: 16 << 10, LineSize: 64, Assoc: 4}, Banks: 4, Shards: 2}),
 	emulatorSubject("emulator/one-bank", dragonhead.Config{LLC: cache.Config{Name: "1", Size: 8 << 10, LineSize: 256, Assoc: 4}, Banks: 1}),
 	emulatorSubject("emulator/one-bank-sectored", dragonhead.Config{LLC: cache.Config{Name: "1x", Size: 8 << 10, LineSize: 256, Assoc: 2, SectorSize: 64, Repl: cache.FIFO}, Banks: 1}),
+	emulatorSubject("emulator/eight-bank-fifo", dragonhead.Config{LLC: cache.Config{Name: "8f", Size: 16 << 10, LineSize: 64, Assoc: 4, Repl: cache.FIFO}, Banks: 8}),
+	emulatorSubject("emulator/one-bank-fully-assoc", dragonhead.Config{LLC: cache.Config{Name: "1a", Size: 8 << 10, LineSize: 64, Assoc: 0}, Banks: 1}),
 	{"engine", func(t *testing.T) (fsb.BatchSnooper, func() any) {
 		eng, err := oracle.New(64)
 		if err != nil {

@@ -314,9 +314,13 @@ func (e *Emulator) OnRef(r trace.Ref) {
 }
 
 // OnBatch implements fsb.BatchSnooper: the AF stage for a run of bus
-// events, one pass and no call through an interface.
+// events, one pass and no call through an interface. A shared,
+// unsharded emulator hands each in-window stretch up to the next
+// message to cache.AccessBanked, which regulates and routes it to the
+// CC banks in one loop; the private and sharded organisations regulate
+// event by event.
 func (e *Emulator) OnBatch(batch []trace.Ref) {
-	direct := len(e.banks) == 1 && e.nshards == 1
+	banked := e.cfg.PrivatePerCore == 0 && e.nshards == 1
 	for i := 0; i < len(batch); i++ {
 		r := batch[i]
 		if m, ok := fsb.DecodeMessage(r); ok {
@@ -326,24 +330,15 @@ func (e *Emulator) OnBatch(batch []trace.Ref) {
 		switch {
 		case !e.window:
 			e.ignored++
-		case direct:
-			// One bank sees whole addresses: the cache's own line and
-			// sector split regulates the stretch up to the next message.
+		case banked:
 			j := i + 1
 			for j < len(batch) && !fsb.IsMessage(batch[j]) {
 				j++
 			}
-			e.banks[0].AccessBatch(batch[i:j])
+			cache.AccessBanked(e.banks, batch[i:j])
 			i = j - 1
 		default:
-			// Nearly every transaction lies inside one unit: it is its
-			// own regulated request.
-			a, n := uint64(r.Addr), uint64(r.Size)
-			if e.nshards == 1 && n != 0 && (a^(a+n-1))&^e.unitMask == 0 {
-				e.lookup(a, r.Kind, r.Core)
-			} else {
-				e.regulate(r)
-			}
+			e.regulate(r)
 		}
 	}
 }
@@ -377,7 +372,9 @@ func (e *Emulator) regulate(r trace.Ref) {
 // In the shared organization, bank select uses the low line-number bits
 // and the bank sees the address with those bits stripped, so the union
 // of bank set spaces equals the monolithic mapping exactly. In the
-// private organization, requests route by issuing core.
+// private organization, requests route by issuing core. With regulate it
+// is the per-unit route of OnRef, the private and sharded organisations,
+// and the reference cache.AccessBanked is held to.
 func (e *Emulator) lookup(a uint64, kind mem.Kind, core uint8) {
 	if e.cfg.PrivatePerCore > 0 {
 		e.banks[int(core)%len(e.banks)].Touch(mem.Addr(a), kind, core)
