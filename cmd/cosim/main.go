@@ -32,6 +32,12 @@
 //	                      render the span trees of a manifest stream
 //	                      (see trace.go)
 //
+// Several subcommands may follow one another. Their exhibits run
+// together (core.RunExhibits): each (workload, platform) executes once
+// for all of them, so `cosim all` runs 32 guest executions — 8
+// workloads on 1, 8, 16 and 32 cores — and the results print in
+// command order.
+//
 // Flags:
 //
 //	-scale f    footprint scale relative to the paper (default 1/16)
@@ -47,12 +53,10 @@
 //	-shards n   bank shards per emulator for intra-run parallel emulation
 //	            (1 = serial, the default, as in cosimd; 0 = one per CPU
 //	            up to the bank count; results are bit-identical)
-//	-replay     memoize each workload's captured bus-event stream and
-//	            replay it across exhibits (default false; implied by
-//	            -trace-dir, -sampling and traceinfo; bit-identical results)
-//	-trace-dir  spill captured streams to this directory in the compact
-//	            v2 trace codec, so later invocations skip execution too
-//	            (implies -replay)
+//	-trace-dir  memoize captured streams and spill them to this
+//	            directory in the compact v2 trace codec, so later
+//	            invocations skip execution too (-sampling and traceinfo
+//	            memoize in memory by themselves; bit-identical results)
 //	-engine e   sweep execution engine: auto (default, as in cosimd:
 //	            compile each sweep into one analytic stack-distance pass
 //	            plus an emulation leg for configs the profile cannot
@@ -101,7 +105,6 @@ import (
 	"syscall"
 	"time"
 
-	"cmpmem/internal/cache"
 	"cmpmem/internal/core"
 	"cmpmem/internal/metrics"
 	"cmpmem/internal/report"
@@ -129,8 +132,7 @@ func run(args []string) error {
 	jobs := fs.Int("j", 0, "concurrent workload runs (0 = GOMAXPROCS, 1 = serial)")
 	batch := fs.Int("batch", 0, "bus events per delivered batch (0 = default 4096, the maximum)")
 	shards := fs.Int("shards", 1, "bank shards per emulator for intra-run parallel emulation (1 = serial; 0 = auto: one per CPU up to the bank count)")
-	replay := fs.Bool("replay", false, "execute each workload once and replay its bus stream across exhibits (implied by -trace-dir, -sampling and traceinfo)")
-	traceDir := fs.String("trace-dir", "", "spill captured bus streams to this directory (implies -replay)")
+	traceDir := fs.String("trace-dir", "", "memoize captured bus streams and spill them to this directory")
 	engineName := fs.String("engine", core.EngineAuto.String(), "sweep execution engine: auto|emulate|oracle")
 	samplingName := fs.String("sampling", core.SamplingOff.String(), "accuracy tier: off (exact) or fast (sampled estimates with confidence intervals)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run")
@@ -190,49 +192,58 @@ func run(args []string) error {
 	cmds := fs.Args()
 	// Re-executing the guest is cheaper than holding its stream: a store
 	// pays only where the stream is reused (several passes, or a spill).
-	if *replay || *traceDir != "" || samplingMode != core.SamplingOff || slices.Contains(cmds, "traceinfo") {
+	if *traceDir != "" || samplingMode != core.SamplingOff || slices.Contains(cmds, "traceinfo") {
 		opts = append(opts, core.WithTraceReuse(tracestore.New(0, *traceDir)))
 	}
 
 	if len(cmds) == 1 && cmds[0] == "all" {
 		cmds = []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8"}
 	}
-	for _, cmd := range cmds {
-		start := time.Now()
-		var err error
+	// Every subcommand declares the exhibits it needs and how it prints
+	// them; the exhibits of all of them run together, so a (workload,
+	// platform) executes once however many of them ask for it.
+	var exhibits []core.Exhibit
+	prints := make([]func() error, len(cmds))
+	for i, cmd := range cmds {
+		var ex []core.Exhibit
 		switch cmd {
 		case "table1":
-			err = table1(names, p)
+			prints[i] = func() error { return table1(names, p) }
 		case "table2":
-			err = table2(names, p, opts)
-		case "fig4":
-			err = figCache(names, p, 8, *csv, *svgDir, opts)
-		case "fig5":
-			err = figCache(names, p, 16, *csv, *svgDir, opts)
-		case "fig6":
-			err = figCache(names, p, 32, *csv, *svgDir, opts)
-		case "fig7":
-			err = fig7(names, p, *csv, *svgDir, opts)
+			ex, prints[i] = table2(names, p)
+		case "fig4", "fig5", "fig6", "fig7":
+			ex, prints[i] = mpkiFigure(names, p, cmd, *csv, *svgDir)
 		case "fig8":
-			err = fig8(names, p, opts)
+			ex, prints[i] = fig8(names, p)
 		case "proj128":
-			err = proj128(names, p, opts)
+			ex, prints[i] = proj128(names, p)
 		case "dramcache":
-			err = dramcache(names, p, opts)
+			ex, prints[i] = dramcache(names, p)
 		case "phases":
-			err = phases(names, p, *csv, opts)
+			ex, prints[i] = phases(names, p, *csv)
 		case "llcorg":
-			err = llcorg(names, p, opts)
+			ex, prints[i] = llcorg(names, p)
 		case "workingsets":
-			err = workingsets(names, p, opts)
+			ex, prints[i] = workingsets(names, p)
 		case "sweep":
-			err = sweepCmd(os.Stdout, *specPath, opts)
+			prints[i] = func() error { return sweepCmd(os.Stdout, *specPath, opts) }
 		case "traceinfo":
-			err = traceinfo(os.Stdout, names, p, *threads, *windows, *stackdist, opts)
+			prints[i] = func() error { return traceinfo(os.Stdout, names, p, *threads, *windows, *stackdist, opts) }
 		default:
-			err = fmt.Errorf("unknown subcommand %q", cmd)
+			return fmt.Errorf("unknown subcommand %q", cmd)
 		}
-		if err != nil {
+		exhibits = append(exhibits, ex...)
+	}
+	if len(exhibits) > 0 {
+		start := time.Now()
+		if err := core.RunExhibits(names, p, exhibits, opts...); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "[exhibits done in %v]\n", time.Since(start).Round(time.Millisecond))
+	}
+	for i, cmd := range cmds {
+		start := time.Now()
+		if err := prints[i](); err != nil {
 			return fmt.Errorf("%s: %w", cmd, err)
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
@@ -396,59 +407,54 @@ func table1(names []string, p workloads.Params) error {
 	return t.Render(os.Stdout)
 }
 
-func table2(names []string, p workloads.Params, opts []core.RunOption) error {
-	rows, err := core.Table2(names, p, opts...)
-	if err != nil {
-		return err
+// The exhibit subcommands below each return the exhibits they need run
+// and the function that prints their rows once those have run.
+
+func table2(names []string, p workloads.Params) ([]core.Exhibit, func() error) {
+	rows, ex := core.Table2Exhibits(names, p)
+	return ex, func() error {
+		t := &report.Table{
+			Title: "Table 2: Workload characteristics (single-threaded, P4-class hierarchy)",
+			Headers: []string{"Workloads", "IPC", "Inst Count (M)", "% Memory Inst",
+				"% Memory Read", "DL1 Acc/1k", "DL1 Miss/1k", "DL2 Miss/1k"},
+		}
+		for _, r := range rows {
+			t.AddRow(r.Workload,
+				fmt.Sprintf("%.2f", r.IPC),
+				fmt.Sprintf("%.1f", float64(r.Instructions)/1e6),
+				fmt.Sprintf("%.2f%%", r.PctMem),
+				fmt.Sprintf("%.2f%%", r.PctMemRead),
+				fmt.Sprintf("%.0f", r.DL1AccessPer1k),
+				fmt.Sprintf("%.2f", r.DL1MissPer1k),
+				fmt.Sprintf("%.2f", r.DL2MissPer1k))
+		}
+		return t.Render(os.Stdout)
 	}
-	t := &report.Table{
-		Title: "Table 2: Workload characteristics (single-threaded, P4-class hierarchy)",
-		Headers: []string{"Workloads", "IPC", "Inst Count (M)", "% Memory Inst",
-			"% Memory Read", "DL1 Acc/1k", "DL1 Miss/1k", "DL2 Miss/1k"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Workload,
-			fmt.Sprintf("%.2f", r.IPC),
-			fmt.Sprintf("%.1f", float64(r.Instructions)/1e6),
-			fmt.Sprintf("%.2f%%", r.PctMem),
-			fmt.Sprintf("%.2f%%", r.PctMemRead),
-			fmt.Sprintf("%.0f", r.DL1AccessPer1k),
-			fmt.Sprintf("%.2f", r.DL1MissPer1k),
-			fmt.Sprintf("%.2f", r.DL2MissPer1k))
-	}
-	return t.Render(os.Stdout)
 }
 
-func figCache(names []string, p workloads.Params, cores int, csv bool, svgDir string, opts []core.RunOption) error {
-	series, err := core.CacheSweep(names, p, cores, opts...)
-	if err != nil {
-		return err
+// mpkiFigure is Figures 4-7: LLC MPKI against cache size on 8, 16 or
+// 32 cores, or against line size, as an SVG file, CSV, or an ASCII plot
+// on stdout.
+func mpkiFigure(names []string, p workloads.Params, fig string, csv bool, svgDir string) ([]core.Exhibit, func() error) {
+	var series []metrics.Series
+	var ex []core.Exhibit
+	title, xLabel, column := "Figure 7: line size sensitivity on LCMP with 32MB LLC", "line size (bytes)", "line_bytes"
+	if cores, ok := map[string]int{"fig4": 8, "fig5": 16, "fig6": 32}[fig]; ok {
+		series, ex = core.CacheSweepExhibits(names, p, cores)
+		title = fmt.Sprintf("Figure %s: LLC misses per 1000 instructions on %d cores", fig[3:], cores)
+		xLabel, column = "cache size (paper-equivalent MB)", "cache_MB_paper_equiv"
+	} else {
+		series, ex = core.LineSweepExhibits(names, p)
 	}
-	figNo := map[int]int{8: 4, 16: 5, 32: 6}[cores]
-	title := fmt.Sprintf("Figure %d: LLC misses per 1000 instructions on %d cores", figNo, cores)
-	return renderMPKI(series, fmt.Sprintf("fig%d.svg", figNo), title,
-		"cache size (paper-equivalent MB)", "cache_MB_paper_equiv", csv, svgDir)
-}
-
-func fig7(names []string, p workloads.Params, csv bool, svgDir string, opts []core.RunOption) error {
-	series, err := core.LineSweep(names, p, opts...)
-	if err != nil {
-		return err
+	return ex, func() error {
+		if svgDir != "" {
+			return writeSVG(svgDir, fig+".svg", report.SVGOptions{Title: title, XLabel: xLabel, YLabel: "MPKI", LogX: true}, series)
+		}
+		if csv {
+			return report.CSV(os.Stdout, column, series)
+		}
+		return report.Plot(os.Stdout, title, xLabel, "MPKI", series, 16)
 	}
-	return renderMPKI(series, "fig7.svg", "Figure 7: line size sensitivity on LCMP with 32MB LLC",
-		"line size (bytes)", "line_bytes", csv, svgDir)
-}
-
-// renderMPKI writes one MPKI-vs-x figure: an SVG file, CSV, or an
-// ASCII plot on stdout.
-func renderMPKI(series []metrics.Series, file, title, xLabel, csvColumn string, csv bool, svgDir string) error {
-	if svgDir != "" {
-		return writeSVG(svgDir, file, report.SVGOptions{Title: title, XLabel: xLabel, YLabel: "MPKI", LogX: true}, series)
-	}
-	if csv {
-		return report.CSV(os.Stdout, csvColumn, series)
-	}
-	return report.Plot(os.Stdout, title, xLabel, "MPKI", series, 16)
 }
 
 // writeSVG renders one figure file and reports its path on stderr.
@@ -469,158 +475,149 @@ func writeSVG(dir, name string, opt report.SVGOptions, series []metrics.Series) 
 	return nil
 }
 
-func fig8(names []string, p workloads.Params, opts []core.RunOption) error {
-	rows, err := core.Fig8(names, p, opts...)
-	if err != nil {
-		return err
-	}
-	t := &report.Table{
-		Title:   "Figure 8: performance gain of hardware prefetch",
-		Headers: []string{"Workloads", "Serial gain", "16-thread gain"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Workload,
-			fmt.Sprintf("%+.1f%%", r.SerialGainPct),
-			fmt.Sprintf("%+.1f%%", r.ParallelGainPct))
-	}
-	return t.Render(os.Stdout)
-}
-
-func proj128(names []string, p workloads.Params, opts []core.RunOption) error {
-	rows, err := core.Projection128(names, p, 128, opts...)
-	if err != nil {
-		return err
-	}
-	t := &report.Table{
-		Title: "128-core projection: measured working sets (Section 4.3)",
-		Headers: []string{"Workloads", "Working set (paper-equiv)",
-			"Footprint (paper-equiv)", "Wants DRAM cache?"},
-	}
-	wants := 0
-	for _, r := range rows {
-		verdict := "no (small LLC suffices)"
-		if r.WantsDRAMCache {
-			verdict = "YES (working set > 32MB)"
-			wants++
-		}
-		t.AddRow(r.Workload,
-			fmt.Sprintf("%.0fMB", r.WorkingSetPaperMB),
-			fmt.Sprintf("%.0fMB", r.DistinctPaperMB),
-			verdict)
-	}
-	if err := t.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Printf("%d of %d workloads want a large DRAM cache at 128 cores (paper projected 5 of 8;\n"+
-		"the paper's count excluded MDS, whose 300MB-class matrix exceeds even the DRAM-cache\n"+
-		"capacities it considered — our criterion flags it too)\n",
-		wants, len(rows))
-	return nil
-}
-
-func dramcache(names []string, p workloads.Params, opts []core.RunOption) error {
-	rows, err := core.DRAMCacheStudy(names, p, 32, opts...)
-	if err != nil {
-		return err
-	}
-	t := &report.Table{
-		Title: "DRAM LLC study on LCMP (32 cores): cycle gain vs no LLC",
-		Headers: []string{"Workloads", "8MB SRAM LLC", "256MB DRAM LLC",
-			"DRAM LLC miss rate"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Workload,
-			fmt.Sprintf("%+.1f%%", r.GainSRAMPct),
-			fmt.Sprintf("%+.1f%%", r.GainDRAMPct),
-			fmt.Sprintf("%.1f%%", 100*r.L3MissRateDRAM))
-	}
-	return t.Render(os.Stdout)
-}
-
-func workingsets(names []string, p workloads.Params, opts []core.RunOption) error {
-	t := &report.Table{
-		Title: "Working sets by platform (stack distance, 0.5% miss-ratio knee, paper-equiv)",
-		Headers: []string{"Workloads", "SCMP (8c)", "MCMP (16c)", "LCMP (32c)",
-			"Category (Section 4.3)"},
-	}
-	cells := map[string][]string{}
-	for _, cores := range []int{8, 16, 32} {
-		rows, err := core.Projection128(names, p, cores, opts...)
-		if err != nil {
-			return err
+func fig8(names []string, p workloads.Params) ([]core.Exhibit, func() error) {
+	rows, ex := core.Fig8Exhibits(names, p)
+	return ex, func() error {
+		t := &report.Table{
+			Title:   "Figure 8: performance gain of hardware prefetch",
+			Headers: []string{"Workloads", "Serial gain", "16-thread gain"},
 		}
 		for _, r := range rows {
-			cells[r.Workload] = append(cells[r.Workload], fmt.Sprintf("%.0fMB", r.WorkingSetPaperMB))
+			t.AddRow(r.Workload,
+				fmt.Sprintf("%+.1f%%", r.SerialGainPct),
+				fmt.Sprintf("%+.1f%%", r.ParallelGainPct))
 		}
+		return t.Render(os.Stdout)
+	}
+}
+
+func proj128(names []string, p workloads.Params) ([]core.Exhibit, func() error) {
+	rows, ex := core.ProjectionExhibits(names, p, 128)
+	return ex, func() error {
+		t := &report.Table{
+			Title: "128-core projection: measured working sets (Section 4.3)",
+			Headers: []string{"Workloads", "Working set (paper-equiv)",
+				"Footprint (paper-equiv)", "Wants DRAM cache?"},
+		}
+		wants := 0
+		for _, r := range rows {
+			verdict := "no (small LLC suffices)"
+			if r.WantsDRAMCache {
+				verdict = "YES (working set > 32MB)"
+				wants++
+			}
+			t.AddRow(r.Workload,
+				fmt.Sprintf("%.0fMB", r.WorkingSetPaperMB),
+				fmt.Sprintf("%.0fMB", r.DistinctPaperMB),
+				verdict)
+		}
+		if err := t.Render(os.Stdout); err != nil {
+			return err
+		}
+		fmt.Printf("%d of %d workloads want a large DRAM cache at 128 cores (paper projected 5 of 8;\n"+
+			"the paper's count excluded MDS, whose 300MB-class matrix exceeds even the DRAM-cache\n"+
+			"capacities it considered — our criterion flags it too)\n",
+			wants, len(rows))
+		return nil
+	}
+}
+
+func dramcache(names []string, p workloads.Params) ([]core.Exhibit, func() error) {
+	rows, ex := core.DRAMCacheExhibits(names, p, 32)
+	return ex, func() error {
+		t := &report.Table{
+			Title: "DRAM LLC study on LCMP (32 cores): cycle gain vs no LLC",
+			Headers: []string{"Workloads", "8MB SRAM LLC", "256MB DRAM LLC",
+				"DRAM LLC miss rate"},
+		}
+		for _, r := range rows {
+			t.AddRow(r.Workload,
+				fmt.Sprintf("%+.1f%%", r.GainSRAMPct),
+				fmt.Sprintf("%+.1f%%", r.GainDRAMPct),
+				fmt.Sprintf("%.1f%%", 100*r.L3MissRateDRAM))
+		}
+		return t.Render(os.Stdout)
+	}
+}
+
+// workingsets is three rows of the working-set study, one per platform.
+func workingsets(names []string, p workloads.Params) ([]core.Exhibit, func() error) {
+	var exhibits []core.Exhibit
+	var platforms [][]core.ProjectionRow
+	for _, cores := range []int{8, 16, 32} {
+		rows, ex := core.ProjectionExhibits(names, p, cores)
+		platforms, exhibits = append(platforms, rows), append(exhibits, ex...)
 	}
 	categories := map[string]string{
 		"SNP": "shared", "SVM-RFE": "shared", "MDS": "shared", "PLSA": "shared",
 		"FIMI": "mixed", "RSEARCH": "mixed",
 		"SHOT": "private", "VIEWTYPE": "private",
 	}
-	for _, n := range names {
-		row := append([]string{n}, cells[n]...)
-		row = append(row, categories[n])
-		t.AddRow(row...)
+	return exhibits, func() error {
+		t := &report.Table{
+			Title: "Working sets by platform (stack distance, 0.5% miss-ratio knee, paper-equiv)",
+			Headers: []string{"Workloads", "SCMP (8c)", "MCMP (16c)", "LCMP (32c)",
+				"Category (Section 4.3)"},
+		}
+		for w, n := range names {
+			row := []string{n}
+			for _, rows := range platforms {
+				row = append(row, fmt.Sprintf("%.0fMB", rows[w].WorkingSetPaperMB))
+			}
+			t.AddRow(append(row, categories[n])...)
+		}
+		return t.Render(os.Stdout)
 	}
-	return t.Render(os.Stdout)
 }
 
-func llcorg(names []string, p workloads.Params, opts []core.RunOption) error {
-	rows, err := core.SharedVsPrivate(names, p, 8, 32, opts...)
-	if err != nil {
-		return err
-	}
-	t := &report.Table{
-		Title:   "LLC organization on SCMP (8 cores, 32MB paper-equiv total capacity)",
-		Headers: []string{"Workloads", "Shared MPKI", "Private MPKI", "Private/Shared"},
-	}
-	for _, r := range rows {
-		ratio := "-"
-		if r.SharedMPKI > 0 {
-			ratio = fmt.Sprintf("%.2fx", r.PrivateMPKI/r.SharedMPKI)
+func llcorg(names []string, p workloads.Params) ([]core.Exhibit, func() error) {
+	rows, ex := core.LLCOrgExhibits(names, p, 8, 32)
+	return ex, func() error {
+		t := &report.Table{
+			Title:   "LLC organization on SCMP (8 cores, 32MB paper-equiv total capacity)",
+			Headers: []string{"Workloads", "Shared MPKI", "Private MPKI", "Private/Shared"},
 		}
-		t.AddRow(r.Workload,
-			fmt.Sprintf("%.3f", r.SharedMPKI),
-			fmt.Sprintf("%.3f", r.PrivateMPKI),
-			ratio)
+		for _, r := range rows {
+			ratio := "-"
+			if r.SharedMPKI > 0 {
+				ratio = fmt.Sprintf("%.2fx", r.PrivateMPKI/r.SharedMPKI)
+			}
+			t.AddRow(r.Workload,
+				fmt.Sprintf("%.3f", r.SharedMPKI),
+				fmt.Sprintf("%.3f", r.PrivateMPKI),
+				ratio)
+		}
+		return t.Render(os.Stdout)
 	}
-	return t.Render(os.Stdout)
 }
 
-func phases(names []string, p workloads.Params, csv bool, opts []core.RunOption) error {
-	// One mid-size LLC; the CB samples give the miss-rate timeline.
-	cfgs := core.CacheSweepConfigs(p.Scale)
-	llc := cfgs[3] // the 32 MB paper-equivalent point
-	var series []metrics.Series
-	for _, name := range names {
-		results, _, err := core.LLCSweep(name, p,
-			core.PlatformConfig{Threads: 8, Seed: p.Seed},
-			[]cache.Config{llc}, opts...)
-		if err != nil {
-			return err
-		}
-		s := metrics.Series{Name: name}
+// phases is one row of its own: the 32 MB point of Figure 4's platform,
+// whose CB samples give each workload's miss-rate timeline.
+func phases(names []string, p workloads.Params, csv bool) ([]core.Exhibit, func() error) {
+	series := make([]metrics.Series, len(names))
+	ex := core.Exhibit{Threads: 8, LLCs: core.CacheSweepConfigs(p.Scale)[3:4], Row: func(w int, a core.Answer) {
+		series[w].Name = names[w]
 		var prev struct{ inst, misses uint64 }
-		for i, smp := range results[0].Samples {
+		for i, smp := range a.LLCs[0].Samples {
 			dInst := smp.Instructions - prev.inst
 			dMiss := smp.Misses - prev.misses
 			if dInst > 0 {
-				s.Add(float64(i), float64(dMiss)*1000/float64(dInst))
+				series[w].Add(float64(i), float64(dMiss)*1000/float64(dInst))
 			}
 			prev.inst, prev.misses = smp.Instructions, smp.Misses
 		}
-		series = append(series, s)
-	}
-	if csv {
-		return report.CSV(os.Stdout, "sample_500us", series)
-	}
-	for _, s := range series {
-		if err := report.Plot(os.Stdout,
-			fmt.Sprintf("%s: LLC MPKI per 500us sample (32MB paper-equiv LLC, 8 cores)", s.Name),
-			"sample", "interval MPKI", []metrics.Series{s}, 10); err != nil {
-			return err
+	}}
+	return []core.Exhibit{ex}, func() error {
+		if csv {
+			return report.CSV(os.Stdout, "sample_500us", series)
 		}
+		for _, s := range series {
+			if err := report.Plot(os.Stdout,
+				fmt.Sprintf("%s: LLC MPKI per 500us sample (32MB paper-equiv LLC, 8 cores)", s.Name),
+				"sample", "interval MPKI", []metrics.Series{s}, 10); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return nil
 }

@@ -36,9 +36,9 @@ func TestCLISubcommands(t *testing.T) {
 		tinyArgs("-workloads", "PLSA,MDS", "fig8"),
 		tinyArgs("-workloads", "SHOT", "phases"),
 		tinyArgs("-workloads", "PLSA,SHOT", "llcorg"),
-		// Replay memoization across exhibits sharing one execution.
-		tinyArgs("-replay", "-workloads", "PLSA", "fig4", "fig7"),
-		tinyArgs("-replay=false", "-workloads", "SHOT", "fig4"),
+		// Subcommands whose exhibits share executions.
+		tinyArgs("-workloads", "PLSA", "fig4", "phases", "fig6", "fig7", "dramcache"),
+		tinyArgs("-j", "1", "-workloads", "SHOT", "table2", "fig8"),
 		// The sweep planner: auto plans any grid; oracle is strict but
 		// the cache sweep is fully analytic.
 		tinyArgs("-engine", "auto", "-csv", "-workloads", "PLSA", "fig4", "fig7"),

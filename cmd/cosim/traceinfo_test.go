@@ -129,7 +129,7 @@ func TestTraceinfoEndToEnd(t *testing.T) {
 	if err := run(tinyArgs("-workloads", "PLSA,SHOT", "-threads", "2", "traceinfo")); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(tinyArgs("-replay=false", "-workloads", "SHOT", "-threads", "2",
+	if err := run(tinyArgs("-workloads", "SHOT", "-threads", "2",
 		"-windows", "4", "-stackdist", "traceinfo")); err != nil {
 		t.Fatal(err)
 	}

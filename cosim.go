@@ -21,7 +21,10 @@
 // per 1000 instructions of one cache size.
 //
 // Every exhibit of the paper has a one-call runner: Table1, Table2,
-// CacheSweep (Figures 4-6), LineSweep (Figure 7), and Fig8.
+// CacheSweep (Figures 4-6), LineSweep (Figure 7), and Fig8. Each runner
+// declares rows of one exhibit table and runs them; `cosim` runs the
+// rows of all requested exhibits together, so every (workload,
+// platform) executes once for all of them.
 package cmpmem
 
 import (

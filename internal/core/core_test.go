@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -173,28 +174,74 @@ func TestWorkloadSelectionBoundsTheWork(t *testing.T) {
 	}
 }
 
-// TestHierExhibitsExecuteOncePerPlatform: the timing exhibits time all
-// their hierarchy configs on one execution per (workload, threads) —
-// Figure 8's prefetch off and on, the DRAM study's three L3s.
-func TestHierExhibitsExecuteOncePerPlatform(t *testing.T) {
-	names := []string{"SHOT", "PLSA"}
-	count := func(run func(opt RunOption) error) int64 {
-		t.Helper()
+// TestExhibitsExecuteOncePerPlatform: exhibits run together execute
+// each (workload, platform) once for all of them — the paper's exhibits
+// plus three studies that share their platforms take 4 platforms x 2
+// workloads — while a runner alone executes only its own platforms,
+// and every exhibit's rows are the same either way, exact or sampled.
+func TestExhibitsExecuteOncePerPlatform(t *testing.T) {
+	names, p := []string{"SHOT", "PLSA"}, tinyParams()
+	exhibits := []struct {
+		name    string
+		declare func() (any, []Exhibit)
+		alone   func(opts ...RunOption) (any, error)
+		runs    int64 // executions alone
+	}{
+		{"table2", func() (any, []Exhibit) { return Table2Exhibits(names, p) },
+			func(o ...RunOption) (any, error) { return Table2(names, p, o...) }, 2},
+		{"fig4", func() (any, []Exhibit) { return CacheSweepExhibits(names, p, 8) },
+			func(o ...RunOption) (any, error) { return CacheSweep(names, p, 8, o...) }, 2},
+		{"fig5", func() (any, []Exhibit) { return CacheSweepExhibits(names, p, 16) },
+			func(o ...RunOption) (any, error) { return CacheSweep(names, p, 16, o...) }, 2},
+		{"fig6", func() (any, []Exhibit) { return CacheSweepExhibits(names, p, 32) },
+			func(o ...RunOption) (any, error) { return CacheSweep(names, p, 32, o...) }, 2},
+		{"fig7", func() (any, []Exhibit) { return LineSweepExhibits(names, p) },
+			func(o ...RunOption) (any, error) { return LineSweep(names, p, o...) }, 2},
+		{"fig8", func() (any, []Exhibit) { return Fig8Exhibits(names, p) },
+			func(o ...RunOption) (any, error) { return Fig8(names, p, o...) }, 4},
+		{"dramcache", func() (any, []Exhibit) { return DRAMCacheExhibits(names, p, 32) },
+			func(o ...RunOption) (any, error) { return DRAMCacheStudy(names, p, 32, o...) }, 2},
+		{"llcorg", func() (any, []Exhibit) { return LLCOrgExhibits(names, p, 8, 0) },
+			func(o ...RunOption) (any, error) { return SharedVsPrivate(names, p, 8, 0, o...) }, 2},
+		{"workingsets", func() (any, []Exhibit) { return ProjectionExhibits(names, p, 16) },
+			func(o ...RunOption) (any, error) { return Projection128(names, p, 16, o...) }, 2},
+	}
+	executions := func() (RunOption, func() int64) {
 		var n atomic.Int64
-		if err := run(WithProgress(func(pr Progress) {
+		return WithProgress(func(pr Progress) {
 			if pr.Phase == PhaseExecute {
 				n.Add(1)
 			}
-		})); err != nil {
+		}), n.Load
+	}
+	for _, mode := range []SamplingMode{SamplingOff, SamplingFast} {
+		rows := make([]any, len(exhibits))
+		var table []Exhibit
+		for i, e := range exhibits {
+			var ex []Exhibit
+			rows[i], ex = e.declare()
+			table = append(table, ex...)
+		}
+		count, n := executions()
+		if err := RunExhibits(names, p, table, WithSampling(mode), count); err != nil {
 			t.Fatal(err)
 		}
-		return n.Load()
-	}
-	if n := count(func(opt RunOption) error { _, err := Fig8(names, tinyParams(), opt); return err }); n != 4 {
-		t.Errorf("Fig8 on two workloads executed %d times, want 4 (serial and 16-thread each)", n)
-	}
-	if n := count(func(opt RunOption) error { _, err := DRAMCacheStudy(names, tinyParams(), 4, opt); return err }); n != 2 {
-		t.Errorf("DRAMCacheStudy on two workloads executed %d times, want 2", n)
+		if mode == SamplingOff && n() != 8 {
+			t.Errorf("the exhibits together executed %d times, want 8", n())
+		}
+		for i, e := range exhibits {
+			count, n := executions()
+			want, err := e.alone(WithSampling(mode), count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == SamplingOff && n() != e.runs {
+				t.Errorf("%s alone executed %d times, want %d", e.name, n(), e.runs)
+			}
+			if !reflect.DeepEqual(rows[i], want) {
+				t.Errorf("sampling %v: %s run with the others differs from %s alone:\n%+v\n%+v", mode, e.name, e.name, rows[i], want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
-// Experiment definitions: one runner per table/figure of the paper's
-// evaluation section. Each returns plain data; rendering lives in
-// internal/report.
+// Experiment definitions: one table of exhibits, one function that runs
+// it, and one declaration per table/figure of the paper's evaluation
+// section. Each exhibit is the MEMIC loop — enumerate configs ×
+// workloads, run, reduce — with the run shared: RunExhibits executes
+// each (workload, platform) once for every exhibit that needs it. The
+// rows are plain data; rendering lives in internal/report.
 
 package core
 
@@ -9,6 +12,7 @@ import (
 	"slices"
 
 	"cmpmem/internal/cache"
+	"cmpmem/internal/fsb"
 	"cmpmem/internal/hier"
 	"cmpmem/internal/metrics"
 	"cmpmem/internal/par"
@@ -26,20 +30,102 @@ func orAll(names []string) []string {
 	return names
 }
 
-// forEachWorkload runs fn once per selected workload on the option
-// set's bounded worker pool (default GOMAXPROCS) and returns the rows
-// in selection order. Runs are independent — each builds its own
-// dataset, address space, and platform — so ordering is deterministic,
-// and the first error cancels whatever has not started yet.
-func forEachWorkload[T any](names []string, ro runOpts, fn func(name string) (T, error)) ([]T, error) {
-	names = orAll(names)
-	rows := make([]T, len(names))
-	err := par.ForEach(ro.jobs, len(names), func(i int) error {
-		var err error
-		rows[i], err = fn(names[i])
-		return err
+// Exhibit is one row of the exhibit table: what an exhibit asks of each
+// selected workload's execution on a Threads-core platform, and how it
+// reads the answer back.
+type Exhibit struct {
+	Threads int
+	LLCs    []cache.Config
+	Hiers   []hier.Config
+	// Snoopers builds fresh whole-stream observers for workload w (its
+	// index in the selection); nil for none.
+	Snoopers func(w int) ([]fsb.Snooper, error)
+	// Row reduces workload w's answer into the exhibit's rows. Rows of
+	// different workloads and platforms run concurrently.
+	Row func(w int, a Answer)
+}
+
+// Answer is an exhibit's share of one execution: its LLC results in
+// grid order, its hierarchies' in Hiers order, and the run's totals.
+type Answer struct {
+	LLCs    []LLCResult
+	Hiers   []HierResult
+	Summary RunSummary
+}
+
+// RunExhibits runs the exhibit table over the selected workloads (nil =
+// all eight). The exhibits on one platform share one execution per
+// workload, whose single pass answers all their grids, hierarchies and
+// snoopers. The (platform, workload) groups run on the WithParallelism
+// pool in platform-major order, so the executions in flight at once are
+// on one platform, and the first error cancels the rest.
+func RunExhibits(names []string, p workloads.Params, exhibits []Exhibit, opts ...RunOption) error {
+	names, p, ro := orAll(names), p.WithDefaults(), applyOpts(opts)
+	var threads []int // platforms in order of first appearance
+	groups := map[int][]Exhibit{}
+	for _, e := range exhibits {
+		if groups[e.Threads] == nil {
+			threads = append(threads, e.Threads)
+		}
+		groups[e.Threads] = append(groups[e.Threads], e)
+	}
+	ro.tel.Expect(len(threads) * len(names))
+	return par.ForEach(ro.jobs, len(threads)*len(names), func(i int) error {
+		pc, w := PlatformConfig{Threads: threads[i/len(names)], Seed: p.Seed}, i%len(names)
+		if err := runGroup(names[w], w, p, pc, groups[pc.Threads], ro); err != nil {
+			return fmt.Errorf("%s on %d cores: %w", names[w], pc.Threads, err)
+		}
+		return nil
 	})
+}
+
+// runGroup answers one platform's exhibits for workload w on one
+// execution. Under WithSampling the grid is estimated by a sampled
+// sweep; the hierarchies and snoopers need the whole stream, so they
+// take an exact sweep first, which a store lets the sampled one reuse.
+func runGroup(name string, w int, p workloads.Params, pc PlatformConfig, exhibits []Exhibit, ro runOpts) error {
+	var grid []cache.Config
+	var hcs []hier.Config
+	var observers []fsb.Snooper
+	for _, e := range exhibits {
+		grid, hcs = append(grid, e.LLCs...), append(hcs, e.Hiers...)
+		if e.Snoopers != nil {
+			s, err := e.Snoopers(w)
+			if err != nil {
+				return err
+			}
+			observers = append(observers, s...)
+		}
+	}
+	var a Answer
+	var err error
+	exact := ro
+	exact.sampling = SamplingOff
+	if ro.sampling == SamplingOff || len(grid) == 0 {
+		a.LLCs, a.Hiers, a.Summary, err = sweep(name, p, pc, [][]cache.Config{grid}, hcs, observers, exact)
+	} else {
+		if len(hcs)+len(observers) > 0 {
+			ro.tel.Expect(1)
+			if _, a.Hiers, _, err = sweep(name, p, pc, nil, hcs, observers, exact); err != nil {
+				return err
+			}
+		}
+		a.LLCs, _, a.Summary, err = sweep(name, p, pc, [][]cache.Config{grid}, nil, nil, ro)
+	}
 	if err != nil {
+		return err
+	}
+	for _, e := range exhibits {
+		e.Row(w, Answer{LLCs: a.LLCs[:len(e.LLCs):len(e.LLCs)], Hiers: a.Hiers[:len(e.Hiers):len(e.Hiers)], Summary: a.Summary})
+		a.LLCs, a.Hiers = a.LLCs[len(e.LLCs):], a.Hiers[len(e.Hiers):]
+	}
+	return nil
+}
+
+// runTable runs a runner's exhibits and returns its rows, which the
+// exhibits' Row functions have filled.
+func runTable[T any](rows []T, exhibits []Exhibit, names []string, p workloads.Params, opts []RunOption) ([]T, error) {
+	if err := RunExhibits(names, p, exhibits, opts...); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -145,21 +231,17 @@ type Table2Row struct {
 	DL2MissPer1k   float64
 }
 
-// Table2 profiles the selected workloads (nil names = all eight)
-// single-threaded through the P4 hierarchy model, one profiling run per
-// pool worker.
-func Table2(names []string, p workloads.Params, opts ...RunOption) ([]Table2Row, error) {
-	ro := applyOpts(opts)
-	ro.tel.Expect(len(orAll(names)))
-	return forEachWorkload(names, ro, func(name string) (Table2Row, error) {
-		hres, sum, err := RunHier(name, p, PlatformConfig{Threads: 1, Seed: p.Seed}, []hier.Config{hier.PentiumIV(p.Scale)}, opts...)
-		if err != nil {
-			return Table2Row{}, fmt.Errorf("table2 %s: %w", name, err)
-		}
-		res, inst := hres[0], sum.Instructions
+// Table2Exhibits declares Table 2: the rows and the exhibit that fills
+// them, one single-threaded profiling run through the P4 hierarchy
+// model per selected workload (nil names = all eight).
+func Table2Exhibits(names []string, p workloads.Params) ([]Table2Row, []Exhibit) {
+	names = orAll(names)
+	rows := make([]Table2Row, len(names))
+	return rows, []Exhibit{{Threads: 1, Hiers: []hier.Config{hier.PentiumIV(p.Scale)}, Row: func(w int, a Answer) {
+		res, sum, inst := a.Hiers[0], a.Summary, a.Summary.Instructions
 		memInst := sum.Loads + sum.Stores
-		return Table2Row{
-			Workload:       name,
+		rows[w] = Table2Row{
+			Workload:       names[w],
 			IPC:            res.IPC,
 			Instructions:   inst,
 			PctMem:         100 * metrics.Rate(memInst, inst),
@@ -167,45 +249,53 @@ func Table2(names []string, p workloads.Params, opts ...RunOption) ([]Table2Row,
 			DL1AccessPer1k: metrics.MPKI(res.L1.Accesses, inst),
 			DL1MissPer1k:   metrics.MPKI(res.L1.Misses, inst),
 			DL2MissPer1k:   metrics.MPKI(res.L2.Misses, inst),
-		}, nil
-	})
+		}
+	}}}
 }
 
-// CacheSweep produces the Figure 4/5/6 series: LLC misses per 1000
-// instructions as a function of (paper-equivalent) cache size, one
+// Table2 runs Table2Exhibits.
+func Table2(names []string, p workloads.Params, opts ...RunOption) ([]Table2Row, error) {
+	rows, ex := Table2Exhibits(names, p)
+	return runTable(rows, ex, names, p, opts)
+}
+
+// CacheSweepExhibits declares the Figure 4/5/6 series: LLC misses per
+// 1000 instructions as a function of (paper-equivalent) cache size, one
 // series per selected workload (nil names = all eight), at the given
 // core count.
+func CacheSweepExhibits(names []string, p workloads.Params, cores int) ([]metrics.Series, []Exhibit) {
+	return mpkiExhibits(names, cores, CacheSweepConfigs(p.Scale), PaperCacheSizesMB)
+}
+
+// CacheSweep runs CacheSweepExhibits.
 func CacheSweep(names []string, p workloads.Params, cores int, opts ...RunOption) ([]metrics.Series, error) {
-	p = p.WithDefaults()
-	x := func(k int) float64 { return float64(PaperCacheSizesMB[k]) }
-	return mpkiSeries(fmt.Sprintf("cache sweep on %d cores", cores), names, p, cores, CacheSweepConfigs(p.Scale), x, opts)
+	series, ex := CacheSweepExhibits(names, p, cores)
+	return runTable(series, ex, names, p, opts)
 }
 
-// LineSweep produces the Figure 7 series: LLC MPKI vs line size on the
-// 32-core LCMP with a 32 MB paper-equivalent LLC.
+// LineSweepExhibits declares the Figure 7 series: LLC MPKI vs line size
+// on the 32-core LCMP with a 32 MB paper-equivalent LLC.
+func LineSweepExhibits(names []string, p workloads.Params) ([]metrics.Series, []Exhibit) {
+	return mpkiExhibits(names, 32, LineSweepConfigs(p.Scale), PaperLineSizes)
+}
+
+// LineSweep runs LineSweepExhibits.
 func LineSweep(names []string, p workloads.Params, opts ...RunOption) ([]metrics.Series, error) {
-	p = p.WithDefaults()
-	x := func(k int) float64 { return float64(PaperLineSizes[k]) }
-	return mpkiSeries("line sweep", names, p, 32, LineSweepConfigs(p.Scale), x, opts)
+	series, ex := LineSweepExhibits(names, p)
+	return runTable(series, ex, names, p, opts)
 }
 
-// mpkiSeries sweeps configs for each selected workload on the given
-// core count and returns one MPKI series per workload, config k plotted
-// at x(k).
-func mpkiSeries(what string, names []string, p workloads.Params, cores int, configs []cache.Config, x func(k int) float64, opts []RunOption) ([]metrics.Series, error) {
-	ro := applyOpts(opts)
-	ro.tel.Expect(len(orAll(names)))
-	return forEachWorkload(names, ro, func(name string) (metrics.Series, error) {
-		results, _, err := LLCSweep(name, p, PlatformConfig{Threads: cores, Seed: p.Seed}, configs, opts...)
-		if err != nil {
-			return metrics.Series{}, fmt.Errorf("%s: %s: %w", what, name, err)
+// mpkiExhibits declares one MPKI series per selected workload over
+// configs on the given core count, config k plotted at xs[k].
+func mpkiExhibits[X int | uint64](names []string, cores int, configs []cache.Config, xs []X) ([]metrics.Series, []Exhibit) {
+	names = orAll(names)
+	series := make([]metrics.Series, len(names))
+	return series, []Exhibit{{Threads: cores, LLCs: configs, Row: func(w int, a Answer) {
+		series[w].Name = names[w]
+		for k, r := range a.LLCs {
+			series[w].Add(float64(xs[k]), r.MPKI)
 		}
-		s := metrics.Series{Name: name}
-		for k, r := range results {
-			s.Add(x(k), r.MPKI)
-		}
-		return s, nil
-	})
+	}}}
 }
 
 // Fig8Row reports the hardware-prefetching gain for one workload.
@@ -219,36 +309,31 @@ type Fig8Row struct {
 // Unisys machine).
 const Fig8Threads = 16
 
-// Fig8 measures the performance gain of enabling the stride prefetcher
-// on the Xeon-class hierarchy model, serial and 16-threaded, for the
-// selected workloads (nil names = all eight).
-func Fig8(names []string, p workloads.Params, opts ...RunOption) ([]Fig8Row, error) {
-	p = p.WithDefaults()
-	ro := applyOpts(opts)
-	// Each workload costs two executions (serial and 16-thread), each
-	// timing prefetch off and on, and each prints its own progress step.
-	ro.tel.Expect(2 * len(orAll(names)))
-	return forEachWorkload(names, ro, func(name string) (Fig8Row, error) {
-		serial, err := prefetchGain(name, p, 1, opts)
-		if err != nil {
-			return Fig8Row{}, fmt.Errorf("fig8 %s serial: %w", name, err)
-		}
-		par16, err := prefetchGain(name, p, Fig8Threads, opts)
-		if err != nil {
-			return Fig8Row{}, fmt.Errorf("fig8 %s parallel: %w", name, err)
-		}
-		return Fig8Row{Workload: name, SerialGainPct: serial, ParallelGainPct: par16}, nil
-	})
+// Fig8Exhibits declares Figure 8: the performance gain of enabling the
+// stride prefetcher on the Xeon-class hierarchy model, serial and
+// 16-threaded, for the selected workloads (nil names = all eight). Each
+// platform times prefetch off and on as co-snoopers of one execution.
+func Fig8Exhibits(names []string, p workloads.Params) ([]Fig8Row, []Exhibit) {
+	p, names = p.WithDefaults(), orAll(names)
+	rows := make([]Fig8Row, len(names))
+	for w, name := range names {
+		rows[w].Workload = name
+	}
+	gain := func(threads int, pct func(*Fig8Row) *float64) Exhibit {
+		pf := prefetch.DefaultConfig(64)
+		hcs := []hier.Config{hier.Xeon16(threads, p.Scale, nil), hier.Xeon16(threads, p.Scale, &pf)}
+		return Exhibit{Threads: threads, Hiers: hcs, Row: func(w int, a Answer) {
+			*pct(&rows[w]) = metrics.SpeedupPct(a.Hiers[0].Cycles, a.Hiers[1].Cycles)
+		}}
+	}
+	return rows, []Exhibit{
+		gain(1, func(r *Fig8Row) *float64 { return &r.SerialGainPct }),
+		gain(Fig8Threads, func(r *Fig8Row) *float64 { return &r.ParallelGainPct }),
+	}
 }
 
-// prefetchGain times the workload with and without the prefetcher on
-// one execution and returns the percentage cycle reduction.
-func prefetchGain(name string, p workloads.Params, threads int, opts []RunOption) (float64, error) {
-	pf := prefetch.DefaultConfig(64)
-	hcs := []hier.Config{hier.Xeon16(threads, p.Scale, nil), hier.Xeon16(threads, p.Scale, &pf)}
-	res, _, err := RunHier(name, p, PlatformConfig{Threads: threads, Seed: p.Seed}, hcs, opts...)
-	if err != nil {
-		return 0, err
-	}
-	return metrics.SpeedupPct(res[0].Cycles, res[1].Cycles), nil
+// Fig8 runs Fig8Exhibits.
+func Fig8(names []string, p workloads.Params, opts ...RunOption) ([]Fig8Row, error) {
+	rows, ex := Fig8Exhibits(names, p)
+	return runTable(rows, ex, names, p, opts)
 }

@@ -44,39 +44,50 @@ type ProjectionRow struct {
 // candidates for large DRAM caches".
 const dramThresholdPaperMB = 32
 
-// Projection128 measures the selected workloads' working sets (nil
-// names = all eight) on very large CMPs (default 128 cores) with
-// single-pass stack-distance analysis, one capture run per pool worker.
-func Projection128(names []string, p workloads.Params, cores int, opts ...RunOption) ([]ProjectionRow, error) {
-	p = p.WithDefaults()
+// ProjectionExhibits declares the selected workloads' working sets
+// (nil names = all eight) on very large CMPs (default 128 cores),
+// measured by single-pass stack-distance analysis of each execution.
+func ProjectionExhibits(names []string, p workloads.Params, cores int) ([]ProjectionRow, []Exhibit) {
+	p, names = p.WithDefaults(), orAll(names)
 	if cores == 0 {
 		cores = 128
 	}
-	return forEachWorkload(names, applyOpts(opts), func(name string) (ProjectionRow, error) {
-		an := stackdist.New(64, 1<<22)
-		_, err := TraceCapture(name, p, PlatformConfig{Threads: cores, Seed: p.Seed},
-			func(r trace.Ref) { an.Record(r.Addr) }, opts...)
-		if err != nil {
-			return ProjectionRow{}, fmt.Errorf("projection %s: %w", name, err)
-		}
-		// 0.5% miss ratio marks the knee: line-granular workloads touch
-		// a new line every ~20 references, so a looser threshold would
-		// call a pure stream "cache-resident".
-		lines := an.WorkingSetLines(0.005)
-		wsBytes := float64(lines) * 64
-		if lines < 0 {
-			wsBytes = float64(an.DistinctLines()) * 64
-		}
-		toPaperMB := func(b float64) float64 { return b / p.Scale / (1 << 20) }
-		ws := toPaperMB(wsBytes)
-		return ProjectionRow{
-			Workload:          name,
-			Cores:             cores,
-			WorkingSetPaperMB: ws,
-			DistinctPaperMB:   toPaperMB(float64(an.DistinctLines()) * 64),
-			WantsDRAMCache:    ws > dramThresholdPaperMB,
-		}, nil
-	})
+	rows := make([]ProjectionRow, len(names))
+	analyzers := make([]*stackdist.Analyzer, len(names))
+	return rows, []Exhibit{{Threads: cores,
+		Snoopers: func(w int) ([]fsb.Snooper, error) {
+			an := stackdist.New(64, 1<<22)
+			analyzers[w] = an
+			return []fsb.Snooper{&captureSnooper{fn: func(r trace.Ref) { an.Record(r.Addr) }}}, nil
+		},
+		Row: func(w int, _ Answer) {
+			// The histogram is 32 MB: it goes with its execution.
+			an := analyzers[w]
+			analyzers[w] = nil
+			// 0.5% miss ratio marks the knee: line-granular workloads touch
+			// a new line every ~20 references, so a looser threshold would
+			// call a pure stream "cache-resident".
+			lines := an.WorkingSetLines(0.005)
+			wsBytes := float64(lines) * 64
+			if lines < 0 {
+				wsBytes = float64(an.DistinctLines()) * 64
+			}
+			toPaperMB := func(b float64) float64 { return b / p.Scale / (1 << 20) }
+			ws := toPaperMB(wsBytes)
+			rows[w] = ProjectionRow{
+				Workload:          names[w],
+				Cores:             cores,
+				WorkingSetPaperMB: ws,
+				DistinctPaperMB:   toPaperMB(float64(an.DistinctLines()) * 64),
+				WantsDRAMCache:    ws > dramThresholdPaperMB,
+			}
+		}}}
+}
+
+// Projection128 runs ProjectionExhibits.
+func Projection128(names []string, p workloads.Params, cores int, opts ...RunOption) ([]ProjectionRow, error) {
+	rows, ex := ProjectionExhibits(names, p, cores)
+	return runTable(rows, ex, names, p, opts)
 }
 
 // LLCOrgRow compares the shared LLC organization against private
@@ -87,17 +98,16 @@ type LLCOrgRow struct {
 	PrivateMPKI float64
 }
 
-// SharedVsPrivate runs the selected workloads (nil names = all eight)
-// on the given core count with the same total LLC capacity organized
-// two ways: one shared cache (the paper's Dragonhead configuration) vs
-// per-core private slices. Both emulators snoop the same execution.
-// Shared wins for the
-// shared-working-set workloads (one copy of the shared structure
-// instead of N); private is competitive only for the private-working-
-// set video workloads.
-func SharedVsPrivate(names []string, p workloads.Params, cores int, paperMB int, opts ...RunOption) ([]LLCOrgRow, error) {
-	p = p.WithDefaults()
-	ro := applyOpts(opts)
+// LLCOrgExhibits declares the shared-vs-private study: the selected
+// workloads (nil names = all eight) on the given core count (default 8)
+// with the same total LLC capacity (default 32 MB paper-equivalent)
+// organized two ways, one shared cache (the paper's Dragonhead
+// configuration) and per-core private slices, both snooping the same
+// execution. Shared wins for the shared-working-set workloads (one copy
+// of the shared structure instead of N); private is competitive only
+// for the private-working-set video workloads.
+func LLCOrgExhibits(names []string, p workloads.Params, cores int, paperMB int) ([]LLCOrgRow, []Exhibit) {
+	p, names = p.WithDefaults(), orAll(names)
 	if cores == 0 {
 		cores = 8
 	}
@@ -110,27 +120,30 @@ func SharedVsPrivate(names []string, p workloads.Params, cores int, paperMB int,
 		LineSize: 64,
 		Assoc:    LLCAssoc,
 	}
-	return forEachWorkload(names, ro, func(name string) (LLCOrgRow, error) {
-		shared, err := dragonhead.New(dragonhead.DefaultConfig(llc))
-		if err != nil {
-			return LLCOrgRow{}, err
-		}
-		privCfg := dragonhead.DefaultConfig(llc)
-		privCfg.PrivatePerCore = cores
-		private, err := dragonhead.New(privCfg)
-		if err != nil {
-			return LLCOrgRow{}, err
-		}
-		if _, err := runNamed(name, p, PlatformConfig{Threads: cores, Seed: p.Seed}, ro,
-			[]fsb.Snooper{shared, private}); err != nil {
-			return LLCOrgRow{}, fmt.Errorf("llc organization %s: %w", name, err)
-		}
-		return LLCOrgRow{
-			Workload:    name,
-			SharedMPKI:  shared.MPKI(),
-			PrivateMPKI: private.MPKI(),
-		}, nil
-	})
+	rows := make([]LLCOrgRow, len(names))
+	emus := make([][2]*dragonhead.Emulator, len(names))
+	return rows, []Exhibit{{Threads: cores,
+		Snoopers: func(w int) ([]fsb.Snooper, error) {
+			private := dragonhead.DefaultConfig(llc)
+			private.PrivatePerCore = cores
+			for k, cfg := range []dragonhead.Config{dragonhead.DefaultConfig(llc), private} {
+				var err error
+				if emus[w][k], err = dragonhead.New(cfg); err != nil {
+					return nil, err
+				}
+			}
+			return []fsb.Snooper{emus[w][0], emus[w][1]}, nil
+		},
+		Row: func(w int, _ Answer) {
+			rows[w] = LLCOrgRow{Workload: names[w], SharedMPKI: emus[w][0].MPKI(), PrivateMPKI: emus[w][1].MPKI()}
+			emus[w] = [2]*dragonhead.Emulator{}
+		}}}
+}
+
+// SharedVsPrivate runs LLCOrgExhibits.
+func SharedVsPrivate(names []string, p workloads.Params, cores int, paperMB int, opts ...RunOption) ([]LLCOrgRow, error) {
+	rows, ex := LLCOrgExhibits(names, p, cores, paperMB)
+	return runTable(rows, ex, names, p, opts)
 }
 
 // DRAMCacheRow reports the effect of adding a large DRAM LLC to one
@@ -146,14 +159,14 @@ type DRAMCacheRow struct {
 	L3MissRateDRAM float64
 }
 
-// DRAMCacheStudy times the selected workloads (nil names = all eight)
-// on the given core count three ways — no LLC, a small fast SRAM LLC,
-// and a large slow DRAM LLC — all on one execution per workload, and
-// reports the cycle gains. It
+// DRAMCacheExhibits declares the DRAM-LLC study: the selected workloads
+// (nil names = all eight) timed on the given core count (default 32)
+// three ways — no LLC, a small fast SRAM LLC, and a large slow DRAM LLC
+// — all on one execution per workload, reporting the cycle gains. It
 // quantifies the paper's conclusion that large DRAM caches serve the
 // big-working-set workloads.
-func DRAMCacheStudy(names []string, p workloads.Params, cores int, opts ...RunOption) ([]DRAMCacheRow, error) {
-	p = p.WithDefaults()
+func DRAMCacheExhibits(names []string, p workloads.Params, cores int) ([]DRAMCacheRow, []Exhibit) {
+	p, names = p.WithDefaults(), orAll(names)
 	if cores == 0 {
 		cores = 32
 	}
@@ -163,23 +176,24 @@ func DRAMCacheStudy(names []string, p workloads.Params, cores int, opts ...RunOp
 	sramL3.L3 = &cache.Config{Name: "L3-SRAM-8MB", Size: scaledCacheBytes(8, p.Scale), LineSize: 64, Assoc: 16}
 	dramL3.L3 = &cache.Config{Name: "L3-DRAM-256MB", Size: scaledCacheBytes(256, p.Scale), LineSize: 64, Assoc: 16}
 	sramL3.Lat.L3Hit, dramL3.Lat.L3Hit = 40, 120
-	hcs := []hier.Config{noL3, sramL3, dramL3}
-
-	return forEachWorkload(names, applyOpts(opts), func(name string) (DRAMCacheRow, error) {
-		res, _, err := RunHier(name, p, PlatformConfig{Threads: cores, Seed: p.Seed}, hcs, opts...)
-		if err != nil {
-			return DRAMCacheRow{}, fmt.Errorf("dram study %s: %w", name, err)
-		}
-		none, sram, dram := res[0], res[1], res[2]
+	rows := make([]DRAMCacheRow, len(names))
+	return rows, []Exhibit{{Threads: cores, Hiers: []hier.Config{noL3, sramL3, dramL3}, Row: func(w int, a Answer) {
+		none, sram, dram := a.Hiers[0], a.Hiers[1], a.Hiers[2]
 		var missRate float64
 		if acc := dram.L3.Accesses; acc > 0 {
 			missRate = float64(dram.L3.Misses) / float64(acc)
 		}
-		return DRAMCacheRow{
-			Workload:       name,
+		rows[w] = DRAMCacheRow{
+			Workload:       names[w],
 			GainSRAMPct:    (none.Cycles/sram.Cycles - 1) * 100,
 			GainDRAMPct:    (none.Cycles/dram.Cycles - 1) * 100,
 			L3MissRateDRAM: missRate,
-		}, nil
-	})
+		}
+	}}}
+}
+
+// DRAMCacheStudy runs DRAMCacheExhibits.
+func DRAMCacheStudy(names []string, p workloads.Params, cores int, opts ...RunOption) ([]DRAMCacheRow, error) {
+	rows, ex := DRAMCacheExhibits(names, p, cores)
+	return runTable(rows, ex, names, p, opts)
 }

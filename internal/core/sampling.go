@@ -121,7 +121,12 @@ type sampledPass struct {
 	ests         []sampling.Estimate // by config index
 }
 
-func newSampledPass(plan *SweepPlan, ro runOpts) (sweepPass, error) {
+func newSampledPass(plan *SweepPlan, observers []fsb.Snooper, ro runOpts) (sweepPass, error) {
+	if len(plan.Hiers)+len(observers) > 0 {
+		// The windows are a fraction of the stream; a hierarchy or an
+		// observer would silently report on that fraction alone.
+		return nil, fmt.Errorf("core: a sampled sweep cannot time hierarchies or feed whole-stream snoopers")
+	}
 	s := &sampledPass{
 		mode:   ro.sampling.String(),
 		cfgs:   plan.Configs,
@@ -203,8 +208,8 @@ func (s *sampledPass) result(i int) LLCResult {
 	}
 }
 
-// hierResult is never asked for: RunHier, the only caller with
-// hierarchy configs, times the whole stream and so never samples.
+// hierResult is never asked for: newSampledPass refuses hierarchy
+// configs, which need the whole stream.
 func (s *sampledPass) hierResult(int) HierResult { return HierResult{} }
 
 // samplePlan returns the stream's sample plan under the active

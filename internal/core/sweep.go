@@ -41,7 +41,7 @@ import (
 // configs with the Mattson engine instead (bit-identical results);
 // WithSampling routes to the fast tier (estimates), whatever the engine.
 func LLCSweep(name string, p workloads.Params, pc PlatformConfig, llcs []cache.Config, opts ...RunOption) ([]LLCResult, RunSummary, error) {
-	res, _, sum, err := sweep(name, p, pc, [][]cache.Config{llcs}, nil, applyOpts(opts))
+	res, _, sum, err := sweep(name, p, pc, [][]cache.Config{llcs}, nil, nil, applyOpts(opts))
 	return res, sum, err
 }
 
@@ -57,7 +57,7 @@ func CombinedSweep(name string, p workloads.Params, pc PlatformConfig, grids [][
 	if !ro.engineSet {
 		ro.engine = EngineAuto
 	}
-	results, _, sum, err := sweep(name, p, pc, grids, nil, ro)
+	results, _, sum, err := sweep(name, p, pc, grids, nil, nil, ro)
 	if err != nil {
 		return nil, RunSummary{}, err
 	}
@@ -90,7 +90,7 @@ type HierResult struct {
 func RunHier(name string, p workloads.Params, pc PlatformConfig, hcs []hier.Config, opts ...RunOption) ([]HierResult, RunSummary, error) {
 	ro := applyOpts(opts)
 	ro.sampling = SamplingOff
-	_, res, sum, err := sweep(name, p, pc, nil, hcs, ro)
+	_, res, sum, err := sweep(name, p, pc, nil, hcs, nil, ro)
 	return res, sum, err
 }
 
@@ -109,10 +109,11 @@ type sweepPass interface {
 	hierResult(j int) HierResult
 }
 
-// sweep is the executor behind LLCSweep, CombinedSweep and RunHier. The
-// LLC results come back flattened in grid order, the hierarchy results
-// in the order of hcs.
-func sweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.Config, hcs []hier.Config, ro runOpts) ([]LLCResult, []HierResult, RunSummary, error) {
+// sweep is the executor behind LLCSweep, CombinedSweep, RunHier and
+// RunExhibits. observers are whole-stream snoopers fed on the same pass
+// as the answerers. The LLC results come back flattened in grid order,
+// the hierarchy results in the order of hcs.
+func sweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.Config, hcs []hier.Config, observers []fsb.Snooper, ro runOpts) ([]LLCResult, []HierResult, RunSummary, error) {
 	var flat []cache.Config
 	for _, g := range grids {
 		flat = append(flat, g...)
@@ -139,7 +140,7 @@ func sweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.C
 	start := time.Now()
 
 	// Answerers, then source and pass.
-	pass, err := build(plan, ro)
+	pass, err := build(plan, observers, ro)
 	if err != nil {
 		return nil, nil, RunSummary{}, err
 	}
@@ -232,7 +233,7 @@ const planClockHz = 3e9
 // exactPass answers a plan bit-exactly: one Mattson engine tracking
 // the analytic leg's geometries, one Dragonhead per emulated geometry
 // and one timing hierarchy per hierarchy config, all co-snoopers of a
-// single bus pass.
+// single bus pass with the sweep's observers.
 type exactPass struct {
 	eng      *oracle.Engine
 	tracked  []*oracle.Tracked      // by config index; nil off the analytic leg
@@ -241,7 +242,7 @@ type exactPass struct {
 	snoopers []fsb.Snooper
 }
 
-func newExactPass(plan *SweepPlan, ro runOpts) (sweepPass, error) {
+func newExactPass(plan *SweepPlan, observers []fsb.Snooper, ro runOpts) (sweepPass, error) {
 	flat := plan.Configs
 	ro.span.SetAttr("analytic_configs", strconv.Itoa(len(plan.Analytic)))
 	ro.span.SetAttr("emulated_configs", strconv.Itoa(len(plan.Emulated)))
@@ -296,6 +297,7 @@ func newExactPass(plan *SweepPlan, ro runOpts) (sweepPass, error) {
 		x.machines = append(x.machines, m)
 		x.snoopers = append(x.snoopers, m)
 	}
+	x.snoopers = append(x.snoopers, observers...)
 	return x, nil
 }
 

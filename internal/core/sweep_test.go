@@ -15,6 +15,7 @@ import (
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/hier"
 	"cmpmem/internal/telemetry"
+	"cmpmem/internal/trace"
 	"cmpmem/internal/tracestore"
 )
 
@@ -304,4 +305,27 @@ func pick[T any](ok bool, a, b T) T {
 		return a
 	}
 	return b
+}
+
+// TestSampledSweepRefusesWholeStreamAnswerers: a sampled pass measures
+// windows of the stream, so a timing hierarchy or an observer on it
+// would report on a fraction of the run as if it were all of it. The
+// sweep refuses either one, before the source is touched.
+func TestSampledSweepRefusesWholeStreamAnswerers(t *testing.T) {
+	p := tinyParams()
+	pc := PlatformConfig{Threads: 2, Seed: p.Seed}
+	store := tracestore.New(0, "")
+	ro := applyOpts([]RunOption{WithSampling(SamplingFast), WithTraceReuse(store)})
+	grids := [][]cache.Config{tinyLLCs()}
+	hcs := []hier.Config{hier.Xeon16(pc.Threads, p.Scale, nil)}
+	observers := []fsb.Snooper{&captureSnooper{fn: func(trace.Ref) {}}}
+	if _, _, _, err := sweep("SHOT", p, pc, grids, hcs, nil, ro); err == nil {
+		t.Error("a sampled sweep accepted a timing hierarchy")
+	}
+	if _, _, _, err := sweep("SHOT", p, pc, grids, nil, observers, ro); err == nil {
+		t.Error("a sampled sweep accepted a whole-stream observer")
+	}
+	if st := store.Stats(); st.Misses != 0 {
+		t.Errorf("the refused sweeps executed the guest %d times", st.Misses)
+	}
 }
