@@ -47,12 +47,6 @@
 //	            selected workloads execute
 //	-j n        run up to n independent workload executions concurrently
 //	            (default GOMAXPROCS; 1 forces serial orchestration)
-//	-batch n    events per batch the bus delivers (0 = 4096, the default
-//	            and maximum); batches fan out over min(GOMAXPROCS,
-//	            snoopers) workers by themselves, results bit-identical
-//	-shards n   bank shards per emulator for intra-run parallel emulation
-//	            (1 = serial, the default, as in cosimd; 0 = one per CPU
-//	            up to the bank count; results are bit-identical)
 //	-trace-dir  memoize captured streams and spill them to this
 //	            directory in the compact v2 trace codec, so later
 //	            invocations skip execution too (-sampling and traceinfo
@@ -130,8 +124,6 @@ func run(args []string) error {
 	svgDir := fs.String("svg", "", "write figures as SVG files into this directory")
 	subset := fs.String("workloads", "", "comma-separated workload subset")
 	jobs := fs.Int("j", 0, "concurrent workload runs (0 = GOMAXPROCS, 1 = serial)")
-	batch := fs.Int("batch", 0, "bus events per delivered batch (0 = default 4096, the maximum)")
-	shards := fs.Int("shards", 1, "bank shards per emulator for intra-run parallel emulation (1 = serial; 0 = auto: one per CPU up to the bank count)")
 	traceDir := fs.String("trace-dir", "", "memoize captured bus streams and spill them to this directory")
 	engineName := fs.String("engine", core.EngineAuto.String(), "sweep execution engine: auto|emulate|oracle")
 	samplingName := fs.String("sampling", core.SamplingOff.String(), "accuracy tier: off (exact) or fast (sampled estimates with confidence intervals)")
@@ -173,14 +165,7 @@ func run(args []string) error {
 	if fs.Arg(0) == "trace" {
 		return traceCmd(fs.Args()[1:], *foldFlag, *manifestPath, os.Stdout)
 	}
-	opts := []core.RunOption{core.WithParallelism(*jobs), core.WithEngine(engine)}
-	if samplingMode != core.SamplingOff {
-		opts = append(opts, core.WithSampling(samplingMode))
-	}
-	if *batch > 0 {
-		opts = append(opts, core.WithBusBatch(*batch))
-	}
-	opts = append(opts, core.WithBankShards(*shards))
+	opts := []core.RunOption{core.WithParallelism(*jobs), core.WithEngine(engine), core.WithSampling(samplingMode)}
 	// Telemetry must be enabled before the trace store is constructed so
 	// the store registers its counters into the live default registry.
 	telOpt, telClose, err := setupTelemetry(*metricsAddr, *manifestPath)
@@ -246,7 +231,11 @@ func run(args []string) error {
 		if err := prints[i](); err != nil {
 			return fmt.Errorf("%s: %w", cmd, err)
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
+		// An exhibit's work ran inside RunExhibits; only these three work
+		// here, so only their time is worth a line.
+		if cmd == "table1" || cmd == "sweep" || cmd == "traceinfo" {
+			fmt.Fprintf(os.Stderr, "[%s done in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
+		}
 	}
 	return nil
 }
@@ -346,8 +335,8 @@ func setupTelemetry(addr, manifestPath string) ([]core.RunOption, func(), error)
 // sweepCmd answers one spec file through server.ExecuteSpec — the exact
 // path cosimd's workers run — and prints the result JSON to w.
 // The CLI's flag-derived options go in first; the spec's own fields
-// (engine, shards, batch) are applied last and win, so the output is a
-// pure function of the spec regardless of local flags.
+// (engine, sampling) are applied last and win, so the output is a pure
+// function of the spec regardless of local flags.
 func sweepCmd(w io.Writer, specPath string, opts []core.RunOption) error {
 	if specPath == "" {
 		return fmt.Errorf("sweep: missing -spec file (use - for stdin)")

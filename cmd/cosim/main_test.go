@@ -29,9 +29,9 @@ func TestCLISubcommands(t *testing.T) {
 	cases := [][]string{
 		tinyArgs("table1"),
 		tinyArgs("table2"),
-		tinyArgs("-j", "4", "-batch", "1024", "table2"),
+		tinyArgs("-j", "4", "table2"),
 		tinyArgs("-csv", "-workloads", "PLSA,SHOT", "fig4"),
-		tinyArgs("-j", "2", "-batch", "256", "-csv", "-workloads", "PLSA,SHOT", "fig4"),
+		tinyArgs("-j", "2", "-csv", "-workloads", "PLSA,SHOT", "fig4"),
 		tinyArgs("-workloads", "PLSA", "fig7"),
 		tinyArgs("-workloads", "PLSA,MDS", "fig8"),
 		tinyArgs("-workloads", "SHOT", "phases"),
@@ -181,7 +181,7 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 		// Emulators, so the Dragonhead counters below have a source:
 		// under the default engine Figure 4 is all analytic.
 		done <- run(tinyArgs("-metrics-addr", "127.0.0.1:0", "-manifest", manifest,
-			"-engine", "emulate", "-batch", "256", "fig4"))
+			"-engine", "emulate", "fig4"))
 	}()
 
 	// Readiness: the listener binds synchronously before the sweep
@@ -342,6 +342,12 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"-engine", "fpga", "table1"}); err == nil {
 		t.Error("unknown -engine accepted")
 	}
+	// The retired knobs are unknown flags, not ignored ones.
+	for _, flag := range []string{"-batch", "-shards"} {
+		if err := run([]string{flag, "2", "fig4"}); err == nil || !strings.Contains(err.Error(), "not defined: "+flag) {
+			t.Errorf("cosim %s 2 fig4 = %v, want an unknown-flag error", flag, err)
+		}
+	}
 	// Strict oracle mode must refuse the line-size sweep (fig7) up
 	// front: its configs change the line granularity the profile fixes.
 	if err := run(tinyArgs("-engine", "oracle", "-workloads", "PLSA", "fig7")); err == nil {
@@ -404,10 +410,9 @@ func TestCLIWorkloadsSelectsTheWork(t *testing.T) {
 	}
 }
 
-// TestCLIDefaultIsSerial: like cosimd, the CLI shards an emulator only
-// when asked. With four CPUs to tempt an auto default, a plain sweep
-// must leave no shards span and move no core_shard_* counter; -shards 0
-// (auto) and an explicit count must still fan out.
+// TestCLIDefaultIsSerial: like cosimd, the CLI never shards an emulator.
+// With four CPUs to tempt it, an emulating sweep must leave no shards
+// span and move no core_shard_* counter.
 func TestCLIDefaultIsSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -431,20 +436,85 @@ func TestCLIDefaultIsSerial(t *testing.T) {
 		}
 		return n
 	}
-	before := shardCounters()
-	if sharded() {
-		t.Error("default cosim sweep opened a shards span")
-	}
-	if after := shardCounters(); after != before {
-		t.Errorf("default cosim sweep moved core_shard_* counters by %d", after-before)
-	}
 	// Figure 4 is all analytic under the default engine: only emulators
 	// have banks to shard.
-	if !sharded("-engine", "emulate", "-shards", "0") {
-		t.Error("-shards 0 (auto) no longer shards on a 4-CPU host")
+	before := shardCounters()
+	if sharded("-engine", "emulate") {
+		t.Error("an emulating cosim sweep opened a shards span")
 	}
-	if !sharded("-engine", "emulate", "-shards", "2") {
-		t.Error("-shards 2 no longer shards")
+	if after := shardCounters(); after != before {
+		t.Errorf("an emulating cosim sweep moved core_shard_* counters by %d", after-before)
+	}
+}
+
+// captured runs cosim and returns what it wrote to stdout and stderr.
+func captured(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	out, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errf, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func(o, e *os.File) { os.Stdout, os.Stderr = o, e }(os.Stdout, os.Stderr)
+		os.Stdout, os.Stderr = out, errf
+		err = run(args)
+	}()
+	out.Close()
+	errf.Close()
+	if err != nil {
+		t.Fatalf("cosim %v: %v", args, err)
+	}
+	o, _ := os.ReadFile(out.Name())
+	e, _ := os.ReadFile(errf.Name())
+	return string(o), string(e)
+}
+
+// tinySpec writes an exact SHOT sweep spec at the tinyArgs scale and
+// returns its path.
+func tinySpec(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec.json")
+	body := `{"workload": "SHOT", "seed": 3, "scale": 0.002,
+		"grids": [[{"size_bytes": 65536, "line_size": 64, "assoc": 8},
+		           {"size_bytes": 262144, "line_size": 64, "assoc": 8}]]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSweepSpecWinsOverFlags: a spec decides its own engine and accuracy
+// tier, so `cosim sweep` prints the same bytes whatever -sampling or
+// -engine says; an exact spec never comes back as an estimate.
+func TestSweepSpecWinsOverFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	spec := tinySpec(t)
+	want, _ := captured(t, "-spec", spec, "sweep")
+	for _, flag := range [][]string{{"-sampling", "fast"}, {"-engine", "emulate"}} {
+		if got, _ := captured(t, append(flag, "-spec", spec, "sweep")...); got != want {
+			t.Errorf("cosim %v sweep prints\n%s\nwithout the flag\n%s", flag, got, want)
+		}
+	}
+}
+
+// TestCLITimingLines: exhibits are timed once, by the shared run's line;
+// only a command that works after it (table1, sweep, traceinfo) adds a
+// line of its own.
+func TestCLITimingLines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	_, stderr := captured(t, tinyArgs("-workloads", "SHOT", "-spec", tinySpec(t), "fig4", "sweep")...)
+	got := regexp.MustCompile(`done in [^\]]+\]`).ReplaceAllString(stderr, "done in …]")
+	if want := "[exhibits done in …]\n[sweep done in …]\n"; got != want {
+		t.Errorf("cosim fig4 sweep wrote to stderr\n%s\nwant\n%s", stderr, want)
 	}
 }
 

@@ -106,27 +106,14 @@ var (
 // WorkloadNames returns the eight workload names in Table 1 order.
 func WorkloadNames() []string { return registry.Names() }
 
-// RunOption tunes experiment concurrency; see core.RunOption. Options
-// change wall-clock only — statistics are bit-identical with or
-// without them.
+// RunOption tunes a run; see core.RunOption. Every option but
+// WithSampling changes wall-clock only — statistics are bit-identical
+// with or without them.
 type RunOption = core.RunOption
 
 // WithParallelism bounds how many independent workload runs an exhibit
 // runner executes concurrently (default GOMAXPROCS; 1 forces serial).
 var WithParallelism = core.WithParallelism
-
-// WithBusBatch sizes the batches of events the bus delivers inside each
-// run (at most, and by default, 4096). It is not a mode: the bus itself
-// shares the attached emulators out over min(GOMAXPROCS, emulators)
-// worker goroutines whenever that is two or more.
-var WithBusBatch = core.WithBusBatch
-
-// WithBankShards spreads each Dragonhead emulator's bank lookups
-// across n worker goroutines inside one run, partitioned by the
-// address-interleave bits that select the CC bank. Statistics are
-// bit-identical to serial emulation. n == 0 selects auto (one shard
-// per CPU, capped at the bank count); n == 1 forces serial.
-var WithBankShards = core.WithBankShards
 
 // TraceStore memoizes captured bus-event streams; see tracestore.Store.
 type TraceStore = tracestore.Store
@@ -172,12 +159,14 @@ var Run = core.Run
 // LLCSweep runs one workload while emulating every LLC configuration.
 var LLCSweep = core.LLCSweep
 
-// Engine selects how a sweep executes: EngineEmulate (the default;
-// one cache emulator per distinct geometry), EngineAuto (a sweep planner compiles
-// the grid into one analytic stack-distance pass plus an emulation leg
-// for configs the profile cannot express), or EngineOracle (strict:
-// planning fails if any config needs emulation). Results are
-// bit-identical across engines; `cosim -verify` proves it.
+// Engine selects how a sweep executes: EngineEmulate (one cache
+// emulator per distinct geometry; the default of LLCSweep and the
+// exhibit runners), EngineAuto (a sweep planner compiles the grid into
+// one analytic stack-distance pass plus an emulation leg for configs
+// the profile cannot express; the default of CombinedSweep, `cosim` and
+// cosimd), or EngineOracle (strict: planning fails if any config needs
+// emulation). Results are bit-identical across engines; `cosim -verify`
+// proves it.
 type Engine = core.Engine
 
 // Engine values; see core.Engine.
@@ -195,12 +184,11 @@ var ParseEngine = core.ParseEngine
 var WithEngine = core.WithEngine
 
 // SamplingMode selects the sweep accuracy tier: SamplingOff (exact,
-// the default), SamplingFast (replay only representative trace
+// the default) or SamplingFast (replay only representative trace
 // intervals and extrapolate full-trace statistics with confidence
-// intervals), or SamplingCustom (explicit sampling parameters via
-// WithSamplingParams). Unlike every other run option, sampling CHANGES
-// results — each LLCResult carries a SamplingEstimate with its
-// miss-count confidence interval, graded against the exact oracle by
+// intervals). Unlike every other run option, sampling CHANGES results —
+// each LLCResult carries a SamplingEstimate with its miss-count
+// confidence interval, graded against the exact oracle by
 // `cosim -verify`.
 type SamplingMode = core.SamplingMode
 
@@ -221,10 +209,6 @@ var ParseSampling = core.ParseSampling
 // WithSampling selects the accuracy tier for LLCSweep, CombinedSweep,
 // and the exhibit runners built on them.
 var WithSampling = core.WithSampling
-
-// WithSamplingParams enables sampling with explicit sampling.Params
-// (interval length, cluster budget, warmup, seed, CI width knobs).
-var WithSamplingParams = core.WithSamplingParams
 
 // CombinedSweep executes several config grids of one workload as a
 // single planned sweep: shared geometries are deduplicated across

@@ -7,8 +7,8 @@
 //     min(GOMAXPROCS, attached snoopers) workers, like the Dragonhead
 //     FPGAs passively snooping the FSB in parallel with SoftSDV; a pass
 //     with one snooper stays on the producer's goroutine (fsb.Bus).
-//     Nothing selects this — WithBusBatch only sizes the batch — and
-//     per-snooper delivery order is total, so results are bit-identical.
+//     Nothing selects this, and per-snooper delivery order is total, so
+//     results are bit-identical.
 //   - Experiment parallelism (WithParallelism) runs INDEPENDENT
 //     (workload, platform) executions on a bounded
 //     worker pool, GOMAXPROCS wide by default, like racking up several
@@ -136,6 +136,7 @@ func WithParallelism(n int) RunOption {
 // events (n <= 0 or above fsb.DefaultBatch selects fsb.DefaultBatch).
 // Whether batches fan out over worker goroutines is the bus's own
 // decision (see fsb.Bus); statistics are bit-identical at every size.
+// No user surface sets it; it stays only because bench's fsb probes do.
 func WithBusBatch(n int) RunOption {
 	return func(o *runOpts) { o.batch = n }
 }
@@ -187,7 +188,9 @@ func (o runOpts) rootSpan(name string) *telemetry.Span {
 // CPU, capped at the bank count and rounded down to a power of two);
 // n == 1 forces serial; larger values are clamped to the emulator's
 // bank count. The private per-core organization always runs serial (it
-// routes by core ID, not address).
+// routes by core ID, not address). It has never been faster than serial
+// and no user surface sets it; it stays only because bench's
+// dragonhead.sharded_speedup probe does.
 func WithBankShards(n int) RunOption {
 	return func(o *runOpts) {
 		if n <= 0 {

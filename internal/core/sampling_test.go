@@ -18,10 +18,10 @@ import (
 
 	"cmpmem/internal/cache"
 	"cmpmem/internal/fsb"
+	"cmpmem/internal/oracle"
 	"cmpmem/internal/sampling"
 	"cmpmem/internal/telemetry"
 	"cmpmem/internal/tracestore"
-	"cmpmem/internal/verify"
 	"cmpmem/internal/workloads"
 	"cmpmem/internal/workloads/registry"
 )
@@ -54,21 +54,21 @@ type samplingErrorRow struct {
 // capture in store so the sampled sweep reuses the same stream).
 func exactOracleMisses(t *testing.T, name string, p workloads.Params, pc PlatformConfig, store *tracestore.Store, cfgs []cache.Config) []uint64 {
 	t.Helper()
-	oracle, err := verify.NewOracle(64)
+	orc, err := oracle.New(64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, llc := range cfgs {
-		if err := oracle.AddConfig(llc); err != nil {
+		if err := orc.AddConfig(llc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := runNamed(name, p, pc, runOpts{store: store}, []fsb.Snooper{oracle}); err != nil {
+	if _, err := runNamed(name, p, pc, runOpts{store: store}, []fsb.Snooper{orc}); err != nil {
 		t.Fatalf("%s: oracle replay: %v", name, err)
 	}
 	out := make([]uint64, len(cfgs))
 	for i, llc := range cfgs {
-		if out[i], err = oracle.MissesForConfig(llc); err != nil {
+		if out[i], err = orc.MissesForConfig(llc); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"cmpmem/internal/cache"
 	"cmpmem/internal/dragonhead"
 	"cmpmem/internal/fsb"
+	"cmpmem/internal/oracle"
 	"cmpmem/internal/telemetry"
 	"cmpmem/internal/tracestore"
 	"cmpmem/internal/verify"
@@ -96,24 +97,25 @@ func VerifyAll(p workloads.Params, vc VerifyConfig, opts ...RunOption) (*verify.
 }
 
 // verifyWorkload runs the per-workload legs: the oracle differential,
-// the bank-interleave neutrality, the intra-run sharding neutrality,
-// and the delivery equivalence.
+// the sampled tier's intervals, the bank-interleave neutrality, and the
+// delivery equivalence. The intra-run sharded path has no leg: no user
+// surface selects it, and TestSerialShardedEquivalence covers it.
 func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc PlatformConfig, store *tracestore.Store, opts []RunOption) error {
 	cfgs := verifyConfigs(p.Scale)
 	ro := applyOpts(opts)
 	ro.store = store
 
 	// --- Leg 1: differential oracle over the replayed stream ----------
-	oracle, err := verify.NewOracle(64)
+	orc, err := oracle.New(64)
 	if err != nil {
 		return err
 	}
 	emus := make([]*dragonhead.Emulator, len(cfgs))
 	refs := make([]*verify.RefCache, len(cfgs))
-	snoopers := []fsb.Snooper{oracle}
+	snoopers := []fsb.Snooper{orc}
 	caches := make([]*cache.Cache, len(cfgs))
 	for i, llc := range cfgs {
-		if err := oracle.AddConfig(llc); err != nil {
+		if err := orc.AddConfig(llc); err != nil {
 			return err
 		}
 		dcfg, err := bankedConfig(llc)
@@ -134,7 +136,7 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 	}
 	replayDigest := fsb.NewStreamDigest()
 	snoopers = append(snoopers, replayDigest)
-	// Capture alone first: leg 4's serial-vs-replay finding must compare
+	// Capture alone first: leg 3's serial-vs-replay finding must compare
 	// a stored stream, not the capturing execution's bus.
 	if _, _, err := ro.openTrace(name, p, pc, nil); err != nil {
 		return err
@@ -152,7 +154,7 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 		st := emus[i].Stats()
 		id := name + "/" + llc.Name
 
-		want, err := oracle.MissesForConfig(llc)
+		want, err := orc.MissesForConfig(llc)
 		if err != nil {
 			return err
 		}
@@ -162,7 +164,7 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 			rep.Failf("oracle/"+id, "dragonhead %d misses, oracle predicts %d (delta %+d)",
 				st.Misses, want, int64(st.Misses)-int64(want))
 		}
-		rep.Check("oracle-accesses/"+id, verify.Conserve("line requests", st.Accesses, oracle.Accesses()))
+		rep.Check("oracle-accesses/"+id, verify.Conserve("line requests", st.Accesses, orc.Accesses()))
 
 		// The monolithic cache and the naive reference cache saw the
 		// same stream through the same AF gating: full differential.
@@ -188,7 +190,7 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 		var points []verify.MissPoint
 		for _, mb := range verifyPaperMB {
 			llc := cache.Config{Size: scaledCacheBytes(mb, p.Scale), LineSize: 64, Assoc: assoc}
-			m, err := oracle.MissesForConfig(llc)
+			m, err := orc.MissesForConfig(llc)
 			if err != nil {
 				return err
 			}
@@ -208,7 +210,7 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 		return err
 	}
 	for i, llc := range cfgs {
-		want, err := oracle.MissesForConfig(llc)
+		want, err := orc.MissesForConfig(llc)
 		if err != nil {
 			return err
 		}
@@ -236,7 +238,7 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 	// monolithic set space).
 	neutral := cfgs[len(cfgs)-1] // largest grid entry: most sets to split
 	neutralSets := neutral.Size / neutral.LineSize / uint64(neutral.Assoc)
-	shardBase, err := bankedConfig(neutral)
+	banked, err := bankedConfig(neutral)
 	if err != nil {
 		return err
 	}
@@ -246,7 +248,7 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 		if uint64(banks) > neutralSets {
 			continue // cannot split further than one set per bank
 		}
-		dcfg := shardBase
+		dcfg := banked
 		dcfg.Banks = banks
 		e, err := dragonhead.New(dcfg)
 		if err != nil {
@@ -264,54 +266,7 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 			verify.DiffStats(fmt.Sprintf("1 bank vs %d banks", e.Banks()), base, e.Stats()))
 	}
 
-	// --- Leg 3: intra-run sharding neutrality --------------------------
-	// The same stream through the serial and the sharded (2- and 4-way)
-	// execution paths of one emulator configuration must agree on every
-	// published number: Stats, the CB sample series, MPKI, and the AF
-	// drop count.
-	serialEmu, err := dragonhead.New(shardBase)
-	if err != nil {
-		return err
-	}
-	ssnoop := []fsb.Snooper{serialEmu}
-	var shardedEmus []*dragonhead.Emulator
-	for _, shards := range []int{2, 4} {
-		if shards > shardBase.Banks {
-			continue
-		}
-		scfg := shardBase
-		scfg.Shards = shards
-		e, err := dragonhead.New(scfg)
-		if err != nil {
-			return err
-		}
-		shardedEmus = append(shardedEmus, e)
-		ssnoop = append(ssnoop, e)
-	}
-	if _, err := runNamed(name, p, pc, ro, ssnoop); err != nil {
-		return err
-	}
-	for _, e := range shardedEmus {
-		id := fmt.Sprintf("shard-neutrality/%s/%dshards", name, e.Shards())
-		if err := verify.DiffStats(
-			fmt.Sprintf("serial vs %d shards", e.Shards()), serialEmu.Stats(), e.Stats()); err != nil {
-			rep.Check(id, err)
-			continue
-		}
-		switch {
-		case e.MPKI() != serialEmu.MPKI() || e.Ignored() != serialEmu.Ignored():
-			rep.Failf(id, "MPKI/ignored diverge: %g/%d != %g/%d",
-				e.MPKI(), e.Ignored(), serialEmu.MPKI(), serialEmu.Ignored())
-		case !slices.Equal(e.Samples(), serialEmu.Samples()):
-			rep.Failf(id, "CB sample series diverges (%d vs %d samples)",
-				len(e.Samples()), len(serialEmu.Samples()))
-		default:
-			rep.Passf(id, "stats, %d CB samples, MPKI %.4g bit-identical",
-				len(serialEmu.Samples()), serialEmu.MPKI())
-		}
-	}
-
-	// --- Leg 4: serial == batched == replay ----------------------------
+	// --- Leg 3: serial == batched == replay ----------------------------
 	rep.Merge(verifyDelivery(name, p, pc, replaySum, replayDigest, opts))
 	return nil
 }
@@ -430,37 +385,6 @@ func verifyConservation(rep *verify.Report, name string, p workloads.Params, pc 
 	rep.Check("counter/cc_accesses/"+name, verify.Conserve("dragonhead CC accesses", ccAcc, wantAcc))
 	rep.Check("counter/cc_misses/"+name, verify.Conserve("dragonhead CC misses", ccMiss, wantMiss))
 
-	// Sharded leg: the same sweep through the intra-run sharded path
-	// must produce identical results, and the sharder's routed-ref
-	// counter must conserve against the emulators' access totals (every
-	// in-window line request is routed to exactly one shard).
-	sreg := telemetry.NewRegistry()
-	var sbuf bytes.Buffer
-	ssink := telemetry.NewSink(sreg, telemetry.NewManifestWriter(&sbuf), nil)
-	sresults, _, err := LLCSweep(name, p, pc, llcs, WithTelemetry(ssink), WithBankShards(2))
-	if err != nil {
-		return err
-	}
-	for i, r := range results {
-		rep.Check("sharded-sweep/"+name+"/"+r.LLC.Name,
-			verify.DiffStats("serial vs sharded sweep", r.Stats, sresults[i].Stats))
-	}
-	ssnap := sreg.Snapshot()
-	// Only emulators with >= 2 banks actually shard (a cache small
-	// enough to shrink to one bank runs serial); the routed-ref counter
-	// conserves against exactly those emulators' access totals.
-	var sAcc uint64
-	for i, r := range sresults {
-		dcfg, err := bankedConfig(llcs[i])
-		if err != nil {
-			return err
-		}
-		if dcfg.Banks >= 2 {
-			sAcc += r.Stats.Accesses
-		}
-	}
-	rep.Check("counter/shard_refs/"+name,
-		verify.Conserve("core_shard_refs_total", ssnap.Counters["core_shard_refs_total"], sAcc))
 	return nil
 }
 

@@ -57,7 +57,8 @@ type Config struct {
 	// that select the CC bank (see shard.go). Must be a power of two;
 	// values above Banks are clamped to Banks. 0 or 1 means serial.
 	// Results are bit-identical to serial execution. Ignored in the
-	// private organization, which routes by core ID, not address.
+	// private organization, which routes by core ID, not address. Only
+	// core.WithBankShards, which bench's probes call, sets it.
 	Shards int
 	// ClockHz converts cycles-completed messages into emulated seconds
 	// for CB sampling. The paper's virtual cores are timed against the

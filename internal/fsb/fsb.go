@@ -282,7 +282,8 @@ func NewBus() *Bus { return NewBatchedBus(0) }
 
 // NewBatchedBus returns an empty bus whose batches carry at most
 // batchSize events; batchSize <= 0 or above DefaultBatch selects
-// DefaultBatch.
+// DefaultBatch. Only core.WithBusBatch and bench's probes pass a size;
+// every other caller wants NewBus.
 func NewBatchedBus(batchSize int) *Bus {
 	if batchSize <= 0 || batchSize > DefaultBatch {
 		batchSize = DefaultBatch

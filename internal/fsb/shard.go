@@ -81,6 +81,9 @@ func (w *busWorker) deliver(batch []Event) {
 //
 // The producer side (Ref, Broadcast, Close) must stay on one goroutine,
 // and consumer state may only be read after Close has returned.
+//
+// No user surface selects sharding (it has never beaten serial); the
+// Sharder stays because core.WithBankShards and bench's probes use it.
 type Sharder struct {
 	workers   []*busWorker
 	pending   [][]Event

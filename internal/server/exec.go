@@ -24,6 +24,7 @@ package server
 
 import (
 	"context"
+	"slices"
 
 	"cmpmem/internal/core"
 	"cmpmem/internal/telemetry"
@@ -51,7 +52,7 @@ type SweepResult struct {
 // diff a served result against a locally computed one. Options passed
 // by the caller (trace store, telemetry, progress hooks, server-side
 // parallelism defaults) are applied first; the spec's own options
-// (engine, explicit shards/batch) are applied last and win.
+// (engine, sampling) are applied last and win.
 func ExecuteSpec(spec *SweepSpec, opts ...core.RunOption) (*SweepResult, error) {
 	return ExecuteSpecCtx(context.Background(), spec, opts...)
 }
@@ -65,19 +66,16 @@ func ExecuteSpecCtx(ctx context.Context, spec *SweepSpec, opts ...core.RunOption
 	if sp := telemetry.SpanFromContext(ctx); sp != nil {
 		opts = append([]core.RunOption{core.WithParentSpan(sp)}, opts...)
 	}
-	name, p, pc, grids, specOpts, err := spec.runArgs()
+	call, err := spec.lower()
 	if err != nil {
 		return nil, err
 	}
-	all := make([]core.RunOption, 0, len(opts)+len(specOpts))
-	all = append(all, opts...)
-	all = append(all, specOpts...)
-	results, sum, err := core.CombinedSweep(name, p, pc, grids, all...)
+	results, sum, err := core.CombinedSweep(call.name, call.p, call.pc, call.grids, slices.Concat(opts, call.opts)...)
 	if err != nil {
 		return nil, err
 	}
 	return &SweepResult{
-		Workload: name,
+		Workload: call.name,
 		SpecHash: spec.Hash(),
 		Engine:   spec.Engine,
 		Summary:  sum,

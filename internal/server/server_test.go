@@ -124,16 +124,16 @@ func TestServedResultBitMatchesCombinedSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, p, pc, grids, specOpts, err := spec.runArgs()
+	call, err := spec.lower()
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, sum, err := core.CombinedSweep(name, p, pc, grids, specOpts...)
+	results, sum, err := core.CombinedSweep(call.name, call.p, call.pc, call.grids, call.opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, err := json.Marshal(&SweepResult{
-		Workload: name,
+		Workload: call.name,
 		SpecHash: spec.Hash(),
 		Engine:   spec.Engine,
 		Summary:  sum,

@@ -2,13 +2,10 @@
 //
 // A spec names everything that determines a CombinedSweep's results
 // bit-for-bit — workload, dataset parameters, platform shape, the
-// geometry grids, and the execution engine — plus the wall-clock-only
-// knobs (shards, bus batch) that tune how fast the answer is computed
-// without changing a single bit of it. The split matters: the identity
-// fields feed the canonical content hash that keys the result cache,
-// while the wall-clock knobs are deliberately excluded, so two tenants
-// asking for the same experiment at different parallelism settings
-// share one cached result.
+// geometry grids, the execution engine and the accuracy tier — and
+// nothing else: every field is identity, and all of them feed the
+// canonical content hash that keys the result cache. A body naming a
+// field the spec does not have is rejected, not ignored.
 
 package server
 
@@ -18,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"cmpmem/internal/cache"
@@ -66,11 +64,6 @@ type SweepSpec struct {
 	// the spec's identity — sampled and exact results never share a
 	// cache entry.
 	Sampling string `json:"sampling,omitempty"`
-	// Shards and Batch are wall-clock knobs (intra-run bank sharding,
-	// bus batch size). They never change results and are excluded from
-	// the content hash; 0 defers to the server's defaults.
-	Shards int `json:"shards,omitempty"`
-	Batch  int `json:"batch,omitempty"`
 }
 
 // PlatformSpec mirrors core.PlatformConfig on the wire.
@@ -169,68 +162,89 @@ func (s *SweepSpec) Normalize() {
 	}
 }
 
-// Validate checks the normalized spec. It is cheap — no datasets are
-// built, no memory proportional to the requested work is allocated —
-// so the admission path can run it on every request.
+// Validate checks the normalized spec by lowering it.
 func (s *SweepSpec) Validate() error {
+	_, err := s.lower()
+	return err
+}
+
+// sweepCall is a spec lowered to CombinedSweep's arguments.
+type sweepCall struct {
+	name  string
+	p     workloads.Params
+	pc    core.PlatformConfig
+	grids [][]cache.Config
+	// opts are the spec's engine and accuracy tier, always both, so that
+	// applied after a caller's options they decide the result.
+	opts []core.RunOption
+}
+
+// lower checks the normalized spec and converts it into CombinedSweep's
+// arguments in one pass, stopping at the first error. It is cheap — no
+// datasets are built, no memory proportional to the requested work is
+// allocated — so the admission path can run it on every request.
+func (s *SweepSpec) lower() (*sweepCall, error) {
 	if s.Workload == "" {
-		return fmt.Errorf("spec: missing workload")
+		return nil, fmt.Errorf("spec: missing workload")
 	}
-	found := false
-	for _, n := range registry.Names() {
-		if n == s.Workload {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("spec: unknown workload %q (want one of %s)",
+	if !slices.Contains(registry.Names(), s.Workload) {
+		return nil, fmt.Errorf("spec: unknown workload %q (want one of %s)",
 			s.Workload, strings.Join(registry.Names(), ", "))
 	}
 	if !(s.Scale > 0 && s.Scale <= MaxScale) {
-		return fmt.Errorf("spec: scale %v out of range (0, %v]", s.Scale, MaxScale)
+		return nil, fmt.Errorf("spec: scale %v out of range (0, %v]", s.Scale, MaxScale)
 	}
 	if s.Platform.Threads < 1 || s.Platform.Threads > MaxThreads {
-		return fmt.Errorf("spec: platform threads %d out of range [1, %d]", s.Platform.Threads, MaxThreads)
+		return nil, fmt.Errorf("spec: platform threads %d out of range [1, %d]", s.Platform.Threads, MaxThreads)
 	}
 	if s.Platform.Noise < 0 || s.Platform.Noise > 1<<20 {
-		return fmt.Errorf("spec: platform noise %d out of range [0, %d]", s.Platform.Noise, 1<<20)
+		return nil, fmt.Errorf("spec: platform noise %d out of range [0, %d]", s.Platform.Noise, 1<<20)
 	}
-	if _, err := core.ParseEngine(s.Engine); err != nil {
-		return fmt.Errorf("spec: %w", err)
+	engine, err := core.ParseEngine(s.Engine)
+	if err != nil {
+		return nil, fmt.Errorf("spec: %w", err)
 	}
-	if _, err := core.ParseSampling(s.Sampling); err != nil {
-		return fmt.Errorf("spec: %w", err)
-	}
-	if s.Shards < 0 || s.Shards > 64 {
-		return fmt.Errorf("spec: shards %d out of range [0, 64]", s.Shards)
-	}
-	if s.Batch < 0 || s.Batch > 1<<20 {
-		return fmt.Errorf("spec: batch %d out of range [0, %d]", s.Batch, 1<<20)
+	sampling, err := core.ParseSampling(s.Sampling)
+	if err != nil {
+		return nil, fmt.Errorf("spec: %w", err)
 	}
 	if len(s.Grids) == 0 {
-		return fmt.Errorf("spec: no geometry grids")
+		return nil, fmt.Errorf("spec: no geometry grids")
 	}
+	grids := make([][]cache.Config, len(s.Grids))
 	total := 0
 	for gi, g := range s.Grids {
 		if len(g) == 0 {
-			return fmt.Errorf("spec: grid %d is empty", gi)
+			return nil, fmt.Errorf("spec: grid %d is empty", gi)
 		}
 		total += len(g)
+		grids[gi] = make([]cache.Config, len(g))
 		for ci, c := range g {
 			cfg, err := c.cacheConfig()
+			if err == nil {
+				err = cfg.Validate()
+			}
 			if err != nil {
-				return fmt.Errorf("spec: grid %d config %d: %w", gi, ci, err)
+				return nil, fmt.Errorf("spec: grid %d config %d: %w", gi, ci, err)
 			}
-			if err := cfg.Validate(); err != nil {
-				return fmt.Errorf("spec: grid %d config %d: %w", gi, ci, err)
-			}
+			grids[gi][ci] = cfg
 		}
 	}
 	if total > MaxSpecConfigs {
-		return fmt.Errorf("spec: %d configs exceed the per-sweep limit of %d", total, MaxSpecConfigs)
+		return nil, fmt.Errorf("spec: %d configs exceed the per-sweep limit of %d", total, MaxSpecConfigs)
 	}
-	return nil
+	return &sweepCall{
+		name: s.Workload,
+		p:    workloads.Params{Seed: s.Seed, Scale: s.Scale},
+		pc: core.PlatformConfig{
+			Threads:       s.Platform.Threads,
+			Quantum:       s.Platform.Quantum,
+			HostNoiseRefs: s.Platform.Noise,
+			Seed:          s.Platform.Seed,
+		},
+		grids: grids,
+		opts:  []core.RunOption{core.WithEngine(engine), core.WithSampling(sampling)},
+	}, nil
 }
 
 // cacheConfig converts one wire config into the simulator's type.
@@ -249,11 +263,10 @@ func (c ConfigSpec) cacheConfig() (cache.Config, error) {
 	}, nil
 }
 
-// specIdentity is the canonical content of a spec: every field that
-// determines the result bit-for-bit, and nothing else. Shards and
-// Batch are wall-clock knobs and stay out; Engine stays in (engines
-// are proven bit-identical, but keying by the full request keeps a
-// cache entry auditable against exactly the spec that produced it).
+// specIdentity is the canonical content of a spec: every field of it.
+// Engine stays in (engines are proven bit-identical, but keying by the
+// full request keeps a cache entry auditable against exactly the spec
+// that produced it).
 type specIdentity struct {
 	Workload string         `json:"w"`
 	Seed     int64          `json:"s"`
@@ -261,16 +274,15 @@ type specIdentity struct {
 	Platform PlatformSpec   `json:"p"`
 	Grids    [][]ConfigSpec `json:"g"`
 	Engine   string         `json:"e"`
-	// Sampling is identity, not a wall-clock knob: a sampled result is
-	// an estimate and must never be served for an exact request (or vice
-	// versa). Omitted when off so pre-sampling cache keys stay stable.
+	// Sampling: a sampled result is an estimate and must never be served
+	// for an exact request (or vice versa). Omitted when off so
+	// pre-sampling cache keys stay stable.
 	Sampling string `json:"sm,omitempty"`
 }
 
 // Hash returns the canonical content hash of the normalized spec — the
-// key of the result cache. Two specs hash equal iff their identity
-// fields (workload, params, platform, seed, geometry grids, engine)
-// are equal after normalization.
+// key of the result cache. Two specs hash equal iff their fields are
+// equal after normalization.
 func (s *SweepSpec) Hash() string {
 	id := specIdentity{
 		Workload: s.Workload,
@@ -291,46 +303,4 @@ func (s *SweepSpec) Hash() string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:16])
-}
-
-// runArgs lowers the spec into CombinedSweep's argument list plus the
-// run options the spec itself carries (engine, then the wall-clock
-// knobs when explicitly set).
-func (s *SweepSpec) runArgs() (name string, p workloads.Params, pc core.PlatformConfig, grids [][]cache.Config, opts []core.RunOption, err error) {
-	engine, err := core.ParseEngine(s.Engine)
-	if err != nil {
-		return "", workloads.Params{}, core.PlatformConfig{}, nil, nil, err
-	}
-	grids = make([][]cache.Config, len(s.Grids))
-	for gi, g := range s.Grids {
-		grids[gi] = make([]cache.Config, len(g))
-		for ci, c := range g {
-			if grids[gi][ci], err = c.cacheConfig(); err != nil {
-				return "", workloads.Params{}, core.PlatformConfig{}, nil, nil, err
-			}
-		}
-	}
-	sampling, err := core.ParseSampling(s.Sampling)
-	if err != nil {
-		return "", workloads.Params{}, core.PlatformConfig{}, nil, nil, err
-	}
-	opts = []core.RunOption{core.WithEngine(engine)}
-	if sampling != core.SamplingOff {
-		opts = append(opts, core.WithSampling(sampling))
-	}
-	if s.Shards > 0 {
-		opts = append(opts, core.WithBankShards(s.Shards))
-	}
-	if s.Batch > 0 {
-		opts = append(opts, core.WithBusBatch(s.Batch))
-	}
-	return s.Workload,
-		workloads.Params{Seed: s.Seed, Scale: s.Scale},
-		core.PlatformConfig{
-			Threads:       s.Platform.Threads,
-			Quantum:       s.Platform.Quantum,
-			HostNoiseRefs: s.Platform.Noise,
-			Seed:          s.Platform.Seed,
-		},
-		grids, opts, nil
 }

@@ -7,6 +7,7 @@ import (
 	"cmpmem/internal/dragonhead"
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/mem"
+	"cmpmem/internal/oracle"
 	"cmpmem/internal/trace"
 )
 
@@ -30,7 +31,7 @@ func FuzzVerifyOracle(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		oracle, err := NewOracle(64)
+		orc, err := oracle.New(64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func FuzzVerifyOracle(f *testing.F) {
 		}
 		var models []model
 		for _, cfg := range cfgs {
-			if err := oracle.AddConfig(cfg); err != nil {
+			if err := orc.AddConfig(cfg); err != nil {
 				t.Fatal(err)
 			}
 			c, err := cache.New(cfg)
@@ -72,7 +73,7 @@ func FuzzVerifyOracle(f *testing.F) {
 			emu.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 			models = append(models, model{cfg, c, rc, emu})
 		}
-		oracle.OnMsg(fsb.Message{Kind: fsb.MsgStart})
+		orc.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 
 		// Decode the fuzz input as a stream of accesses: 4 bytes form a
 		// 16-bit address (dense enough to alias), a size, and a kind.
@@ -84,7 +85,7 @@ func FuzzVerifyOracle(f *testing.F) {
 			size := data[i+2]
 			kind := mem.Kind(data[i+3] & 1)
 			ref := trace.Ref{Addr: addr, Size: size, Kind: kind}
-			oracle.OnRef(ref)
+			orc.OnRef(ref)
 			for _, m := range models {
 				m.c.Access(addr, size, kind, 0)
 				m.ref.Access(addr, size, kind, 0)
@@ -94,7 +95,7 @@ func FuzzVerifyOracle(f *testing.F) {
 
 		for _, m := range models {
 			st := m.c.Stats()
-			want, err := oracle.MissesForConfig(m.cfg)
+			want, err := orc.MissesForConfig(m.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,9 +105,9 @@ func FuzzVerifyOracle(f *testing.F) {
 			if m.ref.Misses() != want {
 				t.Fatalf("%s: ref cache %d misses, oracle predicts %d", m.cfg.Name, m.ref.Misses(), want)
 			}
-			if st.Accesses != oracle.Accesses() || m.ref.Accesses() != oracle.Accesses() {
+			if st.Accesses != orc.Accesses() || m.ref.Accesses() != orc.Accesses() {
 				t.Fatalf("%s: access counts diverge: cache %d, ref %d, oracle %d",
-					m.cfg.Name, st.Accesses, m.ref.Accesses(), oracle.Accesses())
+					m.cfg.Name, st.Accesses, m.ref.Accesses(), orc.Accesses())
 			}
 			if err := DiffSnapshots(m.c.Snapshot(), m.ref.Snapshot()); err != nil {
 				t.Fatalf("%s: %v", m.cfg.Name, err)

@@ -6,6 +6,7 @@ import (
 	"cmpmem/internal/cache"
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/mem"
+	"cmpmem/internal/oracle"
 	"cmpmem/internal/trace"
 )
 
@@ -92,7 +93,7 @@ func deliver(refs []trace.Ref, snoopers ...fsb.Snooper) {
 func TestOracleDifferential(t *testing.T) {
 	refs := newRefGen(7).refs(20000)
 
-	oracle, err := NewOracle(64)
+	orc, err := oracle.New(64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +106,9 @@ func TestOracleDifferential(t *testing.T) {
 		rBus *BusAdapter
 	}
 	var pairs []pair
-	snoopers := []fsb.Snooper{oracle}
+	snoopers := []fsb.Snooper{orc}
 	for _, cfg := range cfgs {
-		if err := oracle.AddConfig(cfg); err != nil {
+		if err := orc.AddConfig(cfg); err != nil {
 			t.Fatal(err)
 		}
 		c, err := cache.New(cfg)
@@ -127,7 +128,7 @@ func TestOracleDifferential(t *testing.T) {
 
 	for _, p := range pairs {
 		st := p.c.Stats()
-		want, err := oracle.MissesForConfig(p.cfg)
+		want, err := orc.MissesForConfig(p.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +138,8 @@ func TestOracleDifferential(t *testing.T) {
 		if p.ref.Misses() != want {
 			t.Errorf("%d B/%d-way: ref cache %d misses, oracle predicts %d", p.cfg.Size, p.cfg.Assoc, p.ref.Misses(), want)
 		}
-		if st.Accesses != oracle.Accesses() {
-			t.Errorf("%d B/%d-way: cache saw %d accesses, oracle %d", p.cfg.Size, p.cfg.Assoc, st.Accesses, oracle.Accesses())
+		if st.Accesses != orc.Accesses() {
+			t.Errorf("%d B/%d-way: cache saw %d accesses, oracle %d", p.cfg.Size, p.cfg.Assoc, st.Accesses, orc.Accesses())
 		}
 		if p.ref.Accesses() != st.Accesses {
 			t.Errorf("%d B/%d-way: ref cache saw %d accesses, cache %d", p.cfg.Size, p.cfg.Assoc, p.ref.Accesses(), st.Accesses)
@@ -153,31 +154,31 @@ func TestOracleDifferential(t *testing.T) {
 // stage drops: pre-start traffic, post-stop traffic, and control
 // messages.
 func TestOracleWindowGating(t *testing.T) {
-	oracle, _ := NewOracle(64)
-	if err := oracle.AddGeometry(16, 2); err != nil {
+	orc, _ := oracle.New(64)
+	if err := orc.AddGeometry(16, 2); err != nil {
 		t.Fatal(err)
 	}
 
 	// Before the window opens: invisible.
-	oracle.OnRef(trace.Ref{Addr: 0x1000, Size: 8, Kind: mem.Load})
-	if oracle.Accesses() != 0 {
-		t.Fatalf("pre-window ref counted: %d accesses", oracle.Accesses())
+	orc.OnRef(trace.Ref{Addr: 0x1000, Size: 8, Kind: mem.Load})
+	if orc.Accesses() != 0 {
+		t.Fatalf("pre-window ref counted: %d accesses", orc.Accesses())
 	}
-	oracle.OnMsg(fsb.Message{Kind: fsb.MsgStart})
+	orc.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 	// A control message encoded as a transaction: invisible.
-	oracle.OnRef(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgCycles, Value: 99}))
-	if oracle.Accesses() != 0 {
-		t.Fatalf("message transaction counted: %d accesses", oracle.Accesses())
+	orc.OnRef(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgCycles, Value: 99}))
+	if orc.Accesses() != 0 {
+		t.Fatalf("message transaction counted: %d accesses", orc.Accesses())
 	}
 	// In-window line-straddling ref: two line-granular requests.
-	oracle.OnRef(trace.Ref{Addr: 0x103C, Size: 16, Kind: mem.Load})
-	if oracle.Accesses() != 2 {
-		t.Fatalf("straddling ref made %d requests, want 2", oracle.Accesses())
+	orc.OnRef(trace.Ref{Addr: 0x103C, Size: 16, Kind: mem.Load})
+	if orc.Accesses() != 2 {
+		t.Fatalf("straddling ref made %d requests, want 2", orc.Accesses())
 	}
-	oracle.OnMsg(fsb.Message{Kind: fsb.MsgStop})
-	oracle.OnRef(trace.Ref{Addr: 0x2000, Size: 8, Kind: mem.Load})
-	if oracle.Accesses() != 2 {
-		t.Fatalf("post-window ref counted: %d accesses", oracle.Accesses())
+	orc.OnMsg(fsb.Message{Kind: fsb.MsgStop})
+	orc.OnRef(trace.Ref{Addr: 0x2000, Size: 8, Kind: mem.Load})
+	if orc.Accesses() != 2 {
+		t.Fatalf("post-window ref counted: %d accesses", orc.Accesses())
 	}
 }
 
@@ -185,18 +186,18 @@ func TestOracleWindowGating(t *testing.T) {
 // at a fixed set count, predicted misses are non-increasing in
 // associativity — and the MonotoneMisses invariant accepts the curve.
 func TestOracleInclusionAcrossAssoc(t *testing.T) {
-	oracle, _ := NewOracle(64)
+	orc, _ := oracle.New(64)
 	const sets = 64
 	for _, a := range []int{1, 2, 4, 8, 16} {
-		if err := oracle.AddGeometry(sets, a); err != nil {
+		if err := orc.AddGeometry(sets, a); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deliver(newRefGen(42).refs(30000), oracle)
+	deliver(newRefGen(42).refs(30000), orc)
 
 	var points []MissPoint
 	for _, a := range []int{1, 2, 4, 8, 16} {
-		m, err := oracle.Misses(sets, a)
+		m, err := orc.Misses(sets, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,32 +220,32 @@ func label(assoc int) string {
 // TestOracleMisuse covers the guard rails: bad line sizes, bad
 // geometries, late registration, unknown queries.
 func TestOracleMisuse(t *testing.T) {
-	if _, err := NewOracle(0); err == nil {
+	if _, err := oracle.New(0); err == nil {
 		t.Error("line size 0 accepted")
 	}
-	if _, err := NewOracle(48); err == nil {
+	if _, err := oracle.New(48); err == nil {
 		t.Error("non-power-of-two line size accepted")
 	}
-	oracle, _ := NewOracle(64)
-	if err := oracle.AddGeometry(3, 2); err == nil {
+	orc, _ := oracle.New(64)
+	if err := orc.AddGeometry(3, 2); err == nil {
 		t.Error("non-power-of-two set count accepted")
 	}
-	if err := oracle.AddGeometry(4, 0); err == nil {
+	if err := orc.AddGeometry(4, 0); err == nil {
 		t.Error("associativity 0 accepted")
 	}
-	if err := oracle.AddConfig(cache.Config{Name: "x", Size: 1 << 12, LineSize: 32, Assoc: 2}); err == nil {
+	if err := orc.AddConfig(cache.Config{Name: "x", Size: 1 << 12, LineSize: 32, Assoc: 2}); err == nil {
 		t.Error("mismatched line size accepted")
 	}
-	if _, err := oracle.Misses(128, 2); err == nil {
+	if _, err := orc.Misses(128, 2); err == nil {
 		t.Error("unregistered set count answered")
 	}
-	oracle.AddGeometry(4, 2)
-	oracle.OnMsg(fsb.Message{Kind: fsb.MsgStart})
-	oracle.OnRef(trace.Ref{Addr: 0, Size: 1, Kind: mem.Load})
-	if err := oracle.AddGeometry(8, 2); err == nil {
+	orc.AddGeometry(4, 2)
+	orc.OnMsg(fsb.Message{Kind: fsb.MsgStart})
+	orc.OnRef(trace.Ref{Addr: 0, Size: 1, Kind: mem.Load})
+	if err := orc.AddGeometry(8, 2); err == nil {
 		t.Error("AddGeometry accepted after recording started")
 	}
-	if _, err := oracle.Misses(4, 4); err == nil {
+	if _, err := orc.Misses(4, 4); err == nil {
 		t.Error("associativity beyond registered max answered")
 	}
 }

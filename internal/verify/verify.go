@@ -8,7 +8,9 @@
 // provides three independent ways to catch a wrong number:
 //
 //   - Differential oracles. A per-set Mattson stack-distance oracle
-//     (Oracle) predicts, from one pass over a trace, the exact LRU miss
+//     (internal/oracle's Engine, the sweep planner's analytic engine
+//     used here as one more independent model) predicts, from one pass
+//     over a trace, the exact LRU miss
 //     count of every registered associativity/size at once; and a naive
 //     O(assoc) reference cache (RefCache) reproduces the full replacement
 //     state for bit-exact comparison against internal/cache. Agreement is
