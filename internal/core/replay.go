@@ -43,11 +43,7 @@ func (b *busRecorder) OnMsg(m fsb.Message) { b.rec.Add(fsb.EncodeMessage(m)) }
 
 // OnBatch implements fsb.BatchSnooper: the batch is already in the
 // stored encoding.
-func (b *busRecorder) OnBatch(batch []trace.Ref) {
-	for _, r := range batch {
-		b.rec.Add(r)
-	}
-}
+func (b *busRecorder) OnBatch(batch []trace.Ref) { b.rec.AddBatch(batch) }
 
 // TraceKey is the identity a run's capture is stored under in a
 // tracestore.Store, normalized so equivalent configurations (zero vs

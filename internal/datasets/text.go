@@ -45,27 +45,16 @@ func GenCorpus(seed int64, docs, sentencesPerDoc, termsPerSentence, vocab, topic
 	for d := 0; d < docs; d++ {
 		topic := d % topics
 		for s := 0; s < sentencesPerDoc; s++ {
-			terms := make(map[int32]float32, termsPerSentence)
-			for k := 0; k < termsPerSentence; k++ {
-				var id int32
+			ids, ws := tally(termsPerSentence, func() int32 {
 				if r.Float64() < 0.6 {
 					// Topic-local term.
-					id = int32(topicBase[topic] + zipfTopic())
-				} else {
-					id = int32(zipfGlobal())
+					return int32(topicBase[topic] + zipfTopic())
 				}
-				terms[id]++
-			}
-			ids := make([]int32, 0, len(terms))
-			for id := range terms {
-				ids = append(ids, id)
-			}
-			sortInt32s(ids)
-			ws := make([]float32, len(ids))
+				return int32(zipfGlobal())
+			})
 			var norm float64
-			for i, id := range ids {
-				ws[i] = terms[id]
-				norm += float64(ws[i]) * float64(ws[i])
+			for _, w := range ws {
+				norm += float64(w) * float64(w)
 			}
 			norm = math.Sqrt(norm)
 			for i := range ws {
@@ -77,26 +66,29 @@ func GenCorpus(seed int64, docs, sentencesPerDoc, termsPerSentence, vocab, topic
 		}
 	}
 	// Query: a few terms from topic 0's local range.
-	qt := make(map[int32]float32, 8)
-	for k := 0; k < 8; k++ {
-		qt[int32(topicBase[0]+zipfTopic())]++
-	}
-	for id := range qt {
-		c.QueryTerms = append(c.QueryTerms, id)
-	}
-	sortInt32s(c.QueryTerms)
-	c.QueryWeights = make([]float32, len(c.QueryTerms))
-	for i, id := range c.QueryTerms {
-		c.QueryWeights[i] = qt[id]
-	}
+	c.QueryTerms, c.QueryWeights = tally(8, func() int32 { return int32(topicBase[0] + zipfTopic()) })
 	return c
 }
 
-// sortInt32s sorts in place (insertion sort: sentence vectors are tiny).
-func sortInt32s(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+// tally draws k term ids and returns the distinct ones in ascending
+// order with how often each was drawn (insertion sort and a linear
+// lookup: term vectors are tiny).
+func tally(k int, draw func() int32) ([]int32, []float32) {
+	ids, counts := make([]int32, 0, k), make([]float32, 0, k)
+	for ; k > 0; k-- {
+		id := draw()
+		i := 0
+		for i < len(ids) && ids[i] < id {
+			i++
 		}
+		if i < len(ids) && ids[i] == id {
+			counts[i]++
+			continue
+		}
+		ids, counts = append(ids, 0), append(counts, 0)
+		copy(ids[i+1:], ids[i:])
+		copy(counts[i+1:], counts[i:])
+		ids[i], counts[i] = id, 1
 	}
+	return ids, counts
 }

@@ -1,6 +1,9 @@
 package datasets
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Transaction databases for frequent-itemset mining (FIMI). The
 // generator mimics the Kosarak click-stream's shape: heavy-tailed item
@@ -84,6 +87,9 @@ func GenTransactions(seed int64, n, numItems, meanLen int) *Transactions {
 
 // randZipf returns a sampler over [0, n) drawing from a discrete power
 // law p(k) ∝ 1/(k+2)^1.2 via inverse-CDF, matching click-stream skew.
+// A guide table narrows each binary search to one of g equal slices of
+// [0, 1): guide[b] is the answer for u = b/g, and the answer is
+// monotone in u. g is a power of two, so u*g and b/g are exact.
 func randZipf(seed int64, n int) func() int {
 	r := Rng(seed)
 	cum := make([]float64, n)
@@ -95,9 +101,18 @@ func randZipf(seed int64, n int) func() int {
 	for k := range cum {
 		cum[k] /= total
 	}
+	g := 1 << bits.Len(uint(n))
+	guide := make([]int32, g+1)
+	for b, k := 0, 0; b <= g; b++ {
+		for k < n-1 && cum[k] < float64(b)/float64(g) {
+			k++
+		}
+		guide[b] = int32(k)
+	}
 	return func() int {
 		u := r.Float64()
-		lo, hi := 0, n-1
+		b := int(u * float64(g))
+		lo, hi := int(guide[b]), int(guide[b+1])
 		for lo < hi {
 			mid := (lo + hi) / 2
 			if cum[mid] < u {

@@ -45,8 +45,8 @@ func (r Ref) String() string {
 // Any other header, an earlier codec version's included, is ErrBadMagic.
 var magic = [8]byte{'C', 'M', 'P', 'T', 2, 0, 0, 0}
 
-// maxRecSize bounds a record: header + core + size + 10-byte varint.
-const maxRecSize = 13
+// MaxRecSize bounds a record: header + core + size + 10-byte varint.
+const MaxRecSize = 13
 
 // Header-byte flags. The remaining bits are reserved and must be
 // zero; the reader rejects records that set them, so corrupt or
@@ -62,17 +62,52 @@ const (
 // expected file header.
 var ErrBadMagic = errors.New("trace: bad magic (not a cmpmem trace file)")
 
+// AppendHeader appends the file header to dst.
+func AppendHeader(dst []byte) []byte { return append(dst, magic[:]...) }
+
+// Encoder is the v2 record encoder. It holds the delta state — the last
+// address per issuing core and the previous record's core for the
+// same-core elision — so a stream's records must all pass through one
+// Encoder, in order, after its header.
+type Encoder struct {
+	last     [256]mem.Addr
+	prevCore uint8
+}
+
+// Append appends r's record, at most MaxRecSize bytes, to dst. A kind
+// the codec cannot carry is an error and leaves dst and the delta state
+// as they were.
+func (e *Encoder) Append(dst []byte, r Ref) ([]byte, error) {
+	if r.Kind > mem.Store {
+		return dst, fmt.Errorf("trace: v2 codec cannot encode kind %d (load/store only)", r.Kind)
+	}
+	at := len(dst)
+	hdr := byte(r.Kind) // hdrStore for a store
+	dst = append(dst, 0)
+	if r.Core == e.prevCore {
+		hdr |= hdrSameCore
+	} else {
+		dst = append(dst, r.Core)
+	}
+	if r.Size == 8 {
+		hdr |= hdrSize8
+	} else {
+		dst = append(dst, r.Size)
+	}
+	dst[at] = hdr
+	delta := int64(uint64(r.Addr) - uint64(e.last[r.Core]))
+	e.last[r.Core] = r.Addr
+	e.prevCore = r.Core
+	return binary.AppendUvarint(dst, uint64(delta)<<1^uint64(delta>>63)), nil
+}
+
 // Writer encodes Refs to an io.Writer.
 type Writer struct {
 	w     *bufio.Writer
-	buf   [maxRecSize]byte
+	enc   Encoder
+	buf   [MaxRecSize]byte
 	count uint64
 	err   error
-
-	// Delta state: last address per issuing core, and the previous
-	// record's core for the same-core elision.
-	last     [256]mem.Addr
-	prevCore uint8
 }
 
 // NewWriterV2 writes the file header and returns a delta-varint Writer.
@@ -91,44 +126,17 @@ func (w *Writer) Write(r Ref) error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.write(r); err != nil {
+	rec, err := w.enc.Append(w.buf[:0], r)
+	if err == nil {
+		if _, err = w.w.Write(rec); err != nil {
+			err = fmt.Errorf("trace: writing record: %w", err)
+		}
+	}
+	if err != nil {
 		w.err = err
 		return err
 	}
 	w.count++
-	return nil
-}
-
-func (w *Writer) write(r Ref) error {
-	if r.Kind > mem.Store {
-		return fmt.Errorf("trace: v2 codec cannot encode kind %d (load/store only)", r.Kind)
-	}
-	hdr := byte(0)
-	if r.Kind == mem.Store {
-		hdr |= hdrStore
-	}
-	n := 1
-	if r.Core == w.prevCore {
-		hdr |= hdrSameCore
-	} else {
-		w.buf[n] = r.Core
-		n++
-	}
-	if r.Size == 8 {
-		hdr |= hdrSize8
-	} else {
-		w.buf[n] = r.Size
-		n++
-	}
-	delta := int64(uint64(r.Addr) - uint64(w.last[r.Core]))
-	zig := uint64(delta)<<1 ^ uint64(delta>>63)
-	n += binary.PutUvarint(w.buf[n:], zig)
-	w.buf[0] = hdr
-	if _, err := w.w.Write(w.buf[:n]); err != nil {
-		return fmt.Errorf("trace: writing record: %w", err)
-	}
-	w.last[r.Core] = r.Addr
-	w.prevCore = r.Core
 	return nil
 }
 
@@ -154,9 +162,9 @@ type StreamPlayer struct {
 	data   []byte // chunks[ci]
 	pos    int    // cursor in data
 	err    error
-	seam   [maxRecSize]byte // one record spliced across a chunk boundary
+	seam   [MaxRecSize]byte // one record spliced across a chunk boundary
 
-	// Delta state, mirroring the Writer.
+	// Delta state, mirroring the Encoder.
 	last     [256]mem.Addr
 	prevCore uint8
 }
@@ -186,17 +194,17 @@ func (p *StreamPlayer) Rewind() {
 	p.advance(len(magic))
 }
 
-// window returns at least maxRecSize bytes of the stream from the
+// window returns at least MaxRecSize bytes of the stream from the
 // cursor on (fewer only at its end), spliced into p.seam at a seam.
 func (p *StreamPlayer) window() []byte {
 	rest := p.data[p.pos:]
-	if len(rest) >= maxRecSize || p.ci+1 >= len(p.chunks) {
+	if len(rest) >= MaxRecSize || p.ci+1 >= len(p.chunks) {
 		return rest
 	}
 	w := append(p.seam[:0], rest...)
 	for _, c := range p.chunks[p.ci+1:] {
-		w = append(w, c[:min(len(c), maxRecSize-len(w))]...)
-		if len(w) == maxRecSize {
+		w = append(w, c[:min(len(c), MaxRecSize-len(w))]...)
+		if len(w) == MaxRecSize {
 			break
 		}
 	}
@@ -268,7 +276,7 @@ func (p *StreamPlayer) truncate() bool {
 // NextBatch decodes up to len(dst) records into dst and returns how
 // many were produced. It is the replay hot path's entry point: the
 // decode loop runs with the cursor and the same-core state in locals,
-// and while maxRecSize bytes remain in the chunk no record can run off
+// and while MaxRecSize bytes remain in the chunk no record can run off
 // its end, so it needs no truncation checks; the last few records of a
 // chunk go through Next. A short return means end of stream or a decode
 // error (check Err). The output is identical to repeated Next calls.
@@ -281,7 +289,7 @@ func (p *StreamPlayer) NextBatch(dst []Ref) int {
 	core := p.prevCore
 	n := 0
 	for n < len(dst) {
-		if len(data)-pos < maxRecSize {
+		if len(data)-pos < MaxRecSize {
 			p.pos, p.prevCore = pos, core
 			r, ok := p.Next()
 			if !ok {

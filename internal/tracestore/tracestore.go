@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math"
@@ -91,27 +92,6 @@ type Trace struct {
 // fills: a stream is resident within one chunk of its encoded length,
 // and its seams are one record in tens of thousands.
 const chunkSize = 256 << 10
-
-// chunkWriter is an io.Writer that appends into chunkSize chunks,
-// never moving what it has written.
-type chunkWriter struct {
-	chunks [][]byte
-	n      int
-}
-
-// Write implements io.Writer; it never fails.
-func (w *chunkWriter) Write(b []byte) (int, error) {
-	w.n += len(b)
-	for rest := b; len(rest) > 0; {
-		if len(w.chunks) == 0 || len(w.chunks[len(w.chunks)-1]) == chunkSize {
-			w.chunks = append(w.chunks, make([]byte, 0, chunkSize))
-		}
-		c := &w.chunks[len(w.chunks)-1]
-		k := min(len(rest), chunkSize-len(*c))
-		*c, rest = append(*c, rest[:k]...), rest[k:]
-	}
-	return len(b), nil
-}
 
 // maxPlans caps the distinct sampling.Params memoized on one Trace;
 // one more evicts the oldest. The cap is a count, not bytes, because
@@ -207,32 +187,66 @@ func (t *Trace) SizeBytes() uint64 {
 
 // Recorder accumulates a bus-event stream during live capture, encoding
 // each event straight into the compact v2 codec — the raw []Ref form of
-// a full run never materializes — and into fixed-size chunks, so what a
-// capture holds is what it stores.
+// a full run never materializes — and straight into fixed-size chunks,
+// so what a capture holds is what it stores. A record goes into the
+// last chunk in place while MaxRecSize bytes remain there, and through
+// a scratch record across the seam otherwise.
 type Recorder struct {
-	out chunkWriter
-	w   *trace.Writer
-	n   uint64
-	err error
+	enc     trace.Encoder
+	chunks  [][]byte
+	scratch [trace.MaxRecSize]byte
+	events  uint64
+	err     error
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	r := &Recorder{}
-	r.w, r.err = trace.NewWriterV2(&r.out)
-	return r
+	return &Recorder{chunks: [][]byte{trace.AppendHeader(make([]byte, 0, chunkSize))}}
 }
 
 // Add appends one event; errors are sticky and surface in Finish.
-func (r *Recorder) Add(ref trace.Ref) {
+func (r *Recorder) Add(ref trace.Ref) { r.AddBatch([]trace.Ref{ref}) }
+
+// AddBatch appends events in order; errors are sticky and surface in
+// Finish.
+func (r *Recorder) AddBatch(refs []trace.Ref) {
 	if r.err != nil {
 		return
 	}
-	if err := r.w.Write(ref); err != nil {
-		r.err = err
-		return
+	c := r.chunks[len(r.chunks)-1]
+	for i, ref := range refs {
+		var err error
+		if chunkSize-len(c) >= trace.MaxRecSize {
+			c, err = r.enc.Append(c, ref)
+		} else {
+			c, err = r.seam(c, ref)
+		}
+		if err != nil {
+			r.err = err
+			refs = refs[:i]
+			break
+		}
 	}
-	r.n++
+	r.chunks[len(r.chunks)-1] = c
+	r.events += uint64(len(refs))
+}
+
+// seam encodes ref through the scratch record and splits it between the
+// last chunk, c, and a new one where it does not fit; it returns the
+// last chunk.
+func (r *Recorder) seam(c []byte, ref trace.Ref) ([]byte, error) {
+	rec, err := r.enc.Append(r.scratch[:0], ref)
+	if err != nil {
+		return c, err
+	}
+	k := min(len(rec), chunkSize-len(c))
+	if c = append(c, rec[:k]...); k == len(rec) {
+		return c, nil
+	}
+	r.chunks[len(r.chunks)-1] = c
+	c = append(make([]byte, 0, chunkSize), rec[k:]...)
+	r.chunks = append(r.chunks, c)
+	return c, nil
 }
 
 // Finish seals the stream and returns the memoizable trace.
@@ -240,11 +254,12 @@ func (r *Recorder) Finish(sum Summary) (*Trace, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if err := r.w.Flush(); err != nil {
-		return nil, err
+	sum.BusEvents = r.events
+	tr := &Trace{Summary: sum, chunks: r.chunks}
+	for _, c := range r.chunks {
+		tr.n += len(c)
 	}
-	sum.BusEvents = r.n
-	return &Trace{Summary: sum, chunks: r.out.chunks, n: r.out.n}, nil
+	return tr, nil
 }
 
 // DefaultMaxBytes is the default in-memory budget: large enough to hold
@@ -539,9 +554,28 @@ func (s *Store) insertLocked(k Key, tr *Trace) {
 
 // spillMagic heads a spill file: a checksum, then the store's own
 // header (key echo + summary) followed by a v2-encoded trace stream.
-// Version 2 added the checksum; files from older versions fail the
-// magic check and degrade to a recompute.
-var spillMagic = [8]byte{'C', 'M', 'P', 'S', 2, 0, 0, 0}
+// Version 2 added the checksum (FNV-1a); version 3 made it the CRC pair
+// of spillSum. Files from older versions fail the magic check and
+// degrade to a recompute.
+var spillMagic = [8]byte{'C', 'M', 'P', 'S', 3, 0, 0, 0}
+
+// castagnoli is hash/crc32's (hardware-accelerated) CRC-32C table.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// spillSum is the 64-bit spill checksum: CRC-32C in the low 32 bits and
+// CRC-32/IEEE in the high 32. hash/crc32 computes both with SSE4.2 and
+// PCLMULQDQ on amd64, several times FNV-1a's throughput.
+type spillSum struct{ c, ieee uint32 }
+
+// Write implements io.Writer; it never fails.
+func (h *spillSum) Write(p []byte) (int, error) {
+	h.c = crc32.Update(h.c, castagnoli, p)
+	h.ieee = crc32.Update(h.ieee, crc32.IEEETable, p)
+	return len(p), nil
+}
+
+// Sum64 returns the checksum of everything written so far.
+func (h *spillSum) Sum64() uint64 { return uint64(h.ieee)<<32 | uint64(h.c) }
 
 // spillPath derives a stable filename from the key. The full key is
 // echoed inside the file and verified on load, so a hash collision
@@ -588,7 +622,7 @@ func (s *Store) writeSpill(k Key, tr *Trace) {
 	}
 }
 
-// writeSpillFile writes the magic, an FNV-1a checksum of the payload,
+// writeSpillFile writes the magic, the spillSum checksum of the payload,
 // and the payload: the header, then the stream's chunks as they are.
 // The codec's own structure catches most stream corruption — records that fail to
 // decode, reserved bits, a wrong event count — but a bit flip inside a
@@ -602,7 +636,7 @@ func writeSpillFile(w io.Writer, k Key, tr *Trace) error {
 		return err
 	}
 	payload := append([][]byte{hdr.Bytes()}, tr.chunks...)
-	h := fnv.New64a()
+	var h spillSum
 	for _, p := range payload {
 		h.Write(p)
 	}
@@ -643,8 +677,8 @@ func readSpillFile(r io.Reader, want Key) (*Trace, error) {
 	if [8]byte(head[:8]) != spillMagic {
 		return nil, fmt.Errorf("tracestore: bad spill magic")
 	}
-	h := fnv.New64a()
-	body := io.TeeReader(r, h)
+	var h spillSum
+	body := io.TeeReader(r, &h)
 	k, sum, err := readKeyAndSummary(body)
 	if err != nil {
 		return nil, err

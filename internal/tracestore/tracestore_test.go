@@ -2,8 +2,11 @@ package tracestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
@@ -238,6 +241,48 @@ func TestCorruptSpillRecomputes(t *testing.T) {
 		}
 		if got := decodeAll(t, tr); len(got) != 50 {
 			t.Errorf("%s: recomputed stream has %d records, want 50", name, len(got))
+		}
+	}
+}
+
+// TestSpillHeadVersions: a version 3 spill heads its payload with the
+// CRC-32C of it in the low half of the checksum and its CRC-32/IEEE in
+// the high half. A spill in the version 2 layout (magic byte 2, FNV-1a-64
+// of the payload) is recomputed once, and the spill that recompute
+// writes revives from disk.
+func TestSpillHeadVersions(t *testing.T) {
+	var spill bytes.Buffer
+	if err := writeSpillFile(&spill, key(4), fakeTrace(4, 300)); err != nil {
+		t.Fatal(err)
+	}
+	v2 := spill.Bytes()
+	payload := v2[16:]
+	want := uint64(crc32.ChecksumIEEE(payload))<<32 | uint64(crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	if v2[4] != 3 || binary.LittleEndian.Uint64(v2[8:16]) != want {
+		t.Fatalf("spill head % x, want version 3 and checksum %#x", v2[:16], want)
+	}
+	v2[4] = 2
+	h := fnv.New64a()
+	h.Write(payload)
+	binary.LittleEndian.PutUint64(v2[8:16], h.Sum64())
+	dir := t.TempDir()
+	if err := os.WriteFile(New(0, dir).spillPath(key(4)), v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []Outcome{OutcomeMiss, OutcomeDisk} {
+		var calls int32
+		tr, outcome, err := New(0, dir).DoOutcome(key(4), func() (*Trace, error) {
+			atomic.AddInt32(&calls, 1)
+			return fakeTrace(4, 300), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outcome != want || calls != int32(1-i) {
+			t.Errorf("store %d: outcome %v after %d executions, want %v after %d", i, outcome, calls, want, 1-i)
+		}
+		if got := decodeAll(t, tr); len(got) != 300 {
+			t.Errorf("store %d: stream has %d records, want 300", i, len(got))
 		}
 	}
 }

@@ -179,8 +179,9 @@ func TestSpillReadFaultsDegradeGracefully(t *testing.T) {
 	})
 
 	// Corrupt one byte at a sweep of offsets spanning magic, header,
-	// checksum, and stream body. Every case must re-execute (the spill
-	// is rejected) and the served stream must digest identically.
+	// checksum (its CRC-32C half at 9, its CRC-32/IEEE half at 12 and
+	// 15), and stream body. Every case must re-execute (the spill is
+	// rejected) and the served stream must digest identically.
 	spillLen := func() int {
 		rc, err := seed.Open(files[0])
 		if err != nil {
@@ -198,7 +199,7 @@ func TestSpillReadFaultsDegradeGracefully(t *testing.T) {
 		}
 		return n
 	}()
-	offsets := []int{0, 4, 9, 40, 90, 100, spillLen / 2, spillLen - 1}
+	offsets := []int{0, 4, 9, 12, 15, 40, 90, 100, spillLen / 2, spillLen - 1}
 	for _, off := range offsets {
 		if off < 0 || off >= spillLen {
 			continue

@@ -1,10 +1,13 @@
 package fimi
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"testing"
 
+	"cmpmem/internal/datasets"
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/mem"
 	"cmpmem/internal/softsdv"
@@ -159,5 +162,27 @@ func TestMetadata(t *testing.T) {
 	}
 	if w.MinSupport() < 2 {
 		t.Error("support threshold collapsed")
+	}
+}
+
+// TestTransactionsPinned holds the transaction database at seed 1 and
+// scale 1/16 to the digest of the original Zipf sampler's output, so a
+// faster sampler must draw the same items.
+func TestTransactionsPinned(t *testing.T) {
+	w := New(workloads.Params{Seed: 1, Scale: 1.0 / 16})
+	db := datasets.GenTransactions(w.p.Seed, w.ntx, w.nitems, meanTxLen)
+	for _, c := range []struct {
+		name string
+		v    []int32
+		want string
+	}{
+		{"Items", db.Items, "62be81857ffb72d7f37565bddbcbad3fb159bcb9b81ef53bb198c8e23a347de5"},
+		{"Offsets", db.Offsets, "75b6648a922302e8d02e6b92d27bd1cc5647b649eff1a6a63039df7e6920a2c4"},
+	} {
+		h := sha256.New()
+		binary.Write(h, binary.LittleEndian, c.v)
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+			t.Errorf("%s digest %s, pinned %s", c.name, got, c.want)
+		}
 	}
 }

@@ -125,63 +125,86 @@ func (w *Workload) Build(sp *mem.Space, sched *softsdv.Scheduler, threads int) (
 
 	// Build the similarity graph untraced (corpus loading/indexing
 	// precedes the measured ranking region). Sentences sharing a term
-	// are chained through the term's posting list; edge weight is the
-	// true cosine similarity of the two term vectors.
-	rows := make([][]int32, n)
-	wts := make([][]float32, n)
-	last := make(map[int32]int32, w.corpus.Vocab)
-	addEdge := func(i, j int32) {
-		if i == j {
-			return
-		}
-		for _, c := range rows[i] {
-			if c == j {
-				return
-			}
-		}
-		s := cosine(w.corpus, int(i), int(j))
-		if s <= 0 {
-			return
-		}
-		rows[i] = append(rows[i], j)
-		wts[i] = append(wts[i], s)
-		rows[j] = append(rows[j], i)
-		wts[j] = append(wts[j], s)
+	// are chained through the term's posting list (last[term] is the
+	// latest sentence holding it, -1 for none); edge weight is the true
+	// cosine similarity of the two term vectors, gathered over the
+	// earlier sentence's terms from the current one's weights scattered
+	// into dense. An edge (prev, cur) only arises in cur's own loop, so
+	// stamp[prev] == cur marks it (or its zero similarity) as seen.
+	type edge struct {
+		a, b int32
+		s    float32
 	}
-	for i := 0; i < n; i++ {
-		for _, term := range w.corpus.Sentences[i] {
-			if prev, ok := last[term]; ok {
-				addEdge(prev, int32(i))
+	var edges []edge
+	deg := make([]int32, n)
+	last := make([]int32, w.corpus.Vocab)
+	stamp := make([]int32, n)
+	for i := range last {
+		last[i] = -1
+	}
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	dense := make([]float32, w.corpus.Vocab)
+	for cur := int32(0); cur < int32(n); cur++ {
+		terms, wts := w.corpus.Sentences[cur], w.corpus.Weights[cur]
+		for k, term := range terms {
+			dense[term] = wts[k]
+		}
+		for _, term := range terms {
+			prev := last[term]
+			last[term] = cur
+			if prev < 0 || stamp[prev] == cur {
+				continue
 			}
-			last[term] = int32(i)
+			stamp[prev] = cur
+			var s float32 // terms cur lacks add +0: the sum is the merge's
+			for k, pt := range w.corpus.Sentences[prev] {
+				s += w.corpus.Weights[prev][k] * dense[pt]
+			}
+			if s > 0 {
+				edges = append(edges, edge{prev, cur, s})
+				deg[prev]++
+				deg[cur]++
+			}
+		}
+		for _, term := range terms {
+			dense[term] = 0
 		}
 	}
 
-	// Row-normalize into CSR.
-	w.nnz = 0
-	for i := range rows {
-		w.nnz += len(rows[i])
-	}
+	// Row-normalize into CSR, each row's edges in the order they arose.
+	w.nnz = 2 * len(edges)
 	arena := sp.NewArena("mds/matrix", uint64(w.nnz)*8+uint64(n)*32+1<<16)
 	w.rowptr = arena.Int32s(n + 1)
 	w.entries = arena.Int64s(w.nnz)
-	pos := 0
-	rp := w.rowptr.Raw()
+	rp, ent := w.rowptr.Raw(), w.entries.Raw()
 	for i := 0; i < n; i++ {
-		rp[i] = int32(pos)
+		rp[i+1] = rp[i] + deg[i]
+	}
+	fill := deg // each row's next free entry
+	copy(fill, rp[:n])
+	for _, e := range edges {
+		ent[fill[e.a]] = packEntry(e.b, e.s)
+		ent[fill[e.b]] = packEntry(e.a, e.s)
+		fill[e.a]++
+		fill[e.b]++
+	}
+	for i := 0; i < n; i++ {
+		row := ent[rp[i]:rp[i+1]]
 		var sum float32
-		for _, v := range wts[i] {
+		for _, e := range row {
+			_, v := unpackEntry(e)
 			sum += v
 		}
 		if sum == 0 {
 			sum = 1
 		}
-		for k, c := range rows[i] {
-			w.entries.Raw()[pos] = packEntry(c, wts[i][k]/sum)
-			pos++
+		for k, e := range row {
+			c, v := unpackEntry(e)
+			row[k] = packEntry(c, v/sum)
 		}
 	}
-	rp[n] = int32(pos)
 
 	// Rank vectors and personalization (query relevance).
 	vecArena := sp.NewArena("mds/vectors", uint64(n)*16+1<<12)
@@ -211,7 +234,7 @@ func (w *Workload) Build(sp *mem.Space, sched *softsdv.Scheduler, threads int) (
 	w.termOff = termArena.Int32s(n + 1)
 	w.termIDs = termArena.Int32s(total)
 	w.termWts = termArena.Float32s(total)
-	pos = 0
+	pos := 0
 	for i, s := range w.corpus.Sentences {
 		w.termOff.Raw()[i] = int32(pos)
 		copy(w.termIDs.Raw()[pos:], s)
@@ -372,27 +395,6 @@ func (w *Workload) simTraced(t *softsdv.Thread, a, b int) float32 {
 			ai++
 		default:
 			bi++
-		}
-	}
-	return dot
-}
-
-// cosine computes (untraced) cosine similarity during graph building.
-func cosine(c *datasets.Corpus, a, b int) float32 {
-	ta, wa := c.Sentences[a], c.Weights[a]
-	tb, wb := c.Sentences[b], c.Weights[b]
-	var dot float32
-	i, j := 0, 0
-	for i < len(ta) && j < len(tb) {
-		switch {
-		case ta[i] == tb[j]:
-			dot += wa[i] * wb[j]
-			i++
-			j++
-		case ta[i] < tb[j]:
-			i++
-		default:
-			j++
 		}
 	}
 	return dot
