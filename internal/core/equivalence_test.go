@@ -15,9 +15,9 @@ import (
 // consumed on the producer's goroutine) and on four (the bus fans the
 // batches out over workers) must produce bit-identical cache.Stats, CB
 // Samples, and MPKI for every config. Per-snooper total order is
-// preserved by construction (each worker takes the batches in publish
-// order), so any divergence here is a real pipeline bug, not
-// nondeterminism.
+// preserved by construction (a snooper's lane is served by one worker
+// at a time, in publish order), so any divergence here is a real
+// pipeline bug, not nondeterminism.
 func TestSerialParallelEquivalence(t *testing.T) {
 	platforms := []struct {
 		name string

@@ -4,11 +4,12 @@
 // Two axes of parallelism mirror the paper's platform:
 //
 //   - Inside ONE run the bus fans each batch of events out over
-//     min(GOMAXPROCS, attached snoopers) workers, like the Dragonhead
-//     FPGAs passively snooping the FSB in parallel with SoftSDV; a pass
-//     with one snooper stays on the producer's goroutine (fsb.Bus).
-//     Nothing selects this, and per-snooper delivery order is total, so
-//     results are bit-identical.
+//     min(GOMAXPROCS, attached snoopers) workers while the producer
+//     makes the next one, like the Dragonhead FPGAs passively snooping
+//     the FSB in parallel with SoftSDV; on one processor every batch
+//     stays on the producer's goroutine (fsb.Bus). Nothing selects
+//     this, and per-snooper delivery order is total, so results are
+//     bit-identical.
 //   - Experiment parallelism (WithParallelism) runs INDEPENDENT
 //     (workload, platform) executions on a bounded
 //     worker pool, GOMAXPROCS wide by default, like racking up several

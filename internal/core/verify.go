@@ -272,9 +272,9 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 }
 
 // verifyDelivery is the reusable delivery-equality checker: the same
-// run under synchronous live delivery (one snooper), live delivery in
-// small batches beside a second snooper (fanned out wherever the host
-// has two processors), and store replay must produce one digest, one
+// run delivered live in full batches to one snooper (synchronously on
+// one processor, pipelined on more), live in small batches beside a
+// second snooper, and by store replay must produce one digest, one
 // event count, and one run summary. replaySum/replayDigest come from a
 // store-served run the caller already made.
 func verifyDelivery(name string, p workloads.Params, pc PlatformConfig, replaySum RunSummary, replayDigest *fsb.StreamDigest, opts []RunOption) *verify.Report {

@@ -228,16 +228,17 @@ func TestBusFanOutMixedSnoopers(t *testing.T) {
 			}
 			served, critical := 0, uint64(0)
 			for i, c := range fan.Children {
-				if c.Name != fmt.Sprintf("worker%d", i) || c.Attrs[telemetry.AttrConcurrent] != "true" || c.WallNS == 0 {
-					t.Errorf("worker span %d: %q attrs %v wall %d", i, c.Name, c.Attrs, c.WallNS)
+				if c.Name != fmt.Sprintf("worker%d", i) || c.Attrs[telemetry.AttrConcurrent] != "true" {
+					t.Errorf("worker span %d: %q attrs %v", i, c.Name, c.Attrs)
 				}
 				var n int
-				fmt.Sscan(c.Attrs["snoopers"], &n)
+				fmt.Sscan(c.Attrs["deliveries"], &n)
 				served += n
 				critical = max(critical, c.WallNS)
 			}
-			if served != 5 || fan.WallNS != critical {
-				t.Errorf("workers serve %d snoopers (want 5), fanout wall %d vs busiest worker %d", served, fan.WallNS, critical)
+			if want := batched[0].batches * 5; served != want || fan.WallNS != critical {
+				t.Errorf("workers made %d deliveries (want batches x snoopers = %d), fanout wall %d vs busiest worker %d",
+					served, want, fan.WallNS, critical)
 			}
 		})
 	}
@@ -276,8 +277,9 @@ func TestBatchedBusFlushOnClose(t *testing.T) {
 }
 
 // TestBatchedBusLifecycleHooks: AttachAsync fires when the bus fans out
-// — never at attach, never when delivery stays on the producer's
-// goroutine — and Finalize at Close either way.
+// — a lone snooper included, since the producer is the other stage —
+// never at attach, never when delivery stays on the producer's
+// goroutine, and Finalize at Close either way.
 func TestBatchedBusLifecycleHooks(t *testing.T) {
 	one := []trace.Ref{{Addr: 64, Size: 8}}
 	for _, tc := range []struct {
@@ -288,7 +290,7 @@ func TestBatchedBusLifecycleHooks(t *testing.T) {
 	}{
 		{"fanned", 2, 1, false, true},
 		{"one processor", 1, 1, false, false},
-		{"one snooper", 2, 0, false, false},
+		{"one snooper", 2, 0, false, true},
 		{"per-event first", 2, 1, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -341,9 +343,9 @@ func (s *panickingSnooper) OnRef(trace.Ref) {
 func (s *panickingSnooper) OnMsg(Message) {}
 
 // TestBatchedBusPanicPropagation: a panicking snooper must not deadlock
-// the producer; its panic surfaces as an error from Close naming it, the
-// poisoned worker stops delivering, and the other workers' snoopers
-// still get everything.
+// the producer; its panic surfaces as an error from Close naming it, its
+// poisoned lane stops delivering, and the other snoopers still get
+// everything.
 func TestBatchedBusPanicPropagation(t *testing.T) {
 	withProcs(t, 2)
 	bus := NewBatchedBus(16)
@@ -367,7 +369,95 @@ func TestBatchedBusPanicPropagation(t *testing.T) {
 		t.Errorf("healthy snooper got %d refs, want 5000", got)
 	}
 	if bad.after.Load() != 0 {
-		t.Errorf("poisoned worker delivered %d refs after panic", bad.after.Load())
+		t.Errorf("poisoned lane delivered %d refs after panic", bad.after.Load())
+	}
+}
+
+// spinDigest is a batchDigest that burns spin extra digest rounds per
+// batch: the slow snooper of the skewed-lane test.
+type spinDigest struct {
+	batchDigest
+	spin  int
+	waste StreamDigest
+}
+
+func (d *spinDigest) OnBatch(batch []trace.Ref) {
+	for i := 0; i < d.spin; i++ {
+		Deliver(&d.waste, batch)
+	}
+	d.batchDigest.OnBatch(batch)
+}
+
+// TestBusLanesBalanceAndIsolate: workers claim lanes, not snoopers. One
+// snooper ten times slower than the rest still leaves every digest equal
+// to the per-event reference with no snooper ever holding more than the
+// pool; and a snooper that panics, attached first, poisons only its own
+// lane — the three beside it get every event and Close names it.
+func TestBusLanesBalanceAndIsolate(t *testing.T) {
+	stream := encodedStream(30_000)
+	ref := NewStreamDigest()
+	Deliver(ref, stream)
+
+	for _, procs := range []int{2, 4} {
+		t.Run(fmt.Sprintf("procs=%d/skewed", procs), func(t *testing.T) {
+			withProcs(t, procs)
+			bus := NewBatchedBus(256)
+			root := telemetry.StartSpan("test")
+			bus.TraceSpan(root)
+			ds := []*spinDigest{{spin: 10}, {}, {}, {}, {}}
+			for _, d := range ds {
+				d.StreamDigest = *NewStreamDigest()
+				bus.Attach(d)
+			}
+			feedCuts(bus, stream, rand.New(rand.NewSource(int64(procs))), 2000)
+			if err := bus.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, d := range ds {
+				if d.Sum() != ref.Sum() || d.Events() != ref.Events() {
+					t.Errorf("snooper %d: digest %x over %d events, want %x over %d", i, d.Sum(), d.Events(), ref.Sum(), ref.Events())
+				}
+				if len(d.bases) > batchDepth+1 {
+					t.Errorf("snooper %d saw %d distinct buffers, pool is %d", i, len(d.bases), batchDepth+1)
+				}
+			}
+			fan := root.Find("fanout")
+			if fan == nil || len(fan.Children) != min(procs, len(ds)) {
+				t.Fatalf("fanout span %+v, want %d workers", fan, min(procs, len(ds)))
+			}
+			delivered := 0
+			for _, c := range fan.Children {
+				var n int
+				fmt.Sscan(c.Attrs["deliveries"], &n)
+				delivered += n
+			}
+			if want := ds[0].batches * len(ds); delivered != want {
+				t.Errorf("workers made %d deliveries, want %d", delivered, want)
+			}
+		})
+		t.Run(fmt.Sprintf("procs=%d/panic", procs), func(t *testing.T) {
+			withProcs(t, procs)
+			bus := NewBatchedBus(256)
+			bad := &panickingSnooper{n: 100}
+			bus.Attach(bad)
+			good := []*StreamDigest{NewStreamDigest(), NewStreamDigest(), NewStreamDigest()}
+			for _, d := range good {
+				bus.Attach(d)
+			}
+			feedCuts(bus, stream, rand.New(rand.NewSource(int64(procs))), 2000)
+			err := bus.Close()
+			if err == nil || !strings.Contains(err.Error(), "snooper 0 (*fsb.panickingSnooper)") {
+				t.Fatalf("Close = %v, want the panic of snooper 0", err)
+			}
+			for i, d := range good {
+				if d.Sum() != ref.Sum() || d.Events() != ref.Events() {
+					t.Errorf("healthy snooper %d: digest %x over %d events, want %x over %d", i+1, d.Sum(), d.Events(), ref.Sum(), ref.Events())
+				}
+			}
+			if bad.after.Load() != 0 {
+				t.Errorf("poisoned lane delivered %d refs after panic", bad.after.Load())
+			}
+		})
 	}
 }
 

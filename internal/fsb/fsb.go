@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -174,29 +175,32 @@ func Deliver(s Snooper, batch []trace.Ref) {
 
 // DefaultBatch is the most events one batch carries: large enough to
 // amortize a channel handoff over tens of microseconds of emulation,
-// small enough that a batch (64 KB) stays cache-resident while every
-// snooper of a worker walks it.
+// small enough that a batch (64 KB) stays cache-resident while the
+// snoopers walk it.
 const DefaultBatch = 4096
 
-// batchDepth bounds the batches queued per worker; one more buffer is
-// being filled. The producer blocks when every buffer is out — the
-// backpressure that keeps memory bounded.
+// batchDepth bounds the batches published but not yet delivered to
+// every snooper; one more buffer is being filled. The producer blocks
+// when every buffer is out — the backpressure that keeps memory bounded.
 const batchDepth = 4
 
 // Bus carries events from the execution engine to any number of snoopers
 // (the Dragonhead emulator, trace writers, bandwidth meters). Its unit
 // is the batch: Refs takes a run of encoded events — a DEX slice, a
 // decoded stretch of a stored stream — and the bus chooses how to
-// deliver it when the first one arrives, from what it can observe. With
-// w = min(GOMAXPROCS, attached snoopers) <= 1 there is nothing to
-// overlap: every snooper consumes the batch where it lies, on the
-// producer's goroutine. With w >= 2 the snoopers are partitioned over w
-// workers, the software analogue of the FPGAs passively consuming the
-// bus in parallel with SoftSDV: batches are copied into batchDepth+1
-// recycled buffers of at most DefaultBatch events, each returned to the
-// pool by the last worker done with it. Every snooper observes the
-// complete stream in the order it was produced, so per-snooper results
-// are bit-identical either way.
+// deliver it when the first one arrives, from what it can observe. On
+// one processor there is nothing to overlap: every snooper consumes the
+// batch where it lies, on the producer's goroutine. With GOMAXPROCS >= 2
+// the producer is one stage of a pipeline and the snoopers the other,
+// the software analogue of the FPGAs passively consuming the bus in
+// parallel with SoftSDV: batches are copied into batchDepth+1 recycled
+// buffers of at most DefaultBatch events and appended to every
+// snooper's lane, and min(GOMAXPROCS, snoopers) workers each claim
+// whichever lane is ready and keep it until it is empty. Each buffer
+// returns to the pool once every lane has delivered it. A lane is served
+// by one worker at a time, oldest batch first, so every snooper observes
+// the complete stream in the order it was produced and per-snooper
+// results are bit-identical either way.
 //
 // Ref and Msg deliver one event at once, synchronously: a bus whose
 // first event arrives that way never fans out, and on a fanned bus the
@@ -211,11 +215,14 @@ type Bus struct {
 	started   bool // events have flowed; attaching now would lose history
 	closed    bool
 
-	// Fan-out state, nil until the first batch on a bus with w >= 2.
-	workers []*fanWorker
+	// Fan-out state, nil until the first batch on a bus that fans out.
+	lanes   []*lane        // one per snooper, in attach order
+	ready   chan *lane     // cap len(lanes): a lane is queued at most once
 	free    chan *fanBatch // cap batchDepth+1: returning a buffer never blocks
 	pend    *fanBatch      // the buffer being filled
-	one     [1]trace.Ref   // Ref/Msg's batch of one while workers run
+	workers []fanWorker
+	joined  sync.WaitGroup
+	one     [1]trace.Ref // Ref/Msg's batch of one while workers run
 
 	// tel is nil unless Instrument attached a registry; all pushes go
 	// through nil-safe handles at batch/close granularity, so the
@@ -231,7 +238,7 @@ type busTelemetry struct {
 	deliveries *telemetry.Counter   // fsb_deliveries_total: events fanned out (events x snoopers)
 	batches    *telemetry.Counter   // fsb_batches_total: batches delivered
 	occupancy  *telemetry.Histogram // fsb_batch_occupancy: events per batch
-	queueDepth *telemetry.Histogram // fsb_snooper_queue_depth: batches queued per worker at publish
+	queueDepth *telemetry.Histogram // fsb_snooper_queue_depth: each lane's backlog at publish
 }
 
 // Instrument registers the bus's metrics into r (nil r disables). Call
@@ -253,28 +260,34 @@ func (b *Bus) Instrument(r *telemetry.Registry) {
 // TraceSpan attaches parent as the span under which Close records where
 // a fanned run's time went: a "fanout" group over one "worker<i>" span
 // per worker (see traceWorkers). Call before the first event; nil
-// disables. Timing costs two clock reads per delivered batch.
+// disables. Timing costs two clock reads per (snooper, batch) delivery.
 func (b *Bus) TraceSpan(parent *telemetry.Span) { b.span = parent }
 
 // fanBatch is one pooled buffer of a fanned bus.
 type fanBatch struct {
 	refs []trace.Ref
-	left atomic.Int32 // workers still to finish with it
+	left atomic.Int32 // lanes still to deliver it
 }
 
-// fanWorker delivers every batch, in order, to snoopers first,
-// first+w, first+2w, ... of its bus.
-type fanWorker struct {
-	bus   *Bus
-	first int
-	ch    chan *fanBatch // cap batchDepth: a publish never blocks on it
-	done  chan struct{}
-	// The rest is written only by the worker goroutine and read only
-	// after done is closed: at is the snooper being served (the culprit
-	// after a panic), busyNS the delivery wall time when the bus is traced.
-	at       int
+// lane is one snooper's FIFO of published buffers. A buffer leaves q
+// only once delivered, so a non-empty lane is on the ready channel or
+// held by the worker serving it, never both: at most one worker delivers
+// to the snooper at a time.
+type lane struct {
+	s  Snooper
+	mu sync.Mutex
+	q  []*fanBatch
+	// panicked is written by the worker serving the lane and read by the
+	// next one, or by Close after the join.
 	panicked any
-	busyNS   uint64
+}
+
+// fanWorker is one delivery goroutine's tally, written only by it and
+// read after the join: busyNS is the delivery wall time when the bus is
+// traced, deliveries the (snooper, batch) pairs it served.
+type fanWorker struct {
+	busyNS     uint64
+	deliveries uint64
 }
 
 // NewBus returns an empty bus with batches of DefaultBatch events.
@@ -292,8 +305,8 @@ func NewBatchedBus(batchSize int) *Bus {
 }
 
 // Attach registers a snooper. Order of attachment is delivery order
-// among the snoopers of one goroutine. Attach must happen before the
-// first event: a late snooper would have lost history.
+// on the producer's goroutine. Attach must happen before the first
+// event: a late snooper would have lost history.
 func (b *Bus) Attach(s Snooper) {
 	if b.closed {
 		panic("fsb: Attach on closed bus")
@@ -386,11 +399,11 @@ func (b *Bus) observe(n int) {
 	}
 }
 
-// fanOut starts the workers when the first batch arrives on a bus that
-// has both snoopers to overlap and processors to overlap them on.
+// fanOut starts the workers when the first batch arrives on a bus with
+// a snooper to overlap the producer with and a processor to run it on.
 func (b *Bus) fanOut() {
-	w := min(runtime.GOMAXPROCS(0), len(b.snoopers))
-	if w < 2 {
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 || len(b.snoopers) == 0 {
 		return
 	}
 	b.free = make(chan *fanBatch, batchDepth+1)
@@ -398,68 +411,89 @@ func (b *Bus) fanOut() {
 		b.free <- &fanBatch{refs: make([]trace.Ref, 0, b.batchSize)}
 	}
 	b.pend = <-b.free
+	b.ready = make(chan *lane, len(b.snoopers))
 	for _, s := range b.snoopers {
 		if a, ok := s.(AsyncSnooper); ok {
 			a.AttachAsync()
 		}
+		b.lanes = append(b.lanes, &lane{s: s, q: make([]*fanBatch, 0, batchDepth+1)})
 	}
-	for i := 0; i < w; i++ {
-		fw := &fanWorker{bus: b, first: i, ch: make(chan *fanBatch, batchDepth), done: make(chan struct{})}
-		b.workers = append(b.workers, fw)
-		go fw.run()
+	b.workers = make([]fanWorker, min(procs, len(b.snoopers)))
+	b.joined.Add(len(b.workers))
+	for i := range b.workers {
+		go b.work(&b.workers[i])
 	}
 }
 
-// publish hands the pending batch to every worker and takes the next
-// free buffer, waiting while all are in flight.
+// publish appends the pending batch to every lane, queues each lane that
+// was idle, and takes the next free buffer, waiting while all are in
+// flight.
 func (b *Bus) publish() {
 	p := b.pend
 	if len(p.refs) == 0 {
 		return
 	}
 	b.observe(len(p.refs))
-	p.left.Store(int32(len(b.workers)))
-	for _, w := range b.workers {
+	p.left.Store(int32(len(b.lanes)))
+	for _, l := range b.lanes {
+		l.mu.Lock()
 		if b.tel != nil {
-			b.tel.queueDepth.Observe(uint64(len(w.ch)))
+			b.tel.queueDepth.Observe(uint64(len(l.q)))
 		}
-		w.ch <- p
+		idle := len(l.q) == 0
+		l.q = append(l.q, p)
+		l.mu.Unlock()
+		if idle {
+			b.ready <- l
+		}
 	}
 	b.pend = <-b.free
 	b.pend.refs = b.pend.refs[:0]
 }
 
-// run is the worker loop. A panicking snooper poisons the worker, which
-// then keeps draining (without delivering) so the producer is never
-// blocked by a corpse; the panic value resurfaces from Close.
-func (w *fanWorker) run() {
-	defer close(w.done)
-	for p := range w.ch {
-		if w.panicked == nil {
-			w.deliver(p.refs)
-		}
-		if p.left.Add(-1) == 0 {
-			w.bus.free <- p
+// work is a worker loop: it claims whichever lane is ready and delivers
+// that lane's batches, oldest first, until the lane is empty, returning
+// each buffer to the pool once the last lane has delivered it. Keeping
+// the lane until it runs dry keeps a snooper's state on one worker while
+// it has a backlog. A panicking snooper poisons its own lane, which
+// keeps draining (without delivering) so the producer is never blocked
+// by a corpse; the panic value resurfaces from Close.
+func (b *Bus) work(w *fanWorker) {
+	defer b.joined.Done()
+	for l := range b.ready {
+		for more := true; more; {
+			l.mu.Lock()
+			p := l.q[0]
+			l.mu.Unlock()
+			if l.panicked == nil {
+				b.deliver(w, l, p.refs)
+			}
+			w.deliveries++
+			l.mu.Lock()
+			l.q = l.q[:copy(l.q, l.q[1:])]
+			more = len(l.q) > 0
+			l.mu.Unlock()
+			if p.left.Add(-1) == 0 {
+				b.free <- p
+			}
 		}
 	}
 }
 
-func (w *fanWorker) deliver(batch []trace.Ref) {
+func (b *Bus) deliver(w *fanWorker, l *lane, batch []trace.Ref) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.panicked = r
+			l.panicked = r
 		}
 	}()
-	if w.bus.span != nil {
+	if b.span != nil {
 		start := time.Now()
 		defer func() { w.busyNS += uint64(time.Since(start)) }()
 	}
-	for w.at = w.first; w.at < len(w.bus.snoopers); w.at += len(w.bus.workers) {
-		Deliver(w.bus.snoopers[w.at], batch)
-	}
+	Deliver(l.s, batch)
 }
 
-// Close flushes the partial batch, waits for every worker to drain, and
+// Close flushes the partial batch, waits for every lane to drain, and
 // finalizes snoopers. It reports the first panic of a snooper served by
 // a worker as an error (on the producer's goroutine a snooper's panic
 // simply propagates). Close is idempotent; after Close the bus accepts
@@ -478,28 +512,26 @@ func (b *Bus) Close() error {
 	}
 	if b.workers != nil {
 		b.publish()
-		for _, w := range b.workers {
-			close(w.ch)
+		// Every buffer but the one being filled back in the pool: every
+		// lane has delivered everything, and no worker holds a lane.
+		for i := 0; i < batchDepth; i++ {
+			<-b.free
 		}
-		var err error
-		for _, w := range b.workers {
-			<-w.done
-			if w.panicked != nil && err == nil {
-				err = fmt.Errorf("fsb: snooper %d (%T) panicked during delivery: %v", w.at, b.snoopers[w.at], w.panicked)
-			}
-		}
+		close(b.ready)
+		b.joined.Wait()
 		if b.span != nil {
 			busy := make([]uint64, len(b.workers))
 			for i, w := range b.workers {
 				busy[i] = w.busyNS
 			}
 			for i, c := range traceWorkers(b.span, "fanout", "worker", busy) {
-				served := (len(b.snoopers) - i + len(busy) - 1) / len(busy)
-				c.SetAttr("snoopers", strconv.Itoa(served))
+				c.SetAttr("deliveries", strconv.FormatUint(b.workers[i].deliveries, 10))
 			}
 		}
-		if err != nil {
-			return err
+		for i, l := range b.lanes {
+			if l.panicked != nil {
+				return fmt.Errorf("fsb: snooper %d (%T) panicked during delivery: %v", i, l.s, l.panicked)
+			}
 		}
 	}
 	for _, s := range b.snoopers {

@@ -9,10 +9,20 @@ import (
 	"cmpmem/internal/trace"
 )
 
-// collector records bus traffic for assertions.
+// collector records bus traffic for assertions. Read it only after
+// close: with two or more processors the bus delivers on a worker.
 type collector struct {
+	bus  *fsb.Bus
 	refs []trace.Ref
 	msgs []fsb.Message
+}
+
+// close closes the collector's bus, draining every delivery.
+func (c *collector) close(t *testing.T) {
+	t.Helper()
+	if err := c.bus.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func (c *collector) OnRef(r trace.Ref) { c.refs = append(c.refs, r) }
@@ -23,7 +33,7 @@ func (c *collector) OnMsg(m fsb.Message) {
 func newSched(t *testing.T, cfg Config) (*Scheduler, *collector) {
 	t.Helper()
 	bus := fsb.NewBus()
-	col := &collector{}
+	col := &collector{bus: bus}
 	bus.Attach(col)
 	s, err := NewScheduler(cfg, bus)
 	if err != nil {
@@ -52,6 +62,7 @@ func TestSingleThreadRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	col.close(t)
 	if s.Instructions() != 25 {
 		t.Errorf("instructions = %d, want 25", s.Instructions())
 	}
@@ -86,15 +97,13 @@ func TestInstructionCountsPerThread(t *testing.T) {
 // TestProtocolOrder: each slice must emit Start, CoreID, refs,
 // InstRetired, Cycles, Stop in that order.
 func TestProtocolOrder(t *testing.T) {
-	bus := fsb.NewBus()
-	col := &collector{}
-	bus.Attach(col)
-	s, _ := NewScheduler(Config{Cores: 1, Quantum: 1000}, bus)
+	s, col := newSched(t, Config{Cores: 1, Quantum: 1000})
 	if err := s.Run(ProgramFunc(func(th *Thread, core int) {
 		th.Access(0x100, 8, mem.Load)
 	})); err != nil {
 		t.Fatal(err)
 	}
+	col.close(t)
 	kinds := make([]fsb.MsgKind, 0, len(col.msgs))
 	for _, m := range col.msgs {
 		kinds = append(kinds, m.Kind)
@@ -122,6 +131,7 @@ func TestRoundRobinFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	col.close(t)
 	perCore := map[uint8]int{}
 	for _, r := range col.refs {
 		perCore[r.Core]++
@@ -150,6 +160,7 @@ func TestConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	col.close(t)
 	last := map[uint8]uint64{}
 	for _, m := range col.msgs {
 		if m.Kind == fsb.MsgInstRetired {
@@ -272,6 +283,9 @@ func TestHostNoiseOutsideWindow(t *testing.T) {
 	if err := s.Run(ProgramFunc(func(th *Thread, core int) {
 		th.Access(0x4000_0000, 8, mem.Load)
 	})); err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if wt.inWin != 1 {
