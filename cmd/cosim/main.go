@@ -51,23 +51,16 @@
 //	            directory in the compact v2 trace codec, so later
 //	            invocations skip execution too (-sampling and traceinfo
 //	            memoize in memory by themselves; bit-identical results)
-//	-engine e   sweep execution engine: auto (default, as in cosimd:
-//	            compile each sweep into one analytic stack-distance pass
-//	            plus an emulation leg for configs the profile cannot
-//	            express), emulate (one cache emulator per distinct
-//	            geometry), or oracle (strict: error out if any config
-//	            needs emulation); results are bit-identical across
-//	            engines — run -verify to prove it
 //	-sampling m approximate fast mode: off (default, exact) or fast
 //	            (replay only representative trace intervals and
-//	            extrapolate with confidence intervals; unlike -engine
-//	            this CHANGES the numbers into estimates — every result
+//	            extrapolate with confidence intervals; this CHANGES
+//	            the numbers into estimates — every result
 //	            carries its miss-count CI, and -verify grades the
 //	            realized error against the exact oracle)
 //	-metrics-addr addr
 //	            serve live metrics over HTTP while exhibits run:
-//	            /metrics (Prometheus text), /debug/vars (expvar JSON),
-//	            /debug/pprof/* (profiling); also enables the per-sweep
+//	            /metrics (Prometheus text) and /debug/pprof/*
+//	            (profiling); also enables the per-sweep
 //	            progress line on stderr and the run manifest
 //	-manifest path
 //	            append one JSON run manifest per exhibit run to this file
@@ -77,8 +70,10 @@
 //	            differential stack-distance oracles against the cache
 //	            emulators, metamorphic invariants (LRU inclusion, bank
 //	            neutrality, serial == batched == replay), telemetry
-//	            conservation, and fault injection; exits non-zero if any
-//	            check fails (honors -workloads, -scale, -seed)
+//	            conservation, fault injection, and the sweep planner
+//	            (default and strict) against per-config emulation;
+//	            exits non-zero if any check fails (honors -workloads,
+//	            -scale, -seed)
 //	-verify-out path
 //	            with -verify, also write the report as JSON to this file
 package main
@@ -125,9 +120,8 @@ func run(args []string) error {
 	subset := fs.String("workloads", "", "comma-separated workload subset")
 	jobs := fs.Int("j", 0, "concurrent workload runs (0 = GOMAXPROCS, 1 = serial)")
 	traceDir := fs.String("trace-dir", "", "memoize captured bus streams and spill them to this directory")
-	engineName := fs.String("engine", core.EngineAuto.String(), "sweep execution engine: auto|emulate|oracle")
 	samplingName := fs.String("sampling", core.SamplingOff.String(), "accuracy tier: off (exact) or fast (sampled estimates with confidence intervals)")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address during the run")
 	manifestPath := fs.String("manifest", "", "append JSONL run manifests to this file (default cosim_manifest.jsonl with -metrics-addr)")
 	verifyMode := fs.Bool("verify", false, "run the verification suite (oracles, invariants, fault injection) and exit")
 	verifyOut := fs.String("verify-out", "", "with -verify, write the report as JSON to this file")
@@ -137,10 +131,6 @@ func run(args []string) error {
 	windows := fs.Int("windows", 0, "with the traceinfo subcommand, also print a phase timeline with this many windows")
 	stackdist := fs.Bool("stackdist", false, "with the traceinfo subcommand, also print a stack-distance (LRU reuse) summary")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	engine, err := core.ParseEngine(*engineName)
-	if err != nil {
 		return err
 	}
 	samplingMode, err := core.ParseSampling(*samplingName)
@@ -153,7 +143,7 @@ func run(args []string) error {
 	}
 	p := workloads.Params{Seed: *seed, Scale: *scale}
 	if *verifyMode {
-		return runVerify(p, names, *verifyOut, engine)
+		return runVerify(p, names, *verifyOut)
 	}
 	if fs.NArg() < 1 {
 		fs.Usage()
@@ -165,20 +155,19 @@ func run(args []string) error {
 	if fs.Arg(0) == "trace" {
 		return traceCmd(fs.Args()[1:], *foldFlag, *manifestPath, os.Stdout)
 	}
-	opts := []core.RunOption{core.WithParallelism(*jobs), core.WithEngine(engine), core.WithSampling(samplingMode)}
-	// Telemetry must be enabled before the trace store is constructed so
-	// the store registers its counters into the live default registry.
-	telOpt, telClose, err := setupTelemetry(*metricsAddr, *manifestPath)
+	sink, telClose, err := setupTelemetry(*metricsAddr, *manifestPath)
 	if err != nil {
 		return err
 	}
 	defer telClose()
-	opts = append(opts, telOpt...)
+	opts := []core.RunOption{core.WithParallelism(*jobs), core.WithSampling(samplingMode), core.WithTelemetry(sink)}
 	cmds := fs.Args()
 	// Re-executing the guest is cheaper than holding its stream: a store
 	// pays only where the stream is reused (several passes, or a spill).
 	if *traceDir != "" || samplingMode != core.SamplingOff || slices.Contains(cmds, "traceinfo") {
-		opts = append(opts, core.WithTraceReuse(tracestore.New(0, *traceDir)))
+		store := tracestore.New(0, *traceDir)
+		store.Instrument(sink.Registry())
+		opts = append(opts, core.WithTraceReuse(store))
 	}
 
 	if len(cmds) == 1 && cmds[0] == "all" {
@@ -244,11 +233,9 @@ func run(args []string) error {
 // oracle differentials, metamorphic invariants, conservation, and fault
 // injection. The rendered report goes to stdout; an optional JSON copy
 // goes to outPath (the CI artifact). A failed check is a non-zero exit.
-// The engine selection reaches the planner gate: -engine=oracle checks
-// the planner in strict mode over the oracle-answerable grid.
-func runVerify(p workloads.Params, names []string, outPath string, engine core.Engine) error {
+func runVerify(p workloads.Params, names []string, outPath string) error {
 	start := time.Now()
-	rep, err := core.VerifyAll(p, core.VerifyConfig{Workloads: names}, core.WithEngine(engine))
+	rep, err := core.VerifyAll(p, core.VerifyConfig{Workloads: names})
 	if err != nil {
 		return err
 	}
@@ -279,14 +266,15 @@ var boundMetricsAddr atomic.Value // string
 // /metrics scrapes before force-closing their connections.
 const metricsDrainTimeout = 3 * time.Second
 
-// setupTelemetry turns the -metrics-addr / -manifest flags into run
-// options plus a cleanup function. Either flag alone enables the full
-// substrate: counters, spans, manifests, and the stderr progress line.
-func setupTelemetry(addr, manifestPath string) ([]core.RunOption, func(), error) {
+// setupTelemetry turns the -metrics-addr / -manifest flags into the
+// run's telemetry sink plus a cleanup function; the sink is nil when
+// neither flag is set. Either flag alone enables the full substrate:
+// counters, spans, manifests, and the stderr progress line.
+func setupTelemetry(addr, manifestPath string) (*telemetry.Sink, func(), error) {
 	if addr == "" && manifestPath == "" {
 		return nil, func() {}, nil
 	}
-	reg := telemetry.Enable()
+	reg := telemetry.NewRegistry()
 	if manifestPath == "" {
 		manifestPath = "cosim_manifest.jsonl"
 	}
@@ -302,7 +290,6 @@ func setupTelemetry(addr, manifestPath string) ([]core.RunOption, func(), error)
 			return nil, nil, err
 		}
 		boundMetricsAddr.Store(ln.Addr().String())
-		telemetry.PublishExpvar(reg)
 		srv := &http.Server{Handler: telemetry.Handler(reg)}
 		go srv.Serve(ln)
 		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics (manifests -> %s)\n",
@@ -328,15 +315,14 @@ func setupTelemetry(addr, manifestPath string) ([]core.RunOption, func(), error)
 			man.Close()
 		}
 	}
-	sink := telemetry.NewSink(reg, man, telemetry.NewProgress(os.Stderr))
-	return []core.RunOption{core.WithTelemetry(sink)}, cleanup, nil
+	return telemetry.NewSink(reg, man, telemetry.NewProgress(os.Stderr)), cleanup, nil
 }
 
 // sweepCmd answers one spec file through server.ExecuteSpec — the exact
 // path cosimd's workers run — and prints the result JSON to w.
-// The CLI's flag-derived options go in first; the spec's own fields
-// (engine, sampling) are applied last and win, so the output is a pure
-// function of the spec regardless of local flags.
+// The CLI's flag-derived options go in first; the spec's sampling mode
+// is applied last and wins, so the output is a pure function of the
+// spec regardless of local flags.
 func sweepCmd(w io.Writer, specPath string, opts []core.RunOption) error {
 	if specPath == "" {
 		return fmt.Errorf("sweep: missing -spec file (use - for stdin)")

@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"cmpmem/internal/core"
 	"cmpmem/internal/telemetry"
+	"cmpmem/internal/workloads"
 )
 
 // tinyArgs keeps CLI tests fast: 1/512-scale workloads.
@@ -39,10 +41,9 @@ func TestCLISubcommands(t *testing.T) {
 		// Subcommands whose exhibits share executions.
 		tinyArgs("-workloads", "PLSA", "fig4", "phases", "fig6", "fig7", "dramcache"),
 		tinyArgs("-j", "1", "-workloads", "SHOT", "table2", "fig8"),
-		// The sweep planner: auto plans any grid; oracle is strict but
-		// the cache sweep is fully analytic.
-		tinyArgs("-engine", "auto", "-csv", "-workloads", "PLSA", "fig4", "fig7"),
-		tinyArgs("-engine", "oracle", "-csv", "-workloads", "SHOT", "fig4"),
+		// The sweep planner answers the 64 B family analytically and
+		// emulates the other line sizes.
+		tinyArgs("-csv", "-workloads", "PLSA", "fig4", "fig7"),
 	}
 	for _, args := range cases {
 		if err := run(args); err != nil {
@@ -165,8 +166,8 @@ func scrapeCounters(t *testing.T, base string) map[string]float64 {
 
 // TestCLIMetricsEndpoint drives a sweep with -metrics-addr and scrapes
 // the live endpoints from the outside while it runs: Prometheus text
-// validity, counter monotonicity across scrapes, expvar JSON, and the
-// run manifest the flag implies.
+// validity, counter monotonicity across scrapes, and the run manifest
+// the flag implies.
 func TestCLIMetricsEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -179,9 +180,9 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		// Emulators, so the Dragonhead counters below have a source:
-		// under the default engine Figure 4 is all analytic.
-		done <- run(tinyArgs("-metrics-addr", "127.0.0.1:0", "-manifest", manifest,
-			"-engine", "emulate", "fig4"))
+		// Figure 7's configs at lines other than 64 B are always
+		// emulated.
+		done <- run(tinyArgs("-metrics-addr", "127.0.0.1:0", "-manifest", manifest, "fig7"))
 	}()
 
 	// Readiness: the listener binds synchronously before the sweep
@@ -207,7 +208,6 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 	// Scrape continuously while the sweep runs. The server closes when
 	// run returns, so every check happens on live mid-run responses.
 	var snaps []map[string]float64
-	varsOK := false
 	for running := true; running; {
 		select {
 		case err := <-done:
@@ -223,31 +223,12 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 		if m := scrapeCounters(t, "http://"+addr); m != nil {
 			snaps = append(snaps, m)
 		}
-		if !varsOK {
-			// expvar mirror: valid JSON containing the registry snapshot.
-			if resp, err := http.Get("http://" + addr + "/debug/vars"); err == nil {
-				var vars struct {
-					Cosim struct {
-						Counters map[string]uint64 `json:"counters"`
-					} `json:"cosim"`
-				}
-				err = json.NewDecoder(resp.Body).Decode(&vars)
-				resp.Body.Close()
-				if err != nil {
-					t.Fatalf("/debug/vars is not JSON: %v", err)
-				}
-				varsOK = len(vars.Cosim.Counters) > 0
-			}
-		}
 		if running {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
 	if len(snaps) < 2 {
 		t.Fatalf("got %d successful mid-run scrapes, want at least 2", len(snaps))
-	}
-	if !varsOK {
-		t.Error("/debug/vars never served a non-empty cosim snapshot")
 	}
 
 	// Counters never decrease across successive scrapes, and the
@@ -312,7 +293,7 @@ func TestCLIVerifyMode(t *testing.T) {
 	if len(rep.Findings) == 0 {
 		t.Fatal("verify artifact has no findings")
 	}
-	planner := false
+	planner, strict := false, false
 	for _, f := range rep.Findings {
 		if !f.OK {
 			t.Errorf("FAIL %s: %s", f.Check, f.Detail)
@@ -320,12 +301,11 @@ func TestCLIVerifyMode(t *testing.T) {
 		if f.Check == "" {
 			t.Error("finding with empty check name")
 		}
-		if strings.HasPrefix(f.Check, "planner") {
-			planner = true
-		}
+		planner = planner || strings.HasPrefix(f.Check, "planner/")
+		strict = strict || strings.HasPrefix(f.Check, "planner-strict/")
 	}
-	if !planner {
-		t.Error("verify report has no planner bit-equality findings")
+	if !planner || !strict {
+		t.Errorf("verify report has planner findings %v, strict planner findings %v; want both", planner, strict)
 	}
 }
 
@@ -339,19 +319,11 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"-verify", "-workloads", "NOPE"}); err == nil {
 		t.Error("-verify with an empty workload selection accepted")
 	}
-	if err := run([]string{"-engine", "fpga", "table1"}); err == nil {
-		t.Error("unknown -engine accepted")
-	}
 	// The retired knobs are unknown flags, not ignored ones.
-	for _, flag := range []string{"-batch", "-shards"} {
+	for _, flag := range []string{"-batch", "-shards", "-engine"} {
 		if err := run([]string{flag, "2", "fig4"}); err == nil || !strings.Contains(err.Error(), "not defined: "+flag) {
 			t.Errorf("cosim %s 2 fig4 = %v, want an unknown-flag error", flag, err)
 		}
-	}
-	// Strict oracle mode must refuse the line-size sweep (fig7) up
-	// front: its configs change the line granularity the profile fixes.
-	if err := run(tinyArgs("-engine", "oracle", "-workloads", "PLSA", "fig7")); err == nil {
-		t.Error("-engine=oracle accepted a line-size sweep")
 	}
 }
 
@@ -412,38 +384,31 @@ func TestCLIWorkloadsSelectsTheWork(t *testing.T) {
 
 // TestCLIDefaultIsSerial: like cosimd, the CLI never shards an emulator.
 // With four CPUs to tempt it, an emulating sweep must leave no shards
-// span and move no core_shard_* counter.
+// span and move no core_shard_* counter in its manifest's snapshot.
 func TestCLIDefaultIsSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	sharded := func(args ...string) bool {
-		var folded strings.Builder
-		for _, r := range sweepManifests(t, append(args, "-csv", "-workloads", "SHOT", "fig4")...) {
-			if err := telemetry.WriteFolded(&folded, r.Trace); err != nil {
-				t.Fatal(err)
+	// Only emulators have banks to shard: Figure 7's configs at lines
+	// other than 64 B are always emulated.
+	recs := sweepManifests(t, "-csv", "-workloads", "SHOT", "fig7")
+	var folded strings.Builder
+	for _, r := range recs {
+		if err := telemetry.WriteFolded(&folded, r.Trace); err != nil {
+			t.Fatal(err)
+		}
+		if r.Counters == nil || r.Counters.Counters["dragonhead_cb_samples_total"] == 0 {
+			t.Fatalf("%s: manifest snapshot shows no emulator at work (%+v)", r.Workload, r.Counters)
+		}
+		for name, v := range r.Counters.Counters {
+			if strings.HasPrefix(name, "core_shard_") && v != 0 {
+				t.Errorf("an emulating cosim sweep moved %s to %d", name, v)
 			}
 		}
-		return strings.Contains(folded.String(), ";shards")
 	}
-	shardCounters := func() uint64 {
-		var n uint64
-		for name, v := range telemetry.Enable().Snapshot().Counters {
-			if strings.HasPrefix(name, "core_shard_") {
-				n += v
-			}
-		}
-		return n
-	}
-	// Figure 4 is all analytic under the default engine: only emulators
-	// have banks to shard.
-	before := shardCounters()
-	if sharded("-engine", "emulate") {
+	if strings.Contains(folded.String(), ";shards") {
 		t.Error("an emulating cosim sweep opened a shards span")
-	}
-	if after := shardCounters(); after != before {
-		t.Errorf("an emulating cosim sweep moved core_shard_* counters by %d", after-before)
 	}
 }
 
@@ -488,16 +453,16 @@ func tinySpec(t *testing.T) string {
 	return path
 }
 
-// TestSweepSpecWinsOverFlags: a spec decides its own engine and accuracy
-// tier, so `cosim sweep` prints the same bytes whatever -sampling or
-// -engine says; an exact spec never comes back as an estimate.
+// TestSweepSpecWinsOverFlags: a spec decides its own accuracy tier, so
+// `cosim sweep` prints the same bytes whatever -sampling says; an exact
+// spec never comes back as an estimate.
 func TestSweepSpecWinsOverFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
 	spec := tinySpec(t)
 	want, _ := captured(t, "-spec", spec, "sweep")
-	for _, flag := range [][]string{{"-sampling", "fast"}, {"-engine", "emulate"}} {
+	for _, flag := range [][]string{{"-sampling", "fast"}} {
 		if got, _ := captured(t, append(flag, "-spec", spec, "sweep")...); got != want {
 			t.Errorf("cosim %v sweep prints\n%s\nwithout the flag\n%s", flag, got, want)
 		}
@@ -518,14 +483,14 @@ func TestCLITimingLines(t *testing.T) {
 	}
 }
 
-// TestCLIDefaultEngineIsAuto: like cosimd and SweepSpec, the CLI plans
-// every sweep unless told otherwise — a default fig4 answers its grid
-// analytically — and prints exactly what -engine emulate prints.
+// TestCLIDefaultEngineIsAuto: like cosimd, the CLI plans every sweep —
+// a default fig4 answers its grid analytically — and prints exactly
+// what the same exhibits print when every config is emulated.
 func TestCLIDefaultEngineIsAuto(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	stdout := func(args ...string) (string, []traceRecord) {
+	stdout := func(fn func()) string {
 		tmp, err := os.CreateTemp(t.TempDir(), "stdout")
 		if err != nil {
 			t.Fatal(err)
@@ -533,14 +498,15 @@ func TestCLIDefaultEngineIsAuto(t *testing.T) {
 		defer tmp.Close()
 		defer func(old *os.File) { os.Stdout = old }(os.Stdout)
 		os.Stdout = tmp
-		recs := sweepManifests(t, append(args, "-workloads", "PLSA,SHOT", "fig4")...)
+		fn()
 		out, err := os.ReadFile(tmp.Name())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return string(out), recs
+		return string(out)
 	}
-	planned, recs := stdout()
+	var recs []traceRecord
+	planned := stdout(func() { recs = sweepManifests(t, "-workloads", "PLSA,SHOT", "fig4") })
 	if len(recs) != 2 {
 		t.Fatalf("default fig4 on two workloads wrote %d plansweep manifests", len(recs))
 	}
@@ -549,13 +515,17 @@ func TestCLIDefaultEngineIsAuto(t *testing.T) {
 			t.Errorf("%s: default fig4 answered no config analytically (attrs %v)", r.Workload, r.Trace.Attrs)
 		}
 	}
-	emulated, recs := stdout("-engine", "emulate")
-	for _, r := range recs {
-		if r.Trace.Attrs["analytic_configs"] != "0" {
-			t.Errorf("%s: -engine emulate still answered configs analytically (attrs %v)", r.Workload, r.Trace.Attrs)
+	names, p := []string{"PLSA", "SHOT"}, workloads.Params{Seed: 3, Scale: 0.002}
+	ex, print := mpkiFigure(names, p, "fig4", false, "")
+	emulated := stdout(func() {
+		if err := core.RunExhibits(names, p, ex, core.WithEngine(core.EngineEmulate)); err != nil {
+			t.Fatal(err)
 		}
-	}
+		if err := print(); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if planned != emulated || planned == "" {
-		t.Errorf("default fig4 prints\n%s\n-engine emulate prints\n%s", planned, emulated)
+		t.Errorf("default fig4 prints\n%s\nemulated fig4 prints\n%s", planned, emulated)
 	}
 }

@@ -33,9 +33,6 @@
 //	-drain d          shutdown drain timeout (default 10s)
 //	-manifest path    append per-request JSONL manifests (span trees)
 //	-manifest-max-mb  rotate the manifest file past this size (default 64)
-//	-trace-slow d     requests slower than d count as slow and trigger a
-//	                  CPU profile capture (0 disables)
-//	-profile-dir      where slow-request CPU profiles land (default ".")
 //
 // SIGINT/SIGTERM drains gracefully: admission stops, queued jobs fail
 // loudly, in-flight sweeps get the drain timeout to finish, and the
@@ -79,8 +76,6 @@ func run(args []string) error {
 	drain := fs.Duration("drain", 10*time.Second, "shutdown drain timeout")
 	manifestPath := fs.String("manifest", "", "append per-request JSONL manifests to this file")
 	manifestMaxMB := fs.Int("manifest-max-mb", 64, "rotate the manifest file past this many MiB (0 = unbounded)")
-	traceSlow := fs.Duration("trace-slow", 0, "requests slower than this trigger a CPU profile capture (0 disables)")
-	profileDir := fs.String("profile-dir", ".", "directory for slow-request CPU profiles")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -90,18 +85,12 @@ func run(args []string) error {
 	}
 	var manifest *telemetry.ManifestWriter
 	if *manifestPath != "" {
-		manifest, err = telemetry.OpenManifestFileLimits(*manifestPath, uint64(*manifestMaxMB)<<20, 0)
+		manifest, err = telemetry.OpenManifestFileLimits(*manifestPath, uint64(*manifestMaxMB)<<20)
 		if err != nil {
 			return err
 		}
 		defer manifest.Close()
 	}
-
-	// The default registry powers the simulator-side counters (tracestore,
-	// emulators); the server registers its cosimd_* metrics into the same
-	// one so /metrics is a single scrape.
-	reg := telemetry.Enable()
-	telemetry.PublishExpvar(reg)
 
 	s := server.New(server.Config{
 		Workers:          *workers,
@@ -111,10 +100,7 @@ func run(args []string) error {
 		TraceStoreBytes:  uint64(*traceMB) << 20,
 		TraceDir:         *traceDir,
 		RetainJobs:       *retain,
-		Registry:         reg,
 		Manifest:         manifest,
-		SlowTrace:        *traceSlow,
-		ProfileDir:       *profileDir,
 	})
 	s.Start()
 

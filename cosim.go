@@ -159,30 +159,6 @@ var Run = core.Run
 // LLCSweep runs one workload while emulating every LLC configuration.
 var LLCSweep = core.LLCSweep
 
-// Engine selects how a sweep executes: EngineEmulate (one cache
-// emulator per distinct geometry; the default of LLCSweep and the
-// exhibit runners), EngineAuto (a sweep planner compiles the grid into
-// one analytic stack-distance pass plus an emulation leg for configs
-// the profile cannot express; the default of CombinedSweep, `cosim` and
-// cosimd), or EngineOracle (strict: planning fails if any config needs
-// emulation). Results are bit-identical across engines; `cosim -verify`
-// proves it.
-type Engine = core.Engine
-
-// Engine values; see core.Engine.
-const (
-	EngineEmulate = core.EngineEmulate
-	EngineAuto    = core.EngineAuto
-	EngineOracle  = core.EngineOracle
-)
-
-// ParseEngine maps "emulate"|"auto"|"oracle" to an Engine.
-var ParseEngine = core.ParseEngine
-
-// WithEngine selects the sweep execution engine for LLCSweep and the
-// exhibit runners built on it.
-var WithEngine = core.WithEngine
-
 // SamplingMode selects the sweep accuracy tier: SamplingOff (exact,
 // the default) or SamplingFast (replay only representative trace
 // intervals and extrapolate full-trace statistics with confidence
@@ -213,7 +189,8 @@ var WithSampling = core.WithSampling
 // CombinedSweep executes several config grids of one workload as a
 // single planned sweep: shared geometries are deduplicated across
 // grids and every oracle-answerable config is served by one analytic
-// pass. It defaults to EngineAuto; results mirror the grids exactly.
+// pass; results mirror the grids exactly and match LLCSweep's
+// emulators bit for bit.
 var CombinedSweep = core.CombinedSweep
 
 // RunHier times every given per-core L1/L2 hierarchy on one execution.
@@ -290,9 +267,9 @@ type RunManifest = telemetry.Manifest
 // parts; see telemetry.NewSink.
 var NewTelemetrySink = telemetry.NewSink
 
-// EnableTelemetry installs (and returns) the process-wide default
-// registry, so package-level instruments created afterwards are live.
-var EnableTelemetry = telemetry.Enable
+// NewTelemetryRegistry builds an empty registry to hand to
+// NewTelemetrySink; nothing looks a registry up by itself.
+var NewTelemetryRegistry = telemetry.NewRegistry
 
 // WithTelemetry instruments the runs made with this option set:
 // counters, span trees, run manifests, and progress lines. Statistics

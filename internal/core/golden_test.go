@@ -102,13 +102,13 @@ func TestGoldenCacheSweepPlanner(t *testing.T) {
 }
 
 // TestGoldenLineSweep pins Figure 7, which no analytic engine answers:
-// every line size but the modal 64 B is emulated, on banks clamped to
-// the set count at the largest lines.
+// every line size is emulated, the 64 B point included, on banks
+// clamped to the set count at the largest lines.
 func TestGoldenLineSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs are slow")
 	}
-	series, err := LineSweep(nil, goldenParams())
+	series, err := LineSweep(nil, goldenParams(), WithEngine(EngineEmulate))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +116,13 @@ func TestGoldenLineSweep(t *testing.T) {
 }
 
 // TestGoldenLLCOrg pins the shared-vs-private study: one shared
-// Dragonhead routed by address and one private one routed by core.
+// Dragonhead routed by address and one private one routed by core,
+// emulated so the pin holds the Dragonhead's own numbers.
 func TestGoldenLLCOrg(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs are slow")
 	}
-	rows, err := SharedVsPrivate(nil, goldenParams(), 0, 0)
+	rows, err := SharedVsPrivate(nil, goldenParams(), 0, 0, WithEngine(EngineEmulate))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,23 +130,23 @@ func TestGoldenLLCOrg(t *testing.T) {
 }
 
 // TestGoldenPlannerNeutralExhibits re-runs the hierarchy-based golden
-// exhibits with the planner engine selected: a timing hierarchy is never
+// exhibits with the emulate engine forced: a timing hierarchy is never
 // planned (per-level timing and prefetch are outside the stack-distance
-// profile), so the engine option must be a no-op there — the same
-// fixtures must match byte for byte.
+// profile), so the engine must be a no-op there — the same fixtures
+// must match byte for byte.
 func TestGoldenPlannerNeutralExhibits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs are slow")
 	}
 	if *update {
-		t.Skip("fixtures are authored by the emulation-path tests")
+		t.Skip("fixtures are authored by TestGoldenTable2 and TestGoldenFig8")
 	}
-	rows2, err := Table2(nil, goldenParams(), WithEngine(EngineAuto))
+	rows2, err := Table2(nil, goldenParams(), WithEngine(EngineEmulate))
 	if err != nil {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "table2.json", rows2)
-	rows8, err := Fig8(nil, goldenParams(), WithEngine(EngineAuto))
+	rows8, err := Fig8(nil, goldenParams(), WithEngine(EngineEmulate))
 	if err != nil {
 		t.Fatal(err)
 	}

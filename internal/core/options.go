@@ -98,12 +98,9 @@ type runOpts struct {
 	// caller-owned span (a cosimd request trace) instead of opening a
 	// fresh root on the telemetry sink. See WithParentSpan.
 	parent *telemetry.Span
-	// engine selects the sweep execution engine (see WithEngine); the
-	// zero value plans with emulators only. engineSet records
-	// whether the caller chose explicitly, so CombinedSweep can default
-	// to planning while WithEngine(EngineEmulate) still means emulate.
-	engine    Engine
-	engineSet bool
+	// engine selects the sweep execution engine: applyOpts resolves it
+	// to EngineAuto, LLCSweep to EngineEmulate (see WithEngine).
+	engine Engine
 	// shards selects intra-run bank sharding for the dragonhead
 	// emulators: 0 = serial (the default), -1 = auto (resolved per
 	// emulator by shardCount), >= 1 explicit.
@@ -152,8 +149,9 @@ func WithTraceReuse(s *tracestore.Store) RunOption {
 }
 
 // WithTelemetry instruments every run made with this option set: the
-// simulator's packages (softsdv, fsb, dragonhead, tracestore) register
-// their counters into the sink's registry, each experiment emits a
+// simulator's packages (softsdv, fsb, dragonhead) register their
+// counters into the sink's registry (a trace store's go wherever its
+// owner's Store.Instrument points them), each experiment emits a
 // span tree plus a machine-readable run manifest, and the exhibit
 // runners print live progress lines. Telemetry observes; statistics
 // are bit-identical with or without it.
@@ -225,7 +223,7 @@ func (o runOpts) shardCount(banks int) int {
 
 // applyOpts folds an option list into the resolved set.
 func applyOpts(opts []RunOption) runOpts {
-	var o runOpts
+	o := runOpts{engine: EngineAuto}
 	for _, opt := range opts {
 		opt(&o)
 	}

@@ -24,25 +24,29 @@ import (
 	"cmpmem/internal/hier"
 )
 
-// Engine selects how a sweep answers its cache configurations.
+// Engine selects how a sweep answers its cache configurations. It is
+// the planner's choice, not a user's: every entry point plans
+// (EngineAuto) except LLCSweep, the reference route with one Dragonhead
+// per distinct geometry. The type stays exported because bench's probes
+// and reference runs name it.
 type Engine int
 
 const (
 	// EngineEmulate plans with emulators only: one Dragonhead per
 	// canonical geometry, no analytic leg — the reference every other
-	// engine is verified against. The zero value.
+	// engine is verified against, and LLCSweep's route.
 	EngineEmulate Engine = iota
 	// EngineAuto plans the sweep: analytically expressible configs are
 	// answered by the Mattson engine, the rest by emulation, duplicates
-	// by neither.
+	// by neither. The default of every entry point but LLCSweep.
 	EngineAuto
 	// EngineOracle requires every config to be analytically
-	// answerable and fails the sweep otherwise — the strict mode CI
-	// uses to keep the analytic path honest.
+	// answerable and fails the sweep otherwise — the strict leg of the
+	// verification suite's planner gate.
 	EngineOracle
 )
 
-// String names the engine selection (the -engine flag vocabulary).
+// String names the engine in reports (the verify suite's findings).
 func (e Engine) String() string {
 	switch e {
 	case EngineEmulate:
@@ -56,22 +60,12 @@ func (e Engine) String() string {
 	}
 }
 
-// ParseEngine parses the -engine flag vocabulary.
-func ParseEngine(s string) (Engine, error) {
-	for _, e := range []Engine{EngineEmulate, EngineAuto, EngineOracle} {
-		if e.String() == s {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown engine %q (want auto, emulate, or oracle)", s)
-}
-
-// WithEngine selects the sweep execution engine. The default
-// (EngineEmulate) emulates every canonical config; EngineAuto and
-// EngineOracle route eligible configs through the analytic engine. Results are bit-identical across engines — the
-// option changes wall-clock, never statistics.
+// WithEngine overrides the planner's engine. Results are bit-identical
+// across engines — the option changes wall-clock, never statistics. No
+// user surface sets it; it stays only because bench's reference runs
+// and the verification suite do.
 func WithEngine(e Engine) RunOption {
-	return func(o *runOpts) { o.engine, o.engineSet = e, true }
+	return func(o *runOpts) { o.engine = e }
 }
 
 // geomKey is the behavioral identity of a cache config: two configs
@@ -143,7 +137,8 @@ func analyticEligible(cfg cache.Config) bool {
 // to the emulation leg (duplicates still dedupe); EngineAuto picks the
 // dominant line size among eligible configs and answers that family
 // analytically; EngineOracle additionally fails if any config cannot
-// be answered analytically.
+// be answered analytically. It is exported because bench's probes plan
+// their grids the way the sweeps they measure do.
 func PlanSweep(configs []cache.Config, engine Engine) (*SweepPlan, error) {
 	plan := &SweepPlan{
 		Configs: append([]cache.Config(nil), configs...),
@@ -190,7 +185,7 @@ func PlanSweep(configs []cache.Config, engine Engine) (*SweepPlan, error) {
 		analytic := engine != EngineEmulate && analyticEligible(cfg) && cfg.LineSize == plan.LineSize
 		if !analytic && engine == EngineOracle {
 			return nil, fmt.Errorf(
-				"core: -engine=oracle: config %q (line %d B, %v%s) is not analytically answerable in a plan at %d B lines",
+				"core: strict oracle plan: config %q (line %d B, %v%s) is not analytically answerable in a plan at %d B lines",
 				cfg.Name, cfg.LineSize, cfg.Repl, sectoredNote(cfg), plan.LineSize)
 		}
 		plan.Entries[i].Analytic = analytic

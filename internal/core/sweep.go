@@ -33,15 +33,14 @@ import (
 )
 
 // LLCSweep runs the named workload once while answering every given LLC
-// configuration on one pass over its bus stream. The engine defaults to
-// EngineEmulate — one Dragonhead per distinct geometry, all snooping
-// the same execution, shared out over the host's cores by the bus like
-// the paper's decoupled FPGA consumers.
-// WithEngine(EngineAuto|EngineOracle) answers analytically expressible
-// configs with the Mattson engine instead (bit-identical results);
-// WithSampling routes to the fast tier (estimates), whatever the engine.
+// configuration on one pass over its bus stream. It is the reference
+// route: one Dragonhead per distinct geometry, all snooping the same
+// execution, shared out over the host's cores by the bus like the
+// paper's decoupled FPGA consumers — the one entry point that does not
+// plan. WithSampling routes to the fast tier (estimates).
 func LLCSweep(name string, p workloads.Params, pc PlatformConfig, llcs []cache.Config, opts ...RunOption) ([]LLCResult, RunSummary, error) {
-	res, _, sum, err := sweep(name, p, pc, [][]cache.Config{llcs}, nil, nil, applyOpts(opts))
+	ro := applyOpts(append([]RunOption{WithEngine(EngineEmulate)}, opts...))
+	res, _, sum, err := sweep(name, p, pc, [][]cache.Config{llcs}, nil, nil, ro)
 	return res, sum, err
 }
 
@@ -49,15 +48,11 @@ func LLCSweep(name string, p workloads.Params, pc PlatformConfig, llcs []cache.C
 // config grids — e.g. the Figure 4-6 cache sweep plus the Figure 7
 // line sweep — in a single planned pass. Geometries shared across
 // grids are computed once; the result slices mirror the input grids
-// element for element, each config under its own name. The engine
-// defaults to EngineAuto (pass WithEngine(EngineEmulate) to plan with
-// emulators only; deduplication and the single pass remain).
+// element for element, each config under its own name. The planner
+// answers the dominant line-size family analytically and emulates the
+// rest, bit-identical to LLCSweep's emulators.
 func CombinedSweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.Config, opts ...RunOption) ([][]LLCResult, RunSummary, error) {
-	ro := applyOpts(opts)
-	if !ro.engineSet {
-		ro.engine = EngineAuto
-	}
-	results, _, sum, err := sweep(name, p, pc, grids, nil, nil, ro)
+	results, _, sum, err := sweep(name, p, pc, grids, nil, nil, applyOpts(opts))
 	if err != nil {
 		return nil, RunSummary{}, err
 	}

@@ -87,7 +87,7 @@ func VerifyAll(p workloads.Params, vc VerifyConfig, opts ...RunOption) (*verify.
 	if err := verifyConservation(rep, names[0], p, pc); err != nil {
 		return nil, fmt.Errorf("verify conservation: %w", err)
 	}
-	if err := verifyPlanner(rep, names[0], p, pc, store, opts); err != nil {
+	if err := verifyPlanner(rep, names[0], p, pc, store); err != nil {
 		return nil, fmt.Errorf("verify planner: %w", err)
 	}
 	if err := verifyFaults(rep, names[0], p, pc); err != nil {
@@ -392,68 +392,72 @@ func verifyConservation(rep *verify.Report, name string, p workloads.Params, pc 
 // combined CacheSweep + LineSweep grid executed through the planner
 // must be bit-identical — full Stats, the per-sample CB series,
 // instruction totals, MPKI, and the AF ignore count — to the legacy
-// per-config emulation sweeps over the same memoized trace. When the
-// caller forced -engine=oracle the line-size grid is excluded (strict
-// mode refuses it by design) and the gate covers the cache sweep.
-func verifyPlanner(rep *verify.Report, name string, p workloads.Params, pc PlatformConfig, store *tracestore.Store, opts []RunOption) error {
-	ro := applyOpts(opts)
-	engine := ro.engine
-	if !ro.engineSet || engine == EngineEmulate {
-		engine = EngineAuto
-	}
+// per-config emulation sweeps over the same memoized trace. It runs two
+// legs: the default planner (EngineAuto) over both grids, and the
+// strict planner (EngineOracle) over the cache sweep alone, since
+// strict mode refuses the line-size grid by design.
+func verifyPlanner(rep *verify.Report, name string, p workloads.Params, pc PlatformConfig, store *tracestore.Store) error {
 	grids := [][]cache.Config{CacheSweepConfigs(p.Scale), LineSweepConfigs(p.Scale)}
-	if engine == EngineOracle {
-		grids = grids[:1]
-	}
-
-	base := []RunOption{WithTraceReuse(store)}
 	legacy := make([][]LLCResult, len(grids))
 	var legacySum RunSummary
 	for gi, grid := range grids {
-		res, sum, err := LLCSweep(name, p, pc, grid, base...)
+		res, sum, err := LLCSweep(name, p, pc, grid, WithTraceReuse(store))
 		if err != nil {
 			return err
 		}
 		legacy[gi], legacySum = res, sum
 	}
-	planned, plannedSum, err := CombinedSweep(name, p, pc, grids, append(base, WithEngine(engine))...)
-	if err != nil {
-		return err
+	legs := []struct {
+		prefix string
+		engine Engine
+		grids  int
+	}{
+		{"planner", EngineAuto, len(grids)},
+		{"planner-strict", EngineOracle, 1},
 	}
-
-	if plannedSum == legacySum {
-		rep.Passf("planner-summary/"+name, "run summary identical under %s", engine)
-	} else {
-		rep.Failf("planner-summary/"+name, "planner summary %+v != emulation %+v", plannedSum, legacySum)
-	}
-	for gi, grid := range grids {
-		for i, llc := range grid {
-			id := fmt.Sprintf("planner/%s/%s", name, llc.Name)
-			want, got := legacy[gi][i], planned[gi][i]
-			if err := verify.DiffStats("planner vs emulation", want.Stats, got.Stats); err != nil {
-				rep.Check(id, err)
-				continue
-			}
-			switch {
-			case got.Instructions != want.Instructions || got.MPKI != want.MPKI || got.Ignored != want.Ignored:
-				rep.Failf(id, "inst/MPKI/ignored diverge: %d/%g/%d != %d/%g/%d",
-					got.Instructions, got.MPKI, got.Ignored,
-					want.Instructions, want.MPKI, want.Ignored)
-			case !slices.Equal(got.Samples, want.Samples):
-				rep.Failf(id, "CB sample series diverges (%d vs %d samples)",
-					len(got.Samples), len(want.Samples))
-			case len(want.Samples) == 0:
-				// A stream shorter than one CB sample period legitimately
-				// yields no samples; the totals above are still exact.
-				rep.Passf(id, "stats and MPKI %.4g bit-identical (stream shorter than one CB sample period)",
-					want.MPKI)
-			default:
-				rep.Passf(id, "stats, %d CB samples, MPKI %.4g all bit-identical",
-					len(want.Samples), want.MPKI)
+	for _, leg := range legs {
+		planned, plannedSum, err := CombinedSweep(name, p, pc, grids[:leg.grids], WithTraceReuse(store), WithEngine(leg.engine))
+		if err != nil {
+			return err
+		}
+		if plannedSum == legacySum {
+			rep.Passf(leg.prefix+"-summary/"+name, "run summary identical under %s", leg.engine)
+		} else {
+			rep.Failf(leg.prefix+"-summary/"+name, "planner summary %+v != emulation %+v", plannedSum, legacySum)
+		}
+		for gi, grid := range grids[:leg.grids] {
+			for i, llc := range grid {
+				checkPlanned(rep, fmt.Sprintf("%s/%s/%s", leg.prefix, name, llc.Name), legacy[gi][i], planned[gi][i])
 			}
 		}
 	}
 	return nil
+}
+
+// checkPlanned records whether one planned result is bit-identical to
+// its emulated reference.
+func checkPlanned(rep *verify.Report, id string, want, got LLCResult) {
+	if err := verify.DiffStats("planner vs emulation", want.Stats, got.Stats); err != nil {
+		rep.Check(id, err)
+		return
+	}
+	switch {
+	case got.Instructions != want.Instructions || got.MPKI != want.MPKI || got.Ignored != want.Ignored:
+		rep.Failf(id, "inst/MPKI/ignored diverge: %d/%g/%d != %d/%g/%d",
+			got.Instructions, got.MPKI, got.Ignored,
+			want.Instructions, want.MPKI, want.Ignored)
+	case !slices.Equal(got.Samples, want.Samples):
+		rep.Failf(id, "CB sample series diverges (%d vs %d samples)",
+			len(got.Samples), len(want.Samples))
+	case len(want.Samples) == 0:
+		// A stream shorter than one CB sample period legitimately
+		// yields no samples; the totals above are still exact.
+		rep.Passf(id, "stats and MPKI %.4g bit-identical (stream shorter than one CB sample period)",
+			want.MPKI)
+	default:
+		rep.Passf(id, "stats, %d CB samples, MPKI %.4g all bit-identical",
+			len(want.Samples), want.MPKI)
+	}
 }
 
 // verifyFaults exercises the injected-failure paths end to end: spill

@@ -21,17 +21,26 @@ func TestVerifyAllTiny(t *testing.T) {
 	if passed == 0 {
 		t.Fatal("verification ran no checks")
 	}
-	planner := 0
+	// Both planner legs report: the default planner over the cache and
+	// line sweeps, the strict one over the cache sweep alone.
+	planner, strict := 0, 0
 	for _, f := range rep.Findings {
 		if !f.OK {
 			t.Errorf("FAIL %s: %s", f.Check, f.Detail)
 		}
-		if strings.HasPrefix(f.Check, "planner") {
+		switch {
+		case strings.HasPrefix(f.Check, "planner-strict/"):
+			strict++
+		case strings.HasPrefix(f.Check, "planner/"):
 			planner++
 		}
 	}
-	if planner == 0 {
-		t.Error("suite ran no planner bit-equality checks")
+	grid := len(CacheSweepConfigs(tinyParams().Scale))
+	if want := grid + len(LineSweepConfigs(tinyParams().Scale)); planner != want {
+		t.Errorf("suite ran %d planner bit-equality checks, want %d", planner, want)
+	}
+	if strict != grid {
+		t.Errorf("suite ran %d strict planner checks, want %d", strict, grid)
 	}
 	t.Logf("verify: %d checks passed, %d failed", passed, failed)
 }

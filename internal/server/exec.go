@@ -38,7 +38,9 @@ import (
 type SweepResult struct {
 	Workload string `json:"workload"`
 	SpecHash string `json:"spec_hash"`
-	Engine   string `json:"engine"`
+	// Engine is always "auto": every sweep plans. It stays in the JSON
+	// so a result's bytes are what they were when specs named an engine.
+	Engine string `json:"engine"`
 	// Summary is the execution-side totals (identical whether the run
 	// was captured live or replayed from the store).
 	Summary core.RunSummary `json:"summary"`
@@ -51,8 +53,8 @@ type SweepResult struct {
 // and the cosim CLI's `sweep` subcommand — the parity that lets CI
 // diff a served result against a locally computed one. Options passed
 // by the caller (trace store, telemetry, progress hooks, server-side
-// parallelism defaults) are applied first; the spec's own options
-// (engine, sampling) are applied last and win.
+// parallelism defaults) are applied first; the spec's sampling mode is
+// applied last and wins.
 func ExecuteSpec(spec *SweepSpec, opts ...core.RunOption) (*SweepResult, error) {
 	return ExecuteSpecCtx(context.Background(), spec, opts...)
 }
@@ -77,7 +79,7 @@ func ExecuteSpecCtx(ctx context.Context, spec *SweepSpec, opts ...core.RunOption
 	return &SweepResult{
 		Workload: call.name,
 		SpecHash: spec.Hash(),
-		Engine:   spec.Engine,
+		Engine:   "auto",
 		Summary:  sum,
 		Grids:    results,
 	}, nil

@@ -70,9 +70,6 @@ type JobStatus struct {
 	// terminal (live trees mutate concurrently and are withheld).
 	TraceID string          `json:"trace_id,omitempty"`
 	Trace   *telemetry.Span `json:"trace,omitempty"`
-	// Profile references the slow-request CPU profile file, when one
-	// was captured for this job.
-	Profile string `json:"profile,omitempty"`
 }
 
 // job is the server-side record behind one sweep id.
@@ -97,10 +94,9 @@ type job struct {
 	// trace is the request-scoped trace opened at admission; queueSpan
 	// covers admission-to-dequeue. Span internals synchronize
 	// themselves; the pointers are written once before the job is
-	// visible to workers. profile is the slow-request capture reference.
+	// visible to workers.
 	trace     *telemetry.Trace
 	queueSpan *telemetry.Span
-	profile   string
 }
 
 func newJob(id, tenant string, spec *SweepSpec, now time.Time) *job {
@@ -203,13 +199,6 @@ func (j *job) markStarted(now time.Time) {
 	j.mu.Unlock()
 }
 
-// setProfile records the slow-request profile reference.
-func (j *job) setProfile(path string) {
-	j.mu.Lock()
-	j.profile = path
-	j.mu.Unlock()
-}
-
 // subscribe returns the event history so far plus a channel carrying
 // subsequent events, and an unsubscribe func. If the job is already
 // terminal the channel is returned closed.
@@ -252,7 +241,6 @@ func (j *job) status() JobStatus {
 		t := j.finished
 		st.Finished = &t
 	}
-	st.Profile = j.profile
 	// The span tree is exposed only after the terminal event: a live
 	// tree is still being mutated by the worker, and a sealed one is
 	// safe to share by value.

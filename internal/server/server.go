@@ -51,12 +51,6 @@ type Config struct {
 	// request (kind "request", span tree attached) in addition to the
 	// sweep manifests core emits through the sink.
 	Manifest *telemetry.ManifestWriter
-	// SlowTrace, when > 0, marks requests slower than this as slow:
-	// they bump cosimd_slow_requests_total and (with ProfileDir set)
-	// trigger a CPU profile capture attached to the job by reference.
-	SlowTrace time.Duration
-	// ProfileDir is where slow-request CPU profiles land.
-	ProfileDir string
 }
 
 // Server is the cosimd service: an http.Handler plus the worker pool
@@ -71,7 +65,6 @@ type Server struct {
 	queue   *fairQueue
 	man     *telemetry.ManifestWriter
 	phases  *phaseRecorder
-	slow    *slowProfiler
 
 	mu    sync.Mutex
 	jobs  map[string]*job
@@ -121,7 +114,6 @@ func New(cfg Config) *Server {
 		queue:    newFairQueue(cfg.QueueCap, cfg.TenantWeights, reg),
 		man:      cfg.Manifest,
 		phases:   &phaseRecorder{reg: reg, weights: cfg.TenantWeights},
-		slow:     newSlowProfiler(cfg.SlowTrace, cfg.ProfileDir, reg),
 		jobs:     make(map[string]*job),
 		shutdown: make(chan struct{}),
 
@@ -283,8 +275,8 @@ func (s *Server) lookupResult(ctx context.Context, hash string) ([]byte, bool) {
 	return body, ok
 }
 
-// sealTrace ends the request trace, applies the slow-request check,
-// and folds the phase durations into the cosimd_phase_* histograms.
+// sealTrace ends the request trace and folds the phase durations into
+// the cosimd_phase_* histograms.
 // Must run before the terminal finish/fail event so GET /v1/sweeps/{id}
 // only ever exposes sealed trees.
 func (s *Server) sealTrace(j *job) {
@@ -292,12 +284,7 @@ func (s *Server) sealTrace(j *job) {
 		return
 	}
 	j.trace.End()
-	root := j.trace.Root
-	if path := s.slow.maybeCapture(j.id, time.Duration(root.WallNS)); path != "" {
-		j.setProfile(path)
-		root.SetAttr("slow_profile", path)
-	}
-	s.recordRequestPhases(j, root)
+	s.recordRequestPhases(j, j.trace.Root)
 }
 
 // respondAccepted writes the 201 envelope.

@@ -135,7 +135,7 @@ func TestServedResultBitMatchesCombinedSweep(t *testing.T) {
 	want, err := json.Marshal(&SweepResult{
 		Workload: call.name,
 		SpecHash: spec.Hash(),
-		Engine:   spec.Engine,
+		Engine:   "auto",
 		Summary:  sum,
 		Grids:    results,
 	})

@@ -55,14 +55,10 @@ type SweepSpec struct {
 	// Grids are the geometry grids to answer; results mirror them
 	// element for element (CombinedSweep's contract).
 	Grids [][]ConfigSpec `json:"grids"`
-	// Engine selects the sweep execution engine: "auto" (default),
-	// "emulate", or "oracle". Results are bit-identical across engines.
-	Engine string `json:"engine,omitempty"`
 	// Sampling selects the accuracy tier: "off" (default, exact) or
 	// "fast" (representative-interval sampling with confidence
-	// intervals). Unlike Engine it CHANGES the numbers, so it is part of
-	// the spec's identity — sampled and exact results never share a
-	// cache entry.
+	// intervals). It CHANGES the numbers, so it is part of the spec's
+	// identity — sampled and exact results never share a cache entry.
 	Sampling string `json:"sampling,omitempty"`
 }
 
@@ -141,10 +137,6 @@ func (s *SweepSpec) Normalize() {
 	if s.Platform.Quantum == 0 {
 		s.Platform.Quantum = softsdv.DefaultQuantum
 	}
-	if s.Engine == "" {
-		s.Engine = core.EngineAuto.String()
-	}
-	s.Engine = strings.ToLower(s.Engine)
 	if s.Sampling == "" {
 		s.Sampling = core.SamplingOff.String()
 	}
@@ -174,8 +166,8 @@ type sweepCall struct {
 	p     workloads.Params
 	pc    core.PlatformConfig
 	grids [][]cache.Config
-	// opts are the spec's engine and accuracy tier, always both, so that
-	// applied after a caller's options they decide the result.
+	// opts carry the spec's accuracy tier, so that applied after a
+	// caller's options it decides the result.
 	opts []core.RunOption
 }
 
@@ -199,10 +191,6 @@ func (s *SweepSpec) lower() (*sweepCall, error) {
 	}
 	if s.Platform.Noise < 0 || s.Platform.Noise > 1<<20 {
 		return nil, fmt.Errorf("spec: platform noise %d out of range [0, %d]", s.Platform.Noise, 1<<20)
-	}
-	engine, err := core.ParseEngine(s.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
 	}
 	sampling, err := core.ParseSampling(s.Sampling)
 	if err != nil {
@@ -243,7 +231,7 @@ func (s *SweepSpec) lower() (*sweepCall, error) {
 			Seed:          s.Platform.Seed,
 		},
 		grids: grids,
-		opts:  []core.RunOption{core.WithEngine(engine), core.WithSampling(sampling)},
+		opts:  []core.RunOption{core.WithSampling(sampling)},
 	}, nil
 }
 
@@ -264,16 +252,16 @@ func (c ConfigSpec) cacheConfig() (cache.Config, error) {
 }
 
 // specIdentity is the canonical content of a spec: every field of it.
-// Engine stays in (engines are proven bit-identical, but keying by the
-// full request keeps a cache entry auditable against exactly the spec
-// that produced it).
 type specIdentity struct {
 	Workload string         `json:"w"`
 	Seed     int64          `json:"s"`
 	Scale    float64        `json:"sc"`
 	Platform PlatformSpec   `json:"p"`
 	Grids    [][]ConfigSpec `json:"g"`
-	Engine   string         `json:"e"`
+	// Engine is always "auto", the engine every spec ran under when
+	// specs could name one: keeping the literal keeps every result-cache
+	// key and published spec hash what it was.
+	Engine string `json:"e"`
 	// Sampling: a sampled result is an estimate and must never be served
 	// for an exact request (or vice versa). Omitted when off so
 	// pre-sampling cache keys stay stable.
@@ -290,7 +278,7 @@ func (s *SweepSpec) Hash() string {
 		Scale:    s.Scale,
 		Platform: s.Platform,
 		Grids:    s.Grids,
-		Engine:   s.Engine,
+		Engine:   "auto",
 	}
 	if s.Sampling != core.SamplingOff.String() {
 		id.Sampling = s.Sampling

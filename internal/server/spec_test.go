@@ -34,9 +34,6 @@ func TestDecodeSpecDefaults(t *testing.T) {
 	if spec.Platform.Quantum != softsdv.DefaultQuantum {
 		t.Errorf("quantum default = %d, want %d", spec.Platform.Quantum, softsdv.DefaultQuantum)
 	}
-	if spec.Engine != "auto" {
-		t.Errorf("engine default = %q, want auto", spec.Engine)
-	}
 	if got := spec.Grids[0][0].Name; got != "llc-262144B-64B-8w" {
 		t.Errorf("config name default = %q", got)
 	}
@@ -57,7 +54,6 @@ func TestDecodeSpecRejects(t *testing.T) {
 		"bad geometry":    `{"workload":"SNP","grids":[[{"size_bytes":65537,"line_size":64,"assoc":4}]]}`,
 		"threads too big": `{"workload":"SNP","platform":{"threads":4096},"grids":[[{"size_bytes":65536,"line_size":64,"assoc":4}]]}`,
 		"scale too big":   `{"workload":"SNP","scale":100,"grids":[[{"size_bytes":65536,"line_size":64,"assoc":4}]]}`,
-		"bad engine":      `{"workload":"SNP","engine":"warp","grids":[[{"size_bytes":65536,"line_size":64,"assoc":4}]]}`,
 		"not json":        `hello`,
 	}
 	for name, body := range cases {
@@ -81,7 +77,6 @@ func TestSpecHashIdentity(t *testing.T) {
 	explicit := `{
 		"workload": "SNP", "seed": 7, "scale": ` + "0.0625" + `,
 		"platform": {"threads": 8},
-		"engine": "auto",
 		"grids": [[{"size_bytes": 262144, "line_size": 64, "assoc": 8, "repl": "lru"}]]
 	}`
 	se, err := DecodeSpec(strings.NewReader(explicit))
@@ -94,7 +89,6 @@ func TestSpecHashIdentity(t *testing.T) {
 	// Identity fields change the hash.
 	for name, mut := range map[string]func(*SweepSpec){
 		"seed":    func(s *SweepSpec) { s.Seed++ },
-		"engine":  func(s *SweepSpec) { s.Engine = "emulate" },
 		"threads": func(s *SweepSpec) { s.Platform.Threads = 16 },
 		"grid":    func(s *SweepSpec) { s.Grids[0][0].Assoc = 4 },
 	} {
@@ -129,12 +123,12 @@ func TestSpecHashLiterals(t *testing.T) {
 	}
 }
 
-// TestRetiredKnobsAreRejected: "shards" and "batch" are no longer spec
-// fields. A body naming either is refused with a 400 that names it, not
-// silently ignored.
+// TestRetiredKnobsAreRejected: "shards", "batch" and "engine" are no
+// longer spec fields. A body naming one is refused with a 400 that
+// names it, not silently ignored.
 func TestRetiredKnobsAreRejected(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
-	for _, field := range []string{"shards", "batch"} {
+	for _, field := range []string{"shards", "batch", "engine"} {
 		body := strings.Replace(minimalSpec, `"seed": 7,`, `"seed": 7, "`+field+`": 2,`, 1)
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {

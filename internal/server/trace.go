@@ -10,19 +10,14 @@
 // and per-tenant (the registry's name-suffix idiom, as with
 // cosimd_tenant_queue_depth_*; tenants without a configured weight
 // share one "other" series), which /v1/statusz folds into queue-wait
-// percentiles. Requests slower than Config.SlowTrace additionally
-// trigger a short CPU profile of the live process, attached to the job
-// as a file reference.
+// percentiles.
 
 package server
 
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime/pprof"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"cmpmem/internal/telemetry"
@@ -88,62 +83,6 @@ func (p *phaseRecorder) queueWaitPercentiles() map[string]Percentiles {
 		add(t, "cosimd_phase_"+phaseQueueWait+"_micros_tenant_"+sanitizeTenant(t))
 	}
 	return out
-}
-
-// slowProfileDuration is how long a slow-request CPU profile samples
-// the live process. The profile covers the requests *after* the slow
-// one — a completed request cannot be profiled retroactively — which is
-// the right diagnostic for a persistently slow server.
-const slowProfileDuration = time.Second
-
-// slowProfiler captures at most one CPU profile at a time when a
-// request exceeds the slow threshold.
-type slowProfiler struct {
-	threshold time.Duration
-	dir       string
-	busy      atomic.Bool
-	count     *telemetry.Counter // cosimd_slow_requests_total
-}
-
-func newSlowProfiler(threshold time.Duration, dir string, reg *telemetry.Registry) *slowProfiler {
-	return &slowProfiler{
-		threshold: threshold,
-		dir:       dir,
-		count:     reg.Counter("cosimd_slow_requests_total"),
-	}
-}
-
-// maybeCapture checks wall against the threshold; on a slow request it
-// bumps the slow counter and — if no capture is in flight — starts a
-// background CPU profile, returning the file path reference to attach
-// to the job. Returns "" when the request was fast, profiling is
-// disabled, or a capture is already running.
-func (p *slowProfiler) maybeCapture(jobID string, wall time.Duration) string {
-	if p == nil || p.threshold <= 0 || wall < p.threshold {
-		return ""
-	}
-	p.count.Inc()
-	if p.dir == "" || !p.busy.CompareAndSwap(false, true) {
-		return ""
-	}
-	path := filepath.Join(p.dir, "slow-"+jobID+".pprof")
-	go func() {
-		defer p.busy.Store(false)
-		f, err := os.Create(path)
-		if err != nil {
-			return
-		}
-		defer f.Close()
-		// StartCPUProfile fails if something else (the pprof HTTP
-		// endpoint) is already profiling; the reference then points at
-		// an empty file, which is honest about what happened.
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return
-		}
-		time.Sleep(slowProfileDuration)
-		pprof.StopCPUProfile()
-	}()
-	return path
 }
 
 // annotateRequestSpan stamps the request root span with its identity

@@ -259,56 +259,6 @@ func TestSSEResumeLastEventID(t *testing.T) {
 	}
 }
 
-// TestSlowProfilerThreshold exercises the slow-request capture gate
-// without real profiles: fast requests return no reference, slow ones
-// bump the counter, and only one capture runs at a time.
-func TestSlowProfilerThreshold(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	p := newSlowProfiler(50*time.Millisecond, "", reg) // no dir: counter only
-	if got := p.maybeCapture("j1", 10*time.Millisecond); got != "" {
-		t.Errorf("fast request captured %q", got)
-	}
-	if got := reg.Counter("cosimd_slow_requests_total").Value(); got != 0 {
-		t.Errorf("fast request counted as slow: %d", got)
-	}
-	if got := p.maybeCapture("j2", 80*time.Millisecond); got != "" {
-		t.Errorf("dirless profiler returned a path %q", got)
-	}
-	if got := reg.Counter("cosimd_slow_requests_total").Value(); got != 1 {
-		t.Errorf("slow count = %d, want 1", got)
-	}
-	var disabled *slowProfiler
-	if disabled.maybeCapture("j3", time.Hour) != "" {
-		t.Error("nil profiler must be inert")
-	}
-
-	dir := t.TempDir()
-	p2 := newSlowProfiler(time.Millisecond, dir, reg)
-	path := p2.maybeCapture("j4", time.Second)
-	if path == "" {
-		t.Fatal("slow request with a dir must start a capture")
-	}
-	if filepath.Dir(path) != dir || !strings.Contains(path, "j4") {
-		t.Errorf("profile path = %q", path)
-	}
-	// While the first capture is busy, further slow requests count but
-	// do not start a second capture.
-	if p2.maybeCapture("j5", time.Second) != "" {
-		t.Error("concurrent capture must be suppressed")
-	}
-	// The background capture eventually writes the file and clears busy.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := os.Stat(path); err == nil && !p2.busy.Load() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("profile %s never completed", path)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
 // TestTraceWithheldWhileLive: a running job's status must not expose
 // its (still-mutating) span tree.
 func TestTraceWithheldWhileLive(t *testing.T) {

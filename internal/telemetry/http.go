@@ -1,8 +1,6 @@
 // Live HTTP surface: the -metrics-addr endpoint of cmd/cosim.
 //
 //	/metrics       Prometheus text exposition format
-//	/debug/vars    expvar-compatible JSON (all published vars, incl.
-//	               cmdline/memstats plus the "cosim" registry snapshot)
 //	/debug/pprof/  the standard net/http/pprof profiles
 //
 // The handlers read the registry through Snapshot, so scraping a live
@@ -12,13 +10,11 @@ package telemetry
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -38,28 +34,13 @@ func Drain(srv *http.Server, timeout time.Duration) error {
 	return nil
 }
 
-// expvarOnce guards expvar.Publish, which panics on duplicate names;
-// tests and repeated CLI invocations share one process.
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the registry under the expvar var "cosim". The
-// closure reads through Default-or-r at call time, so the first
-// registry published stays live even if called again.
-func PublishExpvar(r *Registry) {
-	expvarOnce.Do(func() {
-		expvar.Publish("cosim", expvar.Func(func() any { return r.Snapshot() }))
-	})
-}
-
 // Handler serves the full observability surface for r.
 func Handler(r *Registry) http.Handler {
-	PublishExpvar(r)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WritePrometheus(w, r)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -70,7 +51,7 @@ func Handler(r *Registry) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprintln(w, "cosim telemetry: /metrics /debug/vars /debug/pprof/")
+		fmt.Fprintln(w, "cosim telemetry: /metrics /debug/pprof/")
 	})
 	return mux
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"regexp"
@@ -46,28 +45,6 @@ func TestHandlerSurfaces(t *testing.T) {
 		if !promLine.MatchString(line) {
 			t.Errorf("invalid Prometheus text line: %q", line)
 		}
-	}
-
-	code, body = get(t, srv, "/debug/vars")
-	if code != 200 {
-		t.Fatalf("/debug/vars status %d", code)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v\n%s", err, body)
-	}
-	if _, ok := vars["cosim"]; !ok {
-		t.Error("/debug/vars missing the cosim registry var")
-	}
-	if _, ok := vars["memstats"]; !ok {
-		t.Error("/debug/vars missing standard expvar memstats")
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(vars["cosim"], &snap); err != nil {
-		t.Fatalf("cosim var is not a Snapshot: %v", err)
-	}
-	if snap.Counters["fsb_events_total"] != 77 {
-		t.Errorf("cosim snapshot = %+v", snap)
 	}
 
 	code, _ = get(t, srv, "/debug/pprof/cmdline")

@@ -84,9 +84,9 @@ type Manifest struct {
 // ManifestWriter appends manifests to one JSONL stream. Safe for
 // concurrent use (the parallel exhibit runners emit from pool workers).
 //
-// File-backed writers opened with rotation limits keep the stream
+// File-backed writers opened with a rotation limit keep the stream
 // bounded under a long-lived cosimd: when the active file would exceed
-// maxBytes or maxEntries, it is renamed to path+".1" (replacing the
+// maxBytes, it is renamed to path+".1" (replacing the
 // previous generation) and a fresh file is started, so disk usage is
 // capped at roughly twice the configured size.
 type ManifestWriter struct {
@@ -96,13 +96,11 @@ type ManifestWriter struct {
 
 	n uint64 // manifests written over the writer's lifetime
 
-	// rotation state (file-backed writers with limits only)
-	path       string
-	maxBytes   uint64
-	maxEntries uint64
-	fileBytes  uint64 // bytes in the active file
-	fileCount  uint64 // entries in the active file
-	rotations  uint64
+	// rotation state (file-backed writers with a limit only)
+	path      string
+	maxBytes  uint64
+	fileBytes uint64 // bytes in the active file
+	fileCount uint64 // entries in the active file
 }
 
 // NewManifestWriter wraps an existing stream.
@@ -112,19 +110,18 @@ func NewManifestWriter(w io.Writer) *ManifestWriter { return &ManifestWriter{w: 
 // writer that owns the file; Close releases it. The stream is unbounded
 // — see OpenManifestFileLimits for rotation.
 func OpenManifestFile(path string) (*ManifestWriter, error) {
-	return OpenManifestFileLimits(path, 0, 0)
+	return OpenManifestFileLimits(path, 0)
 }
 
-// OpenManifestFileLimits opens path for appending with rotation bounds:
-// the active file is rotated to path+".1" before a write that would
-// push it past maxBytes bytes or maxEntries entries. A zero limit means
-// unlimited on that axis.
-func OpenManifestFileLimits(path string, maxBytes, maxEntries uint64) (*ManifestWriter, error) {
+// OpenManifestFileLimits opens path for appending with a rotation
+// bound: the active file is rotated to path+".1" before a write that
+// would push it past maxBytes bytes. Zero means unbounded.
+func OpenManifestFileLimits(path string, maxBytes uint64) (*ManifestWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	mw := &ManifestWriter{w: f, c: f, path: path, maxBytes: maxBytes, maxEntries: maxEntries}
+	mw := &ManifestWriter{w: f, c: f, path: path, maxBytes: maxBytes}
 	if st, err := f.Stat(); err == nil {
 		mw.fileBytes = uint64(st.Size())
 	}
@@ -155,7 +152,6 @@ func (mw *ManifestWriter) rotateLocked() error {
 	}
 	mw.w, mw.c = nf, nf
 	mw.fileBytes, mw.fileCount = 0, 0
-	mw.rotations++
 	return nil
 }
 
@@ -184,9 +180,7 @@ func (mw *ManifestWriter) Emit(m *Manifest) error {
 	line = append(line, '\n')
 	mw.mu.Lock()
 	defer mw.mu.Unlock()
-	if mw.path != "" && mw.fileCount > 0 &&
-		((mw.maxBytes > 0 && mw.fileBytes+uint64(len(line)) > mw.maxBytes) ||
-			(mw.maxEntries > 0 && mw.fileCount >= mw.maxEntries)) {
+	if mw.path != "" && mw.fileCount > 0 && mw.maxBytes > 0 && mw.fileBytes+uint64(len(line)) > mw.maxBytes {
 		if err := mw.rotateLocked(); err != nil {
 			return err
 		}
@@ -208,16 +202,6 @@ func (mw *ManifestWriter) Count() uint64 {
 	mw.mu.Lock()
 	defer mw.mu.Unlock()
 	return mw.n
-}
-
-// Rotations returns how many times the active file has been rotated.
-func (mw *ManifestWriter) Rotations() uint64 {
-	if mw == nil {
-		return 0
-	}
-	mw.mu.Lock()
-	defer mw.mu.Unlock()
-	return mw.rotations
 }
 
 // Close releases the underlying file when the writer owns one.

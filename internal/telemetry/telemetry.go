@@ -1,8 +1,9 @@
 // Package telemetry is the observability substrate of the co-simulation
 // toolkit: a lock-free counter/gauge/histogram registry the simulator's
 // packages register into, span-style run tracing, machine-readable run
-// manifests (JSONL), and an HTTP surface serving expvar-compatible
-// JSON, Prometheus text format, and net/http/pprof.
+// manifests (JSONL), and an HTTP surface serving Prometheus text format
+// and net/http/pprof. A registry is built by its owner (cosim, cosimd,
+// bench) and handed to what it instruments; nothing looks one up.
 //
 // The paper's Dragonhead board is itself an observability instrument —
 // a CB block samples cache counters every 500 µs and the measurement
@@ -307,31 +308,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// defaultReg is the process-wide registry handed to packages that
-// resolve their counters at construction time. It stays nil — the free
-// path — until Enable or SetDefault.
-var defaultReg atomic.Pointer[Registry]
-
-// Default returns the process-wide registry, or nil when telemetry has
-// not been enabled.
-func Default() *Registry { return defaultReg.Load() }
-
-// SetDefault installs r as the process-wide registry (nil disables).
-func SetDefault(r *Registry) { defaultReg.Store(r) }
-
-// Enable installs (once) and returns the process-wide registry. Calling
-// it again returns the same registry, so counters accumulate across
-// invocations in one process.
-func Enable() *Registry {
-	for {
-		if r := defaultReg.Load(); r != nil {
-			return r
-		}
-		r := NewRegistry()
-		if defaultReg.CompareAndSwap(nil, r) {
-			return r
-		}
-	}
 }

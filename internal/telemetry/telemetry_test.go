@@ -268,21 +268,6 @@ func TestProgress(t *testing.T) {
 	}
 }
 
-func TestEnableIdempotent(t *testing.T) {
-	// Do not disturb other tests: restore whatever was installed.
-	prev := Default()
-	defer SetDefault(prev)
-	SetDefault(nil)
-	a := Enable()
-	b := Enable()
-	if a == nil || a != b {
-		t.Fatal("Enable must return one process-wide registry")
-	}
-	if Default() != a {
-		t.Fatal("Enable must install the default registry")
-	}
-}
-
 // BenchmarkCounterDisabled measures the disabled fast path: a nil
 // counter must cost a branch, allocate nothing, and be immeasurably
 // cheap next to any simulator work.

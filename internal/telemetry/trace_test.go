@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -145,21 +146,26 @@ func TestHistogramQuantile(t *testing.T) {
 func TestManifestRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.jsonl")
-	// Entry-bounded: rotate after every 2 manifests.
-	mw, err := OpenManifestFileLimits(path, 0, 2)
+	// Every line is the same length (stamps fixed, one-digit seeds), so
+	// a bound of two lines rotates after every 2 manifests.
+	manifest := func(seed int64) *Manifest {
+		return &Manifest{Kind: "run", Seed: seed, Time: "t", GitRev: "r", GoVersion: "g", Host: "h"}
+	}
+	line, err := json.Marshal(manifest(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if err := mw.Emit(&Manifest{Kind: "run", Seed: int64(i)}); err != nil {
+	mw, err := OpenManifestFileLimits(path, 2*uint64(len(line)+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 5; i++ {
+		if err := mw.Emit(manifest(int64(i))); err != nil {
 			t.Fatalf("emit %d: %v", i, err)
 		}
 	}
 	if err := mw.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if got := mw.Rotations(); got != 2 {
-		t.Errorf("rotations = %d, want 2", got)
 	}
 	if mw.Count() != 5 {
 		t.Errorf("count = %d, want 5", mw.Count())
@@ -172,7 +178,7 @@ func TestManifestRotation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rotated generation missing: %v", err)
 	}
-	// 5 entries at 2/file: generations hold [0,1] [2,3] [4]; the live
+	// 5 entries at 2/file: generations hold [1,2] [3,4] [5]; the live
 	// file has the newest single entry, the .1 file the previous pair.
 	if n := strings.Count(string(active), "\n"); n != 1 {
 		t.Errorf("active file has %d lines, want 1", n)
@@ -180,12 +186,15 @@ func TestManifestRotation(t *testing.T) {
 	if n := strings.Count(string(rotated), "\n"); n != 2 {
 		t.Errorf("rotated file has %d lines, want 2", n)
 	}
+	if !strings.Contains(string(rotated), `"seed":3`) || !strings.Contains(string(active), `"seed":5`) {
+		t.Errorf("generations out of order:\nactive %s\nrotated %s", active, rotated)
+	}
 }
 
 func TestManifestRotationBySize(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.jsonl")
-	mw, err := OpenManifestFileLimits(path, 300, 0)
+	mw, err := OpenManifestFileLimits(path, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,15 +204,12 @@ func TestManifestRotationBySize(t *testing.T) {
 		}
 	}
 	mw.Close()
-	if mw.Rotations() == 0 {
-		t.Error("size bound never triggered a rotation")
-	}
 	if _, err := os.Stat(path + ".1"); err != nil {
-		t.Errorf("rotated file missing: %v", err)
+		t.Errorf("size bound never rotated the file: %v", err)
 	}
 	// Re-opening an existing file picks up its size so the bound holds
 	// across restarts.
-	mw2, err := OpenManifestFileLimits(path, 300, 0)
+	mw2, err := OpenManifestFileLimits(path, 300)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,11 +349,10 @@ type Store struct {
 	telResident  *telemetry.Gauge   // tracestore_bytes_resident
 }
 
-// Instrument registers the store's metrics into r (nil disables). New
-// resolves against the process-wide default registry automatically;
-// Instrument rebinds, e.g. for a store built before telemetry was
-// enabled. Call it before the store sees concurrent traffic — the
-// handles are read without the store lock on the hot path.
+// Instrument registers the store's metrics into r (nil disables); a
+// store from New is uninstrumented until its owner calls it. Call it
+// before the store sees concurrent traffic — the handles are read
+// without the store lock on the hot path.
 func (s *Store) Instrument(r *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -384,7 +383,7 @@ func New(maxBytes uint64, dir string) *Store {
 	if maxBytes == 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	s := &Store{
+	return &Store{
 		maxBytes: maxBytes,
 		dir:      dir,
 		fs:       OSFS{},
@@ -392,8 +391,6 @@ func New(maxBytes uint64, dir string) *Store {
 		lru:      list.New(),
 		inflight: make(map[Key]*call),
 	}
-	s.Instrument(telemetry.Default())
-	return s
 }
 
 // SetFS replaces the spill filesystem (fault injection; nil restores
