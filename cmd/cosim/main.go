@@ -126,7 +126,6 @@ func run(args []string) error {
 	verifyMode := fs.Bool("verify", false, "run the verification suite (oracles, invariants, fault injection) and exit")
 	verifyOut := fs.String("verify-out", "", "with -verify, write the report as JSON to this file")
 	specPath := fs.String("spec", "", "with the sweep subcommand, the JSON spec file (- reads stdin)")
-	foldFlag := fs.Bool("fold", false, "with the trace subcommand, emit folded stacks instead of a waterfall")
 	threads := fs.Int("threads", 8, "with the traceinfo subcommand, virtual cores")
 	windows := fs.Int("windows", 0, "with the traceinfo subcommand, also print a phase timeline with this many windows")
 	stackdist := fs.Bool("stackdist", false, "with the traceinfo subcommand, also print a stack-distance (LRU reuse) summary")
@@ -153,7 +152,7 @@ func run(args []string) error {
 	// so it bypasses telemetry setup (which would open the manifest file
 	// for appending).
 	if fs.Arg(0) == "trace" {
-		return traceCmd(fs.Args()[1:], *foldFlag, *manifestPath, os.Stdout)
+		return traceCmd(fs.Args()[1:], *manifestPath, os.Stdout)
 	}
 	sink, telClose, err := setupTelemetry(*metricsAddr, *manifestPath)
 	if err != nil {
@@ -278,7 +277,7 @@ func setupTelemetry(addr, manifestPath string) (*telemetry.Sink, func(), error) 
 	if manifestPath == "" {
 		manifestPath = "cosim_manifest.jsonl"
 	}
-	man, err := telemetry.OpenManifestFile(manifestPath)
+	man, err := telemetry.OpenManifestFile(manifestPath, 0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -320,7 +320,7 @@ func TestCLIErrors(t *testing.T) {
 		t.Error("-verify with an empty workload selection accepted")
 	}
 	// The retired knobs are unknown flags, not ignored ones.
-	for _, flag := range []string{"-batch", "-shards", "-engine"} {
+	for _, flag := range []string{"-batch", "-shards", "-engine", "-fold"} {
 		if err := run([]string{flag, "2", "fig4"}); err == nil || !strings.Contains(err.Error(), "not defined: "+flag) {
 			t.Errorf("cosim %s 2 fig4 = %v, want an unknown-flag error", flag, err)
 		}

@@ -33,12 +33,11 @@ import (
 	"cmpmem/internal/telemetry"
 )
 
-// traceCmd parses the subcommand's own flags from args; fold and path
-// carry the values of cosim's global -fold and -manifest flags as
-// defaults.
-func traceCmd(args []string, fold bool, path string, out io.Writer) error {
+// traceCmd parses the subcommand's own flags from args; path carries
+// the value of cosim's global -manifest flag as the default input.
+func traceCmd(args []string, path string, out io.Writer) error {
 	fs := flag.NewFlagSet("cosim trace", flag.ContinueOnError)
-	fs.BoolVar(&fold, "fold", fold, "emit folded stacks instead of a waterfall")
+	fold := fs.Bool("fold", false, "emit folded stacks instead of a waterfall")
 	job := fs.String("job", "", "only render records for this job id")
 	kind := fs.String("kind", "", "only render manifests of this kind")
 	last := fs.Bool("last", false, "render only the last matching record")
@@ -68,7 +67,7 @@ func traceCmd(args []string, fold bool, path string, out io.Writer) error {
 		recs = recs[len(recs)-1:]
 	}
 	for i, r := range recs {
-		if fold {
+		if *fold {
 			if err := telemetry.WriteFolded(out, r.Trace); err != nil {
 				return err
 			}

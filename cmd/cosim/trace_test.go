@@ -15,9 +15,9 @@ const sampleManifests = `{"kind":"request","job":"j-1","tenant":"alice","trace_i
 `
 
 // traceRun drives the trace subcommand as `cosim trace args...` does,
-// with no global -fold or -manifest in effect.
+// with no global -manifest in effect.
 func traceRun(out *strings.Builder, args ...string) error {
-	return traceCmd(args, false, "", out)
+	return traceCmd(args, "", out)
 }
 
 func writeSample(t *testing.T, body string) string {
@@ -66,14 +66,14 @@ func TestFoldedOutput(t *testing.T) {
 	if strings.Contains(out, "#") {
 		t.Error("folded output must carry no headers (flamegraph input)")
 	}
-	// `cosim -fold -manifest f trace`: the global flags are the
-	// subcommand's defaults.
-	var viaGlobals strings.Builder
-	if err := traceCmd(nil, true, writeSample(t, sampleManifests), &viaGlobals); err != nil {
+	// `cosim -manifest f trace -fold`: the global -manifest is the
+	// subcommand's default input.
+	var viaGlobal strings.Builder
+	if err := traceCmd([]string{"-fold"}, writeSample(t, sampleManifests), &viaGlobal); err != nil {
 		t.Fatal(err)
 	}
-	if viaGlobals.String() != out {
-		t.Errorf("global -fold/-manifest rendered differently:\n%s", viaGlobals.String())
+	if viaGlobal.String() != out {
+		t.Errorf("global -manifest rendered differently:\n%s", viaGlobal.String())
 	}
 }
 

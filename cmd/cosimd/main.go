@@ -85,7 +85,7 @@ func run(args []string) error {
 	}
 	var manifest *telemetry.ManifestWriter
 	if *manifestPath != "" {
-		manifest, err = telemetry.OpenManifestFileLimits(*manifestPath, uint64(*manifestMaxMB)<<20)
+		manifest, err = telemetry.OpenManifestFile(*manifestPath, uint64(*manifestMaxMB)<<20)
 		if err != nil {
 			return err
 		}

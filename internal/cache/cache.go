@@ -164,6 +164,36 @@ func (s *Stats) MPKI(instructions uint64) float64 {
 	return float64(s.Misses) * 1000 / float64(instructions)
 }
 
+// Add accumulates s += o, counter by counter.
+func (s *Stats) Add(o *Stats) { s.AddScaled(o, 1) }
+
+// AddScaled accumulates s += w*o, counter by counter, the per-core
+// arrays included.
+func (s *Stats) AddScaled(o *Stats, w uint64) {
+	s.Accesses += w * o.Accesses
+	s.Misses += w * o.Misses
+	s.Loads += w * o.Loads
+	s.Stores += w * o.Stores
+	s.LoadMisses += w * o.LoadMisses
+	s.Writebacks += w * o.Writebacks
+	s.Evictions += w * o.Evictions
+	s.SectorFetches += w * o.SectorFetches
+	s.TrafficBytes += w * o.TrafficBytes
+	for c := range s.PerCoreAccesses {
+		s.PerCoreAccesses[c] += w * o.PerCoreAccesses[c]
+		s.PerCoreMisses[c] += w * o.PerCoreMisses[c]
+	}
+}
+
+// Sub returns s - o, counter by counter. Counters only grow, so
+// subtracting an earlier snapshot never wraps in real use; on other
+// input it wraps like any uint64 arithmetic: it adds -1 × o modulo
+// 2^64.
+func (s Stats) Sub(o *Stats) Stats {
+	s.AddScaled(o, ^uint64(0))
+	return s
+}
+
 // invalidTag marks an empty way. Line numbers are addresses shifted
 // right by lineShift >= 1 (Validate requires LineSize >= 2), so no
 // reachable block number collides with the sentinel — which lets the

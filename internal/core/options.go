@@ -28,7 +28,6 @@ import (
 	"runtime"
 
 	"cmpmem/internal/fsb"
-	"cmpmem/internal/sampling"
 	"cmpmem/internal/telemetry"
 	"cmpmem/internal/tracestore"
 )
@@ -109,8 +108,6 @@ type runOpts struct {
 	// every other option it changes results: sweeps return extrapolated
 	// estimates with confidence intervals instead of exact statistics.
 	sampling SamplingMode
-	// sparams carries explicit sampler parameters for SamplingCustom.
-	sparams *sampling.Params
 	// progress, when non-nil, observes phase transitions (see
 	// WithProgress). nil is the free path.
 	progress func(Progress)

@@ -30,9 +30,6 @@ const (
 	// SamplingFast replays representative intervals under the
 	// sampling.Fast preset and extrapolates with confidence intervals.
 	SamplingFast
-	// SamplingCustom uses caller-supplied sampling.Params
-	// (WithSamplingParams sets it).
-	SamplingCustom
 )
 
 // String names the mode (the -sampling flag vocabulary).
@@ -42,15 +39,12 @@ func (m SamplingMode) String() string {
 		return "off"
 	case SamplingFast:
 		return "fast"
-	case SamplingCustom:
-		return "custom"
 	default:
 		return fmt.Sprintf("sampling(%d)", int(m))
 	}
 }
 
-// ParseSampling parses the -sampling flag vocabulary ("custom" is not
-// parseable — it exists only through WithSamplingParams).
+// ParseSampling parses the -sampling flag vocabulary.
 func ParseSampling(s string) (SamplingMode, error) {
 	switch s {
 	case "off", "":
@@ -71,22 +65,12 @@ func WithSampling(m SamplingMode) RunOption {
 	return func(o *runOpts) { o.sampling = m }
 }
 
-// WithSamplingParams enables sampling with explicit parameters
-// (SamplingCustom). Zero statistical fields default as documented on
-// sampling.Params.
-func WithSamplingParams(p sampling.Params) RunOption {
-	return func(o *runOpts) {
-		o.sampling = SamplingCustom
-		o.sparams = &p
-	}
-}
-
 // SamplingEstimate is the per-result record of a sampled sweep: how
 // much of the trace was replayed and how far the miss estimate may sit
 // from the exact count. Attached to LLCResult.Sampling (nil on exact
 // sweeps).
 type SamplingEstimate struct {
-	// Mode is the tier that produced the estimate ("fast" or "custom").
+	// Mode is the tier that produced the estimate ("fast").
 	Mode string `json:"mode"`
 	// Exact marks the degenerate plan that measured the whole stream:
 	// the stats are bit-exact and the interval has zero width.
@@ -212,22 +196,18 @@ func (s *sampledPass) result(i int) LLCResult {
 // configs, which need the whole stream.
 func (s *sampledPass) hierResult(int) HierResult { return HierResult{} }
 
-// samplePlan returns the stream's sample plan under the active
-// parameters. A plan depends on the stream and the parameters only,
-// never on the grid, so it is memoized on the Trace: the first sampled
-// sweep of a capture fingerprints and clusters, every later one finds
-// the plan. Also returns how many transactions the plan's windows replay.
+// samplePlan returns the stream's sample plan under the sampling.Fast
+// preset. A plan depends on the stream only, never on the grid, so it
+// is memoized on the Trace: the first sampled sweep of a capture
+// fingerprints and clusters, every later one finds the plan. Also
+// returns how many transactions the plan's windows replay.
 func samplePlan(tr *tracestore.Trace, ro runOpts) (plan *sampling.Plan, replayed uint64, err error) {
-	params := sampling.Fast()
-	if ro.sampling == SamplingCustom && ro.sparams != nil {
-		params = *ro.sparams
-	}
 	sampSpan := ro.span.StartChild("sampling")
 	defer sampSpan.End()
-	plan, hit, err := tr.SamplePlan(params, func() (*sampling.Plan, error) {
+	plan, hit, err := tr.SamplePlan(func() (*sampling.Plan, error) {
 		fpSpan := sampSpan.StartChild("fingerprint")
 		defer fpSpan.End()
-		fp := sampling.NewFingerprinter(params, tr.Summary.BusEvents)
+		fp := sampling.NewFingerprinter(sampling.Fast(), tr.Summary.BusEvents)
 		if err := replayTrace(tr, ro, []fsb.Snooper{fp}); err != nil {
 			return nil, err
 		}
@@ -280,7 +260,7 @@ func measureWindows(tr *tracestore.Trace, wins []sampling.Window, caches []*cach
 	snaps := make([]cache.Stats, len(caches))
 	finalize := func(cluster int) {
 		for k, c := range caches {
-			deltas[cluster][k] = sampling.StatsDelta(c.Stats(), &snaps[k])
+			deltas[cluster][k] = c.Stats().Sub(&snaps[k])
 		}
 	}
 	var (

@@ -211,18 +211,44 @@ func TestSamplingWarmupMonotonic(t *testing.T) {
 	store := tracestore.New(0, "")
 	exact := exactOracleMisses(t, "SNP", p, pc, store, cfgs)
 
+	// The plans are built here, not through a sweep: the sweep's
+	// sampled tier always uses the sampling.Fast preset.
+	ro := runOpts{store: store}
+	tr, _, err := ro.openTrace("SNP", p, pc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	relErr := func(warmup int) float64 {
 		params := sampling.Fast()
 		params.Warmup = warmup
-		res, _, err := LLCSweep("SNP", p, pc, cfgs,
-			WithTraceReuse(store), WithSamplingParams(params))
+		fp := sampling.NewFingerprinter(params, tr.Summary.BusEvents)
+		if err := replayTrace(tr, ro, []fsb.Snooper{fp}); err != nil {
+			t.Fatalf("warmup %d: %v", warmup, err)
+		}
+		plan, err := fp.Build()
 		if err != nil {
 			t.Fatalf("warmup %d: %v", warmup, err)
 		}
-		if res[0].Sampling == nil || res[0].Sampling.Exact {
+		if plan.Exact {
 			t.Fatalf("warmup %d: plan degenerated to exact; property needs real sampling", warmup)
 		}
-		return math.Abs(float64(res[0].Stats.Misses)-float64(exact[0])) / float64(exact[0])
+		c, err := cache.New(cfgs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas, err := measureWindows(tr, plan.Windows(), []*cache.Cache{c}, len(plan.Clusters))
+		if err != nil {
+			t.Fatalf("warmup %d: %v", warmup, err)
+		}
+		perCluster := make([]cache.Stats, len(plan.Clusters))
+		for k := range perCluster {
+			perCluster[k] = deltas[k][0]
+		}
+		est, err := plan.Estimate(perCluster, cfgs[0].Size)
+		if err != nil {
+			t.Fatalf("warmup %d: %v", warmup, err)
+		}
+		return math.Abs(float64(est.Stats.Misses)-float64(exact[0])) / float64(exact[0])
 	}
 
 	e0 := relErr(0)
@@ -291,41 +317,6 @@ func TestSamplePlanSharedAcrossGrids(t *testing.T) {
 	}
 	if want := []string{PhaseSample, PhaseReplay}; !reflect.DeepEqual(phases[1], want) {
 		t.Errorf("memo-hit sweep announced %v, want %v", phases[1], want)
-	}
-}
-
-// TestSamplePlanKeyedByParams: different sampling parameters are
-// different plans of the same capture, each built once.
-func TestSamplePlanKeyedByParams(t *testing.T) {
-	p := samplingGradeParams()
-	pc := PlatformConfig{Threads: 4, Seed: p.Seed}
-	cfgs := verifyConfigs(p.Scale)[:2]
-	sink := memoSink()
-	store := tracestore.New(0, "")
-	clusters := map[int]int{}
-	for round := 0; round < 2; round++ {
-		for _, k := range []int{4, 8} {
-			params := sampling.Fast()
-			params.MaxClusters = k
-			res, _, err := LLCSweep("MDS", p, pc, cfgs, WithTraceReuse(store),
-				WithSamplingParams(params), WithTelemetry(sink))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if round == 1 && res[0].Sampling.Clusters != clusters[k] {
-				t.Errorf("MaxClusters %d: %d clusters on the memo hit, %d when built", k, res[0].Sampling.Clusters, clusters[k])
-			}
-			clusters[k] = res[0].Sampling.Clusters
-		}
-	}
-	if clusters[4] == clusters[8] {
-		t.Fatalf("both parameter sets produced %d clusters; the test needs distinct plans", clusters[4])
-	}
-	if builds, hits := planBuildsAndHits(sink); builds != 2 || hits != 2 {
-		t.Errorf("%d builds and %d hits for two parameter sets swept twice, want 2 and 2", builds, hits)
-	}
-	if st := store.Stats(); st.Misses != 1 {
-		t.Errorf("%d captures, want 1", st.Misses)
 	}
 }
 

@@ -454,20 +454,7 @@ func (e *Emulator) Stats() cache.Stats {
 	e.mustBeQuiesced("Stats")
 	var out cache.Stats
 	for _, b := range e.banks {
-		s := b.Stats()
-		out.Accesses += s.Accesses
-		out.Misses += s.Misses
-		out.Loads += s.Loads
-		out.Stores += s.Stores
-		out.LoadMisses += s.LoadMisses
-		out.Writebacks += s.Writebacks
-		out.Evictions += s.Evictions
-		out.SectorFetches += s.SectorFetches
-		out.TrafficBytes += s.TrafficBytes
-		for c := 0; c < cache.MaxCores; c++ {
-			out.PerCoreAccesses[c] += s.PerCoreAccesses[c]
-			out.PerCoreMisses[c] += s.PerCoreMisses[c]
-		}
+		out.Add(b.Stats())
 	}
 	return out
 }

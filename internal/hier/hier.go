@@ -469,14 +469,7 @@ func (m *Machine) L3Stats() cache.Stats {
 func (m *Machine) aggregate(pick func(*coreState) *cache.Cache) cache.Stats {
 	var out cache.Stats
 	for _, cs := range m.cores {
-		s := pick(cs).Stats()
-		out.Accesses += s.Accesses
-		out.Misses += s.Misses
-		out.Loads += s.Loads
-		out.Stores += s.Stores
-		out.LoadMisses += s.LoadMisses
-		out.Writebacks += s.Writebacks
-		out.Evictions += s.Evictions
+		out.Add(pick(cs).Stats())
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"reflect"
 	"testing"
 
 	"cmpmem/internal/cache"
@@ -213,5 +214,63 @@ func TestAggregateStats(t *testing.T) {
 	if l1.Accesses != 4 || l1.Stores != 4 || l1.Misses != 4 {
 		t.Errorf("aggregate L1 stats wrong: %+v", l1)
 	}
-	_ = cache.Stats{}
+}
+
+// sumStats adds up every counter of the given Stats field by field
+// through reflect, independently of cache.Stats.Add.
+func sumStats(all []*cache.Stats) cache.Stats {
+	var out cache.Stats
+	dst := reflect.ValueOf(&out).Elem()
+	for _, s := range all {
+		src := reflect.ValueOf(s).Elem()
+		for i := 0; i < dst.NumField(); i++ {
+			if f := dst.Field(i); f.Kind() == reflect.Array {
+				for j := 0; j < f.Len(); j++ {
+					f.Index(j).SetUint(f.Index(j).Uint() + src.Field(i).Index(j).Uint())
+				}
+			} else {
+				f.SetUint(f.Uint() + src.Field(i).Uint())
+			}
+		}
+	}
+	return out
+}
+
+// TestAggregateSumsEveryCounter: L1Stats and L2Stats are the per-core
+// sum of every counter, the traffic and per-core arrays included.
+func TestAggregateSumsEveryCounter(t *testing.T) {
+	m, err := New(Xeon16(4, 1.0/16, nil)) // a 64 KB DL2
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough distinct lines per core to evict dirty lines from both
+	// levels, so every counter moves.
+	for i := 0; i < 40000; i++ {
+		c := uint8(i % 4)
+		kind := mem.Load
+		if i%3 == 0 {
+			kind = mem.Store
+		}
+		m.OnRef(ref(c, 0x4000_0000+uint64(c)<<28+uint64(i*4099%(1<<22)), kind))
+	}
+	for _, level := range []struct {
+		name string
+		got  cache.Stats
+		pick func(*coreState) *cache.Cache
+	}{
+		{"L1", m.L1Stats(), func(cs *coreState) *cache.Cache { return cs.l1 }},
+		{"L2", m.L2Stats(), func(cs *coreState) *cache.Cache { return cs.l2 }},
+	} {
+		var per []*cache.Stats
+		for _, cs := range m.cores {
+			per = append(per, level.pick(cs).Stats())
+		}
+		want := sumStats(per)
+		if want.Writebacks == 0 || want.TrafficBytes == 0 || want.PerCoreMisses[3] == 0 {
+			t.Fatalf("%s: workload left counters idle: %+v", level.name, want)
+		}
+		if level.got != want {
+			t.Errorf("%s aggregate differs from the per-core sum:\n got %+v\nwant %+v", level.name, level.got, want)
+		}
+	}
 }

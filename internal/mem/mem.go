@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Addr is a 64-bit guest physical address.
@@ -201,211 +202,87 @@ func (a *Arena) alloc(size uint64, align uint64) Addr {
 	return Addr(p)
 }
 
-// Float64s allocates a float64 buffer of n elements.
-func (a *Arena) Float64s(n int) Float64s {
-	base := a.alloc(uint64(n)*8, 8)
-	return Float64s{base: base, data: make([]float64, n)}
+// alloc reserves n elements of T, aligned to the element width, and
+// binds them to a fresh backing slice. The width is written out twice,
+// not kept in a local, so that the five Arena methods stay within the
+// inlining budget.
+func alloc[T Elem](a *Arena, n int) Buf[T] {
+	return Buf[T]{
+		base: a.alloc(uint64(n)*uint64(unsafe.Sizeof(T(0))), uint64(unsafe.Sizeof(T(0)))),
+		data: make([]T, n),
+	}
 }
+
+// Float64s allocates a float64 buffer of n elements.
+func (a *Arena) Float64s(n int) Float64s { return alloc[float64](a, n) }
 
 // Float32s allocates a float32 buffer of n elements.
-func (a *Arena) Float32s(n int) Float32s {
-	base := a.alloc(uint64(n)*4, 4)
-	return Float32s{base: base, data: make([]float32, n)}
-}
+func (a *Arena) Float32s(n int) Float32s { return alloc[float32](a, n) }
 
 // Int32s allocates an int32 buffer of n elements.
-func (a *Arena) Int32s(n int) Int32s {
-	base := a.alloc(uint64(n)*4, 4)
-	return Int32s{base: base, data: make([]int32, n)}
-}
+func (a *Arena) Int32s(n int) Int32s { return alloc[int32](a, n) }
 
 // Int64s allocates an int64 buffer of n elements.
-func (a *Arena) Int64s(n int) Int64s {
-	base := a.alloc(uint64(n)*8, 8)
-	return Int64s{base: base, data: make([]int64, n)}
-}
+func (a *Arena) Int64s(n int) Int64s { return alloc[int64](a, n) }
 
 // Bytes allocates a byte buffer of n elements.
-func (a *Arena) Bytes(n int) Bytes {
-	base := a.alloc(uint64(n), 1)
-	return Bytes{base: base, data: make([]byte, n)}
+func (a *Arena) Bytes(n int) Bytes { return alloc[byte](a, n) }
+
+// Elem is the set of guest element types a Buf can hold.
+type Elem interface {
+	float64 | float32 | int32 | int64 | byte
 }
 
-// Struct reserves size bytes for an opaque record (e.g. a tree node) and
-// returns its guest address. The caller keeps the corresponding Go value
-// itself; Struct only assigns it a location in the simulated space.
-func (a *Arena) Struct(size uint64) Addr {
-	return a.alloc(size, 8)
-}
-
-// Float64s is a float64 buffer bound to a guest address range.
-type Float64s struct {
+// Buf is a buffer of T bound to a guest address range. Element i sits
+// at Base + i*w, where w = unsafe.Sizeof(T) is both the access size
+// reported to the Recorder and the buffer's alignment.
+//
+// At and Set write the width out as unsafe.Sizeof(b.data[0]) rather
+// than calling Addr: routed through a helper they exceed the inlining
+// budget, and the per-access cost of every traced load and store
+// grows several-fold.
+type Buf[T Elem] struct {
 	base Addr
-	data []float64
+	data []T
 }
+
+// Float64s, Float32s, Int32s, Int64s and Bytes name the five buffer
+// shapes the workloads use.
+type (
+	Float64s = Buf[float64]
+	Float32s = Buf[float32]
+	Int32s   = Buf[int32]
+	Int64s   = Buf[int64]
+	Bytes    = Buf[byte]
+)
 
 // Len returns the element count.
-func (b Float64s) Len() int { return len(b.data) }
+func (b Buf[T]) Len() int { return len(b.data) }
 
 // Base returns the guest address of element 0.
-func (b Float64s) Base() Addr { return b.base }
+func (b Buf[T]) Base() Addr { return b.base }
 
 // Addr returns the guest address of element i.
-func (b Float64s) Addr(i int) Addr { return b.base + Addr(i)*8 }
+func (b Buf[T]) Addr(i int) Addr { return b.base + Addr(i)*Addr(unsafe.Sizeof(b.data[0])) }
 
 // At loads element i, reporting the access to r.
-func (b Float64s) At(r Recorder, i int) float64 {
-	r.Access(b.base+Addr(i)*8, 8, Load)
+func (b Buf[T]) At(r Recorder, i int) T {
+	r.Access(b.base+Addr(i)*Addr(unsafe.Sizeof(b.data[0])), uint8(unsafe.Sizeof(b.data[0])), Load)
 	return b.data[i]
 }
 
 // Set stores v into element i, reporting the access to r.
-func (b Float64s) Set(r Recorder, i int, v float64) {
-	r.Access(b.base+Addr(i)*8, 8, Store)
+func (b Buf[T]) Set(r Recorder, i int, v T) {
+	r.Access(b.base+Addr(i)*Addr(unsafe.Sizeof(b.data[0])), uint8(unsafe.Sizeof(b.data[0])), Store)
 	b.data[i] = v
 }
 
 // Raw exposes the backing slice for initialization that should not be
 // traced (e.g. dataset loading that the paper's start/stop window would
 // exclude anyway).
-func (b Float64s) Raw() []float64 { return b.data }
+func (b Buf[T]) Raw() []T { return b.data }
 
 // Slice returns a sub-buffer covering [lo,hi).
-func (b Float64s) Slice(lo, hi int) Float64s {
-	return Float64s{base: b.base + Addr(lo)*8, data: b.data[lo:hi]}
-}
-
-// Float32s is a float32 buffer bound to a guest address range.
-type Float32s struct {
-	base Addr
-	data []float32
-}
-
-// Len returns the element count.
-func (b Float32s) Len() int { return len(b.data) }
-
-// Base returns the guest address of element 0.
-func (b Float32s) Base() Addr { return b.base }
-
-// Addr returns the guest address of element i.
-func (b Float32s) Addr(i int) Addr { return b.base + Addr(i)*4 }
-
-// At loads element i, reporting the access to r.
-func (b Float32s) At(r Recorder, i int) float32 {
-	r.Access(b.base+Addr(i)*4, 4, Load)
-	return b.data[i]
-}
-
-// Set stores v into element i, reporting the access to r.
-func (b Float32s) Set(r Recorder, i int, v float32) {
-	r.Access(b.base+Addr(i)*4, 4, Store)
-	b.data[i] = v
-}
-
-// Raw exposes the backing slice without tracing.
-func (b Float32s) Raw() []float32 { return b.data }
-
-// Slice returns a sub-buffer covering [lo,hi).
-func (b Float32s) Slice(lo, hi int) Float32s {
-	return Float32s{base: b.base + Addr(lo)*4, data: b.data[lo:hi]}
-}
-
-// Int32s is an int32 buffer bound to a guest address range.
-type Int32s struct {
-	base Addr
-	data []int32
-}
-
-// Len returns the element count.
-func (b Int32s) Len() int { return len(b.data) }
-
-// Base returns the guest address of element 0.
-func (b Int32s) Base() Addr { return b.base }
-
-// Addr returns the guest address of element i.
-func (b Int32s) Addr(i int) Addr { return b.base + Addr(i)*4 }
-
-// At loads element i, reporting the access to r.
-func (b Int32s) At(r Recorder, i int) int32 {
-	r.Access(b.base+Addr(i)*4, 4, Load)
-	return b.data[i]
-}
-
-// Set stores v into element i, reporting the access to r.
-func (b Int32s) Set(r Recorder, i int, v int32) {
-	r.Access(b.base+Addr(i)*4, 4, Store)
-	b.data[i] = v
-}
-
-// Raw exposes the backing slice without tracing.
-func (b Int32s) Raw() []int32 { return b.data }
-
-// Slice returns a sub-buffer covering [lo,hi).
-func (b Int32s) Slice(lo, hi int) Int32s {
-	return Int32s{base: b.base + Addr(lo)*4, data: b.data[lo:hi]}
-}
-
-// Int64s is an int64 buffer bound to a guest address range.
-type Int64s struct {
-	base Addr
-	data []int64
-}
-
-// Len returns the element count.
-func (b Int64s) Len() int { return len(b.data) }
-
-// Base returns the guest address of element 0.
-func (b Int64s) Base() Addr { return b.base }
-
-// Addr returns the guest address of element i.
-func (b Int64s) Addr(i int) Addr { return b.base + Addr(i)*8 }
-
-// At loads element i, reporting the access to r.
-func (b Int64s) At(r Recorder, i int) int64 {
-	r.Access(b.base+Addr(i)*8, 8, Load)
-	return b.data[i]
-}
-
-// Set stores v into element i, reporting the access to r.
-func (b Int64s) Set(r Recorder, i int, v int64) {
-	r.Access(b.base+Addr(i)*8, 8, Store)
-	b.data[i] = v
-}
-
-// Raw exposes the backing slice without tracing.
-func (b Int64s) Raw() []int64 { return b.data }
-
-// Bytes is a byte buffer bound to a guest address range.
-type Bytes struct {
-	base Addr
-	data []byte
-}
-
-// Len returns the element count.
-func (b Bytes) Len() int { return len(b.data) }
-
-// Base returns the guest address of element 0.
-func (b Bytes) Base() Addr { return b.base }
-
-// Addr returns the guest address of element i.
-func (b Bytes) Addr(i int) Addr { return b.base + Addr(i) }
-
-// At loads element i, reporting the access to r.
-func (b Bytes) At(r Recorder, i int) byte {
-	r.Access(b.base+Addr(i), 1, Load)
-	return b.data[i]
-}
-
-// Set stores v into element i, reporting the access to r.
-func (b Bytes) Set(r Recorder, i int, v byte) {
-	r.Access(b.base+Addr(i), 1, Store)
-	b.data[i] = v
-}
-
-// Raw exposes the backing slice without tracing.
-func (b Bytes) Raw() []byte { return b.data }
-
-// Slice returns a sub-buffer covering [lo,hi).
-func (b Bytes) Slice(lo, hi int) Bytes {
-	return Bytes{base: b.base + Addr(lo), data: b.data[lo:hi]}
+func (b Buf[T]) Slice(lo, hi int) Buf[T] {
+	return Buf[T]{base: b.Addr(lo), data: b.data[lo:hi]}
 }

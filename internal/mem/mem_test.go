@@ -101,53 +101,83 @@ func TestArenaExhaustionPanics(t *testing.T) {
 	a.Float64s(100)
 }
 
-func TestTypedAccessorsRoundTrip(t *testing.T) {
-	sp := NewSpace()
-	a := sp.NewArena("rt", 1<<16)
-	var rec CountingRecorder
+// lastAccess remembers the most recent reference reported to it.
+type lastAccess struct {
+	addr Addr
+	size uint8
+	kind Kind
+}
 
-	f := a.Float64s(10)
-	f.Set(&rec, 3, 2.5)
-	if got := f.At(&rec, 3); got != 2.5 {
-		t.Errorf("Float64s: got %v, want 2.5", got)
+func (l *lastAccess) Access(addr Addr, size uint8, kind Kind) { *l = lastAccess{addr, size, kind} }
+func (l *lastAccess) Exec(uint64)                             {}
+
+// roundTrip stores v at element i of b and loads it back, checking the
+// buffer's alignment and the address, size and kind of both reports.
+func roundTrip[T Elem](t *testing.T, name string, b Buf[T], width uint8, i int, v T) {
+	t.Helper()
+	if b.Base()%Addr(width) != 0 {
+		t.Errorf("%s: base %#x not %d-aligned", name, uint64(b.Base()), width)
 	}
-	i := a.Int32s(10)
-	i.Set(&rec, 9, -7)
-	if got := i.At(&rec, 9); got != -7 {
-		t.Errorf("Int32s: got %v, want -7", got)
+	var rec lastAccess
+	addr := b.Base() + Addr(i)*Addr(width)
+	b.Set(&rec, i, v)
+	if want := (lastAccess{addr, width, Store}); rec != want {
+		t.Errorf("%s: Set reported %+v, want %+v", name, rec, want)
 	}
-	b := a.Bytes(10)
-	b.Set(&rec, 0, 0xAB)
-	if got := b.At(&rec, 0); got != 0xAB {
-		t.Errorf("Bytes: got %#x, want 0xAB", got)
+	if got := b.At(&rec, i); got != v {
+		t.Errorf("%s: At = %v, want %v", name, got, v)
 	}
-	l := a.Int64s(4)
-	l.Set(&rec, 1, 1<<40)
-	if got := l.At(&rec, 1); got != 1<<40 {
-		t.Errorf("Int64s: got %v", got)
+	if want := (lastAccess{addr, width, Load}); rec != want {
+		t.Errorf("%s: At reported %+v, want %+v", name, rec, want)
 	}
-	g := a.Float32s(4)
-	g.Set(&rec, 2, 1.5)
-	if got := g.At(&rec, 2); got != 1.5 {
-		t.Errorf("Float32s: got %v", got)
-	}
-	if rec.Loads != 5 || rec.Stores != 5 {
-		t.Errorf("recorder counted %d loads, %d stores; want 5, 5", rec.Loads, rec.Stores)
+	if b.Addr(i) != addr {
+		t.Errorf("%s: Addr(%d) = %#x, want %#x", name, i, uint64(b.Addr(i)), uint64(addr))
 	}
 }
 
-// TestAddrArithmetic property: Addr(i) is base + i*elementSize.
+// TestTypedAccessorsRoundTrip covers all five element types. A one-byte
+// buffer precedes each so that every allocation has to align up.
+func TestTypedAccessorsRoundTrip(t *testing.T) {
+	sp := NewSpace()
+	a := sp.NewArena("rt", 1<<16)
+	a.Bytes(1)
+	roundTrip(t, "Float64s", a.Float64s(10), 8, 3, 2.5)
+	a.Bytes(1)
+	roundTrip(t, "Float32s", a.Float32s(4), 4, 2, 1.5)
+	a.Bytes(1)
+	roundTrip(t, "Int32s", a.Int32s(10), 4, 9, -7)
+	a.Bytes(1)
+	roundTrip(t, "Int64s", a.Int64s(4), 8, 1, 1<<40)
+	a.Bytes(1)
+	roundTrip(t, "Bytes", a.Bytes(10), 1, 7, 0xAB)
+}
+
+// addrArithmetic checks, for every index, that Addr(i) is base +
+// i*width and that Slice(i, n) starts at Addr(i) and aliases b.
+func addrArithmetic[T Elem](t *testing.T, name string, b Buf[T], width Addr) {
+	t.Helper()
+	n := b.Len()
+	check := func(i uint16) bool {
+		idx := int(i) % n
+		sub := b.Slice(idx, n)
+		return b.Addr(idx) == b.Base()+Addr(idx)*width &&
+			sub.Base() == b.Addr(idx) && sub.Len() == n-idx && &sub.Raw()[0] == &b.Raw()[idx]
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Errorf("%s: %v", name, err)
+	}
+}
+
+// TestAddrArithmetic property: Addr(i) is base + i*elementSize for all
+// five element types, and Slice keeps the addresses of its parent.
 func TestAddrArithmetic(t *testing.T) {
 	sp := NewSpace()
 	a := sp.NewArena("addr", 1<<20)
-	f := a.Float64s(1000)
-	check := func(i uint16) bool {
-		idx := int(i) % 1000
-		return f.Addr(idx) == f.Base()+Addr(idx)*8
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
+	addrArithmetic(t, "Float64s", a.Float64s(1000), 8)
+	addrArithmetic(t, "Float32s", a.Float32s(1000), 4)
+	addrArithmetic(t, "Int32s", a.Int32s(1000), 4)
+	addrArithmetic(t, "Int64s", a.Int64s(1000), 8)
+	addrArithmetic(t, "Bytes", a.Bytes(1000), 1)
 }
 
 func TestSliceSharesAddresses(t *testing.T) {

@@ -26,46 +26,6 @@ import (
 	"cmpmem/internal/cache"
 )
 
-// StatsDelta returns after - before, field by field. Counters are
-// monotone over a replay, so the subtraction never wraps in real use;
-// on adversarial input it wraps like any uint64 arithmetic (the fuzz
-// target only demands no panic and exact conservation).
-func StatsDelta(after, before *cache.Stats) cache.Stats {
-	d := cache.Stats{
-		Accesses:      after.Accesses - before.Accesses,
-		Misses:        after.Misses - before.Misses,
-		Loads:         after.Loads - before.Loads,
-		Stores:        after.Stores - before.Stores,
-		LoadMisses:    after.LoadMisses - before.LoadMisses,
-		Writebacks:    after.Writebacks - before.Writebacks,
-		Evictions:     after.Evictions - before.Evictions,
-		SectorFetches: after.SectorFetches - before.SectorFetches,
-		TrafficBytes:  after.TrafficBytes - before.TrafficBytes,
-	}
-	for i := range d.PerCoreAccesses {
-		d.PerCoreAccesses[i] = after.PerCoreAccesses[i] - before.PerCoreAccesses[i]
-		d.PerCoreMisses[i] = after.PerCoreMisses[i] - before.PerCoreMisses[i]
-	}
-	return d
-}
-
-// addScaled accumulates dst += w * src, field by field.
-func addScaled(dst *cache.Stats, src *cache.Stats, w uint64) {
-	dst.Accesses += w * src.Accesses
-	dst.Misses += w * src.Misses
-	dst.Loads += w * src.Loads
-	dst.Stores += w * src.Stores
-	dst.LoadMisses += w * src.LoadMisses
-	dst.Writebacks += w * src.Writebacks
-	dst.Evictions += w * src.Evictions
-	dst.SectorFetches += w * src.SectorFetches
-	dst.TrafficBytes += w * src.TrafficBytes
-	for i := range dst.PerCoreAccesses {
-		dst.PerCoreAccesses[i] += w * src.PerCoreAccesses[i]
-		dst.PerCoreMisses[i] += w * src.PerCoreMisses[i]
-	}
-}
-
 // Extrapolate scales the per-cluster measured deltas by the plan's
 // cluster weights into full-trace statistics. The plan is validated
 // first; malformed plans or a mismatched delta count return an error,
@@ -79,7 +39,7 @@ func Extrapolate(p *Plan, deltas []cache.Stats) (cache.Stats, error) {
 	}
 	var out cache.Stats
 	for c := range p.Clusters {
-		addScaled(&out, &deltas[c], p.Clusters[c].Weight)
+		out.AddScaled(&deltas[c], p.Clusters[c].Weight)
 	}
 	return out, nil
 }

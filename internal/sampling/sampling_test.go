@@ -281,20 +281,3 @@ func TestExtrapolateRejectsMalformed(t *testing.T) {
 		t.Error("nil plan accepted")
 	}
 }
-
-func TestStatsDeltaRoundTrip(t *testing.T) {
-	before := cache.Stats{Accesses: 100, Misses: 7, Loads: 60, Stores: 40, TrafficBytes: 4096}
-	before.PerCoreAccesses[0] = 100
-	after := before
-	after.Accesses += 50
-	after.Misses += 3
-	after.Loads += 30
-	after.Stores += 20
-	after.TrafficBytes += 1024
-	after.PerCoreAccesses[0] += 50
-	d := StatsDelta(&after, &before)
-	if d.Accesses != 50 || d.Misses != 3 || d.Loads != 30 || d.Stores != 20 ||
-		d.TrafficBytes != 1024 || d.PerCoreAccesses[0] != 50 {
-		t.Errorf("delta = %+v", d)
-	}
-}

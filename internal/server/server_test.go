@@ -366,7 +366,7 @@ func TestBurstAcrossTenants(t *testing.T) {
 	}
 	const tenants, perTenant, seeds, grids = 8, 4, 2, 4
 	manifestPath := filepath.Join(t.TempDir(), "manifest.jsonl")
-	man, err := telemetry.OpenManifestFile(manifestPath)
+	man, err := telemetry.OpenManifestFile(manifestPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

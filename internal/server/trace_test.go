@@ -27,7 +27,7 @@ func TestRequestTraceReconciles(t *testing.T) {
 	}
 	dir := t.TempDir()
 	manifestPath := filepath.Join(dir, "manifest.jsonl")
-	man, err := telemetry.OpenManifestFile(manifestPath)
+	man, err := telemetry.OpenManifestFile(manifestPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

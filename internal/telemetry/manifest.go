@@ -107,16 +107,10 @@ type ManifestWriter struct {
 func NewManifestWriter(w io.Writer) *ManifestWriter { return &ManifestWriter{w: w} }
 
 // OpenManifestFile opens (or creates) path for appending and returns a
-// writer that owns the file; Close releases it. The stream is unbounded
-// — see OpenManifestFileLimits for rotation.
-func OpenManifestFile(path string) (*ManifestWriter, error) {
-	return OpenManifestFileLimits(path, 0)
-}
-
-// OpenManifestFileLimits opens path for appending with a rotation
-// bound: the active file is rotated to path+".1" before a write that
-// would push it past maxBytes bytes. Zero means unbounded.
-func OpenManifestFileLimits(path string, maxBytes uint64) (*ManifestWriter, error) {
+// writer that owns the file; Close releases it. The active file is
+// rotated to path+".1" before a write that would push it past maxBytes
+// bytes. Zero means unbounded.
+func OpenManifestFile(path string, maxBytes uint64) (*ManifestWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err

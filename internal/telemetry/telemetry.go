@@ -25,6 +25,7 @@
 package telemetry
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -116,18 +117,7 @@ func (h *Histogram) Observe(v uint64) {
 	}
 	h.count.Add(1)
 	h.sum.Add(v)
-	h.buckets[bitLen(v)].Add(1)
-}
-
-// bitLen is bits.Len64 without the import (and a named anchor for the
-// bucket rule above).
-func bitLen(v uint64) int {
-	n := 0
-	for v != 0 {
-		v >>= 1
-		n++
-	}
-	return n
+	h.buckets[bits.Len64(v)].Add(1)
 }
 
 // HistBucket is one non-empty histogram bucket: Count observations were

@@ -155,7 +155,7 @@ func TestManifestRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mw, err := OpenManifestFileLimits(path, 2*uint64(len(line)+1))
+	mw, err := OpenManifestFile(path, 2*uint64(len(line)+1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestManifestRotation(t *testing.T) {
 func TestManifestRotationBySize(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.jsonl")
-	mw, err := OpenManifestFileLimits(path, 300)
+	mw, err := OpenManifestFile(path, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestManifestRotationBySize(t *testing.T) {
 	}
 	// Re-opening an existing file picks up its size so the bound holds
 	// across restarts.
-	mw2, err := OpenManifestFileLimits(path, 300)
+	mw2, err := OpenManifestFile(path, 300)
 	if err != nil {
 		t.Fatal(err)
 	}

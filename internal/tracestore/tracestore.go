@@ -76,16 +76,16 @@ type Summary struct {
 // sequence is kept v2-encoded — roughly 4x smaller than a []Ref slice —
 // in fixed-size chunks, and decoded on the fly during replay; Player
 // returns an independent zero-allocation cursor, so one Trace serves any
-// number of concurrent replays. The sample plans the fast tier derives
-// from the stream are memoized here too (SamplePlan), so they share the
+// number of concurrent replays. The sample plan the fast tier derives
+// from the stream is memoized here too (SamplePlan), so it shares the
 // capture's lifetime.
 type Trace struct {
 	Summary Summary
 	chunks  [][]byte // the v2 stream, header included, cut anywhere
 	n       int      // encoded bytes across chunks
 
-	mu    sync.Mutex
-	plans []*planCall // sample plans built from this stream, oldest first
+	mu   sync.Mutex
+	plan *planCall // the sample plan built from this stream, or its build
 }
 
 // chunkSize is the capacity of every chunk a Recorder or a spill load
@@ -93,52 +93,38 @@ type Trace struct {
 // and its seams are one record in tens of thousands.
 const chunkSize = 256 << 10
 
-// maxPlans caps the distinct sampling.Params memoized on one Trace;
-// one more evicts the oldest. The cap is a count, not bytes, because
-// SizeBytes must not change once the trace is in a Store: the store
-// subtracts it again on eviction.
-const maxPlans = 4
-
-// planCall is one memoized (or in-flight) plan build.
+// planCall is the memoized (or in-flight) plan build.
 type planCall struct {
-	params sampling.Params
-	done   chan struct{}
-	plan   *sampling.Plan
-	err    error
+	done chan struct{}
+	plan *sampling.Plan
+	err  error
 }
 
-// SamplePlan returns the stream's sample plan under p, calling build at
-// most once per defaulted Params: a plan depends on the stream and the
-// Params only — never on the cache grid — so every sampled sweep of a
-// capture after the first skips the fingerprint pass. Concurrent callers
-// for the same Params wait for the one build; hit reports that this
-// call did not run build. The memo lives and dies with the Trace: a
-// capture evicted from its Store and captured again starts empty.
-// Failed builds are not kept. The returned Plan is shared; treat it as
-// immutable.
-func (t *Trace) SamplePlan(p sampling.Params, build func() (*sampling.Plan, error)) (plan *sampling.Plan, hit bool, err error) {
-	p = p.Defaulted()
+// SamplePlan returns the stream's sample plan, calling build at most
+// once: a plan depends on the stream only — never on the cache grid —
+// so every sampled sweep of a capture after the first skips the
+// fingerprint pass. Concurrent callers wait for the one build; hit
+// reports that this call did not run build. The memo lives and dies
+// with the Trace: a capture evicted from its Store and captured again
+// starts empty. A failed build is not kept. The returned Plan is
+// shared; treat it as immutable.
+func (t *Trace) SamplePlan(build func() (*sampling.Plan, error)) (plan *sampling.Plan, hit bool, err error) {
 	t.mu.Lock()
-	for _, c := range t.plans {
-		if c.params == p {
-			t.mu.Unlock()
-			<-c.done
-			return c.plan, true, c.err
-		}
+	if c := t.plan; c != nil {
+		t.mu.Unlock()
+		<-c.done
+		return c.plan, true, c.err
 	}
-	c := &planCall{params: p, done: make(chan struct{})}
-	if len(t.plans) == maxPlans {
-		t.plans = slices.Delete(t.plans, 0, 1)
-	}
-	t.plans = append(t.plans, c)
+	c := &planCall{done: make(chan struct{})}
+	t.plan = c
 	t.mu.Unlock()
 
 	c.err = errors.New("tracestore: sample plan build panicked")
 	defer func() {
 		if c.err != nil {
 			t.mu.Lock()
-			if i := slices.Index(t.plans, c); i >= 0 {
-				t.plans = slices.Delete(t.plans, i, i+1)
+			if t.plan == c {
+				t.plan = nil
 			}
 			t.mu.Unlock()
 		}
@@ -175,8 +161,9 @@ func (t *Trace) EncodedLen() int { return t.n }
 const traceOverhead = 128
 
 // SizeBytes is the resident footprint of the trace: its chunks'
-// capacities plus a fixed overhead. It is fixed at construction
-// (memoized plans are not counted; see maxPlans).
+// capacities plus a fixed overhead. It is fixed at construction, and
+// the memoized sample plan is not counted: a Store subtracts the same
+// figure again on eviction.
 func (t *Trace) SizeBytes() uint64 {
 	size := uint64(traceOverhead)
 	for _, c := range t.chunks {

@@ -394,68 +394,38 @@ func (b *planBuilder) build() (*sampling.Plan, error) {
 	return &sampling.Plan{TotalRefs: uint64(b.builds.Add(1))}, nil
 }
 
-// TestSamplePlanMemo pins the memo's contract: one build per defaulted
-// Params, distinct Params kept apart, the oldest of more than maxPlans
-// forgotten, failed builds not kept, and SizeBytes — which the store
-// subtracts on eviction — untouched by any of it.
+// TestSamplePlanMemo pins the memo's contract: one build, every later
+// call a hit on the same plan, a failed build not kept, and SizeBytes —
+// which the store subtracts on eviction — untouched by any of it.
 func TestSamplePlanMemo(t *testing.T) {
 	tr := fakeTrace(1, 100)
 	size := tr.SizeBytes()
 	var b planBuilder
 
-	first, hit, err := tr.SamplePlan(sampling.Fast(), b.build)
+	boom := errors.New("boom")
+	if _, hit, err := tr.SamplePlan(func() (*sampling.Plan, error) { return nil, boom }); hit || !errors.Is(err, boom) {
+		t.Fatalf("failed build: hit=%v err=%v", hit, err)
+	}
+	first, hit, err := tr.SamplePlan(b.build)
 	if err != nil || hit {
-		t.Fatalf("first call: hit=%v err=%v, want a build", hit, err)
+		t.Fatalf("after a failed build: hit=%v err=%v, want a fresh build", hit, err)
 	}
-	// Fast() spelled with its statistical defaults filled in is the
-	// same plan identity.
-	spelled := sampling.Fast().Defaulted()
-	again, hit, err := tr.SamplePlan(spelled, b.build)
-	if err != nil || !hit || again != first {
-		t.Fatalf("second call: hit=%v err=%v same=%v, want the memoized plan", hit, err, again == first)
-	}
-
-	// maxPlans-1 more Params fill the memo; every one is its own plan.
-	params := func(seed int64) sampling.Params {
-		p := sampling.Fast()
-		p.Seed = seed
-		return p
-	}
-	for s := int64(2); s <= maxPlans; s++ {
-		pl, hit, _ := tr.SamplePlan(params(s), b.build)
-		if hit || pl == first {
-			t.Fatalf("seed %d: hit=%v, want a distinct build", s, hit)
+	for i := 0; i < 3; i++ {
+		again, hit, err := tr.SamplePlan(b.build)
+		if err != nil || !hit || again != first {
+			t.Fatalf("call %d: hit=%v err=%v same=%v, want the memoized plan", i, hit, err, again == first)
 		}
 	}
-	if _, hit, _ := tr.SamplePlan(sampling.Fast(), b.build); !hit {
-		t.Fatal("the first plan was forgotten before the cap was reached")
-	}
-	// One more evicts the oldest — Fast() — and only it.
-	tr.SamplePlan(params(maxPlans+1), b.build)
-	if _, hit, _ := tr.SamplePlan(params(2), b.build); !hit {
-		t.Error("a younger plan was evicted instead of the oldest")
-	}
-	builds := b.builds.Load()
-	if pl, hit, _ := tr.SamplePlan(sampling.Fast(), b.build); hit || pl == first || b.builds.Load() != builds+1 {
-		t.Error("the oldest plan survived the cap")
-	}
-
-	boom := errors.New("boom")
-	failing := params(99)
-	if _, _, err := tr.SamplePlan(failing, func() (*sampling.Plan, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("failed build returned %v", err)
-	}
-	if _, hit, err := tr.SamplePlan(failing, b.build); hit || err != nil {
-		t.Errorf("after a failed build: hit=%v err=%v, want a fresh build", hit, err)
+	if n := b.builds.Load(); n != 1 {
+		t.Errorf("%d builds, want 1", n)
 	}
 
 	if tr.SizeBytes() != size {
-		t.Errorf("SizeBytes moved from %d to %d with plans memoized", size, tr.SizeBytes())
+		t.Errorf("SizeBytes moved from %d to %d with a plan memoized", size, tr.SizeBytes())
 	}
 }
 
-// TestSamplePlanSingleFlight: concurrent callers for one Params share
-// one build, whether they arrive while it runs or after.
+// TestSamplePlanSingleFlight: concurrent callers share one build, whether they arrive while it runs or after.
 func TestSamplePlanSingleFlight(t *testing.T) {
 	tr := fakeTrace(1, 100)
 	var b planBuilder
@@ -468,7 +438,7 @@ func TestSamplePlanSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pl, hit, err := tr.SamplePlan(sampling.Fast(), func() (*sampling.Plan, error) {
+			pl, hit, err := tr.SamplePlan(func() (*sampling.Plan, error) {
 				<-release
 				return b.build()
 			})
@@ -502,7 +472,7 @@ func TestSamplePlanBuildPanic(t *testing.T) {
 	waiter := make(chan error, 1)
 	go func() {
 		defer func() { recover() }()
-		tr.SamplePlan(sampling.Fast(), func() (*sampling.Plan, error) {
+		tr.SamplePlan(func() (*sampling.Plan, error) {
 			close(entered)
 			<-release
 			panic("emulator fail-loud")
@@ -510,7 +480,7 @@ func TestSamplePlanBuildPanic(t *testing.T) {
 	}()
 	<-entered
 	go func() {
-		_, _, err := tr.SamplePlan(sampling.Fast(), func() (*sampling.Plan, error) { return &sampling.Plan{}, nil })
+		_, _, err := tr.SamplePlan(func() (*sampling.Plan, error) { return &sampling.Plan{}, nil })
 		waiter <- err
 	}()
 	close(release)
@@ -518,7 +488,7 @@ func TestSamplePlanBuildPanic(t *testing.T) {
 	// told it failed) or arrived after it was dropped (and built).
 	<-waiter
 	var b planBuilder
-	if _, _, err := tr.SamplePlan(sampling.Fast(), b.build); err != nil {
+	if _, _, err := tr.SamplePlan(b.build); err != nil {
 		t.Errorf("after a panicking build: %v", err)
 	}
 }

@@ -73,20 +73,8 @@ func DiffStats(what string, a, b cache.Stats) error {
 // reference lost between the AF and a CC bank shows up here.
 func BankPartition(total cache.Stats, banks []cache.Stats) error {
 	var sum cache.Stats
-	for _, b := range banks {
-		sum.Accesses += b.Accesses
-		sum.Misses += b.Misses
-		sum.Loads += b.Loads
-		sum.Stores += b.Stores
-		sum.LoadMisses += b.LoadMisses
-		sum.Writebacks += b.Writebacks
-		sum.Evictions += b.Evictions
-		sum.SectorFetches += b.SectorFetches
-		sum.TrafficBytes += b.TrafficBytes
-		for c := range b.PerCoreAccesses {
-			sum.PerCoreAccesses[c] += b.PerCoreAccesses[c]
-			sum.PerCoreMisses[c] += b.PerCoreMisses[c]
-		}
+	for i := range banks {
+		sum.Add(&banks[i])
 	}
 	return DiffStats("bank partition", total, sum)
 }
