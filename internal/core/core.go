@@ -184,28 +184,18 @@ func TraceCapture(name string, p workloads.Params, pc PlatformConfig, fn func(tr
 	return Snoop(name, p, pc, []fsb.Snooper{&captureSnooper{fn: fn}}, opts...)
 }
 
-// captureSnooper honors the start/stop window like Dragonhead's AF.
+// captureSnooper honors the start/stop window through the shared fsb.AF.
 type captureSnooper struct {
-	fn     func(trace.Ref)
-	window bool
+	fn func(trace.Ref)
+	af fsb.AF
 }
 
 // OnRef implements fsb.Snooper.
 func (c *captureSnooper) OnRef(r trace.Ref) {
-	if fsb.IsMessage(r) {
-		return
-	}
-	if c.window {
+	if c.af.Ref(r) {
 		c.fn(r)
 	}
 }
 
 // OnMsg implements fsb.Snooper.
-func (c *captureSnooper) OnMsg(m fsb.Message) {
-	switch m.Kind {
-	case fsb.MsgStart:
-		c.window = true
-	case fsb.MsgStop:
-		c.window = false
-	}
-}
+func (c *captureSnooper) OnMsg(m fsb.Message) { c.af.Msg(m) }

@@ -63,6 +63,51 @@ func TestRunHierRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestHostNoiseIsInvisible: host and simulator noise outside the
+// start/stop window changes no model's answer — not the analytic leg's,
+// not an emulated LLC's, not a timing hierarchy's — only the count of
+// transactions the AF dropped.
+func TestHostNoiseIsInvisible(t *testing.T) {
+	p := workloads.Params{Seed: 3, Scale: 1.0 / 500}
+	llcs := []cache.Config{
+		{Name: "64K", Size: 64 << 10, LineSize: 64, Assoc: 8},
+		{Name: "256K", Size: 256 << 10, LineSize: 64, Assoc: 16},
+		{Name: "128K/256B", Size: 128 << 10, LineSize: 256, Assoc: 8},
+	}
+	plan, err := PlanSweep(llcs, EngineAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Analytic) != 2 || len(plan.Emulated) != 1 {
+		t.Fatalf("plan: %d analytic, %d emulated; want 2 and 1", len(plan.Analytic), len(plan.Emulated))
+	}
+	hcs := []hier.Config{hier.PentiumIV(p.Scale)}
+	run := func(noise int) ([]LLCResult, []HierResult) {
+		t.Helper()
+		pc := PlatformConfig{Threads: 2, HostNoiseRefs: noise, Seed: 3}
+		res, hres, _, err := sweep("SHOT", p, pc, [][]cache.Config{llcs}, hcs, nil, applyOpts(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, hres
+	}
+	quiet, quietHier := run(0)
+	noisy, noisyHier := run(64)
+	for i := range quiet {
+		if noisy[i].Ignored == 0 {
+			t.Errorf("%s: no noise reached the AF", llcs[i].Name)
+		}
+		noisy[i].Ignored = quiet[i].Ignored
+		if !reflect.DeepEqual(quiet[i], noisy[i]) {
+			t.Errorf("%s: host noise changed the result: %+v vs %+v", llcs[i].Name, quiet[i].Stats, noisy[i].Stats)
+		}
+	}
+	if !reflect.DeepEqual(quietHier, noisyHier) {
+		t.Errorf("host noise changed the hierarchy: cycles %.0f vs %.0f, DL2 misses %d vs %d",
+			quietHier[0].Cycles, noisyHier[0].Cycles, quietHier[0].L2.Misses, noisyHier[0].L2.Misses)
+	}
+}
+
 func TestTraceCaptureWindowed(t *testing.T) {
 	var refs int
 	sum, err := TraceCapture("PLSA", tinyParams(), PlatformConfig{Threads: 2, HostNoiseRefs: 7, Seed: 1},

@@ -240,11 +240,11 @@ func samplePlan(tr *tracestore.Trace, ro runOpts) (plan *sampling.Plan, replayed
 
 // measureWindows replays only the plan's windows from the stored
 // stream, feeding every cache from each window's warmup start and
-// snapshotting around its measured range. Transaction indexing mirrors
-// the fingerprinter exactly: in-window, pre-regulation memory
-// transactions, messages and out-of-window refs skipped. Cache state
-// deliberately carries over between windows — never reset — so the
-// warmup prefix tops up real (if stale) contents.
+// snapshotting around its measured range. Transaction indexing is the
+// fingerprinter's, through the same fsb.AF: in-window, pre-regulation
+// memory transactions, messages and out-of-window refs skipped. Cache
+// state deliberately carries over between windows — never reset — so
+// the warmup prefix tops up real (if stale) contents.
 func measureWindows(tr *tracestore.Trace, wins []sampling.Window, caches []*cache.Cache, nclusters int) ([][]cache.Stats, error) {
 	deltas := make([][]cache.Stats, nclusters)
 	for c := range deltas {
@@ -265,7 +265,7 @@ func measureWindows(tr *tracestore.Trace, wins []sampling.Window, caches []*cach
 	}
 	var (
 		buf       [64]trace.Ref // 1 KB: the decode buffer stays in L1
-		window    bool
+		af        fsb.AF
 		t         uint64 // in-window transaction index
 		wi        int
 		measuring bool
@@ -277,16 +277,7 @@ func measureWindows(tr *tracestore.Trace, wins []sampling.Window, caches []*cach
 		}
 		for i := 0; i < n; i++ {
 			r := buf[i]
-			if m, ok := fsb.DecodeMessage(r); ok {
-				switch m.Kind {
-				case fsb.MsgStart:
-					window = true
-				case fsb.MsgStop:
-					window = false
-				}
-				continue
-			}
-			if !window {
+			if !af.Ref(r) {
 				continue
 			}
 			if wi < len(wins) && measuring && t >= wins[wi].End {

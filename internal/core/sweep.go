@@ -220,11 +220,6 @@ func (o runOpts) reportSweep(kind, name string, p workloads.Params, pc PlatformC
 	o.tel.Stepf("%s llcs=%d hiers=%d %.1f Mrefs/s miss=%.2f%%", name, len(res), len(hiers), mrefs, missPct)
 }
 
-// planClockHz is the CB sampling clock of the analytic leg — the same
-// 3.0 GHz Xeon reference clock dragonhead.DefaultConfig uses, so
-// analytic per-sample series land on identical cycle boundaries.
-const planClockHz = 3e9
-
 // exactPass answers a plan bit-exactly: one Mattson engine tracking
 // the analytic leg's geometries, one Dragonhead per emulated geometry
 // and one timing hierarchy per hierarchy config, all co-snoopers of a
@@ -260,7 +255,9 @@ func newExactPass(plan *SweepPlan, observers []fsb.Snooper, ro runOpts) (sweepPa
 		if err != nil {
 			return nil, err
 		}
-		if err := eng.EnableSampling(planClockHz, dragonhead.DefaultSamplePeriod); err != nil {
+		// The emulated leg's CB clock, so analytic per-sample series
+		// land on identical cycle boundaries.
+		if err := eng.EnableSampling(dragonhead.DefaultClockHz, dragonhead.DefaultSamplePeriod); err != nil {
 			return nil, err
 		}
 		for _, i := range plan.Analytic {

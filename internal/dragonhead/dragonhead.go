@@ -37,6 +37,10 @@ const DefaultBanks = 4
 // of emulated time (500 µs).
 const DefaultSamplePeriod = 500e-6
 
+// DefaultClockHz is the platform clock that converts cycles-completed
+// messages into emulated seconds: the 3.0 GHz Xeon reference machine.
+const DefaultClockHz = 3e9
+
 // Config describes one emulated LLC.
 type Config struct {
 	// LLC is the shared last-level cache being emulated. The physical
@@ -61,8 +65,7 @@ type Config struct {
 	// core.WithBankShards, which bench's probes call, sets it.
 	Shards int
 	// ClockHz converts cycles-completed messages into emulated seconds
-	// for CB sampling. The paper's virtual cores are timed against the
-	// platform clock; 3.0 GHz matches the Xeon reference machine.
+	// for CB sampling (default DefaultClockHz).
 	ClockHz float64
 	// SamplePeriod is the CB collection period in emulated seconds.
 	SamplePeriod float64
@@ -80,7 +83,7 @@ type Config struct {
 // DefaultConfig returns a Dragonhead emulating the given LLC with the
 // physical board's bank count and sampling period.
 func DefaultConfig(llc cache.Config) Config {
-	return Config{LLC: llc, Banks: DefaultBanks, ClockHz: 3e9, SamplePeriod: DefaultSamplePeriod}
+	return Config{LLC: llc, Banks: DefaultBanks, ClockHz: DefaultClockHz, SamplePeriod: DefaultSamplePeriod}
 }
 
 // Sample is one CB counter snapshot.
@@ -105,17 +108,10 @@ type Emulator struct {
 	// when the LLC is sectored.
 	unitMask uint64
 
-	// AF state.
-	window      bool
-	currentCore uint8
-	ignored     uint64 // transactions dropped outside the window
-
-	// CB state.
-	instRetired   [cache.MaxCores]uint64
-	cycles        uint64
-	samples       []Sample
-	nextSampleAt  uint64
-	cyclesPerTick uint64
+	// AF and CB state.
+	af      fsb.AF
+	cb      fsb.CB
+	samples []Sample
 
 	// Delivery state. live is set while a bus worker serves the
 	// emulator: its counters are then owned by that worker, and reading
@@ -181,8 +177,8 @@ func (e *Emulator) push() {
 	if t == nil {
 		return
 	}
-	t.afDropped.Add(e.ignored - t.pushedDropped)
-	t.pushedDropped = e.ignored
+	t.afDropped.Add(e.af.Dropped - t.pushedDropped)
+	t.pushedDropped = e.af.Dropped
 	n := uint64(len(e.samples))
 	t.cbSamples.Add(n - t.pushedSamples)
 	t.pushedSamples = n
@@ -208,7 +204,7 @@ func New(cfg Config) (*Emulator, error) {
 		return nil, fmt.Errorf("dragonhead: bank count %d is not a power of two", cfg.Banks)
 	}
 	if cfg.ClockHz <= 0 {
-		cfg.ClockHz = 3e9
+		cfg.ClockHz = DefaultClockHz
 	}
 	if cfg.SamplePeriod <= 0 {
 		cfg.SamplePeriod = DefaultSamplePeriod
@@ -262,11 +258,7 @@ func New(cfg Config) (*Emulator, error) {
 		}
 		e.banks = append(e.banks, c)
 	}
-	e.cyclesPerTick = uint64(cfg.SamplePeriod * cfg.ClockHz)
-	if e.cyclesPerTick == 0 {
-		e.cyclesPerTick = 1
-	}
-	e.nextSampleAt = e.cyclesPerTick
+	e.cb = fsb.NewCB(cfg.ClockHz, cfg.SamplePeriod)
 	if cfg.Telemetry != nil {
 		e.tel = newEmuTelemetry(cfg.Telemetry, len(e.banks))
 	}
@@ -307,8 +299,8 @@ func (e *Emulator) OnRef(r trace.Ref) {
 		e.OnMsg(m)
 		return
 	}
-	if !e.window {
-		e.ignored++
+	if !e.af.Open {
+		e.af.Dropped++
 		return
 	}
 	e.regulate(r)
@@ -329,8 +321,8 @@ func (e *Emulator) OnBatch(batch []trace.Ref) {
 			continue
 		}
 		switch {
-		case !e.window:
-			e.ignored++
+		case !e.af.Open:
+			e.af.Dropped++
 		case banked:
 			j := i + 1
 			for j < len(batch) && !fsb.IsMessage(batch[j]) {
@@ -386,56 +378,35 @@ func (e *Emulator) lookup(a uint64, kind mem.Kind, core uint8) {
 	e.banks[blk&e.bankMask].Touch(mem.Addr(blk>>(e.bankShift&63)<<(e.lineShift&63)|inLine), kind, core)
 }
 
-// OnMsg implements fsb.Snooper: the AF stage for control messages.
+// OnMsg implements fsb.Snooper: the AF stage for control messages,
+// and the CB collections a cycles-completed message makes due.
 func (e *Emulator) OnMsg(m fsb.Message) {
-	switch m.Kind {
-	case fsb.MsgStart:
-		e.window = true
-	case fsb.MsgStop:
-		e.window = false
-	case fsb.MsgCoreID:
-		e.currentCore = m.Core
-	case fsb.MsgInstRetired:
-		e.instRetired[m.Core] = m.Value
-	case fsb.MsgCycles:
-		if m.Value > e.cycles {
-			e.cycles = m.Value
-		}
-		if e.nshards > 1 {
-			// Sharded CB: broadcast the cycle count so every sampling
-			// replica crosses the same boundaries, and keep only the
-			// skeleton (boundary + instructions, both producer-owned)
-			// here. Bank counters are worker-owned until Finalize, which
-			// sums the per-shard partials into these skeletons.
-			e.ensureSharder()
-			e.sharder.Broadcast(m)
-			for e.cycles >= e.nextSampleAt {
-				e.samples = append(e.samples, Sample{
-					Cycles:       e.nextSampleAt,
-					Instructions: e.instructions(),
-				})
-				e.nextSampleAt += e.cyclesPerTick
-			}
-			return
-		}
-		for e.cycles >= e.nextSampleAt {
-			e.collect()
-			e.nextSampleAt += e.cyclesPerTick
-		}
+	e.af.Msg(m)
+	if e.nshards > 1 && m.Kind == fsb.MsgCycles {
+		// Sharded CB: broadcast the cycle count so every sampling
+		// replica crosses the same boundaries.
+		e.ensureSharder()
+		e.sharder.Broadcast(m)
+	}
+	for at, ok := e.cb.Due(e.af.Cycles); ok; at, ok = e.cb.Due(e.af.Cycles) {
+		e.collect(at)
 	}
 }
 
-// collect is the CB host read: snapshot cumulative counters. Each
-// collection also pushes telemetry deltas — the software equivalent of
-// the host reading the CB every 500 µs of emulated time.
-func (e *Emulator) collect() {
-	acc, miss := e.totals()
-	e.samples = append(e.samples, Sample{
-		Cycles:       e.nextSampleAt,
-		Instructions: e.instructions(),
-		Accesses:     acc,
-		Misses:       miss,
-	})
+// collect is the CB host read at boundary at: snapshot cumulative
+// counters. Each collection also pushes telemetry deltas — the software
+// equivalent of the host reading the CB every 500 µs of emulated time.
+// Sharded, it keeps only the skeleton (boundary + instructions, both
+// producer-owned): bank counters are worker-owned until Finalize, which
+// sums the per-shard partials into these skeletons.
+func (e *Emulator) collect(at uint64) {
+	s := Sample{Cycles: at, Instructions: e.af.Instructions()}
+	if e.nshards > 1 {
+		e.samples = append(e.samples, s)
+		return
+	}
+	s.Accesses, s.Misses = e.totals()
+	e.samples = append(e.samples, s)
 	e.push()
 }
 
@@ -477,23 +448,13 @@ func (e *Emulator) BankStats(i int) cache.Stats {
 // the latest inst-retired messages.
 func (e *Emulator) Instructions() uint64 {
 	e.mustBeQuiesced("Instructions")
-	return e.instructions()
-}
-
-// instructions is the unguarded total for the CB's own sampling path,
-// which runs on whichever goroutine delivers the events.
-func (e *Emulator) instructions() uint64 {
-	var total uint64
-	for _, v := range e.instRetired {
-		total += v
-	}
-	return total
+	return e.af.Instructions()
 }
 
 // MPKI returns LLC misses per 1000 retired instructions.
 func (e *Emulator) MPKI() float64 {
 	e.mustBeQuiesced("MPKI")
-	inst := e.instructions()
+	inst := e.af.Instructions()
 	if inst == 0 {
 		return 0
 	}
@@ -515,14 +476,8 @@ func (e *Emulator) Samples() []Sample {
 // start/stop window (host and simulator noise).
 func (e *Emulator) Ignored() uint64 {
 	e.mustBeQuiesced("Ignored")
-	return e.ignored
+	return e.af.Dropped
 }
-
-// InWindow reports whether the emulation window is currently open.
-func (e *Emulator) InWindow() bool { return e.window }
-
-// CurrentCore returns the core announced by the latest core-ID message.
-func (e *Emulator) CurrentCore() uint8 { return e.currentCore }
 
 // Reset clears cache contents, counters, and CB state.
 func (e *Emulator) Reset() {
@@ -530,13 +485,9 @@ func (e *Emulator) Reset() {
 	for _, b := range e.banks {
 		b.Reset()
 	}
-	e.window = false
-	e.currentCore = 0
-	e.ignored = 0
-	e.instRetired = [cache.MaxCores]uint64{}
-	e.cycles = 0
+	e.af = fsb.AF{}
+	e.cb = fsb.NewCB(e.cfg.ClockHz, e.cfg.SamplePeriod)
 	e.samples = nil
-	e.nextSampleAt = e.cyclesPerTick
 	if e.tel != nil {
 		// Cache stats restart from zero; restart the push watermarks too
 		// so the next delta does not underflow. Registry totals remain

@@ -54,7 +54,7 @@ func TestWindowGating(t *testing.T) {
 		t.Fatalf("pre-window access counted (acc=%d ignored=%d)", e.Stats().Accesses, e.Ignored())
 	}
 	e.OnMsg(fsb.Message{Kind: fsb.MsgStart})
-	if !e.InWindow() {
+	if !e.af.Open {
 		t.Fatal("window should be open")
 	}
 	e.OnRef(r)
@@ -73,8 +73,8 @@ func TestMessagesDecodedFromRefs(t *testing.T) {
 	e := newEmu(t, Config{LLC: llc(1 << 20)})
 	e.OnRef(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStart}))
 	e.OnRef(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgCoreID, Core: 9}))
-	if !e.InWindow() || e.CurrentCore() != 9 {
-		t.Errorf("window=%v core=%d; want true, 9", e.InWindow(), e.CurrentCore())
+	if !e.af.Open || e.af.Core != 9 {
+		t.Errorf("window=%v core=%d; want true, 9", e.af.Open, e.af.Core)
 	}
 }
 
@@ -270,7 +270,7 @@ func TestReset(t *testing.T) {
 	e.OnRef(trace.Ref{Addr: 0x4000_0000, Size: 8, Kind: mem.Load})
 	e.OnMsg(fsb.Message{Kind: fsb.MsgCycles, Value: 10_000})
 	e.Reset()
-	if e.Stats().Accesses != 0 || len(e.Samples()) != 0 || e.InWindow() || e.Instructions() != 0 {
+	if e.Stats().Accesses != 0 || len(e.Samples()) != 0 || e.af.Open || e.Instructions() != 0 {
 		t.Error("Reset left state behind")
 	}
 }

@@ -55,9 +55,9 @@ type emuShard struct {
 	owned []*cache.Cache
 
 	// CB sampling replica, driven only by broadcast MsgCycles.
-	cycles       uint64
-	nextSampleAt uint64
-	partials     []shardSample
+	af       fsb.AF
+	cb       fsb.CB
+	partials []shardSample
 }
 
 // OnRef implements fsb.Snooper for shard delivery. The event's Addr
@@ -68,13 +68,8 @@ func (s *emuShard) OnRef(r trace.Ref) { s.e.lookup(uint64(r.Addr), r.Kind, r.Cor
 // OnMsg implements fsb.Snooper: the sampling replica. Only MsgCycles is
 // broadcast to shards; everything else is AF/CB producer state.
 func (s *emuShard) OnMsg(m fsb.Message) {
-	if m.Kind != fsb.MsgCycles {
-		return
-	}
-	if m.Value > s.cycles {
-		s.cycles = m.Value
-	}
-	for s.cycles >= s.nextSampleAt {
+	s.af.Msg(m)
+	for _, ok := s.cb.Due(s.af.Cycles); ok; _, ok = s.cb.Due(s.af.Cycles) {
 		var acc, miss uint64
 		for _, b := range s.owned {
 			st := b.Stats()
@@ -82,7 +77,6 @@ func (s *emuShard) OnMsg(m fsb.Message) {
 			miss += st.Misses
 		}
 		s.partials = append(s.partials, shardSample{accesses: acc, misses: miss})
-		s.nextSampleAt += s.e.cyclesPerTick
 	}
 }
 
@@ -96,7 +90,7 @@ func (e *Emulator) ensureSharder() {
 	consumers := make([]fsb.Snooper, n)
 	e.shardCons = make([]*emuShard, n)
 	for s := 0; s < n; s++ {
-		sh := &emuShard{e: e, nextSampleAt: e.cyclesPerTick}
+		sh := &emuShard{e: e, cb: fsb.NewCB(e.cfg.ClockHz, e.cfg.SamplePeriod)}
 		for b := s; b < len(e.banks); b += n {
 			sh.owned = append(sh.owned, e.banks[b])
 		}

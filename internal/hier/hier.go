@@ -184,15 +184,16 @@ type coreState struct {
 }
 
 // Machine is the modelled multiprocessor. It implements fsb.Snooper so
-// it can sit on the same bus as the Dragonhead emulator.
+// it can sit on the same bus as the Dragonhead emulator, and like it
+// times only the transactions inside the start/stop window.
 type Machine struct {
 	cfg   Config
 	cores []*coreState
 	l3    *cache.Cache // shared LLC, nil unless Config.L3 is set
 	bw    *fsb.Bandwidth
+	af    fsb.AF
 
 	stall float64 // accumulated stall cycles
-	inst  [cache.MaxCores]uint64
 
 	// Bus windowing: wall-clock time advances with every memory
 	// instruction (cores run concurrently, so each reference represents
@@ -273,13 +274,7 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // OnRef implements fsb.Snooper: one memory instruction from some core.
 func (m *Machine) OnRef(r trace.Ref) {
-	if fsb.IsMessage(r) {
-		if msg, ok := fsb.DecodeMessage(r); ok {
-			m.OnMsg(msg)
-		}
-		return
-	}
-	if int(r.Core) >= len(m.cores) {
+	if !m.af.Ref(r) || int(r.Core) >= len(m.cores) {
 		return
 	}
 	// Advance wall time and roll the bus window.
@@ -418,20 +413,10 @@ func (m *Machine) busUtil() float64 {
 }
 
 // OnMsg implements fsb.Snooper.
-func (m *Machine) OnMsg(msg fsb.Message) {
-	if msg.Kind == fsb.MsgInstRetired && int(msg.Core) < cache.MaxCores {
-		m.inst[msg.Core] = msg.Value
-	}
-}
+func (m *Machine) OnMsg(msg fsb.Message) { m.af.Msg(msg) }
 
 // Instructions returns total retired instructions seen so far.
-func (m *Machine) Instructions() uint64 {
-	var n uint64
-	for _, v := range m.inst {
-		n += v
-	}
-	return n
-}
+func (m *Machine) Instructions() uint64 { return m.af.Instructions() }
 
 // Cycles returns the modelled execution time in core cycles.
 func (m *Machine) Cycles() float64 {

@@ -11,6 +11,16 @@ import (
 	"cmpmem/internal/trace"
 )
 
+// newOpen builds a machine and opens its measurement window, as the
+// MsgStart at the head of every platform stream does.
+func newOpen(cfg Config) (*Machine, error) {
+	m, err := New(cfg)
+	if err == nil {
+		m.OnMsg(fsb.Message{Kind: fsb.MsgStart})
+	}
+	return m, err
+}
+
 func ref(core uint8, addr uint64, kind mem.Kind) trace.Ref {
 	return trace.Ref{Addr: mem.Addr(addr), Core: core, Size: 8, Kind: kind}
 }
@@ -34,8 +44,25 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestIPCWithoutMisses(t *testing.T) {
+// TestWindowGatesTiming: only transactions between MsgStart and MsgStop
+// reach the hierarchy; host noise outside the window costs nothing.
+func TestWindowGatesTiming(t *testing.T) {
 	m, err := New(PentiumIV(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.OnRef(ref(0, 0x4000_0000, mem.Load))
+	m.OnRef(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStart}))
+	m.OnRef(ref(0, 0x4000_1000, mem.Load))
+	m.OnMsg(fsb.Message{Kind: fsb.MsgStop})
+	m.OnRef(ref(0, 0x4000_2000, mem.Store))
+	if got := m.L1Stats().Accesses; got != 1 {
+		t.Errorf("L1 saw %d accesses, want only the 1 inside the window", got)
+	}
+}
+
+func TestIPCWithoutMisses(t *testing.T) {
+	m, err := newOpen(PentiumIV(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +79,8 @@ func TestIPCWithoutMisses(t *testing.T) {
 }
 
 func TestMissesReduceIPC(t *testing.T) {
-	mHit, _ := New(PentiumIV(1))
-	mMiss, _ := New(PentiumIV(1))
+	mHit, _ := newOpen(PentiumIV(1))
+	mMiss, _ := newOpen(PentiumIV(1))
 	for i := 0; i < 2000; i++ {
 		mHit.OnRef(ref(0, 0x4000_0000, mem.Load))
 		// Random-ish strided pattern defeating the 512 KB L2.
@@ -70,8 +97,8 @@ func TestMissesReduceIPC(t *testing.T) {
 }
 
 func TestStreamingCheaperThanRandom(t *testing.T) {
-	stream, _ := New(PentiumIV(1))
-	random, _ := New(PentiumIV(1))
+	stream, _ := newOpen(PentiumIV(1))
+	random, _ := newOpen(PentiumIV(1))
 	for i := 0; i < 5000; i++ {
 		stream.OnRef(ref(0, 0x4000_0000+uint64(i)*64, mem.Load))
 		random.OnRef(ref(0, 0x4000_0000+uint64((i*2654435761)%(1<<28))&^63, mem.Load))
@@ -86,7 +113,7 @@ func TestStreamingCheaperThanRandom(t *testing.T) {
 }
 
 func TestL1FiltersL2(t *testing.T) {
-	m, _ := New(PentiumIV(1))
+	m, _ := newOpen(PentiumIV(1))
 	for i := 0; i < 100; i++ {
 		m.OnRef(ref(0, 0x4000_0000, mem.Load))
 	}
@@ -100,7 +127,7 @@ func TestL1FiltersL2(t *testing.T) {
 
 func TestPerCoreIsolationOfCaches(t *testing.T) {
 	cfg := Xeon16(2, 1, nil)
-	m, _ := New(cfg)
+	m, _ := newOpen(cfg)
 	// Core 0 warms a line; core 1 touching the same line must miss
 	// (private caches).
 	m.OnRef(ref(0, 0x4000_0000, mem.Load))
@@ -111,7 +138,7 @@ func TestPerCoreIsolationOfCaches(t *testing.T) {
 }
 
 func TestIgnoresUnknownCores(t *testing.T) {
-	m, _ := New(PentiumIV(1))
+	m, _ := newOpen(PentiumIV(1))
 	m.OnRef(ref(9, 0x4000_0000, mem.Load)) // only core 0 exists
 	if m.L1Stats().Accesses != 0 {
 		t.Error("out-of-range core not ignored")
@@ -120,8 +147,8 @@ func TestIgnoresUnknownCores(t *testing.T) {
 
 func TestPrefetchingReducesCycles(t *testing.T) {
 	pf := prefetch.DefaultConfig(64)
-	off, _ := New(Xeon16(1, 1, nil))
-	on, _ := New(Xeon16(1, 1, &pf))
+	off, _ := newOpen(Xeon16(1, 1, nil))
+	on, _ := newOpen(Xeon16(1, 1, &pf))
 	// Long unit-stride stream over 4 MB: ideal for the stride prefetcher.
 	for i := 0; i < 60000; i++ {
 		addr := 0x4000_0000 + uint64(i)*64
@@ -145,7 +172,7 @@ func TestBusSaturationDropsPrefetches(t *testing.T) {
 	pf := prefetch.DefaultConfig(64)
 	cfg := Xeon16(8, 1, &pf)
 	cfg.BusCapacity = 200 // starve the bus
-	m, _ := New(cfg)
+	m, _ := newOpen(cfg)
 	for i := 0; i < 20000; i++ {
 		core := uint8(i % 8)
 		m.OnRef(ref(core, 0x4000_0000+uint64(core)<<24+uint64(i/8)*64, mem.Load))
@@ -160,8 +187,8 @@ func TestContentionIncreasesLatency(t *testing.T) {
 	low := Xeon16(1, 1, nil)
 	high := Xeon16(1, 1, nil)
 	high.BusCapacity = 100 // tiny window capacity: always saturated
-	mLow, _ := New(low)
-	mHigh, _ := New(high)
+	mLow, _ := newOpen(low)
+	mHigh, _ := newOpen(high)
 	for i := 0; i < 20000; i++ {
 		addr := 0x4000_0000 + uint64(i*97)*64
 		mLow.OnRef(ref(0, addr, mem.Load))
@@ -176,7 +203,7 @@ func TestContentionIncreasesLatency(t *testing.T) {
 }
 
 func TestMessagesDecodedFromRawRefs(t *testing.T) {
-	m, _ := New(PentiumIV(1))
+	m, _ := newOpen(PentiumIV(1))
 	m.OnRef(fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgInstRetired, Core: 0, Value: 777}))
 	if m.Instructions() != 777 {
 		t.Errorf("instructions = %d, want 777", m.Instructions())
@@ -184,7 +211,7 @@ func TestMessagesDecodedFromRawRefs(t *testing.T) {
 }
 
 func TestSplitAccessServicesBothLines(t *testing.T) {
-	m, _ := New(PentiumIV(1))
+	m, _ := newOpen(PentiumIV(1))
 	m.OnRef(trace.Ref{Addr: 0x4000_003C, Core: 0, Size: 8, Kind: mem.Load})
 	if got := m.L1Stats().Misses; got != 2 {
 		t.Errorf("straddling access caused %d L1 misses, want 2", got)
@@ -196,7 +223,7 @@ func TestSplitAccessServicesBothLines(t *testing.T) {
 
 func TestDefaultBusParamsApplied(t *testing.T) {
 	cfg := PentiumIV(1) // no bus params set
-	m, err := New(cfg)
+	m, err := newOpen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +233,7 @@ func TestDefaultBusParamsApplied(t *testing.T) {
 }
 
 func TestAggregateStats(t *testing.T) {
-	m, _ := New(Xeon16(4, 1, nil))
+	m, _ := newOpen(Xeon16(4, 1, nil))
 	for c := uint8(0); c < 4; c++ {
 		m.OnRef(ref(c, 0x4000_0000+uint64(c)<<20, mem.Store))
 	}
@@ -239,7 +266,7 @@ func sumStats(all []*cache.Stats) cache.Stats {
 // TestAggregateSumsEveryCounter: L1Stats and L2Stats are the per-core
 // sum of every counter, the traffic and per-core arrays included.
 func TestAggregateSumsEveryCounter(t *testing.T) {
-	m, err := New(Xeon16(4, 1.0/16, nil)) // a 64 KB DL2
+	m, err := newOpen(Xeon16(4, 1.0/16, nil)) // a 64 KB DL2
 	if err != nil {
 		t.Fatal(err)
 	}

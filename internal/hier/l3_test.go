@@ -15,7 +15,7 @@ func withL3(cores int, l3Size uint64) Config {
 }
 
 func TestL3ServicesL2Misses(t *testing.T) {
-	m, err := New(withL3(1, 64<<20))
+	m, err := newOpen(withL3(1, 64<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +36,8 @@ func TestL3ServicesL2Misses(t *testing.T) {
 }
 
 func TestL3ReducesCycles(t *testing.T) {
-	without, _ := New(Xeon16(1, 1, nil))
-	with, err := New(withL3(1, 64<<20))
+	without, _ := newOpen(Xeon16(1, 1, nil))
+	with, err := newOpen(withL3(1, 64<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestL3ReducesCycles(t *testing.T) {
 }
 
 func TestL3StatsZeroWithoutL3(t *testing.T) {
-	m, _ := New(Xeon16(1, 1, nil))
+	m, _ := newOpen(Xeon16(1, 1, nil))
 	if m.L3Stats() != (cache.Stats{}) {
 		t.Error("L3 stats should be zero without an L3")
 	}
@@ -76,7 +76,7 @@ func coherentCfg(cores int) Config {
 }
 
 func TestCoherenceInvalidatesRemoteCopies(t *testing.T) {
-	m, err := New(coherentCfg(2))
+	m, err := newOpen(coherentCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestCoherenceInvalidatesRemoteCopies(t *testing.T) {
 }
 
 func TestCoherencePingPongCostsCycles(t *testing.T) {
-	coherent, _ := New(coherentCfg(2))
-	plain, _ := New(Xeon16(2, 1, nil))
+	coherent, _ := newOpen(coherentCfg(2))
+	plain, _ := newOpen(Xeon16(2, 1, nil))
 	for i := 0; i < 1000; i++ {
 		core := uint8(i % 2)
 		coherent.OnRef(ref(core, 0x4000_0000, mem.Store))
@@ -115,8 +115,8 @@ func TestCoherencePingPongCostsCycles(t *testing.T) {
 }
 
 func TestCoherencePrivateDataUnaffected(t *testing.T) {
-	coherent, _ := New(coherentCfg(2))
-	plain, _ := New(Xeon16(2, 1, nil))
+	coherent, _ := newOpen(coherentCfg(2))
+	plain, _ := newOpen(Xeon16(2, 1, nil))
 	// Disjoint per-core streams: coherence must not change anything.
 	for i := 0; i < 5000; i++ {
 		for core := uint8(0); core < 2; core++ {

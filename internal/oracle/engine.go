@@ -36,7 +36,7 @@
 // bitmask) whose membership doubles as the first-touch set, consulted
 // only by requests that need it (see charge).
 //
-// The engine mirrors the Dragonhead AF and CB stages bit for bit: it
+// The engine shares Dragonhead's AF and CB state (fsb.AF, fsb.CB): it
 // honors the start/stop emulation window, decodes control-message
 // transactions, regulates each reference into line-granular requests,
 // and (when sampling is enabled) snapshots cumulative counters on the
@@ -201,9 +201,10 @@ type Engine struct {
 	lineSize  uint64
 	lineShift uint
 
-	// AF state.
-	window  bool
-	ignored uint64
+	// AF and CB state; the CB clock is zero, and never fires, until
+	// EnableSampling.
+	af fsb.AF
+	cb fsb.CB
 
 	// Stream-wide counters (geometry-independent: every LRU cache at
 	// this line size observes the same line-granular request stream).
@@ -237,13 +238,6 @@ type Engine struct {
 	// by Tracked.Stats and good while accesses == dirtyAt.
 	dirtyLines []uint64
 	dirtyAt    uint64
-
-	// CB state (EnableSampling).
-	instRetired   [cache.MaxCores]uint64
-	cycles        uint64
-	sampling      bool
-	nextSampleAt  uint64
-	cyclesPerTick uint64
 }
 
 // New returns an engine for the given line size (a power of two, at
@@ -324,18 +318,13 @@ func (e *Engine) geometry(cfg cache.Config) (uint64, int, error) {
 // counters, exactly as the Dragonhead CB does. Must be called before
 // any event is recorded.
 func (e *Engine) EnableSampling(clockHz, samplePeriod float64) error {
-	if e.accesses > 0 || e.cycles > 0 {
+	if e.accesses > 0 || e.af.Cycles > 0 {
 		return fmt.Errorf("oracle: EnableSampling after recording started")
 	}
 	if clockHz <= 0 || samplePeriod <= 0 {
 		return fmt.Errorf("oracle: sampling needs positive clock (%g Hz) and period (%g s)", clockHz, samplePeriod)
 	}
-	e.cyclesPerTick = uint64(samplePeriod * clockHz)
-	if e.cyclesPerTick == 0 {
-		e.cyclesPerTick = 1
-	}
-	e.nextSampleAt = e.cyclesPerTick
-	e.sampling = true
+	e.cb = fsb.NewCB(clockHz, samplePeriod)
 	return nil
 }
 
@@ -464,8 +453,8 @@ func (e *Engine) OnRef(r trace.Ref) {
 		e.OnMsg(m)
 		return
 	}
-	if !e.window {
-		e.ignored++
+	if !e.af.Open {
+		e.af.Dropped++
 		return
 	}
 	size := r.Size
@@ -491,35 +480,20 @@ func (e *Engine) OnBatch(batch []trace.Ref) {
 // OnMsg implements fsb.Snooper: the AF window plus the CB counter
 // mirror (instructions retired, cycle-driven sample collection).
 func (e *Engine) OnMsg(m fsb.Message) {
-	switch m.Kind {
-	case fsb.MsgStart:
-		e.window = true
-	case fsb.MsgStop:
-		e.window = false
-	case fsb.MsgInstRetired:
-		e.instRetired[m.Core] = m.Value
-	case fsb.MsgCycles:
-		if m.Value > e.cycles {
-			e.cycles = m.Value
-		}
-		if !e.sampling {
-			return
-		}
-		for e.cycles >= e.nextSampleAt {
-			e.collect()
-			e.nextSampleAt += e.cyclesPerTick
-		}
+	e.af.Msg(m)
+	for at, ok := e.cb.Due(e.af.Cycles); ok; at, ok = e.cb.Due(e.af.Cycles) {
+		e.collect(at)
 	}
 }
 
-// collect snapshots cumulative counters into every Tracked geometry —
-// the CB host read, mirrored.
-func (e *Engine) collect() {
-	inst := e.instructions()
+// collect snapshots cumulative counters into every Tracked geometry at
+// boundary at — the CB host read, mirrored.
+func (e *Engine) collect(at uint64) {
+	inst := e.af.Instructions()
 	for _, f := range e.famList {
 		for _, t := range f.tracked {
 			t.samples = append(t.samples, Sample{
-				Cycles:       e.nextSampleAt,
+				Cycles:       at,
 				Instructions: inst,
 				Accesses:     e.accesses,
 				Misses:       t.misses,
@@ -534,19 +508,11 @@ func (e *Engine) Accesses() uint64 { return e.accesses }
 
 // Ignored returns the number of transactions dropped outside the
 // start/stop window, mirroring Dragonhead's AF counter.
-func (e *Engine) Ignored() uint64 { return e.ignored }
+func (e *Engine) Ignored() uint64 { return e.af.Dropped }
 
 // Instructions returns the total instructions retired across cores, per
 // the latest inst-retired messages.
-func (e *Engine) Instructions() uint64 { return e.instructions() }
-
-func (e *Engine) instructions() uint64 {
-	var total uint64
-	for _, v := range e.instRetired {
-		total += v
-	}
-	return total
-}
+func (e *Engine) Instructions() uint64 { return e.af.Instructions() }
 
 // Misses returns the exact LRU miss count for the registered geometry.
 func (e *Engine) Misses(sets uint64, assoc int) (uint64, error) {

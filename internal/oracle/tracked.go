@@ -87,7 +87,7 @@ func (t *Tracked) Samples() []Sample {
 // MPKI returns misses per 1000 retired instructions, mirroring
 // dragonhead.Emulator.MPKI.
 func (t *Tracked) MPKI() float64 {
-	inst := t.eng.instructions()
+	inst := t.eng.af.Instructions()
 	if inst == 0 {
 		return 0
 	}

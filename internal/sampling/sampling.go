@@ -360,8 +360,8 @@ func (p *Plan) ReplayedRefs() uint64 {
 
 // Fingerprinter slices and fingerprints a bus-event stream. It
 // implements fsb.Snooper with exactly the oracle engine's reference
-// semantics — message transactions decode to control messages, the
-// MsgStart/MsgStop window gates everything, zero sizes count as one
+// semantics — the shared fsb.AF decodes message transactions and gates
+// everything on the MsgStart/MsgStop window, zero sizes count as one
 // byte, and straddling transactions touch every covered line — so the
 // transaction indices it assigns match what any other snooper of the
 // same stream observes.
@@ -370,8 +370,7 @@ type Fingerprinter struct {
 	ivlen  uint64
 
 	lineShift uint
-	window    bool
-	ignored   uint64
+	af        fsb.AF
 
 	// sd yields every block's whole-history stack distance and, as the
 	// line's tag, 1 + the ordinal of the interval that last touched it.
@@ -409,12 +408,7 @@ func NewFingerprinter(p Params, hintRefs uint64) *Fingerprinter {
 
 // OnRef implements fsb.Snooper.
 func (f *Fingerprinter) OnRef(r trace.Ref) {
-	if m, ok := fsb.DecodeMessage(r); ok {
-		f.OnMsg(m)
-		return
-	}
-	if !f.window {
-		f.ignored++
+	if !f.af.Ref(r) {
 		return
 	}
 	if f.cur.Refs == f.ivlen {
@@ -463,14 +457,7 @@ func (f *Fingerprinter) OnBatch(batch []trace.Ref) {
 }
 
 // OnMsg implements fsb.Snooper.
-func (f *Fingerprinter) OnMsg(m fsb.Message) {
-	switch m.Kind {
-	case fsb.MsgStart:
-		f.window = true
-	case fsb.MsgStop:
-		f.window = false
-	}
-}
+func (f *Fingerprinter) OnMsg(m fsb.Message) { f.af.Msg(m) }
 
 // closeInterval seals the current interval.
 func (f *Fingerprinter) closeInterval() {
@@ -494,7 +481,7 @@ func (f *Fingerprinter) Build() (*Plan, error) {
 	p := &Plan{
 		Params:    f.params,
 		LineSize:  LineSize,
-		Ignored:   f.ignored,
+		Ignored:   f.af.Dropped,
 		Intervals: f.intervals,
 	}
 	if n := len(f.intervals); n > 0 {

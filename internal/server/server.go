@@ -45,8 +45,6 @@ type Config struct {
 	TraceDir        string
 	// RetainJobs bounds how many finished jobs stay queryable.
 	RetainJobs int
-	// Registry receives the cosimd_* metrics (nil = a fresh registry).
-	Registry *telemetry.Registry
 	// Manifest, when non-nil, receives one JSONL record per completed
 	// request (kind "request", span tree attached) in addition to the
 	// sweep manifests core emits through the sink.
@@ -99,10 +97,7 @@ func New(cfg Config) *Server {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = DefaultRetainJobs
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	store := tracestore.New(cfg.TraceStoreBytes, cfg.TraceDir)
 	store.Instrument(reg)
 	s := &Server{
@@ -130,12 +125,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Registry returns the server's metric registry.
+// Registry returns the server's metric registry, where the cosimd_*
+// metrics live.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
-// StoreStats snapshots the shared tracestore (the dedupe evidence:
-// Misses counts actual executions, Waits counts single-flight joins).
-func (s *Server) StoreStats() tracestore.Stats { return s.store.Stats() }
 
 // Start launches the worker pool.
 func (s *Server) Start() {

@@ -35,9 +35,6 @@ func tinySpecJSON(seed int64, sizes ...uint64) string {
 // testServer spins up a Server plus its httptest front end.
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
-	}
 	s := New(cfg)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -174,7 +171,7 @@ func TestConcurrentIdenticalSpecsExecuteOnce(t *testing.T) {
 	if !bytes.Equal(st1.Result, st2.Result) {
 		t.Error("identical specs returned different result bytes")
 	}
-	stats := s.StoreStats()
+	stats := s.store.Stats()
 	if stats.Misses != 1 {
 		t.Errorf("trace executions = %d, want 1 (single-flight)", stats.Misses)
 	}
@@ -191,8 +188,8 @@ func TestJobPanicIsContained(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep")
 	}
-	reg := telemetry.NewRegistry()
-	s, ts := testServer(t, Config{Workers: 1, Registry: reg})
+	s, ts := testServer(t, Config{Workers: 1})
+	reg := s.Registry()
 	s.preRun = func(j *job) {
 		if j.spec.Seed == 41 {
 			panic("emulator fail-loud")
@@ -398,7 +395,7 @@ func TestBurstAcrossTenants(t *testing.T) {
 		}
 	}
 
-	if n := s.StoreStats().Misses; n != seeds {
+	if n := s.store.Stats().Misses; n != seeds {
 		t.Errorf("trace executions = %d, want %d (one capture per seed)", n, seeds)
 	}
 	// Every distinct spec executes at least once, and at most once per
@@ -437,9 +434,9 @@ func TestDistinctTenantsStayBounded(t *testing.T) {
 	}
 	const n = 1000
 	gate := make(chan struct{})
-	reg := telemetry.NewRegistry()
-	s, ts := testServer(t, Config{Workers: 1, QueueCap: n + 1, Registry: reg,
+	s, ts := testServer(t, Config{Workers: 1, QueueCap: n + 1,
 		TenantWeights: map[string]int{"named": 1}})
+	reg := s.Registry()
 	s.preRun = func(*job) { <-gate }
 
 	// Hold the worker so every request goes through the queue, then let
@@ -521,8 +518,7 @@ func TestBadRequests(t *testing.T) {
 // failed instead of hanging their watchers.
 func TestShutdownFailsQueuedJobs(t *testing.T) {
 	gate := make(chan struct{})
-	reg := telemetry.NewRegistry()
-	s := New(Config{Workers: 1, QueueCap: 4, Registry: reg})
+	s := New(Config{Workers: 1, QueueCap: 4})
 	s.preRun = func(*job) { <-gate }
 	s.Start()
 	ts := httptest.NewServer(s.Handler())

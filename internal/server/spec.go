@@ -32,9 +32,9 @@ const (
 	MaxSpecBytes = 1 << 20
 	// MaxSpecConfigs bounds the flattened geometry grid.
 	MaxSpecConfigs = 256
-	// MaxThreads bounds the virtual core count (the projection studies
-	// go to 128; 512 leaves headroom without inviting absurd builds).
-	MaxThreads = 512
+	// MaxThreads bounds the virtual core count: the platform's own
+	// bound, which the projection studies reach.
+	MaxThreads = cache.MaxCores
 	// MaxScale bounds the footprint scale (1.0 = paper-sized).
 	MaxScale = 4.0
 	// maxTenantLen bounds the X-Tenant header.

@@ -53,6 +53,7 @@ func TestDecodeSpecRejects(t *testing.T) {
 		"bad repl":        `{"workload":"SNP","grids":[[{"size_bytes":65536,"line_size":64,"assoc":4,"repl":"mru"}]]}`,
 		"bad geometry":    `{"workload":"SNP","grids":[[{"size_bytes":65537,"line_size":64,"assoc":4}]]}`,
 		"threads too big": `{"workload":"SNP","platform":{"threads":4096},"grids":[[{"size_bytes":65536,"line_size":64,"assoc":4}]]}`,
+		"threads 129":     `{"workload":"SNP","platform":{"threads":129},"grids":[[{"size_bytes":65536,"line_size":64,"assoc":4}]]}`,
 		"scale too big":   `{"workload":"SNP","scale":100,"grids":[[{"size_bytes":65536,"line_size":64,"assoc":4}]]}`,
 		"not json":        `hello`,
 	}

@@ -32,9 +32,9 @@ func TestRequestTraceReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer man.Close()
-	reg := telemetry.NewRegistry()
-	s, ts := testServer(t, Config{Workers: 1, Registry: reg, Manifest: man,
+	s, ts := testServer(t, Config{Workers: 1, Manifest: man,
 		TenantWeights: map[string]int{"tracer": 1}})
+	reg := s.Registry()
 
 	st := await(t, ts, submit(t, ts, "tracer", tinySpecJSON(31, 1<<18, 1<<19)).ID)
 	if st.State != StateDone {
@@ -263,7 +263,7 @@ func TestSSEResumeLastEventID(t *testing.T) {
 // its (still-mutating) span tree.
 func TestTraceWithheldWhileLive(t *testing.T) {
 	gate := make(chan struct{})
-	s := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
+	s := New(Config{Workers: 1})
 	s.preRun = func(*job) { <-gate }
 	s.Start()
 	ts := httptest.NewServer(s.Handler())

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"cmpmem/internal/cache"
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/mem"
 	"cmpmem/internal/telemetry"
@@ -55,16 +56,13 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// MaxCores is the largest virtual platform. The paper's DEX driver
-// supported up to 64 hardware threads; the software engine extends to
-// 128 so the paper's 128-core projections (Section 4.3) can be run
-// rather than extrapolated.
-const MaxCores = 128
-
-// Validate checks the configuration.
+// Validate checks the configuration. The paper's DEX driver supported
+// up to 64 hardware threads; the software engine extends to
+// cache.MaxCores, 128, so the paper's 128-core projections (Section
+// 4.3) can be run rather than extrapolated.
 func (c Config) Validate() error {
-	if c.Cores < 1 || c.Cores > MaxCores {
-		return fmt.Errorf("softsdv: cores must be in [1,%d], got %d", MaxCores, c.Cores)
+	if c.Cores < 1 || c.Cores > cache.MaxCores {
+		return fmt.Errorf("softsdv: cores must be in [1,%d], got %d", cache.MaxCores, c.Cores)
 	}
 	return nil
 }
