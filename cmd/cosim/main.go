@@ -314,7 +314,7 @@ func setupTelemetry(addr, manifestPath string) (*telemetry.Sink, func(), error) 
 			man.Close()
 		}
 	}
-	return telemetry.NewSink(reg, man, telemetry.NewProgress(os.Stderr)), cleanup, nil
+	return telemetry.NewSink(reg, man, os.Stderr), cleanup, nil
 }
 
 // sweepCmd answers one spec file through server.ExecuteSpec — the exact

@@ -158,9 +158,9 @@ func WithTelemetry(s *telemetry.Sink) RunOption {
 
 // WithParentSpan roots the run's span tree under s: the experiment
 // runner's top span (plansweep/… or sampledsweep/…) becomes a child
-// of s rather than a fresh root, so a request-scoped trace carried from
-// an HTTP handler (telemetry.FromContext) contains the full execution
-// tree. Works with or without WithTelemetry — spans record timing even
+// of s rather than a fresh root, so a cosimd request's root span, which
+// its job holds from admission on, contains the full execution tree.
+// Works with or without WithTelemetry — spans record timing even
 // when no sink is attached; a nil s is the free path.
 func WithParentSpan(s *telemetry.Span) RunOption {
 	return func(o *runOpts) { o.parent = s }

@@ -164,10 +164,10 @@ func sweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.C
 }
 
 // reportSweep emits the sweep's run manifest — identity, wall time, the
-// run summary's totals verbatim, the sealed span tree — and progress
-// line. The LLC and hierarchy records carry the exact totals of the
-// returned results, so downstream consumers can bit-match the manifest
-// against the API.
+// run summary's totals verbatim, the sealed span tree — from which the
+// sink prints the progress line. The LLC and hierarchy records carry
+// the exact totals of the returned results, so downstream consumers can
+// bit-match the manifest against the API.
 func (o runOpts) reportSweep(kind, name string, p workloads.Params, pc PlatformConfig, sum RunSummary, res []LLCResult, hiers []HierResult, d time.Duration) {
 	if o.tel == nil {
 		return
@@ -188,10 +188,7 @@ func (o runOpts) reportSweep(kind, name string, p workloads.Params, pc PlatformC
 		},
 		Trace: o.span,
 	}
-	var acc, miss uint64
 	for _, r := range res {
-		acc += r.Stats.Accesses
-		miss += r.Stats.Misses
 		m.LLCs = append(m.LLCs, telemetry.LLCRecord{
 			Name:      r.LLC.Name,
 			SizeBytes: r.LLC.Size,
@@ -212,12 +209,6 @@ func (o runOpts) reportSweep(kind, name string, p workloads.Params, pc PlatformC
 		})
 	}
 	o.tel.Emit(&m)
-	missPct := 0.0
-	if acc > 0 {
-		missPct = 100 * float64(miss) / float64(acc)
-	}
-	mrefs := float64(sum.BusEvents) / max(d.Seconds(), 1e-9) / 1e6
-	o.tel.Stepf("%s llcs=%d hiers=%d %.1f Mrefs/s miss=%.2f%%", name, len(res), len(hiers), mrefs, missPct)
 }
 
 // exactPass answers a plan bit-exactly: one Mattson engine tracking

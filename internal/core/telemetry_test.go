@@ -19,7 +19,7 @@ import (
 // lines discarded into prog.
 func sinkForTest(buf, prog *bytes.Buffer) *telemetry.Sink {
 	return telemetry.NewSink(telemetry.NewRegistry(),
-		telemetry.NewManifestWriter(buf), telemetry.NewProgress(prog))
+		telemetry.NewManifestWriter(buf), prog)
 }
 
 // decodeManifests parses every JSONL record in buf.
@@ -87,8 +87,8 @@ func TestLLCSweepManifestBitMatch(t *testing.T) {
 	if m.Trace == nil || m.Trace.Name != "plansweep/FIMI" || m.Trace.WallNS == 0 {
 		t.Errorf("span tree missing or unnamed: %+v", m.Trace)
 	}
-	if prog.Len() == 0 || !strings.Contains(prog.String(), "FIMI") {
-		t.Errorf("no progress line printed: %q", prog.String())
+	if !strings.HasPrefix(prog.String(), "[1] FIMI llcs=3 hiers=0 ") {
+		t.Errorf("progress line %q does not start with %q", prog.String(), "[1] FIMI llcs=3 hiers=0 ")
 	}
 }
 

@@ -18,16 +18,16 @@
 // a bounded worker pool running CombinedSweep → the shared tracestore
 // and result cache. Progress streams to clients over SSE (queued →
 // capturing or replaying → per-config completion → done), fed by the
-// core progress hooks and a per-job telemetry.Sink; /metrics exposes
-// the cosimd_* counters alongside the simulator's own.
+// core progress hooks; /metrics exposes the cosimd_* counters alongside
+// the simulator's own. Each job holds its request's root span and trace
+// ID, and the worker roots the sweep's span tree under that span with
+// core.WithParentSpan (trace.go).
 package server
 
 import (
-	"context"
 	"slices"
 
 	"cmpmem/internal/core"
-	"cmpmem/internal/telemetry"
 )
 
 // SweepResult is the JSON result of one sweep: CombinedSweep's return
@@ -56,18 +56,6 @@ type SweepResult struct {
 // parallelism defaults) are applied first; the spec's sampling mode is
 // applied last and wins.
 func ExecuteSpec(spec *SweepSpec, opts ...core.RunOption) (*SweepResult, error) {
-	return ExecuteSpecCtx(context.Background(), spec, opts...)
-}
-
-// ExecuteSpecCtx is ExecuteSpec under a context: when ctx carries a
-// telemetry.Trace (a cosimd request trace), the sweep's span tree is
-// rooted under it via core.WithParentSpan, so the request's trace
-// contains the complete execution breakdown. A bare context behaves
-// exactly like ExecuteSpec.
-func ExecuteSpecCtx(ctx context.Context, spec *SweepSpec, opts ...core.RunOption) (*SweepResult, error) {
-	if sp := telemetry.SpanFromContext(ctx); sp != nil {
-		opts = append([]core.RunOption{core.WithParentSpan(sp)}, opts...)
-	}
 	call, err := spec.lower()
 	if err != nil {
 		return nil, err

@@ -91,11 +91,12 @@ type job struct {
 	subs   map[chan Event]struct{}
 	done   chan struct{} // closed on the terminal event
 
-	// trace is the request-scoped trace opened at admission; queueSpan
-	// covers admission-to-dequeue. Span internals synchronize
-	// themselves; the pointers are written once before the job is
-	// visible to workers.
-	trace     *telemetry.Trace
+	// trace is the request's root span, opened at admission, and
+	// traceID its 16-hex-digit identity; queueSpan covers
+	// admission-to-dequeue. Span internals synchronize themselves; the
+	// fields are written once before the job is visible to workers.
+	trace     *telemetry.Span
+	traceID   string
 	queueSpan *telemetry.Span
 }
 
@@ -245,8 +246,8 @@ func (j *job) status() JobStatus {
 	// tree is still being mutated by the worker, and a sealed one is
 	// safe to share by value.
 	if j.trace != nil && j.isTerminalLocked() {
-		st.TraceID = j.trace.ID
-		st.Trace = j.trace.Root
+		st.TraceID = j.traceID
+		st.Trace = j.trace
 	}
 	return st
 }

@@ -219,22 +219,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	j := newJob(s.nextID(hash), tenant, spec, now)
 
-	// Open the request trace and put it on the context: the admission
-	// path below reads it back via telemetry.FromContext, and the job
-	// carries it past this handler's lifetime (the HTTP exchange ends
-	// at the 201; the trace ends at the terminal event).
-	j.trace = telemetry.NewTrace("request")
-	annotateRequestSpan(j.trace.Root, j)
-	ctx := telemetry.ContextWith(r.Context(), j.trace)
+	// Open the request trace on the job, which carries it past this
+	// handler's lifetime (the HTTP exchange ends at the 201; the trace
+	// ends at the terminal event).
+	j.trace, j.traceID = telemetry.StartSpan("request"), newTraceID()
+	annotateRequestSpan(j.trace, j)
 
 	// A cached result completes the job at admission: no queue slot, no
 	// worker, one map lookup.
-	if body, ok := s.lookupResult(ctx, hash); ok {
+	if body, ok := s.lookupResult(j, hash); ok {
 		s.registerJob(j)
 		j.emit(Event{Name: StateQueued, Data: eventData{Job: j.id, State: StateQueued}})
 		j.markStarted(now)
 		s.sealTrace(j)
-		s.emitRequestManifest(j, j.trace, nil)
+		s.emitRequestManifest(j, nil)
 		j.finish(body, true, time.Now())
 		s.mAccepted.Inc()
 		s.mCached.Inc()
@@ -245,7 +243,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.registerJob(j)
 	j.emit(Event{Name: StateQueued, Data: eventData{Job: j.id, State: StateQueued}})
-	j.queueSpan = j.trace.Child(phaseQueueWait)
+	j.queueSpan = j.trace.StartChild(phaseQueueWait)
 	if err := s.queue.Push(j); err != nil {
 		s.dropJob(j.id)
 		s.mRejected.Inc()
@@ -257,10 +255,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.respondAccepted(w, j)
 }
 
-// lookupResult probes the result cache under a cache_lookup span read
-// from the request context.
-func (s *Server) lookupResult(ctx context.Context, hash string) ([]byte, bool) {
-	sp := telemetry.FromContext(ctx).Child(phaseCacheLookup)
+// lookupResult probes the result cache for j's spec hash under a
+// cache_lookup span of j's trace.
+func (s *Server) lookupResult(j *job, hash string) ([]byte, bool) {
+	sp := j.trace.StartChild(phaseCacheLookup)
 	body, ok := s.results.Get(hash)
 	sp.SetAttr("hit", strconv.FormatBool(ok))
 	sp.End()
@@ -272,11 +270,8 @@ func (s *Server) lookupResult(ctx context.Context, hash string) ([]byte, bool) {
 // Must run before the terminal finish/fail event so GET /v1/sweeps/{id}
 // only ever exposes sealed trees.
 func (s *Server) sealTrace(j *job) {
-	if j.trace == nil {
-		return
-	}
 	j.trace.End()
-	s.recordRequestPhases(j, j.trace.Root)
+	s.recordRequestPhases(j, j.trace)
 }
 
 // respondAccepted writes the 201 envelope.
@@ -500,7 +495,7 @@ func (s *Server) runJob(j *job) {
 		if r := recover(); r != nil {
 			s.mPanics.Inc()
 			err := fmt.Errorf("job panicked: %v\n%s", r, debug.Stack())
-			j.trace.Root.SetAttr("panic", err.Error())
+			j.trace.SetAttr("panic", err.Error())
 			s.failJob(j, err)
 		}
 	}()
@@ -509,15 +504,12 @@ func (s *Server) runJob(j *job) {
 	if s.preRun != nil {
 		s.preRun(j)
 	}
-	// The request trace rides a fresh context here — the submit
-	// handler's context died with the 201 response, the job did not.
-	ctx := telemetry.ContextWith(context.Background(), j.trace)
 	hash := j.spec.Hash()
 	// The result may have landed while this job sat in the queue
 	// (another tenant ran the same spec first).
-	if body, ok := s.lookupResult(ctx, hash); ok {
+	if body, ok := s.lookupResult(j, hash); ok {
 		s.sealTrace(j)
-		s.emitRequestManifest(j, j.trace, nil)
+		s.emitRequestManifest(j, nil)
 		j.finish(body, true, time.Now())
 		s.mCached.Inc()
 		s.mDone.Inc()
@@ -525,7 +517,8 @@ func (s *Server) runJob(j *job) {
 	}
 	s.mRunning.Add(1)
 	defer s.mRunning.Add(-1)
-	res, err := ExecuteSpecCtx(ctx, j.spec,
+	res, err := ExecuteSpec(j.spec,
+		core.WithParentSpan(j.trace),
 		core.WithTraceReuse(s.store),
 		core.WithTelemetry(s.sink),
 		core.WithProgress(func(pr core.Progress) {
@@ -554,7 +547,7 @@ func (s *Server) runJob(j *job) {
 	}
 	s.results.Put(hash, body)
 	s.sealTrace(j)
-	s.emitRequestManifest(j, j.trace, nil)
+	s.emitRequestManifest(j, nil)
 	j.finish(body, false, time.Now())
 	s.mDone.Inc()
 }
@@ -562,7 +555,7 @@ func (s *Server) runJob(j *job) {
 // failJob seals j's trace and fails it with err.
 func (s *Server) failJob(j *job, err error) {
 	s.sealTrace(j)
-	s.emitRequestManifest(j, j.trace, err)
+	s.emitRequestManifest(j, err)
 	j.fail(err, time.Now())
 	s.mFailed.Inc()
 }

@@ -1,8 +1,8 @@
-// Request tracing: every accepted sweep carries a telemetry.Trace from
-// the HTTP edge to its terminal event. The root span ("request") gets
-// one child per serving phase — queue_wait (admission to dequeue),
-// cache_lookup (result-cache probes), and the execution tree that
-// core hangs under it via WithParentSpan (plansweep/store/capture/
+// Request tracing: every accepted sweep's job holds a root span
+// ("request") and a trace ID from the HTTP edge to its terminal event.
+// The root gets one child per serving phase — queue_wait (admission to
+// dequeue), cache_lookup (result-cache probes), and the execution tree
+// that core hangs under it via WithParentSpan (plansweep/store/capture/
 // replay/collect, plus concurrent shard spans) — so the phase durations
 // reconcile against the request's measured wall latency.
 //
@@ -15,6 +15,8 @@
 package server
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"strconv"
@@ -32,6 +34,17 @@ const (
 	phaseEmulate     = "emulate"
 	phaseCacheLookup = "cache_lookup"
 )
+
+// newTraceID returns a 16-hex-digit random trace identifier.
+func newTraceID() string {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		// crypto/rand failing is unheard of; degrade to a fixed
+		// sentinel rather than plumbing an error through every caller.
+		return "0000000000000000"
+	}
+	return hex.EncodeToString(b[:])
+}
 
 // phaseRecorder observes per-phase latencies into aggregate and
 // per-tenant histograms: one series per tenant with a configured
@@ -150,8 +163,8 @@ func (s *Server) recordRequestPhases(j *job, root *telemetry.Span) {
 // stream (when cosimd was started with one). Called after sealTrace and
 // before the terminal finish/fail event, so a client that has observed
 // a job's completion can rely on its manifest line being on disk.
-func (s *Server) emitRequestManifest(j *job, tr *telemetry.Trace, jobErr error) {
-	if s.man == nil || tr == nil {
+func (s *Server) emitRequestManifest(j *job, jobErr error) {
+	if s.man == nil || j.trace == nil {
 		return
 	}
 	m := &telemetry.Manifest{
@@ -161,9 +174,9 @@ func (s *Server) emitRequestManifest(j *job, tr *telemetry.Trace, jobErr error) 
 		Scale:      j.spec.Scale,
 		Tenant:     j.tenant,
 		Job:        j.id,
-		TraceID:    tr.ID,
-		DurationNS: tr.Root.WallNS,
-		Trace:      tr.Root,
+		TraceID:    j.traceID,
+		DurationNS: j.trace.WallNS,
+		Trace:      j.trace,
 	}
 	if jobErr != nil {
 		m.Kind = "request_failed"

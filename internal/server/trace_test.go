@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -42,6 +43,9 @@ func TestRequestTraceReconciles(t *testing.T) {
 	}
 	if st.TraceID == "" || st.Trace == nil {
 		t.Fatal("terminal job must expose its trace")
+	}
+	if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(st.TraceID) {
+		t.Errorf("trace_id = %q, want 16 lowercase hex digits", st.TraceID)
 	}
 	root := st.Trace
 	if root.Name != "request" {
@@ -134,6 +138,13 @@ func TestRequestTraceReconciles(t *testing.T) {
 	}
 	if m.DurationNS != root.WallNS {
 		t.Errorf("manifest duration %d != root wall %d", m.DurationNS, root.WallNS)
+	}
+
+	// A second job, served from the result cache at admission, opens a
+	// trace of its own.
+	again := await(t, ts, submit(t, ts, "tracer", tinySpecJSON(31, 1<<18, 1<<19)).ID)
+	if again.TraceID == "" || again.TraceID == st.TraceID {
+		t.Errorf("second job's trace_id = %q, first's %q: want a fresh ID", again.TraceID, st.TraceID)
 	}
 
 	_ = s // shutdown via cleanup

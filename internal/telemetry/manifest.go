@@ -94,8 +94,6 @@ type ManifestWriter struct {
 	w  io.Writer
 	c  io.Closer // non-nil when the writer owns the file
 
-	n uint64 // manifests written over the writer's lifetime
-
 	// rotation state (file-backed writers with a limit only)
 	path      string
 	maxBytes  uint64
@@ -182,20 +180,9 @@ func (mw *ManifestWriter) Emit(m *Manifest) error {
 	if _, err := mw.w.Write(line); err != nil {
 		return err
 	}
-	mw.n++
 	mw.fileBytes += uint64(len(line))
 	mw.fileCount++
 	return nil
-}
-
-// Count returns how many manifests have been written.
-func (mw *ManifestWriter) Count() uint64 {
-	if mw == nil {
-		return 0
-	}
-	mw.mu.Lock()
-	defer mw.mu.Unlock()
-	return mw.n
 }
 
 // Close releases the underlying file when the writer owns one.

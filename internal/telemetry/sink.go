@@ -1,66 +1,31 @@
 // Sink bundles the three output channels of an instrumented session —
-// the metric registry, the manifest stream, and the live progress line —
-// behind one nil-safe handle that the experiment runners thread through
-// their option set.
+// the metric registry, the manifest stream, and the live progress line
+// each manifest prints — behind one nil-safe handle that the experiment
+// runners thread through their option set.
 
 package telemetry
 
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 )
-
-// Progress prints "[k/n] msg" lines as long-running sweeps complete
-// units of work, so multi-minute exhibits stop running dark. Nil-safe.
-type Progress struct {
-	mu    sync.Mutex
-	w     io.Writer
-	done  int
-	total int
-}
-
-// NewProgress returns a meter writing to w.
-func NewProgress(w io.Writer) *Progress { return &Progress{w: w} }
-
-// Expect adds n units to the denominator (exhibit runners declare their
-// run count up front; unknown totals render as "[k]").
-func (p *Progress) Expect(n int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.total += n
-	p.mu.Unlock()
-}
-
-// Stepf completes one unit and prints its line.
-func (p *Progress) Stepf(format string, args ...any) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.done++
-	if p.total > 0 {
-		fmt.Fprintf(p.w, "[%d/%d] ", p.done, p.total)
-	} else {
-		fmt.Fprintf(p.w, "[%d] ", p.done)
-	}
-	fmt.Fprintf(p.w, format, args...)
-	fmt.Fprintln(p.w)
-}
 
 // Sink is the per-session telemetry handle. Any field may be absent; a
 // nil *Sink disables everything at the cost of a nil check.
 type Sink struct {
 	reg  *Registry
 	man  *ManifestWriter
-	prog *Progress
+	prog io.Writer
+
+	mu          sync.Mutex
+	done, total int // progress lines printed, and expected
 }
 
-// NewSink assembles a sink. Any argument may be nil.
-func NewSink(reg *Registry, man *ManifestWriter, prog *Progress) *Sink {
+// NewSink assembles a sink. Any argument may be nil; a nil prog prints
+// no progress lines.
+func NewSink(reg *Registry, man *ManifestWriter, prog io.Writer) *Sink {
 	return &Sink{reg: reg, man: man, prog: prog}
 }
 
@@ -81,31 +46,63 @@ func (s *Sink) StartSpan(name string) *Span {
 	return StartSpan(name)
 }
 
-// Emit stamps the manifest with the registry snapshot and appends it to
-// the manifest stream (no-op without a stream).
+// Emit stamps the manifest with the registry snapshot, appends it to
+// the manifest stream (when there is one), and prints its progress
+// line.
 func (s *Sink) Emit(m *Manifest) error {
-	if s == nil || s.man == nil {
+	if s == nil {
 		return nil
 	}
-	if m.Counters == nil && s.reg != nil {
-		snap := s.reg.Snapshot()
-		m.Counters = &snap
+	var err error
+	if s.man != nil {
+		if m.Counters == nil && s.reg != nil {
+			snap := s.reg.Snapshot()
+			m.Counters = &snap
+		}
+		err = s.man.Emit(m)
 	}
-	return s.man.Emit(m)
+	s.progress(m)
+	return err
 }
 
-// Expect forwards to the progress meter.
+// Expect adds n manifests to the progress denominator (exhibit runners
+// declare their run count up front; unknown totals render as "[k]").
 func (s *Sink) Expect(n int) {
 	if s == nil {
 		return
 	}
-	s.prog.Expect(n)
+	s.mu.Lock()
+	s.total += n
+	s.mu.Unlock()
 }
 
-// Stepf forwards to the progress meter.
-func (s *Sink) Stepf(format string, args ...any) {
-	if s == nil {
+// progress prints m as "[k/n] <workload> llcs=… hiers=… X Mrefs/s
+// miss=…%": the manifest's bus-event throughput and the miss ratio
+// over all its LLC records.
+func (s *Sink) progress(m *Manifest) {
+	if s.prog == nil {
 		return
 	}
-	s.prog.Stepf(format, args...)
+	var acc, miss, events uint64
+	for _, l := range m.LLCs {
+		acc += l.Accesses
+		miss += l.Misses
+	}
+	missPct := 0.0
+	if acc > 0 {
+		missPct = 100 * float64(miss) / float64(acc)
+	}
+	if m.Summary != nil {
+		events = m.Summary.BusEvents
+	}
+	mrefs := float64(events) * 1e3 / float64(max(m.DurationNS, 1))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.done++
+	k := strconv.Itoa(s.done)
+	if s.total > 0 {
+		k += "/" + strconv.Itoa(s.total)
+	}
+	fmt.Fprintf(s.prog, "[%s] %s llcs=%d hiers=%d %.1f Mrefs/s miss=%.2f%%\n",
+		k, m.Workload, len(m.LLCs), len(m.Hiers), mrefs, missPct)
 }

@@ -13,9 +13,9 @@
 // Design rules:
 //
 //   - Disabled is free. Every handle type (*Counter, *Gauge,
-//     *Histogram, *Span, *Sink, *Progress) is nil-safe: a nil receiver
-//     is a no-op, so instrumented code pays one predictable branch when
-//     telemetry is off. A nil *Registry hands out nil handles.
+//     *Histogram, *Span, *Sink) is nil-safe: a nil receiver is a no-op,
+//     so instrumented code pays one predictable branch when telemetry
+//     is off. A nil *Registry hands out nil handles.
 //   - Enabled is lock-free on the write path: a counter is one atomic
 //     word.
 //   - Hot loops stay untouched. Instrumented packages push counter
@@ -34,8 +34,7 @@ import (
 // Counter is a monotonically increasing metric. The zero of a nil
 // pointer is a no-op handle.
 type Counter struct {
-	name string
-	n    atomic.Uint64
+	n atomic.Uint64
 }
 
 // Add increments the counter by n.
@@ -57,18 +56,9 @@ func (c *Counter) Value() uint64 {
 	return c.n.Load()
 }
 
-// Name returns the registered name ("" for a nil handle).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Gauge is a set-to-current-value metric (bytes resident, queue depth).
 type Gauge struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // Set stores the current value.
@@ -104,7 +94,6 @@ const histBuckets = 65
 // queue depth). Observations are low-frequency (per batch, not per
 // event), so buckets are plain atomics, as a counter is.
 type Histogram struct {
-	name    string
 	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
@@ -213,46 +202,33 @@ func NewRegistry() *Registry {
 // Counter returns the named counter, creating it on first use. A nil
 // registry returns a nil (no-op) counter.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{name: name}
-	r.counters[name] = c
-	return c
+	return handle(r, func(r *Registry) map[string]*Counter { return r.counters }, name)
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	return g
+	return handle(r, func(r *Registry) map[string]*Gauge { return r.gauges }, name)
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
+	return handle(r, func(r *Registry) map[string]*Histogram { return r.histograms }, name)
+}
+
+// handle returns the metric named name in the map of r that kind
+// picks, creating it on first use. A nil registry returns nil.
+func handle[T any](r *Registry, kind func(*Registry) map[string]*T, name string) *T {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.histograms[name]; ok {
-		return h
+	m := kind(r)
+	h, ok := m[name]
+	if !ok {
+		h = new(T)
+		m[name] = h
 	}
-	h := &Histogram{name: name}
-	r.histograms[name] = h
 	return h
 }
 

@@ -34,17 +34,7 @@ func WriteFolded(w io.Writer, root *Span) error {
 		if path != "" {
 			full = path + ";" + name
 		}
-		self := s.WallNS
-		for _, c := range s.Children {
-			if c == nil || c.Attrs[AttrConcurrent] == "true" {
-				continue
-			}
-			if c.WallNS >= self {
-				self = 0
-				break
-			}
-			self -= c.WallNS
-		}
+		self := s.WallNS - min(s.SerialChildSum(), s.WallNS)
 		if self > 0 || len(s.Children) == 0 {
 			if _, err := fmt.Fprintf(w, "%s %d\n", full, self); err != nil {
 				return err
