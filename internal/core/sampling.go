@@ -10,10 +10,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 
 	"cmpmem/internal/cache"
 	"cmpmem/internal/fsb"
+	"cmpmem/internal/par"
 	"cmpmem/internal/sampling"
 	"cmpmem/internal/trace"
 	"cmpmem/internal/tracestore"
@@ -148,20 +150,28 @@ func (s *sampledPass) run(name string, p workloads.Params, pc PlatformConfig, ro
 		return RunSummary{}, err
 	}
 
-	// Phase 2: measure the plan's windows in one pass over the stream.
+	// Phase 2: measure the plan's windows, seeking between them by the
+	// marks the plan's first measure published.
 	ro.step(Progress{Phase: PhaseReplay})
 	meas := ro.span.StartChild("measure")
-	deltas, err := measureWindows(tr, plan.Windows(), s.caches, len(plan.Clusters))
+	marks, _ := tr.WindowMarks().([]windowMark)
+	m, err := measureWindows(tr, plan.Windows(), s.caches, len(plan.Clusters), marks)
+	meas.SetAttr("decoded_refs", strconv.FormatUint(m.decoded, 10))
+	meas.SetAttr("seeks", strconv.Itoa(m.seeks))
+	meas.SetAttr("workers", strconv.Itoa(m.workers))
 	meas.End()
 	if err != nil {
 		return RunSummary{}, err
+	}
+	if m.marks != nil {
+		tr.SetWindowMarks(m.marks)
 	}
 
 	// Phase 3: extrapolate per canonical geometry.
 	for j, i := range s.canon {
 		perCluster := make([]cache.Stats, len(plan.Clusters))
 		for c := range perCluster {
-			perCluster[c] = deltas[c][j]
+			perCluster[c] = m.deltas[c][j]
 		}
 		if s.ests[i], err = plan.Estimate(perCluster, s.cfgs[i].Size); err != nil {
 			return RunSummary{}, err
@@ -238,6 +248,25 @@ func samplePlan(tr *tracestore.Trace, ro runOpts) (plan *sampling.Plan, replayed
 	return plan, replayed, nil
 }
 
+// windowMark is where a measure may resume decoding for one window: a
+// batch start at or before the window's Feed index, with the AF state
+// and the in-window transaction index t there.
+type windowMark struct {
+	at trace.Mark
+	af fsb.AF
+	t  uint64
+}
+
+// measured is what measureWindows returns: the per-cluster deltas
+// (deltas[cluster][cache]) and what the pass cost.
+type measured struct {
+	deltas  [][]cache.Stats
+	marks   []windowMark // one per window, from a clean pass given none
+	decoded uint64       // records each worker decoded
+	seeks   int          // seeks each worker made
+	workers int
+}
+
 // measureWindows replays only the plan's windows from the stored
 // stream, feeding every cache from each window's warmup start and
 // snapshotting around its measured range. Transaction indexing is the
@@ -245,67 +274,115 @@ func samplePlan(tr *tracestore.Trace, ro runOpts) (plan *sampling.Plan, replayed
 // memory transactions, messages and out-of-window refs skipped. Cache
 // state deliberately carries over between windows — never reset — so
 // the warmup prefix tops up real (if stale) contents.
-func measureWindows(tr *tracestore.Trace, wins []sampling.Window, caches []*cache.Cache, nclusters int) ([][]cache.Stats, error) {
-	deltas := make([][]cache.Stats, nclusters)
-	for c := range deltas {
-		deltas[c] = make([]cache.Stats, len(caches))
+//
+// The caches are independent, so min(GOMAXPROCS, len(caches)) workers
+// share them out in contiguous groups, each decoding the stream with
+// its own player: every delta is the same at any width. Given marks
+// (one per window), a worker seeks from one window to the next instead
+// of decoding the gap.
+func measureWindows(tr *tracestore.Trace, wins []sampling.Window, caches []*cache.Cache, nclusters int, marks []windowMark) (measured, error) {
+	m := measured{deltas: make([][]cache.Stats, nclusters)}
+	for c := range m.deltas {
+		m.deltas[c] = make([]cache.Stats, len(caches))
 	}
-	if len(wins) == 0 || len(caches) == 0 {
-		return deltas, nil
+	m.workers = min(runtime.GOMAXPROCS(0), len(caches))
+	var rec []windowMark
+	if marks == nil {
+		rec = make([]windowMark, len(wins))
 	}
-	p, err := tr.Player()
+	err := par.ForEach(m.workers, m.workers, func(w int) error {
+		lo, hi := w*len(caches)/m.workers, (w+1)*len(caches)/m.workers
+		p, err := tr.Player()
+		if err != nil {
+			return err
+		}
+		if w > 0 {
+			measureGroup(p, wins, caches[lo:hi], m.deltas, lo, marks, nil)
+			return p.Err()
+		}
+		decoded, seeks, nrec := measureGroup(p, wins, caches[lo:hi], m.deltas, lo, marks, rec)
+		m.decoded, m.seeks = decoded, seeks
+		if nrec == len(wins) && p.Err() == nil {
+			m.marks = rec
+		}
+		return p.Err()
+	})
 	if err != nil {
-		return nil, err
+		return measured{}, err
 	}
+	return m, nil
+}
+
+// measureGroup is one worker's pass: it replays wins from p into
+// caches, writing cache k's delta for a window to deltas[cluster][lo+k].
+// Each batch's fed stretch goes to every cache at once, flushed before
+// every snapshot so each lands on its transaction index. Given marks,
+// the pass seeks ahead to a window's mark while nothing is fed; given
+// rec, it records each window's mark before the batch that may reach
+// the window's Feed. It returns the records it decoded, the seeks it
+// made and the marks it recorded.
+func measureGroup(p *trace.StreamPlayer, wins []sampling.Window, caches []*cache.Cache, deltas [][]cache.Stats, lo int, marks, rec []windowMark) (decoded uint64, seeks, nrec int) {
 	snaps := make([]cache.Stats, len(caches))
-	finalize := func(cluster int) {
-		for k, c := range caches {
-			deltas[cluster][k] = c.Stats().Sub(&snaps[k])
+	var (
+		buf  [64]trace.Ref // 1 KB: the decode buffer stays in L1
+		fed  [64]trace.Ref // the batch's fed stretch
+		nfed int
+		af   fsb.AF
+		t    uint64 // in-window transaction index
+		wi   int
+	)
+	flush := func() {
+		if nfed > 0 {
+			for _, c := range caches {
+				c.AccessBatch(fed[:nfed])
+			}
+			nfed = 0
 		}
 	}
-	var (
-		buf       [64]trace.Ref // 1 KB: the decode buffer stays in L1
-		af        fsb.AF
-		t         uint64 // in-window transaction index
-		wi        int
-		measuring bool
-	)
 	for wi < len(wins) {
+		for nrec < len(rec) && wins[nrec].Feed < t+uint64(len(buf)) {
+			rec[nrec] = windowMark{p.Mark(), af, t}
+			nrec++
+		}
+		if marks != nil && marks[wi].t > t {
+			// The mark lies at or before wins[wi].Feed, so every record
+			// skipped would only have passed through the AF.
+			m := &marks[wi]
+			p.Seek(m.at)
+			af, t = m.af, m.t
+			seeks++
+		}
 		n := p.NextBatch(buf[:])
 		if n == 0 {
 			break
 		}
-		for i := 0; i < n; i++ {
-			r := buf[i]
+		decoded += uint64(n)
+		for _, r := range buf[:n] {
 			if !af.Ref(r) {
 				continue
 			}
-			if wi < len(wins) && measuring && t >= wins[wi].End {
-				finalize(wins[wi].Cluster)
-				measuring = false
-				wi++
-			}
-			if wi < len(wins) {
-				w := &wins[wi]
-				if !measuring && t == w.MeasureStart {
-					for k, c := range caches {
-						snaps[k] = *c.Stats()
-					}
-					measuring = true
-				}
-				if t >= w.Feed && t < w.End {
-					for _, c := range caches {
-						c.AccessRef(r)
-					}
+			w := &wins[wi]
+			if t == w.MeasureStart {
+				flush()
+				for k, c := range caches {
+					snaps[k] = *c.Stats()
 				}
 			}
-			t++
+			if t >= w.Feed {
+				fed[nfed] = r
+				nfed++
+			}
+			if t++; t == w.End {
+				flush()
+				for k, c := range caches {
+					deltas[w.Cluster][lo+k] = c.Stats().Sub(&snaps[k])
+				}
+				if wi++; wi == len(wins) {
+					break
+				}
+			}
 		}
+		flush()
 	}
-	if measuring && wi < len(wins) {
-		// The last window ends exactly at stream end: no later
-		// transaction arrived to trigger the boundary.
-		finalize(wins[wi].Cluster)
-	}
-	return deltas, p.Err()
+	return decoded, seeks, nrec
 }

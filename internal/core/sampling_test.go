@@ -13,6 +13,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -166,16 +168,33 @@ func TestSamplingErrorBounds(t *testing.T) {
 
 // TestSampledSweepReplayFraction pins the fast tier's budget on the
 // paper's MDS flow: a fast-mode sweep must replay at most 25% of the
-// full trace's in-window transactions.
+// full trace's in-window transactions, and a second, warm sweep of the
+// same capture, seeking between windows, must decode under a third of
+// its bus events.
 func TestSampledSweepReplayFraction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("not a -short test")
 	}
 	p := samplingGradeParams()
 	pc := PlatformConfig{Threads: 4, Seed: p.Seed}
-	res, _, err := LLCSweep("MDS", p, pc, verifyConfigs(p.Scale), WithSampling(SamplingFast))
+	store := tracestore.New(0, "")
+	res, _, err := LLCSweep("MDS", p, pc, verifyConfigs(p.Scale), WithSampling(SamplingFast), WithTraceReuse(store))
 	if err != nil {
 		t.Fatal(err)
+	}
+	root := telemetry.StartSpan("job")
+	_, sum, err := LLCSweep("MDS", p, pc, verifyConfigs(p.Scale), WithSampling(SamplingFast), WithTraceReuse(store),
+		WithParentSpan(root))
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := strconv.ParseUint(root.Find("measure").Attrs["decoded_refs"], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 3*decoded >= sum.BusEvents {
+		t.Errorf("the warm sweep decoded %d of %d bus events, want under a third", decoded, sum.BusEvents)
 	}
 	s := res[0].Sampling
 	if s == nil {
@@ -189,9 +208,85 @@ func TestSampledSweepReplayFraction(t *testing.T) {
 		t.Errorf("fast tier replayed %d of %d refs (%.1f%%), budget is 25%%",
 			s.ReplayedRefs, s.TotalRefs, 100*float64(s.ReplayedRefs)/float64(s.TotalRefs))
 	}
-	t.Logf("MDS fast tier: %d/%d refs replayed (%.1f%%), %d intervals, %d clusters",
+	t.Logf("MDS fast tier: %d/%d refs replayed (%.1f%%), %d intervals, %d clusters; warm sweep decoded %d of %d bus events",
 		s.ReplayedRefs, s.TotalRefs, 100*float64(s.ReplayedRefs)/float64(s.TotalRefs),
-		s.Intervals, s.Clusters)
+		s.Intervals, s.Clusters, decoded, sum.BusEvents)
+}
+
+// TestWindowMarksMatchSequentialMeasure: a measure that seeks by the
+// memoized window marks and fans the caches out returns exactly the
+// per-cluster deltas of a sequential measure with no marks, at
+// GOMAXPROCS 1 and 2 — on sampled plans, where it must seek, and on an
+// exact plan, whose contiguous windows leave nothing to seek over. The
+// sequential measure itself, with its batched feed, must match a
+// record-by-record, reference-by-reference one.
+func TestWindowMarksMatchSequentialMeasure(t *testing.T) {
+	p := samplingGradeParams()
+	pc := PlatformConfig{Threads: 4, Seed: p.Seed}
+	cfgs := verifyConfigs(p.Scale)[:3] // 3 caches: uneven groups at width 2
+	exactParams := sampling.Fast()
+	exactParams.MaxClusters = 1 << 20
+	cases := []struct {
+		workload string
+		params   sampling.Params
+	}{{"SNP", sampling.Fast()}, {"RSEARCH", sampling.Fast()}, {"SNP", exactParams}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range cases {
+		ro := runOpts{store: tracestore.New(0, "")}
+		tr, _, err := ro.openTrace(c.workload, p, pc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := sampling.NewFingerprinter(c.params, tr.Summary.BusEvents)
+		if err := replayTrace(tr, ro, []fsb.Snooper{fp}); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := fp.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantExact := c.params.MaxClusters == exactParams.MaxClusters; plan.Exact != wantExact {
+			t.Fatalf("%s: plan.Exact = %v, the case needs %v", c.workload, plan.Exact, wantExact)
+		}
+		measure := func(marks []windowMark) measured {
+			caches := make([]*cache.Cache, len(cfgs))
+			for i, cfg := range cfgs {
+				if caches[i], err = cache.New(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m, err := measureWindows(tr, plan.Windows(), caches, len(plan.Clusters), marks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		runtime.GOMAXPROCS(1)
+		seq := measure(nil)
+		if seq.marks == nil || seq.seeks != 0 {
+			t.Fatalf("%s: the unmarked measure recorded no marks or sought %d times", c.workload, seq.seeks)
+		}
+		if want := perRefWindowDeltas(t, tr, plan, cfgs); !reflect.DeepEqual(seq.deltas, want) {
+			t.Fatalf("%s: the batched measure's deltas differ from a per-reference measure's", c.workload)
+		}
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			m := measure(seq.marks)
+			id := fmt.Sprintf("%s exact=%v GOMAXPROCS=%d", c.workload, plan.Exact, procs)
+			if !reflect.DeepEqual(m.deltas, seq.deltas) {
+				t.Errorf("%s: the marked measure's deltas differ from the sequential measure's", id)
+			}
+			if m.workers != min(procs, len(cfgs)) || m.marks != nil {
+				t.Errorf("%s: %d workers (want %d), recorded marks %v", id, m.workers, min(procs, len(cfgs)), m.marks != nil)
+			}
+			if plan.Exact && m.seeks != 0 {
+				t.Errorf("%s: an exact plan sought %d times", id, m.seeks)
+			}
+			if !plan.Exact && (m.seeks == 0 || m.decoded >= seq.decoded) {
+				t.Errorf("%s: %d seeks, %d records decoded against %d unmarked", id, m.seeks, m.decoded, seq.decoded)
+			}
+		}
+	}
 }
 
 // TestSamplingWarmupMonotonic is the metamorphic warmup property: on a
@@ -236,13 +331,13 @@ func TestSamplingWarmupMonotonic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		deltas, err := measureWindows(tr, plan.Windows(), []*cache.Cache{c}, len(plan.Clusters))
+		m, err := measureWindows(tr, plan.Windows(), []*cache.Cache{c}, len(plan.Clusters), nil)
 		if err != nil {
 			t.Fatalf("warmup %d: %v", warmup, err)
 		}
 		perCluster := make([]cache.Stats, len(plan.Clusters))
 		for k := range perCluster {
-			perCluster[k] = deltas[k][0]
+			perCluster[k] = m.deltas[k][0]
 		}
 		est, err := plan.Estimate(perCluster, cfgs[0].Size)
 		if err != nil {
@@ -262,6 +357,56 @@ func TestSamplingWarmupMonotonic(t *testing.T) {
 	}
 }
 
+// perRefWindowDeltas is the plain reading of a window measure: decode
+// record by record, feed each cache one reference at a time from the
+// window's Feed index, snapshot at MeasureStart, take the delta at End.
+func perRefWindowDeltas(t *testing.T, tr *tracestore.Trace, plan *sampling.Plan, cfgs []cache.Config) [][]cache.Stats {
+	t.Helper()
+	caches := make([]*cache.Cache, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if caches[i], err = cache.New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deltas := make([][]cache.Stats, len(plan.Clusters))
+	for c := range deltas {
+		deltas[c] = make([]cache.Stats, len(caches))
+	}
+	snaps := make([]cache.Stats, len(caches))
+	p, err := tr.Player()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var af fsb.AF
+	var tx uint64
+	for _, w := range plan.Windows() {
+		for ; tx < w.End; tx++ {
+			r, ok := p.Next()
+			for ok && !af.Ref(r) {
+				r, ok = p.Next()
+			}
+			if !ok {
+				t.Fatalf("stream ended at transaction %d of a window ending at %d (%v)", tx, w.End, p.Err())
+			}
+			if tx == w.MeasureStart {
+				for k, c := range caches {
+					snaps[k] = *c.Stats()
+				}
+			}
+			if tx >= w.Feed {
+				for _, c := range caches {
+					c.AccessRef(r)
+				}
+			}
+		}
+		for k, c := range caches {
+			deltas[w.Cluster][k] = c.Stats().Sub(&snaps[k])
+		}
+	}
+	return deltas
+}
+
 // memoSink is a telemetry sink whose registry the plan-memo tests read
 // the build/hit counters from.
 func memoSink() *telemetry.Sink {
@@ -278,7 +423,8 @@ func planBuildsAndHits(s *telemetry.Sink) (builds, hits uint64) {
 // the parameters, never on the grid, so two sampled sweeps of one
 // stored capture with different grids fingerprint once — and return
 // exactly what the same sweeps return from private stores, where each
-// builds its own plan.
+// builds its own plan. The first sweep publishes its window marks, and
+// the second seeks by them to the same bytes.
 func TestSamplePlanSharedAcrossGrids(t *testing.T) {
 	p := samplingGradeParams()
 	pc := PlatformConfig{Threads: 4, Seed: p.Seed}
@@ -287,23 +433,30 @@ func TestSamplePlanSharedAcrossGrids(t *testing.T) {
 	sink := memoSink()
 	store := tracestore.New(0, "")
 	var phases [][]string
-	for _, g := range grids {
+	for k, g := range grids {
 		var seen []string
+		root := telemetry.StartSpan("job")
 		shared, _, err := LLCSweep("MDS", p, pc, g, WithTraceReuse(store), WithSampling(SamplingFast),
-			WithTelemetry(sink), WithProgress(func(pr Progress) {
+			WithTelemetry(sink), WithParentSpan(root), WithProgress(func(pr Progress) {
 				if pr.Phase != PhaseConfig {
 					seen = append(seen, pr.Phase)
 				}
 			}))
+		root.End()
 		if err != nil {
 			t.Fatal(err)
 		}
 		phases = append(phases, seen)
+		if seeks := root.Find("measure").Attrs["seeks"]; (seeks == "0") != (k == 0) {
+			t.Errorf("sweep %d of the capture sought %s times", k+1, seeks)
+		}
 		private, _, err := LLCSweep("MDS", p, pc, g, WithSampling(SamplingFast))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(shared, private) {
+		a, errA := json.Marshal(shared)
+		b, errB := json.Marshal(private)
+		if errA != nil || errB != nil || string(a) != string(b) || !reflect.DeepEqual(shared, private) {
 			t.Errorf("grid of %d: sweep over the shared store differs from the private-store sweep", len(g))
 		}
 	}

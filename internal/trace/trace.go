@@ -179,6 +179,28 @@ func NewStreamPlayer(chunks ...[]byte) (*StreamPlayer, error) {
 	return p, nil
 }
 
+// Mark is a record boundary of a stream: the cursor and the delta
+// state the records before it left, so decoding can resume there.
+type Mark struct {
+	ci, pos  int
+	last     [256]mem.Addr
+	prevCore uint8
+}
+
+// Mark returns the boundary before the record the next Next or
+// NextBatch call decodes.
+func (p *StreamPlayer) Mark() Mark {
+	return Mark{ci: p.ci, pos: p.pos, last: p.last, prevCore: p.prevCore}
+}
+
+// Seek resumes decoding at m, a Mark taken on a player over the same
+// chunks: the records that follow are exactly those that followed m, a
+// record straddling a chunk seam included. A failed player stays failed.
+func (p *StreamPlayer) Seek(m Mark) {
+	p.ci, p.data, p.pos = m.ci, p.chunks[m.ci], m.pos
+	p.last, p.prevCore = m.last, m.prevCore
+}
+
 // Err returns the decode error that terminated playback, or nil after a
 // clean end of stream.
 func (p *StreamPlayer) Err() error { return p.err }

@@ -342,3 +342,56 @@ func TestStreamPlayerZeroAlloc(t *testing.T) {
 		t.Errorf("replay decode allocates %.1f per pass, want 0", allocs)
 	}
 }
+
+// TestStreamPlayerSeek: a Seek to a Mark taken at any record boundary,
+// the end of stream included, resumes exactly the suffix one
+// uninterrupted NextBatch decode yields — on a stream cut in two at
+// every byte offset and into 1-byte chunks, so marks land on both sides
+// of seams and inside records that straddle them. The seeks run last to
+// first on a player already at end of stream.
+func TestStreamPlayerSeek(t *testing.T) {
+	data := encodeAll(t, randomRefs(17, 24))
+	want, err := decodeBatch(data, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := [][][]byte{}
+	for c := 0; c <= len(data); c++ {
+		cuts = append(cuts, [][]byte{data[:c], data[c:]})
+	}
+	var bytewise [][]byte
+	for i := range data {
+		bytewise = append(bytewise, data[i:i+1])
+	}
+	cuts = append(cuts, bytewise)
+
+	one, dst := make([]Ref, 1), make([]Ref, 5)
+	for ci, chunks := range cuts {
+		p, err := NewStreamPlayer(chunks...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		marks := []Mark{p.Mark()}
+		for p.NextBatch(one) == 1 {
+			marks = append(marks, p.Mark())
+		}
+		if len(marks) != len(want)+1 || p.Err() != nil {
+			t.Fatalf("cut %d: %d marks (err %v), want %d", ci, len(marks), p.Err(), len(want)+1)
+		}
+		for i := len(marks) - 1; i >= 0; i-- {
+			p.Seek(marks[i])
+			var got []Ref
+			for n := p.NextBatch(dst); n > 0; n = p.NextBatch(dst) {
+				got = append(got, dst[:n]...)
+			}
+			if p.Err() != nil || len(got) != len(want)-i {
+				t.Fatalf("cut %d, seek to record %d: %d records (err %v), want %d", ci, i, len(got), p.Err(), len(want)-i)
+			}
+			for k := range got {
+				if got[k] != want[i+k] {
+					t.Fatalf("cut %d, seek to record %d: record %d is %+v, want %+v", ci, i, i+k, got[k], want[i+k])
+				}
+			}
+		}
+	}
+}

@@ -77,15 +77,16 @@ type Summary struct {
 // in fixed-size chunks, and decoded on the fly during replay; Player
 // returns an independent zero-allocation cursor, so one Trace serves any
 // number of concurrent replays. The sample plan the fast tier derives
-// from the stream is memoized here too (SamplePlan), so it shares the
-// capture's lifetime.
+// from the stream is memoized here too (SamplePlan), with the seek marks
+// of its windows (WindowMarks), so both share the capture's lifetime.
 type Trace struct {
 	Summary Summary
 	chunks  [][]byte // the v2 stream, header included, cut anywhere
 	n       int      // encoded bytes across chunks
 
-	mu   sync.Mutex
-	plan *planCall // the sample plan built from this stream, or its build
+	mu    sync.Mutex
+	plan  *planCall // the sample plan built from this stream, or its build
+	marks any       // the plan's window marks, once a measure published them
 }
 
 // chunkSize is the capacity of every chunk a Recorder or a spill load
@@ -134,6 +135,23 @@ func (t *Trace) SamplePlan(build func() (*sampling.Plan, error)) (plan *sampling
 	return c.plan, false, c.err
 }
 
+// WindowMarks returns the seek marks a measure of the sample plan's
+// windows published with SetWindowMarks, or nil before one did. The
+// value belongs to the measuring pass; the store only keeps it.
+func (t *Trace) WindowMarks() any {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.marks
+}
+
+// SetWindowMarks publishes m beside the sample plan, for every later
+// measure of its windows to seek by.
+func (t *Trace) SetWindowMarks(m any) {
+	t.mu.Lock()
+	t.marks = m
+	t.mu.Unlock()
+}
+
 // Player returns a fresh decode cursor over the stream.
 func (t *Trace) Player() (*trace.StreamPlayer, error) {
 	return trace.NewStreamPlayer(t.chunks...)
@@ -162,8 +180,8 @@ const traceOverhead = 128
 
 // SizeBytes is the resident footprint of the trace: its chunks'
 // capacities plus a fixed overhead. It is fixed at construction, and
-// the memoized sample plan is not counted: a Store subtracts the same
-// figure again on eviction.
+// neither the memoized sample plan nor its window marks are counted: a
+// Store subtracts the same figure again on eviction.
 func (t *Trace) SizeBytes() uint64 {
 	size := uint64(traceOverhead)
 	for _, c := range t.chunks {
