@@ -98,13 +98,14 @@ type setFamily struct {
 	floor uint32
 
 	// Fast path: per-set bounded LRU stacks (of block number plus one, so
-	// an empty slot matches nothing) and distance histograms in flat
-	// arrays, sets x maxAssoc each; depth and deep are per set. hist
-	// holds distances 1 and up: distance 0 is Engine.onTop.
+	// an empty slot matches nothing) in one flat array, sets x maxAssoc,
+	// and their depths. The distance histogram is family-wide, since
+	// only its sums are read: hist holds distances 1 and up (distance 0
+	// is Engine.onTop), deep the requests not resident in the stack.
 	stack []uint64
-	hist  []uint64
 	depth []int32
-	deep  []uint64 // requests not resident in the stack: cold or deeper
+	hist  []uint64
+	deep  uint64
 
 	// Slow path: one Fenwick analyzer per touched set.
 	perSet map[uint64]*stackdist.Analyzer
@@ -123,9 +124,8 @@ func (f *setFamily) freeze() {
 	if f.maxAssoc <= fastDepth && entries <= fastBudget {
 		f.fast = true
 		f.stack = make([]uint64, entries)
-		f.hist = make([]uint64, entries)
 		f.depth = make([]int32, f.sets)
-		f.deep = make([]uint64, f.sets)
+		f.hist = make([]uint64, f.maxAssoc)
 		return
 	}
 	f.perSet = make(map[uint64]*stackdist.Analyzer)
@@ -144,7 +144,7 @@ func (f *setFamily) touchFast(set, key uint64, lo int) int {
 		if s[i] == key {
 			copy(s[1:i+1], s[:i])
 			s[0] = key
-			f.hist[base+i]++
+			f.hist[i]++
 			return i
 		}
 	}
@@ -157,7 +157,7 @@ func (f *setFamily) touchFast(set, key uint64, lo int) int {
 	}
 	copy(s[1:], s[:n-1])
 	s[0] = key
-	f.deep[set]++
+	f.deep++
 	return f.maxAssoc
 }
 
@@ -175,21 +175,21 @@ func (f *setFamily) touchSlow(set uint64, blk uint64) uint32 {
 	return a.Record(mem.Addr(blk))
 }
 
-// setMisses returns the exact miss count of one set at the given
+// misses returns the family's exact miss count at the given
 // associativity (cold + deeper-than-assoc reuses).
-func (f *setFamily) setMisses(set uint64, assoc int) uint64 {
+func (f *setFamily) misses(assoc int) uint64 {
 	if f.fast {
-		m := f.deep[set]
-		base := int(set) * f.maxAssoc
-		for d := assoc; d < f.maxAssoc; d++ {
-			m += f.hist[base+d]
+		m := f.deep
+		for _, n := range f.hist[assoc:] {
+			m += n
 		}
 		return m
 	}
-	if a := f.perSet[set]; a != nil {
-		return a.MissesForLines(assoc)
+	var m uint64
+	for _, a := range f.perSet {
+		m += a.MissesForLines(assoc)
 	}
-	return 0
+	return m
 }
 
 // Engine predicts exact LRU results for a family of set-associative
@@ -469,11 +469,20 @@ func (e *Engine) OnRef(r trace.Ref) {
 	}
 }
 
-// OnBatch implements fsb.BatchSnooper: a run of bus events, one
-// concrete call each instead of one interface dispatch.
+// OnBatch implements fsb.BatchSnooper: a run of bus events. An
+// in-window transaction inside one line is one request and goes straight
+// to record; messages, a closed window, zero sizes and straddlers take
+// OnRef.
 func (e *Engine) OnBatch(batch []trace.Ref) {
 	for i := range batch {
-		e.OnRef(batch[i])
+		r := &batch[i]
+		first := uint64(r.Addr) >> e.lineShift
+		if e.af.Open && !fsb.IsMessage(*r) && r.Size != 0 &&
+			(uint64(r.Addr)+uint64(r.Size)-1)>>e.lineShift == first {
+			e.record(first, r.Kind == mem.Store, r.Core)
+			continue
+		}
+		e.OnRef(*r)
 	}
 }
 
@@ -523,17 +532,7 @@ func (e *Engine) Misses(sets uint64, assoc int) (uint64, error) {
 	if assoc < 1 || assoc > f.maxAssoc {
 		return 0, fmt.Errorf("oracle: associativity %d outside registered range [1,%d]", assoc, f.maxAssoc)
 	}
-	var misses uint64
-	if f.fast {
-		for set := uint64(0); set < f.sets; set++ {
-			misses += f.setMisses(set, assoc)
-		}
-		return misses, nil
-	}
-	for _, a := range f.perSet {
-		misses += a.MissesForLines(assoc)
-	}
-	return misses, nil
+	return f.misses(assoc), nil
 }
 
 // MissesForConfig returns the exact LRU miss count predicted for cfg.

@@ -50,12 +50,7 @@ func (e *Engine) Summary(sets uint64) (DistanceSummary, error) {
 				break
 			}
 		}
-		for set := uint64(0); set < f.sets; set++ {
-			base := int(set) * f.maxAssoc
-			for d := 1; d < f.maxAssoc; d++ {
-				merged[d] += f.hist[base+d]
-			}
-		}
+		copy(merged[1:], f.hist[1:])
 	} else {
 		for _, a := range f.perSet {
 			s.Cold += a.Cold()

@@ -102,9 +102,10 @@ func (t *Tracked) MPKI() float64 {
 //   - Misses/LoadMisses/PerCoreMisses follow from inclusion (distance
 //     >= assoc, or cold).
 //   - SectorFetches = Misses (unsectored: one line fill per miss).
-//   - Evictions: a set's i-th miss evicts iff i > assoc (the first
-//     assoc fills take invalid ways), so each set contributes
-//     max(0, misses_set - assoc).
+//   - Evictions: every miss fills a line and a set ends holding
+//     min(assoc, distinct blocks) of them, so evictions = misses - that
+//     sum over sets (per set: max(0, misses_set - assoc)). The bounded
+//     stacks' depths are min(maxAssoc, distinct blocks).
 //   - Writebacks: gap-observed writebacks (counted in record at reuse
 //     time) plus lines that end the trace dirty and evicted — those
 //     left the cache dirty after their last access, with no reuse left
@@ -133,27 +134,21 @@ func (t *Tracked) Stats() cache.Stats {
 	assoc := uint64(t.assoc)
 	wb := t.writebacks
 	if f.fast {
-		for set := uint64(0); set < f.sets; set++ {
-			if m := f.setMisses(set, t.assoc); m > assoc {
-				s.Evictions += m - assoc
-			}
-		}
+		// A set ends holding its first min(assoc, depth) stack entries.
 		// Dirty lines evicted after their last access: all dirty lines,
-		// minus the ones still resident (within the first assoc stack
-		// positions of their set).
-		var resident uint64
-		for set := uint64(0); set < f.sets; set++ {
-			base := int(set) * f.maxAssoc
-			n := int(f.depth[set])
-			if n > t.assoc {
-				n = t.assoc
-			}
+		// minus the dirty ones still held.
+		var held, resident uint64
+		for set, depth := range f.depth {
+			base := set * f.maxAssoc
+			n := min(int(depth), t.assoc)
+			held += uint64(n)
 			for _, key := range f.stack[base : base+n] {
 				if e.lines.mask(key)&t.bit != 0 {
 					resident++
 				}
 			}
 		}
+		s.Evictions = t.misses - held
 		wb += e.dirtyCounts()[bits.TrailingZeros64(t.bit)] - resident
 	} else {
 		for _, a := range f.perSet {

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"cmpmem/internal/mem"
 )
@@ -337,12 +338,29 @@ func (p *StreamPlayer) NextBatch(dst []Ref) int {
 			size = data[pos]
 			pos++
 		}
-		zig, vn := binary.Uvarint(data[pos:])
-		if vn < 0 {
-			p.err = fmt.Errorf("trace: corrupt v2 record (address delta varint overflows 64 bits)")
-			break
+		// At least 10 bytes remain, so one 8-byte load covers any varint
+		// of a delta below 2^56: its first clear high bit ends it, and
+		// three shift-and-mask steps pack its 7-bit groups.
+		x := binary.LittleEndian.Uint64(data[pos:])
+		var zig uint64
+		if stop := ^x & 0x8080808080808080; stop != 0 {
+			x &= stop ^ (stop - 1)
+			x = x&0x007f007f007f007f | x>>1&0x3f803f803f803f80
+			x = x&0x00003fff00003fff | x>>2&0x0fffc0000fffc000
+			zig = x&0x000000000fffffff | x>>4&0x00fffffff0000000
+			pos += bits.TrailingZeros64(stop)>>3 + 1
+		} else {
+			var vn int
+			if zig, vn = binary.Uvarint(data[pos:]); vn == 0 {
+				p.truncate()
+				break
+			}
+			if vn < 0 {
+				p.err = fmt.Errorf("trace: corrupt v2 record (address delta varint overflows 64 bits)")
+				break
+			}
+			pos += vn
 		}
-		pos += vn
 		delta := int64(zig>>1) ^ -int64(zig&1)
 		addr := mem.Addr(uint64(p.last[core]) + uint64(delta))
 		kind := mem.Load

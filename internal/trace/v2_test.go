@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -390,6 +391,79 @@ func TestStreamPlayerSeek(t *testing.T) {
 			for k := range got {
 				if got[k] != want[i+k] {
 					t.Fatalf("cut %d, seek to record %d: record %d is %+v, want %+v", ci, i, i+k, got[k], want[i+k])
+				}
+			}
+		}
+	}
+}
+
+// TestNextBatchVarintLengths pins NextBatch's one-load varint decode to
+// Next: a record per varint length 1-10 (zigzag deltas at both edges of
+// every length), plus corrupt copies whose last varint overflows or
+// never terminates, each cut into two chunks at every byte offset and
+// drained by NextBatch at batch sizes 1, 3 and 4096. Every drain must
+// yield Next's records and Next's error.
+func TestNextBatchVarintLengths(t *testing.T) {
+	zigs := []uint64{0}
+	for k := 1; k <= 8; k++ {
+		zigs = append(zigs, 1<<(7*k)-1, 1<<(7*k))
+	}
+	zigs = append(zigs, 1<<63, 1<<64-1)
+	var refs []Ref
+	var last [2]uint64 // per core: the codec's deltas are per core
+	for i, z := range zigs {
+		core := i % 2
+		last[core] += uint64(int64(z>>1) ^ -int64(z&1))
+		refs = append(refs, Ref{Addr: mem.Addr(last[core]), Core: uint8(core), Size: uint8(4 + 4*(i%3/2)), Kind: mem.Kind(i % 2)})
+	}
+	valid := encodeAll(t, refs)
+	if got, err := decodeNext(valid); err != nil || len(got) != len(refs) || got[len(got)-1] != refs[len(refs)-1] {
+		t.Fatalf("reference decode: %d records, err %v", len(got), err)
+	}
+	// The last varint is 2^64-1's, nine 0xff bytes and a final 0x01.
+	overflow := append(append([]byte(nil), valid...), 0)
+	overflow[len(valid)-1] = 0x02
+	unterminated := append([]byte(nil), valid...)
+	unterminated[len(valid)-1] = 0x81
+	padded := append(append([]byte(nil), unterminated...), 0x81, 0x81, 0x01)
+
+	drain := func(p *StreamPlayer, batch int) ([]Ref, error) {
+		var out []Ref
+		if batch == 0 {
+			for r, ok := p.Next(); ok; r, ok = p.Next() {
+				out = append(out, r)
+			}
+			return out, p.Err()
+		}
+		dst := make([]Ref, batch)
+		for n := p.NextBatch(dst); n > 0; n = p.NextBatch(dst) {
+			out = append(out, dst[:n]...)
+		}
+		return out, p.Err()
+	}
+	for name, data := range map[string][]byte{"valid": valid, "overflow": overflow, "unterminated": unterminated, "padded": padded} {
+		for c := len(magic); c <= len(data); c++ {
+			play := func(batch int) ([]Ref, error) {
+				p, err := NewStreamPlayer(data[:c], data[c:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				return drain(p, batch)
+			}
+			want, wantErr := play(0)
+			if (wantErr == nil) != (name == "valid") {
+				t.Fatalf("%s cut at %d: Next err %v", name, c, wantErr)
+			}
+			for _, batch := range []int{1, 3, 4096} {
+				got, err := play(batch)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) || len(got) != len(want) {
+					t.Fatalf("%s cut at %d, batch %d: %d records, err %v; Next: %d, err %v",
+						name, c, batch, len(got), err, len(want), wantErr)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s cut at %d, batch %d: record %d is %+v, Next's %+v", name, c, batch, i, got[i], want[i])
+					}
 				}
 			}
 		}
