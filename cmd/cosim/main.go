@@ -522,11 +522,7 @@ func workingsets(names []string, p workloads.Params) ([]core.Exhibit, func() err
 		rows, ex := core.ProjectionExhibits(names, p, cores)
 		platforms, exhibits = append(platforms, rows), append(exhibits, ex...)
 	}
-	categories := map[string]string{
-		"SNP": "shared", "SVM-RFE": "shared", "MDS": "shared", "PLSA": "shared",
-		"FIMI": "mixed", "RSEARCH": "mixed",
-		"SHOT": "private", "VIEWTYPE": "private",
-	}
+	sharing := [...]string{workloads.SharedWS: "shared", workloads.MixedWS: "mixed", workloads.PrivateWS: "private"}
 	return exhibits, func() error {
 		t := &report.Table{
 			Title: "Working sets by platform (stack distance, 0.5% miss-ratio knee, paper-equiv)",
@@ -538,7 +534,15 @@ func workingsets(names []string, p workloads.Params) ([]core.Exhibit, func() err
 			for _, rows := range platforms {
 				row = append(row, fmt.Sprintf("%.0fMB", rows[w].WorkingSetPaperMB))
 			}
-			t.AddRow(append(row, categories[n])...)
+			wl, err := registry.New(n, p)
+			if err != nil {
+				return err
+			}
+			category := ""
+			if c, ok := wl.(workloads.Categorizer); ok {
+				category = sharing[c.Category()]
+			}
+			t.AddRow(append(row, category)...)
 		}
 		return t.Render(os.Stdout)
 	}

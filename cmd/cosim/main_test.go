@@ -120,7 +120,7 @@ func TestCLISVGOutput(t *testing.T) {
 var promLine = regexp.MustCompile(`^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9.e+-]+|[0-9.e+-]+[eE][0-9+-]+)$`)
 
 // scrapeCounters fetches /metrics and returns the plain counter samples
-// (histogram series excluded), validating every line's format. A dial
+// (labelled series excluded), validating every line's format. A dial
 // error returns nil: the sweep may have finished and closed the server
 // between scrapes, which the caller tolerates.
 func scrapeCounters(t *testing.T, base string) map[string]float64 {

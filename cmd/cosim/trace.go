@@ -2,9 +2,10 @@
 // human-readable waterfall or as folded stacks consumable by standard
 // flamegraph tooling (flamegraph.pl, speedscope, inferno).
 //
-// Input is JSONL or a single JSON object, read from the file argument,
-// the -manifest path, or stdin ("-" or nothing). Three shapes are
-// understood, auto-detected per line:
+// Input is a stream of JSON objects — JSONL, or one object compact or
+// pretty-printed (`curl …/v1/sweeps/{id} | jq .`) — read from the file
+// argument, the -manifest path, or stdin ("-" or nothing). Three shapes
+// are understood, auto-detected per record:
 //
 //   - run manifests (telemetry.Manifest: {"kind": ..., "trace": {...}})
 //   - job status bodies from GET /v1/sweeps/{id} ({"id": ..., "trace": ...})
@@ -23,7 +24,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -96,27 +96,26 @@ type traceRecord struct {
 	Name string `json:"name"`
 }
 
-// decodeTraceRecords parses every JSON line in r, keeping those that
+// decodeTraceRecords parses every JSON value in r, keeping those that
 // carry a span tree and pass the filters.
 func decodeTraceRecords(r io.Reader, jobFilter, kindFilter string) ([]traceRecord, error) {
 	var out []traceRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Bytes()
-		if len(text) == 0 {
-			continue
+	dec := json.NewDecoder(r)
+	for n := 1; ; n++ {
+		var raw json.RawMessage
+		if err := dec.Decode(&raw); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("record %d: %w", n, err)
 		}
 		var rec traceRecord
-		if err := json.Unmarshal(text, &rec); err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return nil, fmt.Errorf("record %d: %w", n, err)
 		}
 		if rec.Trace == nil && rec.Name != "" {
 			rec.Trace = &telemetry.Span{}
-			if err := json.Unmarshal(text, rec.Trace); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
+			if err := json.Unmarshal(raw, rec.Trace); err != nil {
+				return nil, fmt.Errorf("record %d: %w", n, err)
 			}
 		}
 		if rec.Trace == nil {
@@ -130,5 +129,4 @@ func decodeTraceRecords(r io.Reader, jobFilter, kindFilter string) ([]traceRecor
 		}
 		out = append(out, rec)
 	}
-	return out, sc.Err()
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -114,6 +115,40 @@ func TestBareSpanAndJobStatusShapes(t *testing.T) {
 	}
 	if !strings.Contains(out, "plansweep/KM") || !strings.Contains(out, "└─ store") {
 		t.Errorf("bare span shape not rendered:\n%s", out)
+	}
+}
+
+// TestPrettyPrintedInput: a job-status body and a bare span tree render
+// the same whether compact or pretty-printed (`jq .`), as waterfalls
+// and as folded stacks, and a truncated object is an error.
+func TestPrettyPrintedInput(t *testing.T) {
+	status := `{"id":"j-9","tenant":"carol","state":"done","trace_id":"cccc","trace":{"name":"request","wall_ns":2000,"children":[{"name":"queue_wait","wall_ns":500},{"name":"plansweep/KM","wall_ns":1400,"attrs":{"emulated_configs":"0"}}]}}`
+	span := `{"name":"plansweep/KM","wall_ns":77,"children":[{"name":"store","wall_ns":70,"attrs":{"outcome":"hit"}}]}`
+	for _, compact := range []string{status, span} {
+		var v any
+		if err := json.Unmarshal([]byte(compact), &v); err != nil {
+			t.Fatal(err)
+		}
+		pretty, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{nil, {"-fold"}} {
+			var want, got strings.Builder
+			if err := traceRun(&want, append(args, writeSample(t, compact+"\n"))...); err != nil {
+				t.Fatalf("compact %v: %v", args, err)
+			}
+			if err := traceRun(&got, append(args, writeSample(t, string(pretty)+"\n"))...); err != nil {
+				t.Fatalf("pretty-printed %v: %v", args, err)
+			}
+			if got.String() != want.String() {
+				t.Errorf("trace %v: pretty-printed input rendered\n%s\nwant\n%s", args, got.String(), want.String())
+			}
+		}
+		var sb strings.Builder
+		if err := traceRun(&sb, writeSample(t, string(pretty[:len(pretty)/2]))); err == nil {
+			t.Errorf("truncated object rendered without error:\n%s", sb.String())
+		}
 	}
 }
 

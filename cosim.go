@@ -250,7 +250,7 @@ var PaperLineSizes = core.PaperLineSizes
 // run emits a span tree plus a machine-readable manifest, and the
 // sweeps print live progress. All of it is optional and free when off.
 
-// TelemetryRegistry is the lock-free counter/gauge/histogram registry;
+// TelemetryRegistry is the lock-free counter/gauge registry;
 // see telemetry.Registry. A nil registry is valid everywhere and costs
 // one branch per event.
 type TelemetryRegistry = telemetry.Registry

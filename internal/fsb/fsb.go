@@ -233,12 +233,10 @@ type Bus struct {
 
 // busTelemetry holds the bus's registered metrics.
 type busTelemetry struct {
-	events     *telemetry.Counter   // fsb_events_total: refs + msgs broadcast
-	msgs       *telemetry.Counter   // fsb_msgs_total: control messages broadcast
-	deliveries *telemetry.Counter   // fsb_deliveries_total: events fanned out (events x snoopers)
-	batches    *telemetry.Counter   // fsb_batches_total: batches delivered
-	occupancy  *telemetry.Histogram // fsb_batch_occupancy: events per batch
-	queueDepth *telemetry.Histogram // fsb_snooper_queue_depth: each lane's backlog at publish
+	events     *telemetry.Counter // fsb_events_total: refs + msgs broadcast
+	msgs       *telemetry.Counter // fsb_msgs_total: control messages broadcast
+	deliveries *telemetry.Counter // fsb_deliveries_total: events fanned out (events x snoopers)
+	batches    *telemetry.Counter // fsb_batches_total: batches delivered
 }
 
 // Instrument registers the bus's metrics into r (nil r disables). Call
@@ -252,8 +250,6 @@ func (b *Bus) Instrument(r *telemetry.Registry) {
 		msgs:       r.Counter("fsb_msgs_total"),
 		deliveries: r.Counter("fsb_deliveries_total"),
 		batches:    r.Counter("fsb_batches_total"),
-		occupancy:  r.Histogram("fsb_batch_occupancy"),
-		queueDepth: r.Histogram("fsb_snooper_queue_depth"),
 	}
 }
 
@@ -372,7 +368,9 @@ func (b *Bus) Refs(batch []trace.Ref) {
 	if b.workers == nil {
 		for len(batch) > 0 {
 			n := min(len(batch), b.batchSize)
-			b.observe(n)
+			if b.tel != nil {
+				b.tel.batches.Inc()
+			}
 			for _, s := range b.snoopers {
 				Deliver(s, batch[:n])
 			}
@@ -388,14 +386,6 @@ func (b *Bus) Refs(batch []trace.Ref) {
 		if len(p.refs) == b.batchSize {
 			b.publish()
 		}
-	}
-}
-
-// observe records one delivered batch of n events.
-func (b *Bus) observe(n int) {
-	if b.tel != nil {
-		b.tel.batches.Inc()
-		b.tel.occupancy.Observe(uint64(n))
 	}
 }
 
@@ -433,13 +423,12 @@ func (b *Bus) publish() {
 	if len(p.refs) == 0 {
 		return
 	}
-	b.observe(len(p.refs))
+	if b.tel != nil {
+		b.tel.batches.Inc()
+	}
 	p.left.Store(int32(len(b.lanes)))
 	for _, l := range b.lanes {
 		l.mu.Lock()
-		if b.tel != nil {
-			b.tel.queueDepth.Observe(uint64(len(l.q)))
-		}
 		idle := len(l.q) == 0
 		l.q = append(l.q, p)
 		l.mu.Unlock()

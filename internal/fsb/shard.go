@@ -99,11 +99,9 @@ type Sharder struct {
 
 // shardTelemetry holds the sharder's registered metrics.
 type shardTelemetry struct {
-	events    *telemetry.Counter   // <prefix>_events_total: refs routed + broadcasts fanned out
-	refs      *telemetry.Counter   // <prefix>_refs_total: refs routed (each exactly once)
-	batches   *telemetry.Counter   // <prefix>_batches_total: batches published
-	occupancy *telemetry.Histogram // <prefix>_batch_occupancy: events per published batch
-	shardLoad *telemetry.Histogram // <prefix>_occupancy: per-shard event totals at Close
+	events  *telemetry.Counter // <prefix>_events_total: refs routed + broadcasts fanned out
+	refs    *telemetry.Counter // <prefix>_refs_total: refs routed (each exactly once)
+	batches *telemetry.Counter // <prefix>_batches_total: batches published
 }
 
 // NewSharder returns a sharder delivering to one worker per consumer.
@@ -143,11 +141,9 @@ func (s *Sharder) Instrument(r *telemetry.Registry, prefix string) {
 		return
 	}
 	s.tel = &shardTelemetry{
-		events:    r.Counter(prefix + "_events_total"),
-		refs:      r.Counter(prefix + "_refs_total"),
-		batches:   r.Counter(prefix + "_batches_total"),
-		occupancy: r.Histogram(prefix + "_batch_occupancy"),
-		shardLoad: r.Histogram(prefix + "_occupancy"),
+		events:  r.Counter(prefix + "_events_total"),
+		refs:    r.Counter(prefix + "_refs_total"),
+		batches: r.Counter(prefix + "_batches_total"),
 	}
 }
 
@@ -216,7 +212,6 @@ func (s *Sharder) publish(shard int, batch []Event) {
 	}
 	if s.tel != nil {
 		s.tel.batches.Inc()
-		s.tel.occupancy.Observe(uint64(len(batch)))
 	}
 	s.workers[shard].ch <- batch
 	s.pending[shard] = make([]Event, 0, s.batchSize)
@@ -248,7 +243,6 @@ func (s *Sharder) Close() error {
 	if s.tel != nil {
 		var total uint64
 		for _, n := range s.counts {
-			s.tel.shardLoad.Observe(n)
 			total += n
 		}
 		s.tel.events.Add(total)

@@ -62,7 +62,6 @@ type Server struct {
 	results *resultCache
 	queue   *fairQueue
 	man     *telemetry.ManifestWriter
-	phases  *phaseRecorder
 
 	mu    sync.Mutex
 	jobs  map[string]*job
@@ -78,15 +77,14 @@ type Server struct {
 	// a barrier so queue occupancy is deterministic.
 	preRun func(*job)
 
-	mAccepted *telemetry.Counter   // cosimd_jobs_accepted_total
-	mDone     *telemetry.Counter   // cosimd_jobs_done_total
-	mFailed   *telemetry.Counter   // cosimd_jobs_failed_total
-	mPanics   *telemetry.Counter   // cosimd_job_panics_total
-	mCached   *telemetry.Counter   // cosimd_jobs_cached_total
-	mRejected *telemetry.Counter   // cosimd_admission_rejected_total
-	mRunning  *telemetry.Gauge     // cosimd_jobs_running
-	mRequests *telemetry.Counter   // cosimd_http_requests_total
-	mLatency  *telemetry.Histogram // cosimd_http_request_micros
+	mAccepted *telemetry.Counter // cosimd_jobs_accepted_total
+	mDone     *telemetry.Counter // cosimd_jobs_done_total
+	mFailed   *telemetry.Counter // cosimd_jobs_failed_total
+	mPanics   *telemetry.Counter // cosimd_job_panics_total
+	mCached   *telemetry.Counter // cosimd_jobs_cached_total
+	mRejected *telemetry.Counter // cosimd_admission_rejected_total
+	mRunning  *telemetry.Gauge   // cosimd_jobs_running
+	mRequests *telemetry.Counter // cosimd_http_requests_total
 }
 
 // New builds a Server from cfg. No goroutines start until Start.
@@ -108,7 +106,6 @@ func New(cfg Config) *Server {
 		results:  newResultCache(cfg.ResultCacheBytes, reg),
 		queue:    newFairQueue(cfg.QueueCap, cfg.TenantWeights, reg),
 		man:      cfg.Manifest,
-		phases:   &phaseRecorder{reg: reg, weights: cfg.TenantWeights},
 		jobs:     make(map[string]*job),
 		shutdown: make(chan struct{}),
 
@@ -120,7 +117,6 @@ func New(cfg Config) *Server {
 		mRejected: reg.Counter("cosimd_admission_rejected_total"),
 		mRunning:  reg.Gauge("cosimd_jobs_running"),
 		mRequests: reg.Counter("cosimd_http_requests_total"),
-		mLatency:  reg.Histogram("cosimd_http_request_micros"),
 	}
 	return s
 }
@@ -180,14 +176,11 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// instrument wraps the mux with the request counter and latency
-// histogram (microseconds, pow2 buckets).
+// instrument wraps the mux with the request counter.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		next.ServeHTTP(w, r)
 		s.mRequests.Inc()
-		s.mLatency.Observe(uint64(time.Since(start).Microseconds()))
 	})
 }
 
@@ -265,13 +258,11 @@ func (s *Server) lookupResult(j *job, hash string) ([]byte, bool) {
 	return body, ok
 }
 
-// sealTrace ends the request trace and folds the phase durations into
-// the cosimd_phase_* histograms.
-// Must run before the terminal finish/fail event so GET /v1/sweeps/{id}
-// only ever exposes sealed trees.
+// sealTrace ends the request trace. Must run before the terminal
+// finish/fail event so GET /v1/sweeps/{id} and /v1/statusz only ever
+// read sealed trees.
 func (s *Server) sealTrace(j *job) {
 	j.trace.End()
-	s.recordRequestPhases(j, j.trace)
 }
 
 // respondAccepted writes the 201 envelope.
@@ -381,7 +372,9 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 }
 
 // Statusz is the GET /v1/statusz body: a snapshot of the jobs, the
-// queue and the shared state every job draws from.
+// queue and the shared state every job draws from. Its queue-wait
+// percentiles cover the terminal jobs the server retains (at most
+// RetainJobs, 4,096 by default), not every job since start.
 type Statusz struct {
 	Jobs struct {
 		Accepted uint64 `json:"accepted"`
@@ -394,8 +387,8 @@ type Statusz struct {
 	QueueDepth int            `json:"queue_depth"`
 	Tenants    map[string]int `json:"tenant_queue_depths,omitempty"`
 	// QueueWait holds queue-wait percentiles per configured tenant, for
-	// "other" and for "all", computed from the
-	// cosimd_phase_queue_wait_micros histograms.
+	// "other" and for "all": nearest-rank over the queue_wait spans of
+	// the retained terminal jobs.
 	QueueWait   map[string]Percentiles `json:"queue_wait_micros,omitempty"`
 	TraceStore  tracestore.Stats       `json:"trace_store"`
 	ResultCache ResultCacheStats       `json:"result_cache"`
@@ -412,7 +405,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	st.Jobs.Running = s.mRunning.Value()
 	st.QueueDepth = s.queue.Depth()
 	st.Tenants = s.queue.TenantDepths()
-	st.QueueWait = s.phases.queueWaitPercentiles()
+	st.QueueWait = s.queueWaitPercentiles()
 	st.TraceStore = s.store.Stats()
 	st.ResultCache = s.results.Stats()
 	w.Header().Set("Content-Type", "application/json")

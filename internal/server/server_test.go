@@ -466,17 +466,11 @@ func TestDistinctTenantsStayBounded(t *testing.T) {
 			series = append(series, name)
 		}
 	}
-	for name := range snap.Histograms {
-		if strings.Contains(name, "_tenant_") {
-			series = append(series, name)
-		}
+	// A queue-depth gauge for each of "named" and "other".
+	if len(series) > 2 {
+		t.Errorf("%d per-tenant metric series after %d distinct tenants, want at most 2", len(series), n+1)
 	}
-	// A queue-depth gauge and at most five phase histograms for each of
-	// "named" and "other".
-	if len(series) > 12 {
-		t.Errorf("%d per-tenant metric series after %d distinct tenants, want at most 12", len(series), n+1)
-	}
-	if total := len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms); total > n/4 {
+	if total := len(snap.Counters) + len(snap.Gauges); total > n/4 {
 		t.Errorf("registry holds %d metrics after %d distinct tenants", total, n+1)
 	}
 	if d := reg.Gauge("cosimd_tenant_queue_depth_other").Value(); d != 0 {

@@ -6,11 +6,9 @@
 // replay/collect, plus concurrent shard spans) — so the phase durations
 // reconcile against the request's measured wall latency.
 //
-// The same phases feed cosimd_phase_*_micros histograms, both aggregate
-// and per-tenant (the registry's name-suffix idiom, as with
-// cosimd_tenant_queue_depth_*; tenants without a configured weight
-// share one "other" series), which /v1/statusz folds into queue-wait
-// percentiles.
+// The sealed tree is the one latency record: /v1/statusz reads its
+// queue-wait percentiles from the queue_wait spans of the jobs the
+// server retains.
 
 package server
 
@@ -19,8 +17,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
-	"strconv"
-	"time"
+	"slices"
 
 	"cmpmem/internal/telemetry"
 )
@@ -29,9 +26,6 @@ import (
 // replay, collect — come from core's span vocabulary).
 const (
 	phaseQueueWait   = "queue_wait"
-	phaseCapture     = "capture"
-	phaseAnalytic    = "analytic"
-	phaseEmulate     = "emulate"
 	phaseCacheLookup = "cache_lookup"
 )
 
@@ -46,26 +40,8 @@ func newTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// phaseRecorder observes per-phase latencies into aggregate and
-// per-tenant histograms: one series per tenant with a configured
-// weight, and the shared otherTenant series for the rest.
-type phaseRecorder struct {
-	reg     *telemetry.Registry
-	weights map[string]int
-}
-
-// observe records one phase duration for a tenant.
-func (p *phaseRecorder) observe(phase, tenant string, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	us := uint64(d.Microseconds())
-	p.reg.Histogram("cosimd_phase_" + phase + "_micros").Observe(us)
-	p.reg.Histogram("cosimd_phase_" + phase + "_micros_tenant_" + tenantSeries(p.weights, tenant)).Observe(us)
-}
-
-// Percentiles is a p50/p95/p99 reading (microseconds) of one phase
-// histogram; estimates carry the pow2-bucket factor-of-two resolution.
+// Percentiles is a p50/p95/p99 reading (microseconds) of one queue-wait
+// row: nearest-rank percentiles over whole-µs waits, exact.
 type Percentiles struct {
 	Count uint64 `json:"count"`
 	P50   uint64 `json:"p50_micros"`
@@ -75,27 +51,47 @@ type Percentiles struct {
 
 // queueWaitPercentiles returns the queue-wait percentile table for
 // /v1/statusz: one row per configured tenant, otherTenant and the "all"
-// aggregate, each present once it has an observation.
-func (p *phaseRecorder) queueWaitPercentiles() map[string]Percentiles {
-	out := make(map[string]Percentiles)
-	add := func(key, histName string) {
-		snap := p.reg.Histogram(histName).Snapshot()
-		if snap.Count == 0 {
-			return
+// aggregate, each present once it has a wait. The waits are the sealed
+// queue_wait spans of the retained terminal jobs; a running job's root
+// still gains children, and a job served at admission has no wait.
+func (s *Server) queueWaitPercentiles() map[string]Percentiles {
+	waits := make(map[string][]uint64)
+	s.mu.Lock()
+	for _, j := range s.jobs {
+		if !j.isTerminal() {
+			continue
 		}
-		out[key] = Percentiles{
-			Count: snap.Count,
-			P50:   snap.Quantile(0.50),
-			P95:   snap.Quantile(0.95),
-			P99:   snap.Quantile(0.99),
+		for _, c := range j.trace.Children {
+			if c.Name != phaseQueueWait {
+				continue
+			}
+			us := c.WallNS / 1000
+			key := otherTenant
+			if _, ok := s.cfg.TenantWeights[j.tenant]; ok {
+				key = j.tenant
+			}
+			waits[key] = append(waits[key], us)
+			waits["all"] = append(waits["all"], us)
 		}
 	}
-	add("all", "cosimd_phase_"+phaseQueueWait+"_micros")
-	add(otherTenant, "cosimd_phase_"+phaseQueueWait+"_micros_tenant_"+otherTenant)
-	for t := range p.weights {
-		add(t, "cosimd_phase_"+phaseQueueWait+"_micros_tenant_"+sanitizeTenant(t))
+	s.mu.Unlock()
+	out := make(map[string]Percentiles, len(waits))
+	for key, w := range waits {
+		slices.Sort(w)
+		out[key] = Percentiles{
+			Count: uint64(len(w)),
+			P50:   nearestRank(w, 50),
+			P95:   nearestRank(w, 95),
+			P99:   nearestRank(w, 99),
+		}
 	}
 	return out
+}
+
+// nearestRank returns the pct-th percentile of a sorted, non-empty
+// slice: its element at rank ⌈pct·n/100⌉.
+func nearestRank(sorted []uint64, pct int) uint64 {
+	return sorted[(pct*len(sorted)+99)/100-1]
 }
 
 // annotateRequestSpan stamps the request root span with its identity
@@ -105,58 +101,6 @@ func annotateRequestSpan(root *telemetry.Span, j *job) {
 	root.SetAttr("tenant", j.tenant)
 	root.SetAttr("spec", j.spec.Hash())
 	root.SetAttr("workload", j.spec.Workload)
-}
-
-// sweepSpanOf returns the execution child of the request root (the
-// span core opened under WithParentSpan: plansweep/* or
-// sampledsweep/*), or nil on cache-served requests.
-func sweepSpanOf(root *telemetry.Span) *telemetry.Span {
-	if root == nil {
-		return nil
-	}
-	for _, c := range root.Children {
-		switch c.Name {
-		case phaseQueueWait, phaseCacheLookup:
-			continue
-		}
-		return c
-	}
-	return nil
-}
-
-// recordRequestPhases folds a finished request's span tree into the
-// phase histograms: queue_wait and cache_lookup from their serving
-// spans, capture from the store's capture child, and the compute pass
-// into the analytic or emulate histogram depending on whether the plan
-// had emulation legs (both legs ride one bus pass, so their wall time
-// is attributed to the heavier engine rather than split arbitrarily).
-func (s *Server) recordRequestPhases(j *job, root *telemetry.Span) {
-	if root == nil {
-		return
-	}
-	for _, c := range root.Children {
-		switch c.Name {
-		case phaseQueueWait:
-			s.phases.observe(phaseQueueWait, j.tenant, time.Duration(c.WallNS))
-		case phaseCacheLookup:
-			s.phases.observe(phaseCacheLookup, j.tenant, time.Duration(c.WallNS))
-		}
-	}
-	sweep := sweepSpanOf(root)
-	if sweep == nil {
-		return
-	}
-	if cap := sweep.Find(phaseCapture); cap != nil {
-		s.phases.observe(phaseCapture, j.tenant, time.Duration(cap.WallNS))
-	}
-	phase := phaseAnalytic
-	if n, err := strconv.Atoi(sweep.Attrs["emulated_configs"]); err == nil && n > 0 {
-		phase = phaseEmulate
-	} else if sweep.Attrs["emulated_configs"] == "" && sweep.Attrs["analytic_configs"] == "" {
-		// sampledsweep trees (no planner attrs) replay into caches.
-		phase = phaseEmulate
-	}
-	s.phases.observe(phase, j.tenant, time.Duration(sweep.WallNS))
 }
 
 // emitRequestManifest appends the request's span tree to the manifest

@@ -3,6 +3,8 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,9 +21,8 @@ import (
 // TestRequestTraceReconciles is the tracing acceptance criterion: a
 // completed job exposes a sealed span tree whose serving phases —
 // queue wait, cache lookups, and the execution tree — account for the
-// request's measured wall latency, and the same phases land in the
-// cosimd_phase_* histograms, statusz percentiles, and the manifest
-// stream.
+// request's measured wall latency, statusz's queue-wait row is read
+// from the same tree, and the manifest stream carries it.
 func TestRequestTraceReconciles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep")
@@ -35,7 +36,6 @@ func TestRequestTraceReconciles(t *testing.T) {
 	defer man.Close()
 	s, ts := testServer(t, Config{Workers: 1, Manifest: man,
 		TenantWeights: map[string]int{"tracer": 1}})
-	reg := s.Registry()
 
 	st := await(t, ts, submit(t, ts, "tracer", tinySpecJSON(31, 1<<18, 1<<19)).ID)
 	if st.State != StateDone {
@@ -57,15 +57,21 @@ func TestRequestTraceReconciles(t *testing.T) {
 	if root.Attrs["tenant"] != "tracer" || root.Attrs["job"] != st.ID {
 		t.Errorf("root attrs = %v", root.Attrs)
 	}
-	if root.Find(phaseQueueWait) == nil {
-		t.Error("no queue_wait span")
+	queueWait := root.Find(phaseQueueWait)
+	if queueWait == nil {
+		t.Fatal("no queue_wait span")
 	}
 	if root.Find(phaseCacheLookup) == nil {
 		t.Error("no cache_lookup span")
 	}
-	sweep := sweepSpanOf(root)
-	if sweep == nil || !strings.HasPrefix(sweep.Name, "plansweep/") {
-		t.Fatalf("sweep span = %+v, want plansweep/*", sweep)
+	var sweep *telemetry.Span
+	for _, c := range root.Children {
+		if strings.HasPrefix(c.Name, "plansweep/") {
+			sweep = c
+		}
+	}
+	if sweep == nil {
+		t.Fatalf("root children = %+v, want a plansweep/* span", root.Children)
 	}
 	if sweep.Find("store") == nil || sweep.Find("capture") == nil {
 		t.Error("execution tree missing store/capture spans")
@@ -88,30 +94,12 @@ func TestRequestTraceReconciles(t *testing.T) {
 		t.Errorf("unattributed time %d ns of %d ns root exceeds tolerance %d ns", gap, root.WallNS, tol)
 	}
 
-	// Phase histograms: aggregate and per-tenant queue_wait observed.
-	if n := reg.Histogram("cosimd_phase_queue_wait_micros").Snapshot().Count; n == 0 {
-		t.Error("queue_wait histogram empty")
-	}
-	if n := reg.Histogram("cosimd_phase_queue_wait_micros_tenant_tracer").Snapshot().Count; n == 0 {
-		t.Error("per-tenant queue_wait histogram empty")
-	}
-
-	// statusz folds the same histograms into percentiles.
-	resp, err := http.Get(ts.URL + "/v1/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stz Statusz
-	err = json.NewDecoder(resp.Body).Decode(&stz)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := stz.QueueWait["all"]; !ok {
-		t.Errorf("statusz queue_wait missing aggregate: %v", stz.QueueWait)
-	}
-	if p, ok := stz.QueueWait["tracer"]; !ok || p.Count == 0 {
-		t.Errorf("statusz queue_wait missing tenant: %v", stz.QueueWait)
+	// statusz reads the job's one wait from the same span, in whole µs.
+	us := queueWait.WallNS / 1000
+	want := Percentiles{Count: 1, P50: us, P95: us, P99: us}
+	stz := statusz(t, s)
+	if stz.QueueWait["tracer"] != want || stz.QueueWait["all"] != want {
+		t.Errorf("statusz queue_wait = %+v, want tracer and all %+v", stz.QueueWait, want)
 	}
 
 	// The manifest stream carries the same trace, correlated by ID.
@@ -170,11 +158,72 @@ func TestCachedRequestTrace(t *testing.T) {
 	if st.Trace == nil || st.Trace.WallNS == 0 {
 		t.Fatal("cached request must still carry a sealed trace")
 	}
-	if st.Trace.Find(phaseCacheLookup) == nil {
-		t.Error("cached request trace missing cache_lookup span")
+	if c := st.Trace.Children; len(c) != 1 || c[0].Name != phaseCacheLookup {
+		t.Errorf("cache-served request's root children = %+v, want cache_lookup alone", c)
 	}
-	if sweepSpanOf(st.Trace) != nil {
-		t.Error("cache-served request must have no execution span")
+}
+
+// statusz reads s's GET /v1/statusz body.
+func statusz(t *testing.T, s *Server) Statusz {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/statusz", nil))
+	var stz Statusz
+	if err := json.NewDecoder(rec.Body).Decode(&stz); err != nil {
+		t.Fatal(err)
+	}
+	return stz
+}
+
+// TestStatuszQueueWaitPercentiles pins statusz's queue-wait rows:
+// nearest-rank percentiles over the queue_wait spans of the retained
+// terminal jobs, one row per configured tenant, "other" and "all".
+func TestStatuszQueueWaitPercentiles(t *testing.T) {
+	const retain = 128
+	s := New(Config{TenantWeights: map[string]int{"a": 1}, RetainJobs: retain})
+	seq := 0
+	// add registers a job of tenant whose root holds one child span
+	// named phase, lasting d; a terminal job is sealed and finished.
+	add := func(tenant, phase string, d time.Duration, terminal bool) {
+		seq++
+		j := newJob(fmt.Sprintf("job-%06d", seq), tenant, nil, time.Now())
+		j.trace = telemetry.StartSpan("request")
+		j.trace.AddTimedChild(phase, 0, uint64(d))
+		s.registerJob(j)
+		if terminal {
+			j.trace.End()
+			j.finish(nil, false, time.Now())
+		}
+	}
+	for i := 1; i <= 100; i++ {
+		add("a", phaseQueueWait, time.Duration(i)*time.Millisecond, true)
+	}
+	for _, tenant := range []string{"x", "y", "z"} {
+		add(tenant, phaseQueueWait, time.Millisecond, true)
+	}
+	add("a", phaseQueueWait, time.Hour, false)         // still queued
+	add("a", phaseCacheLookup, time.Millisecond, true) // served at admission
+
+	// "all" sorts four 1 ms waits ahead of 2..100 ms: ranks 52, 98 and
+	// 102 of 103 are 49, 95 and 99 ms.
+	want := map[string]Percentiles{
+		"a":     {Count: 100, P50: 50_000, P95: 95_000, P99: 99_000},
+		"other": {Count: 3, P50: 1_000, P95: 1_000, P99: 1_000},
+		"all":   {Count: 103, P50: 49_000, P95: 95_000, P99: 99_000},
+	}
+	if got := statusz(t, s).QueueWait; !maps.Equal(got, want) {
+		t.Errorf("queue_wait_micros = %+v, want %+v", got, want)
+	}
+
+	// RetainJobs more terminal jobs evict every older terminal one and
+	// the oldest new one: the queued job keeps its slot.
+	for i := 0; i < retain; i++ {
+		add("b", phaseQueueWait, 7*time.Millisecond, true)
+	}
+	row := Percentiles{Count: retain - 1, P50: 7_000, P95: 7_000, P99: 7_000}
+	want = map[string]Percentiles{"other": row, "all": row}
+	if got := statusz(t, s).QueueWait; !maps.Equal(got, want) {
+		t.Errorf("after eviction queue_wait_micros = %+v, want %+v", got, want)
 	}
 }
 

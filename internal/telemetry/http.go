@@ -75,7 +75,6 @@ func promName(name string) string {
 
 // WritePrometheus renders every registered metric in the Prometheus
 // text exposition format, names sorted for deterministic output.
-// Histograms render with cumulative le buckets, _sum, and _count.
 func WritePrometheus(w io.Writer, r *Registry) {
 	if r == nil {
 		return
@@ -88,18 +87,5 @@ func WritePrometheus(w io.Writer, r *Registry) {
 	for _, name := range sortedKeys(snap.Gauges) {
 		n := promName(name)
 		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, snap.Gauges[name])
-	}
-	for _, name := range sortedKeys(snap.Histograms) {
-		n := promName(name)
-		h := snap.Histograms[name]
-		fmt.Fprintf(w, "# TYPE %s histogram\n", n)
-		var cum uint64
-		for _, b := range h.Buckets {
-			cum += b.Count
-			fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", n, b.UpperBound, cum)
-		}
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, h.Count)
-		fmt.Fprintf(w, "%s_sum %d\n", n, h.Sum)
-		fmt.Fprintf(w, "%s_count %d\n", n, h.Count)
 	}
 }

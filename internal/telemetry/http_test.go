@@ -30,7 +30,6 @@ func TestHandlerSurfaces(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("fsb_events_total").Add(77)
 	r.Gauge("tracestore_bytes_resident").Set(1024)
-	r.Histogram("fsb_batch_occupancy").Observe(4096)
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
 

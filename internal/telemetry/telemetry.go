@@ -1,5 +1,5 @@
 // Package telemetry is the observability substrate of the co-simulation
-// toolkit: a lock-free counter/gauge/histogram registry the simulator's
+// toolkit: a lock-free counter/gauge registry the simulator's
 // packages register into, span-style run tracing, machine-readable run
 // manifests (JSONL), and an HTTP surface serving Prometheus text format
 // and net/http/pprof. A registry is built by its owner (cosim, cosimd,
@@ -12,8 +12,8 @@
 //
 // Design rules:
 //
-//   - Disabled is free. Every handle type (*Counter, *Gauge,
-//     *Histogram, *Span, *Sink) is nil-safe: a nil receiver is a no-op,
+//   - Disabled is free. Every handle type (*Counter, *Gauge, *Span,
+//     *Sink) is nil-safe: a nil receiver is a no-op,
 //     so instrumented code pays one predictable branch when telemetry
 //     is off. A nil *Registry hands out nil handles.
 //   - Enabled is lock-free on the write path: a counter is one atomic
@@ -25,7 +25,6 @@
 package telemetry
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,117 +84,20 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// histBuckets is the bucket count of the power-of-two histogram:
-// bucket i counts observations v with bits.Len64(v) == i, i.e.
-// v in [2^(i-1), 2^i); bucket 0 counts v == 0.
-const histBuckets = 65
-
-// Histogram is a power-of-two-bucketed distribution (batch occupancy,
-// queue depth). Observations are low-frequency (per batch, not per
-// event), so buckets are plain atomics, as a counter is.
-type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	buckets [histBuckets]atomic.Uint64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
-}
-
-// HistBucket is one non-empty histogram bucket: Count observations were
-// <= UpperBound (per-bucket, not cumulative).
-type HistBucket struct {
-	UpperBound uint64 `json:"le"`
-	Count      uint64 `json:"count"`
-}
-
-// HistSnapshot is a point-in-time histogram reading.
-type HistSnapshot struct {
-	Count   uint64       `json:"count"`
-	Sum     uint64       `json:"sum"`
-	Buckets []HistBucket `json:"buckets,omitempty"`
-}
-
-// Snapshot captures a point-in-time reading of the histogram. A nil
-// handle yields an empty snapshot.
-func (h *Histogram) Snapshot() HistSnapshot {
-	if h == nil {
-		return HistSnapshot{}
-	}
-	return h.snapshot()
-}
-
-// Quantile returns an upper-bound estimate of the q-quantile (q in
-// [0,1]) from the power-of-two buckets: the bound of the first bucket
-// whose cumulative count reaches ceil(q·Count). Precision is a factor
-// of two by construction — right for "is p99 queue wait milliseconds
-// or seconds", not for microsecond-exact SLO math.
-func (s HistSnapshot) Quantile(q float64) uint64 {
-	if s.Count == 0 || len(s.Buckets) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	f := q * float64(s.Count)
-	target := uint64(f)
-	if float64(target) < f || target == 0 {
-		target++ // ceil, and at least one observation
-	}
-	if target > s.Count {
-		target = s.Count
-	}
-	var cum uint64
-	for _, b := range s.Buckets {
-		cum += b.Count
-		if cum >= target {
-			return b.UpperBound
-		}
-	}
-	return s.Buckets[len(s.Buckets)-1].UpperBound
-}
-
-// snapshot captures the histogram. Buckets include only non-empty bins.
-func (h *Histogram) snapshot() HistSnapshot {
-	s := HistSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
-	for i := 0; i < histBuckets; i++ {
-		if n := h.buckets[i].Load(); n > 0 {
-			ub := uint64(0)
-			if i > 0 {
-				ub = (uint64(1) << uint(i)) - 1
-			}
-			s.Buckets = append(s.Buckets, HistBucket{UpperBound: ub, Count: n})
-		}
-	}
-	return s
-}
-
 // Registry is a named-metric registry. Registration takes a mutex
 // (construction-time only); metric writes are lock-free. A nil registry
 // hands out nil (no-op) handles, which is the disabled fast path.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
 	}
 }
 
@@ -208,11 +110,6 @@ func (r *Registry) Counter(name string) *Counter {
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	return handle(r, func(r *Registry) map[string]*Gauge { return r.gauges }, name)
-}
-
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	return handle(r, func(r *Registry) map[string]*Histogram { return r.histograms }, name)
 }
 
 // handle returns the metric named name in the map of r that kind
@@ -234,9 +131,8 @@ func handle[T any](r *Registry, kind func(*Registry) map[string]*T, name string)
 
 // Snapshot is a point-in-time reading of every registered metric.
 type Snapshot struct {
-	Counters   map[string]uint64       `json:"counters,omitempty"`
-	Gauges     map[string]int64        `json:"gauges,omitempty"`
-	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
+	Counters map[string]uint64 `json:"counters,omitempty"`
+	Gauges   map[string]int64  `json:"gauges,omitempty"`
 }
 
 // Snapshot reads every metric. The reads are atomic but not taken
@@ -249,18 +145,14 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Snapshot{
-		Counters:   make(map[string]uint64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistSnapshot, len(r.histograms)),
+		Counters: make(map[string]uint64, len(r.counters)),
+		Gauges:   make(map[string]int64, len(r.gauges)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.histograms {
-		s.Histograms[name] = h.snapshot()
 	}
 	return s
 }

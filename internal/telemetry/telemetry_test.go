@@ -27,8 +27,7 @@ func TestNilHandlesAreFree(t *testing.T) {
 	var r *Registry
 	c := r.Counter("a")
 	g := r.Gauge("b")
-	h := r.Histogram("c")
-	if c != nil || g != nil || h != nil {
+	if c != nil || g != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	// All no-ops, no panics.
@@ -36,7 +35,6 @@ func TestNilHandlesAreFree(t *testing.T) {
 	c.Add(7)
 	g.Set(1)
 	g.Add(-1)
-	h.Observe(3)
 	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil handles must read as zero")
 	}
@@ -96,33 +94,10 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("batch_occupancy")
-	for _, v := range []uint64{0, 1, 2, 3, 4, 1024} {
-		h.Observe(v)
-	}
-	s := h.snapshot()
-	if s.Count != 6 || s.Sum != 1034 {
-		t.Fatalf("snapshot = %+v", s)
-	}
-	// v=0 -> le 0; v=1 -> le 1; v=2,3 -> le 3; v=4 -> le 7; 1024 -> le 2047.
-	want := []HistBucket{{0, 1}, {1, 1}, {3, 2}, {7, 1}, {2047, 1}}
-	if len(s.Buckets) != len(want) {
-		t.Fatalf("buckets = %+v", s.Buckets)
-	}
-	for i, b := range want {
-		if s.Buckets[i] != b {
-			t.Errorf("bucket %d = %+v, want %+v", i, s.Buckets[i], b)
-		}
-	}
-}
-
 func TestSnapshotAndPrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("events_total").Add(5)
 	r.Gauge("depth").Set(-2)
-	r.Histogram("occ").Observe(3)
 	snap := r.Snapshot()
 	if snap.Counters["events_total"] != 5 || snap.Gauges["depth"] != -2 {
 		t.Fatalf("snapshot = %+v", snap)
@@ -133,10 +108,6 @@ func TestSnapshotAndPrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE events_total counter\nevents_total 5\n",
 		"# TYPE depth gauge\ndepth -2\n",
-		"# TYPE occ histogram\n",
-		"occ_bucket{le=\"+Inf\"} 1\n",
-		"occ_sum 3\n",
-		"occ_count 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q in:\n%s", want, out)

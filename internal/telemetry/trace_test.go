@@ -60,44 +60,6 @@ func TestSpanFindAndSerialChildSum(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat")
-	// 90 fast observations and 10 slow ones: p50 lands in the fast
-	// bucket, p99 in the slow one. Pow2 buckets give upper bounds.
-	for i := 0; i < 90; i++ {
-		h.Observe(100) // bucket le 127
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(5000) // bucket le 8191
-	}
-	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count = %d", s.Count)
-	}
-	if got := s.Quantile(0.50); got != 127 {
-		t.Errorf("p50 = %d, want 127", got)
-	}
-	if got := s.Quantile(0.99); got != 8191 {
-		t.Errorf("p99 = %d, want 8191", got)
-	}
-	// Degenerate and clamped inputs.
-	if got := s.Quantile(0); got != 127 {
-		t.Errorf("q=0 = %d, want first bucket bound", got)
-	}
-	if got := s.Quantile(2); got != 8191 {
-		t.Errorf("q>1 = %d, want last bucket bound", got)
-	}
-	var empty HistSnapshot
-	if got := empty.Quantile(0.5); got != 0 {
-		t.Errorf("empty quantile = %d, want 0", got)
-	}
-	var nilH *Histogram
-	if s := nilH.Snapshot(); s.Count != 0 {
-		t.Error("nil histogram snapshot must be empty")
-	}
-}
-
 func TestManifestRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.jsonl")
