@@ -129,6 +129,19 @@ func TestGoldenLLCOrg(t *testing.T) {
 	goldenCompare(t, "llcorg.json", rows)
 }
 
+// TestGoldenDRAMCache pins the DRAM-LLC study: three timing machines
+// (no L3, SRAM L3, DRAM L3) on 32 cores, all on one DL1 geometry.
+func TestGoldenDRAMCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden runs are slow")
+	}
+	rows, err := DRAMCacheStudy(nil, goldenParams(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, "dramcache.json", rows)
+}
+
 // TestGoldenPlannerNeutralExhibits re-runs the hierarchy-based golden
 // exhibits with the emulate engine forced: a timing hierarchy is never
 // planned (per-level timing and prefetch are outside the stack-distance
