@@ -324,32 +324,6 @@ func BenchmarkLLCOrganization(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCoherence measures what the paper's coherence-free
-// shared-LLC methodology hides: the cycle cost of private-cache
-// invalidations for a shared-working-set workload.
-func BenchmarkAblationCoherence(b *testing.B) {
-	for _, coherent := range []bool{false, true} {
-		b.Run(fmt.Sprintf("coherent=%v", coherent), func(b *testing.B) {
-			var cycles float64
-			var invs uint64
-			for i := 0; i < b.N; i++ {
-				hc := cmpmem.Xeon16(8, benchScale, nil)
-				hc.Coherent = coherent
-				res, _, err := core.RunHier("SVM-RFE",
-					workloads.Params{Seed: 1, Scale: benchScale},
-					core.PlatformConfig{Threads: 8, Seed: 1}, []cmpmem.HierConfig{hc})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = res[0].Cycles
-				invs = res[0].Invalidations
-			}
-			b.ReportMetric(cycles/1e6, "Mcycles")
-			b.ReportMetric(float64(invs), "invalidations")
-		})
-	}
-}
-
 // captureRefs records a workload's reference stream once for the
 // ablation benchmarks.
 func captureRefs(b *testing.B, name string, threads int) []trace.Ref {

@@ -280,7 +280,7 @@ type Cache struct {
 	// 8-byte-per-set array rather than a dependent walk into the tag
 	// array. A hint hit under LRU needs no promotion: the hinted way
 	// was rank 0 when hinted and only loses rank 0 to an event that
-	// rewrites the hint (Invalidate clears it).
+	// rewrites the hint.
 	mruTag []uint64
 	mru    []uint8
 
@@ -910,67 +910,10 @@ func (c *Cache) Fill(addr mem.Addr, core uint8) bool {
 	return true
 }
 
-// Invalidate drops the line containing addr if present, returning whether
-// it was resident and dirty (i.e. a writeback would be required).
-func (c *Cache) Invalidate(addr mem.Addr) (resident, dirty bool) {
-	blk := uint64(addr) >> c.lineShift
-	set := int(blk & c.setMask)
-	base := set * c.assoc
-	for i := 0; i < c.assoc; i++ {
-		idx := base + i
-		if c.tags[idx] != blk {
-			continue
-		}
-		d := c.flags[idx]&flagDirty != 0
-		if c.flags[idx]&flagPF != 0 {
-			c.pfLive--
-		}
-		if c.rankPath {
-			c.mruTag[set] = invalidTag
-			// The dropped way becomes the next victim: ways behind it
-			// close the gap, it takes rank assoc-1. Cold path — a plain
-			// byte loop keeps it obvious.
-			r := c.rankOf(set, i)
-			for j := 0; j < c.assoc; j++ {
-				if rj := c.rankOf(set, j); rj > r && rj < c.assoc {
-					c.setRank(set, j, rj-1)
-				}
-			}
-			c.setRank(set, i, c.assoc-1)
-			c.tags[idx] = invalidTag
-			c.flags[idx] = 0
-			if c.sectors != nil {
-				c.sectors[idx] = 0
-			}
-		} else {
-			copy(c.tags[idx:base+c.assoc], c.tags[idx+1:base+c.assoc])
-			copy(c.flags[idx:base+c.assoc], c.flags[idx+1:base+c.assoc])
-			if c.sectors != nil {
-				copy(c.sectors[idx:base+c.assoc], c.sectors[idx+1:base+c.assoc])
-			}
-			last := base + c.assoc - 1
-			c.tags[last] = invalidTag
-			c.flags[last] = 0
-			if c.sectors != nil {
-				c.sectors[last] = 0
-			}
-		}
-		return true, d
-	}
-	return false, false
-}
-
 // rankOf reads the packed rank byte of one way (rank path only).
 func (c *Cache) rankOf(set, way int) int {
 	w := c.ranks[set*c.rankWords+way>>3]
 	return int((w >> (uint(way&7) * 8)) & 0xff)
-}
-
-// setRank writes the packed rank byte of one way (rank path only).
-func (c *Cache) setRank(set, way, r int) {
-	idx := set*c.rankWords + way>>3
-	shift := uint(way&7) * 8
-	c.ranks[idx] = c.ranks[idx]&^(0xff<<shift) | uint64(r)<<shift
 }
 
 // Snapshot dumps the resident line tags of every set. For the LRU and

@@ -131,22 +131,6 @@ func TestPerCoreStats(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c, _ := New(cfg(1<<12, 64, 4))
-	c.Access(0x40, 8, mem.Store, 0)
-	res, dirty := c.Invalidate(0x40)
-	if !res || !dirty {
-		t.Errorf("Invalidate = (%v,%v), want (true,true)", res, dirty)
-	}
-	if c.Contains(0x40) {
-		t.Error("line still resident after Invalidate")
-	}
-	res, _ = c.Invalidate(0x40)
-	if res {
-		t.Error("second Invalidate should find nothing")
-	}
-}
-
 func TestFill(t *testing.T) {
 	c, _ := New(cfg(1<<12, 64, 4))
 	if !c.Fill(0x80, 0) {

@@ -8,9 +8,12 @@ import (
 
 	"cmpmem/internal/cache"
 	"cmpmem/internal/dragonhead"
+	"cmpmem/internal/fsb"
 	"cmpmem/internal/hier"
+	"cmpmem/internal/mem"
 	"cmpmem/internal/trace"
 	"cmpmem/internal/tracestore"
+	"cmpmem/internal/verify"
 	"cmpmem/internal/workloads"
 )
 
@@ -60,6 +63,74 @@ func TestRunHierRejectsBadConfig(t *testing.T) {
 	bad.Cores = 0
 	if _, _, err := RunHier("PLSA", tinyParams(), PlatformConfig{Threads: 1}, []hier.Config{hier.PentiumIV(1), bad}); err == nil {
 		t.Fatal("invalid hierarchy accepted")
+	}
+}
+
+// twoLevel is the independent model of a prefetch-off, L3-less
+// hierarchy's private caches: per core, a reference DL1 fed that core's
+// stream split into lines, and a reference DL2 fed only the DL1's
+// misses. verify.BusAdapter supplies the window.
+type twoLevel struct {
+	l1, l2 []*verify.RefCache
+	line   uint64
+}
+
+func (t *twoLevel) Access(addr mem.Addr, size uint8, kind mem.Kind, core uint8) int {
+	if int(core) >= len(t.l1) {
+		return 0
+	}
+	last := (uint64(addr) + uint64(max(size, 1)) - 1) / t.line
+	for blk := uint64(addr) / t.line; blk <= last; blk++ {
+		if t.l1[core].Access(mem.Addr(blk*t.line), 1, kind, core) == 1 {
+			t.l2[core].Access(mem.Addr(blk*t.line), 1, kind, core)
+		}
+	}
+	return 0
+}
+
+// TestHierCachesMatchReference holds the DL1 stage and a back end's DL2s
+// to the independent reference cache, level by level.
+func TestHierCachesMatchReference(t *testing.T) {
+	const cores = 4
+	p := tinyParams()
+	hc := hier.Xeon16(cores, p.Scale, nil)
+	for _, name := range []string{"SHOT", "PLSA"} {
+		ref := &twoLevel{line: hc.DL1.LineSize}
+		for c := 0; c < cores; c++ {
+			l1, err := verify.NewRefCache(hc.DL1.Size, hc.DL1.LineSize, hc.DL1.Assoc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l2, err := verify.NewRefCache(hc.DL2.Size, hc.DL2.LineSize, hc.DL2.Assoc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.l1, ref.l2 = append(ref.l1, l1), append(ref.l2, l2)
+		}
+		observers := []fsb.Snooper{&verify.BusAdapter{Target: ref}}
+		_, res, _, err := sweep(name, p, PlatformConfig{Threads: cores}, nil, []hier.Config{hc}, observers, applyOpts(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range []struct {
+			name string
+			got  cache.Stats
+			refs []*verify.RefCache
+		}{{"DL1", res[0].L1, ref.l1}, {"DL2", res[0].L2, ref.l2}} {
+			var want cache.Stats
+			for _, r := range level.refs {
+				want.Accesses += r.Accesses()
+				want.Misses += r.Misses()
+				want.Loads += r.Loads()
+				want.Stores += r.Stores()
+				want.LoadMisses += r.LoadMisses()
+			}
+			got := cache.Stats{Accesses: level.got.Accesses, Misses: level.got.Misses,
+				Loads: level.got.Loads, Stores: level.got.Stores, LoadMisses: level.got.LoadMisses}
+			if got != want || want.Misses == 0 || want.Stores == 0 {
+				t.Errorf("%s %s: hier %+v, reference %+v", name, level.name, got, want)
+			}
+		}
 	}
 }
 

@@ -67,21 +67,21 @@ func CombinedSweep(name string, p workloads.Params, pc PlatformConfig, grids [][
 
 // HierResult is the outcome of one timing-hierarchy config.
 type HierResult struct {
-	IPC           float64
-	Cycles        float64
-	L1            cache.Stats
-	L2            cache.Stats
-	L3            cache.Stats // zero unless the config had an L3
-	Prefetches    hier.PrefetchReport
-	Invalidations uint64 // zero unless the config was Coherent
+	IPC        float64
+	Cycles     float64
+	L1         cache.Stats
+	L2         cache.Stats
+	L3         cache.Stats // zero unless the config had an L3
+	Prefetches hier.PrefetchReport
 }
 
 // RunHier runs the named workload once while timing every given
 // per-core L1/L2 hierarchy config (the Table 2 profiler and Figure 8
-// testbed) on one pass over its bus stream: one hier.Machine per config,
-// all co-snooping the same execution like LLCSweep's emulators. The
-// results mirror hcs. A hierarchy is always timed over the whole
-// stream, so WithSampling does not apply.
+// testbed) on one pass over its bus stream: one hier.Machine per config
+// behind one DL1 stage per distinct (Cores, DL1), all co-snooping the
+// same execution like LLCSweep's emulators. The results mirror hcs. A
+// hierarchy is always timed over the whole stream, so WithSampling does
+// not apply.
 func RunHier(name string, p workloads.Params, pc PlatformConfig, hcs []hier.Config, opts ...RunOption) ([]HierResult, RunSummary, error) {
 	ro := applyOpts(opts)
 	ro.sampling = SamplingOff
@@ -272,15 +272,14 @@ func newExactPass(plan *SweepPlan, observers []fsb.Snooper, ro runOpts) (sweepPa
 		}
 		x.snoopers = append(x.snoopers, x.emus[i])
 	}
-	for _, hc := range plan.Hiers {
-		m, err := hier.New(hc)
-		if err != nil {
-			return nil, err
-		}
-		x.machines = append(x.machines, m)
-		x.snoopers = append(x.snoopers, m)
+	machines, stages, err := hier.New(plan.Hiers...)
+	if err != nil {
+		return nil, err
 	}
-	x.snoopers = append(x.snoopers, observers...)
+	ro.span.SetAttr("hier_machines", strconv.Itoa(len(machines)))
+	ro.span.SetAttr("dl1_stages", strconv.Itoa(len(stages)))
+	x.machines = machines
+	x.snoopers = append(append(x.snoopers, stages...), observers...)
 	return x, nil
 }
 
@@ -311,13 +310,12 @@ func (x *exactPass) result(i int) LLCResult {
 func (x *exactPass) hierResult(j int) HierResult {
 	m := x.machines[j]
 	return HierResult{
-		IPC:           m.IPC(),
-		Cycles:        m.Cycles(),
-		L1:            m.L1Stats(),
-		L2:            m.L2Stats(),
-		L3:            m.L3Stats(),
-		Prefetches:    m.Prefetches(),
-		Invalidations: m.Invalidations(),
+		IPC:        m.IPC(),
+		Cycles:     m.Cycles(),
+		L1:         m.L1Stats(),
+		L2:         m.L2Stats(),
+		L3:         m.L3Stats(),
+		Prefetches: m.Prefetches(),
 	}
 }
 

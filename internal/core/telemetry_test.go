@@ -191,7 +191,7 @@ func TestHierManifest(t *testing.T) {
 	sink := sinkForTest(&buf, &prog)
 	p := workloads.Params{Seed: 3, Scale: 0.002}
 	pf := prefetch.DefaultConfig(64)
-	hcs := []hier.Config{hier.PentiumIV(p.Scale), hier.Xeon16(1, p.Scale, &pf)}
+	hcs := []hier.Config{hier.PentiumIV(p.Scale), hier.Xeon16(1, p.Scale, nil), hier.Xeon16(1, p.Scale, &pf)}
 	res, sum, err := RunHier("SHOT", p, PlatformConfig{Threads: 1, Seed: 3}, hcs, WithTelemetry(sink))
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +203,8 @@ func TestHierManifest(t *testing.T) {
 	m := ms[0]
 	if m.Kind != "plansweep" || m.Trace == nil || m.Trace.Name != "plansweep/SHOT" {
 		t.Errorf("kind %q, root span %+v; want a plansweep", m.Kind, m.Trace)
+	} else if a := m.Trace.Attrs; a["hier_machines"] != "3" || a["dl1_stages"] != "2" {
+		t.Errorf("root span attrs %v: want 3 machines on 2 DL1 stages (the Xeons share one)", a)
 	}
 	var want []telemetry.HierRecord
 	for _, r := range res {

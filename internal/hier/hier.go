@@ -1,6 +1,6 @@
-// Package hier models a per-core cache hierarchy (DL1 + DL2) in front of
-// main memory, with an in-order timing model. It plays two roles from
-// the paper:
+// Package hier models a per-core cache hierarchy (DL1 + DL2, optionally
+// a shared L3) in front of main memory, with an in-order timing model.
+// It plays two roles from the paper:
 //
 //   - the VTune-instrumented Pentium 4 (8 KB L1, 512 KB L2) that produced
 //     Table 2's single-threaded workload characteristics (IPC, instruction
@@ -8,6 +8,13 @@
 //   - the 16-way Xeon SMP used for the Figure 8 hardware-prefetching
 //     study, where per-core stride prefetchers compete with demand misses
 //     for front-side-bus bandwidth.
+//
+// Like the paper's emulator it is a chain of filters: the AF passes the
+// measurement window, a DL1 stage (stage.go) touches each in-window line
+// in its core's DL1, and every back end (a Machine: DL2s, L3, prefetchers,
+// bus window and stall account) sees only the DL1's misses. Nothing below
+// the DL1 writes into it, so machines that agree on (Cores, DL1) share
+// one stage and get exactly what each would get alone.
 //
 // The timing model is deliberately simple and documented: a base CPI for
 // issue/execute, plus a per-miss stall, with streaming (unit-stride)
@@ -24,7 +31,6 @@ import (
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/mem"
 	"cmpmem/internal/prefetch"
-	"cmpmem/internal/trace"
 	"cmpmem/internal/workloads"
 )
 
@@ -51,9 +57,6 @@ type Latencies struct {
 	// QueueFactor scales added memory latency under bus contention:
 	// extra = Mem * QueueFactor * max(0, utilization-queueFloor).
 	QueueFactor float64
-	// InvCost is the stall charged to a store that must invalidate
-	// remote copies (Coherent mode only).
-	InvCost float64
 }
 
 // queueFloor is the bus utilization at which queueing delay begins.
@@ -62,7 +65,7 @@ const queueFloor = 0.4
 // DefaultLatencies approximates the paper's 3 GHz-era machines.
 func DefaultLatencies() Latencies {
 	return Latencies{BaseCPI: 0.8, L2Hit: 18, L3Hit: 120, Mem: 400,
-		StreamOverlap: 4, PfHit: 70, QueueFactor: 2, InvCost: 40}
+		StreamOverlap: 4, PfHit: 70, QueueFactor: 2}
 }
 
 // pfDropUtil is the bus utilization above which prefetches are dropped.
@@ -82,12 +85,6 @@ type Config struct {
 	// paper's proposed DRAM-based large LLCs (eDRAM / off-die DRAM /
 	// 3D-stacked): huge capacity, hit latency between SRAM and DRAM.
 	L3 *cache.Config
-	// Coherent enables invalidation-based coherence between the
-	// private hierarchies: a store invalidates the line in every other
-	// core's DL1/DL2 (directory-tracked, conservatively). The paper's
-	// Dragonhead emulated a shared LLC and did not model private-cache
-	// coherence; this switch quantifies what that omission hides.
-	Coherent bool
 	// Prefetch, if non-nil, enables a per-core stride prefetcher that
 	// trains on DL2 accesses and fills DL2, subject to bus bandwidth.
 	Prefetch *prefetch.Config
@@ -173,9 +170,8 @@ func (c Config) Validate() error {
 // timing model tracks per core (hardware MSHR/stream buffers).
 const missStreams = 4
 
-// coreState is the private hierarchy of one core.
+// coreState is the private hierarchy of one core below its DL1.
 type coreState struct {
-	l1      *cache.Cache
 	l2      *cache.Cache
 	pf      *prefetch.Prefetcher
 	streams [missStreams]uint64 // recent miss line numbers
@@ -183,15 +179,15 @@ type coreState struct {
 	pfBuf   []mem.Addr
 }
 
-// Machine is the modelled multiprocessor. It implements fsb.Snooper so
-// it can sit on the same bus as the Dragonhead emulator, and like it
-// times only the transactions inside the start/stop window.
+// Machine is one modelled multiprocessor: the back end behind a DL1
+// stage, which feeds it one clock tick per in-window reference and one
+// serviceL2 call per DL1-miss line.
 type Machine struct {
 	cfg   Config
+	st    *stage // the AF and the DL1s this machine reads its misses from
 	cores []*coreState
 	l3    *cache.Cache // shared LLC, nil unless Config.L3 is set
 	bw    *fsb.Bandwidth
-	af    fsb.AF
 
 	stall float64 // accumulated stall cycles
 
@@ -207,38 +203,17 @@ type Machine struct {
 	pfDropped   uint64
 	pfIssued    uint64
 	l2LineShift uint
-
-	// Coherence directory: line number -> bitmask of cores that may
-	// hold the line. Conservative (sharers are never removed on silent
-	// eviction; stale entries self-correct because invalidating a
-	// non-resident line is a no-op).
-	directory     map[uint64]sharerMask
-	invalidations uint64
 }
 
-// sharerMask is a 128-core bitset.
-type sharerMask [2]uint64
-
-func (s *sharerMask) set(core uint8)      { s[core>>6] |= 1 << (core & 63) }
-func (s *sharerMask) clearAll(core uint8) { *s = sharerMask{}; s.set(core) }
-func (s sharerMask) othersThan(core uint8) sharerMask {
-	s[core>>6] &^= 1 << (core & 63)
-	return s
-}
-func (s sharerMask) empty() bool { return s[0] == 0 && s[1] == 0 }
-
-// New builds the machine.
-func New(cfg Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// newMachine builds the back end of one validated config.
+func newMachine(cfg Config, st *stage) (*Machine, error) {
 	if cfg.BusWindowCycles == 0 {
 		cfg.BusWindowCycles = 10_000
 	}
 	if cfg.BusCapacity == 0 {
 		cfg.BusCapacity = 6 * cfg.BusWindowCycles
 	}
-	m := &Machine{cfg: cfg, bw: fsb.NewBandwidth(8, 4)}
+	m := &Machine{cfg: cfg, st: st, bw: fsb.NewBandwidth(8, 4)}
 	if cfg.L3 != nil {
 		l3, err := cache.New(*cfg.L3)
 		if err != nil {
@@ -253,9 +228,6 @@ func New(cfg Config) (*Machine, error) {
 	for i := 0; i < cfg.Cores; i++ {
 		cs := &coreState{}
 		var err error
-		if cs.l1, err = cache.New(cfg.DL1); err != nil {
-			return nil, err
-		}
 		if cs.l2, err = cache.New(cfg.DL2); err != nil {
 			return nil, err
 		}
@@ -272,81 +244,21 @@ func New(cfg Config) (*Machine, error) {
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// OnRef implements fsb.Snooper: one memory instruction from some core.
-func (m *Machine) OnRef(r trace.Ref) {
-	if !m.af.Ref(r) || int(r.Core) >= len(m.cores) {
-		return
-	}
-	// Advance wall time and roll the bus window.
+// tick advances wall time by one in-window reference and rolls the bus
+// window.
+func (m *Machine) tick() {
 	m.timeNow += m.timePerRef
 	if m.timeNow-m.windowStart >= float64(m.cfg.BusWindowCycles) {
 		m.windowStart = m.timeNow
 		m.windowDemand = 0
 		m.windowPf = 0
 	}
-	cs := m.cores[r.Core]
-	// Touch each line of the access individually so that exactly the
-	// missing lines — and only those — are serviced through L2 (a
-	// straddling access may hit in its first line and miss in its
-	// second).
-	lineSize := m.cfg.DL1.LineSize
-	first := cs.l1.LineAddr(r.Addr)
-	last := cs.l1.LineAddr(r.Addr + mem.Addr(r.Size) - 1)
-	for lineAddr := first; lineAddr <= last; lineAddr += mem.Addr(lineSize) {
-		if m.cfg.Coherent {
-			m.coherence(lineAddr, r.Kind, r.Core)
-		}
-		if cs.l1.Touch(lineAddr, r.Kind, r.Core) {
-			m.serviceL2(cs, lineAddr, r.Kind, r.Core)
-		}
-	}
 }
-
-// coherence applies the invalidation protocol for one line access: a
-// store removes the line from every other core's private hierarchy and
-// pays the invalidation round trip; any access records the issuer as a
-// sharer.
-func (m *Machine) coherence(lineAddr mem.Addr, kind mem.Kind, core uint8) {
-	if m.directory == nil {
-		m.directory = make(map[uint64]sharerMask, 1<<16)
-	}
-	blk := uint64(lineAddr) >> m.l2LineShift
-	mask := m.directory[blk]
-	if kind == mem.Store {
-		if others := mask.othersThan(core); !others.empty() {
-			invalidated := false
-			for c := range m.cores {
-				if uint8(c) == core {
-					continue
-				}
-				if others[c>>6]&(1<<(uint(c)&63)) == 0 {
-					continue
-				}
-				r1, _ := m.cores[c].l1.Invalidate(lineAddr)
-				r2, _ := m.cores[c].l2.Invalidate(lineAddr)
-				if r1 || r2 {
-					invalidated = true
-					m.invalidations++
-				}
-			}
-			if invalidated {
-				m.stall += m.cfg.Lat.InvCost
-			}
-		}
-		mask.clearAll(core)
-	} else {
-		mask.set(core)
-	}
-	m.directory[blk] = mask
-}
-
-// Invalidations returns the coherence-invalidation count (zero unless
-// Coherent mode is on).
-func (m *Machine) Invalidations() uint64 { return m.invalidations }
 
 // serviceL2 handles one L1-miss line at L2 and, on L2 miss, at memory,
 // charging stall cycles and training the prefetcher.
-func (m *Machine) serviceL2(cs *coreState, lineAddr mem.Addr, kind mem.Kind, core uint8) {
+func (m *Machine) serviceL2(lineAddr mem.Addr, kind mem.Kind, core uint8) {
+	cs := m.cores[core]
 	if cs.pf != nil {
 		cs.pfBuf = cs.pf.Train(core, lineAddr, cs.pfBuf[:0])
 	}
@@ -412,11 +324,8 @@ func (m *Machine) busUtil() float64 {
 	return float64(m.windowDemand+m.windowPf) / float64(m.cfg.BusCapacity)
 }
 
-// OnMsg implements fsb.Snooper.
-func (m *Machine) OnMsg(msg fsb.Message) { m.af.Msg(msg) }
-
 // Instructions returns total retired instructions seen so far.
-func (m *Machine) Instructions() uint64 { return m.af.Instructions() }
+func (m *Machine) Instructions() uint64 { return m.st.af.Instructions() }
 
 // Cycles returns the modelled execution time in core cycles.
 func (m *Machine) Cycles() float64 {
@@ -432,14 +341,22 @@ func (m *Machine) IPC() float64 {
 	return float64(m.Instructions()) / c
 }
 
-// L1Stats aggregates DL1 counters across cores.
+// L1Stats aggregates DL1 counters across cores, read from the stage.
 func (m *Machine) L1Stats() cache.Stats {
-	return m.aggregate(func(cs *coreState) *cache.Cache { return cs.l1 })
+	var out cache.Stats
+	for _, l1 := range m.st.l1 {
+		out.Add(l1.Stats())
+	}
+	return out
 }
 
 // L2Stats aggregates DL2 counters across cores.
 func (m *Machine) L2Stats() cache.Stats {
-	return m.aggregate(func(cs *coreState) *cache.Cache { return cs.l2 })
+	var out cache.Stats
+	for _, cs := range m.cores {
+		out.Add(cs.l2.Stats())
+	}
+	return out
 }
 
 // L3Stats returns the shared LLC's counters (zero value when no L3 is
@@ -449,14 +366,6 @@ func (m *Machine) L3Stats() cache.Stats {
 		return cache.Stats{}
 	}
 	return *m.l3.Stats()
-}
-
-func (m *Machine) aggregate(pick func(*coreState) *cache.Cache) cache.Stats {
-	var out cache.Stats
-	for _, cs := range m.cores {
-		out.Add(pick(cs).Stats())
-	}
-	return out
 }
 
 // PrefetchReport summarizes prefetcher effectiveness.

@@ -11,10 +11,26 @@ import (
 	"cmpmem/internal/trace"
 )
 
-// newOpen builds a machine and opens its measurement window, as the
+// rig is one machine alone on its DL1 stage: the stage takes the bus
+// events, the machine answers.
+type rig struct {
+	*Machine
+	fsb.Snooper
+}
+
+// build makes a rig through New, the one constructor.
+func build(cfg Config) (rig, error) {
+	ms, ss, err := New(cfg)
+	if err != nil {
+		return rig{}, err
+	}
+	return rig{ms[0], ss[0]}, nil
+}
+
+// newOpen builds a rig and opens its measurement window, as the
 // MsgStart at the head of every platform stream does.
-func newOpen(cfg Config) (*Machine, error) {
-	m, err := New(cfg)
+func newOpen(cfg Config) (rig, error) {
+	m, err := build(cfg)
 	if err == nil {
 		m.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 	}
@@ -28,18 +44,18 @@ func ref(core uint8, addr uint64, kind mem.Kind) trace.Ref {
 func TestValidation(t *testing.T) {
 	bad := PentiumIV(1)
 	bad.Cores = 0
-	if _, err := New(bad); err == nil {
+	if _, _, err := New(bad); err == nil {
 		t.Error("0 cores accepted")
 	}
 	bad = PentiumIV(1)
 	bad.DL1.LineSize = 48
-	if _, err := New(bad); err == nil {
+	if _, _, err := New(PentiumIV(1), bad); err == nil {
 		t.Error("bad DL1 accepted")
 	}
 	bad = PentiumIV(1)
 	pf := prefetch.Config{}
 	bad.Prefetch = &pf
-	if _, err := New(bad); err == nil {
+	if _, _, err := New(bad); err == nil {
 		t.Error("bad prefetch config accepted")
 	}
 }
@@ -47,7 +63,7 @@ func TestValidation(t *testing.T) {
 // TestWindowGatesTiming: only transactions between MsgStart and MsgStop
 // reach the hierarchy; host noise outside the window costs nothing.
 func TestWindowGatesTiming(t *testing.T) {
-	m, err := New(PentiumIV(1))
+	m, err := build(PentiumIV(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,24 +296,147 @@ func TestAggregateSumsEveryCounter(t *testing.T) {
 		}
 		m.OnRef(ref(c, 0x4000_0000+uint64(c)<<28+uint64(i*4099%(1<<22)), kind))
 	}
+	var l1, l2 []*cache.Stats
+	for i, cs := range m.cores {
+		l1 = append(l1, m.st.l1[i].Stats())
+		l2 = append(l2, cs.l2.Stats())
+	}
 	for _, level := range []struct {
 		name string
 		got  cache.Stats
-		pick func(*coreState) *cache.Cache
+		per  []*cache.Stats
 	}{
-		{"L1", m.L1Stats(), func(cs *coreState) *cache.Cache { return cs.l1 }},
-		{"L2", m.L2Stats(), func(cs *coreState) *cache.Cache { return cs.l2 }},
+		{"L1", m.L1Stats(), l1},
+		{"L2", m.L2Stats(), l2},
 	} {
-		var per []*cache.Stats
-		for _, cs := range m.cores {
-			per = append(per, level.pick(cs).Stats())
-		}
-		want := sumStats(per)
+		want := sumStats(level.per)
 		if want.Writebacks == 0 || want.TrafficBytes == 0 || want.PerCoreMisses[3] == 0 {
 			t.Fatalf("%s: workload left counters idle: %+v", level.name, want)
 		}
 		if level.got != want {
 			t.Errorf("%s aggregate differs from the per-core sum:\n got %+v\nwant %+v", level.name, level.got, want)
 		}
+	}
+}
+
+// TestZeroSizeReference: a zero-size transaction counts as one byte, as
+// in every other model of the AF — one DL1 access wherever it lands,
+// address 0 included.
+func TestZeroSizeReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		addr mem.Addr
+	}{
+		{"aligned", 0x4000_0000},
+		{"unaligned", 0x4000_0021},
+		{"address 0", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, _ := newOpen(PentiumIV(1))
+			m.OnRef(trace.Ref{Addr: tc.addr, Core: 0, Size: 0, Kind: mem.Load})
+			if got := m.L1Stats().Accesses; got != 1 {
+				t.Errorf("zero-size reference made %d DL1 accesses, want 1", got)
+			}
+		})
+	}
+}
+
+// result is every answer a Machine gives.
+type result struct {
+	Config       Config
+	Instructions uint64
+	Cycles, IPC  float64
+	L1, L2, L3   cache.Stats
+	Prefetches   PrefetchReport
+}
+
+func resultOf(m *Machine) result {
+	return result{m.Config(), m.Instructions(), m.Cycles(), m.IPC(),
+		m.L1Stats(), m.L2Stats(), m.L3Stats(), m.Prefetches()}
+}
+
+// sharingStream is a four-core stream for the sharing test: per-core
+// unit strides the prefetcher trains on, a shared region every core
+// loads and stores, line straddlers, zero-size references, an unknown
+// core, and noise outside the window.
+func sharingStream() []trace.Ref {
+	msg := func(k fsb.MsgKind, core uint8, v uint64) trace.Ref {
+		return fsb.EncodeMessage(fsb.Message{Kind: k, Core: core, Value: v})
+	}
+	refs := []trace.Ref{ref(0, 0x4000_0000, mem.Load), msg(fsb.MsgStart, 0, 0)}
+	for i := 0; i < 60000; i++ {
+		c := uint8(i % 4)
+		kind := mem.Load
+		if i%5 == 0 {
+			kind = mem.Store
+		}
+		switch i % 7 {
+		case 0:
+			refs = append(refs, ref(c, 0x5000_0000+uint64(i*4099%(1<<20)), kind))
+		case 1:
+			refs = append(refs, trace.Ref{Addr: mem.Addr(0x6000_003C + uint64(i%64)*64), Core: c, Size: 8, Kind: kind})
+		case 2:
+			refs = append(refs, trace.Ref{Addr: mem.Addr(0x6000_0000 + uint64(i)), Core: c, Kind: kind})
+		case 3:
+			refs = append(refs, ref(9, 0x4000_0000, kind))
+		default:
+			refs = append(refs, ref(c, 0x4000_0000+uint64(c)<<24+uint64(i/4)*64, kind))
+		}
+		if i%10000 == 9999 {
+			refs = append(refs, msg(fsb.MsgStop, 0, 0), ref(c, 0x7000_0000, mem.Store),
+				msg(fsb.MsgInstRetired, c, uint64(i)), msg(fsb.MsgStart, 0, 0))
+		}
+	}
+	return refs
+}
+
+// TestSharedStageEqualsMachinesAlone: machines sharing one DL1 stage
+// answer exactly what each answers on a stage of its own — the test
+// that fails if a back end ever writes into the DL1. It also holds the
+// prefetcher to the DL2: prefetch on and off see the same DL1.
+func TestSharedStageEqualsMachinesAlone(t *testing.T) {
+	pf := prefetch.DefaultConfig(64)
+	off := Xeon16(4, 1.0/16, nil)
+	on := Xeon16(4, 1.0/16, &pf)
+	l3 := off
+	l3.L3 = &cache.Config{Name: "L3", Size: 1 << 20, LineSize: 64, Assoc: 16}
+	cfgs := []Config{off, on, l3}
+
+	shared, stages, err := New(cfgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stages) != 1 {
+		t.Fatalf("%d stages for three machines on one DL1, want 1", len(stages))
+	}
+	stream := sharingStream()
+	for _, r := range stream {
+		fsb.Deliver(stages[0], []trace.Ref{r})
+	}
+	var alone []result
+	for _, cfg := range cfgs {
+		m, err := build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsb.Deliver(m.Snooper, stream)
+		alone = append(alone, resultOf(m.Machine))
+	}
+	for i, m := range shared {
+		if got := resultOf(m); !reflect.DeepEqual(got, alone[i]) {
+			t.Errorf("machine %d on a shared stage:\n got %+v\nwant %+v", i, got, alone[i])
+		}
+	}
+	if alone[1].Prefetches.Issued == 0 || alone[2].L3.Accesses == 0 || alone[0].L2.Writebacks == 0 {
+		t.Fatalf("stream left a back end idle: %+v", alone)
+	}
+	if alone[0].L1 != alone[1].L1 {
+		t.Errorf("prefetching moved the DL1: off %+v, on %+v", alone[0].L1, alone[1].L1)
+	}
+	if alone[1].Cycles == alone[0].Cycles || alone[2].Cycles == alone[0].Cycles {
+		t.Error("back ends did not differ: the test compares nothing")
+	}
+	if _, stages, _ := New(off, PentiumIV(1), on, Xeon16(2, 1.0/16, nil)); len(stages) != 3 {
+		t.Errorf("%d stages for three distinct (Cores, DL1), want 3", len(stages))
 	}
 }
