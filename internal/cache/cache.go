@@ -263,8 +263,8 @@ type Cache struct {
 	// dirty), so the fast path skips the flags array read entirely.
 	pfLive int
 	// runN/runLoads are AccessBanked's deferred hit-side tallies: the
-	// accesses and loads this bank took in the current core's run. Zero
-	// outside a call.
+	// accesses and loads this bank took in the current core's run (in
+	// AccessChain, the run's stops at this rung). Zero outside a call.
 	runN, runLoads uint64
 
 	tags    []uint64 // nsets*assoc block numbers (invalidTag = empty)
@@ -632,6 +632,64 @@ func flushRuns(banks []*Cache, core uint8) {
 		st.Loads += c.runLoads
 		st.Stores += c.runN - c.runLoads
 		c.runN, c.runLoads = 0, 0
+	}
+}
+
+// AccessChain leaves every bank exactly as AccessBanked over each rung
+// alone would. rungs[k] is one AccessBanked bank set of LRU caches; the
+// rungs share line size, 1 to 64 ways and bank count, and grow strictly,
+// smallest first. A reference stops at the first rung whose MRU hint it
+// hits with no flag effect (a load or a store to a dirty line, no line
+// prefetched): no larger rung can change, and each is owed only the
+// count, at the next flush (DESIGN.md §11).
+func AccessChain(rungs [][]*Cache, refs []trace.Ref) {
+	c0 := rungs[0][0]
+	lineSize, lineShift := c0.cfg.LineSize, c0.lineShift
+	bankMask := uint64(len(rungs[0]) - 1)
+	bankShift := uint(bits.TrailingZeros(uint(len(rungs[0]))))
+	core := uint8(0) // every rung's pending stops belong to this core
+	for i := range refs {
+		r := &refs[i]
+		if uint64(r.Addr)&(lineSize-1)+uint64(r.Size)-1 >= lineSize {
+			for _, banks := range rungs {
+				accessUnits(banks, r.Addr, r.Size, r.Kind, r.Core)
+			}
+			continue
+		}
+		if r.Core != core {
+			flushChain(rungs, core)
+			core = r.Core
+		}
+		line := uint64(r.Addr) >> lineShift
+		bank, blk := line&bankMask, line>>bankShift
+		for _, banks := range rungs {
+			c := banks[bank]
+			set := blk & c.setMask
+			if c.mruTag[set] == blk && c.pfLive == 0 &&
+				(r.Kind == mem.Load || c.flags[int(set)*c.assoc+int(c.mru[set])]&flagDirty != 0) {
+				c.runN++ // a stop, pending as the run
+				if r.Kind == mem.Load {
+					c.runLoads++
+				}
+				break
+			}
+			c.touchLine(blk, 1, r.Kind, r.Core)
+		}
+	}
+	flushChain(rungs, core)
+}
+
+// flushChain owes each rung's pending stops to the same bank of every
+// larger rung, then flushes every rung's run, which core issued.
+func flushChain(rungs [][]*Cache, core uint8) {
+	for k := 1; k < len(rungs); k++ {
+		for b, c := range rungs[k] {
+			c.runN += rungs[k-1][b].runN // rung k-1's already holds every smaller rung's
+			c.runLoads += rungs[k-1][b].runLoads
+		}
+	}
+	for _, banks := range rungs {
+		flushRuns(banks, core)
 	}
 }
 

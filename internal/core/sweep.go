@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"time"
 
@@ -259,6 +260,7 @@ func newExactPass(plan *SweepPlan, observers []fsb.Snooper, ro runOpts) (sweepPa
 		x.eng = eng
 		x.snoopers = append(x.snoopers, eng)
 	}
+	var emus []*dragonhead.Emulator
 	for _, i := range plan.Emulated {
 		dcfg, err := bankedConfig(flat[i])
 		if err != nil {
@@ -270,8 +272,15 @@ func newExactPass(plan *SweepPlan, observers []fsb.Snooper, ro runOpts) (sweepPa
 		if x.emus[i], err = dragonhead.New(dcfg); err != nil {
 			return nil, fmt.Errorf("core: LLC %s: %w", flat[i].Name, err)
 		}
-		x.snoopers = append(x.snoopers, x.emus[i])
+		emus = append(emus, x.emus[i])
 	}
+	answerers, chains, err := chainEmulators(emus)
+	if err != nil {
+		return nil, err
+	}
+	ro.span.SetAttr("dragonheads", strconv.Itoa(len(emus)))
+	ro.span.SetAttr("emulator_chains", strconv.Itoa(chains))
+	x.snoopers = append(x.snoopers, answerers...)
 	machines, stages, err := hier.New(plan.Hiers...)
 	if err != nil {
 		return nil, err
@@ -281,6 +290,40 @@ func newExactPass(plan *SweepPlan, observers []fsb.Snooper, ro runOpts) (sweepPa
 	x.machines = machines
 	x.snoopers = append(append(x.snoopers, stages...), observers...)
 	return x, nil
+}
+
+// chainEmulators returns the snoopers that answer emus, in their order,
+// and how many are chains: chainable emulators that agree on line size,
+// associativity and banks run as one dragonhead.Chain when two or more
+// do, in the first one's place; every other emulator runs alone.
+func chainEmulators(emus []*dragonhead.Emulator) ([]fsb.Snooper, int, error) {
+	key := func(e *dragonhead.Emulator) [3]uint64 {
+		c := e.Config()
+		return [3]uint64{c.LLC.LineSize, uint64(c.LLC.Assoc), uint64(c.Banks)}
+	}
+	groups := make(map[[3]uint64][]*dragonhead.Emulator)
+	for _, e := range emus {
+		if dragonhead.Chainable(e) == nil {
+			groups[key(e)] = append(groups[key(e)], e)
+		}
+	}
+	var out []fsb.Snooper
+	chains := 0
+	for _, e := range emus {
+		switch g := groups[key(e)]; {
+		case dragonhead.Chainable(e) != nil || len(g) == 1:
+			out = append(out, e)
+		case len(g) > 1:
+			sort.Slice(g, func(a, b int) bool { return g[a].Config().LLC.Size < g[b].Config().LLC.Size })
+			ch, err := dragonhead.Chain(g...)
+			if err != nil {
+				return nil, 0, err
+			}
+			out, chains = append(out, ch), chains+1
+			groups[key(e)] = nil // the rest of the group rides in ch
+		}
+	}
+	return out, chains, nil
 }
 
 func (x *exactPass) run(name string, p workloads.Params, pc PlatformConfig, ro runOpts) (RunSummary, error) {
@@ -320,19 +363,20 @@ func (x *exactPass) hierResult(j int) HierResult {
 }
 
 // bankedConfig fits the physical board's CC banking to one LLC: tiny
-// scaled caches (large lines at small Scale) may have fewer sets than
-// the four banks, so the banking shrinks to fit (exact-equivalence
-// makes this free). Banks never drops below one; a cache too small to
-// hold even one set per line is rejected here with a clear error
-// instead of surfacing a confusing failure from dragonhead.New.
+// scaled caches (large lines at small Scale) and fully associative ones
+// may have fewer sets than the four banks, so the banking shrinks to
+// fit (exact-equivalence makes this free). Banks never drops below one;
+// a cache too small to hold even one set per line is rejected here with
+// a clear error instead of surfacing a confusing failure from
+// dragonhead.New.
 func bankedConfig(llc cache.Config) (dragonhead.Config, error) {
 	cfg := dragonhead.DefaultConfig(llc)
 	lines := uint64(0)
 	if llc.LineSize > 0 {
 		lines = llc.Size / llc.LineSize
 	}
-	sets := lines
-	if assoc := uint64(llc.Assoc); assoc > 0 && lines > 0 {
+	sets := min(lines, 1) // fully associative: one set
+	if assoc := uint64(llc.Assoc); assoc > 0 {
 		sets = lines / assoc
 	}
 	if sets == 0 {

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
+	"cmpmem/internal/cache"
 	"cmpmem/internal/hier"
 	"cmpmem/internal/prefetch"
 	"cmpmem/internal/telemetry"
@@ -120,6 +120,9 @@ func TestReplaySpansAndEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := decodeManifests(t, &liveBuf)[0]
+	if a := live.Trace.Attrs; a["dragonheads"] != "2" || a["emulator_chains"] != "1" {
+		t.Errorf("live root attrs %v: want 2 dragonheads in 1 chain", a)
+	}
 	var names []string
 	spanNames(live.Trace, &names)
 	for _, want := range []string{"configure", "execute", "collect"} {
@@ -154,9 +157,10 @@ func TestReplaySpansAndEquivalence(t *testing.T) {
 			if capture == nil {
 				t.Fatalf("miss: no capture span under store: %v", names)
 			}
-			// LLCSweep emulates: one Dragonhead per config.
-			if want := strconv.Itoa(len(cfgs)); capture.Attrs["answerers"] != want {
-				t.Errorf("miss: capture fed %q answerers, want %s", capture.Attrs["answerers"], want)
+			// LLCSweep emulates, one Dragonhead per config, and a chain is
+			// one answerer: chains plus unchained emulators, here 1 + 0.
+			if capture.Attrs["answerers"] != "1" {
+				t.Errorf("miss: capture fed %q answerers, want 1 chain", capture.Attrs["answerers"])
 			}
 			for _, want := range []string{"build", "execute", "drain"} {
 				if capture.Find(want) == nil {
@@ -170,6 +174,44 @@ func TestReplaySpansAndEquivalence(t *testing.T) {
 			if capture != nil || !contains(names, "replay") {
 				t.Errorf("hit: want a replay and no capture: %v", names)
 			}
+		}
+	}
+}
+
+// TestEmulatorChainAttrs: bench's live-sweep ladder runs as one chain
+// of eight Dragonheads, and the emulated leg of its line-and-policy grid
+// (six other line sizes, FIFO and Random at 64 B) chains nothing.
+func TestEmulatorChainAttrs(t *testing.T) {
+	p := workloads.Params{Seed: 3, Scale: 0.002}
+	pc := PlatformConfig{Threads: 2, Seed: 3}
+	linePolicy := LineSweepConfigs(p.Scale)
+	for _, repl := range []cache.Policy{cache.FIFO, cache.Random} {
+		c := linePolicy[0]
+		c.Name += "/" + repl.String()
+		c.Repl = repl
+		linePolicy = append(linePolicy, c)
+	}
+	for _, tc := range []struct {
+		name                string
+		sweep               func(RunOption) error
+		dragonheads, chains string
+	}{
+		{"live ladder", func(o RunOption) error {
+			_, _, err := LLCSweep("SHOT", p, pc, liveLadder(), o)
+			return err
+		}, "8", "1"},
+		{"line and policy grid", func(o RunOption) error {
+			_, _, err := CombinedSweep("SHOT", p, pc, [][]cache.Config{linePolicy}, o)
+			return err
+		}, "8", "0"},
+	} {
+		var buf, prog bytes.Buffer
+		if err := tc.sweep(WithTelemetry(sinkForTest(&buf, &prog))); err != nil {
+			t.Fatal(err)
+		}
+		a := decodeManifests(t, &buf)[0].Trace.Attrs
+		if a["dragonheads"] != tc.dragonheads || a["emulator_chains"] != tc.chains {
+			t.Errorf("%s: root attrs %v, want %s dragonheads in %s chains", tc.name, a, tc.dragonheads, tc.chains)
 		}
 	}
 }

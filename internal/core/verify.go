@@ -391,8 +391,8 @@ func verifyConservation(rep *verify.Report, name string, p workloads.Params, pc 
 // verifyPlanner is the sweep planner's verification gate: the paper's
 // combined CacheSweep + LineSweep grid executed through the planner
 // must be bit-identical — full Stats, the per-sample CB series,
-// instruction totals, MPKI, and the AF ignore count — to the legacy
-// per-config emulation sweeps over the same memoized trace. It runs two
+// instruction totals, MPKI, and the AF ignore count — to the LLCSweep
+// emulation sweeps over the same memoized trace. It runs two
 // legs: the default planner (EngineAuto) over both grids, and the
 // strict planner (EngineOracle) over the cache sweep alone, since
 // strict mode refuses the line-size grid by design.
