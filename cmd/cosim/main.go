@@ -23,11 +23,11 @@
 //	                      served result diffs clean against a local run
 //	cosim traceinfo       profile each selected workload's in-window
 //	                      reference stream on -threads cores: access mix,
-//	                      footprint, strides, per-core counts; -windows n
-//	                      adds a phase timeline, -stackdist a Mattson
-//	                      reuse-distance summary. It captures once and
-//	                      replays its other passes (from -trace-dir's
-//	                      spill when there is one)
+//	                      footprint, strides, per-core counts and, with
+//	                      -stackdist, a Mattson reuse-distance summary,
+//	                      all from one execution; -windows n adds a phase
+//	                      timeline from a second one (its window length
+//	                      is the first one's reference count over n)
 //	cosim trace [-fold] [-job id] [-kind k] [-last] [file]
 //	                      render the span trees of a manifest stream
 //	                      (see trace.go)
@@ -36,7 +36,10 @@
 // together (core.RunExhibits): each (workload, platform) executes once
 // for all of them, so `cosim all` runs 32 guest executions — 8
 // workloads on 1, 8, 16 and 32 cores — and the results print in
-// command order.
+// command order. Every subcommand executes live and keeps no stream:
+// re-executing the guest costs less than holding its stream, and the
+// exhibits are exact. `cosim sweep` still honours a spec's "sampling",
+// so it prints the bytes cosimd serves for the spec.
 //
 // Flags:
 //
@@ -47,16 +50,6 @@
 //	            selected workloads execute
 //	-j n        run up to n independent workload executions concurrently
 //	            (default GOMAXPROCS; 1 forces serial orchestration)
-//	-trace-dir  memoize captured streams and spill them to this
-//	            directory in the compact v2 trace codec, so later
-//	            invocations skip execution too (-sampling and traceinfo
-//	            memoize in memory by themselves; bit-identical results)
-//	-sampling m approximate fast mode: off (default, exact) or fast
-//	            (replay only representative trace intervals and
-//	            extrapolate with confidence intervals; this CHANGES
-//	            the numbers into estimates — every result
-//	            carries its miss-count CI, and -verify grades the
-//	            realized error against the exact oracle)
 //	-metrics-addr addr
 //	            serve live metrics over HTTP while exhibits run:
 //	            /metrics (Prometheus text) and /debug/pprof/*
@@ -99,7 +92,6 @@ import (
 	"cmpmem/internal/report"
 	"cmpmem/internal/server"
 	"cmpmem/internal/telemetry"
-	"cmpmem/internal/tracestore"
 	"cmpmem/internal/workloads"
 	"cmpmem/internal/workloads/registry"
 )
@@ -119,8 +111,6 @@ func run(args []string) error {
 	svgDir := fs.String("svg", "", "write figures as SVG files into this directory")
 	subset := fs.String("workloads", "", "comma-separated workload subset")
 	jobs := fs.Int("j", 0, "concurrent workload runs (0 = GOMAXPROCS, 1 = serial)")
-	traceDir := fs.String("trace-dir", "", "memoize captured bus streams and spill them to this directory")
-	samplingName := fs.String("sampling", core.SamplingOff.String(), "accuracy tier: off (exact) or fast (sampled estimates with confidence intervals)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address during the run")
 	manifestPath := fs.String("manifest", "", "append JSONL run manifests to this file (default cosim_manifest.jsonl with -metrics-addr)")
 	verifyMode := fs.Bool("verify", false, "run the verification suite (oracles, invariants, fault injection) and exit")
@@ -132,9 +122,15 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	samplingMode, err := core.ParseSampling(*samplingName)
-	if err != nil {
-		return err
+	// Out-of-range inputs fail before anything executes or prints; scale
+	// and threads take the bounds a cosimd spec does.
+	switch {
+	case !(*scale > 0 && *scale <= server.MaxScale):
+		return fmt.Errorf("-scale %v out of range (0, %v]", *scale, server.MaxScale)
+	case *threads < 1 || *threads > server.MaxThreads:
+		return fmt.Errorf("-threads %d out of range [1, %d]", *threads, server.MaxThreads)
+	case *windows < 0:
+		return fmt.Errorf("-windows %d is negative", *windows)
 	}
 	names, err := selectWorkloads(*subset)
 	if err != nil {
@@ -159,15 +155,8 @@ func run(args []string) error {
 		return err
 	}
 	defer telClose()
-	opts := []core.RunOption{core.WithParallelism(*jobs), core.WithSampling(samplingMode), core.WithTelemetry(sink)}
+	opts := []core.RunOption{core.WithParallelism(*jobs), core.WithTelemetry(sink)}
 	cmds := fs.Args()
-	// Re-executing the guest is cheaper than holding its stream: a store
-	// pays only where the stream is reused (several passes, or a spill).
-	if *traceDir != "" || samplingMode != core.SamplingOff || slices.Contains(cmds, "traceinfo") {
-		store := tracestore.New(0, *traceDir)
-		store.Instrument(sink.Registry())
-		opts = append(opts, core.WithTraceReuse(store))
-	}
 
 	if len(cmds) == 1 && cmds[0] == "all" {
 		cmds = []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8"}
@@ -318,10 +307,9 @@ func setupTelemetry(addr, manifestPath string) (*telemetry.Sink, func(), error) 
 }
 
 // sweepCmd answers one spec file through server.ExecuteSpec — the exact
-// path cosimd's workers run — and prints the result JSON to w.
-// The CLI's flag-derived options go in first; the spec's sampling mode
-// is applied last and wins, so the output is a pure function of the
-// spec regardless of local flags.
+// path cosimd's workers run — and prints the result JSON to w. The
+// CLI's options change wall-clock only; the spec decides its accuracy
+// tier, so the output is a pure function of the spec.
 func sweepCmd(w io.Writer, specPath string, opts []core.RunOption) error {
 	if specPath == "" {
 		return fmt.Errorf("sweep: missing -spec file (use - for stdin)")

@@ -52,48 +52,23 @@ func TestCLISubcommands(t *testing.T) {
 	}
 }
 
-func TestCLITraceDirSpill(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	dir := t.TempDir()
-	if err := run(tinyArgs("-trace-dir", dir, "-workloads", "PLSA", "-csv", "fig4")); err != nil {
-		t.Fatal(err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.ctrace"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no spill files in -trace-dir (files %v, err %v)", files, err)
-	}
-}
-
-// TestCLIReplayIsOptIn: a default run executes live — its manifest has
-// no store span — while -trace-dir still captures on the first
-// invocation (store miss, the capture feeding the sweep itself, no
-// replay) and revives the spill on the next (disk, then replay).
+// TestCLIReplayIsOptIn: no cosim subcommand opens a trace store —
+// every one executes live, so no sweep it runs has a store span
+// (traceinfo runs no sweep: TestTraceinfoExecutesLive counts its
+// executions).
 func TestCLIReplayIsOptIn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	for _, r := range sweepManifests(t, "-csv", "-workloads", "SHOT", "fig4") {
-		if r.Trace.Find("store") != nil {
-			t.Errorf("%s: a default run went through a trace store", r.Workload)
-		}
-	}
-	dir := t.TempDir()
-	for _, want := range []struct {
-		outcome string
-		replay  bool
-	}{{"miss", false}, {"disk", true}} {
-		recs := sweepManifests(t, "-trace-dir", dir, "-csv", "-workloads", "SHOT", "fig4")
-		if len(recs) != 1 {
-			t.Fatalf("-trace-dir fig4 on SHOT wrote %d plansweep manifests", len(recs))
-		}
-		tree := recs[0].Trace
-		if lookup := tree.Find("store"); lookup == nil || lookup.Attrs["outcome"] != want.outcome {
-			t.Fatalf("store span %+v, want outcome %s", lookup, want.outcome)
-		}
-		if replayed := tree.Find("replay") != nil; replayed != want.replay {
-			t.Errorf("%s: replay span present = %v, want %v", want.outcome, replayed, want.replay)
+	for _, args := range [][]string{
+		{"-csv", "-workloads", "SHOT", "fig4"},
+		{"-spec", tinySpec(t), "sweep"},
+		{"-workloads", "SHOT", "-threads", "2", "-windows", "4", "-stackdist", "traceinfo"},
+	} {
+		for _, r := range sweepManifests(t, args...) {
+			if r.Trace.Find("store") != nil {
+				t.Errorf("cosim %v: %s went through a trace store", args, r.Workload)
+			}
 		}
 	}
 }
@@ -320,7 +295,7 @@ func TestCLIErrors(t *testing.T) {
 		t.Error("-verify with an empty workload selection accepted")
 	}
 	// The retired knobs are unknown flags, not ignored ones.
-	for _, flag := range []string{"-batch", "-shards", "-engine", "-fold"} {
+	for _, flag := range []string{"-batch", "-shards", "-engine", "-fold", "-trace-dir", "-sampling"} {
 		if err := run([]string{flag, "2", "fig4"}); err == nil || !strings.Contains(err.Error(), "not defined: "+flag) {
 			t.Errorf("cosim %s 2 fig4 = %v, want an unknown-flag error", flag, err)
 		}
@@ -415,6 +390,16 @@ func TestCLIDefaultIsSerial(t *testing.T) {
 // captured runs cosim and returns what it wrote to stdout and stderr.
 func captured(t *testing.T, args ...string) (stdout, stderr string) {
 	t.Helper()
+	stdout, stderr, err := capturedErr(t, args...)
+	if err != nil {
+		t.Fatalf("cosim %v: %v", args, err)
+	}
+	return stdout, stderr
+}
+
+// capturedErr is captured for a run that may fail.
+func capturedErr(t *testing.T, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
 	dir := t.TempDir()
 	out, err := os.Create(filepath.Join(dir, "stdout"))
 	if err != nil {
@@ -431,12 +416,9 @@ func captured(t *testing.T, args ...string) (stdout, stderr string) {
 	}()
 	out.Close()
 	errf.Close()
-	if err != nil {
-		t.Fatalf("cosim %v: %v", args, err)
-	}
 	o, _ := os.ReadFile(out.Name())
 	e, _ := os.ReadFile(errf.Name())
-	return string(o), string(e)
+	return string(o), string(e), err
 }
 
 // tinySpec writes an exact SHOT sweep spec at the tinyArgs scale and
@@ -451,22 +433,6 @@ func tinySpec(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// TestSweepSpecWinsOverFlags: a spec decides its own accuracy tier, so
-// `cosim sweep` prints the same bytes whatever -sampling says; an exact
-// spec never comes back as an estimate.
-func TestSweepSpecWinsOverFlags(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	spec := tinySpec(t)
-	want, _ := captured(t, "-spec", spec, "sweep")
-	for _, flag := range [][]string{{"-sampling", "fast"}} {
-		if got, _ := captured(t, append(flag, "-spec", spec, "sweep")...); got != want {
-			t.Errorf("cosim %v sweep prints\n%s\nwithout the flag\n%s", flag, got, want)
-		}
-	}
 }
 
 // TestCLITimingLines: exhibits are timed once, by the shared run's line;

@@ -7,8 +7,9 @@
 //
 //	cosim -workloads SHOT -threads 8 -windows 16 -stackdist traceinfo
 //
-// Every report reaches the stream the way a sweep does: through the
-// executor's source step; its up to three passes replay one capture.
+// The profile and the stack-distance summary co-snoop one live
+// execution; the timeline needs that execution's reference count for
+// its window length, so -windows executes the guest a second time.
 
 package main
 
@@ -31,14 +32,21 @@ func traceinfo(w io.Writer, names []string, p workloads.Params, threads, windows
 	for _, name := range names {
 		fmt.Fprintf(w, "%s on %d cores:\n", name, threads)
 		col := traceutil.NewCollector()
-		if _, err := core.TraceCapture(name, p, pc, col.Add, opts...); err != nil {
+		snoopers := []fsb.Snooper{core.RefSnooper(col.Add)}
+		var eng *oracle.Engine
+		if stackdist {
+			var err error
+			if eng, err = newStackdistEngine(); err != nil {
+				return err
+			}
+			snoopers = append(snoopers, eng)
+		}
+		if _, err := core.Snoop(name, p, pc, snoopers, opts...); err != nil {
 			return err
 		}
 		s := col.Stats()
 		printStats(w, s)
 		if windows > 0 {
-			// The window length depends on the stream's length, so
-			// the timeline is a second pass (a replay, with a store).
 			per := max(s.Refs/uint64(windows), 1)
 			win := traceutil.NewWindower(per)
 			if _, err := core.TraceCapture(name, p, pc, win.Add, opts...); err != nil {
@@ -46,8 +54,8 @@ func traceinfo(w io.Writer, names []string, p workloads.Params, threads, windows
 			}
 			printWindows(w, win.Windows(), per)
 		}
-		if stackdist {
-			if err := printStackdist(w, name, p, pc, opts); err != nil {
+		if eng != nil {
+			if err := printStackdist(w, eng); err != nil {
 				return err
 			}
 		}
@@ -107,23 +115,25 @@ func printWindows(w io.Writer, ws []traceutil.WindowStat, per uint64) {
 // report as beyond-depth.
 const stackdistDepth = 1 << 20
 
-// printStackdist snoops the run with the analytic oracle engine as a
-// single fully-associative set and prints the merged reuse-distance
-// summary: the per-workload "how much cache is enough" view that one
-// Mattson pass answers for every capacity at once. The engine sits on
-// the bus like any emulator, so the run's own start/stop messages gate
-// its AF window.
-func printStackdist(w io.Writer, name string, p workloads.Params, pc core.PlatformConfig, opts []core.RunOption) error {
+// newStackdistEngine is the analytic oracle engine as a single
+// fully-associative set: the per-workload "how much cache is enough"
+// view that one Mattson pass answers for every capacity at once. The
+// engine sits on the bus like any emulator, so the run's own start/stop
+// messages gate its AF window.
+func newStackdistEngine() (*oracle.Engine, error) {
 	eng, err := oracle.New(64)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := eng.AddGeometry(1, stackdistDepth); err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := core.Snoop(name, p, pc, []fsb.Snooper{eng}, opts...); err != nil {
-		return err
-	}
+	return eng, nil
+}
+
+// printStackdist prints the engine's merged reuse-distance summary once
+// its run has finished.
+func printStackdist(w io.Writer, eng *oracle.Engine) error {
 	s, err := eng.Summary(1)
 	if err != nil {
 		return err

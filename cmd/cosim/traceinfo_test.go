@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -139,7 +142,43 @@ func TestTraceinfoErrors(t *testing.T) {
 	if err := run(tinyArgs("-workloads", "NOPE", "traceinfo")); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if err := run(tinyArgs("-workloads", "SHOT", "-threads", "-1", "traceinfo")); err == nil {
-		t.Error("negative -threads accepted")
+	// Out-of-range inputs fail before anything executes or prints.
+	for _, args := range [][]string{
+		{"-threads", "-1", "traceinfo"},
+		{"-threads", "0", "traceinfo"},
+		{"-threads", strconv.Itoa(server.MaxThreads + 1), "traceinfo"},
+		{"-windows", "-1", "traceinfo"},
+		{"-scale", "-1", "fig4"},
+		{"-scale", "0", "fig4"},
+		{"-scale", strconv.FormatFloat(2*server.MaxScale, 'g', -1, 64), "fig4"},
+	} {
+		stdout, stderr, err := capturedErr(t, append([]string{"-workloads", "SHOT"}, args...)...)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("cosim %v = %v, want an error naming %s", args, err, args[0])
+		}
+		if stdout != "" || stderr != "" {
+			t.Errorf("cosim %v printed %q to stdout and %q to stderr before failing", args, stdout, stderr)
+		}
+	}
+}
+
+// TestTraceinfoExecutesLive: traceinfo opens no store, and its profile
+// and stack-distance summary share one execution; only -windows takes a
+// second, whose window length needs the first one's reference count.
+func TestTraceinfoExecutesLive(t *testing.T) {
+	p := workloads.Params{Seed: 3, Scale: 0.002}
+	for _, windows := range []int{0, 4} {
+		var phases []string
+		opts := []core.RunOption{core.WithProgress(func(pr core.Progress) { phases = append(phases, pr.Phase) })}
+		if err := traceinfo(io.Discard, []string{"SHOT"}, p, 2, windows, true, opts); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{core.PhaseExecute}
+		if windows > 0 {
+			want = append(want, core.PhaseExecute)
+		}
+		if !slices.Equal(phases, want) {
+			t.Errorf("traceinfo -windows %d -stackdist went through phases %v, want %v", windows, phases, want)
+		}
 	}
 }

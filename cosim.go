@@ -182,8 +182,9 @@ type SamplingEstimate = core.SamplingEstimate
 // ParseSampling maps "off"|"fast" to a SamplingMode.
 var ParseSampling = core.ParseSampling
 
-// WithSampling selects the accuracy tier for LLCSweep, CombinedSweep,
-// and the exhibit runners built on them.
+// WithSampling selects the accuracy tier of LLCSweep and CombinedSweep,
+// the only runners it acts on: RunHier and the exhibit runners always
+// answer exactly.
 var WithSampling = core.WithSampling
 
 // CombinedSweep executes several config grids of one workload as a

@@ -176,13 +176,18 @@ func Snoop(name string, p workloads.Params, pc PlatformConfig, snoopers []fsb.Sn
 	return runNamed(name, p, pc, applyOpts(opts), snoopers)
 }
 
-// TraceCapture is Snoop for consumers of plain references: it forwards
-// every in-window memory transaction to fn (message transactions
-// excluded). It is the basis of the stack-distance analyses and of
-// `cosim traceinfo`.
+// TraceCapture is Snoop for one consumer of plain references: it
+// forwards every in-window memory transaction to fn (message
+// transactions excluded).
 func TraceCapture(name string, p workloads.Params, pc PlatformConfig, fn func(trace.Ref), opts ...RunOption) (RunSummary, error) {
-	return Snoop(name, p, pc, []fsb.Snooper{&captureSnooper{fn: fn}}, opts...)
+	return Snoop(name, p, pc, []fsb.Snooper{RefSnooper(fn)}, opts...)
 }
+
+// RefSnooper is TraceCapture's snooper: it forwards every in-window
+// memory transaction to fn, so a consumer of plain references can share
+// one Snoop with other snoopers (`cosim traceinfo` feeds its collector
+// and a stack-distance engine from one execution).
+func RefSnooper(fn func(trace.Ref)) fsb.Snooper { return &captureSnooper{fn: fn} }
 
 // captureSnooper honors the start/stop window through the shared fsb.AF.
 type captureSnooper struct {

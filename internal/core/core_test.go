@@ -294,7 +294,8 @@ func TestWorkloadSelectionBoundsTheWork(t *testing.T) {
 // each (workload, platform) once for all of them — the paper's exhibits
 // plus three studies that share their platforms take 4 platforms x 2
 // workloads — while a runner alone executes only its own platforms,
-// and every exhibit's rows are the same either way, exact or sampled.
+// and every exhibit's rows are the same either way, and exact whatever
+// WithSampling says.
 func TestExhibitsExecuteOncePerPlatform(t *testing.T) {
 	names, p := []string{"SHOT", "PLSA"}, tinyParams()
 	exhibits := []struct {
@@ -330,33 +331,40 @@ func TestExhibitsExecuteOncePerPlatform(t *testing.T) {
 			}
 		}), n.Load
 	}
-	for _, mode := range []SamplingMode{SamplingOff, SamplingFast} {
-		rows := make([]any, len(exhibits))
-		var table []Exhibit
-		for i, e := range exhibits {
-			var ex []Exhibit
-			rows[i], ex = e.declare()
-			table = append(table, ex...)
-		}
+	rows := make([]any, len(exhibits))
+	var table []Exhibit
+	for i, e := range exhibits {
+		var ex []Exhibit
+		rows[i], ex = e.declare()
+		table = append(table, ex...)
+	}
+	count, n := executions()
+	if err := RunExhibits(names, p, table, count); err != nil {
+		t.Fatal(err)
+	}
+	if n() != 8 {
+		t.Errorf("the exhibits together executed %d times, want 8", n())
+	}
+	for i, e := range exhibits {
 		count, n := executions()
-		if err := RunExhibits(names, p, table, WithSampling(mode), count); err != nil {
+		want, err := e.alone(count)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if mode == SamplingOff && n() != 8 {
-			t.Errorf("the exhibits together executed %d times, want 8", n())
+		if n() != e.runs {
+			t.Errorf("%s alone executed %d times, want %d", e.name, n(), e.runs)
 		}
-		for i, e := range exhibits {
-			count, n := executions()
-			want, err := e.alone(WithSampling(mode), count)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mode == SamplingOff && n() != e.runs {
-				t.Errorf("%s alone executed %d times, want %d", e.name, n(), e.runs)
-			}
-			if !reflect.DeepEqual(rows[i], want) {
-				t.Errorf("sampling %v: %s run with the others differs from %s alone:\n%+v\n%+v", mode, e.name, e.name, rows[i], want)
-			}
+		if !reflect.DeepEqual(rows[i], want) {
+			t.Errorf("%s run with the others differs from %s alone:\n%+v\n%+v", e.name, e.name, rows[i], want)
+		}
+		// The exhibit runners answer exactly: the sampled tier is for
+		// LLCSweep and CombinedSweep alone.
+		sampled, err := e.alone(WithSampling(SamplingFast))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sampled, want) {
+			t.Errorf("%s under WithSampling(SamplingFast) differs from its exact rows:\n%+v\n%+v", e.name, sampled, want)
 		}
 	}
 }

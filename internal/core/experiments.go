@@ -56,9 +56,10 @@ type Answer struct {
 // RunExhibits runs the exhibit table over the selected workloads (nil =
 // all eight). The exhibits on one platform share one execution per
 // workload, whose single pass answers all their grids, hierarchies and
-// snoopers. The (platform, workload) groups run on the WithParallelism
-// pool in platform-major order, so the executions in flight at once are
-// on one platform, and the first error cancels the rest.
+// snoopers. The answers are exact: WithSampling does not apply. The
+// (platform, workload) groups run on the WithParallelism pool in
+// platform-major order, so the executions in flight at once are on one
+// platform, and the first error cancels the rest.
 func RunExhibits(names []string, p workloads.Params, exhibits []Exhibit, opts ...RunOption) error {
 	names, p, ro := orAll(names), p.WithDefaults(), applyOpts(opts)
 	var threads []int // platforms in order of first appearance
@@ -79,10 +80,8 @@ func RunExhibits(names []string, p workloads.Params, exhibits []Exhibit, opts ..
 	})
 }
 
-// runGroup answers one platform's exhibits for workload w on one
-// execution. Under WithSampling the grid is estimated by a sampled
-// sweep; the hierarchies and snoopers need the whole stream, so they
-// take an exact sweep first, which a store lets the sampled one reuse.
+// runGroup answers one platform's exhibits for workload w on one exact
+// execution.
 func runGroup(name string, w int, p workloads.Params, pc PlatformConfig, exhibits []Exhibit, ro runOpts) error {
 	var grid []cache.Config
 	var hcs []hier.Config
@@ -97,27 +96,14 @@ func runGroup(name string, w int, p workloads.Params, pc PlatformConfig, exhibit
 			observers = append(observers, s...)
 		}
 	}
-	var a Answer
-	var err error
-	exact := ro
-	exact.sampling = SamplingOff
-	if ro.sampling == SamplingOff || len(grid) == 0 {
-		a.LLCs, a.Hiers, a.Summary, err = sweep(name, p, pc, [][]cache.Config{grid}, hcs, observers, exact)
-	} else {
-		if len(hcs)+len(observers) > 0 {
-			ro.tel.Expect(1)
-			if _, a.Hiers, _, err = sweep(name, p, pc, nil, hcs, observers, exact); err != nil {
-				return err
-			}
-		}
-		a.LLCs, _, a.Summary, err = sweep(name, p, pc, [][]cache.Config{grid}, nil, nil, ro)
-	}
+	ro.sampling = SamplingOff
+	llcs, hiers, sum, err := sweep(name, p, pc, [][]cache.Config{grid}, hcs, observers, ro)
 	if err != nil {
 		return err
 	}
 	for _, e := range exhibits {
-		e.Row(w, Answer{LLCs: a.LLCs[:len(e.LLCs):len(e.LLCs)], Hiers: a.Hiers[:len(e.Hiers):len(e.Hiers)], Summary: a.Summary})
-		a.LLCs, a.Hiers = a.LLCs[len(e.LLCs):], a.Hiers[len(e.Hiers):]
+		e.Row(w, Answer{LLCs: llcs[:len(e.LLCs):len(e.LLCs)], Hiers: hiers[:len(e.Hiers):len(e.Hiers)], Summary: sum})
+		llcs, hiers = llcs[len(e.LLCs):], hiers[len(e.Hiers):]
 	}
 	return nil
 }

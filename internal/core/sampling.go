@@ -34,7 +34,7 @@ const (
 	SamplingFast
 )
 
-// String names the mode (the -sampling flag vocabulary).
+// String names the mode (a spec's "sampling" vocabulary).
 func (m SamplingMode) String() string {
 	switch m {
 	case SamplingOff:
@@ -46,7 +46,7 @@ func (m SamplingMode) String() string {
 	}
 }
 
-// ParseSampling parses the -sampling flag vocabulary.
+// ParseSampling parses a spec's "sampling" vocabulary.
 func ParseSampling(s string) (SamplingMode, error) {
 	switch s {
 	case "off", "":
@@ -58,8 +58,10 @@ func ParseSampling(s string) (SamplingMode, error) {
 	}
 }
 
-// WithSampling selects the sweep accuracy tier. SamplingOff (the
-// default) computes exact statistics; SamplingFast replays only
+// WithSampling selects the sweep accuracy tier of LLCSweep and
+// CombinedSweep, the only runners it acts on: RunHier, RunExhibits and
+// the exhibit runners built on it always answer exactly. SamplingOff
+// (the default) computes exact statistics; SamplingFast replays only
 // representative trace intervals and extrapolates, attaching a
 // SamplingEstimate with confidence intervals to every LLCResult.
 // Unlike the wall-clock options, sampling changes the returned numbers.

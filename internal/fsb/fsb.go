@@ -11,11 +11,6 @@
 //     measurement window, attribute accesses to virtual cores, and let
 //     the emulator synchronize its counters with simulation time (the
 //     two sides run in separate time domains).
-//
-// The package also provides a bandwidth model (token bucket in bus
-// cycles) used by the prefetching study: prefetch transactions compete
-// with demand misses for bus slots, so bandwidth-saturated workloads see
-// little prefetch benefit — the Figure 8 effect.
 package fsb
 
 import (
@@ -552,71 +547,3 @@ func (b *Bus) Events() uint64 { return b.events }
 
 // Messages returns the control messages broadcast.
 func (b *Bus) Messages() uint64 { return b.msgs }
-
-// Bandwidth models bus occupancy in bus cycles. Each transaction of n
-// bytes costs ceil(n/BytesPerCycle) cycles plus a fixed arbitration
-// overhead. Demand and prefetch traffic are accounted separately so the
-// prefetch study can tell how much headroom prefetching had.
-type Bandwidth struct {
-	// BytesPerCycle is the data-path width (e.g. 8 for a 64-bit FSB).
-	BytesPerCycle uint64
-	// ArbCycles is the fixed per-transaction overhead.
-	ArbCycles uint64
-
-	demandCycles   uint64
-	prefetchCycles uint64
-	demandTx       uint64
-	prefetchTx     uint64
-}
-
-// NewBandwidth returns a bandwidth meter with the given data-path width
-// and arbitration cost.
-func NewBandwidth(bytesPerCycle, arbCycles uint64) *Bandwidth {
-	if bytesPerCycle == 0 {
-		bytesPerCycle = 8
-	}
-	return &Bandwidth{BytesPerCycle: bytesPerCycle, ArbCycles: arbCycles}
-}
-
-// cost returns the bus cycles consumed by an n-byte transfer.
-func (bw *Bandwidth) cost(n uint64) uint64 {
-	return bw.ArbCycles + (n+bw.BytesPerCycle-1)/bw.BytesPerCycle
-}
-
-// Demand accounts an n-byte demand transfer and returns its cost.
-func (bw *Bandwidth) Demand(n uint64) uint64 {
-	c := bw.cost(n)
-	bw.demandCycles += c
-	bw.demandTx++
-	return c
-}
-
-// Prefetch accounts an n-byte prefetch transfer and returns its cost.
-func (bw *Bandwidth) Prefetch(n uint64) uint64 {
-	c := bw.cost(n)
-	bw.prefetchCycles += c
-	bw.prefetchTx++
-	return c
-}
-
-// DemandCycles returns cumulative demand occupancy.
-func (bw *Bandwidth) DemandCycles() uint64 { return bw.demandCycles }
-
-// PrefetchCycles returns cumulative prefetch occupancy.
-func (bw *Bandwidth) PrefetchCycles() uint64 { return bw.prefetchCycles }
-
-// TotalCycles returns total bus occupancy.
-func (bw *Bandwidth) TotalCycles() uint64 { return bw.demandCycles + bw.prefetchCycles }
-
-// Utilization returns occupancy relative to a window of busCycles.
-func (bw *Bandwidth) Utilization(busCycles uint64) float64 {
-	if busCycles == 0 {
-		return 0
-	}
-	return float64(bw.TotalCycles()) / float64(busCycles)
-}
-
-// Reset clears all accounting.
-func (bw *Bandwidth) Reset() {
-	bw.demandCycles, bw.prefetchCycles, bw.demandTx, bw.prefetchTx = 0, 0, 0, 0
-}

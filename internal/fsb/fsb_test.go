@@ -105,39 +105,6 @@ func TestBusBroadcastOrder(t *testing.T) {
 	}
 }
 
-func TestBandwidthAccounting(t *testing.T) {
-	bw := NewBandwidth(8, 4)
-	if c := bw.Demand(64); c != 4+8 {
-		t.Errorf("64B demand cost = %d, want 12", c)
-	}
-	if c := bw.Prefetch(1); c != 4+1 {
-		t.Errorf("1B prefetch cost = %d, want 5", c)
-	}
-	if bw.DemandCycles() != 12 || bw.PrefetchCycles() != 5 {
-		t.Errorf("accumulators wrong: %d, %d", bw.DemandCycles(), bw.PrefetchCycles())
-	}
-	if bw.TotalCycles() != 17 {
-		t.Errorf("total = %d, want 17", bw.TotalCycles())
-	}
-	if got := bw.Utilization(170); got != 0.1 {
-		t.Errorf("utilization = %v, want 0.1", got)
-	}
-	if bw.Utilization(0) != 0 {
-		t.Error("zero-window utilization must be 0")
-	}
-	bw.Reset()
-	if bw.TotalCycles() != 0 {
-		t.Error("Reset left cycles behind")
-	}
-}
-
-func TestBandwidthDefaultWidth(t *testing.T) {
-	bw := NewBandwidth(0, 0)
-	if bw.BytesPerCycle != 8 {
-		t.Errorf("default width = %d, want 8", bw.BytesPerCycle)
-	}
-}
-
 // TestMessagesSurviveBusAsRefs: a message encoded as a transaction and
 // delivered as a ref must be decodable by the receiver (the physical
 // path: messages ARE memory transactions).

@@ -16,6 +16,12 @@
 // the DL1 writes into it, so machines that agree on (Cores, DL1) share
 // one stage and get exactly what each would get alone.
 //
+// The front-side bus is a bandwidth model in bus cycles: a DL2-line
+// transfer occupies a 64-bit data path for one cycle per 8 bytes plus
+// four cycles of arbitration, and prefetches compete with demand misses
+// for each window's slots, so bandwidth-saturated workloads see little
+// prefetch benefit — the Figure 8 effect.
+//
 // The timing model is deliberately simple and documented: a base CPI for
 // issue/execute, plus a per-miss stall, with streaming (unit-stride)
 // misses charged a reduced stall to reflect the memory-level parallelism
@@ -28,7 +34,6 @@ import (
 	"fmt"
 
 	"cmpmem/internal/cache"
-	"cmpmem/internal/fsb"
 	"cmpmem/internal/mem"
 	"cmpmem/internal/prefetch"
 	"cmpmem/internal/workloads"
@@ -187,7 +192,9 @@ type Machine struct {
 	st    *stage // the AF and the DL1s this machine reads its misses from
 	cores []*coreState
 	l3    *cache.Cache // shared LLC, nil unless Config.L3 is set
-	bw    *fsb.Bandwidth
+	// lineXfer is the bus cycles one DL2-line transfer occupies, demand
+	// or prefetch alike.
+	lineXfer uint64
 
 	stall float64 // accumulated stall cycles
 
@@ -213,7 +220,7 @@ func newMachine(cfg Config, st *stage) (*Machine, error) {
 	if cfg.BusCapacity == 0 {
 		cfg.BusCapacity = 6 * cfg.BusWindowCycles
 	}
-	m := &Machine{cfg: cfg, st: st, bw: fsb.NewBandwidth(8, 4)}
+	m := &Machine{cfg: cfg, st: st, lineXfer: 4 + (cfg.DL2.LineSize+7)/8}
 	if cfg.L3 != nil {
 		l3, err := cache.New(*cfg.L3)
 		if err != nil {
@@ -292,7 +299,7 @@ func (m *Machine) serviceL2(lineAddr mem.Addr, kind mem.Kind, core uint8) {
 			stall += m.cfg.Lat.Mem * m.cfg.Lat.QueueFactor * (util - queueFloor)
 		}
 		m.stall += stall
-		m.windowDemand += m.bw.Demand(m.cfg.DL2.LineSize)
+		m.windowDemand += m.lineXfer
 	} else if pfHit {
 		m.stall += m.cfg.Lat.PfHit
 	} else {
@@ -311,7 +318,7 @@ func (m *Machine) serviceL2(lineAddr mem.Addr, kind mem.Kind, core uint8) {
 			}
 			if cs.l2.Fill(p, core) {
 				m.pfIssued++
-				m.windowPf += m.bw.Prefetch(m.cfg.DL2.LineSize)
+				m.windowPf += m.lineXfer
 			}
 		}
 		cs.pfBuf = cs.pfBuf[:0]
