@@ -166,6 +166,7 @@ func BenchmarkAblationBanking(b *testing.B) {
 				for _, r := range refs {
 					emu.OnRef(r)
 				}
+				emu.Finalize()
 				misses = emu.Stats().Misses
 			}
 			b.ReportMetric(float64(misses), "misses")

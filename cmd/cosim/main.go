@@ -526,11 +526,7 @@ func workingsets(names []string, p workloads.Params) ([]core.Exhibit, func() err
 			if err != nil {
 				return err
 			}
-			category := ""
-			if c, ok := wl.(workloads.Categorizer); ok {
-				category = sharing[c.Category()]
-			}
-			t.AddRow(append(row, category)...)
+			t.AddRow(append(row, sharing[wl.Category()])...)
 		}
 		return t.Render(os.Stdout)
 	}

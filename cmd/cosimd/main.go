@@ -34,6 +34,9 @@
 //	-manifest path    append per-request JSONL manifests (span trees)
 //	-manifest-max-mb  rotate the manifest file past this size (default 64)
 //
+// No numeric flag may be negative: run rejects one before it opens the
+// manifest or listens.
+//
 // SIGINT/SIGTERM drains gracefully: admission stops, queued jobs fail
 // loudly, in-flight sweeps get the drain timeout to finish, and the
 // HTTP server shuts down via http.Server.Shutdown.
@@ -79,6 +82,24 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Every numeric flag is a count, a budget or a timeout: a negative
+	// one would wrap to an unbounded budget or silently mean a default.
+	var negative error
+	fs.Visit(func(f *flag.Flag) {
+		var neg bool
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			neg = v < 0
+		case time.Duration:
+			neg = v < 0
+		}
+		if neg && negative == nil {
+			negative = fmt.Errorf("-%s %s: must not be negative", f.Name, f.Value)
+		}
+	})
+	if negative != nil {
+		return negative
+	}
 	weights, err := parseWeights(*weightsFlag)
 	if err != nil {
 		return err
@@ -111,8 +132,9 @@ func run(args []string) error {
 	srv := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
+	cfg := s.Config()
 	fmt.Fprintf(os.Stderr, "cosimd: serving http://%s (rev %s, %d workers, queue cap %d)\n",
-		ln.Addr(), telemetry.GitRev(), *workers, *queueCap)
+		ln.Addr(), telemetry.GitRev(), cfg.Workers, cfg.QueueCap)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

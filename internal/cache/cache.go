@@ -378,15 +378,8 @@ func (c *Cache) clear() {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Stats returns a pointer to the live counters. Callers must not retain
-// it across Reset.
+// Stats returns a pointer to the live counters.
 func (c *Cache) Stats() *Stats { return &c.stats }
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	c.clear()
-	c.stats = Stats{}
-}
 
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr mem.Addr) mem.Addr {

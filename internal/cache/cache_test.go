@@ -147,15 +147,6 @@ func TestFill(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c, _ := New(cfg(1<<12, 64, 4))
-	c.Access(0, 8, mem.Load, 0)
-	c.Reset()
-	if c.Stats().Accesses != 0 || c.ResidentLines() != 0 {
-		t.Error("Reset left state behind")
-	}
-}
-
 // TestInclusionProperty: for fully-associative LRU, a larger cache's
 // resident set always contains a smaller cache's (the stack property),
 // hence misses(small) >= misses(large) for every trace prefix.
@@ -302,9 +293,5 @@ func TestBlockZeroNotSpuriouslyResident(t *testing.T) {
 	}
 	if !c.Contains(0) {
 		t.Error("address 0 not resident after access")
-	}
-	c.Reset()
-	if c.Contains(0) || c.ResidentLines() != 0 {
-		t.Error("Reset left address 0 resident")
 	}
 }

@@ -236,6 +236,29 @@ func TestCacheSweepConfigsScaling(t *testing.T) {
 	}
 }
 
+// TestCacheSizesFollowScale: every modelled cache scales by one rule,
+// above the paper's scale as below it — the DL2s of Table 2 and
+// Figure 8 with the LLCs of Figures 4-7.
+func TestCacheSizesFollowScale(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"Xeon16 DL2", hier.Xeon16(16, 2, nil).DL2.Size, 2 << 20},
+		{"PentiumIV DL2", hier.PentiumIV(2).DL2.Size, 1 << 20},
+		{"Figure 4 smallest LLC", CacheSweepConfigs(2)[0].Size, 8 << 20},
+		{"Figure 7 LLC", LineSweepConfigs(2)[0].Size, 64 << 20},
+		// A scale <= 0 is the default, 1/16, everywhere.
+		{"Xeon16 DL2 at 0", hier.Xeon16(16, 0, nil).DL2.Size, 64 << 10},
+		{"PentiumIV DL2 at -1", hier.PentiumIV(-1).DL2.Size, 32 << 10},
+		{"Figure 4 smallest LLC at -1", CacheSweepConfigs(-1)[0].Size, 256 << 10},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: %d B, want %d B", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
 func TestLineSweepConfigs(t *testing.T) {
 	cfgs := LineSweepConfigs(1.0 / 16)
 	if len(cfgs) != len(PaperLineSizes) {

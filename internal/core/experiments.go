@@ -131,11 +131,9 @@ const LLCAssoc = 16
 const fig7PaperLLCMB = 32
 
 // CacheSweepConfigs returns the Figure 4-6 LLC configurations scaled by
-// the workload scale: paper sizes 4-256 MB at 64 B lines.
+// the workload scale (<= 0: the default): paper sizes 4-256 MB at 64 B
+// lines.
 func CacheSweepConfigs(scale float64) []cache.Config {
-	if scale == 0 {
-		scale = workloads.DefaultScale
-	}
 	out := make([]cache.Config, 0, len(PaperCacheSizesMB))
 	for _, mb := range PaperCacheSizesMB {
 		size := scaledCacheBytes(mb, scale)
@@ -152,9 +150,6 @@ func CacheSweepConfigs(scale float64) []cache.Config {
 // LineSweepConfigs returns the Figure 7 LLC configurations: a 32 MB
 // paper-equivalent LLC at each line size.
 func LineSweepConfigs(scale float64) []cache.Config {
-	if scale == 0 {
-		scale = workloads.DefaultScale
-	}
 	size := scaledCacheBytes(fig7PaperLLCMB, scale)
 	out := make([]cache.Config, 0, len(PaperLineSizes))
 	for _, ls := range PaperLineSizes {
@@ -172,15 +167,10 @@ func LineSweepConfigs(scale float64) []cache.Config {
 	return out
 }
 
-// scaledCacheBytes converts a paper-units cache size to simulated bytes,
-// rounding to a power of two (set counts must stay powers of two).
+// scaledCacheBytes converts a paper-units LLC size to simulated bytes
+// (workloads.ScaleCache, 4 KiB floor).
 func scaledCacheBytes(paperMB int, scale float64) uint64 {
-	target := float64(paperMB) * float64(1<<20) * scale
-	size := uint64(1) << 12
-	for float64(size*2) <= target {
-		size *= 2
-	}
-	return size
+	return workloads.ScaleCache(uint64(paperMB)<<20, scale, 4<<10)
 }
 
 // Table1Row reproduces Table 1 (input parameters and datasets).

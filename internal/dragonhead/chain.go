@@ -32,8 +32,8 @@ func Chainable(e *Emulator) error {
 // Chain returns one snooper that answers a ladder of emulators on one
 // walk of each stretch (cache.AccessChain; DESIGN.md §11). Each must be
 // Chainable, match the one before in line size, associativity and bank
-// count, be strictly larger, and stand at the same stream point (fresh
-// or Reset); each reads exactly as if it had snooped alone.
+// count, and be strictly larger; each reads exactly as if it had
+// snooped alone.
 func Chain(emus ...*Emulator) (fsb.Snooper, error) {
 	if len(emus) == 0 {
 		return nil, fmt.Errorf("dragonhead: empty chain")
@@ -71,12 +71,12 @@ func (c *chain) each(f func(*Emulator)) {
 
 func (c *chain) OnRef(r trace.Ref)   { c.each(func(e *Emulator) { e.OnRef(r) }) }
 func (c *chain) OnMsg(m fsb.Message) { c.each(func(e *Emulator) { e.OnMsg(m) }) }
-func (c *chain) AttachAsync()        { c.each((*Emulator).AttachAsync) }
 func (c *chain) Finalize()           { c.each((*Emulator).Finalize) }
 
 // OnBatch is Emulator.OnBatch's shared route with the ladder in place of
 // one bank set. All see the same messages, so the first's window is all's.
 func (c *chain) OnBatch(batch []trace.Ref) {
+	c.each((*Emulator).arm)
 	for i := 0; i < len(batch); i++ {
 		if m, ok := fsb.DecodeMessage(batch[i]); ok {
 			c.OnMsg(m)

@@ -96,8 +96,10 @@ func TestChainMatchesEmulatorsAlone(t *testing.T) {
 	for i := 0; i < len(stream); i += 37 {
 		fsb.Deliver(ch, stream[i:min(i+37, len(stream))])
 	}
+	ch.(fsb.Finalizer).Finalize()
 	for _, e := range alone {
 		fsb.Deliver(e, stream)
+		e.Finalize()
 	}
 	for k := range chained {
 		if len(alone[k].Samples()) < 100 || alone[k].Stats().Writebacks == 0 {

@@ -113,12 +113,13 @@ type Emulator struct {
 	cb      fsb.CB
 	samples []Sample
 
-	// Delivery state. live is set while a bus worker serves the
-	// emulator: its counters are then owned by that worker, and reading
-	// them would race. Finalize — called by fsb.Bus.Close after the
-	// workers drain — clears it. Like the
-	// hardware, where the host may only read the CB after emulation
-	// stops, misuse fails loudly instead of returning racy numbers.
+	// Delivery state. The first delivered event sets live: from then
+	// on the counters belong to whichever goroutine delivers, and a
+	// read could race. Finalize — called by fsb.Bus.Close after
+	// delivery drains, or by whoever feeds the emulator by hand —
+	// clears it. Like the hardware, where the host may only read the
+	// CB after emulation stops, a read in between fails loudly, on one
+	// processor as on many.
 	live bool
 
 	// Sharded delivery state (see shard.go). nshards > 1 enables the
@@ -268,33 +269,42 @@ func New(cfg Config) (*Emulator, error) {
 // Config returns the emulator configuration.
 func (e *Emulator) Config() Config { return e.cfg }
 
-// AttachAsync implements fsb.AsyncSnooper: events will arrive on a
-// delivery worker, so counter reads are unsafe until Finalize.
-func (e *Emulator) AttachAsync() { e.live = true }
-
 // Finalize implements fsb.Finalizer: the event stream has drained and
 // counters are sealed; reads are safe again. fsb.Bus.Close calls it
-// after joining the delivery worker — call it directly only when
-// driving OnRef/OnMsg by hand. Finalize also pushes the run's remaining
-// telemetry deltas (the tail since the last CB sample).
+// after joining the delivery workers — call it directly when driving
+// OnRef/OnMsg/OnBatch by hand. Finalize also pushes the run's remaining
+// telemetry deltas (the tail since the last CB sample). An emulator
+// serves one stream: build a new one for the next.
 func (e *Emulator) Finalize() {
 	e.closeSharder()
 	e.live = false
 	e.push()
 }
 
-// mustBeQuiesced guards every counter read: while a delivery worker
-// owns the emulator, results would race, so fail loudly instead.
+// arm sets live on the first delivered event. It writes only once per
+// stream, so a reader that synchronised with delivery after that first
+// event (as fsb.Bus.Close does) reads the flag without racing later
+// events.
+func (e *Emulator) arm() {
+	if !e.live {
+		e.live = true
+	}
+}
+
+// mustBeQuiesced guards every counter read: between the first event and
+// Finalize the counters belong to the delivering goroutine, so fail
+// loudly instead of returning numbers that may race.
 func (e *Emulator) mustBeQuiesced(what string) {
-	if e.live || e.sharder != nil {
+	if e.live {
 		panic(fmt.Sprintf(
-			"dragonhead: %s called before Finalize while delivery is asynchronous (close the bus or call Finalize first; results would race with the delivery workers)",
+			"dragonhead: %s called before Finalize while events are being delivered (close the bus or call Finalize first; results would race with delivery)",
 			what))
 	}
 }
 
 // OnRef implements fsb.Snooper: the AF stage for memory transactions.
 func (e *Emulator) OnRef(r trace.Ref) {
+	e.arm()
 	if m, ok := fsb.DecodeMessage(r); ok {
 		e.OnMsg(m)
 		return
@@ -313,6 +323,7 @@ func (e *Emulator) OnRef(r trace.Ref) {
 // CC banks in one loop; the private and sharded organisations regulate
 // event by event.
 func (e *Emulator) OnBatch(batch []trace.Ref) {
+	e.arm()
 	banked := e.cfg.PrivatePerCore == 0 && e.nshards == 1
 	for i := 0; i < len(batch); i++ {
 		r := batch[i]
@@ -381,6 +392,7 @@ func (e *Emulator) lookup(a uint64, kind mem.Kind, core uint8) {
 // OnMsg implements fsb.Snooper: the AF stage for control messages,
 // and the CB collections a cycles-completed message makes due.
 func (e *Emulator) OnMsg(m fsb.Message) {
+	e.arm()
 	e.af.Msg(m)
 	if e.nshards > 1 && m.Kind == fsb.MsgCycles {
 		// Sharded CB: broadcast the cycle count so every sampling
@@ -462,9 +474,8 @@ func (e *Emulator) MPKI() float64 {
 	return float64(misses) * 1000 / float64(inst)
 }
 
-// Samples returns a copy of the CB time series collected so far. The
-// copy keeps callers from aliasing internal state: the slice they hold
-// stays valid across a later Reset or reconfiguration.
+// Samples returns a copy of the CB time series, so callers cannot
+// alias internal state.
 func (e *Emulator) Samples() []Sample {
 	e.mustBeQuiesced("Samples")
 	out := make([]Sample, len(e.samples))
@@ -477,26 +488,4 @@ func (e *Emulator) Samples() []Sample {
 func (e *Emulator) Ignored() uint64 {
 	e.mustBeQuiesced("Ignored")
 	return e.af.Dropped
-}
-
-// Reset clears cache contents, counters, and CB state.
-func (e *Emulator) Reset() {
-	e.mustBeQuiesced("Reset")
-	for _, b := range e.banks {
-		b.Reset()
-	}
-	e.af = fsb.AF{}
-	e.cb = fsb.NewCB(e.cfg.ClockHz, e.cfg.SamplePeriod)
-	e.samples = nil
-	if e.tel != nil {
-		// Cache stats restart from zero; restart the push watermarks too
-		// so the next delta does not underflow. Registry totals remain
-		// monotonic (they accumulate across runs by design).
-		e.tel.pushedDropped = 0
-		e.tel.pushedSamples = 0
-		for i := range e.tel.pushedBankAcc {
-			e.tel.pushedBankAcc[i] = 0
-			e.tel.pushedBankMiss[i] = 0
-		}
-	}
 }

@@ -50,6 +50,7 @@ func TestWindowGating(t *testing.T) {
 	e := newEmu(t, Config{LLC: llc(1 << 20)})
 	r := trace.Ref{Addr: 0x4000_0000, Size: 8, Kind: mem.Load}
 	e.OnRef(r) // window closed: ignored
+	e.Finalize()
 	if e.Stats().Accesses != 0 || e.Ignored() != 1 {
 		t.Fatalf("pre-window access counted (acc=%d ignored=%d)", e.Stats().Accesses, e.Ignored())
 	}
@@ -58,11 +59,13 @@ func TestWindowGating(t *testing.T) {
 		t.Fatal("window should be open")
 	}
 	e.OnRef(r)
+	e.Finalize()
 	if e.Stats().Accesses != 1 {
 		t.Fatal("in-window access not counted")
 	}
 	e.OnMsg(fsb.Message{Kind: fsb.MsgStop})
 	e.OnRef(r)
+	e.Finalize()
 	if e.Stats().Accesses != 1 || e.Ignored() != 2 {
 		t.Error("post-window access counted")
 	}
@@ -86,6 +89,7 @@ func TestInstructionsAndMPKI(t *testing.T) {
 	}
 	e.OnMsg(fsb.Message{Kind: fsb.MsgInstRetired, Core: 1, Value: 50_000})
 	e.OnMsg(fsb.Message{Kind: fsb.MsgInstRetired, Core: 2, Value: 50_000})
+	e.Finalize()
 	if e.Instructions() != 100_000 {
 		t.Fatalf("instructions = %d, want 100000", e.Instructions())
 	}
@@ -99,6 +103,7 @@ func TestInstRetiredIsCumulative(t *testing.T) {
 	e := newEmu(t, Config{LLC: llc(1 << 20)})
 	e.OnMsg(fsb.Message{Kind: fsb.MsgInstRetired, Core: 0, Value: 100})
 	e.OnMsg(fsb.Message{Kind: fsb.MsgInstRetired, Core: 0, Value: 250})
+	e.Finalize()
 	if e.Instructions() != 250 {
 		t.Errorf("instructions = %d, want 250 (latest value, not sum)", e.Instructions())
 	}
@@ -125,6 +130,7 @@ func TestBankedEquivalence(t *testing.T) {
 			mono.Access(addr, 8, kind, 0)
 			banked.OnRef(trace.Ref{Addr: addr, Size: 8, Kind: kind})
 		}
+		banked.Finalize()
 		ms, bs := mono.Stats(), banked.Stats()
 		return ms.Misses == bs.Misses && ms.Accesses == bs.Accesses &&
 			ms.Writebacks == bs.Writebacks
@@ -150,6 +156,7 @@ func TestBankedEquivalenceAcrossBankCounts(t *testing.T) {
 		for _, a := range addrs {
 			e.OnRef(trace.Ref{Addr: a, Size: 8, Kind: mem.Load})
 		}
+		e.Finalize()
 		miss = append(miss, e.Stats().Misses)
 	}
 	for i := 1; i < len(miss); i++ {
@@ -166,11 +173,13 @@ func TestPrivateOrganizationIsolatesCores(t *testing.T) {
 	// (its private slice has no copy).
 	e.OnRef(trace.Ref{Addr: 0x4000_0000, Size: 8, Kind: mem.Load, Core: 0})
 	e.OnRef(trace.Ref{Addr: 0x4000_0000, Size: 8, Kind: mem.Load, Core: 1})
+	e.Finalize()
 	if got := e.Stats().Misses; got != 2 {
 		t.Errorf("private slices shared a line: %d misses, want 2", got)
 	}
 	// Re-access by core 0 hits its own slice.
 	e.OnRef(trace.Ref{Addr: 0x4000_0000, Size: 8, Kind: mem.Load, Core: 0})
+	e.Finalize()
 	if got := e.Stats().Misses; got != 2 {
 		t.Errorf("core 0 lost its own line: %d misses", got)
 	}
@@ -190,6 +199,8 @@ func TestPrivateOrganizationDividesCapacity(t *testing.T) {
 			private.OnRef(r)
 		}
 	}
+	shared.Finalize()
+	private.Finalize()
 	if shared.Stats().Misses >= private.Stats().Misses {
 		t.Errorf("capacity division not visible: shared %d vs private %d misses",
 			shared.Stats().Misses, private.Stats().Misses)
@@ -202,10 +213,12 @@ func TestCBSampling(t *testing.T) {
 	e.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 	e.OnRef(trace.Ref{Addr: 0x4000_0000, Size: 8, Kind: mem.Load})
 	e.OnMsg(fsb.Message{Kind: fsb.MsgCycles, Value: 499})
+	e.Finalize()
 	if len(e.Samples()) != 0 {
 		t.Fatal("sampled before the period elapsed")
 	}
 	e.OnMsg(fsb.Message{Kind: fsb.MsgCycles, Value: 1750})
+	e.Finalize()
 	samples := e.Samples()
 	if len(samples) != 3 {
 		t.Fatalf("got %d samples, want 3 (500, 1000, 1500)", len(samples))
@@ -226,6 +239,7 @@ func TestSamplesReturnsCopy(t *testing.T) {
 	e.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 	e.OnRef(trace.Ref{Addr: 0x4000_0000, Size: 8, Kind: mem.Load})
 	e.OnMsg(fsb.Message{Kind: fsb.MsgCycles, Value: 500})
+	e.Finalize()
 	first := e.Samples()
 	if len(first) != 1 {
 		t.Fatalf("got %d samples, want 1", len(first))
@@ -235,6 +249,7 @@ func TestSamplesReturnsCopy(t *testing.T) {
 		t.Error("caller mutation visible through a second Samples call")
 	}
 	e.OnMsg(fsb.Message{Kind: fsb.MsgCycles, Value: 1000})
+	e.Finalize()
 	if len(e.Samples()) != 2 {
 		t.Fatal("second sample not recorded")
 	}
@@ -248,6 +263,7 @@ func TestSplitAccessAcrossLines(t *testing.T) {
 	e.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 	// 16-byte access straddling a 64 B boundary: two line lookups.
 	e.OnRef(trace.Ref{Addr: 0x4000_0038, Size: 16, Kind: mem.Load})
+	e.Finalize()
 	if got := e.Stats().Accesses; got != 2 {
 		t.Errorf("straddling access performed %d lookups, want 2", got)
 	}
@@ -258,20 +274,10 @@ func TestPerCoreAttribution(t *testing.T) {
 	e.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 	e.OnRef(trace.Ref{Addr: 0x4000_0000, Size: 8, Kind: mem.Load, Core: 5})
 	e.OnRef(trace.Ref{Addr: 0x4000_1000, Size: 8, Kind: mem.Load, Core: 6})
+	e.Finalize()
 	s := e.Stats()
 	if s.PerCoreMisses[5] != 1 || s.PerCoreMisses[6] != 1 {
 		t.Error("per-core miss attribution lost through banking")
-	}
-}
-
-func TestReset(t *testing.T) {
-	e := newEmu(t, Config{LLC: llc(1 << 20), ClockHz: 1e6})
-	e.OnMsg(fsb.Message{Kind: fsb.MsgStart})
-	e.OnRef(trace.Ref{Addr: 0x4000_0000, Size: 8, Kind: mem.Load})
-	e.OnMsg(fsb.Message{Kind: fsb.MsgCycles, Value: 10_000})
-	e.Reset()
-	if e.Stats().Accesses != 0 || len(e.Samples()) != 0 || e.af.Open || e.Instructions() != 0 {
-		t.Error("Reset left state behind")
 	}
 }
 

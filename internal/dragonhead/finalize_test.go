@@ -1,6 +1,7 @@
 package dragonhead
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -14,23 +15,25 @@ import (
 // The emulator must participate in the bus's lifecycle.
 var (
 	_ fsb.BatchSnooper = (*Emulator)(nil)
-	_ fsb.AsyncSnooper = (*Emulator)(nil)
 	_ fsb.Finalizer    = (*Emulator)(nil)
 )
 
-// TestLiveReadsPanic: once attached async, every counter reader must
-// fail loudly until Finalize, then work normally.
+// TestLiveReadsPanic: once an event has been delivered, every counter
+// reader must fail loudly until Finalize, then work normally.
 func TestLiveReadsPanic(t *testing.T) {
 	e := newEmu(t, Config{LLC: llc(1 << 20)})
-	e.AttachAsync()
 	readers := map[string]func(){
 		"Stats":        func() { e.Stats() },
+		"BankStats":    func() { e.BankStats(0) },
 		"Samples":      func() { e.Samples() },
 		"MPKI":         func() { e.MPKI() },
 		"Instructions": func() { e.Instructions() },
 		"Ignored":      func() { e.Ignored() },
-		"Reset":        func() { e.Reset() },
 	}
+	for _, read := range readers {
+		read() // nothing delivered yet: nothing to race with
+	}
+	e.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 	for name, read := range readers {
 		func() {
 			defer func() {
@@ -52,9 +55,11 @@ func TestLiveReadsPanic(t *testing.T) {
 	}
 }
 
-// TestFinalizeViaBatchedBus: the canonical path — batches fanned out
-// over two workers, the emulator unreadable while they run, bus.Close
-// sealing it — and the counters match per-event delivery exactly.
+// TestFinalizeViaBatchedBus: the read guard does not depend on how the
+// bus delivers. At one processor a batched bus delivers on the
+// producer's goroutine; at four it fans its two emulators out over two
+// workers. Either way a read between the first batch and Close panics,
+// and after Close the counters match per-event delivery exactly.
 func TestFinalizeViaBatchedBus(t *testing.T) {
 	stream := []trace.Ref{fsb.EncodeMessage(fsb.Message{Kind: fsb.MsgStart})}
 	for i := 0; i < 10_000; i++ {
@@ -79,32 +84,38 @@ func TestFinalizeViaBatchedBus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	batched := newEmu(t, Config{LLC: llc(256 << 10)})
-	bus = fsb.NewBatchedBus(64)
-	bus.Attach(batched)
-	bus.Attach(newEmu(t, Config{LLC: llc(256 << 10)}))
-	bus.Refs(stream[:5000])
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Stats readable while a bus worker owns the emulator")
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			batched := newEmu(t, Config{LLC: llc(256 << 10)})
+			bus := fsb.NewBatchedBus(64)
+			bus.Attach(batched)
+			bus.Attach(newEmu(t, Config{LLC: llc(256 << 10)}))
+			// 5000 events fill 78 batches, many more than the bus's
+			// buffers: a fanned producer has waited on the workers.
+			bus.Refs(stream[:5000])
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("Stats readable before Close")
+					}
+				}()
+				batched.Stats()
+			}()
+			bus.Refs(stream[5000:])
+			if err := bus.Close(); err != nil {
+				t.Fatal(err)
 			}
-		}()
-		batched.Stats()
-	}()
-	bus.Refs(stream[5000:])
-	if err := bus.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	if serial.Stats() != batched.Stats() {
-		t.Errorf("stats diverge: serial %+v, batched %+v", serial.Stats(), batched.Stats())
-	}
-	if serial.MPKI() != batched.MPKI() {
-		t.Errorf("MPKI diverges: %v vs %v", serial.MPKI(), batched.MPKI())
-	}
-	if !reflect.DeepEqual(serial.Samples(), batched.Samples()) {
-		t.Errorf("samples diverge: %d vs %d", len(serial.Samples()), len(batched.Samples()))
+			if serial.Stats() != batched.Stats() {
+				t.Errorf("stats diverge: serial %+v, batched %+v", serial.Stats(), batched.Stats())
+			}
+			if serial.MPKI() != batched.MPKI() {
+				t.Errorf("MPKI diverges: %v vs %v", serial.MPKI(), batched.MPKI())
+			}
+			if !reflect.DeepEqual(serial.Samples(), batched.Samples()) {
+				t.Errorf("samples diverge: %d vs %d", len(serial.Samples()), len(batched.Samples()))
+			}
+		})
 	}
 }

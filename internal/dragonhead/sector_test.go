@@ -25,6 +25,7 @@ func TestSectoredEmulatorMatchesMonolithicCache(t *testing.T) {
 	for s := 0; s < 4; s++ {
 		probe.OnRef(trace.Ref{Addr: mem.Addr(0x1000 + 32*s), Size: 8, Kind: mem.Load})
 	}
+	probe.Finalize()
 	if st := probe.Stats(); st.Misses != 4 || st.TrafficBytes != 128 {
 		t.Errorf("four sectors of one line: %d misses, %d B traffic, want 4 and 128", st.Misses, st.TrafficBytes)
 	}

@@ -80,8 +80,8 @@ func (s *emuShard) OnMsg(m fsb.Message) {
 	}
 }
 
-// ensureSharder lazily spins up the shard workers on the first event of
-// a run, so a finalized (and possibly Reset) emulator can run again.
+// ensureSharder lazily spins up the shard workers on the first event
+// that needs them.
 func (e *Emulator) ensureSharder() {
 	if e.sharder != nil {
 		return

@@ -163,23 +163,3 @@ func TestShardedReadsPanicUntilFinalize(t *testing.T) {
 		t.Error("access lost through the sharded path")
 	}
 }
-
-// TestShardedResetAndRerun: Finalize seals a run, Reset clears it, and
-// the sharder lazily respawns for the next run.
-func TestShardedResetAndRerun(t *testing.T) {
-	e := newEmu(t, Config{LLC: llc(1 << 19), Shards: 2, ClockHz: 1e6})
-	shardTraffic(e, 1)
-	want := e.Stats()
-	wantSamples := e.Samples()
-	e.Reset()
-	if e.Stats().Accesses != 0 || len(e.Samples()) != 0 {
-		t.Fatal("Reset left sharded state behind")
-	}
-	shardTraffic(e, 1)
-	if e.Stats() != want {
-		t.Error("rerun after Reset diverged from first run")
-	}
-	if !reflect.DeepEqual(e.Samples(), wantSamples) {
-		t.Error("rerun samples diverged from first run")
-	}
-}

@@ -66,15 +66,13 @@ func (d *batchDigest) OnBatch(batch []trace.Ref) {
 	Deliver(&d.StreamDigest, batch)
 }
 
-// finalizingSnooper records events plus the Finalize/AttachAsync calls.
+// finalizingSnooper records events plus the Finalize call.
 type finalizingSnooper struct {
 	recordingSnooper
-	asyncAttached bool
-	finalized     bool
+	finalized bool
 }
 
-func (s *finalizingSnooper) AttachAsync() { s.asyncAttached = true }
-func (s *finalizingSnooper) Finalize()    { s.finalized = true }
+func (s *finalizingSnooper) Finalize() { s.finalized = true }
 
 // TestBatchedBusOrderIdentical: every snooper of a bus fed in batches
 // must see the exact event sequence per-event delivery gives, whatever
@@ -276,22 +274,21 @@ func TestBatchedBusFlushOnClose(t *testing.T) {
 	}
 }
 
-// TestBatchedBusLifecycleHooks: AttachAsync fires when the bus fans out
-// — a lone snooper included, since the producer is the other stage —
-// never at attach, never when delivery stays on the producer's
-// goroutine, and Finalize at Close either way.
+// TestBatchedBusLifecycleHooks: Close calls Finalize, never earlier,
+// whether the bus fans out — a lone snooper included, since the
+// producer is the other stage — or delivery stays on the producer's
+// goroutine.
 func TestBatchedBusLifecycleHooks(t *testing.T) {
 	one := []trace.Ref{{Addr: 64, Size: 8}}
 	for _, tc := range []struct {
 		name         string
 		procs, extra int
 		perEvent     bool
-		wantAsync    bool
 	}{
-		{"fanned", 2, 1, false, true},
-		{"one processor", 1, 1, false, false},
-		{"one snooper", 2, 0, false, true},
-		{"per-event first", 2, 1, true, false},
+		{"fanned", 2, 1, false},
+		{"one processor", 1, 1, false},
+		{"one snooper", 2, 0, false},
+		{"per-event first", 2, 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			withProcs(t, tc.procs)
@@ -301,16 +298,10 @@ func TestBatchedBusLifecycleHooks(t *testing.T) {
 			for i := 0; i < tc.extra; i++ {
 				bus.Attach(&countingSnooper{})
 			}
-			if s.asyncAttached {
-				t.Error("AttachAsync called at attach")
-			}
 			if tc.perEvent {
 				bus.Ref(one[0])
 			}
 			bus.Refs(one)
-			if s.asyncAttached != tc.wantAsync {
-				t.Errorf("AttachAsync called = %v, want %v", s.asyncAttached, tc.wantAsync)
-			}
 			if s.finalized {
 				t.Error("finalized before Close")
 			}

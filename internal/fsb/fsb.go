@@ -139,16 +139,12 @@ type BatchSnooper interface {
 // Finalizer is implemented by snoopers that need to know when the event
 // stream is complete — e.g. to seal counters so that reading them is
 // known to be safe. Bus.Close calls Finalize on every attached snooper
-// that implements it, after all deliveries have drained.
+// that implements it, after all deliveries have drained; whoever feeds
+// a snooper by hand calls it the same way. A snooper serves one stream:
+// between its first event and Finalize its results belong to whichever
+// goroutine delivers, on one processor as on many.
 type Finalizer interface {
 	Finalize()
-}
-
-// AsyncSnooper is implemented by snoopers that want to be told their
-// events will arrive on a worker goroutine rather than the producer's.
-// Dragonhead uses this to reject racy stats reads loudly.
-type AsyncSnooper interface {
-	AttachAsync()
 }
 
 // Deliver hands one batch to s: through OnBatch when s has one, else
@@ -201,7 +197,8 @@ const batchDepth = 4
 // first event arrives that way never fans out, and on a fanned bus the
 // event queues behind the batches in flight. The producer side (Refs,
 // Ref, Msg, Close, Events, Messages) must stay on one goroutine, and
-// results held by the snoopers may only be read after Close has returned.
+// results held by the snoopers may only be read after Close has
+// returned, whichever way the bus delivered: Close finalizes them.
 type Bus struct {
 	snoopers  []Snooper
 	events    uint64
@@ -398,9 +395,6 @@ func (b *Bus) fanOut() {
 	b.pend = <-b.free
 	b.ready = make(chan *lane, len(b.snoopers))
 	for _, s := range b.snoopers {
-		if a, ok := s.(AsyncSnooper); ok {
-			a.AttachAsync()
-		}
 		b.lanes = append(b.lanes, &lane{s: s, q: make([]*fanBatch, 0, batchDepth+1)})
 	}
 	b.workers = make([]fanWorker, min(procs, len(b.snoopers)))

@@ -105,9 +105,7 @@ type shardTelemetry struct {
 }
 
 // NewSharder returns a sharder delivering to one worker per consumer.
-// batchSize <= 0 selects DefaultBatch. Consumers implementing
-// AsyncSnooper are notified that their events will arrive on a worker
-// goroutine.
+// batchSize <= 0 selects DefaultBatch.
 func NewSharder(consumers []Snooper, batchSize int) *Sharder {
 	if len(consumers) == 0 {
 		panic("fsb: NewSharder with no consumers")
@@ -121,9 +119,6 @@ func NewSharder(consumers []Snooper, batchSize int) *Sharder {
 		counts:    make([]uint64, len(consumers)),
 	}
 	for i, c := range consumers {
-		if a, ok := c.(AsyncSnooper); ok {
-			a.AttachAsync()
-		}
 		s.pending[i] = make([]Event, 0, batchSize)
 		w := &busWorker{s: c, ch: make(chan []Event, batchDepth), done: make(chan struct{})}
 		s.workers = append(s.workers, w)

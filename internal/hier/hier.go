@@ -100,23 +100,6 @@ type Config struct {
 	BusCapacity     uint64
 }
 
-// scaledCache rounds paperBytes*scale down to a power of two, floored.
-// A zero scale means "harness default", matching workloads.Params.
-func scaledCache(paperBytes uint64, scale float64, floor uint64) uint64 {
-	if scale == 0 {
-		scale = workloads.DefaultScale
-	}
-	if scale < 0 || scale > 1 {
-		scale = 1
-	}
-	target := float64(paperBytes) * scale
-	size := floor
-	for float64(size*2) <= target {
-		size *= 2
-	}
-	return size
-}
-
 // PentiumIV returns the Table 2 profiling machine: 8 KB / 4-way DL1 and
 // 512 KB / 8-way DL2, 64 B lines, one core. The DL2 scales with the
 // workload scale so the cache-to-working-set proportions of the paper's
@@ -126,7 +109,7 @@ func PentiumIV(scale float64) Config {
 	return Config{
 		Cores: 1,
 		DL1:   cache.Config{Name: "DL1", Size: 8 << 10, LineSize: 64, Assoc: 4},
-		DL2: cache.Config{Name: "DL2", Size: scaledCache(512<<10, scale, 8<<10),
+		DL2: cache.Config{Name: "DL2", Size: workloads.ScaleCache(512<<10, scale, 8<<10),
 			LineSize: 64, Assoc: 8},
 		Lat: DefaultLatencies(),
 	}
@@ -138,7 +121,7 @@ func Xeon16(cores int, scale float64, pf *prefetch.Config) Config {
 	return Config{
 		Cores: cores,
 		DL1:   cache.Config{Name: "DL1", Size: 16 << 10, LineSize: 64, Assoc: 4},
-		DL2: cache.Config{Name: "DL2", Size: scaledCache(1<<20, scale, 16<<10),
+		DL2: cache.Config{Name: "DL2", Size: workloads.ScaleCache(1<<20, scale, 16<<10),
 			LineSize: 64, Assoc: 8},
 		Lat:             DefaultLatencies(),
 		Prefetch:        pf,

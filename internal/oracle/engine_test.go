@@ -253,6 +253,7 @@ func TestSamplesMatchDragonhead(t *testing.T) {
 	for _, s := range snoopers {
 		s.OnMsg(fsb.Message{Kind: fsb.MsgStop})
 	}
+	emu.Finalize()
 
 	want := emu.Samples()
 	got := tr.Samples()

@@ -1,15 +1,15 @@
-// Package par provides the bounded-concurrency primitives the
-// experiment runners are built on: an errgroup-style Group that runs
-// tasks on a limited worker pool with first-error cancellation, and a
-// ForEach helper for index-parallel loops with deterministic result
+// Package par provides the bounded-concurrency loop the experiment
+// runners are built on: ForEach runs index-parallel tasks on a limited
+// worker pool with first-error cancellation and deterministic result
 // placement.
 //
 // The cancellation model matches the co-simulation use case: every task
 // is independent (one workload run), so "cancel" means "skip tasks that
 // have not started yet" — a task already running is allowed to finish.
-// The first error wins and is the one Wait returns; panics inside tasks
-// are captured and re-raised on the goroutine that calls Wait, so a
-// crashing workload takes down the experiment, not a bare worker.
+// The first error wins and is the one ForEach returns; panics inside
+// tasks are captured and re-raised on the goroutine that called
+// ForEach, so a crashing workload takes down the experiment, not a bare
+// worker.
 package par
 
 import (
@@ -18,92 +18,18 @@ import (
 	"sync"
 )
 
-// Group runs tasks with bounded concurrency and collects the first
-// error. The zero value is not usable; construct with NewGroup.
-type Group struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-
-	mu       sync.Mutex
-	err      error
-	panicked any
-	canceled bool
-}
-
-// NewGroup returns a group that runs at most limit tasks concurrently.
-// limit <= 0 selects GOMAXPROCS.
-func NewGroup(limit int) *Group {
+// ForEach runs fn(i) for every i in [0, n) with at most limit workers
+// (limit <= 0 selects GOMAXPROCS) and returns the first error. Once a
+// task fails or panics, no further task starts; a panic is re-raised
+// here, ahead of any error. Callers get deterministic result ordering
+// by writing fn results into slot i of a pre-sized slice.
+func ForEach(limit, n int, fn func(i int) error) error {
 	if limit <= 0 {
 		limit = runtime.GOMAXPROCS(0)
 	}
-	return &Group{sem: make(chan struct{}, limit)}
-}
-
-// Go schedules fn. If the group has already recorded an error (or a
-// panic), fn is skipped — queued work is cancelled, running work is
-// left to finish.
-func (g *Group) Go(fn func() error) {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		g.sem <- struct{}{}
-		defer func() { <-g.sem }()
-		if g.Canceled() {
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				g.mu.Lock()
-				if g.panicked == nil {
-					g.panicked = r
-					g.canceled = true
-				}
-				g.mu.Unlock()
-			}
-		}()
-		if err := fn(); err != nil {
-			g.mu.Lock()
-			if g.err == nil {
-				g.err = err
-				g.canceled = true
-			}
-			g.mu.Unlock()
-		}
-	}()
-}
-
-// Canceled reports whether an error or panic has been recorded and
-// queued tasks will be skipped.
-func (g *Group) Canceled() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.canceled
-}
-
-// Wait blocks until every scheduled task has finished or been skipped.
-// It returns the first error; if a task panicked, the panic is re-raised
-// here so it surfaces on the caller's goroutine.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.panicked != nil {
-		panic(fmt.Sprintf("par: task panicked: %v", g.panicked))
-	}
-	return g.err
-}
-
-// ForEach runs fn(i) for every i in [0, n) with at most limit workers
-// (limit <= 0 selects GOMAXPROCS) and returns the first error. Callers
-// get deterministic result ordering by writing fn results into slot i
-// of a pre-sized slice.
-func ForEach(limit, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
 	// A serial loop needs no goroutines — and keeps single-threaded
 	// callers trivially race-free.
-	if limit == 1 || n == 1 {
+	if limit == 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -111,10 +37,54 @@ func ForEach(limit, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	g := NewGroup(limit)
-	for i := 0; i < n; i++ {
-		i := i
-		g.Go(func() error { return fn(i) })
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		next     int // the next index to start
+		err      error
+		panicked any
+	)
+	// claim returns the next index to run, or false once every index
+	// has started or a task has failed.
+	claim := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if next == n || err != nil || panicked != nil {
+			return 0, false
+		}
+		next++
+		return next - 1, true
 	}
-	return g.Wait()
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if panicked == nil {
+					panicked = r
+				}
+				mu.Unlock()
+			}
+		}()
+		if e := fn(i); e != nil {
+			mu.Lock()
+			if err == nil {
+				err = e
+			}
+			mu.Unlock()
+		}
+	}
+	for w := 0; w < min(limit, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, ok := claim(); ok; i, ok = claim() {
+				run(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if panicked != nil {
+		panic(fmt.Sprintf("par: task panicked: %v", panicked))
+	}
+	return err
 }

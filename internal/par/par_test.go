@@ -56,55 +56,51 @@ func TestForEachSerialStopsAtError(t *testing.T) {
 	}
 }
 
-func TestGroupCancelSkipsQueued(t *testing.T) {
-	g := NewGroup(1)
-	holding := make(chan struct{})
-	release := make(chan struct{})
-	var started int32
-	g.Go(func() error {
-		close(holding) // the failing task owns the only slot from here on
-		<-release
-		return errors.New("first fails")
+// bothFail runs ForEach with two workers over ten tasks whose first
+// two start together and then both end through fail; it counts the
+// other eight that start in started.
+func bothFail(started *int32, fail func()) error {
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	return ForEach(2, 10, func(i int) error {
+		if i < 2 {
+			arrived.Done()
+			arrived.Wait() // each worker holds one of the first two
+			fail()
+			return errors.New("failed")
+		}
+		atomic.AddInt32(started, 1)
+		return nil
 	})
-	<-holding
-	for i := 0; i < 8; i++ {
-		g.Go(func() error {
-			atomic.AddInt32(&started, 1)
-			return nil
-		})
-	}
-	close(release)
-	if err := g.Wait(); err == nil {
+}
+
+// TestGroupCancelSkipsQueued: once a task fails, ForEach starts none of
+// the tasks still queued.
+func TestGroupCancelSkipsQueued(t *testing.T) {
+	var started int32
+	if err := bothFail(&started, func() {}); err == nil {
 		t.Fatal("error lost")
 	}
-	// With limit 1, the failing task holds the only slot until release;
-	// everything queued behind it must be skipped.
 	if n := atomic.LoadInt32(&started); n != 0 {
 		t.Fatalf("%d queued tasks ran after cancellation", n)
-	}
-	if !g.Canceled() {
-		t.Fatal("group not marked canceled")
 	}
 }
 
 func TestGroupConcurrencyBound(t *testing.T) {
 	const limit = 3
-	g := NewGroup(limit)
 	var cur, max int32
 	var mu sync.Mutex
-	for i := 0; i < 50; i++ {
-		g.Go(func() error {
-			n := atomic.AddInt32(&cur, 1)
-			mu.Lock()
-			if n > max {
-				max = n
-			}
-			mu.Unlock()
-			atomic.AddInt32(&cur, -1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	err := ForEach(limit, 50, func(int) error {
+		n := atomic.AddInt32(&cur, 1)
+		mu.Lock()
+		if n > max {
+			max = n
+		}
+		mu.Unlock()
+		atomic.AddInt32(&cur, -1)
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if max > limit {
@@ -112,9 +108,9 @@ func TestGroupConcurrencyBound(t *testing.T) {
 	}
 }
 
+// TestWaitRepanics: a task's panic is re-raised on the ForEach caller
+// with its cause.
 func TestWaitRepanics(t *testing.T) {
-	g := NewGroup(2)
-	g.Go(func() error { panic("kaboom") })
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -124,31 +120,15 @@ func TestWaitRepanics(t *testing.T) {
 			t.Fatalf("panic value %v lost the cause", r)
 		}
 	}()
-	g.Wait()
-	t.Fatal("Wait returned after task panic")
+	ForEach(2, 4, func(int) error { panic("kaboom") })
+	t.Fatal("ForEach returned after task panic")
 }
 
-// TestGroupPanicCancelsQueued: a panicking worker mid-batch must cancel
-// everything queued behind it, exactly like an error — and Wait still
-// re-raises the panic after the skip.
+// TestGroupPanicCancelsQueued: a panicking task must cancel everything
+// queued behind it, exactly like an error — and ForEach still re-raises
+// the panic after the skip.
 func TestGroupPanicCancelsQueued(t *testing.T) {
-	g := NewGroup(1)
-	holding := make(chan struct{})
-	release := make(chan struct{})
 	var started int32
-	g.Go(func() error {
-		close(holding)
-		<-release
-		panic("mid-batch crash")
-	})
-	<-holding
-	for i := 0; i < 8; i++ {
-		g.Go(func() error {
-			atomic.AddInt32(&started, 1)
-			return nil
-		})
-	}
-	close(release)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("panic swallowed")
@@ -156,27 +136,17 @@ func TestGroupPanicCancelsQueued(t *testing.T) {
 		if n := atomic.LoadInt32(&started); n != 0 {
 			t.Fatalf("%d queued tasks ran after a panic", n)
 		}
-		if !g.Canceled() {
-			t.Fatal("group not marked canceled after panic")
-		}
 	}()
-	g.Wait()
+	bothFail(&started, func() { panic("mid-batch crash") })
 }
 
 // TestGroupPanicBeatsError: when both a panic and an error are
-// recorded, Wait must re-raise the panic — losing a crash to a softer
-// error would hide the real failure.
+// recorded, ForEach must re-raise the panic — losing a crash to a
+// softer error would hide the real failure.
 func TestGroupPanicBeatsError(t *testing.T) {
-	g := NewGroup(2)
-	errRecorded := make(chan struct{})
-	g.Go(func() error {
-		defer close(errRecorded)
-		return errors.New("soft failure")
-	})
-	g.Go(func() error {
-		<-errRecorded
-		panic("hard failure")
-	})
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	errReturned := make(chan struct{})
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -186,7 +156,16 @@ func TestGroupPanicBeatsError(t *testing.T) {
 			t.Fatalf("panic value %v lost the cause", r)
 		}
 	}()
-	g.Wait()
+	ForEach(2, 2, func(i int) error {
+		arrived.Done()
+		arrived.Wait()
+		if i == 0 {
+			defer close(errReturned)
+			return errors.New("soft failure")
+		}
+		<-errReturned
+		panic("hard failure")
+	})
 }
 
 // TestForEachPanicPropagates: a panic inside fn surfaces on the ForEach
@@ -211,16 +190,11 @@ func TestForEachPanicPropagates(t *testing.T) {
 	}
 }
 
-// TestGroupConcurrentErrors: many workers failing at once must record
+// TestGroupConcurrentErrors: many tasks failing at once must record
 // exactly one winner with no data race (run under -race) and never
-// deadlock Wait.
+// deadlock ForEach.
 func TestGroupConcurrentErrors(t *testing.T) {
-	g := NewGroup(8)
-	for i := 0; i < 64; i++ {
-		i := i
-		g.Go(func() error { return errors.New("task " + string(rune('A'+i%26))) })
-	}
-	err := g.Wait()
+	err := ForEach(8, 64, func(i int) error { return errors.New("task " + string(rune('A'+i%26))) })
 	if err == nil {
 		t.Fatal("all errors lost")
 	}

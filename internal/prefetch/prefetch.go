@@ -173,10 +173,3 @@ func (p *Prefetcher) Train(core uint8, addr mem.Addr, out []mem.Addr) []mem.Addr
 	}
 	return out
 }
-
-// Reset clears all detector state and counters.
-func (p *Prefetcher) Reset() {
-	p.tables = make(map[uint8][]entry)
-	p.clock = 0
-	p.stats = Stats{}
-}

@@ -53,12 +53,9 @@ type fairQueue struct {
 	depth   *telemetry.Gauge // cosimd_queue_depth
 }
 
-// newFairQueue builds a queue with the given global cap (0 selects
-// DefaultQueueCap) and tenant weights (nil = every tenant weight 1).
+// newFairQueue builds a queue with the given global cap and tenant
+// weights (nil = every tenant weight 1).
 func newFairQueue(cap int, weights map[string]int, reg *telemetry.Registry) *fairQueue {
-	if cap <= 0 {
-		cap = DefaultQueueCap
-	}
 	q := &fairQueue{
 		cap:     cap,
 		weights: weights,

@@ -92,6 +92,9 @@ func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = DefaultWorkers
 	}
+	if cfg.QueueCap <= 0 {
+		cfg.QueueCap = DefaultQueueCap
+	}
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = DefaultRetainJobs
 	}
@@ -120,6 +123,10 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
+
+// Config returns the configuration the server runs with, defaults
+// resolved.
+func (s *Server) Config() Config { return s.cfg }
 
 // Registry returns the server's metric registry, where the cosimd_*
 // metrics live.

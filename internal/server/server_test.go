@@ -553,3 +553,13 @@ func TestShutdownFailsQueuedJobs(t *testing.T) {
 		t.Errorf("running job state after shutdown = %s, want terminal", st.State)
 	}
 }
+
+// TestConfigResolvesDefaults: Config reports the values the server runs
+// with, which is what cosimd's banner prints, not the zeros it was given.
+func TestConfigResolvesDefaults(t *testing.T) {
+	got := New(Config{}).Config()
+	if got.Workers != DefaultWorkers || got.QueueCap != DefaultQueueCap || got.RetainJobs != DefaultRetainJobs {
+		t.Errorf("resolved workers %d, queue cap %d, retain %d; want %d, %d, %d",
+			got.Workers, got.QueueCap, got.RetainJobs, DefaultWorkers, DefaultQueueCap, DefaultRetainJobs)
+	}
+}

@@ -182,8 +182,8 @@ func Corrupt(data []byte, off int, mask byte) []byte {
 // DropSnooper forwards bus traffic to Inner but silently drops every
 // DropEvery-th event (1-based count across refs and messages) — the
 // lost-transaction fault a digest or conservation check must catch.
-// Finalize and AttachAsync are forwarded so the inner snooper keeps its
-// lifecycle guarantees even while losing data.
+// Finalize is forwarded so the inner snooper keeps its lifecycle
+// guarantees even while losing data.
 type DropSnooper struct {
 	Inner     fsb.Snooper
 	DropEvery uint64
@@ -218,12 +218,5 @@ func (d *DropSnooper) OnMsg(m fsb.Message) {
 func (d *DropSnooper) Finalize() {
 	if f, ok := d.Inner.(fsb.Finalizer); ok {
 		f.Finalize()
-	}
-}
-
-// AttachAsync implements fsb.AsyncSnooper by forwarding.
-func (d *DropSnooper) AttachAsync() {
-	if a, ok := d.Inner.(fsb.AsyncSnooper); ok {
-		a.AttachAsync()
 	}
 }

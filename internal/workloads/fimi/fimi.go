@@ -92,18 +92,13 @@ func New(p workloads.Params) *Workload {
 // Name implements workloads.Workload.
 func (w *Workload) Name() string { return "FIMI" }
 
-// Description implements workloads.Workload.
-func (w *Workload) Description() string {
-	return "FP-growth frequent-itemset mining (first scan, FP-tree construction, recursive mining)"
-}
-
 // Table1 implements workloads.Workload.
 func (w *Workload) Table1() (string, string) {
 	return fmt.Sprintf("%dk transactions and mini-support=%d (scaled)", w.ntx/1000, w.minsup),
 		workloads.MiB(uint64(w.ntx) * meanTxLen * 4)
 }
 
-// Category implements workloads.Categorizer.
+// Category implements workloads.Workload.
 func (w *Workload) Category() workloads.SharingCategory { return workloads.MixedWS }
 
 // MinSupport returns the scaled absolute support threshold.

@@ -93,11 +93,6 @@ func New(p workloads.Params) *Workload {
 // Name implements workloads.Workload.
 func (w *Workload) Name() string { return "MDS" }
 
-// Description implements workloads.Workload.
-func (w *Workload) Description() string {
-	return "multi-document summarization: query-personalized graph ranking + MMR selection"
-}
-
 // Table1 implements workloads.Workload.
 func (w *Workload) Table1() (string, string) {
 	nnz := w.nnz
@@ -108,7 +103,7 @@ func (w *Workload) Table1() (string, string) {
 		workloads.MiB(uint64(nnz) * 8)
 }
 
-// Category implements workloads.Categorizer.
+// Category implements workloads.Workload.
 func (w *Workload) Category() workloads.SharingCategory { return workloads.SharedWS }
 
 // Build implements workloads.Workload.

@@ -80,18 +80,13 @@ func New(p workloads.Params) *Workload {
 // Name implements workloads.Workload.
 func (w *Workload) Name() string { return "PLSA" }
 
-// Description implements workloads.Workload.
-func (w *Workload) Description() string {
-	return "Smith-Waterman local alignment with pipelined-wavefront parallel decomposition (linear space)"
-}
-
 // Table1 implements workloads.Workload.
 func (w *Workload) Table1() (string, string) {
 	return fmt.Sprintf("two sequences in %dk length (scaled)", w.n/1000),
 		workloads.MiB(uint64(w.n + w.m))
 }
 
-// Category implements workloads.Categorizer.
+// Category implements workloads.Workload.
 func (w *Workload) Category() workloads.SharingCategory { return workloads.SharedWS }
 
 // Build implements workloads.Workload.

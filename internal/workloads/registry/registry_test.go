@@ -34,9 +34,6 @@ func TestNewByName(t *testing.T) {
 		if w.Name() != name {
 			t.Errorf("constructed workload reports name %q, want %q", w.Name(), name)
 		}
-		if w.Description() == "" {
-			t.Errorf("%s: empty description", name)
-		}
 		params, size := w.Table1()
 		if params == "" || size == "" {
 			t.Errorf("%s: empty Table 1 fields", name)
@@ -55,8 +52,7 @@ func TestNewUnknown(t *testing.T) {
 }
 
 func TestAllCategorized(t *testing.T) {
-	// Every workload declares its Section 4.3 sharing category, and the
-	// paper's assignment is preserved.
+	// The paper's Section 4.3 sharing assignment is preserved.
 	want := map[string]workloads.SharingCategory{
 		"SNP":      workloads.SharedWS,
 		"SVM-RFE":  workloads.SharedWS,
@@ -68,13 +64,8 @@ func TestAllCategorized(t *testing.T) {
 		"VIEWTYPE": workloads.PrivateWS,
 	}
 	for _, w := range All(workloads.Params{Seed: 1}) {
-		c, ok := w.(workloads.Categorizer)
-		if !ok {
-			t.Errorf("%s does not declare a sharing category", w.Name())
-			continue
-		}
-		if c.Category() != want[w.Name()] {
-			t.Errorf("%s category = %v, want %v", w.Name(), c.Category(), want[w.Name()])
+		if w.Category() != want[w.Name()] {
+			t.Errorf("%s category = %v, want %v", w.Name(), w.Category(), want[w.Name()])
 		}
 	}
 }

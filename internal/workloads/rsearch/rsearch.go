@@ -73,11 +73,6 @@ func New(p workloads.Params) *Workload {
 // Name implements workloads.Workload.
 func (w *Workload) Name() string { return "RSEARCH" }
 
-// Description implements workloads.Workload.
-func (w *Workload) Description() string {
-	return "RNA homology search: k-mer prefilter + CYK structural parse over database windows"
-}
-
 // Table1 implements workloads.Workload.
 func (w *Workload) Table1() (string, string) {
 	return fmt.Sprintf("%s database, search sequence size %d (scaled)",
@@ -85,7 +80,7 @@ func (w *Workload) Table1() (string, string) {
 		workloads.MiB(uint64(w.dbLen))
 }
 
-// Category implements workloads.Categorizer.
+// Category implements workloads.Workload.
 func (w *Workload) Category() workloads.SharingCategory { return workloads.MixedWS }
 
 // Planted returns the positions where homologs were embedded.

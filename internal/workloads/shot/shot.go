@@ -57,11 +57,6 @@ func New(p workloads.Params) *Workload {
 // Name implements workloads.Workload.
 func (w *Workload) Name() string { return "SHOT" }
 
-// Description implements workloads.Workload.
-func (w *Workload) Description() string {
-	return "shot-boundary detection: 48-bin RGB histograms + pixel-wise frame difference"
-}
-
 // Table1 implements workloads.Workload.
 func (w *Workload) Table1() (string, string) {
 	threads := w.threads
@@ -73,7 +68,7 @@ func (w *Workload) Table1() (string, string) {
 		workloads.MiB(uint64(frames) * uint64(w.width) * uint64(w.height) * 3)
 }
 
-// Category implements workloads.Categorizer.
+// Category implements workloads.Workload.
 func (w *Workload) Category() workloads.SharingCategory { return workloads.PrivateWS }
 
 // Video returns the ground-truth clip (after Build), for validation.

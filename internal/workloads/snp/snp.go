@@ -86,18 +86,13 @@ func New(p workloads.Params) *Workload {
 // Name implements workloads.Workload.
 func (w *Workload) Name() string { return "SNP" }
 
-// Description implements workloads.Workload.
-func (w *Workload) Description() string {
-	return "Bayesian-network structure learning over SNP haplotypes by hill climbing"
-}
-
 // Table1 implements workloads.Workload.
 func (w *Workload) Table1() (string, string) {
 	return fmt.Sprintf("%d sequences, %d sites (scaled)", w.seqs, w.sites),
 		workloads.MiB(uint64(w.seqs) * uint64(w.sites))
 }
 
-// Category implements workloads.Categorizer.
+// Category implements workloads.Workload.
 func (w *Workload) Category() workloads.SharingCategory { return workloads.SharedWS }
 
 // Build implements workloads.Workload.

@@ -96,18 +96,13 @@ func New(p workloads.Params) *Workload {
 // Name implements workloads.Workload.
 func (w *Workload) Name() string { return "SVM-RFE" }
 
-// Description implements workloads.Workload.
-func (w *Workload) Description() string {
-	return "linear SVM (dual coordinate descent) with recursive feature elimination on micro-array data"
-}
-
 // Table1 implements workloads.Workload.
 func (w *Workload) Table1() (string, string) {
 	return fmt.Sprintf("%d tissue samples, each with %d genes (scaled)", w.samples, w.genes),
 		workloads.MiB(uint64(w.samples) * uint64(w.genes) * 8)
 }
 
-// Category implements workloads.Categorizer.
+// Category implements workloads.Workload.
 func (w *Workload) Category() workloads.SharingCategory { return workloads.SharedWS }
 
 // Build implements workloads.Workload.

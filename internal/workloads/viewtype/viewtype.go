@@ -64,11 +64,6 @@ func New(p workloads.Params) *Workload {
 // Name implements workloads.Workload.
 func (w *Workload) Name() string { return "VIEWTYPE" }
 
-// Description implements workloads.Workload.
-func (w *Workload) Description() string {
-	return "view-type classification: HSV dominant-color playfield segmentation + connected components"
-}
-
 // Table1 implements workloads.Workload.
 func (w *Workload) Table1() (string, string) {
 	threads := w.threads
@@ -80,7 +75,7 @@ func (w *Workload) Table1() (string, string) {
 		workloads.MiB(uint64(frames) * uint64(w.width) * uint64(w.height) * 3)
 }
 
-// Category implements workloads.Categorizer.
+// Category implements workloads.Workload.
 func (w *Workload) Category() workloads.SharingCategory { return workloads.PrivateWS }
 
 // Video returns the ground-truth clip (after Build).

@@ -5,11 +5,15 @@
 // Each workload is a real implementation of the underlying algorithm; it
 // performs its computation on Go data while reporting every load and
 // store — with simulated guest addresses — through the executing
-// softsdv.Thread. Problem sizes derive from a single Scale knob:
-// Scale=1 reproduces the paper's footprints (30 MB-300 MB structures);
-// the default harness scale of 1/16 shrinks every structure and the cache
-// sweep by the same factor, preserving the position of each working-set
-// knee relative to the cache sizes.
+// softsdv.Thread. The contract holds exactly what the pipeline calls:
+// Name, Table1 (the paper's Table 1 columns), Category (the Section 4.3
+// sharing class the working-set study prints) and Build.
+//
+// Problem sizes derive from a single Scale knob: Scale=1 reproduces the
+// paper's footprints (30 MB-300 MB structures); the default harness
+// scale of 1/16 shrinks every structure and, through ScaleCache, every
+// modelled cache by the same factor, preserving the position of each
+// working-set knee relative to the cache sizes.
 package workloads
 
 import (
@@ -48,6 +52,22 @@ func (p Params) ScaleInt(paperSize int, floor int) int {
 	return v
 }
 
+// ScaleCache scales a paper-sized cache capacity by scale, rounded down
+// to a power of two (set counts must stay powers of two) and floored.
+// Caches follow the footprints both ways: a scale above 1 grows them
+// past the paper's sizes. A scale <= 0 means DefaultScale.
+func ScaleCache(paperBytes uint64, scale float64, floor uint64) uint64 {
+	if scale <= 0 {
+		scale = DefaultScale
+	}
+	target := float64(paperBytes) * scale
+	size := floor
+	for float64(size*2) <= target {
+		size *= 2
+	}
+	return size
+}
+
 // ScaleSqrt scales a dimension by sqrt(Scale), for 2-D structures whose
 // footprint must scale linearly while both dimensions shrink.
 func (p Params) ScaleSqrt(paperSize int, floor int) int {
@@ -66,11 +86,11 @@ func (p Params) ScaleSqrt(paperSize int, floor int) int {
 type Workload interface {
 	// Name is the paper's short name (e.g. "FIMI").
 	Name() string
-	// Description summarizes the algorithm (Table 1 / Section 2).
-	Description() string
 	// Table1 returns the "Parameters" and "Size of Data Input" columns
 	// at the configured scale.
 	Table1() (params, datasetSize string)
+	// Category is the workload's thread-scaling class (Section 4.3).
+	Category() SharingCategory
 	// Build allocates the workload's datasets and data structures in
 	// the given address space (untraced, as dataset loading precedes
 	// the measured region) and returns the guest program for the given
@@ -93,12 +113,6 @@ const (
 	// grows linearly with cores (SHOT, VIEWTYPE).
 	PrivateWS
 )
-
-// Categorizer is implemented by workloads that declare their sharing
-// category for reporting.
-type Categorizer interface {
-	Category() SharingCategory
-}
 
 // MiB formats a byte count for Table 1.
 func MiB(n uint64) string {
