@@ -184,18 +184,37 @@ func TestPrefetchingReducesCycles(t *testing.T) {
 	t.Logf("stream prefetch gain: %.1f%%", gain*100)
 }
 
+// TestBusSaturationDropsPrefetches runs eight unit-stride streams on a
+// starved bus and on a default one. Every line a prefetcher emits is
+// dropped, issued, or (already in DL2) neither, so issued + dropped
+// never exceeds what the cores' prefetchers emitted; on the starved bus
+// every one is dropped.
 func TestBusSaturationDropsPrefetches(t *testing.T) {
 	pf := prefetch.DefaultConfig(64)
-	cfg := Xeon16(8, 1, &pf)
-	cfg.BusCapacity = 200 // starve the bus
-	m, _ := newOpen(cfg)
-	for i := 0; i < 20000; i++ {
-		core := uint8(i % 8)
-		m.OnRef(ref(core, 0x4000_0000+uint64(core)<<24+uint64(i/8)*64, mem.Load))
-	}
-	rep := m.Prefetches()
-	if rep.Dropped == 0 {
-		t.Errorf("no prefetches dropped under a starved bus: %+v", rep)
+	for _, starved := range []bool{true, false} {
+		cfg := Xeon16(8, 1, &pf)
+		if starved {
+			cfg.BusCapacity = 200
+		}
+		m, _ := newOpen(cfg)
+		for i := 0; i < 20000; i++ {
+			core := uint8(i % 8)
+			m.OnRef(ref(core, 0x4000_0000+uint64(core)<<24+uint64(i/8)*64, mem.Load))
+		}
+		var emitted uint64
+		for _, cs := range m.cores {
+			emitted += cs.pf.Stats().Issued
+		}
+		rep := m.Prefetches()
+		t.Logf("starved %v: %d emitted, %d issued, %d dropped", starved, emitted, rep.Issued, rep.Dropped)
+		switch {
+		case rep.Dropped == 0:
+			t.Errorf("starved %v: no prefetches dropped: %+v", starved, rep)
+		case rep.Issued+rep.Dropped > emitted:
+			t.Errorf("starved %v: %d issued + %d dropped > %d emitted", starved, rep.Issued, rep.Dropped, emitted)
+		case starved && (rep.Issued != 0 || rep.Dropped != emitted):
+			t.Errorf("starved bus issued %d and dropped %d of %d emitted, want 0 and all", rep.Issued, rep.Dropped, emitted)
+		}
 	}
 }
 

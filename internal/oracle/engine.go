@@ -20,7 +20,9 @@
 //     array: the stack holds the maxAssoc most recently used blocks of
 //     the set, so a block's index IS its Mattson distance and anything
 //     absent is provably deeper. A lookup is a short linear scan plus a
-//     move-to-front copy — no maps, no trees, cache-friendly.
+//     move-to-front copy — no maps, no trees, cache-friendly. A dense
+//     array holds each set's top block again, so the probe most
+//     requests end at reads one word per set.
 //   - Deep families (fully-associative geometries, traceinfo's
 //     million-line reuse summaries) fall back to one Fenwick-tree
 //     stackdist.Analyzer per set, O(log n) per reference at any depth.
@@ -34,7 +36,9 @@
 // Cold detection and dirty state are line-granular and therefore shared
 // by every family: one open-addressed line table (block -> dirty
 // bitmask) whose membership doubles as the first-touch set, consulted
-// only by requests that need it (see charge).
+// only by requests that need it (see charge). Its cells come in groups
+// of eight neighbouring blocks, so a streamed region probes memory the
+// previous probe already fetched.
 //
 // The engine shares Dragonhead's AF and CB state (fsb.AF, fsb.CB): it
 // honors the start/stop emulation window, decodes control-message
@@ -52,7 +56,7 @@
 // pins down exactly which accesses miss, eviction counts follow from
 // per-set fill counts, and writebacks from a per-line dirty bitmask
 // resolved at the evicted line's next reuse (or at end of trace via
-// the final stack depth).
+// the final stacks).
 package oracle
 
 import (
@@ -75,9 +79,11 @@ const maxTracked = 64
 // analyzer's O(log n).
 const fastDepth = 256
 
-// fastBudget caps the fast path's flat-array footprint (entries =
-// sets x maxAssoc; two uint64 arrays of that length).
-const fastBudget = 1 << 22
+// fastBudget caps the fast path's footprint in uint64 slots: sets x
+// maxAssoc stack slots plus one top key per set. It is twice the 2^22
+// stack slots allowed before the top array existed, so every family
+// that fit then (sets <= sets x maxAssoc <= 2^22) still does.
+const fastBudget = 1 << 23
 
 // setFamily holds the per-set distance state of one set count, plus the
 // Tracked handles (geometries wanting full Stats) that share it.
@@ -98,12 +104,14 @@ type setFamily struct {
 	floor uint32
 
 	// Fast path: per-set bounded LRU stacks (of block number plus one, so
-	// an empty slot matches nothing) in one flat array, sets x maxAssoc,
-	// and their depths. The distance histogram is family-wide, since
-	// only its sums are read: hist holds distances 1 and up (distance 0
-	// is Engine.onTop), deep the requests not resident in the stack.
+	// an empty slot is zero and matches nothing) in one flat array, sets
+	// x maxAssoc, and a copy of each stack's slot 0 in a dense array of
+	// its own, so record's probe for the top reads one word per set. The
+	// distance histogram is family-wide, since only its sums are read:
+	// hist holds distances 1 and up (distance 0 is Engine.onTop), deep
+	// the requests not resident in the stack.
 	stack []uint64
-	depth []int32
+	top   []uint64
 	hist  []uint64
 	deep  uint64
 
@@ -120,11 +128,10 @@ func (f *setFamily) freeze() {
 			f.floor = t.assoc32
 		}
 	}
-	entries := f.sets * uint64(f.maxAssoc)
-	if f.maxAssoc <= fastDepth && entries <= fastBudget {
+	if f.maxAssoc <= fastDepth && f.sets*uint64(f.maxAssoc+1) <= fastBudget {
 		f.fast = true
-		f.stack = make([]uint64, entries)
-		f.depth = make([]int32, f.sets)
+		f.stack = make([]uint64, f.sets*uint64(f.maxAssoc))
+		f.top = make([]uint64, f.sets)
 		f.hist = make([]uint64, f.maxAssoc)
 		return
 	}
@@ -138,9 +145,9 @@ func (f *setFamily) freeze() {
 // only the line table can tell apart.
 func (f *setFamily) touchFast(set, key uint64, lo int) int {
 	base := int(set) * f.maxAssoc
-	n := int(f.depth[set])
-	s := f.stack[base : base+n]
-	for i := lo; i < n; i++ {
+	s := f.stack[base : base+f.maxAssoc]
+	f.top[set] = key
+	for i := lo; i < len(s); i++ {
 		if s[i] == key {
 			copy(s[1:i+1], s[:i])
 			s[0] = key
@@ -148,14 +155,9 @@ func (f *setFamily) touchFast(set, key uint64, lo int) int {
 			return i
 		}
 	}
-	// Not resident within maxAssoc: grow the stack if it still has
-	// room, then push the block on top (the LRU block falls off).
-	if n < f.maxAssoc {
-		n++
-		f.depth[set] = int32(n)
-		s = f.stack[base : base+n]
-	}
-	copy(s[1:], s[:n-1])
+	// Not resident within maxAssoc: push the block on top (the LRU
+	// block, or an empty slot, falls off).
+	copy(s[1:], s[:len(s)-1])
 	s[0] = key
 	f.deep++
 	return f.maxAssoc
@@ -374,7 +376,7 @@ func (e *Engine) record(blk uint64, store bool, core uint8) {
 	// misses, and k == 0 — one compare — is the common request.
 	k := 0
 	for ; k < len(fams); k++ {
-		if f := fams[k]; f.stack[int(blk&f.setMask)*f.maxAssoc] == key {
+		if f := fams[k]; f.top[blk&f.setMask] == key {
 			break
 		}
 	}

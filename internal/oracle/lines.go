@@ -14,10 +14,13 @@ type lineCell struct {
 const minLines = 1 << 10
 
 // lineTable is the engine's set of touched blocks: open-addressed,
-// Fibonacci-hashed, linearly probed, load <= 3/4, doubling. Blocks are
-// never deleted, so there are no tombstones. It is the shape of
-// stackdist's line table, kept apart because that cell carries a slot
-// and a tag and its probe is fused into the Record kernel.
+// linearly probed, load <= 3/4, doubling. Blocks are never deleted, so
+// there are no tombstones. A key's home is cell key&7 of a group of 8
+// cells (128 B) that a Fibonacci hash of key>>3 picks, so neighbouring
+// blocks share the memory one probe fetched and a streamed region
+// probes the table in order. It is the shape of stackdist's line table,
+// kept apart because that cell carries a slot and a tag and its probe
+// is fused into the Record kernel.
 type lineTable struct {
 	cells []lineCell
 	shift uint // 64 - log2(len(cells))
@@ -31,11 +34,16 @@ func newLineTable() lineTable {
 	}
 }
 
+// home returns the cell where key's probe starts.
+func (t *lineTable) home(key uint64) int {
+	return int((key>>3*0x9E3779B97F4A7C15)>>t.shift&^7 | key&7)
+}
+
 // find returns the index of key's cell, or of the empty cell where it
 // belongs.
 func (t *lineTable) find(key uint64) int {
 	mask := len(t.cells) - 1
-	i := int((key * 0x9E3779B97F4A7C15) >> t.shift)
+	i := t.home(key)
 	for t.cells[i].key != key && t.cells[i].key != 0 {
 		i = (i + 1) & mask
 	}

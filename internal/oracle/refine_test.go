@@ -293,7 +293,7 @@ func TestDistancesShrinkAsSetsSplit(t *testing.T) {
 				return d, d
 			}
 			base := int(set) * f.maxAssoc
-			for i, key := range f.stack[base : base+int(f.depth[set])] {
+			for i, key := range f.stack[base : base+f.maxAssoc] {
 				if key == blk+1 {
 					return i, i
 				}
@@ -335,11 +335,32 @@ func engineLadder() []cache.Config {
 
 var ladderSink uint64
 
-// BenchmarkEngineLadder times the analytic pass alone over a synthetic
-// stream — track, record, read Stats — so the layer can be worked on
-// without a run of the repository benchmark.
+// streamRefs reads 64 MB of lines in order, one load each, with a
+// reference into a 256 KB hot region after every line — the shape of a
+// CSR sweep (matrix streamed once, vector reused): every streamed line
+// is a first touch, so it inserts into the line table.
+func streamRefs() []trace.Ref {
+	const lines, hot = 1 << 20, 256 << 10
+	g := newRefGen(11)
+	refs := make([]trace.Ref, 0, 2*lines)
+	for i := uint64(0); i < lines; i++ {
+		refs = append(refs,
+			trace.Ref{Addr: mem.Addr(1<<32 + i*64), Size: 8, Kind: mem.Load, Core: uint8(i % 4)},
+			trace.Ref{Addr: mem.Addr(g.next() % hot &^ 7), Size: 8, Kind: mem.Kind(i % 2), Core: uint8(i % 4)})
+	}
+	return refs
+}
+
+// BenchmarkEngineLadder times the analytic pass alone — track, record,
+// read Stats — so the layer can be worked on without a run of the
+// repository benchmark: "mixed" is refGen's 1 MB footprint, which fits
+// in a core's L2, "stream" a footprint that does not.
 func BenchmarkEngineLadder(b *testing.B) {
-	refs := newRefGen(5).refs(1 << 18)
+	b.Run("mixed", func(b *testing.B) { benchLadder(b, newRefGen(5).refs(1<<18)) })
+	b.Run("stream", func(b *testing.B) { benchLadder(b, streamRefs()) })
+}
+
+func benchLadder(b *testing.B, refs []trace.Ref) {
 	cfgs := engineLadder()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

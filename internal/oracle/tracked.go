@@ -104,8 +104,9 @@ func (t *Tracked) MPKI() float64 {
 //   - SectorFetches = Misses (unsectored: one line fill per miss).
 //   - Evictions: every miss fills a line and a set ends holding
 //     min(assoc, distinct blocks) of them, so evictions = misses - that
-//     sum over sets (per set: max(0, misses_set - assoc)). The bounded
-//     stacks' depths are min(maxAssoc, distinct blocks).
+//     sum over sets (per set: max(0, misses_set - assoc)). A bounded
+//     stack holds min(maxAssoc, distinct blocks) keys, so a set holds
+//     its stack's non-zero slots among the first assoc.
 //   - Writebacks: gap-observed writebacks (counted in record at reuse
 //     time) plus lines that end the trace dirty and evicted — those
 //     left the cache dirty after their last access, with no reuse left
@@ -134,17 +135,17 @@ func (t *Tracked) Stats() cache.Stats {
 	assoc := uint64(t.assoc)
 	wb := t.writebacks
 	if f.fast {
-		// A set ends holding its first min(assoc, depth) stack entries.
-		// Dirty lines evicted after their last access: all dirty lines,
-		// minus the dirty ones still held.
+		// A set ends holding the non-zero keys among its first assoc
+		// stack slots. Dirty lines evicted after their last access: all
+		// dirty lines, minus the dirty ones still held.
 		var held, resident uint64
-		for set, depth := range f.depth {
-			base := set * f.maxAssoc
-			n := min(int(depth), t.assoc)
-			held += uint64(n)
-			for _, key := range f.stack[base : base+n] {
-				if e.lines.mask(key)&t.bit != 0 {
-					resident++
+		for base := 0; base < len(f.stack); base += f.maxAssoc {
+			for _, key := range f.stack[base : base+t.assoc] {
+				if key != 0 {
+					held++
+					if e.lines.mask(key)&t.bit != 0 {
+						resident++
+					}
 				}
 			}
 		}
