@@ -6,7 +6,8 @@
 // reports the reproduced quantities as custom metrics alongside the
 // timing, so the bench output doubles as a miniature results table.
 // The simulator's own speed — sweeps, replay, the set path, sharding,
-// the sampled tier — is measured by `go run ./bench`, not here.
+// the sampled tier — is measured by `go run ./bench`, not here; the one
+// exception is BenchmarkPlanFamily, the planner's crossover.
 //
 // Regenerate the full-resolution exhibits with `go run ./cmd/cosim all`.
 package cmpmem_test
@@ -23,6 +24,7 @@ import (
 	"cmpmem/internal/prefetch"
 	"cmpmem/internal/stackdist"
 	"cmpmem/internal/trace"
+	"cmpmem/internal/tracestore"
 	"cmpmem/internal/workloads"
 )
 
@@ -321,6 +323,46 @@ func BenchmarkLLCOrganization(b *testing.B) {
 	for _, r := range rows {
 		if r.SharedMPKI > 0 {
 			b.ReportMetric(r.PrivateMPKI/r.SharedMPKI, "privOverShared:"+r.Workload)
+		}
+	}
+}
+
+// BenchmarkPlanFamily measures where the planner's analytic leg pays
+// (DESIGN.md §10): an 8-way 64 B ladder of k sizes from 256 KB, over a
+// warm capture through CombinedSweep. emulate runs the ladder as one
+// Dragonhead chain at every k, oracle as one analytic pass, and auto is
+// the planner's choice between them — the chain below five configs.
+// Each reports wall ns per bus event; the capture is taken once per
+// workload, outside the timing.
+func BenchmarkPlanFamily(b *testing.B) {
+	p := workloads.Params{Seed: 1, Scale: benchScale}
+	pc := core.PlatformConfig{Threads: 8, Seed: 1}
+	ladder := func(k int) [][]cache.Config {
+		g := make([]cache.Config, k)
+		for i := range g {
+			g[i] = cache.Config{Name: fmt.Sprintf("LLC-%dKB", 256<<i), Size: 256 << 10 << i, LineSize: 64, Assoc: 8}
+		}
+		return [][]cache.Config{g}
+	}
+	for _, name := range []string{"MDS", "FIMI"} {
+		store := tracestore.New(0, "")
+		if _, _, err := core.CombinedSweep(name, p, pc, ladder(1), core.WithTraceReuse(store)); err != nil {
+			b.Fatal(err)
+		}
+		for k := 1; k <= 7; k++ {
+			for _, engine := range []core.Engine{core.EngineAuto, core.EngineEmulate, core.EngineOracle} {
+				b.Run(fmt.Sprintf("%s/k=%d/%v", name, k, engine), func(b *testing.B) {
+					var events uint64
+					for i := 0; i < b.N; i++ {
+						_, sum, err := core.CombinedSweep(name, p, pc, ladder(k), core.WithTraceReuse(store), core.WithEngine(engine))
+						if err != nil {
+							b.Fatal(err)
+						}
+						events += sum.BusEvents
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+				})
+			}
 		}
 	}
 }

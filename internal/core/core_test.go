@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -140,17 +141,19 @@ func TestHierCachesMatchReference(t *testing.T) {
 // transactions the AF dropped.
 func TestHostNoiseIsInvisible(t *testing.T) {
 	p := workloads.Params{Seed: 3, Scale: 1.0 / 500}
-	llcs := []cache.Config{
-		{Name: "64K", Size: 64 << 10, LineSize: 64, Assoc: 8},
-		{Name: "256K", Size: 256 << 10, LineSize: 64, Assoc: 16},
-		{Name: "128K/256B", Size: 128 << 10, LineSize: 256, Assoc: 8},
+	// A 64 B family just large enough for the analytic leg, and one
+	// config at another line size for the emulated leg.
+	llcs := []cache.Config{{Name: "128K/256B", Size: 128 << 10, LineSize: 256, Assoc: 8}}
+	for i := range minAnalyticFamily {
+		size, assoc := uint64(32<<10)<<i, 8<<(i%2)
+		llcs = append(llcs, cache.Config{Name: fmt.Sprintf("%dK/%dw", size>>10, assoc), Size: size, LineSize: 64, Assoc: assoc})
 	}
 	plan, err := PlanSweep(llcs, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Analytic) != 2 || len(plan.Emulated) != 1 {
-		t.Fatalf("plan: %d analytic, %d emulated; want 2 and 1", len(plan.Analytic), len(plan.Emulated))
+	if len(plan.Analytic) != minAnalyticFamily || len(plan.Emulated) != 1 {
+		t.Fatalf("plan: %d analytic, %d emulated; want %d and 1", len(plan.Analytic), len(plan.Emulated), minAnalyticFamily)
 	}
 	hcs := []hier.Config{hier.PentiumIV(p.Scale)}
 	run := func(noise int) ([]LLCResult, []HierResult) {

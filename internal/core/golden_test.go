@@ -81,14 +81,15 @@ func TestGoldenFig8(t *testing.T) {
 // TestGoldenCacheSweepPlanner proves the sweep planner byte-matches an
 // emulation-authored fixture: with -update the Figure 4 series is
 // regenerated through the emulators, while the regular run produces it
-// both ways — emulated, which pins the Dragonhead's own numbers, and
-// through the analytic planner — so each is compared against checked-in
-// emulated output, exact to the JSON byte.
+// three ways — emulated, which pins the Dragonhead's own numbers,
+// through the planner, and through the strict oracle whatever the
+// planner chooses — so each is compared against checked-in emulated
+// output, exact to the JSON byte.
 func TestGoldenCacheSweepPlanner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs are slow")
 	}
-	engines := []Engine{EngineEmulate, EngineAuto}
+	engines := []Engine{EngineEmulate, EngineAuto, EngineOracle}
 	if *update {
 		engines = engines[:1]
 	}

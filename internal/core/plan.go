@@ -4,16 +4,14 @@
 //
 // The paper's operational flow reprograms the Dragonhead board once per
 // cache configuration — a 14-experiment CacheSweep + LineSweep session
-// is 14 snooping passes. The planner collapses that: it partitions the
-// flattened grid into configs the Mattson engine answers analytically
-// (LRU, unsectored, at the plan's line size — one stack-distance
-// profile answers every size x assoc point at once) and configs that
-// still need cycle-level emulation (other line sizes, sectored lines,
-// non-LRU policies), deduplicates geometries that appear in several
-// sub-sweeps, and attaches the one analytic engine plus the remaining
-// emulators to a single bus pass. With the trace substrate the whole
-// session costs one capture plus one replay; results are bit-identical
-// to emulating every config, which `cosim -verify` proves on demand.
+// is 14 snooping passes. The planner collapses that: it deduplicates
+// geometries shared by sub-sweeps and partitions the grid into configs
+// the Mattson engine answers analytically (LRU, unsectored, at the
+// plan's line size — one stack-distance profile answers every size x
+// assoc point at once) and configs that are emulated (other line sizes,
+// sectored lines, non-LRU policies, a family too small to pay for the
+// analytic pass). Both legs ride a single bus pass; results are
+// bit-identical to emulating every config, which `cosim -verify` proves.
 
 package core
 
@@ -37,8 +35,8 @@ const (
 	// engine is verified against, and LLCSweep's route.
 	EngineEmulate Engine = iota
 	// EngineAuto plans the sweep: analytically expressible configs are
-	// answered by the Mattson engine, the rest by emulation, duplicates
-	// by neither. The default of every entry point but LLCSweep.
+	// answered by the Mattson engine where it pays, the rest by emulation,
+	// duplicates by neither. The default of every entry point but LLCSweep.
 	EngineAuto
 	// EngineOracle requires every config to be analytically
 	// answerable and fails the sweep otherwise — the strict leg of the
@@ -77,6 +75,28 @@ type geomKey struct {
 	Assoc      int
 	Repl       cache.Policy
 	SectorSize uint64
+}
+
+// minAnalyticFamily is the smallest family (canonical eligible configs at
+// the plan's line size) EngineAuto answers analytically if one chain could:
+// at 1/64 a 1-4 rung chain costs less CPU on 7 of 8 workloads (DESIGN §10).
+const minAnalyticFamily = 5
+
+// oneChain reports whether the plan's family would be one dragonhead.Chain:
+// two chains, or four lone emulators, cost more CPU than the oracle.
+func oneChain(plan *SweepPlan) bool {
+	rungs := make(map[[2]int]bool)
+	for i, cfg := range plan.Configs {
+		if plan.Entries[i].Canonical != i || !analyticEligible(cfg) || cfg.LineSize != plan.LineSize {
+			continue
+		}
+		d, err := bankedConfig(cfg)
+		if err != nil || cfg.Assoc < 1 || cfg.Assoc > 64 {
+			return false
+		}
+		rungs[[2]int{cfg.Assoc, d.Banks}] = true
+	}
+	return len(rungs) == 1
 }
 
 // PlanEntry records how one config of the flattened grid is answered.
@@ -136,9 +156,9 @@ func analyticEligible(cfg cache.Config) bool {
 // the given engine policy. EngineEmulate sends every canonical config
 // to the emulation leg (duplicates still dedupe); EngineAuto picks the
 // dominant line size among eligible configs and answers that family
-// analytically; EngineOracle additionally fails if any config cannot
-// be answered analytically. It is exported because bench's probes plan
-// their grids the way the sweeps they measure do.
+// analytically where it pays (minAnalyticFamily); EngineOracle at any
+// size, failing if any config cannot be. Exported because bench's
+// probes plan their grids the way the sweeps they measure do.
 func PlanSweep(configs []cache.Config, engine Engine) (*SweepPlan, error) {
 	plan := &SweepPlan{
 		Configs: append([]cache.Config(nil), configs...),
@@ -174,6 +194,9 @@ func PlanSweep(configs []cache.Config, engine Engine) (*SweepPlan, error) {
 			if plan.LineSize == 0 || n > best || (n == best && ls < plan.LineSize) {
 				plan.LineSize = ls
 			}
+		}
+		if engine == EngineAuto && counts[plan.LineSize] < minAnalyticFamily && oneChain(plan) {
+			plan.LineSize = 0 // cheaper emulated
 		}
 	}
 

@@ -146,6 +146,76 @@ func TestPlanSweepOracleStrict(t *testing.T) {
 	}
 }
 
+// TestPlanSweepFamilyRule pins where EngineAuto draws the analytic
+// leg: a 64 B LRU ladder of minAnalyticFamily canonical configs goes to
+// the oracle, one config fewer to the emulators (as one chain), whatever
+// else the grid holds — a duplicate under another name adds nothing to
+// the family, and FIFO, sectored and other-line-size configs are
+// emulated either way. A small family of two associativities, or of two
+// bank counts (a 1 KB cache has two sets, so two banks), would be two
+// emulator chains, and keeps the oracle. EngineEmulate never plans
+// analytically and EngineOracle always does, failing on any grid it
+// cannot answer whole.
+func TestPlanSweepFamilyRule(t *testing.T) {
+	family := func(k int, base uint64, assocs []int) []cache.Config {
+		var out []cache.Config
+		for i := range k {
+			out = append(out, cache.Config{Name: fmt.Sprintf("f%d", i), Size: base << i, LineSize: 64, Assoc: assocs[i%len(assocs)]})
+		}
+		// The first config again: one more entry, no more family.
+		return append(out, cache.Config{Name: "f0-twin", Size: base, LineSize: 64, Assoc: assocs[0]})
+	}
+	others := []cache.Config{
+		{Name: "fifo", Size: 64 << 10, LineSize: 64, Assoc: 8, Repl: cache.FIFO},
+		{Name: "sectored", Size: 64 << 10, LineSize: 64, Assoc: 8, SectorSize: 16},
+		{Name: "128B", Size: 64 << 10, LineSize: 128, Assoc: 8},
+	}
+	for _, tc := range []struct {
+		k       int
+		base    uint64
+		assocs  []int
+		chained bool // the family would be one chain
+	}{
+		{minAnalyticFamily - 1, 16 << 10, []int{8}, true},
+		{minAnalyticFamily, 16 << 10, []int{8}, true},
+		{minAnalyticFamily - 1, 16 << 10, []int{8, 16}, false},
+		{minAnalyticFamily - 1, 1 << 10, []int{8}, false},
+	} {
+		k, chained := tc.k, tc.chained
+		for _, mixed := range []bool{false, true} {
+			grid := family(k, tc.base, tc.assocs)
+			if mixed {
+				grid = append(others[:2:2], append(grid, others[2])...)
+			}
+			canonical := len(grid) - 1
+			for _, engine := range []Engine{EngineEmulate, EngineAuto, EngineOracle} {
+				tag := fmt.Sprintf("k=%d/base=%d/assocs=%v/mixed=%v/%v", k, tc.base, tc.assocs, mixed, engine)
+				plan, err := PlanSweep(grid, engine)
+				if engine == EngineOracle && mixed {
+					if err == nil {
+						t.Errorf("%s: a grid with FIFO, sectored and 128 B configs passed the strict plan", tag)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				analytic := 0
+				if engine == EngineOracle || (engine == EngineAuto && (k >= minAnalyticFamily || !chained)) {
+					analytic = k
+				}
+				if len(plan.Analytic) != analytic || len(plan.Emulated) != canonical-analytic {
+					t.Errorf("%s: %d analytic, %d emulated; want %d and %d",
+						tag, len(plan.Analytic), len(plan.Emulated), analytic, canonical-analytic)
+				}
+				if want := map[bool]uint64{true: 64, false: 0}[analytic > 0]; plan.LineSize != want {
+					t.Errorf("%s: plan line size %d, want %d", tag, plan.LineSize, want)
+				}
+			}
+		}
+	}
+}
+
 // mixedGrid exercises every planner decision in one sweep: analytic
 // configs (64 B LRU), an emulation-required line size, a non-LRU
 // policy, and a duplicate geometry under another name.
@@ -218,6 +288,27 @@ func TestPlannedSweepMatchesEmulation(t *testing.T) {
 	// The duplicate must match its canonical entry exactly (modulo name).
 	if !sameLLCResult(planned[0], planned[4]) {
 		t.Error("duplicate config diverges from its canonical result")
+	}
+	// The grid's 64 B LRU family is too small for EngineAuto's analytic
+	// leg; the strict oracle answers it, and must answer it alike.
+	var family []cache.Config
+	var want []LLCResult
+	for i, cfg := range grid {
+		if oracleAnswers(cfg) {
+			family, want = append(family, cfg), append(want, legacy[i])
+		}
+	}
+	strict, strictSum, err := LLCSweep("SNP", tinyParams(), pc, family, reuse, WithEngine(EngineOracle))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strictSum != legacySum {
+		t.Errorf("oracle run summary %+v, emulated %+v", strictSum, legacySum)
+	}
+	for i := range family {
+		if !sameLLCResult(want[i], strict[i]) {
+			t.Errorf("%s: oracle result diverges from emulation", family[i].Name)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cmpmem/internal/cache"
 	"cmpmem/internal/hier"
 	"cmpmem/internal/prefetch"
 	"cmpmem/internal/trace"
@@ -82,12 +83,13 @@ func TestReplayEquivalenceAllWorkloads(t *testing.T) {
 // capturing execution's own bus, beside the recorder; a hit and a disk
 // revival replay; a single-flight waiter replays what another caller's
 // answerers were fed live. Every one of them must return the whole
-// LLCResult a store-less live run returns — under both engines, on a
-// grid with a sectored config, FIFO/Random and two line sizes — and the
-// same for the timing hierarchy.
+// LLCResult a store-less live run returns — under every engine, on a
+// grid with a sectored config, FIFO/Random and two line sizes (the
+// strict oracle on its 64 B LRU configs) — and the same for the timing
+// hierarchy.
 func TestEverySourceAnswersAlike(t *testing.T) {
-	grids := differentialGrids()
 	p, pc := tinyParams(), PlatformConfig{Threads: 2, Seed: 9}
+	var grids [][]cache.Config
 	sweep := func(opts ...RunOption) ([][]LLCResult, RunSummary) {
 		t.Helper()
 		res, sum, err := CombinedSweep("SNP", p, pc, grids, opts...)
@@ -102,7 +104,11 @@ func TestEverySourceAnswersAlike(t *testing.T) {
 			t.Errorf("%s: differs from the live run", tag)
 		}
 	}
-	for _, engine := range []Engine{EngineEmulate, EngineAuto} {
+	for _, engine := range []Engine{EngineEmulate, EngineAuto, EngineOracle} {
+		grids = differentialGrids()
+		if engine == EngineOracle {
+			grids = oracleGrids(grids)
+		}
 		live, lsum := sweep(WithEngine(engine))
 		dir := t.TempDir()
 		store := tracestore.New(0, dir)

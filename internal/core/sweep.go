@@ -50,8 +50,9 @@ func LLCSweep(name string, p workloads.Params, pc PlatformConfig, llcs []cache.C
 // line sweep — in a single planned pass. Geometries shared across
 // grids are computed once; the result slices mirror the input grids
 // element for element, each config under its own name. The planner
-// answers the dominant line-size family analytically and emulates the
-// rest, bit-identical to LLCSweep's emulators.
+// answers the dominant line-size family analytically where that pays
+// (PlanSweep) and emulates the rest, a ladder as one Dragonhead chain,
+// bit-identical to LLCSweep's emulators.
 func CombinedSweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.Config, opts ...RunOption) ([][]LLCResult, RunSummary, error) {
 	results, _, sum, err := sweep(name, p, pc, grids, nil, nil, applyOpts(opts))
 	if err != nil {

@@ -42,6 +42,25 @@ func differentialGrids() [][]cache.Config {
 	}
 }
 
+// oracleAnswers reports whether a strict oracle plan at 64 B lines
+// answers cfg: the tests' grids hold fewer 64 B LRU configs than
+// EngineAuto's analytic leg takes, so they cover that leg with
+// EngineOracle on these configs.
+func oracleAnswers(cfg cache.Config) bool { return analyticEligible(cfg) && cfg.LineSize == 64 }
+
+// oracleGrids keeps the configs of grids that oracleAnswers.
+func oracleGrids(grids [][]cache.Config) [][]cache.Config {
+	out := make([][]cache.Config, len(grids))
+	for gi, g := range grids {
+		for _, cfg := range g {
+			if oracleAnswers(cfg) {
+				out[gi] = append(out[gi], cfg)
+			}
+		}
+	}
+	return out
+}
+
 // TestSweepMatchesHandBuiltEmulators is the executor's differential:
 // one Dragonhead per *input* config — no plan, no dedupe, no fan-out —
 // snooping a plain Run, against LLCSweep and CombinedSweep under both
@@ -80,7 +99,7 @@ func TestSweepMatchesHandBuiltEmulators(t *testing.T) {
 		}
 	}
 
-	check := func(tag string, got []LLCResult, sum RunSummary, err error) {
+	check := func(tag string, got []LLCResult, sum RunSummary, err error, want []LLCResult) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)
@@ -94,8 +113,15 @@ func TestSweepMatchesHandBuiltEmulators(t *testing.T) {
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Errorf("%s: result %d (%s) diverges from its hand-built emulator\n got %+v\nwant %+v",
-					tag, i, flat[i].Name, got[i], want[i])
+					tag, i, want[i].LLC.Name, got[i], want[i])
 			}
+		}
+	}
+	// The oracle leg answers the grids' 64 B LRU configs only.
+	var oracleWant []LLCResult
+	for i, cfg := range flat {
+		if oracleAnswers(cfg) {
+			oracleWant = append(oracleWant, want[i])
 		}
 	}
 	store := tracestore.New(0, "")
@@ -103,11 +129,19 @@ func TestSweepMatchesHandBuiltEmulators(t *testing.T) {
 		tag  string
 		opts []RunOption
 	}{{"live", nil}, {"capture", []RunOption{WithTraceReuse(store)}}, {"replay", []RunOption{WithTraceReuse(store)}}} {
-		for _, engine := range []Engine{EngineEmulate, EngineAuto} {
+		for _, engine := range []Engine{EngineEmulate, EngineAuto, EngineOracle} {
+			grids, want := grids, want
+			if engine == EngineOracle {
+				grids, want = oracleGrids(grids), oracleWant
+			}
 			opts := append([]RunOption{WithEngine(engine)}, src.opts...)
 			tag := fmt.Sprintf("%s/%v", src.tag, engine)
+			var flat []cache.Config
+			for _, g := range grids {
+				flat = append(flat, g...)
+			}
 			got, sum, err := LLCSweep("SNP", p, pc, flat, opts...)
-			check("LLCSweep/"+tag, got, sum, err)
+			check("LLCSweep/"+tag, got, sum, err, want)
 			nested, sum, err := CombinedSweep("SNP", p, pc, grids, opts...)
 			var joined []LLCResult
 			for gi, g := range nested {
@@ -116,12 +150,12 @@ func TestSweepMatchesHandBuiltEmulators(t *testing.T) {
 				}
 				joined = append(joined, g...)
 			}
-			check("CombinedSweep/"+tag, joined, sum, err)
+			check("CombinedSweep/"+tag, joined, sum, err, want)
 		}
 	}
-	// CombinedSweep's default engine plans analytically; same numbers.
+	// CombinedSweep's default engine plans; same numbers.
 	nested, sum, err := CombinedSweep("SNP", p, pc, grids)
-	check("CombinedSweep/default", append(append([]LLCResult(nil), nested[0]...), nested[1]...), sum, err)
+	check("CombinedSweep/default", append(append([]LLCResult(nil), nested[0]...), nested[1]...), sum, err, want)
 }
 
 // TestSweepProgressOrder pins the phase sequences a sweep announces —
@@ -129,12 +163,6 @@ func TestSweepMatchesHandBuiltEmulators(t *testing.T) {
 // one config event per input config, in input order.
 func TestSweepProgressOrder(t *testing.T) {
 	grids := differentialGrids()
-	var names []string
-	for _, g := range grids {
-		for _, cfg := range g {
-			names = append(names, cfg.Name)
-		}
-	}
 	p, pc := tinyParams(), PlatformConfig{Threads: 2, Seed: 9}
 	warm := tracestore.New(0, "")
 	if _, _, err := CombinedSweep("SNP", p, pc, grids, WithTraceReuse(warm)); err != nil {
@@ -156,7 +184,17 @@ func TestSweepProgressOrder(t *testing.T) {
 		{"sampled, store hit", func() []RunOption { return []RunOption{sampled, WithTraceReuse(warm)} }, []string{PhaseSample, PhaseReplay}},
 	}
 	for _, tc := range cases {
-		for _, engine := range []Engine{EngineEmulate, EngineAuto} {
+		for _, engine := range []Engine{EngineEmulate, EngineAuto, EngineOracle} {
+			grids := grids
+			if engine == EngineOracle {
+				grids = oracleGrids(grids)
+			}
+			var names []string
+			for _, g := range grids {
+				for _, cfg := range g {
+					names = append(names, cfg.Name)
+				}
+			}
 			t.Run(fmt.Sprintf("%s/%v", tc.name, engine), func(t *testing.T) {
 				var phases []string
 				var configs []Progress

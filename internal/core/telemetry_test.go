@@ -179,8 +179,10 @@ func TestReplaySpansAndEquivalence(t *testing.T) {
 }
 
 // TestEmulatorChainAttrs: bench's live-sweep ladder runs as one chain
-// of eight Dragonheads, and the emulated leg of its line-and-policy grid
-// (six other line sizes, FIFO and Random at 64 B) chains nothing.
+// of eight Dragonheads, and its line-and-policy grid (seven line sizes,
+// FIFO and Random at 64 B) is nine lone Dragonheads: its one 64 B LRU
+// config is too small a family for the analytic leg, and no two of the
+// nine agree on line size, policy and associativity.
 func TestEmulatorChainAttrs(t *testing.T) {
 	p := workloads.Params{Seed: 3, Scale: 0.002}
 	pc := PlatformConfig{Threads: 2, Seed: 3}
@@ -203,7 +205,7 @@ func TestEmulatorChainAttrs(t *testing.T) {
 		{"line and policy grid", func(o RunOption) error {
 			_, _, err := CombinedSweep("SHOT", p, pc, [][]cache.Config{linePolicy}, o)
 			return err
-		}, "8", "0"},
+		}, "9", "0"},
 	} {
 		var buf, prog bytes.Buffer
 		if err := tc.sweep(WithTelemetry(sinkForTest(&buf, &prog))); err != nil {
@@ -212,6 +214,45 @@ func TestEmulatorChainAttrs(t *testing.T) {
 		a := decodeManifests(t, &buf)[0].Trace.Attrs
 		if a["dragonheads"] != tc.dragonheads || a["emulator_chains"] != tc.chains {
 			t.Errorf("%s: root attrs %v, want %s dragonheads in %s chains", tc.name, a, tc.dragonheads, tc.chains)
+		}
+	}
+}
+
+// TestSmallFamilyRunsAsOneChain: a two-size 64 B ladder — a served
+// spec's shape — is planned onto the emulated leg as one chain, and
+// answers exactly what the strict oracle and plain emulation answer.
+func TestSmallFamilyRunsAsOneChain(t *testing.T) {
+	p, pc := tinyParams(), PlatformConfig{Threads: 2, Seed: 9}
+	grid := []cache.Config{
+		{Name: "16K", Size: 16 << 10, LineSize: 64, Assoc: 8},
+		{Name: "64K", Size: 64 << 10, LineSize: 64, Assoc: 8},
+	}
+	store := tracestore.New(0, "")
+	var buf, prog bytes.Buffer
+	auto, sum, err := CombinedSweep("SNP", p, pc, [][]cache.Config{grid},
+		WithTraceReuse(store), WithTelemetry(sinkForTest(&buf, &prog)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := decodeManifests(t, &buf)[0].Trace.Attrs
+	if a["analytic_configs"] != "0" || a["dragonheads"] != "2" || a["emulator_chains"] != "1" {
+		t.Errorf("root attrs %v: want 0 analytic configs and 2 dragonheads in 1 chain", a)
+	}
+	for _, engine := range []Engine{EngineOracle, EngineEmulate} {
+		got, gsum, err := CombinedSweep("SNP", p, pc, [][]cache.Config{grid}, WithTraceReuse(store), WithEngine(engine))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gsum != sum {
+			t.Errorf("%v: summary %+v, auto %+v", engine, gsum, sum)
+		}
+		for i := range grid {
+			g, w := got[0][i], auto[0][i]
+			if g.Stats != w.Stats || g.MPKI != w.MPKI || g.Instructions != w.Instructions ||
+				g.Ignored != w.Ignored || !reflect.DeepEqual(g.Samples, w.Samples) || len(w.Samples) == 0 {
+				t.Errorf("%v: %s answers %d misses in %d samples, auto %d in %d",
+					engine, grid[i].Name, g.Stats.Misses, len(g.Samples), w.Stats.Misses, len(w.Samples))
+			}
 		}
 	}
 }

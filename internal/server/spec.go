@@ -37,6 +37,9 @@ const (
 	MaxThreads = cache.MaxCores
 	// MaxScale bounds the footprint scale (1.0 = paper-sized).
 	MaxScale = 4.0
+	// MaxQuantum bounds the DEX slice at 20x the default: a slice buffer
+	// too big to allocate would kill the process, not fail the job.
+	MaxQuantum = 1 << 20
 	// maxTenantLen bounds the X-Tenant header.
 	maxTenantLen = 64
 )
@@ -188,6 +191,9 @@ func (s *SweepSpec) lower() (*sweepCall, error) {
 	}
 	if s.Platform.Threads < 1 || s.Platform.Threads > MaxThreads {
 		return nil, fmt.Errorf("spec: platform threads %d out of range [1, %d]", s.Platform.Threads, MaxThreads)
+	}
+	if s.Platform.Quantum > MaxQuantum {
+		return nil, fmt.Errorf("spec: platform quantum %d exceeds the limit of %d", s.Platform.Quantum, MaxQuantum)
 	}
 	if s.Platform.Noise < 0 || s.Platform.Noise > 1<<20 {
 		return nil, fmt.Errorf("spec: platform noise %d out of range [0, %d]", s.Platform.Noise, 1<<20)

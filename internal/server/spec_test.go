@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -61,6 +62,23 @@ func TestDecodeSpecRejects(t *testing.T) {
 		if _, err := DecodeSpec(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: accepted, want error", name)
 		}
+	}
+}
+
+// TestDecodeSpecQuantumBound: the DEX slice is bounded at decode, so a
+// spec can never make a slice buffer ask for more memory than exists.
+// Only the bound's two sides are decoded; neither spec is run.
+func TestDecodeSpecQuantumBound(t *testing.T) {
+	body := func(q uint64) string {
+		return fmt.Sprintf(`{"workload":"SNP","platform":{"quantum":%d},"grids":[[{"size_bytes":65536,"line_size":64,"assoc":4}]]}`, q)
+	}
+	spec, err := DecodeSpec(strings.NewReader(body(MaxQuantum)))
+	if err != nil || spec.Platform.Quantum != MaxQuantum {
+		t.Errorf("quantum %d: spec %+v, error %v; want it accepted", MaxQuantum, spec, err)
+	}
+	_, err = DecodeSpec(strings.NewReader(body(MaxQuantum + 1)))
+	if err == nil || !strings.Contains(err.Error(), "quantum") {
+		t.Errorf("quantum %d: error %v, want one naming the quantum", MaxQuantum+1, err)
 	}
 }
 
@@ -152,6 +170,7 @@ func FuzzSpecDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"workload":"FIMI","seed":-1,"scale":1e308,"grids":[[{"size_bytes":18446744073709551615,"line_size":0,"assoc":-1}]]}`))
 	f.Add([]byte(`{"workload":"SNP","grids":[[{"size_bytes":65536,"line_size":64,"assoc":4,"repl":"fifo","sector_size":128}]],"engine":"oracle"}`))
+	f.Add([]byte(`{"workload":"SNP","platform":{"quantum":1099511627776},"grids":[[{"size_bytes":65536,"line_size":64,"assoc":4}]]}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`null`))
 	f.Add([]byte("\x00\xff\xfe"))

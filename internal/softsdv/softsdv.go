@@ -286,7 +286,7 @@ var ErrDeadlock = errors.New("softsdv: all runnable cores are blocked (guest dea
 // error on guest deadlock or if a guest body panics.
 func (s *Scheduler) Run(p Program) error {
 	s.threads = make([]*Thread, s.cfg.Cores)
-	s.buf = make([]trace.Ref, 0, s.cfg.Quantum)
+	s.buf = make([]trace.Ref, 0, min(s.cfg.Quantum, DefaultQuantum))
 	for i := range s.threads {
 		t := &Thread{
 			core:    uint8(i),
