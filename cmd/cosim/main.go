@@ -24,10 +24,12 @@
 //	cosim traceinfo       profile each selected workload's in-window
 //	                      reference stream on -threads cores: access mix,
 //	                      footprint, strides, per-core counts and, with
-//	                      -stackdist, a Mattson reuse-distance summary,
-//	                      all from one execution; -windows n adds a phase
-//	                      timeline from a second one (its window length
-//	                      is the first one's reference count over n)
+//	                      -stackdist, a Mattson reuse-distance summary —
+//	                      rows of the exhibit table, so they share the
+//	                      execution of any other subcommand on that
+//	                      platform; -windows n adds a phase timeline
+//	                      from a second table run (its window length is
+//	                      the first run's reference count over n)
 //	cosim trace [-fold] [-job id] [-kind k] [-last] [file]
 //	                      render the span trees of a manifest stream
 //	                      (see trace.go)
@@ -190,7 +192,7 @@ func run(args []string) error {
 		case "sweep":
 			prints[i] = func() error { return sweepCmd(os.Stdout, *specPath, opts) }
 		case "traceinfo":
-			prints[i] = func() error { return traceinfo(os.Stdout, names, p, *threads, *windows, *stackdist, opts) }
+			ex, prints[i] = traceinfo(os.Stdout, names, p, *threads, *windows, *stackdist, opts)
 		default:
 			return fmt.Errorf("unknown subcommand %q", cmd)
 		}
@@ -208,8 +210,9 @@ func run(args []string) error {
 		if err := prints[i](); err != nil {
 			return fmt.Errorf("%s: %w", cmd, err)
 		}
-		// An exhibit's work ran inside RunExhibits; only these three work
-		// here, so only their time is worth a line.
+		// An exhibit's work ran inside RunExhibits; only these three may
+		// work here (traceinfo's -windows timeline is a second table), so
+		// only their time is worth a line.
 		if cmd == "table1" || cmd == "sweep" || cmd == "traceinfo" {
 			fmt.Fprintf(os.Stderr, "[%s done in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
 		}

@@ -54,8 +54,7 @@ func TestCLISubcommands(t *testing.T) {
 
 // TestCLIReplayIsOptIn: no cosim subcommand opens a trace store —
 // every one executes live, so no sweep it runs has a store span
-// (traceinfo runs no sweep: TestTraceinfoExecutesLive counts its
-// executions).
+// (TestTraceinfoExecutesLive counts traceinfo's executions).
 func TestCLIReplayIsOptIn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

@@ -2,65 +2,109 @@
 // reference stream — access mix, footprint, stride distribution, a
 // windowed working-set timeline (the view of "changing application
 // phase behavior" that motivated the paper's run-to-completion
-// methodology) and, with -stackdist, a Mattson reuse-distance summary
-// from the analytic oracle engine.
+// methodology) and, with -stackdist, a Mattson reuse-distance summary.
 //
 //	cosim -workloads SHOT -threads 8 -windows 16 -stackdist traceinfo
 //
-// The profile and the stack-distance summary co-snoop one live
-// execution; the timeline needs that execution's reference count for
-// its window length, so -windows executes the guest a second time.
+// The profile is one more row of the exhibit table, so it shares its
+// execution with every other subcommand on -threads cores. The timeline
+// needs that execution's reference count for its window length, so
+// -windows runs a second table after the first.
 
 package main
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
 	"cmpmem/internal/core"
 	"cmpmem/internal/fsb"
-	"cmpmem/internal/oracle"
+	"cmpmem/internal/mem"
+	"cmpmem/internal/stackdist"
+	"cmpmem/internal/trace"
 	"cmpmem/internal/traceutil"
 	"cmpmem/internal/workloads"
 )
 
-// traceinfo prints the reports for each selected workload.
-func traceinfo(w io.Writer, names []string, p workloads.Params, threads, windows int, stackdist bool, opts []core.RunOption) error {
-	pc := core.PlatformConfig{Threads: threads, Seed: p.Seed}
-	for _, name := range names {
-		fmt.Fprintf(w, "%s on %d cores:\n", name, threads)
-		col := traceutil.NewCollector()
-		snoopers := []fsb.Snooper{core.RefSnooper(col.Add)}
-		var eng *oracle.Engine
-		if stackdist {
-			var err error
-			if eng, err = newStackdistEngine(); err != nil {
-				return err
+// stackdistDepth is the exact-histogram depth in 64 B lines: reuse
+// distances up to 1M lines (64 MB) are resolved exactly; deeper ones
+// report as beyond-depth.
+const stackdistDepth = 1 << 20
+
+// profile is one workload's traceinfo row.
+type profile struct {
+	col   *traceutil.Collector
+	sd    *stackdist.Analyzer
+	win   *traceutil.Windower
+	stats traceutil.Stats
+	wins  []traceutil.WindowStat
+	reuse strings.Builder // the -stackdist section, rendered as its run ends
+}
+
+// traceinfo returns the profile row of each selected workload and the
+// function that prints the reports once the table has run; with
+// windows > 0 that function first runs the timeline's table, whose rows
+// cut each stream into windows of its profiled reference count over
+// windows.
+func traceinfo(w io.Writer, names []string, p workloads.Params, threads, windows int, withStackdist bool, opts []core.RunOption) ([]core.Exhibit, func() error) {
+	profs := make([]profile, len(names))
+	per := func(i int) uint64 { return max(profs[i].stats.Refs/uint64(windows), 1) }
+	ex := core.Exhibit{Threads: threads,
+		Snoopers: func(i int) ([]fsb.Snooper, error) {
+			prof := &profs[i]
+			prof.col = traceutil.NewCollector()
+			if withStackdist {
+				prof.sd = stackdist.New(64, stackdistDepth)
 			}
-			snoopers = append(snoopers, eng)
-		}
-		if _, err := core.Snoop(name, p, pc, snoopers, opts...); err != nil {
-			return err
-		}
-		s := col.Stats()
-		printStats(w, s)
+			return []fsb.Snooper{core.RefSnooper(func(r trace.Ref) {
+				prof.col.Add(r)
+				if prof.sd != nil {
+					recordLines(prof.sd, r)
+				}
+			})}, nil
+		},
+		Row: func(i int, _ core.Answer) {
+			prof := &profs[i]
+			if prof.stats = prof.col.Stats(); prof.sd != nil {
+				printStackdist(&prof.reuse, prof.sd)
+			}
+			prof.col, prof.sd = nil, nil
+		}}
+	timeline := core.Exhibit{Threads: threads,
+		Snoopers: func(i int) ([]fsb.Snooper, error) {
+			profs[i].win = traceutil.NewWindower(per(i))
+			return []fsb.Snooper{core.RefSnooper(profs[i].win.Add)}, nil
+		},
+		Row: func(i int, _ core.Answer) { profs[i].wins, profs[i].win = profs[i].win.Windows(), nil }}
+	return []core.Exhibit{ex}, func() error {
 		if windows > 0 {
-			per := max(s.Refs/uint64(windows), 1)
-			win := traceutil.NewWindower(per)
-			if _, err := core.TraceCapture(name, p, pc, win.Add, opts...); err != nil {
-				return err
-			}
-			printWindows(w, win.Windows(), per)
-		}
-		if eng != nil {
-			if err := printStackdist(w, eng); err != nil {
+			if err := core.RunExhibits(names, p, []core.Exhibit{timeline}, opts...); err != nil {
 				return err
 			}
 		}
+		for i, name := range names {
+			fmt.Fprintf(w, "%s on %d cores:\n", name, threads)
+			printStats(w, profs[i].stats)
+			if windows > 0 {
+				printWindows(w, profs[i].wins, per(i))
+			}
+			io.WriteString(w, profs[i].reuse.String())
+		}
+		return nil
 	}
-	return nil
+}
+
+// recordLines files one in-window transaction as the analytic engine
+// regulates it: one request per 64 B line it touches, a zero size
+// counting as one byte.
+func recordLines(a *stackdist.Analyzer, r trace.Ref) {
+	last := uint64(r.Addr) + uint64(max(r.Size, 1)) - 1
+	for ln := uint64(r.Addr) >> 6; ln <= last>>6; ln++ {
+		a.Record(mem.Addr(ln << 6))
+	}
 }
 
 func printStats(w io.Writer, s traceutil.Stats) {
@@ -110,52 +154,48 @@ func printWindows(w io.Writer, ws []traceutil.WindowStat, per uint64) {
 	}
 }
 
-// stackdistDepth is the exact-histogram depth in 64 B lines: reuse
-// distances up to 1M lines (64 MB) are resolved exactly; deeper ones
-// report as beyond-depth.
-const stackdistDepth = 1 << 20
-
-// newStackdistEngine is the analytic oracle engine as a single
-// fully-associative set: the per-workload "how much cache is enough"
-// view that one Mattson pass answers for every capacity at once. The
-// engine sits on the bus like any emulator, so the run's own start/stop
-// messages gate its AF window.
-func newStackdistEngine() (*oracle.Engine, error) {
-	eng, err := oracle.New(64)
-	if err != nil {
-		return nil, err
+// percentile returns the smallest distance d such that at least
+// ceil(q*total) reuse requests had distance <= d, or -1 when that rank
+// falls into the beyond-depth overflow.
+func percentile(hist []uint64, total uint64, q float64) int {
+	if total == 0 {
+		return -1
 	}
-	if err := eng.AddGeometry(1, stackdistDepth); err != nil {
-		return nil, err
+	rank := max(uint64(math.Ceil(q*float64(total))), 1)
+	var cum uint64
+	for d, n := range hist {
+		cum += n
+		if cum >= rank {
+			return d
+		}
 	}
-	return eng, nil
+	return -1
 }
 
-// printStackdist prints the engine's merged reuse-distance summary once
-// its run has finished.
-func printStackdist(w io.Writer, eng *oracle.Engine) error {
-	s, err := eng.Summary(1)
-	if err != nil {
-		return err
-	}
+// printStackdist prints a's reuse-distance summary. Percentiles are
+// over reuse (non-cold) distances, in lines; beyond a's histogram depth
+// only a bound is known.
+func printStackdist(w io.Writer, a *stackdist.Analyzer) {
+	hist, _ := a.Histogram() // the overflow is the reuse total's remainder
+	requests, distinct, cold := a.Total(), uint64(a.DistinctLines()), a.Cold()
 	fmt.Fprintln(w, "stack distance (fully-associative LRU, 64B lines):")
-	fmt.Fprintf(w, "  line requests:  %d\n", s.Requests)
-	fmt.Fprintf(w, "  distinct lines: %d (%.2f MB)\n", s.Distinct, float64(s.Distinct*64)/(1<<20))
-	fmt.Fprintf(w, "  cold misses:    %d (%.1f%% of requests)\n", s.Cold, pct(s.Cold, s.Requests))
-	fmt.Fprintf(w, "  reuse accesses: %d\n", s.Reuse())
+	fmt.Fprintf(w, "  line requests:  %d\n", requests)
+	fmt.Fprintf(w, "  distinct lines: %d (%.2f MB)\n", distinct, float64(distinct*64)/(1<<20))
+	fmt.Fprintf(w, "  cold misses:    %d (%.1f%% of requests)\n", cold, pct(cold, requests))
+	fmt.Fprintf(w, "  reuse accesses: %d\n", requests-cold)
 	for _, p := range []struct {
 		label string
-		dist  int
-	}{{"p50", s.P50}, {"p90", s.P90}, {"p99", s.P99}} {
-		if p.dist < 0 {
+		q     float64
+	}{{"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}} {
+		dist := percentile(hist, requests-cold, p.q)
+		if dist < 0 {
 			fmt.Fprintf(w, "  %s reuse dist: beyond %d lines (> %.0f MB)\n",
-				p.label, s.Depth, float64(uint64(s.Depth)*64)/(1<<20))
+				p.label, len(hist), float64(len(hist)*64)/(1<<20))
 			continue
 		}
 		fmt.Fprintf(w, "  %s reuse dist: %d lines (%.3f MB of LRU stack)\n",
-			p.label, p.dist, float64(uint64(p.dist)*64)/(1<<20))
+			p.label, dist, float64(uint64(dist)*64)/(1<<20))
 	}
-	return nil
 }
 
 func pct(part, whole uint64) float64 {

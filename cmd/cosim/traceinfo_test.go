@@ -7,13 +7,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cmpmem/internal/core"
+	"cmpmem/internal/mem"
 	"cmpmem/internal/server"
+	"cmpmem/internal/stackdist"
+	"cmpmem/internal/trace"
 	"cmpmem/internal/tracestore"
 	"cmpmem/internal/workloads"
 )
@@ -58,6 +61,16 @@ func paritySources(t *testing.T, fn func(source string, opts []core.RunOption)) 
 	}
 }
 
+// runTraceinfo runs traceinfo's table on its own, with -stackdist, and
+// prints the reports to w.
+func runTraceinfo(w io.Writer, names []string, p workloads.Params, threads, windows int, opts []core.RunOption) error {
+	ex, print := traceinfo(w, names, p, threads, windows, true, opts)
+	if err := core.RunExhibits(names, p, ex, opts...); err != nil {
+		return err
+	}
+	return print()
+}
+
 // TestTraceinfoParity: `cosim traceinfo` reproduces every number the
 // traceinfo tool printed for the fixture, whichever way the stream is
 // sourced.
@@ -68,7 +81,7 @@ func TestTraceinfoParity(t *testing.T) {
 	want := "SHOT on 8 cores:\n" + pinned(t, "traceinfo_shot8.txt")
 	paritySources(t, func(source string, opts []core.RunOption) {
 		var out bytes.Buffer
-		if err := traceinfo(&out, []string{"SHOT"}, parityParams, 8, 4, true, opts); err != nil {
+		if err := runTraceinfo(&out, []string{"SHOT"}, parityParams, 8, 4, opts); err != nil {
 			t.Fatalf("%s: %v", source, err)
 		}
 		if out.String() != want {
@@ -163,22 +176,82 @@ func TestTraceinfoErrors(t *testing.T) {
 }
 
 // TestTraceinfoExecutesLive: traceinfo opens no store, and its profile
-// and stack-distance summary share one execution; only -windows takes a
-// second, whose window length needs the first one's reference count.
+// is a row of the exhibit table, so `fig4 traceinfo` on 8 cores executes
+// each workload once for both; only -windows takes a second execution,
+// whose window length needs the first one's reference count.
 func TestTraceinfoExecutesLive(t *testing.T) {
-	p := workloads.Params{Seed: 3, Scale: 0.002}
+	names, p := []string{"PLSA", "SHOT"}, workloads.Params{Seed: 3, Scale: 0.002}
 	for _, windows := range []int{0, 4} {
-		var phases []string
-		opts := []core.RunOption{core.WithProgress(func(pr core.Progress) { phases = append(phases, pr.Phase) })}
-		if err := traceinfo(io.Discard, []string{"SHOT"}, p, 2, windows, true, opts); err != nil {
+		var execs atomic.Int64
+		opts := []core.RunOption{core.WithProgress(func(ev core.Progress) {
+			if ev.Phase == core.PhaseExecute {
+				execs.Add(1)
+			}
+		})}
+		fig, _ := mpkiFigure(names, p, "fig4", false, "")
+		ex, print := traceinfo(io.Discard, names, p, 8, windows, true, opts)
+		if err := core.RunExhibits(names, p, append(fig, ex...), opts...); err != nil {
 			t.Fatal(err)
 		}
-		want := []string{core.PhaseExecute}
+		if err := print(); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(len(names))
 		if windows > 0 {
-			want = append(want, core.PhaseExecute)
+			want *= 2
 		}
-		if !slices.Equal(phases, want) {
-			t.Errorf("traceinfo -windows %d -stackdist went through phases %v, want %v", windows, phases, want)
+		if got := execs.Load(); got != want {
+			t.Errorf("fig4 traceinfo -windows %d -stackdist executed %d times for %d workloads, want %d",
+				windows, got, len(names), want)
 		}
+	}
+}
+
+// TestSummaryByHand pins the -stackdist numbers on a stream small
+// enough to check on paper.
+func TestSummaryByHand(t *testing.T) {
+	var refs []trace.Ref
+	// Touch lines 0..9 (10 cold), then re-touch line 0 (distance 9),
+	// then line 9 twice (distances 1 then 0).
+	for i := 0; i < 10; i++ {
+		refs = append(refs, trace.Ref{Addr: mem.Addr(i * 64), Size: 1, Kind: mem.Load})
+	}
+	refs = append(refs,
+		trace.Ref{Addr: 0, Size: 1, Kind: mem.Load},
+		trace.Ref{Addr: 9 * 64, Size: 1, Kind: mem.Load},
+		trace.Ref{Addr: 9 * 64, Size: 1, Kind: mem.Load})
+	for _, depth := range []int{64, 2} {
+		a := stackdist.New(64, depth)
+		for _, r := range refs {
+			recordLines(a, r)
+		}
+		if a.Total() != 13 || a.Cold() != 10 || a.DistinctLines() != 10 {
+			t.Fatalf("depth %d: %d requests, %d cold, %d lines; want 13, 10, 10",
+				depth, a.Total(), a.Cold(), a.DistinctLines())
+		}
+		// Reuse distances sorted: [0, 1, 9]. p50 -> rank 2 -> 1; p90/p99
+		// -> rank 3 -> 9, beyond a depth of 2.
+		hist, _ := a.Histogram()
+		p9, line := 9, "p99 reuse dist: 9 lines"
+		if depth == 2 {
+			p9, line = -1, "p99 reuse dist: beyond 2 lines"
+		}
+		p50, p90, p99 := percentile(hist, 3, 0.50), percentile(hist, 3, 0.90), percentile(hist, 3, 0.99)
+		if p50 != 1 || p90 != p9 || p99 != p9 {
+			t.Fatalf("depth %d: percentiles wrong: p50=%d p90=%d p99=%d", depth, p50, p90, p99)
+		}
+		var out strings.Builder
+		printStackdist(&out, a)
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("depth %d: the summary lacks %q:\n%s", depth, line, out.String())
+		}
+	}
+	// A straddler is one request per line it touches; a zero size is
+	// one byte.
+	a := stackdist.New(64, 64)
+	recordLines(a, trace.Ref{Addr: 63, Size: 2})
+	recordLines(a, trace.Ref{Addr: 128, Size: 0})
+	if a.Total() != 3 || a.DistinctLines() != 3 {
+		t.Errorf("straddler and zero size: %d requests to %d lines, want 3 and 3", a.Total(), a.DistinctLines())
 	}
 }

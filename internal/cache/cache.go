@@ -763,10 +763,10 @@ func (c *Cache) touchLine(blk uint64, secBit uint64, kind mem.Kind, core uint8) 
 		}
 	}
 	if way >= 0 {
-		// Hit effects, inlined (hitWay stays the out-of-line shape for
-		// the sectored tag-hit case): clear the prefetch bit, set dirty
-		// on stores, and write the flag byte back only when it changed —
-		// the steady state is a pure load.
+		// Hit effects: clear the prefetch bit, set dirty on stores, and
+		// write the flag byte back only when it changed — the steady
+		// state is a pure load. A sectored tag hit whose sector is absent
+		// then fetches that sector as a miss.
 		idx := base + way
 		f := c.flags[idx]
 		pfHit := f&flagPF != 0

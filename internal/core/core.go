@@ -168,25 +168,17 @@ func runNamedLive(name string, p workloads.Params, pc PlatformConfig, ro runOpts
 	}, nil
 }
 
-// Snoop attaches snoopers to the named run's complete bus-event stream
-// (memory transactions and the control messages that open and close the
-// AF window) through the executor's source step: the guest executes
-// live, or with WithTraceReuse the stream is the store's capture.
-func Snoop(name string, p workloads.Params, pc PlatformConfig, snoopers []fsb.Snooper, opts ...RunOption) (RunSummary, error) {
-	return runNamed(name, p, pc, applyOpts(opts), snoopers)
-}
-
-// TraceCapture is Snoop for one consumer of plain references: it
-// forwards every in-window memory transaction to fn (message
-// transactions excluded).
+// TraceCapture forwards every in-window memory transaction of the named
+// run to fn (message transactions excluded): the guest executes live,
+// or with WithTraceReuse the stream is the store's capture.
 func TraceCapture(name string, p workloads.Params, pc PlatformConfig, fn func(trace.Ref), opts ...RunOption) (RunSummary, error) {
-	return Snoop(name, p, pc, []fsb.Snooper{RefSnooper(fn)}, opts...)
+	return runNamed(name, p, pc, applyOpts(opts), []fsb.Snooper{RefSnooper(fn)})
 }
 
 // RefSnooper is TraceCapture's snooper: it forwards every in-window
-// memory transaction to fn, so a consumer of plain references can share
-// one Snoop with other snoopers (`cosim traceinfo` feeds its collector
-// and a stack-distance engine from one execution).
+// memory transaction to fn, so a consumer of plain references can be an
+// Exhibit's snooper and share its execution with every other row on the
+// platform (`cosim traceinfo`'s profile is such a row).
 func RefSnooper(fn func(trace.Ref)) fsb.Snooper { return &captureSnooper{fn: fn} }
 
 // captureSnooper honors the start/stop window through the shared fsb.AF.

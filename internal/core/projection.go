@@ -102,7 +102,8 @@ type LLCOrgRow struct {
 // workloads (nil names = all eight) on the given core count (default 8)
 // with the same total LLC capacity (default 32 MB paper-equivalent)
 // organized two ways, one shared cache (the paper's Dragonhead
-// configuration) and per-core private slices, both snooping the same
+// configuration, an LLCs row the planner answers — Figure 4's 32 MB
+// point when both run) and per-core private slices snooping the same
 // execution. Shared wins for the shared-working-set workloads (one copy
 // of the shared structure instead of N); private is competitive only
 // for the private-working-set video workloads.
@@ -121,22 +122,20 @@ func LLCOrgExhibits(names []string, p workloads.Params, cores int, paperMB int) 
 		Assoc:    LLCAssoc,
 	}
 	rows := make([]LLCOrgRow, len(names))
-	emus := make([][2]*dragonhead.Emulator, len(names))
-	return rows, []Exhibit{{Threads: cores,
+	private := make([]*dragonhead.Emulator, len(names))
+	return rows, []Exhibit{{Threads: cores, LLCs: []cache.Config{llc},
 		Snoopers: func(w int) ([]fsb.Snooper, error) {
-			private := dragonhead.DefaultConfig(llc)
-			private.PrivatePerCore = cores
-			for k, cfg := range []dragonhead.Config{dragonhead.DefaultConfig(llc), private} {
-				var err error
-				if emus[w][k], err = dragonhead.New(cfg); err != nil {
-					return nil, err
-				}
+			cfg := dragonhead.DefaultConfig(llc)
+			cfg.PrivatePerCore = cores
+			var err error
+			if private[w], err = dragonhead.New(cfg); err != nil {
+				return nil, err
 			}
-			return []fsb.Snooper{emus[w][0], emus[w][1]}, nil
+			return []fsb.Snooper{private[w]}, nil
 		},
-		Row: func(w int, _ Answer) {
-			rows[w] = LLCOrgRow{Workload: names[w], SharedMPKI: emus[w][0].MPKI(), PrivateMPKI: emus[w][1].MPKI()}
-			emus[w] = [2]*dragonhead.Emulator{}
+		Row: func(w int, a Answer) {
+			rows[w] = LLCOrgRow{Workload: names[w], SharedMPKI: a.LLCs[0].MPKI, PrivateMPKI: private[w].MPKI()}
+			private[w] = nil
 		}}}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"cmpmem/internal/metrics"
@@ -12,6 +13,45 @@ import (
 // (workloads and cache sweeps scale together).
 func shapeParams() workloads.Params {
 	return workloads.Params{Seed: 1, Scale: 1.0 / 32}
+}
+
+// shapeRows are the shape tests' exhibits, filled by one table run.
+type shapeRows struct {
+	fig4, lcmp, fig7 []metrics.Series
+	fig8             []Fig8Row
+	table2           []Table2Row
+}
+
+// shapeTable runs Figure 4 (SCMP), the LCMP cache sweep, Figure 7,
+// Figure 8 and Table 2 as one exhibit table at shapeParams: 32
+// (workload, platform) executions — 8 workloads on 1, 8, 16 and 32
+// cores — for all five shape tests, instead of 56 run one test at a
+// time. It runs on first use, so a shape test run alone pays for all 32.
+var shapeTable = sync.OnceValues(func() (shapeRows, error) {
+	p := shapeParams()
+	var r shapeRows
+	var all, ex []Exhibit
+	r.fig4, ex = CacheSweepExhibits(nil, p, 8)
+	all = append(all, ex...)
+	r.lcmp, ex = CacheSweepExhibits(nil, p, 32)
+	all = append(all, ex...)
+	r.fig7, ex = LineSweepExhibits(nil, p)
+	all = append(all, ex...)
+	r.fig8, ex = Fig8Exhibits(nil, p)
+	all = append(all, ex...)
+	r.table2, ex = Table2Exhibits(nil, p)
+	all = append(all, ex...)
+	return r, RunExhibits(nil, p, all)
+})
+
+// shapes returns the shared table run's rows.
+func shapes(t *testing.T) shapeRows {
+	t.Helper()
+	r, err := shapeTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // seriesByName indexes sweep output.
@@ -32,10 +72,7 @@ func TestFigure4Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cache sweep is too slow for -short")
 	}
-	series, err := CacheSweep(nil, shapeParams(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := shapes(t).fig4
 	byName := seriesByName(series)
 
 	for _, s := range series {
@@ -79,16 +116,8 @@ func TestThreadScalingShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cache sweeps are too slow for -short")
 	}
-	p := shapeParams()
-	s8, err := CacheSweep(nil, p, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s32, err := CacheSweep(nil, p, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b8, b32 := seriesByName(s8), seriesByName(s32)
+	rows := shapes(t)
+	b8, b32 := seriesByName(rows.fig4), seriesByName(rows.lcmp)
 
 	// Category (a): invariant curves (compare at the 32 MB point). The
 	// bound is loose because per-thread bookkeeping buffers do not
@@ -130,10 +159,7 @@ func TestFigure7Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("line sweep is too slow for -short")
 	}
-	series, err := LineSweep(nil, shapeParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := shapes(t).fig7
 	for _, s := range series {
 		y64, _ := s.YAt(64)
 		y256, _ := s.YAt(256)
@@ -167,10 +193,7 @@ func TestFigure8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("prefetch study is too slow for -short")
 	}
-	rows, err := Fig8(nil, shapeParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := shapes(t).fig8
 	byName := map[string]Fig8Row{}
 	var peak float64
 	for _, r := range rows {
@@ -208,10 +231,7 @@ func TestTable2Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 2 profiling is too slow for -short")
 	}
-	rows, err := Table2(nil, shapeParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := shapes(t).table2
 	byName := map[string]Table2Row{}
 	for _, r := range rows {
 		byName[r.Workload] = r

@@ -23,9 +23,9 @@
 //     move-to-front copy — no maps, no trees, cache-friendly. A dense
 //     array holds each set's top block again, so the probe most
 //     requests end at reads one word per set.
-//   - Deep families (fully-associative geometries, traceinfo's
-//     million-line reuse summaries) fall back to one Fenwick-tree
-//     stackdist.Analyzer per set, O(log n) per reference at any depth.
+//   - Deep families (fully-associative geometries) fall back to one
+//     Fenwick-tree stackdist.Analyzer per set, O(log n) per reference at
+//     any depth.
 //
 // Sets are bit-selected, so a family with more sets partitions one with
 // fewer (Hill & Smith's set refinement) and a line's distance can only
@@ -108,8 +108,8 @@ type setFamily struct {
 	// x maxAssoc, and a copy of each stack's slot 0 in a dense array of
 	// its own, so record's probe for the top reads one word per set. The
 	// distance histogram is family-wide, since only its sums are read:
-	// hist holds distances 1 and up (distance 0 is Engine.onTop), deep
-	// the requests not resident in the stack.
+	// hist holds distances 1 and up (distance 0 misses at no depth, so
+	// it goes uncounted), deep the requests not resident in the stack.
 	stack []uint64
 	top   []uint64
 	hist  []uint64
@@ -196,7 +196,7 @@ func (f *setFamily) misses(assoc int) uint64 {
 
 // Engine predicts exact LRU results for a family of set-associative
 // geometries sharing one line size. Register every geometry with
-// AddGeometry/AddConfig/Track before streaming references; then drive
+// AddConfig/Track before streaming references; then drive
 // the engine as an fsb.Snooper (live bus or replay) and read
 // predictions with Misses, MissesForConfig, or Tracked.Stats.
 type Engine struct {
@@ -222,13 +222,8 @@ type Engine struct {
 	famList []*setFamily
 	nfast   int
 
-	// onTop[k] counts requests whose first fast family, coarse to fine,
-	// with the block on top of its set was famList[k] (nfast: none). The
-	// block is on top in every finer family too, so a fast family's
-	// distance-0 count is the sum of onTop up to its own index. Nil
-	// until freeze.
-	onTop []uint64
 	// finerBits[k] is the OR of the tracked bits of famList[k:nfast].
+	// Nil until freeze.
 	finerBits []uint64
 
 	// lines holds every block touched with its dirty bitmask, one bit
@@ -259,16 +254,13 @@ func New(lineSize uint64) (*Engine, error) {
 	return e, nil
 }
 
-// LineSize returns the line size every registered geometry shares.
-func (e *Engine) LineSize() uint64 { return e.lineSize }
-
-// AddGeometry registers a (set count, associativity) pair to predict.
+// addGeometry registers a (set count, associativity) pair to predict.
 // Multiple associativities at one set count share a single analyzer
 // family, so adding them is free. Must be called before any reference
 // is recorded.
-func (e *Engine) AddGeometry(sets uint64, assoc int) error {
+func (e *Engine) addGeometry(sets uint64, assoc int) error {
 	if e.accesses > 0 {
-		return fmt.Errorf("oracle: AddGeometry after recording started")
+		return fmt.Errorf("oracle: geometry added after recording started")
 	}
 	if sets == 0 || sets&(sets-1) != 0 {
 		return fmt.Errorf("oracle: set count %d is not a power of two", sets)
@@ -294,7 +286,7 @@ func (e *Engine) AddConfig(cfg cache.Config) error {
 	if err != nil {
 		return err
 	}
-	return e.AddGeometry(sets, assoc)
+	return e.addGeometry(sets, assoc)
 }
 
 // geometry derives (sets, assoc) from cfg and validates it against the
@@ -346,7 +338,6 @@ func (e *Engine) freeze() {
 	for e.nfast < len(e.famList) && e.famList[e.nfast].fast {
 		e.nfast++
 	}
-	e.onTop = make([]uint64, e.nfast+1)
 	e.finerBits = make([]uint64, e.nfast+1)
 	for k := e.nfast - 1; k >= 0; k-- {
 		e.finerBits[k] = e.finerBits[k+1]
@@ -358,7 +349,7 @@ func (e *Engine) freeze() {
 
 // record processes one line-granular request to block number blk.
 func (e *Engine) record(blk uint64, store bool, core uint8) {
-	if e.onTop == nil {
+	if e.finerBits == nil {
 		e.freeze()
 	}
 	e.accesses++
@@ -380,7 +371,6 @@ func (e *Engine) record(blk uint64, store bool, core uint8) {
 			break
 		}
 	}
-	e.onTop[k]++
 	var c *lineCell // the block's line-table cell, once something needs it
 	if store {
 		c = e.lines.at(key)

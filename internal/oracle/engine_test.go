@@ -285,41 +285,6 @@ func TestSamplesMatchDragonhead(t *testing.T) {
 	}
 }
 
-// TestSummaryByHand pins the traceinfo -stackdist numbers on a stream
-// small enough to check on paper.
-func TestSummaryByHand(t *testing.T) {
-	eng, _ := New(64)
-	if err := eng.AddGeometry(1, 64); err != nil {
-		t.Fatal(err)
-	}
-	eng.OnMsg(fsb.Message{Kind: fsb.MsgStart})
-	// Touch lines 0..9 (10 cold), then re-touch line 0 (distance 9),
-	// then line 9 twice (distances 1 then 0).
-	for i := 0; i < 10; i++ {
-		eng.OnRef(trace.Ref{Addr: mem.Addr(i * 64), Size: 1, Kind: mem.Load})
-	}
-	eng.OnRef(trace.Ref{Addr: 0, Size: 1, Kind: mem.Load})
-	eng.OnRef(trace.Ref{Addr: 9 * 64, Size: 1, Kind: mem.Load})
-	eng.OnRef(trace.Ref{Addr: 9 * 64, Size: 1, Kind: mem.Load})
-	eng.OnMsg(fsb.Message{Kind: fsb.MsgStop})
-
-	s, err := eng.Summary(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Requests != 13 || s.Cold != 10 || s.Distinct != 10 || s.Reuse() != 3 {
-		t.Fatalf("summary counts wrong: %+v", s)
-	}
-	// Reuse distances sorted: [0, 1, 9]. p50 -> rank 2 -> 1; p90/p99 ->
-	// rank 3 -> 9.
-	if s.P50 != 1 || s.P90 != 9 || s.P99 != 9 {
-		t.Fatalf("percentiles wrong: p50=%d p90=%d p99=%d", s.P50, s.P90, s.P99)
-	}
-	if _, err := eng.Summary(2); err == nil {
-		t.Error("unregistered set count answered")
-	}
-}
-
 // TestEngineMisuse covers the guard rails specific to the engine (the
 // shared oracle guards are covered by internal/verify's tests).
 func TestEngineMisuse(t *testing.T) {
@@ -327,6 +292,12 @@ func TestEngineMisuse(t *testing.T) {
 		t.Error("non-power-of-two line size accepted")
 	}
 	eng, _ := New(64)
+	if err := eng.addGeometry(3, 2); err == nil {
+		t.Error("non-power-of-two set count accepted")
+	}
+	if err := eng.addGeometry(4, 0); err == nil {
+		t.Error("associativity 0 accepted")
+	}
 	if _, err := eng.Track(cache.Config{Name: "f", Size: 1 << 12, LineSize: 64, Assoc: 2, Repl: cache.FIFO}); err == nil {
 		t.Error("FIFO config tracked")
 	}

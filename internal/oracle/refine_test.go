@@ -67,7 +67,6 @@ type mtf struct {
 	setMask uint64
 	lists   map[uint64][]uint64
 	hist    []uint64 // distances below len(hist), merged over sets
-	cold    uint64
 }
 
 func (m *mtf) touch(blk uint64) {
@@ -83,7 +82,6 @@ func (m *mtf) touch(blk uint64) {
 			return
 		}
 	}
-	m.cold++
 	m.lists[set] = append([]uint64{blk}, l...)
 }
 
@@ -114,7 +112,7 @@ func seedStream(seed uint64, n int) []byte {
 // coarse families deeper than fine ones and a Fenwick family beside the
 // bounded stacks — every Tracked.Stats must equal the production
 // cache's, every Misses the cache's miss count, and every family's
-// Summary a brute-force move-to-front list's.
+// miss count at every depth a brute-force move-to-front list's.
 func FuzzTrackedStats(f *testing.F) {
 	seed := func(hdr [fuzzHeader]byte, stream []byte) { f.Add(append(hdr[:], stream...)) }
 	// Figure 4's shape: one associativity (8), four set counts.
@@ -188,7 +186,6 @@ func FuzzTrackedStats(f *testing.F) {
 			}
 		}
 		var requests uint64
-		distinct := map[uint64]bool{}
 		open := false
 		stream := data[fuzzHeader:]
 		for b := stream; len(b) >= 4; b = b[4:] {
@@ -217,7 +214,6 @@ func FuzzTrackedStats(f *testing.F) {
 			}
 			for blk := uint64(r.Addr) >> 6; blk <= (uint64(r.Addr)+size-1)>>6; blk++ {
 				requests++
-				distinct[blk] = true
 				for _, m := range models {
 					m.touch(blk)
 				}
@@ -233,17 +229,19 @@ func FuzzTrackedStats(f *testing.F) {
 				t.Fatalf("%d B/%d-way: Misses %d, cache %d", cfg.Size, cfg.Assoc, got, want)
 			}
 		}
+		// Every depth of every family: a request misses at depth a iff
+		// it is not among the list's a most recent blocks of its set.
 		for sets, m := range models {
-			got, err := eng.Summary(sets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := DistanceSummary{Requests: requests, Distinct: uint64(len(distinct)), Cold: m.cold, Depth: len(m.hist)}
-			want.P50 = percentile(m.hist, want.Reuse(), 0.50)
-			want.P90 = percentile(m.hist, want.Reuse(), 0.90)
-			want.P99 = percentile(m.hist, want.Reuse(), 0.99)
-			if got != want {
-				t.Fatalf("%d sets: summary %+v, move-to-front list %+v", sets, got, want)
+			want := requests
+			for a := 1; a <= len(m.hist); a++ {
+				want -= m.hist[a-1]
+				got, err := eng.Misses(sets, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%d sets, depth %d: %d misses, move-to-front list %d", sets, a, got, want)
+				}
 			}
 		}
 	})
@@ -266,7 +264,7 @@ func TestDistancesShrinkAsSetsSplit(t *testing.T) {
 			sets  uint64
 			assoc int
 		}{{64, 2}, {4, 8}, {1, 2 * fastDepth}, {16, 1}, {256, 4}, {2, 3}} {
-			if err := eng.AddGeometry(g.sets, g.assoc); err != nil {
+			if err := eng.addGeometry(g.sets, g.assoc); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -302,11 +300,20 @@ func TestDistancesShrinkAsSetsSplit(t *testing.T) {
 		}
 		least := make([]int, len(eng.famList))
 		most := make([]int, len(eng.famList))
+		// onTop[k] counts requests whose first bounded-stack family,
+		// coarse to fine, with the block on top of its set is famList[k]
+		// (nfast: none).
+		onTop := make([]int, eng.nfast+1)
 		for n, r := range newRefGen(seed).refs(10000) {
 			blk := uint64(r.Addr) >> 6
 			for i, f := range eng.famList {
 				least[i], most[i] = bounds(f, blk)
 			}
+			k := 0
+			for k < eng.nfast && most[k] != 0 {
+				k++
+			}
+			onTop[k]++
 			for c, coarse := range eng.famList {
 				for f, fine := range eng.famList {
 					if fine.sets > coarse.sets && least[f] > most[c] {
@@ -317,8 +324,8 @@ func TestDistancesShrinkAsSetsSplit(t *testing.T) {
 			}
 			eng.record(blk, r.Kind == mem.Store, r.Core)
 		}
-		if eng.onTop[0] == 0 || eng.onTop[eng.nfast] == 0 {
-			t.Fatalf("seed %d: stream exercised only one end of the ladder: onTop %v", seed, eng.onTop)
+		if onTop[0] == 0 || onTop[eng.nfast] == 0 {
+			t.Fatalf("seed %d: stream exercised only one end of the ladder: onTop %v", seed, onTop)
 		}
 	}
 }

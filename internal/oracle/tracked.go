@@ -52,7 +52,7 @@ func (e *Engine) Track(cfg cache.Config) (*Tracked, error) {
 	if e.trackedCount >= maxTracked {
 		return nil, fmt.Errorf("oracle: more than %d tracked geometries in one engine", maxTracked)
 	}
-	if err := e.AddGeometry(sets, assoc); err != nil {
+	if err := e.addGeometry(sets, assoc); err != nil {
 		return nil, err
 	}
 	f := e.families[sets]

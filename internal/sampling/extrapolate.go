@@ -13,9 +13,9 @@
 // bucketed stack-distance histogram) gives a per-cluster population
 // variance; the classic cluster-sampling variance Σ n_c² σ_c² of the
 // weighted total, expressed relative to the proxy total, scales the
-// true miss estimate. Z and MinRelCI (Params) then widen the interval
-// for proxy-model misfit — the margin DESIGN.md §14 justifies and the
-// verify suite grades against the exact oracle.
+// true miss estimate. defaultZ and defaultMinRelCI then widen the
+// interval for proxy-model misfit — the margin DESIGN.md §14 justifies
+// and the verify suite grades against the exact oracle.
 
 package sampling
 
@@ -65,7 +65,6 @@ func (p *Plan) Estimate(deltas []cache.Stats, cfgSize uint64) (Estimate, error) 
 	if p.Exact {
 		return Estimate{Stats: stats, MissLow: stats.Misses, MissHigh: stats.Misses}, nil
 	}
-	pr := p.Params.Defaulted()
 	var capLines uint64
 	if p.LineSize > 0 {
 		capLines = cfgSize / p.LineSize
@@ -98,11 +97,9 @@ func (p *Plan) Estimate(deltas []cache.Stats, cfgSize uint64) (Estimate, error) 
 	est := float64(stats.Misses)
 	rel := 1.0
 	if proxyTotal > 0 {
-		rel = pr.Z * math.Sqrt(variance) / proxyTotal
+		rel = defaultZ * math.Sqrt(variance) / proxyTotal
 	}
-	if rel < pr.MinRelCI {
-		rel = pr.MinRelCI
-	}
+	rel = max(rel, defaultMinRelCI)
 	half := rel * est
 	if half < minAbsCI {
 		half = minAbsCI

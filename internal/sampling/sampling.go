@@ -72,12 +72,6 @@ type Params struct {
 	// Seed makes the clustering deterministic: it picks the first
 	// k-means center. Same fingerprints + same seed = same plan.
 	Seed int64 `json:"seed"`
-	// Z scales the confidence half-width in units of the extrapolation
-	// standard deviation (0 selects the default).
-	Z float64 `json:"z,omitempty"`
-	// MinRelCI floors the reported relative half-width: the sampler
-	// never claims to be more accurate than this (0 = default).
-	MinRelCI float64 `json:"min_rel_ci,omitempty"`
 }
 
 // Fast returns the preset behind WithSampling(SamplingFast): ~160
@@ -93,9 +87,11 @@ func Fast() Params {
 	}
 }
 
-// defaultZ and defaultMinRelCI are the statistical defaults, tuned
-// against the exact oracle on all 8 workloads (see DESIGN.md §14): a
-// wide multiplier on the proxy variance plus a floor that absorbs
+// The confidence interval's statistics, tuned against the exact oracle
+// on all 8 workloads (see DESIGN.md §14): defaultZ scales the half-width
+// in units of the extrapolation standard deviation, a wide multiplier on
+// the proxy variance; defaultMinRelCI floors the relative half-width —
+// the sampler never claims to be more accurate than this — absorbing
 // proxy-model misfit when clusters look deceptively homogeneous.
 const (
 	defaultZ        = 4.0
@@ -118,12 +114,6 @@ func (p Params) Defaulted() Params {
 	}
 	if p.Warmup < 0 {
 		p.Warmup = 0
-	}
-	if p.Z <= 0 {
-		p.Z = defaultZ
-	}
-	if p.MinRelCI <= 0 {
-		p.MinRelCI = defaultMinRelCI
 	}
 	return p
 }

@@ -1,9 +1,9 @@
 // Package traceutil analyzes memory-reference streams one reference at
 // a time: access mix, footprints, stride distribution, and windowed
 // working sets (the phase-behavior view that motivated the paper's
-// run-to-completion methodology). Its accumulators take references
-// from whatever delivers them — core.TraceCapture's callback, live or
-// from a stored capture.
+// run-to-completion methodology). Its accumulators take one in-window
+// reference per call, from a core.RefSnooper or core.TraceCapture
+// callback.
 package traceutil
 
 import (
@@ -46,6 +46,7 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
+		stats:    Stats{PerCore: make(map[uint8]uint64, 8)},
 		lines:    make(map[uint64]struct{}, 1<<16),
 		lastAddr: make(map[uint8]mem.Addr, 8),
 	}
@@ -58,9 +59,6 @@ func (c *Collector) Add(r trace.Ref) {
 		c.stats.Loads++
 	} else {
 		c.stats.Stores++
-	}
-	if c.stats.PerCore == nil {
-		c.stats.PerCore = make(map[uint8]uint64, 8)
 	}
 	c.stats.PerCore[r.Core]++
 	c.lines[uint64(r.Addr)>>6] = struct{}{}
@@ -118,12 +116,9 @@ type Windower struct {
 	n, stores uint64
 }
 
-// NewWindower returns a Windower cutting every windowRefs references
-// (0 selects 1M).
+// NewWindower returns a Windower cutting every windowRefs (>= 1)
+// references.
 func NewWindower(windowRefs uint64) *Windower {
-	if windowRefs == 0 {
-		windowRefs = 1 << 20
-	}
 	return &Windower{per: windowRefs, lines: make(map[uint64]struct{}, 1<<12)}
 }
 
@@ -159,9 +154,9 @@ func (w *Windower) Windows() []WindowStat {
 	return w.out
 }
 
-// DominantStride returns the histogram bucket (as a byte count lower
-// bound) holding the most transitions, ignoring the 0-1 bucket when a
-// larger bucket is close (streaming workloads repeat within a line).
+// DominantStride returns the lower bound, in bytes, of the histogram
+// bucket holding the most transitions (the first such bucket on a tie;
+// the 0-1 bucket reports 1).
 func (s *Stats) DominantStride() uint64 {
 	best, bestCount := 0, uint64(0)
 	for i, c := range s.StrideHist {

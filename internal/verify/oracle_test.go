@@ -155,7 +155,7 @@ func TestOracleDifferential(t *testing.T) {
 // messages.
 func TestOracleWindowGating(t *testing.T) {
 	orc, _ := oracle.New(64)
-	if err := orc.AddGeometry(16, 2); err != nil {
+	if err := orc.AddConfig(geom(16, 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -189,7 +189,7 @@ func TestOracleInclusionAcrossAssoc(t *testing.T) {
 	orc, _ := oracle.New(64)
 	const sets = 64
 	for _, a := range []int{1, 2, 4, 8, 16} {
-		if err := orc.AddGeometry(sets, a); err != nil {
+		if err := orc.AddConfig(geom(sets, a)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,6 +213,12 @@ func TestOracleInclusionAcrossAssoc(t *testing.T) {
 	}
 }
 
+// geom is the 64 B-line cache of the given set count and
+// associativity.
+func geom(sets uint64, assoc int) cache.Config {
+	return cache.Config{Name: "g", Size: sets * uint64(assoc) * 64, LineSize: 64, Assoc: assoc}
+}
+
 func label(assoc int) string {
 	return "assoc-" + string(rune('0'+assoc%10))
 }
@@ -227,11 +233,8 @@ func TestOracleMisuse(t *testing.T) {
 		t.Error("non-power-of-two line size accepted")
 	}
 	orc, _ := oracle.New(64)
-	if err := orc.AddGeometry(3, 2); err == nil {
+	if err := orc.AddConfig(geom(3, 2)); err == nil {
 		t.Error("non-power-of-two set count accepted")
-	}
-	if err := orc.AddGeometry(4, 0); err == nil {
-		t.Error("associativity 0 accepted")
 	}
 	if err := orc.AddConfig(cache.Config{Name: "x", Size: 1 << 12, LineSize: 32, Assoc: 2}); err == nil {
 		t.Error("mismatched line size accepted")
@@ -239,11 +242,11 @@ func TestOracleMisuse(t *testing.T) {
 	if _, err := orc.Misses(128, 2); err == nil {
 		t.Error("unregistered set count answered")
 	}
-	orc.AddGeometry(4, 2)
+	orc.AddConfig(geom(4, 2))
 	orc.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 	orc.OnRef(trace.Ref{Addr: 0, Size: 1, Kind: mem.Load})
-	if err := orc.AddGeometry(8, 2); err == nil {
-		t.Error("AddGeometry accepted after recording started")
+	if err := orc.AddConfig(geom(8, 2)); err == nil {
+		t.Error("AddConfig accepted after recording started")
 	}
 	if _, err := orc.Misses(4, 4); err == nil {
 		t.Error("associativity beyond registered max answered")
