@@ -68,7 +68,7 @@
 //	            conservation, fault injection, and the sweep planner
 //	            (default and strict) against per-config emulation;
 //	            exits non-zero if any check fails (honors -workloads,
-//	            -scale, -seed)
+//	            -scale, -seed and -j)
 //	-verify-out path
 //	            with -verify, also write the report as JSON to this file
 package main
@@ -140,7 +140,7 @@ func run(args []string) error {
 	}
 	p := workloads.Params{Seed: *seed, Scale: *scale}
 	if *verifyMode {
-		return runVerify(p, names, *verifyOut)
+		return runVerify(p, names, *verifyOut, *jobs)
 	}
 	if fs.NArg() < 1 {
 		fs.Usage()
@@ -223,10 +223,12 @@ func run(args []string) error {
 // runVerify executes the full verification suite (the `-verify` mode):
 // oracle differentials, metamorphic invariants, conservation, and fault
 // injection. The rendered report goes to stdout; an optional JSON copy
-// goes to outPath (the CI artifact). A failed check is a non-zero exit.
-func runVerify(p workloads.Params, names []string, outPath string) error {
+// goes to outPath (the CI artifact). Workloads verify on a pool of jobs
+// workers; the report does not depend on its width. A failed check is a
+// non-zero exit.
+func runVerify(p workloads.Params, names []string, outPath string, jobs int) error {
 	start := time.Now()
-	rep, err := core.VerifyAll(p, core.VerifyConfig{Workloads: names})
+	rep, err := core.VerifyAll(names, p, core.WithParallelism(jobs))
 	if err != nil {
 		return err
 	}

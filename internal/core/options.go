@@ -70,8 +70,9 @@ type Progress struct {
 // for an execution from reusing a memoized stream), live execution,
 // and per-configuration completion during result collection. The hook
 // is called synchronously from the run's own goroutine; it must not
-// block. Observation only — statistics are bit-identical with or
-// without it.
+// block, and a runner on the WithParallelism pool (RunExhibits,
+// VerifyAll) calls it from several runs at once. Observation only —
+// statistics are bit-identical with or without it.
 func WithProgress(fn func(Progress)) RunOption {
 	return func(o *runOpts) { o.progress = fn }
 }

@@ -1,10 +1,10 @@
 // Verification orchestration: run the internal/verify oracles,
 // invariants, and fault injectors against real workload executions.
 //
-// This is the `cosim -verify` backend. Each workload executes once
-// (memoized in a local trace store) and is then replayed through every
-// checker; two extra live runs per workload pin the serial == batched
-// == replay delivery equality. The checks are exact — every comparison
+// This is the `cosim -verify` backend. Each workload executes once into
+// its own trace store and is then replayed through every checker; two
+// extra live runs per workload pin the serial == batched == replay
+// delivery equality. The checks are exact — every comparison
 // demands zero delta, because everything here is deterministic.
 
 package core
@@ -20,21 +20,16 @@ import (
 	"cmpmem/internal/dragonhead"
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/oracle"
+	"cmpmem/internal/par"
 	"cmpmem/internal/telemetry"
 	"cmpmem/internal/tracestore"
 	"cmpmem/internal/verify"
 	"cmpmem/internal/workloads"
-	"cmpmem/internal/workloads/registry"
 )
 
-// VerifyConfig selects what VerifyAll covers.
-type VerifyConfig struct {
-	// Workloads restricts the sweep (nil = every registered workload).
-	Workloads []string
-	// Threads is the platform core count (0 = 4: enough to exercise the
-	// multi-threaded interleave without tripling runtimes).
-	Threads int
-}
+// verifyThreads is the platform core count: enough to exercise the
+// multi-threaded interleave without tripling runtimes.
+const verifyThreads = 4
 
 // verifyPaperMB are the paper-unit LLC sizes the oracle cross-checks
 // (a subset of the Figure 4 sweep: small, knee, large).
@@ -59,51 +54,68 @@ func verifyConfigs(scale float64) []cache.Config {
 	return out
 }
 
-// VerifyAll runs the full verification suite and returns the report.
-// An error is returned only for infrastructure failures (unknown
+// VerifyAll runs the full verification suite over the selected
+// workloads (nil = every registered workload) and returns the report.
+// Each workload's legs are one task on the WithParallelism pool, and so
+// are the conservation and fault legs on the first selected workload,
+// which also carries the planner leg; the report merges the tasks in
+// selection order, so its bytes do not depend on the pool's width. An
+// error is returned only for infrastructure failures (unknown
 // workload, broken run); check failures land in the report.
-func VerifyAll(p workloads.Params, vc VerifyConfig, opts ...RunOption) (*verify.Report, error) {
-	p = p.WithDefaults()
-	names := vc.Workloads
-	if len(names) == 0 {
-		names = registry.Names()
+func VerifyAll(names []string, p workloads.Params, opts ...RunOption) (*verify.Report, error) {
+	names, p, ro := orAll(names), p.WithDefaults(), applyOpts(opts)
+	ro.sampling = SamplingOff // every leg is exact but the sampled one
+	pc := PlatformConfig{Threads: verifyThreads, Seed: p.Seed}
+	// reps: one per workload, then conservation, planner and faults.
+	reps := make([]*verify.Report, len(names)+3)
+	for i := range reps {
+		reps[i] = &verify.Report{}
 	}
-	threads := vc.Threads
-	if threads == 0 {
-		threads = 4
-	}
-	pc := PlatformConfig{Threads: threads, Seed: p.Seed}
-
-	// One shared in-memory store: each workload executes once, every
-	// checker replays.
-	store := tracestore.New(0, "")
-
-	rep := &verify.Report{}
-	for _, name := range names {
-		if err := verifyWorkload(rep, name, p, pc, store, opts); err != nil {
-			return nil, fmt.Errorf("verify %s: %w", name, err)
+	err := par.ForEach(ro.jobs, len(names)+2, func(i int) error {
+		switch i - len(names) {
+		case 0:
+			return wrapErr("verify conservation", verifyConservation(reps[i], names[0], p, pc, ro))
+		case 1:
+			return wrapErr("verify faults", verifyFaults(reps[i+1], names[0], p, pc, ro))
 		}
+		// Each workload captures into its own store, so no other task
+		// moves the hit count leg 1 reads; the first workload's capture
+		// serves the planner leg too.
+		wro := ro
+		wro.store = tracestore.New(0, "")
+		if err := verifyWorkload(reps[i], names[i], p, pc, wro); err != nil {
+			return fmt.Errorf("verify %s: %w", names[i], err)
+		}
+		if i > 0 {
+			return nil
+		}
+		return wrapErr("verify planner", verifyPlanner(reps[len(names)+1], names[0], p, pc, wro))
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := verifyConservation(rep, names[0], p, pc); err != nil {
-		return nil, fmt.Errorf("verify conservation: %w", err)
-	}
-	if err := verifyPlanner(rep, names[0], p, pc, store); err != nil {
-		return nil, fmt.Errorf("verify planner: %w", err)
-	}
-	if err := verifyFaults(rep, names[0], p, pc); err != nil {
-		return nil, fmt.Errorf("verify faults: %w", err)
+	rep := reps[0]
+	for _, r := range reps[1:] {
+		rep.Merge(r)
 	}
 	return rep, nil
 }
 
-// verifyWorkload runs the per-workload legs: the oracle differential,
-// the sampled tier's intervals, the bank-interleave neutrality, and the
-// delivery equivalence. The intra-run sharded path has no leg: no user
-// surface selects it, and TestSerialShardedEquivalence covers it.
-func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc PlatformConfig, store *tracestore.Store, opts []RunOption) error {
+// wrapErr prefixes a non-nil err with what failed.
+func wrapErr(what string, err error) error {
+	if err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	return nil
+}
+
+// verifyWorkload runs the per-workload legs over one capture in
+// ro.store: the oracle differential and the bank-interleave neutrality
+// on one replay, the sampled tier's intervals, and the delivery
+// equivalence. The intra-run sharded path has no leg: no user surface
+// selects it, and TestSerialShardedEquivalence covers it.
+func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc PlatformConfig, ro runOpts) error {
 	cfgs := verifyConfigs(p.Scale)
-	ro := applyOpts(opts)
-	ro.store = store
 
 	// --- Leg 1: differential oracle over the replayed stream ----------
 	orc, err := oracle.New(64)
@@ -134,6 +146,27 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 		snoopers = append(snoopers, emus[i],
 			&verify.BusAdapter{Target: caches[i]}, &verify.BusAdapter{Target: refs[i]})
 	}
+	// Leg 2's answerers ride the same replay: the largest grid entry (most
+	// sets to split) through 1, 2 and 4 CC banks, leg 1's emulator of it
+	// at its own bank count among them.
+	neutral := cfgs[len(cfgs)-1]
+	neutralSets := neutral.Size / neutral.LineSize / uint64(neutral.Assoc)
+	var variants []*dragonhead.Emulator
+	for _, banks := range []int{1, 2, 4} {
+		if uint64(banks) > neutralSets {
+			continue // cannot split further than one set per bank
+		}
+		e := emus[len(emus)-1]
+		if banks != e.Banks() {
+			dcfg := dragonhead.DefaultConfig(neutral)
+			dcfg.Banks = banks
+			if e, err = dragonhead.New(dcfg); err != nil {
+				return err
+			}
+			snoopers = append(snoopers, e)
+		}
+		variants = append(variants, e)
+	}
 	replayDigest := fsb.NewStreamDigest()
 	snoopers = append(snoopers, replayDigest)
 	// Capture alone first: leg 3's serial-vs-replay finding must compare
@@ -141,15 +174,15 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 	if _, _, err := ro.openTrace(name, p, pc, nil); err != nil {
 		return err
 	}
-	hits := store.Stats().Hits
+	hits := ro.store.Stats().Hits
 	replaySum, err := runNamed(name, p, pc, ro, snoopers)
 	if err != nil {
 		return err
 	}
-	if store.Stats().Hits != hits+1 {
+	if ro.store.Stats().Hits != hits+1 {
 		return fmt.Errorf("the replay leg was not a store hit")
 	}
-
+	wants := make([]uint64, len(cfgs))
 	for i, llc := range cfgs {
 		st := emus[i].Stats()
 		id := name + "/" + llc.Name
@@ -158,6 +191,7 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 		if err != nil {
 			return err
 		}
+		wants[i] = want
 		if st.Misses == want {
 			rep.Passf("oracle/"+id, "%d misses, exact", st.Misses)
 		} else {
@@ -186,16 +220,12 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 
 	// LRU inclusion along both axes the oracle proves: associativity at
 	// fixed sets (Mattson), and the Figure 4 size axis at fixed assoc.
-	for _, assoc := range verifyAssocs {
+	for ai, assoc := range verifyAssocs {
 		var points []verify.MissPoint
-		for _, mb := range verifyPaperMB {
-			llc := cache.Config{Size: scaledCacheBytes(mb, p.Scale), LineSize: 64, Assoc: assoc}
-			m, err := orc.MissesForConfig(llc)
-			if err != nil {
-				return err
-			}
+		for mi, mb := range verifyPaperMB {
+			k := mi*len(verifyAssocs) + ai // verifyConfigs' order
 			points = append(points, verify.MissPoint{
-				Label: fmt.Sprintf("%dMB/%dway", mb, assoc), Capacity: llc.Size, Misses: m})
+				Label: fmt.Sprintf("%dMB/%dway", mb, assoc), Capacity: cfgs[k].Size, Misses: wants[k]})
 		}
 		rep.Check(fmt.Sprintf("lru-inclusion/%s/%dway", name, assoc), verify.MonotoneMisses(points))
 	}
@@ -204,17 +234,14 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 	// The approximate tier's whole contract is its error bound: for every
 	// geometry, the exact miss count (known here from the oracle) must
 	// fall inside the confidence interval the sampled sweep reports.
-	sres, _, err := LLCSweep(name, p, pc, cfgs,
-		append(append([]RunOption{}, opts...), WithTraceReuse(store), WithSampling(SamplingFast))...)
+	sro := ro
+	sro.sampling = SamplingFast
+	sres, _, _, err := sweep(name, p, pc, [][]cache.Config{cfgs}, nil, nil, sro)
 	if err != nil {
 		return err
 	}
 	for i, llc := range cfgs {
-		want, err := orc.MissesForConfig(llc)
-		if err != nil {
-			return err
-		}
-		r := sres[i]
+		want, r := wants[i], sres[i]
 		id := fmt.Sprintf("sampling/%s/%s", name, llc.Name)
 		switch {
 		case r.Sampling == nil:
@@ -236,30 +263,6 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 	// The same stream through 1, 2, and 4 CC banks must be
 	// indistinguishable (the banked mapping is an exact partition of the
 	// monolithic set space).
-	neutral := cfgs[len(cfgs)-1] // largest grid entry: most sets to split
-	neutralSets := neutral.Size / neutral.LineSize / uint64(neutral.Assoc)
-	banked, err := bankedConfig(neutral)
-	if err != nil {
-		return err
-	}
-	var variants []*dragonhead.Emulator
-	var vsnoop []fsb.Snooper
-	for _, banks := range []int{1, 2, 4} {
-		if uint64(banks) > neutralSets {
-			continue // cannot split further than one set per bank
-		}
-		dcfg := banked
-		dcfg.Banks = banks
-		e, err := dragonhead.New(dcfg)
-		if err != nil {
-			return err
-		}
-		variants = append(variants, e)
-		vsnoop = append(vsnoop, e)
-	}
-	if _, err := runNamed(name, p, pc, ro, vsnoop); err != nil {
-		return err
-	}
 	base := variants[0].Stats()
 	for _, e := range variants[1:] {
 		rep.Check(fmt.Sprintf("bank-neutrality/%s/%dbanks", name, e.Banks()),
@@ -267,36 +270,35 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 	}
 
 	// --- Leg 3: serial == batched == replay ----------------------------
-	rep.Merge(verifyDelivery(name, p, pc, replaySum, replayDigest, opts))
+	verifyDelivery(rep, name, p, pc, replaySum, replayDigest, ro)
 	return nil
 }
 
-// verifyDelivery is the reusable delivery-equality checker: the same
-// run delivered live in full batches to one snooper (synchronously on
-// one processor, pipelined on more), live in small batches beside a
-// second snooper, and by store replay must produce one digest, one
-// event count, and one run summary. replaySum/replayDigest come from a
+// verifyDelivery is the delivery-equality checker: the same run
+// delivered live in full batches to one snooper (synchronously on one
+// processor, pipelined on more), live in small batches beside a second
+// snooper, and by store replay must produce one digest, one event
+// count, and one run summary. replaySum/replayDigest come from a
 // store-served run the caller already made.
-func verifyDelivery(name string, p workloads.Params, pc PlatformConfig, replaySum RunSummary, replayDigest *fsb.StreamDigest, opts []RunOption) *verify.Report {
-	rep := &verify.Report{}
+func verifyDelivery(rep *verify.Report, name string, p workloads.Params, pc PlatformConfig, replaySum RunSummary, replayDigest *fsb.StreamDigest, ro runOpts) {
 	run := func(ro runOpts, beside ...fsb.Snooper) (RunSummary, *fsb.StreamDigest, error) {
 		d := fsb.NewStreamDigest()
 		sum, err := runNamed(name, p, pc, ro, append([]fsb.Snooper{d}, beside...))
 		return sum, d, err
 	}
-	serialRO := applyOpts(opts)
+	serialRO := ro
 	serialRO.store, serialRO.batch = nil, 0
 	serialSum, serialDigest, err := run(serialRO)
 	if err != nil {
 		rep.Failf("delivery/"+name, "serial live run failed: %v", err)
-		return rep
+		return
 	}
 	batchRO := serialRO
 	batchRO.batch = 64 // small batches force many publishes — worst case
 	batchSum, batchDigest, err := run(batchRO, fsb.NewStreamDigest())
 	if err != nil {
 		rep.Failf("delivery/"+name, "batched live run failed: %v", err)
-		return rep
+		return
 	}
 
 	check := func(mode string, sum RunSummary, d *fsb.StreamDigest) {
@@ -313,20 +315,20 @@ func verifyDelivery(name string, p workloads.Params, pc PlatformConfig, replaySu
 	}
 	check("batched", batchSum, batchDigest)
 	check("replay", replaySum, replayDigest)
-	return rep
 }
 
 // verifyConservation runs one live sweep with a private telemetry
 // registry and checks that every derived total adds up: the manifest
 // mirrors the RunSummary and per-LLC results bit-for-bit, and the
 // bus/emulator counters equal the API-visible totals.
-func verifyConservation(rep *verify.Report, name string, p workloads.Params, pc PlatformConfig) error {
+func verifyConservation(rep *verify.Report, name string, p workloads.Params, pc PlatformConfig, ro runOpts) error {
 	reg := telemetry.NewRegistry()
 	var buf bytes.Buffer
-	sink := telemetry.NewSink(reg, telemetry.NewManifestWriter(&buf), nil)
+	ro.tel = telemetry.NewSink(reg, telemetry.NewManifestWriter(&buf), nil)
+	ro.store, ro.parent, ro.engine = nil, nil, EngineEmulate
 
 	llcs := verifyConfigs(p.Scale)[:2]
-	results, sum, err := LLCSweep(name, p, pc, llcs, WithTelemetry(sink))
+	results, _, sum, err := sweep(name, p, pc, [][]cache.Config{llcs}, nil, nil, ro)
 	if err != nil {
 		return err
 	}
@@ -391,21 +393,22 @@ func verifyConservation(rep *verify.Report, name string, p workloads.Params, pc 
 // verifyPlanner is the sweep planner's verification gate: the paper's
 // combined CacheSweep + LineSweep grid executed through the planner
 // must be bit-identical — full Stats, the per-sample CB series,
-// instruction totals, MPKI, and the AF ignore count — to the LLCSweep
-// emulation sweeps over the same memoized trace. It runs two
-// legs: the default planner (EngineAuto) over both grids, and the
-// strict planner (EngineOracle) over the cache sweep alone, since
-// strict mode refuses the line-size grid by design.
-func verifyPlanner(rep *verify.Report, name string, p workloads.Params, pc PlatformConfig, store *tracestore.Store) error {
+// instruction totals, MPKI, and the AF ignore count — to emulation of
+// every config over the same stored capture, which one CombinedSweep
+// under EngineEmulate answers. It runs two legs: the default planner
+// (EngineAuto) over both grids, and the strict planner (EngineOracle)
+// over the cache sweep alone, since strict mode refuses the line-size
+// grid by design.
+func verifyPlanner(rep *verify.Report, name string, p workloads.Params, pc PlatformConfig, ro runOpts) error {
 	grids := [][]cache.Config{CacheSweepConfigs(p.Scale), LineSweepConfigs(p.Scale)}
-	legacy := make([][]LLCResult, len(grids))
-	var legacySum RunSummary
-	for gi, grid := range grids {
-		res, sum, err := LLCSweep(name, p, pc, grid, WithTraceReuse(store))
-		if err != nil {
-			return err
-		}
-		legacy[gi], legacySum = res, sum
+	combined := func(grids [][]cache.Config, engine Engine) ([]LLCResult, RunSummary, error) {
+		ro.engine = engine
+		res, _, sum, err := sweep(name, p, pc, grids, nil, nil, ro)
+		return res, sum, err
+	}
+	want, wantSum, err := combined(grids, EngineEmulate)
+	if err != nil {
+		return err
 	}
 	legs := []struct {
 		prefix string
@@ -416,19 +419,17 @@ func verifyPlanner(rep *verify.Report, name string, p workloads.Params, pc Platf
 		{"planner-strict", EngineOracle, 1},
 	}
 	for _, leg := range legs {
-		planned, plannedSum, err := CombinedSweep(name, p, pc, grids[:leg.grids], WithTraceReuse(store), WithEngine(leg.engine))
+		got, sum, err := combined(grids[:leg.grids], leg.engine)
 		if err != nil {
 			return err
 		}
-		if plannedSum == legacySum {
+		if sum == wantSum {
 			rep.Passf(leg.prefix+"-summary/"+name, "run summary identical under %s", leg.engine)
 		} else {
-			rep.Failf(leg.prefix+"-summary/"+name, "planner summary %+v != emulation %+v", plannedSum, legacySum)
+			rep.Failf(leg.prefix+"-summary/"+name, "planner summary %+v != emulation %+v", sum, wantSum)
 		}
-		for gi, grid := range grids[:leg.grids] {
-			for i, llc := range grid {
-				checkPlanned(rep, fmt.Sprintf("%s/%s/%s", leg.prefix, name, llc.Name), legacy[gi][i], planned[gi][i])
-			}
+		for i, r := range got {
+			checkPlanned(rep, fmt.Sprintf("%s/%s/%s", leg.prefix, name, r.LLC.Name), want[i], r)
 		}
 	}
 	return nil
@@ -460,28 +461,23 @@ func checkPlanned(rep *verify.Report, id string, want, got LLCResult) {
 	}
 }
 
-// verifyFaults exercises the injected-failure paths end to end: spill
-// I/O corruption must force a recompute that yields the identical
-// stream, and a lossy snooper must be detectable by digest and event
-// count.
-func verifyFaults(rep *verify.Report, name string, p workloads.Params, pc PlatformConfig) error {
-	run := func(store *tracestore.Store) (RunSummary, *fsb.StreamDigest, *tracestore.Stats, error) {
+// verifyFaults exercises the injected-failure paths end to end: a
+// spill revived from disk must replay the identical stream, spill I/O
+// corruption must force a recompute that yields it, and a lossy snooper
+// must be detectable by digest and event count.
+func verifyFaults(rep *verify.Report, name string, p workloads.Params, pc PlatformConfig, ro runOpts) error {
+	ffs := verify.NewFaultFS()
+	run := func() (RunSummary, *fsb.StreamDigest, tracestore.Stats, error) {
 		d := fsb.NewStreamDigest()
-		ro := runOpts{store: store}
+		ro.store = tracestore.New(0, "spill")
+		ro.store.SetFS(ffs)
 		sum, err := runNamed(name, p, pc, ro, []fsb.Snooper{d})
-		if err != nil {
-			return RunSummary{}, nil, nil, err
-		}
-		st := store.Stats()
-		return sum, d, &st, nil
+		return sum, d, ro.store.Stats(), err
 	}
 
 	// Baseline: capture + spill through the fault filesystem (no faults
-	// armed), then serve a second store from the spill file.
-	ffs := verify.NewFaultFS()
-	s1 := tracestore.New(0, "spill")
-	s1.SetFS(ffs)
-	cleanSum, cleanDigest, _, err := run(s1)
+	// armed).
+	cleanSum, cleanDigest, _, err := run()
 	if err != nil {
 		return err
 	}
@@ -492,52 +488,37 @@ func verifyFaults(rep *verify.Report, name string, p workloads.Params, pc Platfo
 	}
 	rep.Passf("fault/spill-written/"+name, "captured and spilled %d bus events", cleanSum.BusEvents)
 
-	s2 := tracestore.New(0, "spill")
-	s2.SetFS(ffs)
-	diskSum, diskDigest, diskStats, err := run(s2)
-	if err != nil {
-		return err
+	// A fresh store on the spill: a clean file is a disk hit, a corrupt
+	// one or a failed open degrades to re-execution, and every way the
+	// stream must come out identical.
+	revivals := []struct {
+		check    string
+		arm      func()
+		diskHits uint64
+		pass     string
+	}{
+		{"spill-replay", func() {}, 1, "disk-served stream bit-identical"},
+		{"spill-corrupt", func() { ffs.CorruptRead, ffs.CorruptOff, ffs.CorruptMask = true, 200, 0x20 }, 0,
+			"corrupt spill rejected; recompute bit-identical"},
+		{"spill-open-fail", func() { ffs.CorruptRead, ffs.FailOpen = false, true }, 0,
+			"open failure degraded to recompute"},
 	}
-	if diskStats.DiskHits == 1 && diskSum == cleanSum && diskDigest.Sum() == cleanDigest.Sum() {
-		rep.Passf("fault/spill-replay/"+name, "disk-served stream bit-identical (digest %#x)", diskDigest.Sum())
-	} else {
-		rep.Failf("fault/spill-replay/"+name, "disk hits=%d, sum match=%v, digest match=%v",
-			diskStats.DiskHits, diskSum == cleanSum, diskDigest.Sum() == cleanDigest.Sum())
-	}
-
-	// Corrupt the spill mid-file: the store must fall back to
-	// re-execution and still produce the identical stream.
-	ffs.CorruptRead = true
-	ffs.CorruptOff = 200
-	ffs.CorruptMask = 0x20
-	s3 := tracestore.New(0, "spill")
-	s3.SetFS(ffs)
-	corruptSum, corruptDigest, corruptStats, err := run(s3)
-	if err != nil {
-		return err
-	}
-	switch {
-	case corruptStats.DiskHits != 0:
-		rep.Failf("fault/spill-corrupt/"+name, "corrupted spill was served as a disk hit")
-	case corruptSum != cleanSum || corruptDigest.Sum() != cleanDigest.Sum():
-		rep.Failf("fault/spill-corrupt/"+name, "recomputed stream diverges from the clean run")
-	default:
-		rep.Passf("fault/spill-corrupt/"+name, "corrupt spill rejected; recompute bit-identical")
-	}
-
-	// Open failure: same graceful degradation.
-	ffs.CorruptRead = false
-	ffs.FailOpen = true
-	s4 := tracestore.New(0, "spill")
-	s4.SetFS(ffs)
-	openSum, openDigest, openStats, err := run(s4)
-	if err != nil {
-		return err
-	}
-	if openStats.DiskHits == 0 && openSum == cleanSum && openDigest.Sum() == cleanDigest.Sum() {
-		rep.Passf("fault/spill-open-fail/"+name, "open failure degraded to recompute")
-	} else {
-		rep.Failf("fault/spill-open-fail/"+name, "open failure not handled gracefully")
+	for _, rv := range revivals {
+		rv.arm()
+		sum, d, st, err := run()
+		if err != nil {
+			return err
+		}
+		id := "fault/" + rv.check + "/" + name
+		switch {
+		case st.DiskHits != rv.diskHits || sum != cleanSum || d.Sum() != cleanDigest.Sum():
+			rep.Failf(id, "disk hits=%d (want %d), sum match=%v, digest match=%v",
+				st.DiskHits, rv.diskHits, sum == cleanSum, d.Sum() == cleanDigest.Sum())
+		case rv.diskHits == 1: // a disk hit names the stream it served
+			rep.Passf(id, "%s (digest %#x)", rv.pass, d.Sum())
+		default:
+			rep.Passf(id, "%s", rv.pass)
+		}
 	}
 
 	// Lossy delivery: a snooper that silently drops events must be
@@ -545,7 +526,8 @@ func verifyFaults(rep *verify.Report, name string, p workloads.Params, pc Platfo
 	lossTarget := fsb.NewStreamDigest()
 	drop := &verify.DropSnooper{Inner: lossTarget, DropEvery: 101}
 	witness := fsb.NewStreamDigest()
-	if _, err := runNamed(name, p, pc, runOpts{}, []fsb.Snooper{drop, witness}); err != nil {
+	ro.store = nil
+	if _, err := runNamed(name, p, pc, ro, []fsb.Snooper{drop, witness}); err != nil {
 		return err
 	}
 	switch {

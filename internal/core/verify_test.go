@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
+	"cmpmem/internal/telemetry"
 	"cmpmem/internal/workloads"
 )
 
@@ -12,8 +17,28 @@ import (
 // property in-repo: the oracle, the production caches, the banked
 // emulator, the replay substrate, and the telemetry accounting all
 // agree exactly on real workload streams.
+//
+// It also pins the suite's passes through the progress hook VerifyAll
+// hands every leg. Per workload: one capture, then ONE replay that
+// answers the oracle differential and bank neutrality together, the
+// sampled tier's plan and measure, and two live delivery runs. On the
+// first workload only: the planner's emulated reference is one
+// CombinedSweep beside its two planned legs (three replays), the
+// conservation sweep executes live, and the fault legs capture three
+// times (clean spill, corrupt spill, failed open), revive one spill
+// from disk, and execute the lossy run live.
 func TestVerifyAllTiny(t *testing.T) {
-	rep, err := VerifyAll(tinyParams(), VerifyConfig{Workloads: []string{"FIMI", "SNP"}})
+	var mu sync.Mutex
+	phases := map[string]int{}
+	count := WithProgress(func(pr Progress) {
+		if pr.Phase != PhaseConfig {
+			mu.Lock()
+			phases[pr.Phase]++
+			mu.Unlock()
+		}
+	})
+	names := []string{"FIMI", "SNP"}
+	rep, err := VerifyAll(names, tinyParams(), WithParallelism(2), count)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +67,28 @@ func TestVerifyAllTiny(t *testing.T) {
 	if strict != grid {
 		t.Errorf("suite ran %d strict planner checks, want %d", strict, grid)
 	}
+	n := len(names)
+	want := map[string]int{
+		PhaseCapture: n + 3,
+		PhaseReplay:  2*n + 3 + 1,
+		PhaseSample:  n,
+		PhaseExecute: 2*n + 1 + 1,
+	}
+	for phase, w := range want {
+		if phases[phase] != w {
+			t.Errorf("%d %s phases, want %d (all: %v)", phases[phase], phase, w, phases)
+		}
+	}
+	if len(phases) != len(want) {
+		t.Errorf("phases %v, want only %v", phases, want)
+	}
 	t.Logf("verify: %d checks passed, %d failed", passed, failed)
 }
 
 // TestVerifyAllUnknownWorkload checks infrastructure failures surface
 // as errors, not as report findings.
 func TestVerifyAllUnknownWorkload(t *testing.T) {
-	_, err := VerifyAll(tinyParams(), VerifyConfig{Workloads: []string{"NO-SUCH"}})
+	_, err := VerifyAll([]string{"NO-SUCH"}, tinyParams())
 	if err == nil || !strings.Contains(err.Error(), "NO-SUCH") {
 		t.Fatalf("unknown workload not rejected: %v", err)
 	}
@@ -75,19 +115,45 @@ func TestVerifyConfigsScale(t *testing.T) {
 	}
 }
 
-// TestVerifyAllDefaultsThreads checks the zero-value config picks a
-// multi-threaded platform (the interleave is part of what we verify).
+// TestVerifyAllDefaultsThreads checks the suite verifies a
+// multi-threaded platform (the interleave is part of what it verifies):
+// every sweep it reports through the caller's telemetry ran on
+// verifyThreads cores. Two workloads on a serial and a two-worker pool
+// must give the same report, byte for byte.
 func TestVerifyAllDefaultsThreads(t *testing.T) {
 	p := workloads.Params{Seed: 9, Scale: 1.0 / 512}
-	rep, err := VerifyAll(p, VerifyConfig{Workloads: []string{"SHOT"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
+	names := []string{"SHOT", "PLSA"}
+	var man bytes.Buffer
+	sink := telemetry.NewSink(telemetry.NewRegistry(), telemetry.NewManifestWriter(&man), nil)
+	var reports [2]bytes.Buffer
+	for j := range reports {
+		rep, err := VerifyAll(names, p, WithParallelism(j+1), WithTelemetry(sink))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, f := range rep.Findings {
 			if !f.OK {
 				t.Errorf("FAIL %s: %s", f.Check, f.Detail)
 			}
 		}
+		if err := rep.WriteJSON(&reports[j]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(reports[0].Bytes(), reports[1].Bytes()) {
+		t.Error("the report at -j 2 differs from the report at -j 1")
+	}
+	sweeps := 0
+	for sc := bufio.NewScanner(&man); sc.Scan(); sweeps++ {
+		var m telemetry.Manifest
+		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Threads != verifyThreads {
+			t.Errorf("%s sweep of %s ran on %d cores, want %d", m.Kind, m.Workload, m.Threads, verifyThreads)
+		}
+	}
+	if sweeps == 0 {
+		t.Error("no sweep reported through the caller's telemetry")
 	}
 }

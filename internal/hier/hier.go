@@ -250,7 +250,7 @@ func (m *Machine) tick() {
 func (m *Machine) serviceL2(lineAddr mem.Addr, kind mem.Kind, core uint8) {
 	cs := m.cores[core]
 	if cs.pf != nil {
-		cs.pfBuf = cs.pf.Train(core, lineAddr, cs.pfBuf[:0])
+		cs.pfBuf = cs.pf.Train(lineAddr, cs.pfBuf[:0])
 	}
 	miss, pfHit := cs.l2.TouchPF(lineAddr, kind, core)
 	if miss && m.l3 != nil && !m.l3.Touch(lineAddr, kind, core) {

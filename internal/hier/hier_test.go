@@ -153,6 +153,26 @@ func TestPerCoreIsolationOfCaches(t *testing.T) {
 	}
 }
 
+// TestPerCorePrefetchers interleaves two cores' strided streams in one
+// 4 KiB region: core 0 walks forward a line at a time, core 1 backward.
+// Each core trains its own prefetcher, so each sees one constant stride
+// and confirms one stream; one table shared by both would see the
+// stride flip on every access and confirm none.
+func TestPerCorePrefetchers(t *testing.T) {
+	pf := prefetch.DefaultConfig(64)
+	m, _ := newOpen(Xeon16(2, 1, &pf))
+	const base, lines = 0x4000_0000, 16
+	for i := uint64(0); i < lines; i++ {
+		m.OnRef(ref(0, base+i*64, mem.Load))
+		m.OnRef(ref(1, base+(63-i)*64, mem.Load))
+	}
+	for c, cs := range m.cores {
+		if st := cs.pf.Stats(); st.Trainings != lines || st.Streams != 1 || st.Issued == 0 {
+			t.Errorf("core %d's prefetcher: %+v, want %d trainings, one stream, some issued", c, st, lines)
+		}
+	}
+}
+
 func TestIgnoresUnknownCores(t *testing.T) {
 	m, _ := newOpen(PentiumIV(1))
 	m.OnRef(ref(9, 0x4000_0000, mem.Load)) // only core 0 exists

@@ -254,19 +254,14 @@ func New(lineSize uint64) (*Engine, error) {
 	return e, nil
 }
 
-// addGeometry registers a (set count, associativity) pair to predict.
-// Multiple associativities at one set count share a single analyzer
-// family, so adding them is free. Must be called before any reference
-// is recorded.
+// addGeometry registers a (set count, associativity) pair to predict,
+// as geometry derives it from a validated config. Multiple
+// associativities at one set count share a single analyzer family, so
+// adding them is free. Must be called before any reference is
+// recorded.
 func (e *Engine) addGeometry(sets uint64, assoc int) error {
 	if e.accesses > 0 {
 		return fmt.Errorf("oracle: geometry added after recording started")
-	}
-	if sets == 0 || sets&(sets-1) != 0 {
-		return fmt.Errorf("oracle: set count %d is not a power of two", sets)
-	}
-	if assoc < 1 {
-		return fmt.Errorf("oracle: associativity %d below 1", assoc)
 	}
 	f := e.families[sets]
 	if f == nil {

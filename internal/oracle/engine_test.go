@@ -292,11 +292,11 @@ func TestEngineMisuse(t *testing.T) {
 		t.Error("non-power-of-two line size accepted")
 	}
 	eng, _ := New(64)
-	if err := eng.addGeometry(3, 2); err == nil {
-		t.Error("non-power-of-two set count accepted")
+	if err := eng.AddConfig(cache.Config{Name: "odd", Size: 3 << 7, LineSize: 64, Assoc: 2}); err == nil {
+		t.Error("non-power-of-two set count added")
 	}
-	if err := eng.addGeometry(4, 0); err == nil {
-		t.Error("associativity 0 accepted")
+	if _, err := eng.Track(cache.Config{Name: "odd", Size: 1 << 12, LineSize: 64, Assoc: 3}); err == nil {
+		t.Error("associativity that does not divide the lines tracked")
 	}
 	if _, err := eng.Track(cache.Config{Name: "f", Size: 1 << 12, LineSize: 64, Assoc: 2, Repl: cache.FIFO}); err == nil {
 		t.Error("FIFO config tracked")
@@ -317,6 +317,9 @@ func TestEngineMisuse(t *testing.T) {
 	}
 	if _, err := eng.Track(cache.Config{Name: "late", Size: 1 << 12, LineSize: 64, Assoc: 2}); err == nil {
 		t.Error("Track accepted after recording started")
+	}
+	if err := eng.AddConfig(cache.Config{Name: "late", Size: 1 << 13, LineSize: 64, Assoc: 2}); err == nil {
+		t.Error("AddConfig accepted after recording started")
 	}
 
 	// The engine-wide dirty bitmask caps tracked geometries at 64.

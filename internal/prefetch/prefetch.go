@@ -2,7 +2,8 @@
 // in the Figure 8 study. It mirrors the behaviour the paper attributes
 // to the Xeon platform: per-core stream detectors that recognize constant
 // strides in forward and backward directions and, once confident, run a
-// configurable number of lines ahead of the demand stream.
+// configurable number of lines ahead of the demand stream. A Prefetcher
+// serves one core; a multi-core model builds one per core.
 package prefetch
 
 import (
@@ -13,7 +14,7 @@ import (
 
 // Config tunes the prefetcher.
 type Config struct {
-	// TableSize is the number of stream-detector entries per core.
+	// TableSize is the number of stream-detector entries.
 	TableSize int
 	// Confidence is how many consecutive constant-stride accesses are
 	// required before prefetches are issued.
@@ -76,11 +77,11 @@ type Stats struct {
 	Streams uint64
 }
 
-// Prefetcher holds per-core stream tables.
+// Prefetcher is one core's stream table.
 type Prefetcher struct {
 	cfg       Config
 	lineShift uint
-	tables    map[uint8][]entry
+	table     []entry
 	clock     uint64
 	stats     Stats
 }
@@ -90,7 +91,7 @@ func New(cfg Config) (*Prefetcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Prefetcher{cfg: cfg, tables: make(map[uint8][]entry)}
+	p := &Prefetcher{cfg: cfg, table: make([]entry, cfg.TableSize)}
 	for s := cfg.LineSize; s > 1; s >>= 1 {
 		p.lineShift++
 	}
@@ -103,21 +104,16 @@ func (p *Prefetcher) Stats() Stats { return p.stats }
 // Config returns the prefetcher's configuration.
 func (p *Prefetcher) Config() Config { return p.cfg }
 
-// Train observes one demand access by core at addr and appends up to
+// Train observes one demand access at addr and appends up to
 // Degree predicted line addresses to out, returning the extended slice.
 // Predictions are line-aligned and strictly ahead of (or behind, for
 // negative strides) the demand line.
-func (p *Prefetcher) Train(core uint8, addr mem.Addr, out []mem.Addr) []mem.Addr {
+func (p *Prefetcher) Train(addr mem.Addr, out []mem.Addr) []mem.Addr {
 	p.stats.Trainings++
 	p.clock++
 	line := int64(uint64(addr) >> p.lineShift)
 	region := uint64(addr) >> p.cfg.RegionBits
-
-	table := p.tables[core]
-	if table == nil {
-		table = make([]entry, p.cfg.TableSize)
-		p.tables[core] = table
-	}
+	table := p.table
 
 	// Find the entry for this region, or a victim.
 	idx := -1

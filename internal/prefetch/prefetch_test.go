@@ -42,7 +42,7 @@ func TestForwardStrideDetection(t *testing.T) {
 	var out []mem.Addr
 	// Unit-stride stream: lines 0,1,2,3...
 	for i := 0; i < 3; i++ {
-		out = p.Train(0, mem.Addr(i*64), out[:0])
+		out = p.Train(mem.Addr(i*64), out[:0])
 	}
 	// After 3 accesses (2 confirming strides), predictions fire.
 	if len(out) != 2 {
@@ -58,7 +58,7 @@ func TestBackwardStrideDetection(t *testing.T) {
 	var out []mem.Addr
 	start := 100
 	for i := 0; i < 3; i++ {
-		out = p.Train(0, mem.Addr((start-i)*64), out[:0])
+		out = p.Train(mem.Addr((start-i)*64), out[:0])
 	}
 	if len(out) != 1 || out[0] != mem.Addr(97*64) {
 		t.Errorf("backward prediction %v, want [97*64]", out)
@@ -68,8 +68,8 @@ func TestBackwardStrideDetection(t *testing.T) {
 func TestLargeStride(t *testing.T) {
 	p := newPF(t, Config{TableSize: 8, Confidence: 1, Degree: 1, LineSize: 64, RegionBits: 30})
 	var out []mem.Addr
-	p.Train(0, 0, nil)
-	out = p.Train(0, mem.Addr(8*64), out[:0])
+	p.Train(0, nil)
+	out = p.Train(mem.Addr(8*64), out[:0])
 	if len(out) != 1 || out[0] != mem.Addr(16*64) {
 		t.Errorf("stride-8 prediction %v, want [16*64]", out)
 	}
@@ -78,9 +78,9 @@ func TestLargeStride(t *testing.T) {
 func TestNoPredictionWithoutConfidence(t *testing.T) {
 	p := newPF(t, Config{TableSize: 8, Confidence: 3, Degree: 4, LineSize: 64, RegionBits: 20})
 	var out []mem.Addr
-	out = p.Train(0, 0, out)
-	out = p.Train(0, 64, out)
-	out = p.Train(0, 128, out)
+	out = p.Train(0, out)
+	out = p.Train(64, out)
+	out = p.Train(128, out)
 	if len(out) != 0 {
 		t.Errorf("predicted %v before reaching confidence", out)
 	}
@@ -89,14 +89,14 @@ func TestNoPredictionWithoutConfidence(t *testing.T) {
 func TestStrideChangeResetsConfidence(t *testing.T) {
 	p := newPF(t, Config{TableSize: 8, Confidence: 2, Degree: 1, LineSize: 64, RegionBits: 20})
 	var out []mem.Addr
-	p.Train(0, 0, nil)
-	p.Train(0, 64, nil)
-	out = p.Train(0, 128, out[:0])
+	p.Train(0, nil)
+	p.Train(64, nil)
+	out = p.Train(128, out[:0])
 	if len(out) == 0 {
 		t.Fatal("expected prediction on stable stride")
 	}
 	// Break the stride: jump far within region.
-	out = p.Train(0, 64*50, out[:0])
+	out = p.Train(64*50, out[:0])
 	if len(out) != 0 {
 		t.Errorf("prediction survived stride break: %v", out)
 	}
@@ -104,42 +104,27 @@ func TestStrideChangeResetsConfidence(t *testing.T) {
 
 func TestSameLineAccessIgnored(t *testing.T) {
 	p := newPF(t, Config{TableSize: 8, Confidence: 2, Degree: 1, LineSize: 64, RegionBits: 20})
-	p.Train(0, 0, nil)
-	p.Train(0, 64, nil)
-	p.Train(0, 64+8, nil) // same line, different offset
-	out := p.Train(0, 128, nil)
+	p.Train(0, nil)
+	p.Train(64, nil)
+	p.Train(64+8, nil) // same line, different offset
+	out := p.Train(128, nil)
 	if len(out) == 0 {
 		t.Error("same-line re-access should not reset the detector")
-	}
-}
-
-func TestPerCoreIsolation(t *testing.T) {
-	p := newPF(t, Config{TableSize: 8, Confidence: 2, Degree: 1, LineSize: 64, RegionBits: 20})
-	// Core 0 trains a stream; core 1's interleaved accesses to the same
-	// region must not disturb it (per-core tables).
-	var out []mem.Addr
-	p.Train(0, 0, nil)
-	p.Train(1, 64*7, nil)
-	p.Train(0, 64, nil)
-	p.Train(1, 64*3, nil)
-	out = p.Train(0, 128, out[:0])
-	if len(out) != 1 {
-		t.Errorf("core 0 stream lost: %v", out)
 	}
 }
 
 func TestTableEviction(t *testing.T) {
 	p := newPF(t, Config{TableSize: 2, Confidence: 1, Degree: 1, LineSize: 64, RegionBits: 12})
 	// Touch 3 distinct regions: the LRU entry is evicted.
-	p.Train(0, 0<<12, nil)
-	p.Train(0, 1<<12, nil)
-	p.Train(0, 2<<12, nil)
+	p.Train(0<<12, nil)
+	p.Train(1<<12, nil)
+	p.Train(2<<12, nil)
 	st := p.Stats()
 	if st.Trainings != 3 {
 		t.Errorf("trainings = %d, want 3", st.Trainings)
 	}
 	// Region 0 was evicted: re-touching it allocates fresh (no stride).
-	out := p.Train(0, 0<<12|64, nil)
+	out := p.Train(0<<12|64, nil)
 	if len(out) != 0 {
 		t.Errorf("evicted region retained state: %v", out)
 	}
@@ -149,10 +134,10 @@ func TestTableEviction(t *testing.T) {
 // non-negative addresses.
 func TestPredictionAlignmentProperty(t *testing.T) {
 	p := newPF(t, DefaultConfig(64))
-	check := func(addrs []uint32, core uint8) bool {
+	check := func(addrs []uint32) bool {
 		var out []mem.Addr
 		for _, a := range addrs {
-			out = p.Train(core, mem.Addr(a), out[:0])
+			out = p.Train(mem.Addr(a), out[:0])
 			for _, pred := range out {
 				if uint64(pred)%64 != 0 {
 					return false
@@ -170,7 +155,7 @@ func TestStatsAccumulate(t *testing.T) {
 	p := newPF(t, Config{TableSize: 8, Confidence: 1, Degree: 2, LineSize: 64, RegionBits: 20})
 	var out []mem.Addr
 	for i := 0; i < 10; i++ {
-		out = p.Train(0, mem.Addr(i*64), out[:0])
+		out = p.Train(mem.Addr(i*64), out[:0])
 	}
 	st := p.Stats()
 	if st.Issued == 0 || st.Streams == 0 {
@@ -183,7 +168,7 @@ func BenchmarkTrainStream(b *testing.B) {
 	var out []mem.Addr
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = p.Train(0, mem.Addr(i*64), out[:0])
+		out = p.Train(mem.Addr(i*64), out[:0])
 	}
 	_ = out
 }

@@ -277,12 +277,11 @@ func (a *Analyzer) MissCurve(capacities []int) []uint64 {
 	return out
 }
 
-// Histogram returns a copy of the exact distance histogram and the
-// overflow (too-deep) count.
+// Histogram returns the exact distance histogram and the overflow
+// (too-deep) count. The histogram is the analyzer's own: read it before
+// the next Record and do not modify it.
 func (a *Analyzer) Histogram() (hist []uint64, overflow uint64) {
-	h := make([]uint64, len(a.hist))
-	copy(h, a.hist)
-	return h, a.overflow
+	return a.hist, a.overflow
 }
 
 // FinalDepths calls fn once per tracked line with the line's final LRU

@@ -99,8 +99,6 @@ func (c *Collector) Stats() Stats {
 // WindowStat is the footprint of one fixed-size reference window — the
 // phase-behavior timeline.
 type WindowStat struct {
-	// Refs is the window length (the final window may be shorter).
-	Refs uint64
 	// DistinctBytes is the 64 B-line footprint touched in the window.
 	DistinctBytes uint64
 	// StoreFraction is the stores share within the window.
@@ -139,7 +137,6 @@ func (w *Windower) flush() {
 		return
 	}
 	w.out = append(w.out, WindowStat{
-		Refs:          w.n,
 		DistinctBytes: uint64(len(w.lines)) * 64,
 		StoreFraction: float64(w.stores) / float64(w.n),
 	})

@@ -99,7 +99,7 @@ func TestWindows(t *testing.T) {
 	if ws[0].DistinctBytes != 2*64 || ws[1].DistinctBytes != 4*64 {
 		t.Errorf("window footprints wrong: %+v", ws[:2])
 	}
-	if ws[2].Refs != 1 || ws[2].StoreFraction != 1.0 {
+	if ws[2].DistinctBytes != 64 || ws[2].StoreFraction != 1.0 {
 		t.Errorf("partial window wrong: %+v", ws[2])
 	}
 }
