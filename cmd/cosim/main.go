@@ -48,6 +48,8 @@
 //	-scale f    footprint scale relative to the paper (default 1/16)
 //	-seed n     dataset seed (default 1)
 //	-csv        emit CSV instead of tables/plots
+//	-svg dir    write Figures 4-7 as SVG files (fig4.svg, ...) into dir
+//	            instead of plotting them on stdout
 //	-workloads  comma-separated subset (default: all eight); only the
 //	            selected workloads execute
 //	-j n        run up to n independent workload executions concurrently

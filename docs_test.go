@@ -67,6 +67,23 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 }
 
+// TestProgramDocsNameEveryFlag is the reverse check for the programs:
+// every flag cosim or cosimd defines appears as -name in that command's
+// package doc comment, its usage page.
+func TestProgramDocsNameEveryFlag(t *testing.T) {
+	src := scanSource(t)
+	for _, prog := range []string{"cosim", "cosimd"} {
+		if len(src.flags[prog]) == 0 || src.docs[prog] == "" {
+			t.Fatalf("%s: found no flags or no package doc", prog)
+		}
+		for name := range src.flags[prog] {
+			if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `($|[^\w-])`).MatchString(src.docs[prog]) {
+				t.Errorf("%s defines -%s, which its package doc does not name", prog, name)
+			}
+		}
+	}
+}
+
 // identRef matches a dotted identifier reference, with an optional
 // pointer receiver and call parentheses: `pkg.Name`, `Type.Method()`,
 // `(*T).M`, `pkg.Type.Field`.
@@ -84,8 +101,10 @@ type source struct {
 	types  map[string]map[string]bool
 	embeds map[string][]string
 	// flags maps a program ("cosim", "cosimd", or "" for any program or
-	// test) to the flags it defines.
+	// test) to the flags it defines, and docs a program to its package
+	// doc comment.
 	flags map[string]map[string]bool
+	docs  map[string]string
 }
 
 // resolve returns why the dotted reference s names nothing, or "" when
@@ -146,6 +165,7 @@ func scanSource(t *testing.T) *source {
 		types:  map[string]map[string]bool{},
 		embeds: map[string][]string{},
 		flags:  map[string]map[string]bool{"cosim": {}, "cosimd": {}, "": {}},
+		docs:   map[string]string{},
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -161,7 +181,7 @@ func scanSource(t *testing.T) *source {
 		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
@@ -234,6 +254,9 @@ func (src *source) add(f *ast.File, dir string, test bool) {
 	prog := ""
 	if !test && (dir == "cmd/cosim" || dir == "cmd/cosimd") {
 		prog = path.Base(dir)
+		if f.Doc != nil {
+			src.docs[prog] += f.Doc.Text()
+		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

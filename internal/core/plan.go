@@ -20,6 +20,7 @@ import (
 
 	"cmpmem/internal/cache"
 	"cmpmem/internal/hier"
+	"cmpmem/internal/oracle"
 )
 
 // Engine selects how a sweep answers its cache configurations. It is
@@ -125,7 +126,8 @@ type SweepPlan struct {
 	Analytic []int
 	// Emulated holds what the profile cannot express: other line
 	// sizes, sectored lines, non-LRU policies, invalid geometries
-	// (those fail in the emulator constructor with the legacy error).
+	// (those fail in the emulator constructor with the legacy error),
+	// and the family's configs past oracle.MaxTracked.
 	Emulated []int
 	// Hiers are the timing-hierarchy configs (RunHier) answered on the
 	// same pass, one hier.Machine each; the planner does not touch them.
@@ -157,7 +159,8 @@ func analyticEligible(cfg cache.Config) bool {
 // to the emulation leg (duplicates still dedupe); EngineAuto picks the
 // dominant line size among eligible configs and answers that family
 // analytically where it pays (minAnalyticFamily); EngineOracle at any
-// size, failing if any config cannot be. Exported because bench's
+// size, failing if any config cannot be (the first oracle.MaxTracked
+// canonical configs of the family at most). Exported because bench's
 // probes plan their grids the way the sweeps they measure do.
 func PlanSweep(configs []cache.Config, engine Engine) (*SweepPlan, error) {
 	plan := &SweepPlan{
@@ -200,12 +203,20 @@ func PlanSweep(configs []cache.Config, engine Engine) (*SweepPlan, error) {
 		}
 	}
 
-	// Pass 3: partition canonical configs into legs.
+	// Pass 3: partition canonical configs into legs. One engine tracks
+	// at most oracle.MaxTracked geometries; the rest are emulated.
 	for i, cfg := range configs {
 		if plan.Entries[i].Canonical != i {
 			continue
 		}
 		analytic := engine != EngineEmulate && analyticEligible(cfg) && cfg.LineSize == plan.LineSize
+		if analytic && len(plan.Analytic) == oracle.MaxTracked {
+			if engine == EngineOracle {
+				return nil, fmt.Errorf("core: strict oracle plan: config %q is past the %d geometries one oracle engine tracks",
+					cfg.Name, oracle.MaxTracked)
+			}
+			analytic = false
+		}
 		if !analytic && engine == EngineOracle {
 			return nil, fmt.Errorf(
 				"core: strict oracle plan: config %q (line %d B, %v%s) is not analytically answerable in a plan at %d B lines",

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cmpmem/internal/cache"
+	"cmpmem/internal/oracle"
 	"cmpmem/internal/telemetry"
 	"cmpmem/internal/tracestore"
 )
@@ -212,6 +214,45 @@ func TestPlanSweepFamilyRule(t *testing.T) {
 					t.Errorf("%s: plan line size %d, want %d", tag, plan.LineSize, want)
 				}
 			}
+		}
+	}
+}
+
+// TestPlanSweepTrackLimit checks the analytic leg stops at the engine's
+// limit: a grid of 70 distinct 64 B LRU geometries plans its first
+// oracle.MaxTracked canonical configs analytically and emulates the
+// rest (EngineOracle refuses it at plan time, naming the limit), and
+// the combined sweep answers all 70 exactly as per-config emulation.
+func TestPlanSweepTrackLimit(t *testing.T) {
+	var grid []cache.Config
+	for sets := uint64(1); sets <= 512; sets <<= 1 {
+		for _, assoc := range []int{1, 2, 3, 4, 6, 8, 16} {
+			grid = append(grid, cache.Config{Name: fmt.Sprintf("s%d/w%d", sets, assoc), Size: sets * uint64(assoc) * 64, LineSize: 64, Assoc: assoc})
+		}
+	}
+	plan, err := PlanSweep(grid, EngineAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := oracle.MaxTracked; len(plan.Analytic) != n || len(plan.Emulated) != len(grid)-n {
+		t.Fatalf("%d analytic, %d emulated; want %d and %d", len(plan.Analytic), len(plan.Emulated), n, len(grid)-n)
+	}
+	if _, err := PlanSweep(grid, EngineOracle); err == nil || !strings.Contains(err.Error(), fmt.Sprint(oracle.MaxTracked)) {
+		t.Errorf("strict plan of %d geometries: error %v, want one naming the limit %d", len(grid), err, oracle.MaxTracked)
+	}
+	pc := PlatformConfig{Threads: 2, Seed: 3}
+	reuse := WithTraceReuse(tracestore.New(0, ""))
+	want, _, err := CombinedSweep("PLSA", tinyParams(), pc, [][]cache.Config{grid}, reuse, WithEngine(EngineEmulate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := CombinedSweep("PLSA", tinyParams(), pc, [][]cache.Config{grid}, reuse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range grid {
+		if !sameLLCResult(got[0][i], want[0][i]) {
+			t.Errorf("%s: planned result diverges from emulation\n got %+v\nwant %+v", cfg.Name, got[0][i].Stats, want[0][i].Stats)
 		}
 	}
 }

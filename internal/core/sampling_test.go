@@ -60,8 +60,9 @@ func exactOracleMisses(t *testing.T, name string, p workloads.Params, pc Platfor
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, llc := range cfgs {
-		if err := orc.AddConfig(llc); err != nil {
+	tracked := make([]*oracle.Tracked, len(cfgs))
+	for i, llc := range cfgs {
+		if tracked[i], err = orc.Track(llc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,10 +70,8 @@ func exactOracleMisses(t *testing.T, name string, p workloads.Params, pc Platfor
 		t.Fatalf("%s: oracle replay: %v", name, err)
 	}
 	out := make([]uint64, len(cfgs))
-	for i, llc := range cfgs {
-		if out[i], err = orc.MissesForConfig(llc); err != nil {
-			t.Fatal(err)
-		}
+	for i, tr := range tracked {
+		out[i] = tr.Misses()
 	}
 	return out
 }

@@ -124,10 +124,11 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 	}
 	emus := make([]*dragonhead.Emulator, len(cfgs))
 	refs := make([]*verify.RefCache, len(cfgs))
+	tracked := make([]*oracle.Tracked, len(cfgs))
 	snoopers := []fsb.Snooper{orc}
 	caches := make([]*cache.Cache, len(cfgs))
 	for i, llc := range cfgs {
-		if err := orc.AddConfig(llc); err != nil {
+		if tracked[i], err = orc.Track(llc); err != nil {
 			return err
 		}
 		dcfg, err := bankedConfig(llc)
@@ -187,10 +188,7 @@ func verifyWorkload(rep *verify.Report, name string, p workloads.Params, pc Plat
 		st := emus[i].Stats()
 		id := name + "/" + llc.Name
 
-		want, err := orc.MissesForConfig(llc)
-		if err != nil {
-			return err
-		}
+		want := tracked[i].Misses()
 		wants[i] = want
 		if st.Misses == want {
 			rep.Passf("oracle/"+id, "%d misses, exact", st.Misses)

@@ -24,15 +24,3 @@ import "math/rand"
 // All generators accept a seed rather than a shared source so that each
 // dataset is independently reproducible.
 func Rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// Zipf draws n samples in [0, vocab) with Zipf skew s using the given
-// seed. Used by the transaction and document generators.
-func Zipf(seed int64, s float64, vocab uint64, n int) []int {
-	r := Rng(seed)
-	z := rand.NewZipf(r, s, 1, vocab-1)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(z.Uint64())
-	}
-	return out
-}

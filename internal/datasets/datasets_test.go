@@ -300,26 +300,6 @@ func TestVideoPlayfieldIsGreen(t *testing.T) {
 	// Top rows follow the shot's base color distribution (any hue).
 }
 
-// TestZipfHelper sanity-checks the exported sampler.
-func TestZipfHelper(t *testing.T) {
-	samples := Zipf(31, 1.3, 1000, 5000)
-	if len(samples) != 5000 {
-		t.Fatal("wrong sample count")
-	}
-	small := 0
-	for _, s := range samples {
-		if s < 0 || s >= 1000 {
-			t.Fatalf("sample %d out of range", s)
-		}
-		if s < 10 {
-			small++
-		}
-	}
-	if small < len(samples)/4 {
-		t.Errorf("Zipf head too light: %d/%d below 10", small, len(samples))
-	}
-}
-
 // TestRngIndependence: generators with different seeds differ.
 func TestRngIndependence(t *testing.T) {
 	check := func(s1, s2 int64) bool {

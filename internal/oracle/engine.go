@@ -1,18 +1,18 @@
 // Package oracle is the analytic cache engine: exact LRU results for
-// every registered cache geometry from one pass over the reference
-// stream, via Mattson stack-distance analysis.
+// every tracked cache geometry from one pass over the reference stream,
+// via Mattson stack-distance analysis.
 //
 // Mattson's inclusion property says an LRU stack of depth A holds
 // exactly the A most recently used lines, so a reference hits in an
 // A-way set iff its stack distance within that set is < A. Partitioning
-// line addresses by set index therefore turns one per-set reuse-distance
-// histogram into the exact miss count of *every* associativity at that
-// set count simultaneously — the classic single-pass answer to "simulate
-// all cache sizes at once" that internal/stackdist already implements
-// for the fully-associative case.
+// line addresses by set index therefore turns one per-set LRU stack
+// into the exact miss count of each tracked associativity at that set
+// count — the classic single-pass answer to "simulate all cache sizes
+// at once" that internal/stackdist already implements for the
+// fully-associative case.
 //
-// Each registered set count is a "family". A family only ever needs
-// distances resolved up to its deepest registered associativity, which
+// Each tracked set count is a "family". A family only ever needs
+// distances resolved up to its deepest tracked associativity, which
 // picks between two per-set representations:
 //
 //   - Shallow families (the planner's set-associative sweeps, typically
@@ -70,9 +70,10 @@ import (
 	"cmpmem/internal/trace"
 )
 
-// maxTracked bounds Track handles per engine: the per-line dirty state
-// is a single uint64 bitmask, one bit per tracked geometry.
-const maxTracked = 64
+// MaxTracked bounds Track handles per engine: the per-line dirty state
+// is a single uint64 bitmask, one bit per tracked geometry. The planner
+// sizes its analytic leg to it.
+const MaxTracked = 64
 
 // fastDepth is the deepest family served by the bounded-stack fast
 // path; beyond it the move-to-front copy would outgrow the Fenwick
@@ -86,7 +87,7 @@ const fastDepth = 256
 const fastBudget = 1 << 23
 
 // setFamily holds the per-set distance state of one set count, plus the
-// Tracked handles (geometries wanting full Stats) that share it.
+// Tracked handles (at least one) that share it.
 type setFamily struct {
 	sets     uint64
 	setMask  uint64
@@ -99,21 +100,15 @@ type setFamily struct {
 
 	// floor is the smallest distance at which a request needs the line
 	// table: the least tracked associativity (a miss there reads and
-	// resets the dirty bit), maxAssoc with nothing tracked (a block
-	// beyond the stack may be a first touch).
+	// resets the dirty bit; a first touch, beyond every stack, inserts).
 	floor uint32
 
 	// Fast path: per-set bounded LRU stacks (of block number plus one, so
 	// an empty slot is zero and matches nothing) in one flat array, sets
 	// x maxAssoc, and a copy of each stack's slot 0 in a dense array of
-	// its own, so record's probe for the top reads one word per set. The
-	// distance histogram is family-wide, since only its sums are read:
-	// hist holds distances 1 and up (distance 0 misses at no depth, so
-	// it goes uncounted), deep the requests not resident in the stack.
+	// its own, so record's probe for the top reads one word per set.
 	stack []uint64
 	top   []uint64
-	hist  []uint64
-	deep  uint64
 
 	// Slow path: one Fenwick analyzer per touched set.
 	perSet map[uint64]*stackdist.Analyzer
@@ -124,15 +119,12 @@ type setFamily struct {
 func (f *setFamily) freeze() {
 	f.floor = uint32(f.maxAssoc)
 	for _, t := range f.tracked {
-		if t.assoc32 < f.floor {
-			f.floor = t.assoc32
-		}
+		f.floor = min(f.floor, t.assoc32)
 	}
 	if f.maxAssoc <= fastDepth && f.sets*uint64(f.maxAssoc+1) <= fastBudget {
 		f.fast = true
 		f.stack = make([]uint64, f.sets*uint64(f.maxAssoc))
 		f.top = make([]uint64, f.sets)
-		f.hist = make([]uint64, f.maxAssoc)
 		return
 	}
 	f.perSet = make(map[uint64]*stackdist.Analyzer)
@@ -151,7 +143,6 @@ func (f *setFamily) touchFast(set, key uint64, lo int) int {
 		if s[i] == key {
 			copy(s[1:i+1], s[:i])
 			s[0] = key
-			f.hist[i]++
 			return i
 		}
 	}
@@ -159,7 +150,6 @@ func (f *setFamily) touchFast(set, key uint64, lo int) int {
 	// block, or an empty slot, falls off).
 	copy(s[1:], s[:len(s)-1])
 	s[0] = key
-	f.deep++
 	return f.maxAssoc
 }
 
@@ -177,28 +167,10 @@ func (f *setFamily) touchSlow(set uint64, blk uint64) uint32 {
 	return a.Record(mem.Addr(blk))
 }
 
-// misses returns the family's exact miss count at the given
-// associativity (cold + deeper-than-assoc reuses).
-func (f *setFamily) misses(assoc int) uint64 {
-	if f.fast {
-		m := f.deep
-		for _, n := range f.hist[assoc:] {
-			m += n
-		}
-		return m
-	}
-	var m uint64
-	for _, a := range f.perSet {
-		m += a.MissesForLines(assoc)
-	}
-	return m
-}
-
 // Engine predicts exact LRU results for a family of set-associative
-// geometries sharing one line size. Register every geometry with
-// AddConfig/Track before streaming references; then drive
-// the engine as an fsb.Snooper (live bus or replay) and read
-// predictions with Misses, MissesForConfig, or Tracked.Stats.
+// geometries sharing one line size. Register every geometry with Track
+// before streaming references; then drive the engine as an fsb.Snooper
+// (live bus or replay) and read each handle's Misses, Samples or Stats.
 type Engine struct {
 	lineSize  uint64
 	lineShift uint
@@ -252,54 +224,6 @@ func New(lineSize uint64) (*Engine, error) {
 		e.lineShift++
 	}
 	return e, nil
-}
-
-// addGeometry registers a (set count, associativity) pair to predict,
-// as geometry derives it from a validated config. Multiple
-// associativities at one set count share a single analyzer family, so
-// adding them is free. Must be called before any reference is
-// recorded.
-func (e *Engine) addGeometry(sets uint64, assoc int) error {
-	if e.accesses > 0 {
-		return fmt.Errorf("oracle: geometry added after recording started")
-	}
-	f := e.families[sets]
-	if f == nil {
-		f = &setFamily{sets: sets, setMask: sets - 1}
-		e.families[sets] = f
-		e.famList = append(e.famList, f)
-	}
-	if assoc > f.maxAssoc {
-		f.maxAssoc = assoc
-	}
-	return nil
-}
-
-// AddConfig registers the geometry of a concrete cache configuration.
-func (e *Engine) AddConfig(cfg cache.Config) error {
-	sets, assoc, err := e.geometry(cfg)
-	if err != nil {
-		return err
-	}
-	return e.addGeometry(sets, assoc)
-}
-
-// geometry derives (sets, assoc) from cfg and validates it against the
-// engine's line size.
-func (e *Engine) geometry(cfg cache.Config) (uint64, int, error) {
-	if cfg.LineSize != e.lineSize {
-		return 0, 0, fmt.Errorf("oracle: config %q line size %d != engine line size %d",
-			cfg.Name, cfg.LineSize, e.lineSize)
-	}
-	if err := cfg.Validate(); err != nil {
-		return 0, 0, err
-	}
-	lines := cfg.Size / cfg.LineSize
-	assoc := cfg.Assoc
-	if assoc == 0 {
-		assoc = int(lines)
-	}
-	return lines / uint64(assoc), assoc, nil
 }
 
 // EnableSampling turns on the CB mirror: on every MsgCycles crossing of
@@ -509,24 +433,3 @@ func (e *Engine) Ignored() uint64 { return e.af.Dropped }
 // Instructions returns the total instructions retired across cores, per
 // the latest inst-retired messages.
 func (e *Engine) Instructions() uint64 { return e.af.Instructions() }
-
-// Misses returns the exact LRU miss count for the registered geometry.
-func (e *Engine) Misses(sets uint64, assoc int) (uint64, error) {
-	f := e.families[sets]
-	if f == nil {
-		return 0, fmt.Errorf("oracle: set count %d was never registered", sets)
-	}
-	if assoc < 1 || assoc > f.maxAssoc {
-		return 0, fmt.Errorf("oracle: associativity %d outside registered range [1,%d]", assoc, f.maxAssoc)
-	}
-	return f.misses(assoc), nil
-}
-
-// MissesForConfig returns the exact LRU miss count predicted for cfg.
-func (e *Engine) MissesForConfig(cfg cache.Config) (uint64, error) {
-	sets, assoc, err := e.geometry(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return e.Misses(sets, assoc)
-}

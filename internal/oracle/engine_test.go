@@ -292,8 +292,8 @@ func TestEngineMisuse(t *testing.T) {
 		t.Error("non-power-of-two line size accepted")
 	}
 	eng, _ := New(64)
-	if err := eng.AddConfig(cache.Config{Name: "odd", Size: 3 << 7, LineSize: 64, Assoc: 2}); err == nil {
-		t.Error("non-power-of-two set count added")
+	if _, err := eng.Track(cache.Config{Name: "odd", Size: 3 << 7, LineSize: 64, Assoc: 2}); err == nil {
+		t.Error("non-power-of-two set count tracked")
 	}
 	if _, err := eng.Track(cache.Config{Name: "odd", Size: 1 << 12, LineSize: 64, Assoc: 3}); err == nil {
 		t.Error("associativity that does not divide the lines tracked")
@@ -318,14 +318,11 @@ func TestEngineMisuse(t *testing.T) {
 	if _, err := eng.Track(cache.Config{Name: "late", Size: 1 << 12, LineSize: 64, Assoc: 2}); err == nil {
 		t.Error("Track accepted after recording started")
 	}
-	if err := eng.AddConfig(cache.Config{Name: "late", Size: 1 << 13, LineSize: 64, Assoc: 2}); err == nil {
-		t.Error("AddConfig accepted after recording started")
-	}
 
 	// The engine-wide dirty bitmask caps tracked geometries at 64.
 	eng2, _ := New(64)
 	var err error
-	for a := 0; a <= maxTracked; a++ {
+	for a := 0; a <= MaxTracked; a++ {
 		cfg := cache.Config{Name: "n", Size: 64 << 10, LineSize: 64, Assoc: 16}
 		_, err = eng2.Track(cfg)
 	}

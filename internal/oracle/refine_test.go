@@ -111,8 +111,8 @@ func seedStream(seed uint64, n int) []byte {
 // outside it. For any mix of set counts and associativities — including
 // coarse families deeper than fine ones and a Fenwick family beside the
 // bounded stacks — every Tracked.Stats must equal the production
-// cache's, every Misses the cache's miss count, and every family's
-// miss count at every depth a brute-force move-to-front list's.
+// cache's, and every handle's Misses a brute-force move-to-front list's
+// at the handle's own depth.
 func FuzzTrackedStats(f *testing.F) {
 	seed := func(hdr [fuzzHeader]byte, stream []byte) { f.Add(append(hdr[:], stream...)) }
 	// Figure 4's shape: one associativity (8), four set counts.
@@ -163,7 +163,7 @@ func FuzzTrackedStats(f *testing.F) {
 			if caches[i], err = cache.New(cfg); err != nil {
 				t.Fatal(err)
 			}
-			sets, assoc, _ := eng.geometry(cfg)
+			sets, assoc := tracked[i].fam.sets, tracked[i].assoc
 			m := models[sets]
 			if m == nil {
 				m = &mtf{setMask: sets - 1, lists: map[uint64][]uint64{}}
@@ -220,28 +220,15 @@ func FuzzTrackedStats(f *testing.F) {
 			}
 		}
 		checkStats("end of stream")
-		for i, cfg := range cfgs {
-			got, err := eng.MissesForConfig(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := caches[i].Stats().Misses; got != want {
-				t.Fatalf("%d B/%d-way: Misses %d, cache %d", cfg.Size, cfg.Assoc, got, want)
-			}
-		}
-		// Every depth of every family: a request misses at depth a iff
+		// Each handle at its own depth: a request misses at depth a iff
 		// it is not among the list's a most recent blocks of its set.
-		for sets, m := range models {
+		for i, tr := range tracked {
 			want := requests
-			for a := 1; a <= len(m.hist); a++ {
-				want -= m.hist[a-1]
-				got, err := eng.Misses(sets, a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("%d sets, depth %d: %d misses, move-to-front list %d", sets, a, got, want)
-				}
+			for _, n := range models[tr.fam.sets].hist[:tr.assoc] {
+				want -= n
+			}
+			if got := tr.Misses(); got != want {
+				t.Fatalf("%d B/%d-way: Misses %d, move-to-front list %d", cfgs[i].Size, cfgs[i].Assoc, got, want)
 			}
 		}
 	})
@@ -264,7 +251,8 @@ func TestDistancesShrinkAsSetsSplit(t *testing.T) {
 			sets  uint64
 			assoc int
 		}{{64, 2}, {4, 8}, {1, 2 * fastDepth}, {16, 1}, {256, 4}, {2, 3}} {
-			if err := eng.addGeometry(g.sets, g.assoc); err != nil {
+			cfg := cache.Config{Name: "g", Size: g.sets * uint64(g.assoc) * 64, LineSize: 64, Assoc: g.assoc}
+			if _, err := eng.Track(cfg); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -22,7 +22,6 @@ type Tracked struct {
 	fam     *setFamily
 	bit     uint64 // this geometry's bit in the engine's dirty bitmasks
 	cfg     cache.Config
-	sets    uint64
 	assoc   int
 	assoc32 uint32
 
@@ -33,11 +32,13 @@ type Tracked struct {
 	samples       []Sample
 }
 
-// Track registers cfg for full-Stats reconstruction and returns its
-// handle. Only LRU, unsectored configurations qualify: inclusion (and
-// with it the whole analytic derivation) holds for true LRU only, and
-// sector valid bits add per-sector fill state the stack profile cannot
-// see. Must be called before any reference is recorded.
+// Track registers cfg and returns its handle: the engine's one way in.
+// Only LRU, unsectored configurations qualify: inclusion (and with it
+// the whole analytic derivation) holds for true LRU only, and sector
+// valid bits add per-sector fill state the stack profile cannot see.
+// Geometries sharing a set count share one family, whose depth is its
+// deepest handle's associativity. Must be called before any reference
+// is recorded.
 func (e *Engine) Track(cfg cache.Config) (*Tracked, error) {
 	if cfg.Repl != cache.LRU {
 		return nil, fmt.Errorf("oracle: config %q uses %v replacement; only LRU is analytically expressible", cfg.Name, cfg.Repl)
@@ -45,23 +46,37 @@ func (e *Engine) Track(cfg cache.Config) (*Tracked, error) {
 	if cfg.SectorSize != 0 {
 		return nil, fmt.Errorf("oracle: config %q is sectored; sector fill state is not analytically expressible", cfg.Name)
 	}
-	sets, assoc, err := e.geometry(cfg)
-	if err != nil {
+	if cfg.LineSize != e.lineSize {
+		return nil, fmt.Errorf("oracle: config %q line size %d != engine line size %d",
+			cfg.Name, cfg.LineSize, e.lineSize)
+	}
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if e.trackedCount >= maxTracked {
-		return nil, fmt.Errorf("oracle: more than %d tracked geometries in one engine", maxTracked)
+	if e.accesses > 0 {
+		return nil, fmt.Errorf("oracle: Track after recording started")
 	}
-	if err := e.addGeometry(sets, assoc); err != nil {
-		return nil, err
+	if e.trackedCount >= MaxTracked {
+		return nil, fmt.Errorf("oracle: more than %d tracked geometries in one engine", MaxTracked)
 	}
+	lines := cfg.Size / cfg.LineSize
+	assoc := cfg.Assoc
+	if assoc == 0 {
+		assoc = int(lines)
+	}
+	sets := lines / uint64(assoc)
 	f := e.families[sets]
+	if f == nil {
+		f = &setFamily{sets: sets, setMask: sets - 1}
+		e.families[sets] = f
+		e.famList = append(e.famList, f)
+	}
+	f.maxAssoc = max(f.maxAssoc, assoc)
 	t := &Tracked{
 		eng:     e,
 		fam:     f,
 		bit:     1 << uint(e.trackedCount),
 		cfg:     cfg,
-		sets:    sets,
 		assoc:   assoc,
 		assoc32: uint32(assoc),
 	}
@@ -173,7 +188,7 @@ func (t *Tracked) Stats() cache.Stats {
 // handle's Stats, and is redone only if a request was recorded since.
 func (e *Engine) dirtyCounts() []uint64 {
 	if e.dirtyLines == nil || e.dirtyAt != e.accesses {
-		e.dirtyLines = make([]uint64, maxTracked)
+		e.dirtyLines = make([]uint64, MaxTracked)
 		for _, c := range e.lines.cells {
 			for m := c.mask; m != 0; m &= m - 1 {
 				e.dirtyLines[bits.TrailingZeros64(m)]++

@@ -267,16 +267,6 @@ func (a *Analyzer) MissesForLines(lines int) uint64 {
 	return misses
 }
 
-// MissCurve evaluates MissesForLines at each capacity (in lines),
-// returning one miss count per entry.
-func (a *Analyzer) MissCurve(capacities []int) []uint64 {
-	out := make([]uint64, len(capacities))
-	for i, c := range capacities {
-		out[i] = a.MissesForLines(c)
-	}
-	return out
-}
-
 // Histogram returns the exact distance histogram and the overflow
 // (too-deep) count. The histogram is the analyzer's own: read it before
 // the next Record and do not modify it.

@@ -104,7 +104,10 @@ func TestMissCurveMonotone(t *testing.T) {
 		an.Record(mem.Addr(rng.Intn(3000) * 64))
 	}
 	caps := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-	curve := an.MissCurve(caps)
+	curve := make([]uint64, len(caps))
+	for i, c := range caps {
+		curve[i] = an.MissesForLines(c)
+	}
 	for i := 1; i < len(curve); i++ {
 		if curve[i] > curve[i-1] {
 			t.Errorf("miss curve not monotone at %d lines: %d > %d", caps[i], curve[i], curve[i-1])

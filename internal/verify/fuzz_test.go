@@ -37,13 +37,15 @@ func FuzzVerifyOracle(f *testing.F) {
 		}
 		type model struct {
 			cfg cache.Config
+			tr  *oracle.Tracked
 			c   *cache.Cache
 			ref *RefCache
 			emu *dragonhead.Emulator
 		}
 		var models []model
 		for _, cfg := range cfgs {
-			if err := orc.AddConfig(cfg); err != nil {
+			tr, err := orc.Track(cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
 			c, err := cache.New(cfg)
@@ -71,7 +73,7 @@ func FuzzVerifyOracle(f *testing.F) {
 				t.Fatal(err)
 			}
 			emu.OnMsg(fsb.Message{Kind: fsb.MsgStart})
-			models = append(models, model{cfg, c, rc, emu})
+			models = append(models, model{cfg, tr, c, rc, emu})
 		}
 		orc.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 
@@ -95,10 +97,7 @@ func FuzzVerifyOracle(f *testing.F) {
 
 		for _, m := range models {
 			st := m.c.Stats()
-			want, err := orc.MissesForConfig(m.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := m.tr.Misses()
 			if st.Misses != want {
 				t.Fatalf("%s: cache %d misses, oracle predicts %d", m.cfg.Name, st.Misses, want)
 			}

@@ -100,6 +100,7 @@ func TestOracleDifferential(t *testing.T) {
 	cfgs := oracleGeometries()
 	type pair struct {
 		cfg  cache.Config
+		tr   *oracle.Tracked
 		c    *cache.Cache
 		ref  *RefCache
 		cBus *BusAdapter
@@ -108,7 +109,8 @@ func TestOracleDifferential(t *testing.T) {
 	var pairs []pair
 	snoopers := []fsb.Snooper{orc}
 	for _, cfg := range cfgs {
-		if err := orc.AddConfig(cfg); err != nil {
+		tr, err := orc.Track(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
 		c, err := cache.New(cfg)
@@ -119,7 +121,7 @@ func TestOracleDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := pair{cfg: cfg, c: c, ref: rc, cBus: &BusAdapter{Target: c}, rBus: &BusAdapter{Target: rc}}
+		p := pair{cfg: cfg, tr: tr, c: c, ref: rc, cBus: &BusAdapter{Target: c}, rBus: &BusAdapter{Target: rc}}
 		pairs = append(pairs, p)
 		snoopers = append(snoopers, p.cBus, p.rBus)
 	}
@@ -128,10 +130,7 @@ func TestOracleDifferential(t *testing.T) {
 
 	for _, p := range pairs {
 		st := p.c.Stats()
-		want, err := orc.MissesForConfig(p.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := p.tr.Misses()
 		if st.Misses != want {
 			t.Errorf("%d B/%d-way: cache %d misses, oracle predicts %d", p.cfg.Size, p.cfg.Assoc, st.Misses, want)
 		}
@@ -155,7 +154,7 @@ func TestOracleDifferential(t *testing.T) {
 // messages.
 func TestOracleWindowGating(t *testing.T) {
 	orc, _ := oracle.New(64)
-	if err := orc.AddConfig(geom(16, 2)); err != nil {
+	if _, err := orc.Track(geom(16, 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,21 +186,19 @@ func TestOracleWindowGating(t *testing.T) {
 // associativity — and the MonotoneMisses invariant accepts the curve.
 func TestOracleInclusionAcrossAssoc(t *testing.T) {
 	orc, _ := oracle.New(64)
-	const sets = 64
-	for _, a := range []int{1, 2, 4, 8, 16} {
-		if err := orc.AddConfig(geom(sets, a)); err != nil {
+	assocs := []int{1, 2, 4, 8, 16}
+	tracked := make([]*oracle.Tracked, len(assocs))
+	for i, a := range assocs {
+		var err error
+		if tracked[i], err = orc.Track(geom(64, a)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deliver(newRefGen(42).refs(30000), orc)
 
 	var points []MissPoint
-	for _, a := range []int{1, 2, 4, 8, 16} {
-		m, err := orc.Misses(sets, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		points = append(points, MissPoint{Label: label(a), Capacity: uint64(a), Misses: m})
+	for i, a := range assocs {
+		points = append(points, MissPoint{Label: label(a), Capacity: uint64(a), Misses: tracked[i].Misses()})
 	}
 	if err := MonotoneMisses(points); err != nil {
 		t.Fatal(err)
@@ -223,8 +220,8 @@ func label(assoc int) string {
 	return "assoc-" + string(rune('0'+assoc%10))
 }
 
-// TestOracleMisuse covers the guard rails: bad line sizes, bad
-// geometries, late registration, unknown queries.
+// TestOracleMisuse covers the guard rails still reachable through
+// Track: bad line sizes, bad geometries, and a late Track.
 func TestOracleMisuse(t *testing.T) {
 	if _, err := oracle.New(0); err == nil {
 		t.Error("line size 0 accepted")
@@ -233,23 +230,19 @@ func TestOracleMisuse(t *testing.T) {
 		t.Error("non-power-of-two line size accepted")
 	}
 	orc, _ := oracle.New(64)
-	if err := orc.AddConfig(geom(3, 2)); err == nil {
+	if _, err := orc.Track(geom(3, 2)); err == nil {
 		t.Error("non-power-of-two set count accepted")
 	}
-	if err := orc.AddConfig(cache.Config{Name: "x", Size: 1 << 12, LineSize: 32, Assoc: 2}); err == nil {
+	if _, err := orc.Track(cache.Config{Name: "x", Size: 1 << 12, LineSize: 32, Assoc: 2}); err == nil {
 		t.Error("mismatched line size accepted")
 	}
-	if _, err := orc.Misses(128, 2); err == nil {
-		t.Error("unregistered set count answered")
+	if _, err := orc.Track(geom(4, 2)); err != nil {
+		t.Fatal(err)
 	}
-	orc.AddConfig(geom(4, 2))
 	orc.OnMsg(fsb.Message{Kind: fsb.MsgStart})
 	orc.OnRef(trace.Ref{Addr: 0, Size: 1, Kind: mem.Load})
-	if err := orc.AddConfig(geom(8, 2)); err == nil {
-		t.Error("AddConfig accepted after recording started")
-	}
-	if _, err := orc.Misses(4, 4); err == nil {
-		t.Error("associativity beyond registered max answered")
+	if _, err := orc.Track(geom(8, 2)); err == nil {
+		t.Error("Track accepted after recording started")
 	}
 }
 

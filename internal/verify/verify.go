@@ -10,8 +10,8 @@
 //   - Differential oracles. A per-set Mattson stack-distance oracle
 //     (internal/oracle's Engine, the sweep planner's analytic engine
 //     used here as one more independent model) predicts, from one pass
-//     over a trace, the exact LRU miss
-//     count of every registered associativity/size at once; and a naive
+//     over a trace, the exact LRU miss count of every geometry it
+//     tracks, through the Track handles the sweeps read; and a naive
 //     O(assoc) reference cache (RefCache) reproduces the full replacement
 //     state for bit-exact comparison against internal/cache. Agreement is
 //     required to be exact — zero delta — because every model is
