@@ -67,6 +67,22 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 }
 
+// designLines is DESIGN.md's line ceiling. A change may lower it to the
+// document's new length and must not raise it: the design shrinks
+// toward one section per pipeline stage, with history in CHANGES.md.
+const designLines = 1480
+
+// TestDesignLineCeiling holds DESIGN.md to at most designLines lines.
+func TestDesignLineCeiling(t *testing.T) {
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), "\n"); n > designLines {
+		t.Errorf("DESIGN.md has %d lines, over its ceiling of %d: shorten it, do not raise the ceiling", n, designLines)
+	}
+}
+
 // TestProgramDocsNameEveryFlag is the reverse check for the programs:
 // every flag cosim or cosimd defines appears as -name in that command's
 // package doc comment, its usage page.

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 
 	"cmpmem/internal/fsb"
@@ -25,7 +26,7 @@ import (
 )
 
 // busRecorder captures the complete bus-event stream straight into the
-// compact v2 codec (the raw []Ref form of a full run never
+// compact trace codec (the raw []Ref form of a full run never
 // materializes, keeping capture allocation-light and the memoized
 // footprint ~4x smaller). Control messages are stored as their
 // reserved-window transaction encoding (exactly how the paper's
@@ -103,9 +104,10 @@ func (ro runOpts) openTrace(name string, p workloads.Params, pc PlatformConfig, 
 }
 
 // replayTrace is the zero-alloc replay engine behind every memoized
-// sweep: it decodes the stored v2 stream one bus batch at a time
+// sweep: it decodes the stored stream one bus batch at a time
 // (StreamPlayer.NextBatch) and hands each to the bus as it is —
-// message transactions included — never materializing the stream.
+// message transactions included — never materializing the stream. A
+// stream that decodes to other than its summary's event count fails.
 func replayTrace(tr *tracestore.Trace, ro runOpts, snoopers []fsb.Snooper) error {
 	p, err := tr.Player()
 	if err != nil {
@@ -122,6 +124,9 @@ func replayTrace(tr *tracestore.Trace, ro runOpts, snoopers []fsb.Snooper) error
 	}
 	if err := p.Err(); err != nil {
 		return err
+	}
+	if n := bus.Events(); n != tr.Summary.BusEvents {
+		return fmt.Errorf("core: replay decoded %d bus events, the trace's summary records %d", n, tr.Summary.BusEvents)
 	}
 	return bus.Close()
 }

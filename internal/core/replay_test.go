@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -302,5 +303,43 @@ func TestReplaySharedAcrossExperiments(t *testing.T) {
 	}
 	if st.Hits != 2 {
 		t.Errorf("store hits = %d, want 2", st.Hits)
+	}
+}
+
+// TestReplayChecksEventCount: a stored stream that decodes cleanly but
+// holds fewer events than its summary records fails the sweep with an
+// error naming both counts, never answers with results that disagree
+// with the summary it returns.
+func TestReplayChecksEventCount(t *testing.T) {
+	p := tinyParams()
+	pc := SCMP()
+	tr, _, err := runOpts{store: tracestore.New(0, "")}.openTrace("FIMI", p, pc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first half of the captured records, encoded as a whole stream.
+	pl, err := tr.Player()
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := tr.Summary.BusEvents / 2
+	var enc trace.Encoder
+	short := trace.AppendHeader(nil)
+	for i := uint64(0); i < half; i++ {
+		r, _ := pl.Next()
+		if short, err = enc.Append(short, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store := tracestore.New(0, "")
+	if _, _, err := store.DoOutcome(TraceKey("FIMI", p, pc), func() (*tracestore.Trace, error) {
+		return tracestore.NewTrace(tr.Summary, short), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = CombinedSweep("FIMI", p, pc, [][]cache.Config{tinyLLCs()}, WithTraceReuse(store))
+	want := fmt.Sprintf("replay decoded %d bus events, the trace's summary records %d", half, tr.Summary.BusEvents)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("sweep over a short stream: err %v, want one containing %q", err, want)
 	}
 }

@@ -264,8 +264,8 @@ func TestFailedSampledSweepEndsItsSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 0xff sets a record header's reserved bits and never terminates a
-	// varint, so the decoder rejects the stream wherever the run lands.
+	// 0xff sets a record header's reserved bits, so the decoder rejects
+	// the stream at the first record that starts in the run.
 	enc := tr.Encoded()
 	for i := len(enc) / 2; i < len(enc); i++ {
 		enc[i] = 0xff

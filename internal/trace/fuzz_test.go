@@ -32,8 +32,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // FuzzCodecV2RoundTrip: a short sequence of records derived from the
 // fuzz inputs must encode and decode identically through the batch
 // decoder, a Seek to a mid-stream Mark must resume it, and the same
-// payload under the retired v1 version byte must be rejected at the
-// header, never decoded.
+// payload under the retired v1 or v2 version byte must be rejected at
+// the header, never decoded.
 func FuzzCodecV2RoundTrip(f *testing.F) {
 	f.Add(uint64(0x1000), uint64(8), uint8(3), uint8(8), true)
 	f.Add(uint64(0), ^uint64(0), uint8(255), uint8(1), false)
@@ -83,10 +83,12 @@ func FuzzCodecV2RoundTrip(f *testing.F) {
 		if n := p.NextBatch(dst); n != 2 || dst[0] != want[1] || dst[1] != want[2] || p.Err() != nil {
 			t.Fatalf("after Seek: %d records %+v (err %v), want %+v", n, dst[:n], p.Err(), want[1:])
 		}
-		forged := append([]byte{}, enc...)
-		forged[4] = 1
-		if _, err := NewStreamPlayer(forged); !errors.Is(err, ErrBadMagic) {
-			t.Fatalf("v1 version byte: got %v, want ErrBadMagic", err)
+		for v := byte(1); v <= 2; v++ {
+			forged := append([]byte{}, enc...)
+			forged[4] = v
+			if _, err := NewStreamPlayer(forged); !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("v%d version byte: got %v, want ErrBadMagic", v, err)
+			}
 		}
 	})
 }
@@ -96,8 +98,8 @@ func FuzzCodecV2RoundTrip(f *testing.F) {
 // error — and the two decoders must treat them alike.
 func FuzzReaderRobustness(f *testing.F) {
 	f.Add([]byte("CMPT\x01\x00\x00\x00garbagegarbage"))
-	f.Add([]byte("CMPT\x02\x00\x00\x00\x07\x22\xff\x81\x80"))
-	f.Add([]byte("CMPT\x03\x00\x00\x00notaversion"))
+	f.Add([]byte("CMPT\x03\x00\x00\x00\x07\x22\x3f\x81\x80"))
+	f.Add([]byte("CMPT\x04\x00\x00\x00notaversion"))
 	f.Add([]byte("NOTAHEADER"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -158,7 +160,7 @@ func FuzzChunkedDecode(f *testing.F) {
 	f.Add(valid, []byte{1}, []byte{7})                 // 1-byte chunks
 	f.Add(valid, []byte{13, 0, 5, 1, 2}, []byte{0, 3}) // uneven cuts, Next and NextBatch mixed
 	f.Add(valid[:len(valid)-1], []byte{4, 9}, []byte{64})
-	f.Add([]byte("CMPT\x02\x00\x00\x00\x07\x22\xff\x81\x80"), []byte{3}, []byte{1})
+	f.Add([]byte("CMPT\x03\x00\x00\x00\x07\x22\x3f\x81\x80"), []byte{3}, []byte{1})
 	f.Add([]byte("NOTAHEADER"), []byte{2}, []byte{5})
 	f.Fuzz(func(t *testing.T, data, cuts, batches []byte) {
 		wantRefs, wantErr := decodeNext(data)

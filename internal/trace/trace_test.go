@@ -65,7 +65,8 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 	for _, data := range []string{
 		"NOTATRACEFILE###",
 		"CMPT\x01\x00\x00\x00" + strings.Repeat("\x00", 16), // the retired v1 codec
-		"CMPT\x02\x00\x00", // short
+		"CMPT\x02\x00\x00\x00\x06\x10",                      // the retired v2 codec
+		"CMPT\x03\x00\x00",                                  // short
 		"",
 	} {
 		if _, err := NewStreamPlayer([]byte(data)); !errors.Is(err, ErrBadMagic) {
@@ -94,7 +95,7 @@ func TestWriterStickyError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var last error
-	// 5-byte records: the 64 KB buffer spills twice inside the loop.
+	// 4-byte records: the 64 KB buffer spills twice inside the loop.
 	for i := 0; i < 1<<15; i++ {
 		last = w.Write(Ref{Addr: mem.Addr(i) << 20, Size: 8})
 		if last != nil {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -148,7 +150,7 @@ func roundTrips(addrs []uint64, seed int64, decode func([]byte) ([]Ref, error)) 
 }
 
 // TestV2ShrinksSequentialStream: a same-core strided stream must encode
-// far below a fixed 16-byte record (2 bytes: header + 1-byte varint).
+// far below a fixed 16-byte record (2 bytes: header + 1-byte delta).
 func TestV2ShrinksSequentialStream(t *testing.T) {
 	refs := make([]Ref, 10000)
 	for i := range refs {
@@ -200,8 +202,8 @@ func TestV2TruncatedRecord(t *testing.T) {
 
 // TestCrossVersionDetection: the version byte is part of the magic, so
 // a stream is either this codec's or rejected at the header — the
-// retired fixed-record v1 layout and unknown versions alike, whatever
-// follows the header.
+// retired fixed-record v1 and varint v2 layouts and unknown versions
+// alike, whatever follows the header.
 func TestCrossVersionDetection(t *testing.T) {
 	refs := []Ref{
 		{Addr: 0x10_0000, Core: 1, Size: 8, Kind: mem.Load},
@@ -213,10 +215,15 @@ func TestCrossVersionDetection(t *testing.T) {
 		t.Fatalf("own header rejected: %v", err)
 	}
 	v1 := append([]byte("CMPT\x01\x00\x00\x00"), make([]byte, 16)...) // one well-formed v1 record
+	// Two well-formed v2 records: header, core, size and varint delta,
+	// then a same-core, size-8 record with a two-byte varint.
+	v2 := []byte("CMPT\x02\x00\x00\x00\x01\x05\x02\x80\x01\x06\x90\x02")
 	for name, data := range map[string][]byte{
 		"v1 file":            v1,
-		"v1 byte on v2 body": append([]byte("CMPT\x01\x00\x00\x00"), enc[len(magic):]...),
-		"version 3":          append([]byte("CMPT\x03\x00\x00\x00"), enc[len(magic):]...),
+		"v1 byte on v3 body": append([]byte("CMPT\x01\x00\x00\x00"), enc[len(magic):]...),
+		"v2 file":            v2,
+		"v2 byte on v3 body": append([]byte("CMPT\x02\x00\x00\x00"), enc[len(magic):]...),
+		"version 4":          append([]byte("CMPT\x04\x00\x00\x00"), enc[len(magic):]...),
 	} {
 		if _, err := NewStreamPlayer(data); !errors.Is(err, ErrBadMagic) {
 			t.Errorf("%s: got %v, want ErrBadMagic", name, err)
@@ -397,18 +404,20 @@ func TestStreamPlayerSeek(t *testing.T) {
 	}
 }
 
-// TestNextBatchVarintLengths pins NextBatch's one-load varint decode to
-// Next: a record per varint length 1-10 (zigzag deltas at both edges of
-// every length), plus corrupt copies whose last varint overflows or
-// never terminates, each cut into two chunks at every byte offset and
-// drained by NextBatch at batch sizes 1, 3 and 4096. Every drain must
-// yield Next's records and Next's error.
-func TestNextBatchVarintLengths(t *testing.T) {
+// TestNextBatchLengthCodes pins NextBatch's masked one-load delta
+// decode to Next: records whose zigzag deltas sit at both edges of every
+// length code (0; 1-6 bytes; code 7's 7-byte values stored in 8 bytes
+// and 2^64-1), plus corrupt copies with reserved header bit 6 or 7 set
+// or a last record whose length code runs past the end of the stream,
+// each cut into two chunks at every byte offset and drained by Next and
+// by NextBatch at batch sizes 1, 3 and 4096. Every drain must yield the
+// one-chunk Next drain's records and error.
+func TestNextBatchLengthCodes(t *testing.T) {
 	zigs := []uint64{0}
-	for k := 1; k <= 8; k++ {
-		zigs = append(zigs, 1<<(7*k)-1, 1<<(7*k))
+	for k := 1; k <= 6; k++ {
+		zigs = append(zigs, 1<<(8*(k-1)), 1<<(8*k)-1)
 	}
-	zigs = append(zigs, 1<<63, 1<<64-1)
+	zigs = append(zigs, 1<<48, 1<<56-1, 1<<56, 1<<64-1)
 	var refs []Ref
 	var last [2]uint64 // per core: the codec's deltas are per core
 	for i, z := range zigs {
@@ -416,16 +425,35 @@ func TestNextBatchVarintLengths(t *testing.T) {
 		last[core] += uint64(int64(z>>1) ^ -int64(z&1))
 		refs = append(refs, Ref{Addr: mem.Addr(last[core]), Core: uint8(core), Size: uint8(4 + 4*(i%3/2)), Kind: mem.Kind(i % 2)})
 	}
-	valid := encodeAll(t, refs)
+	// Encode record by record to check each length code and keep each
+	// record's offset.
+	var enc Encoder
+	valid := AppendHeader(nil)
+	starts := make([]int, len(refs))
+	for i, r := range refs {
+		starts[i] = len(valid)
+		var err error
+		if valid, err = enc.Append(valid, r); err != nil {
+			t.Fatal(err)
+		}
+		code := int(valid[starts[i]] >> hdrLenShift & 7)
+		if want := min((bits.Len64(zigs[i])+7)/8, 7); code != want {
+			t.Fatalf("zigzag delta %#x: length code %d, want %d", zigs[i], code, want)
+		}
+		if got, want := len(valid)-starts[i], 1+int(deltaLen[code])+int(^valid[starts[i]]>>1&1)+int(^valid[starts[i]]>>2&1); got != want {
+			t.Fatalf("zigzag delta %#x: %d-byte record, want %d", zigs[i], got, want)
+		}
+	}
 	if got, err := decodeNext(valid); err != nil || len(got) != len(refs) || got[len(got)-1] != refs[len(refs)-1] {
 		t.Fatalf("reference decode: %d records, err %v", len(got), err)
 	}
-	// The last varint is 2^64-1's, nine 0xff bytes and a final 0x01.
-	overflow := append(append([]byte(nil), valid...), 0)
-	overflow[len(valid)-1] = 0x02
-	unterminated := append([]byte(nil), valid...)
-	unterminated[len(valid)-1] = 0x81
-	padded := append(append([]byte(nil), unterminated...), 0x81, 0x81, 0x01)
+	flip := func(at int, bit byte) []byte {
+		c := append([]byte(nil), valid...)
+		c[at] |= bit
+		return c
+	}
+	// The last record claims an 8-byte delta and holds 7.
+	overlong := append(append([]byte(nil), valid...), hdrSameCore|hdrSize8|7<<hdrLenShift, 1, 2, 3, 4, 5, 6, 7)
 
 	drain := func(p *StreamPlayer, batch int) ([]Ref, error) {
 		var out []Ref
@@ -441,28 +469,33 @@ func TestNextBatchVarintLengths(t *testing.T) {
 		}
 		return out, p.Err()
 	}
-	for name, data := range map[string][]byte{"valid": valid, "overflow": overflow, "unterminated": unterminated, "padded": padded} {
+	for name, data := range map[string][]byte{
+		"valid":             valid,
+		"bit 6, last":       flip(starts[len(starts)-1], 1<<6),
+		"bit 7, mid-stream": flip(starts[len(starts)/2], 1<<7),
+		"overlong":          overlong,
+	} {
+		want, wantErr := decodeNext(data)
+		switch {
+		case name == "valid" && wantErr != nil,
+			name == "overlong" && !errors.Is(wantErr, io.ErrUnexpectedEOF),
+			name != "valid" && name != "overlong" && (wantErr == nil || !strings.Contains(wantErr.Error(), "reserved")):
+			t.Fatalf("%s: Next err %v", name, wantErr)
+		}
 		for c := len(magic); c <= len(data); c++ {
-			play := func(batch int) ([]Ref, error) {
+			for _, batch := range []int{0, 1, 3, 4096} {
 				p, err := NewStreamPlayer(data[:c], data[c:])
 				if err != nil {
 					t.Fatal(err)
 				}
-				return drain(p, batch)
-			}
-			want, wantErr := play(0)
-			if (wantErr == nil) != (name == "valid") {
-				t.Fatalf("%s cut at %d: Next err %v", name, c, wantErr)
-			}
-			for _, batch := range []int{1, 3, 4096} {
-				got, err := play(batch)
+				got, err := drain(p, batch)
 				if fmt.Sprint(err) != fmt.Sprint(wantErr) || len(got) != len(want) {
-					t.Fatalf("%s cut at %d, batch %d: %d records, err %v; Next: %d, err %v",
+					t.Fatalf("%s cut at %d, batch %d: %d records, err %v; one chunk: %d, err %v",
 						name, c, batch, len(got), err, len(want), wantErr)
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("%s cut at %d, batch %d: record %d is %+v, Next's %+v", name, c, batch, i, got[i], want[i])
+						t.Fatalf("%s cut at %d, batch %d: record %d is %+v, one chunk's %+v", name, c, batch, i, got[i], want[i])
 					}
 				}
 			}

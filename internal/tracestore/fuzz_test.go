@@ -82,15 +82,16 @@ func FuzzRecorderMatchesWriter(f *testing.F) {
 	f.Add(int64(4), uint8(3), []byte{13, 200}, int32(5))          // an invalid kind early
 	f.Add(int64(5), uint8(31), []byte{7}, int32(1<<31-1))         // ... late
 	// ... and on each event the first seam splices in through the scratch
-	// record, the last of them the one it cuts.
+	// record, the last of them the one it cuts, and on the first event
+	// wholly past that seam.
 	refs, n := fuzzRefs(6, 100, -1), len(trace.AppendHeader(nil))
 	var enc trace.Encoder
 	for i, r := range refs {
-		if n >= chunkSize {
-			break
-		}
 		if chunkSize-n < trace.MaxRecSize {
 			f.Add(int64(6), uint8(100), []byte{1, 2, 3, 5, 8}, int32(i))
+		}
+		if n >= chunkSize {
+			break
 		}
 		rec, _ := enc.Append(nil, r)
 		n += len(rec)
@@ -105,22 +106,14 @@ func FuzzRecorderMatchesWriter(f *testing.F) {
 // goes on in maximal records across the next seams.
 func TestRecorderSeamOffsets(t *testing.T) {
 	for left := 0; left <= trace.MaxRecSize; left++ {
-		// Two-byte records (same core, 8 bytes, no delta) fill the first
-		// chunk up to left bytes before the seam; a three-byte one (a
-		// two-byte varint) comes first when the parity needs it.
+		// One-byte records (same core, 8 bytes, no delta) fill the first
+		// chunk up to left bytes before the seam.
 		var refs []trace.Ref
-		pad := trace.Ref{Size: 8}
-		free := chunkSize - len(trace.AppendHeader(nil)) - left
-		if free%2 == 1 {
-			pad.Addr = 64
-			refs = append(refs, pad)
-			free -= 3
+		for free := chunkSize - len(trace.AppendHeader(nil)) - left; free > 0; free-- {
+			refs = append(refs, trace.Ref{Size: 8})
 		}
-		for ; free > 0; free -= 2 {
-			refs = append(refs, pad)
-		}
-		// Then 13-byte records: a new core, a 3-byte size, and a delta of
-		// 1<<63, whose zigzag varint takes ten bytes.
+		// Then 11-byte records: a new core, a 3-byte size, and a delta of
+		// 1<<63, whose zigzag form takes all eight delta bytes.
 		for i := 0; i < 2*chunkSize/trace.MaxRecSize; i++ {
 			refs = append(refs, trace.Ref{Addr: mem.Addr(uint64(1+i/2) % 2 << 63), Core: uint8(1 + i%2), Size: 3})
 		}

@@ -9,7 +9,7 @@
 // orchestrator: per-key single-flight collapses simultaneous requests
 // for the same stream into one execution, an in-memory LRU bounds the
 // resident footprint, and an optional spill directory persists evicted
-// (and freshly captured) streams in the compact v2 trace codec so later
+// (and freshly captured) streams in the compact trace codec so later
 // runs — even in a new process — skip execution entirely.
 package tracestore
 
@@ -73,7 +73,7 @@ type Summary struct {
 // Trace is one memoized stream: the complete bus-event sequence (memory
 // transactions plus control messages encoded as reserved-window
 // transactions, in exact delivery order) and the run summary. The
-// sequence is kept v2-encoded — roughly 4x smaller than a []Ref slice —
+// sequence is kept encoded — roughly 4x smaller than a []Ref slice —
 // in fixed-size chunks, and decoded on the fly during replay; Player
 // returns an independent zero-allocation cursor, so one Trace serves any
 // number of concurrent replays. The sample plan the fast tier derives
@@ -81,7 +81,7 @@ type Summary struct {
 // of its windows (WindowMarks), so both share the capture's lifetime.
 type Trace struct {
 	Summary Summary
-	chunks  [][]byte // the v2 stream, header included, cut anywhere
+	chunks  [][]byte // the encoded stream, header included, cut anywhere
 	n       int      // encoded bytes across chunks
 
 	mu    sync.Mutex
@@ -191,7 +191,7 @@ func (t *Trace) SizeBytes() uint64 {
 }
 
 // Recorder accumulates a bus-event stream during live capture, encoding
-// each event straight into the compact v2 codec — the raw []Ref form of
+// each event straight into the compact trace codec — the raw []Ref form of
 // a full run never materializes — and straight into fixed-size chunks,
 // so what a capture holds is what it stores. A record goes into the
 // last chunk in place while MaxRecSize bytes remain there, and through
@@ -555,10 +555,11 @@ func (s *Store) insertLocked(k Key, tr *Trace) {
 // --- disk spill -------------------------------------------------------
 
 // spillMagic heads a spill file: a checksum, then the store's own
-// header (key echo + summary) followed by a v2-encoded trace stream.
+// header (key echo + summary) followed by an encoded trace stream.
 // Version 2 added the checksum (FNV-1a); version 3 made it the CRC pair
 // of spillSum. Files from older versions fail the magic check and
-// degrade to a recompute.
+// degrade to a recompute, as does a spill whose stream a retired codec
+// version wrote (it fails the codec's own magic check).
 var spillMagic = [8]byte{'C', 'M', 'P', 'S', 3, 0, 0, 0}
 
 // castagnoli is hash/crc32's (hardware-accelerated) CRC-32C table.
@@ -628,7 +629,7 @@ func (s *Store) writeSpill(k Key, tr *Trace) {
 // and the payload: the header, then the stream's chunks as they are.
 // The codec's own structure catches most stream corruption — records that fail to
 // decode, reserved bits, a wrong event count — but a bit flip inside a
-// varint payload can decode into a *different valid stream*, and a
+// delta payload can decode into a *different valid stream*, and a
 // flipped summary field has no structure at all. The checksum closes
 // both holes: any spill corruption degrades to a recompute, never to
 // wrong replayed numbers.

@@ -204,16 +204,23 @@ func TestDiskSpillRoundTrip(t *testing.T) {
 // TestCorruptSpillRecomputes: a spill that cannot be revived degrades to
 // a recompute — whether the file is garbage or a well-formed, correctly
 // checksummed spill whose stream carries a header the codec no longer
-// reads (the retired v1 layout: to the decoder, one more bad magic).
+// reads (the retired v1 and v2 layouts: to the decoder, one more bad
+// magic) — and the spill that recompute writes revives from disk.
 func TestCorruptSpillRecomputes(t *testing.T) {
 	v1 := append([]byte("CMPT\x01\x00\x00\x00"), make([]byte, 50*16)...)
-	var v1Spill bytes.Buffer
-	if err := writeSpillFile(&v1Spill, key(9), NewTrace(fakeTrace(9, 50).Summary, v1)); err != nil {
-		t.Fatal(err)
+	// 50 well-formed v2 records: same core, 8 bytes, varint delta +8.
+	v2 := append([]byte("CMPT\x02\x00\x00\x00"), bytes.Repeat([]byte{0x06, 0x10}, 50)...)
+	spill := func(stream []byte) []byte {
+		var b bytes.Buffer
+		if err := writeSpillFile(&b, key(9), NewTrace(fakeTrace(9, 50).Summary, stream)); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}
 	for name, content := range map[string][]byte{
 		"garbage":          []byte("corrupted beyond repair"),
-		"v1 stream inside": v1Spill.Bytes(),
+		"v1 stream inside": spill(v1),
+		"v2 stream inside": spill(v2),
 	} {
 		dir := t.TempDir()
 		s := New(0, dir)
@@ -227,20 +234,21 @@ func TestCorruptSpillRecomputes(t *testing.T) {
 		if err := os.WriteFile(files[0], content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s2 := New(0, dir)
-		var calls int32
-		tr, outcome, err := s2.DoOutcome(key(9), func() (*Trace, error) {
-			atomic.AddInt32(&calls, 1)
-			return fakeTrace(9, 50), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if calls != 1 || outcome != OutcomeMiss {
-			t.Errorf("%s: spill was not recomputed (calls %d, outcome %v)", name, calls, outcome)
-		}
-		if got := decodeAll(t, tr); len(got) != 50 {
-			t.Errorf("%s: recomputed stream has %d records, want 50", name, len(got))
+		for i, want := range []Outcome{OutcomeMiss, OutcomeDisk} {
+			var calls int32
+			tr, outcome, err := New(0, dir).DoOutcome(key(9), func() (*Trace, error) {
+				atomic.AddInt32(&calls, 1)
+				return fakeTrace(9, 50), nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if outcome != want || calls != int32(1-i) {
+				t.Errorf("%s, store %d: outcome %v after %d executions, want %v after %d", name, i, outcome, calls, want, 1-i)
+			}
+			if got := decodeAll(t, tr); len(got) != 50 {
+				t.Errorf("%s, store %d: stream has %d records, want 50", name, i, len(got))
+			}
 		}
 	}
 }

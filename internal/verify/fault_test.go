@@ -246,7 +246,7 @@ func TestSpillReadFaultsDegradeGracefully(t *testing.T) {
 	}
 }
 
-// TestCorruptTraceFailsLoudly corrupts in-memory v2 streams across the
+// TestCorruptTraceFailsLoudly corrupts in-memory trace streams across the
 // whole byte range and requires the decoder to either error or produce
 // a stream that differs from the original — never a silent bit-exact
 // lie. (Detecting the difference is the caller's job via digests or the

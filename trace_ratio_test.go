@@ -1,4 +1,4 @@
-// Codec-size acceptance test: the v2 delta codec must compress the
+// Codec-size acceptance test: the delta codec must compress the
 // FIMI SCMP reference stream at least 4x better than fixed 16-byte
 // records (8-byte address, core, size, kind, padding) would. The stream
 // is the real thing — captured from a live 8-core run — so the asserted
@@ -41,13 +41,13 @@ func TestV2CompressionRatioFIMI(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixed := 8 + 16*len(refs) // file header + one 16-byte record per reference
-	v2 := buf.Len()
-	ratio := float64(fixed) / float64(v2)
-	t.Logf("FIMI SCMP stream: %d refs, fixed %d B, v2 %d B, ratio %.2fx", len(refs), fixed, v2, ratio)
+	coded := buf.Len()
+	ratio := float64(fixed) / float64(coded)
+	t.Logf("FIMI SCMP stream: %d refs, fixed %d B, coded %d B, ratio %.2fx", len(refs), fixed, coded, ratio)
 	if ratio < 4 {
-		t.Errorf("v2 compression ratio %.2fx below the required 4x (fixed %d B, v2 %d B)", ratio, fixed, v2)
+		t.Errorf("compression ratio %.2fx below the required 4x (fixed %d B, coded %d B)", ratio, fixed, coded)
 	}
-	// Round-trip the v2 buffer to guard against a codec that shrinks by
+	// Round-trip the buffer to guard against a codec that shrinks by
 	// dropping information.
 	p, err := trace.NewStreamPlayer(buf.Bytes())
 	if err != nil {
@@ -56,13 +56,13 @@ func TestV2CompressionRatioFIMI(t *testing.T) {
 	for i, want := range refs {
 		got, ok := p.Next()
 		if !ok {
-			t.Fatalf("v2 round trip lost records: %d of %d (err %v)", i, len(refs), p.Err())
+			t.Fatalf("round trip lost records: %d of %d (err %v)", i, len(refs), p.Err())
 		}
 		if got != want {
-			t.Fatalf("v2 round trip corrupted record %d: %+v vs %+v", i, got, want)
+			t.Fatalf("round trip corrupted record %d: %+v vs %+v", i, got, want)
 		}
 	}
 	if _, ok := p.Next(); ok || p.Err() != nil {
-		t.Fatalf("v2 round trip did not end cleanly after %d records (err %v)", len(refs), p.Err())
+		t.Fatalf("round trip did not end cleanly after %d records (err %v)", len(refs), p.Err())
 	}
 }
