@@ -202,7 +202,7 @@ func run(args []string) error {
 	}
 	if len(exhibits) > 0 {
 		start := time.Now()
-		if err := core.RunExhibits(names, p, exhibits, opts...); err != nil {
+		if err := core.RunExhibits(exhibits, opts...); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "[exhibits done in %v]\n", time.Since(start).Round(time.Millisecond))
@@ -564,7 +564,7 @@ func llcorg(names []string, p workloads.Params) ([]core.Exhibit, func() error) {
 // whose CB samples give each workload's miss-rate timeline.
 func phases(names []string, p workloads.Params, csv bool) ([]core.Exhibit, func() error) {
 	series := make([]metrics.Series, len(names))
-	ex := core.Exhibit{Threads: 8, LLCs: core.CacheSweepConfigs(p.Scale)[3:4], Row: func(w int, a core.Answer) {
+	ex := core.Exhibit{Workloads: names, Params: p, Threads: 8, LLCs: core.CacheSweepConfigs(p.Scale)[3:4], Row: func(w int, a core.Answer) {
 		series[w].Name = names[w]
 		var prev struct{ inst, misses uint64 }
 		for i, smp := range a.LLCs[0].Samples {

@@ -483,7 +483,7 @@ func TestCLIDefaultEngineIsAuto(t *testing.T) {
 	names, p := []string{"PLSA", "SHOT"}, workloads.Params{Seed: 3, Scale: 0.002}
 	ex, print := mpkiFigure(names, p, "fig4", false, "")
 	emulated := stdout(func() {
-		if err := core.RunExhibits(names, p, ex, core.WithEngine(core.EngineEmulate)); err != nil {
+		if err := core.RunExhibits(ex, core.WithEngine(core.EngineEmulate)); err != nil {
 			t.Fatal(err)
 		}
 		if err := print(); err != nil {

@@ -52,7 +52,7 @@ type profile struct {
 func traceinfo(w io.Writer, names []string, p workloads.Params, threads, windows int, withStackdist bool, opts []core.RunOption) ([]core.Exhibit, func() error) {
 	profs := make([]profile, len(names))
 	per := func(i int) uint64 { return max(profs[i].stats.Refs/uint64(windows), 1) }
-	ex := core.Exhibit{Threads: threads,
+	ex := core.Exhibit{Workloads: names, Params: p, Threads: threads,
 		Snoopers: func(i int) ([]fsb.Snooper, error) {
 			prof := &profs[i]
 			prof.col = traceutil.NewCollector()
@@ -73,7 +73,7 @@ func traceinfo(w io.Writer, names []string, p workloads.Params, threads, windows
 			}
 			prof.col, prof.sd = nil, nil
 		}}
-	timeline := core.Exhibit{Threads: threads,
+	timeline := core.Exhibit{Workloads: names, Params: p, Threads: threads,
 		Snoopers: func(i int) ([]fsb.Snooper, error) {
 			profs[i].win = traceutil.NewWindower(per(i))
 			return []fsb.Snooper{core.RefSnooper(profs[i].win.Add)}, nil
@@ -81,7 +81,7 @@ func traceinfo(w io.Writer, names []string, p workloads.Params, threads, windows
 		Row: func(i int, _ core.Answer) { profs[i].wins, profs[i].win = profs[i].win.Windows(), nil }}
 	return []core.Exhibit{ex}, func() error {
 		if windows > 0 {
-			if err := core.RunExhibits(names, p, []core.Exhibit{timeline}, opts...); err != nil {
+			if err := core.RunExhibits([]core.Exhibit{timeline}, opts...); err != nil {
 				return err
 			}
 		}

@@ -65,7 +65,7 @@ func paritySources(t *testing.T, fn func(source string, opts []core.RunOption)) 
 // prints the reports to w.
 func runTraceinfo(w io.Writer, names []string, p workloads.Params, threads, windows int, opts []core.RunOption) error {
 	ex, print := traceinfo(w, names, p, threads, windows, true, opts)
-	if err := core.RunExhibits(names, p, ex, opts...); err != nil {
+	if err := core.RunExhibits(ex, opts...); err != nil {
 		return err
 	}
 	return print()
@@ -190,7 +190,7 @@ func TestTraceinfoExecutesLive(t *testing.T) {
 		})}
 		fig, _ := mpkiFigure(names, p, "fig4", false, "")
 		ex, print := traceinfo(io.Discard, names, p, 8, windows, true, opts)
-		if err := core.RunExhibits(names, p, append(fig, ex...), opts...); err != nil {
+		if err := core.RunExhibits(append(fig, ex...), opts...); err != nil {
 			t.Fatal(err)
 		}
 		if err := print(); err != nil {

@@ -70,7 +70,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 // designLines is DESIGN.md's line ceiling. A change may lower it to the
 // document's new length and must not raise it: the design shrinks
 // toward one section per pipeline stage, with history in CHANGES.md.
-const designLines = 1480
+const designLines = 1478
 
 // TestDesignLineCeiling holds DESIGN.md to at most designLines lines.
 func TestDesignLineCeiling(t *testing.T) {

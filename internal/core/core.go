@@ -10,8 +10,8 @@
 // configurations simultaneously — the whole cache-size sweep of
 // Figure 4 costs one run per workload. The exhibits are rows of one
 // table (RunExhibits) for the same reason: every exhibit on a platform
-// rides one execution per workload, so Table 2 through Figure 8 cost
-// four runs per workload, one per platform.
+// at the same params rides one execution per workload, so Table 2
+// through Figure 8 cost four runs per workload, one per platform.
 package core
 
 import (

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -365,7 +366,7 @@ func TestExhibitsExecuteOncePerPlatform(t *testing.T) {
 		table = append(table, ex...)
 	}
 	count, n := executions()
-	if err := RunExhibits(names, p, table, count); err != nil {
+	if err := RunExhibits(table, count); err != nil {
 		t.Fatal(err)
 	}
 	if n() != 8 {
@@ -392,6 +393,64 @@ func TestExhibitsExecuteOncePerPlatform(t *testing.T) {
 		if !reflect.DeepEqual(sampled, want) {
 			t.Errorf("%s under WithSampling(SamplingFast) differs from its exact rows:\n%+v\n%+v", e.name, sampled, want)
 		}
+	}
+}
+
+// TestExhibitsAtSeveralParams: one table may hold rows at several
+// Params. It executes once per distinct TraceKey — Table 2, Figure 4
+// and the shared-vs-private study at two seeds, whose rows share the
+// 8-core executions, take 2 seeds x 2 platforms x 2 workloads — and
+// every row equals its runner's called alone at its own Params.
+func TestExhibitsAtSeveralParams(t *testing.T) {
+	names := []string{"SHOT", "PLSA"}
+	reseeded := tinyParams()
+	reseeded.Seed = 2
+	var table []Exhibit
+	var rows, want []any
+	keys := map[tracestore.Key]bool{}
+	for _, p := range []workloads.Params{tinyParams(), reseeded} {
+		t2, ex2 := Table2Exhibits(names, p)
+		f4, ex4 := CacheSweepExhibits(names, p, 8)
+		org, exOrg := LLCOrgExhibits(names, p, 8, 0)
+		for _, e := range slices.Concat(ex2, ex4, exOrg) {
+			for _, name := range e.Workloads {
+				keys[TraceKey(name, e.Params, PlatformConfig{Threads: e.Threads, Seed: e.Params.Seed})] = true
+			}
+		}
+		table = slices.Concat(table, ex2, ex4, exOrg)
+		rows = append(rows, t2, f4, org)
+		alone := []func() (any, error){
+			func() (any, error) { return Table2(names, p) },
+			func() (any, error) { return CacheSweep(names, p, 8) },
+			func() (any, error) { return SharedVsPrivate(names, p, 8, 0) },
+		}
+		for _, run := range alone {
+			r, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, r)
+		}
+	}
+	var n atomic.Int64
+	count := WithProgress(func(pr Progress) {
+		if pr.Phase == PhaseExecute {
+			n.Add(1)
+		}
+	})
+	if err := RunExhibits(table, count, WithParallelism(2)); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 8 || n.Load() != int64(len(keys)) {
+		t.Errorf("a table with %d distinct trace keys executed %d times, want 8 and 8", len(keys), n.Load())
+	}
+	for i := range rows {
+		if !reflect.DeepEqual(rows[i], want[i]) {
+			t.Errorf("row set %d differs from its runner alone:\n%+v\n%+v", i, rows[i], want[i])
+		}
+	}
+	if reflect.DeepEqual(rows[0], rows[3]) {
+		t.Error("Table 2 at seeds 42 and 2 printed the same rows; the seed did not reach the execution")
 	}
 }
 

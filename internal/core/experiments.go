@@ -2,12 +2,13 @@
 // it, and one declaration per table/figure of the paper's evaluation
 // section. Each exhibit is the MEMIC loop — enumerate configs ×
 // workloads, run, reduce — with the run shared: RunExhibits executes
-// each (workload, platform) once for every exhibit that needs it. The
-// rows are plain data; rendering lives in internal/report.
+// each (workload, params, platform) once for every exhibit that needs
+// it. The rows are plain data; rendering lives in internal/report.
 
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -17,6 +18,7 @@ import (
 	"cmpmem/internal/metrics"
 	"cmpmem/internal/par"
 	"cmpmem/internal/prefetch"
+	"cmpmem/internal/tracestore"
 	"cmpmem/internal/workloads"
 	"cmpmem/internal/workloads/registry"
 )
@@ -31,17 +33,21 @@ func orAll(names []string) []string {
 }
 
 // Exhibit is one row of the exhibit table: what an exhibit asks of each
-// selected workload's execution on a Threads-core platform, and how it
-// reads the answer back.
+// of its workloads' executions on a Threads-core platform at Params, and
+// how it reads the answer back.
 type Exhibit struct {
-	Threads int
-	LLCs    []cache.Config
-	Hiers   []hier.Config
-	// Snoopers builds fresh whole-stream observers for workload w (its
-	// index in the selection); nil for none.
+	// Workloads are the workloads the row covers, already resolved;
+	// Row's w indexes them.
+	Workloads []string
+	Params    workloads.Params
+	Threads   int
+	LLCs      []cache.Config
+	Hiers     []hier.Config
+	// Snoopers builds fresh whole-stream observers for workload w; nil
+	// for none.
 	Snoopers func(w int) ([]fsb.Snooper, error)
 	// Row reduces workload w's answer into the exhibit's rows. Rows of
-	// different workloads and platforms run concurrently.
+	// different executions run concurrently.
 	Row func(w int, a Answer)
 }
 
@@ -53,56 +59,77 @@ type Answer struct {
 	Summary RunSummary
 }
 
-// RunExhibits runs the exhibit table over the selected workloads (nil =
-// all eight). The exhibits on one platform share one execution per
-// workload, whose single pass answers all their grids, hierarchies and
-// snoopers. The answers are exact: WithSampling does not apply. The
-// (platform, workload) groups run on the WithParallelism pool in
-// platform-major order, so the executions in flight at once are on one
-// platform, and the first error cancels the rest.
-func RunExhibits(names []string, p workloads.Params, exhibits []Exhibit, opts ...RunOption) error {
-	names, p, ro := orAll(names), p.WithDefaults(), applyOpts(opts)
-	var threads []int // platforms in order of first appearance
-	groups := map[int][]Exhibit{}
+// group is the rows of the exhibit table that share a TraceKey: one
+// execution answers them all, rows[i] as its workload ws[i].
+type group struct {
+	name     string
+	p        workloads.Params
+	pc       PlatformConfig
+	platform int // first appearance of the rows' (Params, Threads)
+	rows     []Exhibit
+	ws       []int
+}
+
+// RunExhibits runs the exhibit table. Rows whose workload, Params and
+// Threads give one TraceKey share one execution, whose single pass
+// answers all their grids, hierarchies and snoopers, exactly:
+// WithSampling does not apply. The executions run on the
+// WithParallelism pool in platform-major order, each (Params, Threads)
+// by first appearance, so those in flight at once are on one platform;
+// the first error cancels the rest.
+func RunExhibits(exhibits []Exhibit, opts ...RunOption) error {
+	platforms, byKey := map[tracestore.Key]int{}, map[tracestore.Key]*group{}
+	var groups []*group
 	for _, e := range exhibits {
-		if groups[e.Threads] == nil {
-			threads = append(threads, e.Threads)
+		p := e.Params.WithDefaults()
+		pc := PlatformConfig{Threads: e.Threads, Seed: p.Seed}
+		pk := TraceKey("", p, pc)
+		if _, ok := platforms[pk]; !ok {
+			platforms[pk] = len(platforms)
 		}
-		groups[e.Threads] = append(groups[e.Threads], e)
+		for w, name := range e.Workloads {
+			k := TraceKey(name, p, pc)
+			g := byKey[k]
+			if g == nil {
+				g = &group{name: name, p: p, pc: pc, platform: platforms[pk]}
+				byKey[k], groups = g, append(groups, g)
+			}
+			g.rows, g.ws = append(g.rows, e), append(g.ws, w)
+		}
 	}
-	ro.tel.Expect(len(threads) * len(names))
-	return par.ForEach(ro.jobs, len(threads)*len(names), func(i int) error {
-		pc, w := PlatformConfig{Threads: threads[i/len(names)], Seed: p.Seed}, i%len(names)
-		if err := runGroup(names[w], w, p, pc, groups[pc.Threads], ro); err != nil {
-			return fmt.Errorf("%s on %d cores: %w", names[w], pc.Threads, err)
+	slices.SortStableFunc(groups, func(a, b *group) int { return cmp.Compare(a.platform, b.platform) })
+	ro := applyOpts(opts)
+	ro.sampling = SamplingOff
+	ro.tel.Expect(len(groups))
+	return par.ForEach(ro.jobs, len(groups), func(i int) error {
+		if err := groups[i].run(ro); err != nil {
+			return fmt.Errorf("%s on %d cores: %w", groups[i].name, groups[i].pc.Threads, err)
 		}
 		return nil
 	})
 }
 
-// runGroup answers one platform's exhibits for workload w on one exact
-// execution.
-func runGroup(name string, w int, p workloads.Params, pc PlatformConfig, exhibits []Exhibit, ro runOpts) error {
+// run answers the group's rows on one exact execution.
+func (g *group) run(ro runOpts) error {
 	var grid []cache.Config
 	var hcs []hier.Config
 	var observers []fsb.Snooper
-	for _, e := range exhibits {
+	for i, e := range g.rows {
 		grid, hcs = append(grid, e.LLCs...), append(hcs, e.Hiers...)
 		if e.Snoopers != nil {
-			s, err := e.Snoopers(w)
+			s, err := e.Snoopers(g.ws[i])
 			if err != nil {
 				return err
 			}
 			observers = append(observers, s...)
 		}
 	}
-	ro.sampling = SamplingOff
-	llcs, hiers, sum, err := sweep(name, p, pc, [][]cache.Config{grid}, hcs, observers, ro)
+	llcs, hiers, sum, err := sweep(g.name, g.p, g.pc, [][]cache.Config{grid}, hcs, observers, ro)
 	if err != nil {
 		return err
 	}
-	for _, e := range exhibits {
-		e.Row(w, Answer{LLCs: llcs[:len(e.LLCs):len(e.LLCs)], Hiers: hiers[:len(e.Hiers):len(e.Hiers)], Summary: sum})
+	for i, e := range g.rows {
+		e.Row(g.ws[i], Answer{LLCs: llcs[:len(e.LLCs):len(e.LLCs)], Hiers: hiers[:len(e.Hiers):len(e.Hiers)], Summary: sum})
 		llcs, hiers = llcs[len(e.LLCs):], hiers[len(e.Hiers):]
 	}
 	return nil
@@ -110,8 +137,8 @@ func runGroup(name string, w int, p workloads.Params, pc PlatformConfig, exhibit
 
 // runTable runs a runner's exhibits and returns its rows, which the
 // exhibits' Row functions have filled.
-func runTable[T any](rows []T, exhibits []Exhibit, names []string, p workloads.Params, opts []RunOption) ([]T, error) {
-	if err := RunExhibits(names, p, exhibits, opts...); err != nil {
+func runTable[T any](rows []T, exhibits []Exhibit, opts []RunOption) ([]T, error) {
+	if err := RunExhibits(exhibits, opts...); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -213,7 +240,7 @@ type Table2Row struct {
 func Table2Exhibits(names []string, p workloads.Params) ([]Table2Row, []Exhibit) {
 	names = orAll(names)
 	rows := make([]Table2Row, len(names))
-	return rows, []Exhibit{{Threads: 1, Hiers: []hier.Config{hier.PentiumIV(p.Scale)}, Row: func(w int, a Answer) {
+	return rows, []Exhibit{{Workloads: names, Params: p, Threads: 1, Hiers: []hier.Config{hier.PentiumIV(p.Scale)}, Row: func(w int, a Answer) {
 		res, sum, inst := a.Hiers[0], a.Summary, a.Summary.Instructions
 		memInst := sum.Loads + sum.Stores
 		rows[w] = Table2Row{
@@ -232,7 +259,7 @@ func Table2Exhibits(names []string, p workloads.Params) ([]Table2Row, []Exhibit)
 // Table2 runs Table2Exhibits.
 func Table2(names []string, p workloads.Params, opts ...RunOption) ([]Table2Row, error) {
 	rows, ex := Table2Exhibits(names, p)
-	return runTable(rows, ex, names, p, opts)
+	return runTable(rows, ex, opts)
 }
 
 // CacheSweepExhibits declares the Figure 4/5/6 series: LLC misses per
@@ -240,33 +267,33 @@ func Table2(names []string, p workloads.Params, opts ...RunOption) ([]Table2Row,
 // series per selected workload (nil names = all eight), at the given
 // core count.
 func CacheSweepExhibits(names []string, p workloads.Params, cores int) ([]metrics.Series, []Exhibit) {
-	return mpkiExhibits(names, cores, CacheSweepConfigs(p.Scale), PaperCacheSizesMB)
+	return mpkiExhibits(names, p, cores, CacheSweepConfigs(p.Scale), PaperCacheSizesMB)
 }
 
 // CacheSweep runs CacheSweepExhibits.
 func CacheSweep(names []string, p workloads.Params, cores int, opts ...RunOption) ([]metrics.Series, error) {
 	series, ex := CacheSweepExhibits(names, p, cores)
-	return runTable(series, ex, names, p, opts)
+	return runTable(series, ex, opts)
 }
 
 // LineSweepExhibits declares the Figure 7 series: LLC MPKI vs line size
 // on the 32-core LCMP with a 32 MB paper-equivalent LLC.
 func LineSweepExhibits(names []string, p workloads.Params) ([]metrics.Series, []Exhibit) {
-	return mpkiExhibits(names, 32, LineSweepConfigs(p.Scale), PaperLineSizes)
+	return mpkiExhibits(names, p, 32, LineSweepConfigs(p.Scale), PaperLineSizes)
 }
 
 // LineSweep runs LineSweepExhibits.
 func LineSweep(names []string, p workloads.Params, opts ...RunOption) ([]metrics.Series, error) {
 	series, ex := LineSweepExhibits(names, p)
-	return runTable(series, ex, names, p, opts)
+	return runTable(series, ex, opts)
 }
 
 // mpkiExhibits declares one MPKI series per selected workload over
 // configs on the given core count, config k plotted at xs[k].
-func mpkiExhibits[X int | uint64](names []string, cores int, configs []cache.Config, xs []X) ([]metrics.Series, []Exhibit) {
+func mpkiExhibits[X int | uint64](names []string, p workloads.Params, cores int, configs []cache.Config, xs []X) ([]metrics.Series, []Exhibit) {
 	names = orAll(names)
 	series := make([]metrics.Series, len(names))
-	return series, []Exhibit{{Threads: cores, LLCs: configs, Row: func(w int, a Answer) {
+	return series, []Exhibit{{Workloads: names, Params: p, Threads: cores, LLCs: configs, Row: func(w int, a Answer) {
 		series[w].Name = names[w]
 		for k, r := range a.LLCs {
 			series[w].Add(float64(xs[k]), r.MPKI)
@@ -298,7 +325,7 @@ func Fig8Exhibits(names []string, p workloads.Params) ([]Fig8Row, []Exhibit) {
 	gain := func(threads int, pct func(*Fig8Row) *float64) Exhibit {
 		pf := prefetch.DefaultConfig(64)
 		hcs := []hier.Config{hier.Xeon16(threads, p.Scale, nil), hier.Xeon16(threads, p.Scale, &pf)}
-		return Exhibit{Threads: threads, Hiers: hcs, Row: func(w int, a Answer) {
+		return Exhibit{Workloads: names, Params: p, Threads: threads, Hiers: hcs, Row: func(w int, a Answer) {
 			*pct(&rows[w]) = metrics.SpeedupPct(a.Hiers[0].Cycles, a.Hiers[1].Cycles)
 		}}
 	}
@@ -311,5 +338,5 @@ func Fig8Exhibits(names []string, p workloads.Params) ([]Fig8Row, []Exhibit) {
 // Fig8 runs Fig8Exhibits.
 func Fig8(names []string, p workloads.Params, opts ...RunOption) ([]Fig8Row, error) {
 	rows, ex := Fig8Exhibits(names, p)
-	return runTable(rows, ex, names, p, opts)
+	return runTable(rows, ex, opts)
 }

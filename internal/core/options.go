@@ -11,7 +11,7 @@
 //     this, and per-snooper delivery order is total, so results are
 //     bit-identical.
 //   - Experiment parallelism (WithParallelism) runs INDEPENDENT
-//     (workload, platform) executions on a bounded
+//     (workload, params, platform) executions on a bounded
 //     worker pool, GOMAXPROCS wide by default, like racking up several
 //     co-simulation platforms.
 //

@@ -54,7 +54,7 @@ func ProjectionExhibits(names []string, p workloads.Params, cores int) ([]Projec
 	}
 	rows := make([]ProjectionRow, len(names))
 	analyzers := make([]*stackdist.Analyzer, len(names))
-	return rows, []Exhibit{{Threads: cores,
+	return rows, []Exhibit{{Workloads: names, Params: p, Threads: cores,
 		Snoopers: func(w int) ([]fsb.Snooper, error) {
 			an := stackdist.New(64, 1<<22)
 			analyzers[w] = an
@@ -87,7 +87,7 @@ func ProjectionExhibits(names []string, p workloads.Params, cores int) ([]Projec
 // Projection128 runs ProjectionExhibits.
 func Projection128(names []string, p workloads.Params, cores int, opts ...RunOption) ([]ProjectionRow, error) {
 	rows, ex := ProjectionExhibits(names, p, cores)
-	return runTable(rows, ex, names, p, opts)
+	return runTable(rows, ex, opts)
 }
 
 // LLCOrgRow compares the shared LLC organization against private
@@ -123,7 +123,7 @@ func LLCOrgExhibits(names []string, p workloads.Params, cores int, paperMB int) 
 	}
 	rows := make([]LLCOrgRow, len(names))
 	private := make([]*dragonhead.Emulator, len(names))
-	return rows, []Exhibit{{Threads: cores, LLCs: []cache.Config{llc},
+	return rows, []Exhibit{{Workloads: names, Params: p, Threads: cores, LLCs: []cache.Config{llc},
 		Snoopers: func(w int) ([]fsb.Snooper, error) {
 			cfg := dragonhead.DefaultConfig(llc)
 			cfg.PrivatePerCore = cores
@@ -142,7 +142,7 @@ func LLCOrgExhibits(names []string, p workloads.Params, cores int, paperMB int) 
 // SharedVsPrivate runs LLCOrgExhibits.
 func SharedVsPrivate(names []string, p workloads.Params, cores int, paperMB int, opts ...RunOption) ([]LLCOrgRow, error) {
 	rows, ex := LLCOrgExhibits(names, p, cores, paperMB)
-	return runTable(rows, ex, names, p, opts)
+	return runTable(rows, ex, opts)
 }
 
 // DRAMCacheRow reports the effect of adding a large DRAM LLC to one
@@ -176,7 +176,7 @@ func DRAMCacheExhibits(names []string, p workloads.Params, cores int) ([]DRAMCac
 	dramL3.L3 = &cache.Config{Name: "L3-DRAM-256MB", Size: scaledCacheBytes(256, p.Scale), LineSize: 64, Assoc: 16}
 	sramL3.Lat.L3Hit, dramL3.Lat.L3Hit = 40, 120
 	rows := make([]DRAMCacheRow, len(names))
-	return rows, []Exhibit{{Threads: cores, Hiers: []hier.Config{noL3, sramL3, dramL3}, Row: func(w int, a Answer) {
+	return rows, []Exhibit{{Workloads: names, Params: p, Threads: cores, Hiers: []hier.Config{noL3, sramL3, dramL3}, Row: func(w int, a Answer) {
 		none, sram, dram := a.Hiers[0], a.Hiers[1], a.Hiers[2]
 		var missRate float64
 		if acc := dram.L3.Accesses; acc > 0 {
@@ -194,5 +194,5 @@ func DRAMCacheExhibits(names []string, p workloads.Params, cores int) ([]DRAMCac
 // DRAMCacheStudy runs DRAMCacheExhibits.
 func DRAMCacheStudy(names []string, p workloads.Params, cores int, opts ...RunOption) ([]DRAMCacheRow, error) {
 	rows, ex := DRAMCacheExhibits(names, p, cores)
-	return runTable(rows, ex, names, p, opts)
+	return runTable(rows, ex, opts)
 }

@@ -1,12 +1,8 @@
 package core
 
-import (
-	"testing"
+import "testing"
 
-	"cmpmem/internal/workloads"
-)
-
-// TestProjection128Shapes checks the Section 4.3 projection at reduced
+// TestProjectionShapes checks the Section 4.3 projection at reduced
 // scale and core count (kept fast; the full 128-core projection runs
 // via `cosim proj128`): private-working-set workloads dwarf the
 // shared-working-set ones, and the paper's DRAM-cache candidates are
@@ -15,11 +11,7 @@ func TestProjectionShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("projection is too slow for -short")
 	}
-	p := workloads.Params{Seed: 1, Scale: 1.0 / 128}
-	rows, err := Projection128(nil, p, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := shapes(t).proj64
 	byName := map[string]ProjectionRow{}
 	for _, r := range rows {
 		byName[r.Workload] = r
@@ -57,11 +49,7 @@ func TestDRAMCacheStudyShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("DRAM study is too slow for -short")
 	}
-	p := workloads.Params{Seed: 1, Scale: 1.0 / 64}
-	rows, err := DRAMCacheStudy(nil, p, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := shapes(t).dram
 	byName := map[string]DRAMCacheRow{}
 	for _, r := range rows {
 		byName[r.Workload] = r
@@ -85,10 +73,7 @@ func TestSharedVsPrivateShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rows, err := SharedVsPrivate(nil, workloads.Params{Seed: 1, Scale: 1.0 / 128}, 8, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := shapes(t).llcorg
 	byName := map[string]LLCOrgRow{}
 	for _, r := range rows {
 		byName[r.Workload] = r
@@ -116,11 +101,7 @@ func TestProjectionDefaultCores(t *testing.T) {
 		t.Skip("slow")
 	}
 	// cores=0 defaults to 128 and must run end to end at tiny scale.
-	rows, err := Projection128(nil, workloads.Params{Seed: 1, Scale: 1.0 / 512}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
+	for _, r := range shapes(t).proj128 {
 		if r.Cores != 128 {
 			t.Fatalf("cores = %d, want 128", r.Cores)
 		}

@@ -20,15 +20,22 @@ type shapeRows struct {
 	fig4, lcmp, fig7 []metrics.Series
 	fig8             []Fig8Row
 	table2           []Table2Row
+	proj64, proj128  []ProjectionRow
+	dram             []DRAMCacheRow
+	llcorg           []LLCOrgRow
 }
 
-// shapeTable runs Figure 4 (SCMP), the LCMP cache sweep, Figure 7,
-// Figure 8 and Table 2 as one exhibit table at shapeParams: 32
-// (workload, platform) executions — 8 workloads on 1, 8, 16 and 32
-// cores — for all five shape tests, instead of 56 run one test at a
-// time. It runs on first use, so a shape test run alone pays for all 32.
+// shapeTable runs every shape test's exhibits as one table: Figure 4
+// (SCMP), the LCMP cache sweep, Figure 7, Figure 8 and Table 2 at
+// shapeParams — 32 (workload, platform) executions, 8 workloads on 1,
+// 8, 16 and 32 cores — plus the projection studies, each at its own
+// scale: the 64-core projection and the shared-vs-private study at
+// 1/128, the default 128-core projection at 1/512 and the DRAM-LLC
+// study at 1/64. It runs on first use, so a shape test run alone pays
+// for the whole table.
 var shapeTable = sync.OnceValues(func() (shapeRows, error) {
 	p := shapeParams()
+	at := func(scale float64) workloads.Params { return workloads.Params{Seed: 1, Scale: scale} }
 	var r shapeRows
 	var all, ex []Exhibit
 	r.fig4, ex = CacheSweepExhibits(nil, p, 8)
@@ -41,7 +48,15 @@ var shapeTable = sync.OnceValues(func() (shapeRows, error) {
 	all = append(all, ex...)
 	r.table2, ex = Table2Exhibits(nil, p)
 	all = append(all, ex...)
-	return r, RunExhibits(nil, p, all)
+	r.proj64, ex = ProjectionExhibits(nil, at(1.0/128), 64)
+	all = append(all, ex...)
+	r.proj128, ex = ProjectionExhibits(nil, at(1.0/512), 0)
+	all = append(all, ex...)
+	r.dram, ex = DRAMCacheExhibits(nil, at(1.0/64), 16)
+	all = append(all, ex...)
+	r.llcorg, ex = LLCOrgExhibits(nil, at(1.0/128), 8, 32)
+	all = append(all, ex...)
+	return r, RunExhibits(all)
 })
 
 // shapes returns the shared table run's rows.

@@ -19,13 +19,13 @@ type Span struct {
 	// rendered waterfall can show when each phase began relative to the
 	// root, not just how long it ran.
 	StartUnixNS int64 `json:"start_unix_ns,omitempty"`
-	// WallNS is the wall-clock duration; CPUNS is the process CPU time
-	// consumed while the span was open (user+system, all goroutines —
-	// an upper bound for concurrent spans, exact for serial ones).
-	WallNS   uint64            `json:"wall_ns"`
-	CPUNS    uint64            `json:"cpu_ns,omitempty"`
-	Attrs    map[string]string `json:"attrs,omitempty"`
-	Children []*Span           `json:"children,omitempty"`
+	// WallNS is the wall-clock duration; ProcessCPUNS is the whole
+	// process's CPU time while the span was open (user+system, all
+	// goroutines): concurrent spans share it, so never sum them.
+	WallNS       uint64            `json:"wall_ns"`
+	ProcessCPUNS uint64            `json:"process_cpu_ns,omitempty"`
+	Attrs        map[string]string `json:"attrs,omitempty"`
+	Children     []*Span           `json:"children,omitempty"`
 
 	start    time.Time
 	cpuStart uint64
@@ -65,7 +65,7 @@ func (s *Span) End() {
 			s.WallNS = 1 // a measured span is never exactly free
 		}
 		if cpu := processCPUNS(); cpu > s.cpuStart {
-			s.CPUNS = cpu - s.cpuStart
+			s.ProcessCPUNS = cpu - s.cpuStart
 		}
 	}
 }

@@ -52,7 +52,7 @@ func WriteFolded(w io.Writer, root *Span) error {
 
 // WriteWaterfall renders the tree as an indented timeline: one row per
 // span with its offset from the root start (when both carry wall-clock
-// anchors), duration, CPU time, a proportional bar, and attributes.
+// anchors), duration, process CPU time, a proportional bar, and attributes.
 func WriteWaterfall(w io.Writer, root *Span) error {
 	if root == nil {
 		return nil
@@ -80,8 +80,8 @@ func WriteWaterfall(w io.Writer, root *Span) error {
 			off = fmt.Sprintf(" @+%s", fmtNS(uint64(s.StartUnixNS-root.StartUnixNS)))
 		}
 		cpu := ""
-		if s.CPUNS > 0 {
-			cpu = fmt.Sprintf(" cpu=%s", fmtNS(s.CPUNS))
+		if s.ProcessCPUNS > 0 {
+			cpu = fmt.Sprintf(" process_cpu=%s", fmtNS(s.ProcessCPUNS))
 		}
 		fill := int(uint64(barWidth) * s.WallNS / total)
 		if fill > barWidth {

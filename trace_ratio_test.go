@@ -15,7 +15,7 @@ import (
 	"cmpmem/internal/workloads"
 )
 
-func TestV2CompressionRatioFIMI(t *testing.T) {
+func TestCodecCompressionRatioFIMI(t *testing.T) {
 	var refs []trace.Ref
 	_, err := core.TraceCapture("FIMI",
 		workloads.Params{Seed: 1, Scale: 1.0 / 256},
