@@ -328,7 +328,7 @@ func BenchmarkLLCOrganization(b *testing.B) {
 }
 
 // BenchmarkPlanFamily measures where the planner's analytic leg pays
-// (DESIGN.md §10): an 8-way 64 B ladder of k sizes from 256 KB, over a
+// (DESIGN.md §5): an 8-way 64 B ladder of k sizes from 256 KB, over a
 // warm capture through CombinedSweep. emulate runs the ladder as one
 // Dragonhead chain at every k, oracle as one analytic pass, and auto is
 // the planner's choice between them — the chain below five configs.

@@ -98,11 +98,10 @@ func traceinfo(w io.Writer, names []string, p workloads.Params, threads, windows
 }
 
 // recordLines files one in-window transaction as the analytic engine
-// regulates it: one request per 64 B line it touches, a zero size
-// counting as one byte.
+// regulates it: one request per 64 B line it touches.
 func recordLines(a *stackdist.Analyzer, r trace.Ref) {
-	last := uint64(r.Addr) + uint64(max(r.Size, 1)) - 1
-	for ln := uint64(r.Addr) >> 6; ln <= last>>6; ln++ {
+	first, last := r.Units(6)
+	for ln := first; ln <= last; ln++ {
 		a.Record(mem.Addr(ln << 6))
 	}
 }

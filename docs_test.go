@@ -67,19 +67,108 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 }
 
-// designLines is DESIGN.md's line ceiling. A change may lower it to the
-// document's new length and must not raise it: the design shrinks
-// toward one section per pipeline stage, with history in CHANGES.md.
-const designLines = 1478
+// designLines is DESIGN.md's length in lines. A change that shortens
+// the document lowers it to the new length, and no change raises it:
+// the design is one section per pipeline stage, with history in
+// CHANGES.md.
+const designLines = 899
 
-// TestDesignLineCeiling holds DESIGN.md to at most designLines lines.
+// TestDesignLineCeiling holds DESIGN.md to exactly designLines lines:
+// longer fails, and so does shorter, so the ceiling only falls.
 func TestDesignLineCeiling(t *testing.T) {
 	b, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(b), "\n"); n > designLines {
+	switch n := strings.Count(string(b), "\n"); {
+	case n > designLines:
 		t.Errorf("DESIGN.md has %d lines, over its ceiling of %d: shorten it, do not raise the ceiling", n, designLines)
+	case n < designLines:
+		t.Errorf("DESIGN.md has %d lines, under its ceiling of %d: lower designLines to %d", n, designLines, n)
+	}
+}
+
+// designRef matches a reference into DESIGN.md from another file: the
+// document's name (`DESIGN.md` or `DESIGN`, backticked or not) followed
+// by a section sign and number, a list of them joined by commas or
+// "and", or "ablation" and a number. A Go comment may wrap between the
+// name and the number.
+var designRef = regexp.MustCompile("DESIGN(?:\\.md)?`?(?:\\s|//)+(?:(§\\d+(?:(?:,\\s*|\\s+and\\s+)§\\d+)*)|ablation\\s+(\\d+))")
+
+// sectionNum matches one section sign and its number.
+var sectionNum = regexp.MustCompile(`§(\d+)`)
+
+// TestDesignSectionRefsResolve checks that every section or ablation
+// number a reference into DESIGN.md names exists there: a `## N.`
+// heading, or item N of the numbered list under the heading that names
+// the ablations. It reads the Go files outside bench/ (tests included),
+// README.md and EXPERIMENTS.md, and DESIGN.md's own bare § references.
+// CHANGES.md and ROADMAP.md are history and may cite old numbers.
+func TestDesignSectionRefsResolve(t *testing.T) {
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := string(b)
+	sections, ablations := map[string]bool{}, map[string]bool{}
+	inAblations := false
+	for _, line := range strings.Split(design, "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			num, _, _ := strings.Cut(h, ".")
+			sections[num] = true
+			inAblations = strings.Contains(strings.ToLower(h), "ablation")
+			continue
+		}
+		if num, _, ok := strings.Cut(line, ". "); ok && inAblations && num != "" && strings.Trim(num, "0123456789") == "" {
+			ablations[num] = true
+		}
+	}
+	if len(sections) == 0 || len(ablations) == 0 {
+		t.Fatalf("DESIGN.md: found %d numbered sections and %d ablations", len(sections), len(ablations))
+	}
+	check := func(file, text string, pos int, kind string, nums map[string]bool, num string) {
+		if !nums[num] {
+			line := strings.Count(text[:pos], "\n") + 1
+			t.Errorf("%s:%d: DESIGN.md has no %s %s", file, line, kind, num)
+		}
+	}
+	for _, m := range sectionNum.FindAllStringSubmatchIndex(design, -1) {
+		check("DESIGN.md", design, m[0], "section", sections, design[m[2]:m[3]])
+	}
+	files := []string{"README.md", "EXPERIMENTS.md"}
+	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); p != "." && (strings.HasPrefix(n, ".") || n == "testdata" || p == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(p, ".go") {
+			files = append(files, p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(b)
+		for _, m := range designRef.FindAllStringSubmatchIndex(text, -1) {
+			if m[2] >= 0 {
+				for _, s := range sectionNum.FindAllStringSubmatchIndex(text[m[2]:m[3]], -1) {
+					check(f, text, m[2]+s[0], "section", sections, text[m[2]+s[2]:m[2]+s[3]])
+				}
+				continue
+			}
+			check(f, text, m[4], "ablation", ablations, text[m[4]:m[5]])
+		}
 	}
 }
 

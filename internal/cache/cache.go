@@ -14,7 +14,7 @@
 // 64-bit word — updated with branch-free compare-mask (SWAR) arithmetic
 // instead of rotating the ways: a hit promotes in O(assoc/8) ALU ops
 // with no data movement, which is what lifts cache.Access into the
-// several-hundred-Mrefs/s range (see DESIGN.md §11).
+// several-hundred-Mrefs/s range (see DESIGN.md §5).
 package cache
 
 import (
@@ -381,11 +381,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a pointer to the live counters.
 func (c *Cache) Stats() *Stats { return &c.stats }
 
-// LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr mem.Addr) mem.Addr {
-	return addr &^ mem.Addr(c.cfg.LineSize-1)
-}
-
 // Access performs one reference of the given size, splitting it across
 // cache lines (and sectors, when sectored) when it straddles a
 // boundary. It returns the number of misses incurred.
@@ -396,7 +391,7 @@ func (c *Cache) Access(addr mem.Addr, size uint8, kind mem.Kind, core uint8) int
 	// caches).
 	endOff := uint64(addr)&(c.cfg.LineSize-1) + uint64(size) - 1
 	if c.sectors != nil || endOff >= c.cfg.LineSize {
-		return accessUnits([]*Cache{c}, addr, size, kind, core)
+		return accessUnits([]*Cache{c}, trace.Ref{Addr: addr, Size: size, Kind: kind, Core: core})
 	}
 	blk := uint64(addr) >> c.lineShift
 	// The overwhelmingly common case — an unsectored cache and a
@@ -470,23 +465,16 @@ func (c *Cache) Access(addr mem.Addr, size uint8, kind mem.Kind, core uint8) int
 // It splits the reference into units (sectors when sectored, else
 // lines) and touches each in its bank of the address-interleaved banks
 // (see AccessBanked), with the bank bits stripped from the block number.
-func accessUnits(banks []*Cache, addr mem.Addr, size uint8, kind mem.Kind, core uint8) int {
-	// A zero-size reference still probes one byte: without the clamp,
-	// addr+size-1 underflows and either skips the access entirely or
-	// (at addr 0) walks the whole address space.
-	if size == 0 {
-		size = 1
-	}
+func accessUnits(banks []*Cache, r trace.Ref) int {
 	c0 := banks[0]
 	bankMask := uint64(len(banks) - 1)
 	bankShift := uint(bits.TrailingZeros(uint(len(banks))))
-	first := uint64(addr) >> c0.sectorShift
-	last := (uint64(addr) + uint64(size) - 1) >> c0.sectorShift
+	first, last := r.Units(c0.sectorShift)
 	misses := 0
 	for s := first; s <= last; s++ {
 		blk := s >> (c0.lineShift - c0.sectorShift)
 		secBit := uint64(1) << (s & (c0.secPerLine - 1))
-		if miss, _ := banks[blk&bankMask].touchLine(blk>>bankShift, secBit, kind, core); miss {
+		if miss, _ := banks[blk&bankMask].touchLine(blk>>bankShift, secBit, r.Kind, r.Core); miss {
 			misses++
 		}
 	}
@@ -556,7 +544,7 @@ func AccessBanked(banks []*Cache, refs []trace.Ref) int {
 	misses := 0
 	if c0.sectors != nil || !c0.rankPath {
 		for i := range refs {
-			misses += accessUnits(banks, refs[i].Addr, refs[i].Size, refs[i].Kind, refs[i].Core)
+			misses += accessUnits(banks, refs[i])
 		}
 		return misses
 	}
@@ -568,7 +556,7 @@ next:
 	for i := range refs {
 		r := &refs[i]
 		if uint64(r.Addr)&(lineSize-1)+uint64(r.Size)-1 >= lineSize {
-			misses += accessUnits(banks, r.Addr, r.Size, r.Kind, r.Core)
+			misses += accessUnits(banks, *r)
 			continue
 		}
 		if r.Core != core {
@@ -634,7 +622,7 @@ func flushRuns(banks []*Cache, core uint8) {
 // smallest first. A reference stops at the first rung whose MRU hint it
 // hits with no flag effect (a load or a store to a dirty line, no line
 // prefetched): no larger rung can change, and each is owed only the
-// count, at the next flush (DESIGN.md §11).
+// count, at the next flush (DESIGN.md §5).
 func AccessChain(rungs [][]*Cache, refs []trace.Ref) {
 	c0 := rungs[0][0]
 	lineSize, lineShift := c0.cfg.LineSize, c0.lineShift
@@ -645,7 +633,7 @@ func AccessChain(rungs [][]*Cache, refs []trace.Ref) {
 		r := &refs[i]
 		if uint64(r.Addr)&(lineSize-1)+uint64(r.Size)-1 >= lineSize {
 			for _, banks := range rungs {
-				accessUnits(banks, r.Addr, r.Size, r.Kind, r.Core)
+				accessUnits(banks, *r)
 			}
 			continue
 		}

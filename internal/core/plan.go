@@ -80,7 +80,7 @@ type geomKey struct {
 
 // minAnalyticFamily is the smallest family (canonical eligible configs at
 // the plan's line size) EngineAuto answers analytically if one chain could:
-// at 1/64 a 1-4 rung chain costs less CPU on 7 of 8 workloads (DESIGN §10).
+// at 1/64 a 1-4 rung chain costs less CPU on 7 of 8 workloads (DESIGN §5).
 const minAnalyticFamily = 5
 
 // oneChain reports whether the plan's family would be one dragonhead.Chain:

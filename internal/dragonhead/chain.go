@@ -30,7 +30,7 @@ func Chainable(e *Emulator) error {
 }
 
 // Chain returns one snooper that answers a ladder of emulators on one
-// walk of each stretch (cache.AccessChain; DESIGN.md §11). Each must be
+// walk of each stretch (cache.AccessChain; DESIGN.md §5). Each must be
 // Chainable, match the one before in line size, associativity and bank
 // count, and be strictly larger; each reads exactly as if it had
 // snooped alone.

@@ -22,6 +22,7 @@ package dragonhead
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cmpmem/internal/cache"
 	"cmpmem/internal/fsb"
@@ -104,9 +105,9 @@ type Emulator struct {
 	bankMask  uint64
 	bankShift uint
 	lineShift uint
-	// The AF regulates to units of unitMask+1 bytes: lines, or sectors
-	// when the LLC is sectored.
-	unitMask uint64
+	// The AF regulates to units of 1<<unitShift bytes: lines, or
+	// sectors when the LLC is sectored.
+	unitShift uint
 
 	// AF and CB state.
 	af      fsb.AF
@@ -239,9 +240,9 @@ func New(cfg Config) (*Emulator, error) {
 	for s := cfg.LLC.LineSize; s > 1; s >>= 1 {
 		e.lineShift++
 	}
-	e.unitMask = cfg.LLC.LineSize - 1
+	e.unitShift = e.lineShift
 	if cfg.LLC.SectorSize != 0 {
-		e.unitMask = cfg.LLC.SectorSize - 1
+		e.unitShift = uint(bits.TrailingZeros64(cfg.LLC.SectorSize))
 	}
 	// Shared organization: one slice per CC bank, routed by address;
 	// private: one per core, routed by core ID.
@@ -348,27 +349,22 @@ func (e *Emulator) OnBatch(batch []trace.Ref) {
 }
 
 // regulate splits one in-window transaction into unit-granular requests
-// and routes them to the banks. A zero-size transaction still occupies
-// one byte, as in every other model of the AF (cache, oracle,
-// verify.RefCache, sampling).
+// (trace.Ref.Units, as in every other model of the AF) and routes them
+// to the banks.
 func (e *Emulator) regulate(r trace.Ref) {
-	size := uint64(r.Size)
-	if size == 0 {
-		size = 1
-	}
-	a := uint64(r.Addr) &^ e.unitMask
-	last := uint64(r.Addr) + size - 1
+	first, last := r.Units(e.unitShift)
 	if e.nshards > 1 {
 		// Sharded path: the unit goes to the worker owning its bank.
 		// nshards divides Banks, so blk mod nshards cuts along bank lines.
 		e.ensureSharder()
-		for ; a <= last; a += e.unitMask + 1 {
+		for u := first; u <= last; u++ {
+			a := u << e.unitShift
 			e.sharder.Ref(int(a>>e.lineShift)&(e.nshards-1), trace.Ref{Addr: mem.Addr(a), Kind: r.Kind, Core: r.Core})
 		}
 		return
 	}
-	for ; a <= last; a += e.unitMask + 1 {
-		e.lookup(a, r.Kind, r.Core)
+	for u := first; u <= last; u++ {
+		e.lookup(u<<e.unitShift, r.Kind, r.Core)
 	}
 }
 

@@ -1,6 +1,8 @@
 package hier
 
 import (
+	"math/bits"
+
 	"cmpmem/internal/cache"
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/mem"
@@ -12,10 +14,10 @@ import (
 // (Cores, DL1). The back ends never write into the DL1s, so sharing a
 // stage gives each machine exactly the DL1 it would have alone.
 type stage struct {
-	af       fsb.AF
-	l1       []*cache.Cache // by core
-	lineSize mem.Addr
-	backs    []*Machine
+	af        fsb.AF
+	l1        []*cache.Cache // by core
+	lineShift uint
+	backs     []*Machine
 }
 
 // stageKey is what machines must agree on to share a stage.
@@ -38,7 +40,7 @@ func New(cfgs ...Config) ([]*Machine, []fsb.Snooper, error) {
 		key := stageKey{cfg.Cores, cfg.DL1}
 		st := stages[key]
 		if st == nil {
-			st = &stage{lineSize: mem.Addr(cfg.DL1.LineSize)}
+			st = &stage{lineShift: uint(bits.TrailingZeros64(cfg.DL1.LineSize))}
 			for i := 0; i < cfg.Cores; i++ {
 				l1, err := cache.New(cfg.DL1)
 				if err != nil {
@@ -73,9 +75,9 @@ func (s *stage) OnRef(r trace.Ref) {
 		m.tick()
 	}
 	l1 := s.l1[r.Core]
-	size := mem.Addr(max(r.Size, 1))
-	last := l1.LineAddr(r.Addr + size - 1)
-	for lineAddr := l1.LineAddr(r.Addr); lineAddr <= last; lineAddr += s.lineSize {
+	first, last := r.Units(s.lineShift)
+	for ln := first; ln <= last; ln++ {
+		lineAddr := mem.Addr(ln << s.lineShift)
 		if l1.Touch(lineAddr, r.Kind, r.Core) {
 			for _, m := range s.backs {
 				m.serviceL2(lineAddr, r.Kind, r.Core)

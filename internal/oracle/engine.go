@@ -368,12 +368,7 @@ func (e *Engine) OnRef(r trace.Ref) {
 		e.af.Dropped++
 		return
 	}
-	size := r.Size
-	if size == 0 {
-		size = 1
-	}
-	first := uint64(r.Addr) >> e.lineShift
-	last := (uint64(r.Addr) + uint64(size) - 1) >> e.lineShift
+	first, last := r.Units(e.lineShift)
 	store := r.Kind == mem.Store
 	for blk := first; blk <= last; blk++ {
 		e.record(blk, store, r.Core)

@@ -14,7 +14,7 @@
 // variance; the classic cluster-sampling variance Σ n_c² σ_c² of the
 // weighted total, expressed relative to the proxy total, scales the
 // true miss estimate. defaultZ and defaultMinRelCI then widen the
-// interval for proxy-model misfit — the margin DESIGN.md §14 justifies
+// interval for proxy-model misfit — the margin DESIGN.md §6 justifies
 // and the verify suite grades against the exact oracle.
 
 package sampling

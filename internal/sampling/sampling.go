@@ -88,7 +88,7 @@ func Fast() Params {
 }
 
 // The confidence interval's statistics, tuned against the exact oracle
-// on all 8 workloads (see DESIGN.md §14): defaultZ scales the half-width
+// on all 8 workloads (see DESIGN.md §6): defaultZ scales the half-width
 // in units of the extrapolation standard deviation, a wide multiplier on
 // the proxy variance; defaultMinRelCI floors the relative half-width —
 // the sampler never claims to be more accurate than this — absorbing
@@ -410,12 +410,7 @@ func (f *Fingerprinter) OnRef(r trace.Ref) {
 	} else {
 		f.cur.Loads++
 	}
-	size := r.Size
-	if size == 0 {
-		size = 1
-	}
-	first := uint64(r.Addr) >> f.lineShift
-	last := (uint64(r.Addr) + uint64(size) - 1) >> f.lineShift
+	first, last := r.Units(f.lineShift)
 	iv := uint32(len(f.intervals)) + 1
 	warm := uint64(f.params.Warmup)
 	for blk := first; blk <= last; blk++ {

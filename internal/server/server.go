@@ -231,12 +231,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.registerJob(j)
 		j.emit(Event{Name: StateQueued, Data: eventData{Job: j.id, State: StateQueued}})
 		j.markStarted(now)
-		s.sealTrace(j)
-		s.emitRequestManifest(j, nil)
-		j.finish(body, true, time.Now())
+		s.completeJob(j, body, true)
 		s.mAccepted.Inc()
-		s.mCached.Inc()
-		s.mDone.Inc()
 		s.respondAccepted(w, j)
 		return
 	}
@@ -263,13 +259,6 @@ func (s *Server) lookupResult(j *job, hash string) ([]byte, bool) {
 	sp.SetAttr("hit", strconv.FormatBool(ok))
 	sp.End()
 	return body, ok
-}
-
-// sealTrace ends the request trace. Must run before the terminal
-// finish/fail event so GET /v1/sweeps/{id} and /v1/statusz only ever
-// read sealed trees.
-func (s *Server) sealTrace(j *job) {
-	j.trace.End()
 }
 
 // respondAccepted writes the 201 envelope.
@@ -508,11 +497,7 @@ func (s *Server) runJob(j *job) {
 	// The result may have landed while this job sat in the queue
 	// (another tenant ran the same spec first).
 	if body, ok := s.lookupResult(j, hash); ok {
-		s.sealTrace(j)
-		s.emitRequestManifest(j, nil)
-		j.finish(body, true, time.Now())
-		s.mCached.Inc()
-		s.mDone.Inc()
+		s.completeJob(j, body, true)
 		return
 	}
 	s.mRunning.Add(1)
@@ -546,15 +531,26 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	s.results.Put(hash, body)
-	s.sealTrace(j)
+	s.completeJob(j, body, false)
+}
+
+// completeJob seals j's trace, emits its request manifest and finishes
+// it with body, counting it done (and cached when body came from the
+// result cache). The trace is sealed before the terminal event so GET
+// /v1/sweeps/{id} and /v1/statusz only ever read sealed trees.
+func (s *Server) completeJob(j *job, body []byte, cached bool) {
+	j.trace.End()
 	s.emitRequestManifest(j, nil)
-	j.finish(body, false, time.Now())
+	j.finish(body, cached, time.Now())
+	if cached {
+		s.mCached.Inc()
+	}
 	s.mDone.Inc()
 }
 
 // failJob seals j's trace and fails it with err.
 func (s *Server) failJob(j *job, err error) {
-	s.sealTrace(j)
+	j.trace.End()
 	s.emitRequestManifest(j, err)
 	j.fail(err, time.Now())
 	s.mFailed.Inc()

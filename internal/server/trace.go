@@ -104,9 +104,10 @@ func annotateRequestSpan(root *telemetry.Span, j *job) {
 }
 
 // emitRequestManifest appends the request's span tree to the manifest
-// stream (when cosimd was started with one). Called after sealTrace and
-// before the terminal finish/fail event, so a client that has observed
-// a job's completion can rely on its manifest line being on disk.
+// stream (when cosimd was started with one). Called once the trace is
+// sealed and before the terminal finish/fail event, so a client that
+// has observed a job's completion can rely on its manifest line being
+// on disk.
 func (s *Server) emitRequestManifest(j *job, jobErr error) {
 	if s.man == nil || j.trace == nil {
 		return

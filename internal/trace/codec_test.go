@@ -77,7 +77,7 @@ func randomRefs(seed int64, n int) []Ref {
 	return refs
 }
 
-func TestV2RoundTripSmall(t *testing.T) {
+func TestCodecBatchRoundTripSmall(t *testing.T) {
 	refs := []Ref{
 		{Addr: 0x1000, Core: 0, Size: 8, Kind: mem.Load},
 		{Addr: 0x1008, Core: 0, Size: 8, Kind: mem.Load},  // +8 delta, elided core+size
@@ -101,10 +101,10 @@ func TestV2RoundTripSmall(t *testing.T) {
 	}
 }
 
-// TestV2RoundTripProperty: any load/store sequence round-trips through
+// TestCodecBatchRoundTripProperty: any load/store sequence round-trips through
 // the delta codec and the batch decoder, including adversarial core
 // interleavings.
-func TestV2RoundTripProperty(t *testing.T) {
+func TestCodecBatchRoundTripProperty(t *testing.T) {
 	check := func(addrs []uint64, seed int64) bool {
 		return roundTrips(addrs, seed, func(data []byte) ([]Ref, error) { return decodeBatch(data, 64) })
 	}
@@ -149,9 +149,9 @@ func roundTrips(addrs []uint64, seed int64, decode func([]byte) ([]Ref, error)) 
 	return true
 }
 
-// TestV2ShrinksSequentialStream: a same-core strided stream must encode
+// TestCodecShrinksSequentialStream: a same-core strided stream must encode
 // far below a fixed 16-byte record (2 bytes: header + 1-byte delta).
-func TestV2ShrinksSequentialStream(t *testing.T) {
+func TestCodecShrinksSequentialStream(t *testing.T) {
 	refs := make([]Ref, 10000)
 	for i := range refs {
 		refs[i] = Ref{Addr: mem.Addr(0x4000 + 8*i), Core: 2, Size: 8, Kind: mem.Load}
@@ -164,7 +164,7 @@ func TestV2ShrinksSequentialStream(t *testing.T) {
 	}
 }
 
-func TestV2RejectsExoticKind(t *testing.T) {
+func TestCodecRejectsExoticKind(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriterV2(&buf)
 	if err != nil {
@@ -178,7 +178,7 @@ func TestV2RejectsExoticKind(t *testing.T) {
 	}
 }
 
-func TestV2RejectsReservedHeaderBits(t *testing.T) {
+func TestCodecRejectsReservedHeaderBits(t *testing.T) {
 	data := append(magic[:len(magic):len(magic)], 0x80, 0x10) // reserved bit set
 	for name, decode := range map[string]func([]byte) ([]Ref, error){
 		"Next":      decodeNext,
@@ -190,7 +190,7 @@ func TestV2RejectsReservedHeaderBits(t *testing.T) {
 	}
 }
 
-func TestV2TruncatedRecord(t *testing.T) {
+func TestCodecTruncatedRecord(t *testing.T) {
 	refs := []Ref{{Addr: 0xDEADBEEF, Core: 9, Size: 4, Kind: mem.Store}}
 	data := encodeAll(t, refs)
 	for cut := len(data) - 1; cut > len(magic); cut-- {

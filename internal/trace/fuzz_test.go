@@ -29,12 +29,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzCodecV2RoundTrip: a short sequence of records derived from the
+// FuzzCodecBatchRoundTrip: a short sequence of records derived from the
 // fuzz inputs must encode and decode identically through the batch
 // decoder, a Seek to a mid-stream Mark must resume it, and the same
 // payload under the retired v1 or v2 version byte must be rejected at
 // the header, never decoded.
-func FuzzCodecV2RoundTrip(f *testing.F) {
+func FuzzCodecBatchRoundTrip(f *testing.F) {
 	f.Add(uint64(0x1000), uint64(8), uint8(3), uint8(8), true)
 	f.Add(uint64(0), ^uint64(0), uint8(255), uint8(1), false)
 	f.Add(^uint64(0), uint64(1), uint8(0), uint8(255), true)

@@ -43,6 +43,13 @@ func (r Ref) String() string {
 	return fmt.Sprintf("core%-2d %-5s %#x/%d", r.Core, r.Kind, uint64(r.Addr), r.Size)
 }
 
+// Units returns the index of the first and the last 1<<shift-byte unit
+// (line or sector) the reference covers, shift < 64: its regulation. A
+// zero size counts as one byte.
+func (r Ref) Units(shift uint) (first, last uint64) {
+	return uint64(r.Addr) >> (shift & 63), (uint64(r.Addr) + uint64(max(r.Size, 1)) - 1) >> (shift & 63)
+}
+
 // magic is the 8-byte file header: "CMPT" plus the codec version byte.
 // Any other header, an earlier codec version's included, is ErrBadMagic.
 var magic = [8]byte{'C', 'M', 'P', 'T', 3, 0, 0, 0}
