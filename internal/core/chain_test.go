@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cmpmem/internal/cache"
-	"cmpmem/internal/dragonhead"
 )
 
 // liveLadder is bench's live-sweep grid: 64 KB to 8 MB in powers of
@@ -48,27 +47,15 @@ func TestChainedLadderMatchesAlone(t *testing.T) {
 // TestFullyAssociativePairStaysUnchained: 4 KB and 8 KB fully
 // associative LLCs share line size, Assoc 0 and (one) bank, the key a
 // naive grouping would chain on, but the 8 KB one has 128 ways and no
-// MRU hint. Both run alone, and read as they do alone.
+// MRU hint. The plan runs both alone, and they read as they do alone.
 func TestFullyAssociativePairStaysUnchained(t *testing.T) {
 	cfgs := []cache.Config{
 		{Name: "FA-4KB", Size: 4 << 10, LineSize: 64},
 		{Name: "FA-8KB", Size: 8 << 10, LineSize: 64},
 	}
-	var emus []*dragonhead.Emulator
-	for _, cfg := range cfgs {
-		dcfg, err := bankedConfig(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := dragonhead.New(dcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		emus = append(emus, e)
-	}
-	answerers, chains, err := chainEmulators(emus)
-	if err != nil || chains != 0 || len(answerers) != 2 {
-		t.Fatalf("chainEmulators: %d answerers, %d chains, %v; want 2 emulators alone", len(answerers), chains, err)
+	plan, err := PlanSweep(cfgs, EngineEmulate)
+	if err != nil || len(plan.Groups) != 2 || len(plan.Groups[0]) != 1 || len(plan.Groups[1]) != 1 {
+		t.Fatalf("plan groups %v, %v; want 2 emulators alone", plan.Groups, err)
 	}
 	requireChainedMatchAlone(t, "SHOT", cfgs)
 }

@@ -1,6 +1,6 @@
 // The sweep planner — step one of the executor (sweep.go): compile an
 // experiment grid into analytic and emulation legs, so the whole grid
-// is answered in one trace pass.
+// is answered in one trace pass, and name the answerer of every config.
 //
 // The paper's operational flow reprograms the Dragonhead board once per
 // cache configuration — a 14-experiment CacheSweep + LineSweep session
@@ -10,30 +10,34 @@
 // plan's line size — one stack-distance profile answers every size x
 // assoc point at once) and configs that are emulated (other line sizes,
 // sectored lines, non-LRU policies, a family too small to pay for the
-// analytic pass). Both legs ride a single bus pass; results are
-// bit-identical to emulating every config, which `cosim -verify` proves.
+// analytic pass). The emulated leg is grouped by snooper: a ladder of
+// sizes is one dragonhead.Chain, anything else a lone Dragonhead. Both
+// legs ride a single bus pass; results are bit-identical to emulating
+// every config, which `cosim -verify` proves.
 
 package core
 
 import (
 	"fmt"
+	"sort"
 
 	"cmpmem/internal/cache"
+	"cmpmem/internal/dragonhead"
 	"cmpmem/internal/hier"
 	"cmpmem/internal/oracle"
 )
 
 // Engine selects how a sweep answers its cache configurations. It is
-// the planner's choice, not a user's: every entry point plans
-// (EngineAuto) except LLCSweep, the reference route with one Dragonhead
-// per distinct geometry. The type stays exported because bench's probes
-// and reference runs name it.
+// the planner's choice, not a user's: every entry point plans with
+// EngineAuto except LLCSweep, the reference route, which plans with
+// EngineEmulate. The type stays exported because bench's probes and
+// reference runs name it.
 type Engine int
 
 const (
-	// EngineEmulate plans with emulators only: one Dragonhead per
-	// canonical geometry, no analytic leg — the reference every other
-	// engine is verified against, and LLCSweep's route.
+	// EngineEmulate plans with emulators only: every canonical geometry
+	// is emulated, no analytic leg — the reference every other engine is
+	// verified against, and LLCSweep's route.
 	EngineEmulate Engine = iota
 	// EngineAuto plans the sweep: analytically expressible configs are
 	// answered by the Mattson engine where it pays, the rest by emulation,
@@ -83,41 +87,16 @@ type geomKey struct {
 // at 1/64 a 1-4 rung chain costs less CPU on 7 of 8 workloads (DESIGN §5).
 const minAnalyticFamily = 5
 
-// oneChain reports whether the plan's family would be one dragonhead.Chain:
-// two chains, or four lone emulators, cost more CPU than the oracle.
-func oneChain(plan *SweepPlan) bool {
-	rungs := make(map[[2]int]bool)
-	for i, cfg := range plan.Configs {
-		if plan.Entries[i].Canonical != i || !analyticEligible(cfg) || cfg.LineSize != plan.LineSize {
-			continue
-		}
-		d, err := bankedConfig(cfg)
-		if err != nil || cfg.Assoc < 1 || cfg.Assoc > 64 {
-			return false
-		}
-		rungs[[2]int{cfg.Assoc, d.Banks}] = true
-	}
-	return len(rungs) == 1
-}
-
-// PlanEntry records how one config of the flattened grid is answered.
-type PlanEntry struct {
-	// Analytic is true when the canonical config is answered by the
-	// Mattson engine rather than an emulator.
-	Analytic bool
-	// Canonical is the index (into the flattened grid) of the config
-	// that actually computes this entry's numbers. Entries whose
-	// Canonical differs from their own index are duplicates: they copy
-	// the canonical result under their own name.
-	Canonical int
-}
-
-// SweepPlan is the compiled execution plan of one sweep.
+// SweepPlan is the compiled execution plan of one sweep: it names the
+// answerer of every config.
 type SweepPlan struct {
 	// Configs is the flattened input grid, in caller order.
 	Configs []cache.Config
-	// Entries has one record per config, same order.
-	Entries []PlanEntry
+	// Entries holds, per config, the index of the canonical config that
+	// computes its numbers. A config whose entry is not its own index is
+	// a duplicate geometry: it copies the canonical result under its own
+	// name.
+	Entries []int
 	// LineSize is the analytic leg's line size (0 when the plan has no
 	// analytic leg).
 	LineSize uint64
@@ -129,6 +108,10 @@ type SweepPlan struct {
 	// (those fail in the emulator constructor with the legacy error),
 	// and the family's configs past oracle.MaxTracked.
 	Emulated []int
+	// Groups partitions Emulated by snooper, each group in its first
+	// member's place: two or more configs are the ladder one
+	// dragonhead.Chain answers, smallest first; one is a lone Dragonhead.
+	Groups [][]int
 	// Hiers are the timing-hierarchy configs (RunHier) answered on the
 	// same pass, one hier.Machine each; the planner does not touch them.
 	Hiers []hier.Config
@@ -154,18 +137,47 @@ func analyticEligible(cfg cache.Config) bool {
 	return cfg.Repl == cache.LRU && cfg.SectorSize == 0 && cfg.Validate() == nil
 }
 
+// emulatorGroups partitions the canonical configs idx into the snoopers
+// that answer them, in order of first appearance: valid configs that
+// dragonhead.Chainable accepts and that agree on line size,
+// associativity and banks form one group, smallest first; every other
+// config is a group of its own. loose counts the configs that cannot
+// chain at all.
+func emulatorGroups(configs []cache.Config, idx []int) (groups [][]int, loose int) {
+	at := make(map[[3]uint64]int) // (line size, assoc, banks) -> group
+	for _, i := range idx {
+		d, err := bankedConfig(configs[i])
+		if err != nil || configs[i].Validate() != nil || dragonhead.Chainable(d) != nil {
+			groups, loose = append(groups, []int{i}), loose+1
+			continue
+		}
+		k := [3]uint64{d.LLC.LineSize, uint64(d.LLC.Assoc), uint64(d.Banks)}
+		if g, ok := at[k]; ok {
+			groups[g] = append(groups[g], i)
+			continue
+		}
+		at[k] = len(groups)
+		groups = append(groups, []int{i})
+	}
+	for _, g := range groups {
+		sort.Slice(g, func(a, b int) bool { return configs[g[a]].Size < configs[g[b]].Size })
+	}
+	return groups, loose
+}
+
 // PlanSweep compiles a flattened config grid into a SweepPlan under
 // the given engine policy. EngineEmulate sends every canonical config
 // to the emulation leg (duplicates still dedupe); EngineAuto picks the
 // dominant line size among eligible configs and answers that family
 // analytically where it pays (minAnalyticFamily); EngineOracle at any
 // size, failing if any config cannot be (the first oracle.MaxTracked
-// canonical configs of the family at most). Exported because bench's
+// canonical configs of the family at most). The emulated leg is then
+// grouped into snoopers (emulatorGroups). Exported because bench's
 // probes plan their grids the way the sweeps they measure do.
 func PlanSweep(configs []cache.Config, engine Engine) (*SweepPlan, error) {
 	plan := &SweepPlan{
 		Configs: append([]cache.Config(nil), configs...),
-		Entries: make([]PlanEntry, len(configs)),
+		Entries: make([]int, len(configs)),
 	}
 
 	// Pass 1: dedupe by behavioral geometry.
@@ -173,11 +185,11 @@ func PlanSweep(configs []cache.Config, engine Engine) (*SweepPlan, error) {
 	for i, cfg := range configs {
 		k := geomKey{cfg.Size, cfg.LineSize, cfg.Assoc, cfg.Repl, cfg.SectorSize}
 		if first, ok := canonical[k]; ok {
-			plan.Entries[i] = PlanEntry{Canonical: first}
+			plan.Entries[i] = first
 			continue
 		}
 		canonical[k] = i
-		plan.Entries[i] = PlanEntry{Canonical: i}
+		plan.Entries[i] = i
 	}
 
 	// Pass 2: choose the analytic line size — the one answering the
@@ -186,27 +198,31 @@ func PlanSweep(configs []cache.Config, engine Engine) (*SweepPlan, error) {
 	// a config at any other line size re-blocks the stream and goes to
 	// the emulation leg.
 	if engine != EngineEmulate {
-		counts := make(map[uint64]int)
+		families := make(map[uint64][]int)
 		for i, cfg := range configs {
-			if plan.Entries[i].Canonical == i && analyticEligible(cfg) {
-				counts[cfg.LineSize]++
+			if plan.Entries[i] == i && analyticEligible(cfg) {
+				families[cfg.LineSize] = append(families[cfg.LineSize], i)
 			}
 		}
-		for ls, n := range counts {
-			best := counts[plan.LineSize]
-			if plan.LineSize == 0 || n > best || (n == best && ls < plan.LineSize) {
+		for ls, f := range families {
+			best := len(families[plan.LineSize])
+			if plan.LineSize == 0 || len(f) > best || (len(f) == best && ls < plan.LineSize) {
 				plan.LineSize = ls
 			}
 		}
-		if engine == EngineAuto && counts[plan.LineSize] < minAnalyticFamily && oneChain(plan) {
-			plan.LineSize = 0 // cheaper emulated
+		// One chain costs less CPU than the oracle; two chains, or four
+		// lone emulators, cost more.
+		if f := families[plan.LineSize]; engine == EngineAuto && len(f) < minAnalyticFamily {
+			if groups, loose := emulatorGroups(configs, f); len(groups) == 1 && loose == 0 {
+				plan.LineSize = 0 // cheaper emulated
+			}
 		}
 	}
 
 	// Pass 3: partition canonical configs into legs. One engine tracks
 	// at most oracle.MaxTracked geometries; the rest are emulated.
 	for i, cfg := range configs {
-		if plan.Entries[i].Canonical != i {
+		if plan.Entries[i] != i {
 			continue
 		}
 		analytic := engine != EngineEmulate && analyticEligible(cfg) && cfg.LineSize == plan.LineSize
@@ -222,13 +238,13 @@ func PlanSweep(configs []cache.Config, engine Engine) (*SweepPlan, error) {
 				"core: strict oracle plan: config %q (line %d B, %v%s) is not analytically answerable in a plan at %d B lines",
 				cfg.Name, cfg.LineSize, cfg.Repl, sectoredNote(cfg), plan.LineSize)
 		}
-		plan.Entries[i].Analytic = analytic
 		if analytic {
 			plan.Analytic = append(plan.Analytic, i)
 		} else {
 			plan.Emulated = append(plan.Emulated, i)
 		}
 	}
+	plan.Groups, _ = emulatorGroups(configs, plan.Emulated)
 	return plan, nil
 }
 

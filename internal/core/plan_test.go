@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cmpmem/internal/cache"
+	"cmpmem/internal/dragonhead"
 	"cmpmem/internal/oracle"
 	"cmpmem/internal/telemetry"
 	"cmpmem/internal/tracestore"
@@ -49,7 +50,10 @@ func (g *planGen) config(i int) cache.Config {
 // once — the plan is exhaustive (each entry resolves to a canonical
 // config that sits in exactly one leg) and disjoint (the legs share no
 // index, duplicates join no leg, and a canonical index appears in its
-// leg exactly once).
+// leg exactly once). The emulator groups partition the emulated leg in
+// order of first appearance; a group of two or more shares line size,
+// associativity and banks, grows strictly in size and is a
+// dragonhead.Chain; and no two lone configs could have chained.
 func TestPlanSweepPartitionProperty(t *testing.T) {
 	g := &planGen{state: 0x9E3779B97F4A7C15}
 	for trial := 0; trial < 200; trial++ {
@@ -81,12 +85,11 @@ func TestPlanSweepPartitionProperty(t *testing.T) {
 				leg[i] = "emulated"
 			}
 			answered := 0
-			for i, e := range plan.Entries {
-				can := e.Canonical
+			for i, can := range plan.Entries {
 				if can < 0 || can >= n {
 					t.Fatalf("trial %d: entry %d canonical %d out of range", trial, i, can)
 				}
-				if plan.Entries[can].Canonical != can {
+				if plan.Entries[can] != can {
 					t.Fatalf("trial %d: entry %d's canonical %d is itself an alias", trial, i, can)
 				}
 				a, b := configs[i], configs[can]
@@ -114,9 +117,6 @@ func TestPlanSweepPartitionProperty(t *testing.T) {
 							trial, configs[i], plan.LineSize)
 					}
 				}
-				if e.Analytic != (got == "analytic") {
-					t.Fatalf("trial %d: entry %d Analytic=%v but leg is %s", trial, i, e.Analytic, got)
-				}
 			}
 			if answered != len(plan.Analytic)+len(plan.Emulated) {
 				t.Fatalf("trial %d: %d canonical configs but legs hold %d+%d",
@@ -124,6 +124,76 @@ func TestPlanSweepPartitionProperty(t *testing.T) {
 			}
 			if plan.Passes() > 1 || (n > 0 && plan.Passes() != 1) {
 				t.Fatalf("trial %d: plan wants %d passes", trial, plan.Passes())
+			}
+			checkEmulatorGroups(t, fmt.Sprintf("trial %d engine %v", trial, engine), plan)
+		}
+	}
+}
+
+// checkEmulatorGroups holds plan.Groups to TestPlanSweepPartitionProperty's
+// group properties, building each emulated config's Dragonhead to ask
+// dragonhead.Chain itself.
+func checkEmulatorGroups(t *testing.T, tag string, plan *SweepPlan) {
+	t.Helper()
+	pos := make(map[int]int, len(plan.Emulated)) // config index -> place in Emulated
+	emus := make(map[int]*dragonhead.Emulator, len(plan.Emulated))
+	for k, i := range plan.Emulated {
+		pos[i] = k
+		if d, err := bankedConfig(plan.Configs[i]); err == nil {
+			emus[i], _ = dragonhead.New(d) // nil: no snooper, no chain
+		}
+	}
+	seen, prevFirst := 0, -1
+	var lone []int
+	for _, g := range plan.Groups {
+		first := len(plan.Emulated)
+		for _, i := range g {
+			k, ok := pos[i]
+			if !ok {
+				t.Fatalf("%s: group %v holds config %d, not in the emulated leg", tag, g, i)
+			}
+			delete(pos, i)
+			first = min(first, k)
+		}
+		if first <= prevFirst {
+			t.Fatalf("%s: groups %v out of first-appearance order in %v", tag, plan.Groups, plan.Emulated)
+		}
+		prevFirst, seen = first, seen+len(g)
+		if len(g) == 1 {
+			lone = append(lone, g[0])
+			continue
+		}
+		rungs := make([]*dragonhead.Emulator, len(g))
+		for k, i := range g {
+			if rungs[k] = emus[i]; rungs[k] == nil {
+				t.Fatalf("%s: group %v holds config %d, which no Dragonhead emulates", tag, g, i)
+			}
+			if k == 0 {
+				continue
+			}
+			a, b := rungs[k-1].Config(), rungs[k].Config()
+			if a.LLC.LineSize != b.LLC.LineSize || a.LLC.Assoc != b.LLC.Assoc || a.Banks != b.Banks || a.LLC.Size >= b.LLC.Size {
+				t.Fatalf("%s: group %v: rung %+v after %+v", tag, g, b, a)
+			}
+		}
+		if _, err := dragonhead.Chain(rungs...); err != nil {
+			t.Fatalf("%s: group %v refused by dragonhead.Chain: %v", tag, g, err)
+		}
+	}
+	if seen != len(plan.Emulated) || len(pos) != 0 {
+		t.Fatalf("%s: groups %v do not partition the emulated leg %v", tag, plan.Groups, plan.Emulated)
+	}
+	for a, i := range lone {
+		for _, j := range lone[a+1:] {
+			lo, hi := emus[i], emus[j]
+			if lo == nil || hi == nil {
+				continue
+			}
+			if lo.Config().LLC.Size > hi.Config().LLC.Size {
+				lo, hi = hi, lo
+			}
+			if _, err := dragonhead.Chain(lo, hi); err == nil {
+				t.Fatalf("%s: lone configs %d and %d could have chained", tag, i, j)
 			}
 		}
 	}

@@ -4,8 +4,8 @@
 // the FSB, emulate on Dragonhead, read the CB counters — and every
 // sweep entry point runs the same four steps, each written once:
 //
-//	plan    PlanSweep on the flattened grids: geometry dedupe and the
-//	        analytic/emulated partition (plan.go)
+//	plan    PlanSweep on the flattened grids: geometry dedupe, the
+//	        analytic/emulated partition and the emulator groups (plan.go)
 //	source  the live bus, or the memoized stream of a trace store —
 //	        runNamed / openTrace (core.go, replay.go)
 //	pass    one pass over the source feeding every answerer: the exact
@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -35,10 +34,12 @@ import (
 
 // LLCSweep runs the named workload once while answering every given LLC
 // configuration on one pass over its bus stream. It is the reference
-// route: one Dragonhead per distinct geometry, all snooping the same
-// execution, shared out over the host's cores by the bus like the
-// paper's decoupled FPGA consumers — the one entry point that does not
-// plan. WithSampling routes to the fast tier (estimates).
+// route: it plans under EngineEmulate, so every distinct geometry is
+// emulated — a ladder of sizes by one Dragonhead chain, any other
+// geometry by a Dragonhead of its own — all snooping the same execution,
+// shared out over the host's cores by the bus like the paper's
+// decoupled FPGA consumers. WithSampling routes to the fast tier
+// (estimates).
 func LLCSweep(name string, p workloads.Params, pc PlatformConfig, llcs []cache.Config, opts ...RunOption) ([]LLCResult, RunSummary, error) {
 	ro := applyOpts(append([]RunOption{WithEngine(EngineEmulate)}, opts...))
 	res, _, sum, err := sweep(name, p, pc, [][]cache.Config{llcs}, nil, nil, ro)
@@ -151,7 +152,7 @@ func sweep(name string, p workloads.Params, pc PlatformConfig, grids [][]cache.C
 	collect := ro.span.StartChild("collect")
 	results := make([]LLCResult, len(flat))
 	for i, cfg := range flat {
-		results[i] = pass.result(plan.Entries[i].Canonical)
+		results[i] = pass.result(plan.Entries[i])
 		results[i].LLC = cfg
 		ro.step(Progress{Phase: PhaseConfig, Config: cfg.Name, Done: i + 1, Total: len(flat)})
 	}
@@ -214,9 +215,9 @@ func (o runOpts) reportSweep(kind, name string, p workloads.Params, pc PlatformC
 }
 
 // exactPass answers a plan bit-exactly: one Mattson engine tracking
-// the analytic leg's geometries, one Dragonhead per emulated geometry
-// and one timing hierarchy per hierarchy config, all co-snoopers of a
-// single bus pass with the sweep's observers.
+// the analytic leg's geometries, one snooper per emulator group of the
+// plan and one timing hierarchy per hierarchy config, all co-snoopers of
+// a single bus pass with the sweep's observers.
 type exactPass struct {
 	eng      *oracle.Engine
 	tracked  []*oracle.Tracked      // by config index; nil off the analytic leg
@@ -261,27 +262,37 @@ func newExactPass(plan *SweepPlan, observers []fsb.Snooper, ro runOpts) (sweepPa
 		x.eng = eng
 		x.snoopers = append(x.snoopers, eng)
 	}
-	var emus []*dragonhead.Emulator
-	for _, i := range plan.Emulated {
-		dcfg, err := bankedConfig(flat[i])
+	// Each group of the plan is one snooper, but for the bank shards of
+	// WithBankShards, which dragonhead.Chainable keeps out of a chain:
+	// their members run alone.
+	chains := 0
+	for _, g := range plan.Groups {
+		emus := make([]*dragonhead.Emulator, len(g))
+		for k, i := range g {
+			dcfg, err := bankedConfig(flat[i])
+			if err != nil {
+				return nil, err
+			}
+			dcfg.Shards, dcfg.Telemetry, dcfg.Trace = ro.shardCount(dcfg.Banks), reg, ro.span
+			if emus[k], err = dragonhead.New(dcfg); err != nil {
+				return nil, fmt.Errorf("core: LLC %s: %w", flat[i].Name, err)
+			}
+			x.emus[i] = emus[k]
+		}
+		if len(g) == 1 || dragonhead.Chainable(emus[0].Config()) != nil {
+			for _, e := range emus {
+				x.snoopers = append(x.snoopers, e)
+			}
+			continue
+		}
+		ch, err := dragonhead.Chain(emus...)
 		if err != nil {
 			return nil, err
 		}
-		dcfg.Shards = ro.shardCount(dcfg.Banks)
-		dcfg.Telemetry = reg
-		dcfg.Trace = ro.span
-		if x.emus[i], err = dragonhead.New(dcfg); err != nil {
-			return nil, fmt.Errorf("core: LLC %s: %w", flat[i].Name, err)
-		}
-		emus = append(emus, x.emus[i])
+		x.snoopers, chains = append(x.snoopers, ch), chains+1
 	}
-	answerers, chains, err := chainEmulators(emus)
-	if err != nil {
-		return nil, err
-	}
-	ro.span.SetAttr("dragonheads", strconv.Itoa(len(emus)))
+	ro.span.SetAttr("dragonheads", strconv.Itoa(len(plan.Emulated)))
 	ro.span.SetAttr("emulator_chains", strconv.Itoa(chains))
-	x.snoopers = append(x.snoopers, answerers...)
 	machines, stages, err := hier.New(plan.Hiers...)
 	if err != nil {
 		return nil, err
@@ -291,40 +302,6 @@ func newExactPass(plan *SweepPlan, observers []fsb.Snooper, ro runOpts) (sweepPa
 	x.machines = machines
 	x.snoopers = append(append(x.snoopers, stages...), observers...)
 	return x, nil
-}
-
-// chainEmulators returns the snoopers that answer emus, in their order,
-// and how many are chains: chainable emulators that agree on line size,
-// associativity and banks run as one dragonhead.Chain when two or more
-// do, in the first one's place; every other emulator runs alone.
-func chainEmulators(emus []*dragonhead.Emulator) ([]fsb.Snooper, int, error) {
-	key := func(e *dragonhead.Emulator) [3]uint64 {
-		c := e.Config()
-		return [3]uint64{c.LLC.LineSize, uint64(c.LLC.Assoc), uint64(c.Banks)}
-	}
-	groups := make(map[[3]uint64][]*dragonhead.Emulator)
-	for _, e := range emus {
-		if dragonhead.Chainable(e) == nil {
-			groups[key(e)] = append(groups[key(e)], e)
-		}
-	}
-	var out []fsb.Snooper
-	chains := 0
-	for _, e := range emus {
-		switch g := groups[key(e)]; {
-		case dragonhead.Chainable(e) != nil || len(g) == 1:
-			out = append(out, e)
-		case len(g) > 1:
-			sort.Slice(g, func(a, b int) bool { return g[a].Config().LLC.Size < g[b].Config().LLC.Size })
-			ch, err := dragonhead.Chain(g...)
-			if err != nil {
-				return nil, 0, err
-			}
-			out, chains = append(out, ch), chains+1
-			groups[key(e)] = nil // the rest of the group rides in ch
-		}
-	}
-	return out, chains, nil
 }
 
 func (x *exactPass) run(name string, p workloads.Params, pc PlatformConfig, ro runOpts) (RunSummary, error) {

@@ -182,7 +182,9 @@ func TestReplaySpansAndEquivalence(t *testing.T) {
 // of eight Dragonheads, and its line-and-policy grid (seven line sizes,
 // FIFO and Random at 64 B) is nine lone Dragonheads: its one 64 B LRU
 // config is too small a family for the analytic leg, and no two of the
-// nine agree on line size, policy and associativity.
+// nine agree on line size, policy and associativity. A four-bank
+// two-size ladder is one chain, but under WithBankShards(2) its two
+// Dragonheads run alone, and read as the chain does.
 func TestEmulatorChainAttrs(t *testing.T) {
 	p := workloads.Params{Seed: 3, Scale: 0.002}
 	pc := PlatformConfig{Threads: 2, Seed: 3}
@@ -193,29 +195,49 @@ func TestEmulatorChainAttrs(t *testing.T) {
 		c.Repl = repl
 		linePolicy = append(linePolicy, c)
 	}
+	ladder := []cache.Config{
+		{Name: "16K", Size: 16 << 10, LineSize: 64, Assoc: 8},
+		{Name: "64K", Size: 64 << 10, LineSize: 64, Assoc: 8},
+	}
+	results := make(map[string][]LLCResult)
 	for _, tc := range []struct {
 		name                string
-		sweep               func(RunOption) error
+		sweep               func(RunOption) ([]LLCResult, error)
 		dragonheads, chains string
 	}{
-		{"live ladder", func(o RunOption) error {
-			_, _, err := LLCSweep("SHOT", p, pc, liveLadder(), o)
-			return err
+		{"live ladder", func(o RunOption) ([]LLCResult, error) {
+			res, _, err := LLCSweep("SHOT", p, pc, liveLadder(), o)
+			return res, err
 		}, "8", "1"},
-		{"line and policy grid", func(o RunOption) error {
-			_, _, err := CombinedSweep("SHOT", p, pc, [][]cache.Config{linePolicy}, o)
-			return err
+		{"line and policy grid", func(o RunOption) ([]LLCResult, error) {
+			res, _, err := CombinedSweep("SHOT", p, pc, [][]cache.Config{linePolicy}, o)
+			return res[0], err
 		}, "9", "0"},
+		{"two-size ladder", func(o RunOption) ([]LLCResult, error) {
+			res, _, err := LLCSweep("SHOT", p, pc, ladder, o)
+			return res, err
+		}, "2", "1"},
+		{"sharded two-size ladder", func(o RunOption) ([]LLCResult, error) {
+			res, _, err := LLCSweep("SHOT", p, pc, ladder, o, WithBankShards(2))
+			return res, err
+		}, "2", "0"},
 	} {
 		var buf, prog bytes.Buffer
-		if err := tc.sweep(WithTelemetry(sinkForTest(&buf, &prog))); err != nil {
+		res, err := tc.sweep(WithTelemetry(sinkForTest(&buf, &prog)))
+		if err != nil {
 			t.Fatal(err)
 		}
+		results[tc.name] = res
 		a := decodeManifests(t, &buf)[0].Trace.Attrs
 		if a["dragonheads"] != tc.dragonheads || a["emulator_chains"] != tc.chains {
 			t.Errorf("%s: root attrs %v, want %s dragonheads in %s chains", tc.name, a, tc.dragonheads, tc.chains)
 		}
 	}
+	chained := results["two-size ladder"]
+	if chained[0].Stats.Accesses == 0 {
+		t.Fatal("two-size ladder: no LLC accesses, so the sharded comparison is vacuous")
+	}
+	requireLLCResultsEqual(t, "sharded two-size ladder", chained, results["sharded two-size ladder"])
 }
 
 // TestSmallFamilyRunsAsOneChain: a two-size 64 B ladder — a served

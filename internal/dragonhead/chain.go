@@ -8,15 +8,17 @@ import (
 	"cmpmem/internal/trace"
 )
 
-// Chainable reports why e cannot be a rung of a Chain, or nil: a rung is
-// shared, serial, LRU and unsectored, with 1 to 64 ways (an MRU hint).
-func Chainable(e *Emulator) error {
-	c, why := e.cfg, ""
+// Chainable reports why an emulator of c cannot be a rung of a Chain,
+// or nil: a rung is shared, serial, LRU and unsectored, with 1 to 64
+// ways (an MRU hint). It is the one chain rule: the sweep planner groups
+// configs by it, and Chain checks each rung's resolved Config with it.
+func Chainable(c Config) error {
+	why := ""
 	switch {
 	case c.PrivatePerCore > 0:
 		why = "the private organisation"
-	case e.nshards > 1:
-		why = fmt.Sprintf("%d bank shards", e.nshards)
+	case c.Shards > 1:
+		why = fmt.Sprintf("%d bank shards", c.Shards)
 	case c.LLC.Repl != cache.LRU:
 		why = c.LLC.Repl.String() + " replacement"
 	case c.LLC.SectorSize != 0:
@@ -31,16 +33,16 @@ func Chainable(e *Emulator) error {
 
 // Chain returns one snooper that answers a ladder of emulators on one
 // walk of each stretch (cache.AccessChain; DESIGN.md §5). Each must be
-// Chainable, match the one before in line size, associativity and bank
-// count, and be strictly larger; each reads exactly as if it had
-// snooped alone.
+// Chainable as New resolved it (one shard), match the one before in line
+// size, associativity and bank count, and be strictly larger; each reads
+// exactly as if it had snooped alone.
 func Chain(emus ...*Emulator) (fsb.Snooper, error) {
 	if len(emus) == 0 {
 		return nil, fmt.Errorf("dragonhead: empty chain")
 	}
 	ch := &chain{emus: emus}
 	for i, e := range emus {
-		if err := Chainable(e); err != nil {
+		if err := Chainable(e.cfg); err != nil {
 			return nil, err
 		}
 		p, c := emus[max(i-1, 0)].cfg, e.cfg // the first rung against itself
