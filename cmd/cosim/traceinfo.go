@@ -22,7 +22,6 @@ import (
 
 	"cmpmem/internal/core"
 	"cmpmem/internal/fsb"
-	"cmpmem/internal/mem"
 	"cmpmem/internal/stackdist"
 	"cmpmem/internal/trace"
 	"cmpmem/internal/traceutil"
@@ -62,7 +61,7 @@ func traceinfo(w io.Writer, names []string, p workloads.Params, threads, windows
 			return []fsb.Snooper{core.RefSnooper(func(r trace.Ref) {
 				prof.col.Add(r)
 				if prof.sd != nil {
-					recordLines(prof.sd, r)
+					prof.sd.RecordRef(r)
 				}
 			})}, nil
 		},
@@ -94,15 +93,6 @@ func traceinfo(w io.Writer, names []string, p workloads.Params, threads, windows
 			io.WriteString(w, profs[i].reuse.String())
 		}
 		return nil
-	}
-}
-
-// recordLines files one in-window transaction as the analytic engine
-// regulates it: one request per 64 B line it touches.
-func recordLines(a *stackdist.Analyzer, r trace.Ref) {
-	first, last := r.Units(6)
-	for ln := first; ln <= last; ln++ {
-		a.Record(mem.Addr(ln << 6))
 	}
 }
 

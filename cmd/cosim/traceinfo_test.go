@@ -223,7 +223,7 @@ func TestSummaryByHand(t *testing.T) {
 	for _, depth := range []int{64, 2} {
 		a := stackdist.New(64, depth)
 		for _, r := range refs {
-			recordLines(a, r)
+			a.RecordRef(r)
 		}
 		if a.Total() != 13 || a.Cold() != 10 || a.DistinctLines() != 10 {
 			t.Fatalf("depth %d: %d requests, %d cold, %d lines; want 13, 10, 10",
@@ -249,8 +249,8 @@ func TestSummaryByHand(t *testing.T) {
 	// A straddler is one request per line it touches; a zero size is
 	// one byte.
 	a := stackdist.New(64, 64)
-	recordLines(a, trace.Ref{Addr: 63, Size: 2})
-	recordLines(a, trace.Ref{Addr: 128, Size: 0})
+	a.RecordRef(trace.Ref{Addr: 63, Size: 2})
+	a.RecordRef(trace.Ref{Addr: 128, Size: 0})
 	if a.Total() != 3 || a.DistinctLines() != 3 {
 		t.Errorf("straddler and zero size: %d requests to %d lines, want 3 and 3", a.Total(), a.DistinctLines())
 	}

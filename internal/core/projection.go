@@ -20,7 +20,6 @@ import (
 	"cmpmem/internal/fsb"
 	"cmpmem/internal/hier"
 	"cmpmem/internal/stackdist"
-	"cmpmem/internal/trace"
 	"cmpmem/internal/workloads"
 )
 
@@ -58,7 +57,7 @@ func ProjectionExhibits(names []string, p workloads.Params, cores int) ([]Projec
 		Snoopers: func(w int) ([]fsb.Snooper, error) {
 			an := stackdist.New(64, 1<<22)
 			analyzers[w] = an
-			return []fsb.Snooper{&captureSnooper{fn: func(r trace.Ref) { an.Record(r.Addr) }}}, nil
+			return []fsb.Snooper{RefSnooper(an.RecordRef)}, nil
 		},
 		Row: func(w int, _ Answer) {
 			// The histogram is 32 MB: it goes with its execution.

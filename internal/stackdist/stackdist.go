@@ -35,6 +35,7 @@ import (
 	"math/bits"
 
 	"cmpmem/internal/mem"
+	"cmpmem/internal/trace"
 )
 
 // Infinite is the distance reported for a cold (first-ever) reference.
@@ -183,6 +184,15 @@ func (a *Analyzer) compact() {
 func (a *Analyzer) Record(addr mem.Addr) uint32 {
 	d, _ := a.RecordTagged(addr, 0)
 	return d
+}
+
+// RecordRef records one bus transaction as the analytic engine regulates
+// it: one reference per line it covers, in address order.
+func (a *Analyzer) RecordRef(r trace.Ref) {
+	first, last := r.Units(a.lineShift)
+	for ln := first; ln <= last; ln++ {
+		a.Record(mem.Addr(ln << a.lineShift))
+	}
 }
 
 // RecordTagged is Record for a caller that keeps one uint32 of its own
