@@ -71,7 +71,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 // the document lowers it to the new length, and no change raises it:
 // the design is one section per pipeline stage, with history in
 // CHANGES.md.
-const designLines = 898
+const designLines = 897
 
 // TestDesignLineCeiling holds DESIGN.md to exactly designLines lines:
 // longer fails, and so does shorter, so the ceiling only falls.

@@ -96,22 +96,41 @@ func TestAccessBatchEquivalence(t *testing.T) {
 }
 
 // TestAccessBatchWithPrefetch exercises the pfLive-gated flag path: a
-// prefetched line's first demand hit must clear the prefetch bit even
-// when reached through the batch loop's load fast path.
+// prefetched line's first demand load must clear the prefetch bit and
+// bookkeep pfLive through every route — the batch loop and Access and
+// Touch, whose load-hit early-out is gated on pfLive — whether it hits
+// the set's MRU hint (B, filled last) or the scan (A).
 func TestAccessBatchWithPrefetch(t *testing.T) {
-	c, err := New(Config{Name: "pf", Size: 1 << 12, LineSize: 64, Assoc: 4})
-	if err != nil {
-		t.Fatal(err)
+	const A, B = mem.Addr(0x1000), mem.Addr(0x1400) // the same set of 16
+	routes := map[string]func(c *Cache, a mem.Addr) bool{
+		"AccessBatch": func(c *Cache, a mem.Addr) bool {
+			return c.AccessBatch([]trace.Ref{{Addr: a, Size: 8, Kind: mem.Load}}) != 0
+		},
+		"Access": func(c *Cache, a mem.Addr) bool { return c.Access(a, 8, mem.Load, 0) != 0 },
+		"Touch":  func(c *Cache, a mem.Addr) bool { return c.Touch(a, mem.Load, 0) },
 	}
-	if !c.Fill(0x1000, 0) {
-		t.Fatal("Fill of empty cache returned false")
-	}
-	if c.AccessBatch([]trace.Ref{{Addr: 0x1000, Size: 8, Kind: mem.Load, Core: 0}}) != 0 {
-		t.Fatal("prefetched line should hit")
-	}
-	// The PF bit must have been cleared by the batch hit: a later
-	// TouchPF reports no prefetch attribution.
-	if _, pfHit := c.TouchPF(0x1000, mem.Load, 0); pfHit {
-		t.Error("prefetch bit survived a demand hit through AccessBatch")
+	for name, load := range routes {
+		c, err := New(Config{Name: "pf", Size: 1 << 12, LineSize: 64, Assoc: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.Fill(A, 0) || !c.Fill(B, 0) {
+			t.Fatal("Fill of empty cache returned false")
+		}
+		for live, a := range []mem.Addr{A, B} {
+			if load(c, a) {
+				t.Fatalf("%s: prefetched line %#x should hit", name, a)
+			}
+			if c.pfLive != 1-live {
+				t.Errorf("%s: pfLive = %d after the demand hit on %#x, want %d", name, c.pfLive, a, 1-live)
+			}
+		}
+		// Both PF bits must have been cleared by the demand hits: a later
+		// TouchPF reports no prefetch attribution.
+		for _, a := range []mem.Addr{A, B} {
+			if _, pfHit := c.TouchPF(a, mem.Load, 0); pfHit {
+				t.Errorf("%s: prefetch bit of %#x survived a demand hit", name, a)
+			}
+		}
 	}
 }

@@ -393,71 +393,10 @@ func (c *Cache) Access(addr mem.Addr, size uint8, kind mem.Kind, core uint8) int
 	if c.sectors != nil || endOff >= c.cfg.LineSize {
 		return accessUnits([]*Cache{c}, trace.Ref{Addr: addr, Size: size, Kind: kind, Core: core})
 	}
-	blk := uint64(addr) >> c.lineShift
-	// The overwhelmingly common case — an unsectored cache and a
-	// reference inside one line — runs here with no further calls:
-	// the same counters, replacement updates, and flag effects as
-	// touchLine with secBit 1, with the sector plumbing and the
-	// prefetch-attribution return compiled out. Touch lands here too:
-	// the hierarchy's levels and the Dragonhead's per-event route
-	// (OnRef, the private organisation) pay this body plus one frame.
-	set := blk & c.setMask
-	base := int(set) * c.assoc
-	st := &c.stats
-	st.Accesses++
-	st.PerCoreAccesses[core]++
-	if kind == mem.Load {
-		st.Loads++
-	} else {
-		st.Stores++
+	if miss, _ := c.touchLine(uint64(addr)>>c.lineShift, 1, kind, core); miss {
+		return 1
 	}
-
-	if c.rankPath {
-		if c.mruTag[set] == blk {
-			// Repeat access: rank already 0 under LRU, no tag-array walk.
-			if kind == mem.Load && c.pfLive == 0 {
-				return 0 // no flag side effects possible
-			}
-			c.hitFlags(base+int(c.mru[set]), kind)
-			return 0
-		}
-		tags := c.tags[base : base+c.assoc]
-		for i, t := range tags {
-			if t != blk {
-				continue
-			}
-			if c.repl == LRU {
-				c.promote(int(set), i)
-			}
-			c.mruTag[set] = blk
-			c.mru[set] = uint8(i)
-			if kind != mem.Load || c.pfLive != 0 {
-				c.hitFlags(base+i, kind)
-			}
-			return 0
-		}
-	} else {
-		tags := c.tags[base : base+c.assoc]
-		for i, t := range tags {
-			if t != blk {
-				continue
-			}
-			if c.repl == LRU && i > 0 {
-				c.rotate(base, i)
-				i = 0
-			}
-			if kind != mem.Load || c.pfLive != 0 {
-				c.hitFlags(base+i, kind)
-			}
-			return 0
-		}
-	}
-
-	c.missAccounting(kind, core)
-	st.SectorFetches++
-	st.TrafficBytes += c.cfg.LineSize
-	c.insert(int(set), base, blk, kind == mem.Store, false, 1)
-	return 1
+	return 0
 }
 
 // accessUnits is the per-unit route for sectored caches, straddling
@@ -483,8 +422,10 @@ func accessUnits(banks []*Cache, r trace.Ref) int {
 
 // hitFlags applies the flag side effects of a hit on the way at flat
 // index idx: clear the prefetch bit (bookkeeping pfLive), set dirty on
-// stores, and write the byte back only when it changed.
-func (c *Cache) hitFlags(idx int, kind mem.Kind) {
+// stores, and write the byte back only when it changed — the steady
+// state is a pure load. It reports whether the line was prefetched and
+// not yet demand-hit.
+func (c *Cache) hitFlags(idx int, kind mem.Kind) bool {
 	f := c.flags[idx]
 	nf := f &^ flagPF
 	if kind == mem.Store {
@@ -496,6 +437,7 @@ func (c *Cache) hitFlags(idx int, kind mem.Kind) {
 		}
 		c.flags[idx] = nf
 	}
+	return f&flagPF != 0
 }
 
 // secBitOf returns the sector valid-bit for addr (1 when unsectored).
@@ -552,7 +494,6 @@ func AccessBanked(banks []*Cache, refs []trace.Ref) int {
 	bankMask := uint64(len(banks) - 1)
 	bankShift := uint(bits.TrailingZeros(uint(len(banks))))
 	core := uint8(0) // every bank's pending run belongs to this core
-next:
 	for i := range refs {
 		r := &refs[i]
 		if uint64(r.Addr)&(lineSize-1)+uint64(r.Size)-1 >= lineSize {
@@ -571,6 +512,8 @@ next:
 			c.runLoads++
 		}
 		set := blk & c.setMask
+		// A hint hit leaves here, before find: merged into find's path it
+		// cost replay-emulate a fifth of its sweep time.
 		if c.mruTag[set] == blk {
 			if r.Kind != mem.Load || c.pfLive != 0 {
 				c.hitFlags(int(set)*c.assoc+int(c.mru[set]), r.Kind)
@@ -578,19 +521,11 @@ next:
 			continue
 		}
 		base := int(set) * c.assoc
-		for w, t := range c.tags[base : base+c.assoc] {
-			if t != blk {
-				continue
-			}
-			if c.repl == LRU {
-				c.promote(int(set), w)
-			}
-			c.mruTag[set] = blk
-			c.mru[set] = uint8(w)
+		if w := c.find(set, base, blk); w >= 0 {
 			if r.Kind != mem.Load || c.pfLive != 0 {
 				c.hitFlags(base+w, r.Kind)
 			}
-			continue next
+			continue
 		}
 		// Miss-side counters are rare enough to stay direct.
 		c.missAccounting(r.Kind, r.Core)
@@ -688,20 +623,6 @@ func (c *Cache) TouchPF(addr mem.Addr, kind mem.Kind, core uint8) (miss, pfHit b
 	return c.touchLine(uint64(addr)>>c.lineShift, c.secBitOf(addr), kind, core)
 }
 
-// Contains reports whether the line holding addr is resident, without
-// touching LRU state or counters.
-func (c *Cache) Contains(addr mem.Addr) bool {
-	blk := uint64(addr) >> c.lineShift
-	base := int(blk&c.setMask) * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	for _, t := range tags {
-		if t == blk {
-			return true
-		}
-	}
-	return false
-}
-
 // touchLine performs the lookup and returns (miss, first-hit-on-prefetch).
 // secBit identifies the accessed sector within the line (always 1 for
 // unsectored caches).
@@ -717,57 +638,12 @@ func (c *Cache) touchLine(blk uint64, secBit uint64, kind mem.Kind, core uint8) 
 		st.Stores++
 	}
 
-	tags := c.tags[base : base+c.assoc]
-	way := -1
-	if c.rankPath {
-		// Repeat-access fast path (see the mruTag field comment).
-		if c.mruTag[set] == blk {
-			way = int(c.mru[set])
-		} else {
-			for i, t := range tags {
-				if t != blk {
-					continue
-				}
-				if c.repl == LRU {
-					c.promote(int(set), i)
-				}
-				c.mruTag[set] = blk
-				c.mru[set] = uint8(i)
-				way = i
-				break
-			}
+	if way := c.find(set, base, blk); way >= 0 {
+		if kind == mem.Load && c.pfLive == 0 && c.sectors == nil {
+			return false, false // no flag side effects possible
 		}
-	} else {
-		for i, t := range tags {
-			if t != blk {
-				continue
-			}
-			if c.repl == LRU && i > 0 {
-				c.rotate(base, i)
-				i = 0
-			}
-			way = i
-			break
-		}
-	}
-	if way >= 0 {
-		// Hit effects: clear the prefetch bit, set dirty on stores, and
-		// write the flag byte back only when it changed — the steady
-		// state is a pure load. A sectored tag hit whose sector is absent
-		// then fetches that sector as a miss.
 		idx := base + way
-		f := c.flags[idx]
-		pfHit := f&flagPF != 0
-		nf := f &^ flagPF
-		if kind == mem.Store {
-			nf |= flagDirty
-		}
-		if nf != f {
-			if pfHit {
-				c.pfLive--
-			}
-			c.flags[idx] = nf
-		}
+		pfHit := c.hitFlags(idx, kind)
 		if c.sectors != nil && c.sectors[idx]&secBit == 0 {
 			// Tag hit, data absent: fetch just this sector.
 			c.sectors[idx] |= secBit
@@ -790,6 +666,40 @@ func (c *Cache) touchLine(blk uint64, secBit uint64, kind mem.Kind, core uint8) 
 	}
 	c.insert(int(set), base, blk, kind == mem.Store, false, secBit)
 	return true, false
+}
+
+// find returns the way of the set at base that holds blk, or -1, and
+// makes a hit the most recent under LRU: the one tag walk. On the rank
+// path it tries the MRU hint first (see the mruTag field comment), then
+// scans, promotes and re-hints; above 64 ways it rotates the hit to
+// slot 0.
+func (c *Cache) find(set uint64, base int, blk uint64) int {
+	if c.rankPath {
+		if c.mruTag[set] == blk {
+			return int(c.mru[set])
+		}
+		for i, t := range c.tags[base : base+c.assoc] {
+			if t == blk {
+				if c.repl == LRU {
+					c.promote(int(set), i)
+				}
+				c.mruTag[set] = blk
+				c.mru[set] = uint8(i)
+				return i
+			}
+		}
+		return -1
+	}
+	for i, t := range c.tags[base : base+c.assoc] {
+		if t == blk {
+			if c.repl == LRU && i > 0 {
+				c.rotate(base, i)
+				i = 0
+			}
+			return i
+		}
+	}
+	return -1
 }
 
 // promote moves way's rank to 0 (MRU), aging every way that was more
@@ -986,15 +896,4 @@ func (c *Cache) Snapshot() [][]uint64 {
 		out[s] = tags
 	}
 	return out
-}
-
-// ResidentLines returns the number of valid lines (for occupancy tests).
-func (c *Cache) ResidentLines() int {
-	n := 0
-	for _, t := range c.tags {
-		if t != invalidTag {
-			n++
-		}
-	}
-	return n
 }

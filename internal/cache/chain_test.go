@@ -72,25 +72,14 @@ func checkChain(t *testing.T, c chainCase) {
 	for _, banks := range alone {
 		AccessBanked(banks, c.refs)
 	}
-	mask := uint64(c.banks - 1)
-	shift := uint(0)
-	for b := c.banks; b > 1; b >>= 1 {
-		shift++
-	}
 	for k := range chain {
 		what := fmt.Sprintf("%d banks, assoc %d, rung %d", c.banks, c.rungs[k].Assoc, k)
 		for b := range chain[k] {
 			if g, w := *chain[k][b].Stats(), *alone[k][b].Stats(); !reflect.DeepEqual(g, w) {
 				t.Fatalf("%s: bank %d Stats diverge\nchain: %+v\nalone: %+v", what, b, g, w)
 			}
-		}
-		for _, r := range c.refs {
-			last := uint64(r.Addr) + uint64(max(r.Size, 1)) - 1
-			for line := uint64(r.Addr) >> 4; line <= last>>4; line++ {
-				a := mem.Addr(line >> shift << 4)
-				if g, w := chain[k][line&mask].Contains(a), alone[k][line&mask].Contains(a); g != w {
-					t.Fatalf("%s: line %#x resident %v in the chain, %v alone", what, line, g, w)
-				}
+			if g, w := chain[k][b].Snapshot(), alone[k][b].Snapshot(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: bank %d contents diverge\nchain: %v\nalone: %v", what, b, g, w)
 			}
 		}
 	}

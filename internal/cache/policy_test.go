@@ -43,10 +43,10 @@ func TestFIFOIgnoresHits(t *testing.T) {
 		c.Access(A, 8, mem.Load, 0)   // hit: refresh under LRU only
 		c.Access(256, 8, mem.Load, 0) // force one eviction
 	}
-	if !lru.Contains(A) || lru.Contains(B) {
+	if !resident(lru, A) || resident(lru, B) {
 		t.Error("LRU should keep refreshed A and evict B")
 	}
-	if fifo.Contains(A) || !fifo.Contains(B) {
+	if resident(fifo, A) || !resident(fifo, B) {
 		t.Error("FIFO should evict oldest-filled A and keep B")
 	}
 }
@@ -114,7 +114,7 @@ func TestPoliciesShareAccounting(t *testing.T) {
 		if s.Writebacks > s.Evictions {
 			t.Errorf("%v: more writebacks than evictions", p)
 		}
-		if got := c.ResidentLines(); got > 16 {
+		if got := residentLines(c); got > 16 {
 			t.Errorf("%v: %d resident lines in a 16-line cache", p, got)
 		}
 	}

@@ -55,26 +55,6 @@ func (s *Series) YAt(x float64) (float64, error) {
 	return 0, fmt.Errorf("metrics: series %q has no point at x=%g", s.Name, x)
 }
 
-// Knee returns the smallest x at which y falls to within `ratio` of the
-// final (largest-x) value — the working-set knee used to read
-// Figures 4-6. The series must be ordered by increasing x. When no
-// earlier point crosses the threshold (a still-falling curve, or a
-// ratio below 1 that even the final point cannot meet), the knee is the
-// final point's x: the sweep never saw the curve flatten before its
-// largest configuration. Only an empty series has no knee.
-func (s *Series) Knee(ratio float64) (float64, bool) {
-	if len(s.Points) == 0 {
-		return 0, false
-	}
-	final := s.Points[len(s.Points)-1].Y
-	for _, p := range s.Points {
-		if p.Y <= final*ratio {
-			return p.X, true
-		}
-	}
-	return s.Points[len(s.Points)-1].X, true
-}
-
 // Flatness returns max(y)/min(y) over the series — ~1 for the flat MDS
 // curve of Figure 4. A single point is trivially flat (1) even at y=0;
 // an empty series has no flatness (0).

@@ -48,59 +48,6 @@ func TestSeriesYAt(t *testing.T) {
 	}
 }
 
-func TestKnee(t *testing.T) {
-	var s Series
-	for _, p := range []Point{{4, 100}, {8, 90}, {16, 20}, {32, 11}, {64, 10}} {
-		s.Points = append(s.Points, p)
-	}
-	// Knee at 1.2x of final value (12): first x with y <= 12 is 32.
-	if k, ok := s.Knee(1.2); !ok || k != 32 {
-		t.Errorf("Knee = %v, %v; want 32", k, ok)
-	}
-	var empty Series
-	if _, ok := empty.Knee(1.2); ok {
-		t.Error("empty series cannot have a knee")
-	}
-}
-
-// TestKneeEdgeCases pins the boundary behavior: when no earlier point
-// crosses the threshold the knee is the final point's x, never a silent
-// (0, false).
-func TestKneeEdgeCases(t *testing.T) {
-	cases := []struct {
-		name   string
-		points []Point
-		ratio  float64
-		wantX  float64
-		wantOK bool
-	}{
-		{name: "empty", points: nil, ratio: 1.2, wantX: 0, wantOK: false},
-		{name: "single point", points: []Point{{4, 10}}, ratio: 1.2, wantX: 4, wantOK: true},
-		{name: "single zero point", points: []Point{{4, 0}}, ratio: 1.2, wantX: 4, wantOK: true},
-		// Still falling at the end of the sweep: nothing is within 1.0x
-		// of the final value before the final point itself.
-		{name: "no early crossing", points: []Point{{4, 100}, {8, 50}, {16, 25}}, ratio: 1.0, wantX: 16, wantOK: true},
-		// ratio < 1 demands y strictly below the final value; even the
-		// final point fails, so the knee clamps to the last x.
-		{name: "sub-unit ratio", points: []Point{{4, 100}, {8, 50}}, ratio: 0.5, wantX: 8, wantOK: true},
-		// Non-monotonic y: a dip below the threshold counts even if the
-		// curve rises afterwards (the scan wants the smallest such x).
-		{name: "non-monotonic dip", points: []Point{{4, 100}, {8, 5}, {16, 60}, {32, 10}}, ratio: 1.0, wantX: 8, wantOK: true},
-		// Final value larger than everything before it: the first point
-		// already qualifies.
-		{name: "rising curve", points: []Point{{4, 10}, {8, 20}, {16, 40}}, ratio: 1.0, wantX: 4, wantOK: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := Series{Name: tc.name, Points: tc.points}
-			x, ok := s.Knee(tc.ratio)
-			if x != tc.wantX || ok != tc.wantOK {
-				t.Errorf("Knee(%v) = (%v, %v), want (%v, %v)", tc.ratio, x, ok, tc.wantX, tc.wantOK)
-			}
-		})
-	}
-}
-
 // TestFlatnessEdgeCases covers the degenerate series shapes.
 func TestFlatnessEdgeCases(t *testing.T) {
 	cases := []struct {
