@@ -97,9 +97,10 @@ func TestAccessBatchEquivalence(t *testing.T) {
 
 // TestAccessBatchWithPrefetch exercises the pfLive-gated flag path: a
 // prefetched line's first demand load must clear the prefetch bit and
-// bookkeep pfLive through every route — the batch loop and Access and
-// Touch, whose load-hit early-out is gated on pfLive — whether it hits
-// the set's MRU hint (B, filled last) or the scan (A).
+// bookkeep pfLive through every route — the batch loop, Access, Touch
+// and TouchPF, whose counter-only shortcut is gated on pfLive — whether
+// it hits the set's MRU hint (B, filled last, loaded first) or the scan
+// (A).
 func TestAccessBatchWithPrefetch(t *testing.T) {
 	const A, B = mem.Addr(0x1000), mem.Addr(0x1400) // the same set of 16
 	routes := map[string]func(c *Cache, a mem.Addr) bool{
@@ -108,6 +109,10 @@ func TestAccessBatchWithPrefetch(t *testing.T) {
 		},
 		"Access": func(c *Cache, a mem.Addr) bool { return c.Access(a, 8, mem.Load, 0) != 0 },
 		"Touch":  func(c *Cache, a mem.Addr) bool { return c.Touch(a, mem.Load, 0) },
+		"TouchPF": func(c *Cache, a mem.Addr) bool {
+			miss, _ := c.TouchPF(a, mem.Load, 0)
+			return miss
+		},
 	}
 	for name, load := range routes {
 		c, err := New(Config{Name: "pf", Size: 1 << 12, LineSize: 64, Assoc: 4})
@@ -117,7 +122,7 @@ func TestAccessBatchWithPrefetch(t *testing.T) {
 		if !c.Fill(A, 0) || !c.Fill(B, 0) {
 			t.Fatal("Fill of empty cache returned false")
 		}
-		for live, a := range []mem.Addr{A, B} {
+		for live, a := range []mem.Addr{B, A} {
 			if load(c, a) {
 				t.Fatalf("%s: prefetched line %#x should hit", name, a)
 			}

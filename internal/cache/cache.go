@@ -383,7 +383,10 @@ func (c *Cache) Stats() *Stats { return &c.stats }
 
 // Access performs one reference of the given size, splitting it across
 // cache lines (and sectors, when sectored) when it straddles a
-// boundary. It returns the number of misses incurred.
+// boundary. It returns the number of misses incurred. A hit that
+// changes only counters (countOnly) is counted here and costs no call:
+// the timing hierarchy's DL1 takes every reference through here
+// (Touch).
 func (c *Cache) Access(addr mem.Addr, size uint8, kind mem.Kind, core uint8) int {
 	// One bound covers both off-ramps: a zero size wraps the end offset
 	// to 2^64-1, and a straddling reference pushes it past the line —
@@ -393,7 +396,12 @@ func (c *Cache) Access(addr mem.Addr, size uint8, kind mem.Kind, core uint8) int
 	if c.sectors != nil || endOff >= c.cfg.LineSize {
 		return accessUnits([]*Cache{c}, trace.Ref{Addr: addr, Size: size, Kind: kind, Core: core})
 	}
-	if miss, _ := c.touchLine(uint64(addr)>>c.lineShift, 1, kind, core); miss {
+	blk := uint64(addr) >> c.lineShift
+	if c.rankPath && c.countOnly(blk&c.setMask, blk, kind) {
+		c.stats.count(kind, core)
+		return 0
+	}
+	if miss, _ := c.touchLine(blk, 1, kind, core); miss {
 		return 1
 	}
 	return 0
@@ -440,6 +448,27 @@ func (c *Cache) hitFlags(idx int, kind mem.Kind) bool {
 	return f&flagPF != 0
 }
 
+// countOnly reports whether a reference of kind to blk, in set, hits the
+// set's MRU hint with no effect but on counters: no line is prefetched,
+// and it is a load or a store to a dirty line. Nothing then moves — the
+// hinted way is already the most recent — so only the access is counted.
+// Rank path only; the banked kernels and Access test it inline.
+func (c *Cache) countOnly(set, blk uint64, kind mem.Kind) bool {
+	return c.mruTag[set] == blk && c.pfLive == 0 &&
+		(kind == mem.Load || c.flags[int(set)*c.assoc+int(c.mru[set])]&flagDirty != 0)
+}
+
+// count tallies one access of kind, which core issued.
+func (s *Stats) count(kind mem.Kind, core uint8) {
+	s.Accesses++
+	s.PerCoreAccesses[core]++
+	if kind == mem.Load {
+		s.Loads++
+	} else {
+		s.Stores++
+	}
+}
+
 // secBitOf returns the sector valid-bit for addr (1 when unsectored).
 func (c *Cache) secBitOf(addr mem.Addr) uint64 {
 	if c.secPerLine == 1 {
@@ -454,14 +483,19 @@ func (c *Cache) AccessRef(r trace.Ref) int {
 }
 
 // AccessBatch applies a batch of references in order and returns the
-// total misses incurred: AccessBanked over this one cache. Final
-// statistics are identical to calling AccessRef per element.
+// total misses incurred: AccessBanked over this one cache, with no
+// reference left out. Final statistics are identical to calling
+// AccessRef per element.
 func (c *Cache) AccessBatch(refs []trace.Ref) int {
-	return AccessBanked([]*Cache{c}, refs)
+	_, misses := AccessBanked([]*Cache{c}, refs, ^mem.Addr(0))
+	return misses
 }
 
 // AccessBanked applies a stretch of references, in order, to an
-// address-interleaved set of caches and returns the misses incurred.
+// address-interleaved set of caches. The stretch ends before the first
+// reference whose address is above last (on the bus, a control
+// message); AccessBanked returns how many references it applied and the
+// misses they incurred.
 // len(banks) is a power of two n and the banks are built from one
 // Config, names aside: bank b holds the lines whose block number is
 // b mod n and sees the block number with those bits stripped
@@ -478,24 +512,32 @@ func (c *Cache) AccessBatch(refs []trace.Ref) int {
 // are tallied per bank as a run of the current core and flushed at a
 // core switch and at return — the DEX scheduler emits long single-core
 // runs — instead of paying three read-modify-write chains through
-// Stats per reference. Straddlers, zero sizes, sectored lines and
-// associativities above 64 take the per-unit route (accessUnits),
-// which does its own exact accounting outside the tallies.
-func AccessBanked(banks []*Cache, refs []trace.Ref) int {
+// Stats per reference. An inner loop with no call in it takes every
+// reference that changes only those tallies (countOnly, inside one
+// line, from the running core); the rest leave it for the
+// per-reference route below it and re-enter. Straddlers, zero sizes,
+// sectored lines and associativities above 64 take the per-unit route
+// (accessUnits), which does its own exact accounting outside the
+// tallies.
+func AccessBanked(banks []*Cache, refs []trace.Ref, last mem.Addr) (n, misses int) {
 	c0 := banks[0]
-	misses := 0
 	if c0.sectors != nil || !c0.rankPath {
-		for i := range refs {
-			misses += accessUnits(banks, refs[i])
+		for ; n < len(refs) && refs[n].Addr <= last; n++ {
+			misses += accessUnits(banks, refs[n])
 		}
-		return misses
+		return n, misses
 	}
 	lineSize, lineShift := c0.cfg.LineSize, c0.lineShift
 	bankMask := uint64(len(banks) - 1)
 	bankShift := uint(bits.TrailingZeros(uint(len(banks))))
 	core := uint8(0) // every bank's pending run belongs to this core
-	for i := range refs {
-		r := &refs[i]
+	for n < len(refs) {
+		n += countRun(banks, refs[n:], core, last)
+		if n == len(refs) || refs[n].Addr > last {
+			break
+		}
+		r := &refs[n]
+		n++
 		if uint64(r.Addr)&(lineSize-1)+uint64(r.Size)-1 >= lineSize {
 			misses += accessUnits(banks, *r)
 			continue
@@ -512,14 +554,6 @@ func AccessBanked(banks []*Cache, refs []trace.Ref) int {
 			c.runLoads++
 		}
 		set := blk & c.setMask
-		// A hint hit leaves here, before find: merged into find's path it
-		// cost replay-emulate a fifth of its sweep time.
-		if c.mruTag[set] == blk {
-			if r.Kind != mem.Load || c.pfLive != 0 {
-				c.hitFlags(int(set)*c.assoc+int(c.mru[set]), r.Kind)
-			}
-			continue
-		}
 		base := int(set) * c.assoc
 		if w := c.find(set, base, blk); w >= 0 {
 			if r.Kind != mem.Load || c.pfLive != 0 {
@@ -529,13 +563,37 @@ func AccessBanked(banks []*Cache, refs []trace.Ref) int {
 		}
 		// Miss-side counters are rare enough to stay direct.
 		c.missAccounting(r.Kind, r.Core)
-		c.stats.SectorFetches++
-		c.stats.TrafficBytes += lineSize
 		c.insert(int(set), base, blk, r.Kind == mem.Store, false, 1)
 		misses++
 	}
 	flushRuns(banks, core)
-	return misses
+	return n, misses
+}
+
+// countRun is the banked kernels' inner loop, and makes no call: it
+// tallies in its bank's pending run each reference, from the first on,
+// that changes only counters — at or below last, inside one line, from
+// core, and countOnly in its bank — and returns how many it took.
+func countRun(banks []*Cache, refs []trace.Ref, core uint8, last mem.Addr) int {
+	c0 := banks[0]
+	lineMask, lineShift := c0.cfg.LineSize-1, c0.lineShift
+	bankMask := uint64(len(banks) - 1)
+	bankShift := uint(bits.TrailingZeros(uint(len(banks))))
+	for i := range refs {
+		r := &refs[i]
+		line := uint64(r.Addr) >> (lineShift & 63)
+		c := banks[line&bankMask]
+		blk := line >> (bankShift & 63)
+		if r.Core != core || r.Addr > last || uint64(r.Addr)&lineMask+uint64(r.Size)-1 > lineMask ||
+			!c.countOnly(blk&c.setMask, blk, r.Kind) {
+			return i
+		}
+		c.runN++
+		if r.Kind == mem.Load {
+			c.runLoads++
+		}
+	}
+	return len(refs)
 }
 
 // flushRuns moves every bank's pending run, which core issued, into its
@@ -552,20 +610,27 @@ func flushRuns(banks []*Cache, core uint8) {
 }
 
 // AccessChain leaves every bank exactly as AccessBanked over each rung
-// alone would. rungs[k] is one AccessBanked bank set of LRU caches; the
-// rungs share line size, 1 to 64 ways and bank count, and grow strictly,
-// smallest first. A reference stops at the first rung whose MRU hint it
-// hits with no flag effect (a load or a store to a dirty line, no line
-// prefetched): no larger rung can change, and each is owed only the
-// count, at the next flush (DESIGN.md §5).
-func AccessChain(rungs [][]*Cache, refs []trace.Ref) {
+// alone would, and like it ends the stretch before the first reference
+// above last and returns how many it applied. rungs[k] is one
+// AccessBanked bank set of LRU caches; the rungs share line size, 1 to
+// 64 ways and bank count, and grow strictly, smallest first. A
+// reference stops at the first rung where it changes only counters
+// (countOnly): no larger rung can change, and each is owed only the
+// count, at the next flush (DESIGN.md §5). Stops at rung 0 take an
+// inner loop with no call in it.
+func AccessChain(rungs [][]*Cache, refs []trace.Ref, last mem.Addr) (n int) {
 	c0 := rungs[0][0]
 	lineSize, lineShift := c0.cfg.LineSize, c0.lineShift
 	bankMask := uint64(len(rungs[0]) - 1)
 	bankShift := uint(bits.TrailingZeros(uint(len(rungs[0]))))
 	core := uint8(0) // every rung's pending stops belong to this core
-	for i := range refs {
-		r := &refs[i]
+	for n < len(refs) {
+		n += countRun(rungs[0], refs[n:], core, last) // stops at rung 0
+		if n == len(refs) || refs[n].Addr > last {
+			break
+		}
+		r := &refs[n]
+		n++
 		if uint64(r.Addr)&(lineSize-1)+uint64(r.Size)-1 >= lineSize {
 			for _, banks := range rungs {
 				accessUnits(banks, *r)
@@ -580,10 +645,8 @@ func AccessChain(rungs [][]*Cache, refs []trace.Ref) {
 		bank, blk := line&bankMask, line>>bankShift
 		for _, banks := range rungs {
 			c := banks[bank]
-			set := blk & c.setMask
-			if c.mruTag[set] == blk && c.pfLive == 0 &&
-				(r.Kind == mem.Load || c.flags[int(set)*c.assoc+int(c.mru[set])]&flagDirty != 0) {
-				c.runN++ // a stop, pending as the run
+			if c.countOnly(blk&c.setMask, blk, r.Kind) {
+				c.runN++
 				if r.Kind == mem.Load {
 					c.runLoads++
 				}
@@ -593,6 +656,7 @@ func AccessChain(rungs [][]*Cache, refs []trace.Ref) {
 		}
 	}
 	flushChain(rungs, core)
+	return n
 }
 
 // flushChain owes each rung's pending stops to the same bank of every
@@ -629,15 +693,7 @@ func (c *Cache) TouchPF(addr mem.Addr, kind mem.Kind, core uint8) (miss, pfHit b
 func (c *Cache) touchLine(blk uint64, secBit uint64, kind mem.Kind, core uint8) (bool, bool) {
 	set := blk & c.setMask
 	base := int(set) * c.assoc
-	st := &c.stats
-	st.Accesses++
-	st.PerCoreAccesses[core]++
-	if kind == mem.Load {
-		st.Loads++
-	} else {
-		st.Stores++
-	}
-
+	c.stats.count(kind, core)
 	if way := c.find(set, base, blk); way >= 0 {
 		if kind == mem.Load && c.pfLive == 0 && c.sectors == nil {
 			return false, false // no flag side effects possible
@@ -648,8 +704,6 @@ func (c *Cache) touchLine(blk uint64, secBit uint64, kind mem.Kind, core uint8) 
 			// Tag hit, data absent: fetch just this sector.
 			c.sectors[idx] |= secBit
 			c.missAccounting(kind, core)
-			st.SectorFetches++
-			st.TrafficBytes += c.cfg.SectorSize
 			return true, pfHit
 		}
 		return false, pfHit
@@ -658,12 +712,6 @@ func (c *Cache) touchLine(blk uint64, secBit uint64, kind mem.Kind, core uint8) 
 	// Miss: pick a victim per policy, evict, fill one sector (or the
 	// whole line when unsectored).
 	c.missAccounting(kind, core)
-	st.SectorFetches++
-	if c.secPerLine > 1 {
-		st.TrafficBytes += c.cfg.SectorSize
-	} else {
-		st.TrafficBytes += c.cfg.LineSize
-	}
 	c.insert(int(set), base, blk, kind == mem.Store, false, secBit)
 	return true, false
 }
@@ -740,13 +788,16 @@ func (c *Cache) rotate(base, i int) {
 	}
 }
 
-// missAccounting bumps the miss counters.
+// missAccounting counts a miss of kind by core and the one unit (a
+// sector, or the line) it fetches.
 func (c *Cache) missAccounting(kind mem.Kind, core uint8) {
 	c.stats.Misses++
 	c.stats.PerCoreMisses[core]++
 	if kind == mem.Load {
 		c.stats.LoadMisses++
 	}
+	c.stats.SectorFetches++
+	c.stats.TrafficBytes += 1 << c.sectorShift
 }
 
 // insert places a new line in the set, evicting per the replacement

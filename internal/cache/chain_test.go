@@ -26,7 +26,8 @@ type chainCase struct {
 // into a new call before the reference, bit 6 picks load or store, the
 // low six bits the core) and a 16-bit word whose low eleven bits are
 // the address, 128 lines so sets conflict in every rung, and whose top
-// five bits, mod 17, are the size (0-16 B: zero sizes and straddlers).
+// five bits, mod 17, are the size (0-16 B: zero sizes and straddlers),
+// but 31 makes the event a control message.
 func decodeChainCase(data []byte) (chainCase, bool) {
 	if len(data) < 1 {
 		return chainCase{}, false
@@ -42,8 +43,12 @@ func decodeChainCase(data []byte) (chainCase, bool) {
 			c.cuts = append(c.cuts, len(c.refs))
 		}
 		w := binary.LittleEndian.Uint16(data[i+1:])
+		addr := mem.Addr(w & 0x7ff)
+		if w>>11 == 31 {
+			addr += msgLast + 1
+		}
 		c.refs = append(c.refs, trace.Ref{
-			Addr: mem.Addr(w & 0x7ff),
+			Addr: addr,
 			Size: uint8(w >> 11 % 17),
 			Kind: mem.Kind(op >> 6 & 1),
 			Core: op & 0x3f,
@@ -54,9 +59,9 @@ func decodeChainCase(data []byte) (chainCase, bool) {
 }
 
 // checkChain feeds one case through AccessChain in the case's calls and
-// through AccessBanked over an independent copy of each rung, and
-// requires every bank of every rung to match its copy: the full Stats,
-// and residency of every line the stream touched.
+// through AccessBanked over an independent copy of each rung, each
+// stopping exactly at every control message, and requires every bank of
+// every rung to match its copy: the full Stats, flags and contents.
 func checkChain(t *testing.T, c chainCase) {
 	t.Helper()
 	var chain, alone [][]*Cache
@@ -66,11 +71,14 @@ func checkChain(t *testing.T, c chainCase) {
 	}
 	prev := 0
 	for _, cut := range c.cuts {
-		AccessChain(chain, c.refs[prev:cut])
+		eachStretch(t, c.refs[prev:cut], func(seg []trace.Ref) int { return AccessChain(chain, seg, msgLast) })
 		prev = cut
 	}
 	for _, banks := range alone {
-		AccessBanked(banks, c.refs)
+		eachStretch(t, c.refs, func(seg []trace.Ref) int {
+			n, _ := AccessBanked(banks, seg, msgLast)
+			return n
+		})
 	}
 	for k := range chain {
 		what := fmt.Sprintf("%d banks, assoc %d, rung %d", c.banks, c.rungs[k].Assoc, k)
@@ -81,13 +89,17 @@ func checkChain(t *testing.T, c chainCase) {
 			if g, w := chain[k][b].Snapshot(), alone[k][b].Snapshot(); !reflect.DeepEqual(g, w) {
 				t.Fatalf("%s: bank %d contents diverge\nchain: %v\nalone: %v", what, b, g, w)
 			}
+			if g, w := chain[k][b].flags, alone[k][b].flags; !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: bank %d flags diverge\nchain: %v\nalone: %v", what, b, g, w)
+			}
 		}
 	}
 }
 
 // chainSeed is a random fuzz input with the given header: long core
-// runs, as the DEX scheduler emits them, a store in three and a new
-// call every 64 references or so.
+// runs, as the DEX scheduler emits them, the last line revisited one
+// time in two, a store in three, a control message in 64 and a new call
+// every 64 references or so.
 func chainSeed(seed int64, header byte, refs int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, 1+3*refs)
@@ -104,6 +116,18 @@ func chainSeed(seed int64, header byte, refs int) []byte {
 		}
 		if rng.Intn(64) == 0 {
 			data[i] |= 0x80
+		}
+		if i > 1 && rng.Intn(2) == 0 {
+			// The last event's address.
+			data[i+1], data[i+2] = data[i-2], data[i+2]&^7|data[i-1]&7
+		}
+		switch rng.Intn(64) {
+		case 0:
+			data[i+2] |= 31 << 3 // a control message
+		case 1, 2, 3, 4, 5, 6, 7:
+			// Any size, the aliases of 0-14 B included.
+		default:
+			data[i+2] = data[i+2]&7 | byte(1+rng.Intn(8))<<3
 		}
 	}
 	return data

@@ -88,11 +88,6 @@ func (c *chain) OnBatch(batch []trace.Ref) {
 			c.each(func(e *Emulator) { e.af.Dropped++ })
 			continue
 		}
-		j := i + 1
-		for j < len(batch) && !fsb.IsMessage(batch[j]) {
-			j++
-		}
-		cache.AccessChain(c.rungs, batch[i:j])
-		i = j - 1
+		i += cache.AccessChain(c.rungs, batch[i:], fsb.MaxRefAddr) - 1
 	}
 }

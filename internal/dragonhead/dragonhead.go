@@ -319,10 +319,10 @@ func (e *Emulator) OnRef(r trace.Ref) {
 
 // OnBatch implements fsb.BatchSnooper: the AF stage for a run of bus
 // events, one pass and no call through an interface. A shared,
-// unsharded emulator hands each in-window stretch up to the next
-// message to cache.AccessBanked, which regulates and routes it to the
-// CC banks in one loop; the private and sharded organisations regulate
-// event by event.
+// unsharded emulator hands each in-window stretch to
+// cache.AccessBanked, which regulates and routes it to the CC banks in
+// one loop and stops at the next message; the private and sharded
+// organisations regulate event by event.
 func (e *Emulator) OnBatch(batch []trace.Ref) {
 	e.arm()
 	banked := e.cfg.PrivatePerCore == 0 && e.nshards == 1
@@ -336,12 +336,8 @@ func (e *Emulator) OnBatch(batch []trace.Ref) {
 		case !e.af.Open:
 			e.af.Dropped++
 		case banked:
-			j := i + 1
-			for j < len(batch) && !fsb.IsMessage(batch[j]) {
-				j++
-			}
-			cache.AccessBanked(e.banks, batch[i:j])
-			i = j - 1
+			n, _ := cache.AccessBanked(e.banks, batch[i:], fsb.MaxRefAddr)
+			i += n - 1
 		default:
 			e.regulate(r)
 		}

@@ -114,10 +114,15 @@ func DecodeMessage(r trace.Ref) (m Message, ok bool) {
 	}, true
 }
 
+// MaxRefAddr is the highest address an ordinary transaction carries:
+// every address above it is in the message window. A batch kernel given
+// it as its bound ends its stretch at the first control message.
+const MaxRefAddr = msgWindowBase - 1
+
 // IsMessage reports whether a transaction address falls in the reserved
 // message window.
 func IsMessage(r trace.Ref) bool {
-	return r.Addr >= msgWindowBase
+	return r.Addr > MaxRefAddr
 }
 
 // Snooper observes bus traffic. OnRef is called for memory transactions,
@@ -196,13 +201,13 @@ const batchDepth = 4
 // Ref and Msg deliver one event at once, synchronously: a bus whose
 // first event arrives that way never fans out, and on a fanned bus the
 // event queues behind the batches in flight. The producer side (Refs,
-// Ref, Msg, Close, Events, Messages) must stay on one goroutine, and
+// Ref, Msg, Close, Events) must stay on one goroutine, and
 // results held by the snoopers may only be read after Close has
 // returned, whichever way the bus delivered: Close finalizes them.
 type Bus struct {
 	snoopers  []Snooper
 	events    uint64
-	msgs      uint64
+	msgs      uint64 // control messages, counted only for a registry
 	batchSize int
 	started   bool // events have flowed; attaching now would lose history
 	closed    bool
@@ -349,9 +354,11 @@ func (b *Bus) Refs(batch []trace.Ref) {
 	first := !b.started
 	b.begin()
 	b.events += uint64(len(batch))
-	for i := range batch {
-		if IsMessage(batch[i]) {
-			b.msgs++
+	if b.tel != nil {
+		for i := range batch {
+			if IsMessage(batch[i]) {
+				b.msgs++
+			}
 		}
 	}
 	if first {
@@ -538,6 +545,3 @@ func traceWorkers(parent *telemetry.Span, group, child string, busy []uint64) []
 
 // Events returns the total events (refs + msgs) broadcast.
 func (b *Bus) Events() uint64 { return b.events }
-
-// Messages returns the control messages broadcast.
-func (b *Bus) Messages() uint64 { return b.msgs }

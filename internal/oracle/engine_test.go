@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"reflect"
 	"testing"
 
 	"cmpmem/internal/cache"
@@ -328,5 +329,98 @@ func TestEngineMisuse(t *testing.T) {
 	}
 	if err == nil {
 		t.Error("more than 64 tracked geometries in one engine accepted")
+	}
+}
+
+// TestOnBatchMatchesPerEvent holds Engine.OnBatch, which hands one-line
+// requests straight to record, to one OnRef per event: Tracked.Stats,
+// Samples, Accesses, Ignored and Instructions. The stream runs loads on
+// one line from one core (top-of-set requests), switching core and
+// crossing 500 µs sample boundaries inside the runs, and mixes in
+// stores, straddlers, zero sizes and a shut window. One grid is bounded
+// stacks only; the other adds a fully associative (Fenwick) family.
+func TestOnBatchMatchesPerEvent(t *testing.T) {
+	g := newRefGen(11)
+	msg := func(k fsb.MsgKind, core uint8, v uint64) trace.Ref {
+		return fsb.EncodeMessage(fsb.Message{Kind: k, Core: core, Value: v})
+	}
+	stream := []trace.Ref{{Addr: 0x40, Size: 8}, msg(fsb.MsgStart, 0, 0)}
+	var cycles uint64
+	core := uint8(0)
+	for run := 0; run < 400; run++ {
+		if run == 200 {
+			stream = append(stream, msg(fsb.MsgStop, 0, 0), trace.Ref{Addr: 0x80, Size: 8}, msg(fsb.MsgStart, 0, 0))
+		}
+		x := mem.Addr(g.next() % (1 << 16))
+		for k := 0; k < 24; k++ {
+			switch g.next() % 16 {
+			case 0:
+				core = uint8(g.next() % 4) // a switch inside the run
+			case 1:
+				cycles += 300
+				stream = append(stream, msg(fsb.MsgCycles, 0, cycles)) // a CB boundary inside the run
+			case 2:
+				stream = append(stream, trace.Ref{Addr: x&^63 + 60, Size: 8, Kind: mem.Load, Core: core})
+			case 3:
+				stream = append(stream, trace.Ref{Addr: x, Size: 0, Kind: mem.Load, Core: core})
+			case 4:
+				stream = append(stream, trace.Ref{Addr: x, Size: 4, Kind: mem.Store, Core: core})
+			case 5:
+				x = mem.Addr(g.next() % (1 << 16))
+			}
+			stream = append(stream, trace.Ref{Addr: x, Size: 8, Kind: mem.Load, Core: core})
+		}
+		stream = append(stream, msg(fsb.MsgInstRetired, core, uint64(run)*100))
+	}
+	grids := map[string][]cache.Config{
+		"stacks": {
+			{Name: "a", Size: 16 << 10, LineSize: 64, Assoc: 8},
+			{Name: "b", Size: 64 << 10, LineSize: 64, Assoc: 8},
+			{Name: "c", Size: 64 << 10, LineSize: 64, Assoc: 2},
+		},
+		"stacks and Fenwick": {
+			{Name: "a", Size: 16 << 10, LineSize: 64, Assoc: 8},
+			{Name: "fa", Size: 2 * fastDepth * 64, LineSize: 64},
+		},
+	}
+	for name, cfgs := range grids {
+		engines := [2]*Engine{}
+		tracked := [2][]*Tracked{}
+		for k := range engines {
+			e, err := New(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.EnableSampling(1e6, 1e-4); err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range cfgs {
+				tr, err := e.Track(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tracked[k] = append(tracked[k], tr)
+			}
+			engines[k] = e
+		}
+		for i := 0; i < len(stream); i += 61 {
+			engines[0].OnBatch(stream[i:min(i+61, len(stream))])
+		}
+		for _, r := range stream {
+			engines[1].OnRef(r)
+		}
+		got, want := engines[0], engines[1]
+		if got.Accesses() != want.Accesses() || got.Ignored() != want.Ignored() || got.Instructions() != want.Instructions() {
+			t.Fatalf("%s: accesses/ignored/instructions %d/%d/%d in batches, %d/%d/%d per event", name,
+				got.Accesses(), got.Ignored(), got.Instructions(), want.Accesses(), want.Ignored(), want.Instructions())
+		}
+		for i, tr := range tracked[0] {
+			if g, w := tr.Stats(), tracked[1][i].Stats(); g != w {
+				t.Fatalf("%s, %s: Stats diverge\n got %+v\nwant %+v", name, cfgs[i].Name, g, w)
+			}
+			if g, w := tr.Samples(), tracked[1][i].Samples(); len(w) < 100 || !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s, %s: %d samples in batches, %d per event (want at least 100, equal)", name, cfgs[i].Name, len(g), len(w))
+			}
+		}
 	}
 }
