@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -341,5 +342,65 @@ func TestReplayChecksEventCount(t *testing.T) {
 	want := fmt.Sprintf("replay decoded %d bus events, the trace's summary records %d", half, tr.Summary.BusEvents)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("sweep over a short stream: err %v, want one containing %q", err, want)
+	}
+}
+
+// TestSpillRevivalDecodesNothing: a revival checks a spill's checksum,
+// key echo and stream header and decodes no record, so a correctly
+// checksummed spill of a stream the encoder got wrong is a disk hit. The
+// sweep over it fails at replay, with the replay's or the codec's error
+// and no results.
+func TestSpillRevivalDecodesNothing(t *testing.T) {
+	p := tinyParams()
+	pc := SCMP()
+	tr, _, err := runOpts{store: tracestore.New(0, "")}.openTrace("FIMI", p, pc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := tr.Player()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first half of the captured records, and a copy whose middle
+	// record sets the reserved header bits.
+	half := tr.Summary.BusEvents / 2
+	var enc trace.Encoder
+	short, mid := trace.AppendHeader(nil), 0
+	for i := uint64(0); i < half; i++ {
+		if i == half/2 {
+			mid = len(short)
+		}
+		r, _ := pl.Next()
+		if short, err = enc.Append(short, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reserved := slices.Clone(short)
+	reserved[mid] |= 0xc0
+	for _, c := range []struct {
+		name   string
+		stream []byte
+		want   string
+	}{
+		{"short stream", short, fmt.Sprintf("replay decoded %d bus events, the trace's summary records %d", half, tr.Summary.BusEvents)},
+		{"reserved header bits", reserved, "trace: corrupt record (reserved header bits 0xc0 set)"},
+	} {
+		dir := t.TempDir()
+		if _, _, err := tracestore.New(0, dir).DoOutcome(TraceKey("FIMI", p, pc), func() (*tracestore.Trace, error) {
+			return tracestore.NewTrace(tr.Summary, c.stream), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		store := tracestore.New(0, dir)
+		res, _, err := CombinedSweep("FIMI", p, pc, [][]cache.Config{tinyLLCs()}, WithTraceReuse(store))
+		if st := store.Stats(); st.DiskHits != 1 || st.Misses != 0 {
+			t.Errorf("%s: store stats %+v, want one disk hit and no miss", c.name, st)
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want one containing %q", c.name, err, c.want)
+		}
+		if res != nil {
+			t.Errorf("%s: sweep returned %d result grids beside its error", c.name, len(res))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -229,6 +230,21 @@ func TestCorpusShape(t *testing.T) {
 	}
 	if len(c.QueryTerms) == 0 || len(c.QueryTerms) != len(c.QueryWeights) {
 		t.Error("malformed query")
+	}
+}
+
+// TestCorpusSentencesDoNotAlias: the sentences share two slabs, so an
+// append to one sentence's ids or weights must never write into the
+// next sentence.
+func TestCorpusSentencesDoNotAlias(t *testing.T) {
+	c := GenCorpus(17, 8, 10, 12, 4000, 4)
+	for i := 0; i+1 < len(c.Sentences); i++ {
+		ids, wts := slices.Clone(c.Sentences[i+1]), slices.Clone(c.Weights[i+1])
+		_ = append(c.Sentences[i], -1)
+		_ = append(c.Weights[i], -1)
+		if !slices.Equal(c.Sentences[i+1], ids) || !slices.Equal(c.Weights[i+1], wts) {
+			t.Fatalf("appending to sentence %d changed sentence %d", i, i+1)
+		}
 	}
 }
 

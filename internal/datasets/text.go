@@ -33,7 +33,8 @@ func GenCorpus(seed int64, docs, sentencesPerDoc, termsPerSentence, vocab, topic
 	if topics < 1 {
 		topics = 1
 	}
-	c := &Corpus{Vocab: vocab}
+	n := docs * sentencesPerDoc
+	c := &Corpus{Vocab: vocab, Sentences: make([][]int32, n), Weights: make([][]float32, n), DocOf: make([]int32, n)}
 	global := vocab / 4
 	perTopic := (vocab - global) / topics
 	zipfGlobal := randZipf(seed^0x7e97, global)
@@ -42,16 +43,19 @@ func GenCorpus(seed int64, docs, sentencesPerDoc, termsPerSentence, vocab, topic
 	for t := range topicBase {
 		topicBase[t] = global + perTopic*t
 	}
+	// Two slabs hold every sentence's ids and weights (tally caps each cut).
+	idSlab, wtSlab := make([]int32, n*termsPerSentence), make([]float32, n*termsPerSentence)
 	for d := 0; d < docs; d++ {
 		topic := d % topics
 		for s := 0; s < sentencesPerDoc; s++ {
-			ids, ws := tally(termsPerSentence, func() int32 {
+			ids, ws := tally(idSlab[:termsPerSentence], wtSlab[:termsPerSentence], func() int32 {
 				if r.Float64() < 0.6 {
 					// Topic-local term.
 					return int32(topicBase[topic] + zipfTopic())
 				}
 				return int32(zipfGlobal())
 			})
+			idSlab, wtSlab = idSlab[len(ids):], wtSlab[len(ids):]
 			var norm float64
 			for _, w := range ws {
 				norm += float64(w) * float64(w)
@@ -60,35 +64,35 @@ func GenCorpus(seed int64, docs, sentencesPerDoc, termsPerSentence, vocab, topic
 			for i := range ws {
 				ws[i] = float32(float64(ws[i]) / norm)
 			}
-			c.Sentences = append(c.Sentences, ids)
-			c.Weights = append(c.Weights, ws)
-			c.DocOf = append(c.DocOf, int32(d))
+			i := d*sentencesPerDoc + s
+			c.Sentences[i], c.Weights[i], c.DocOf[i] = ids, ws, int32(d)
 		}
 	}
 	// Query: a few terms from topic 0's local range.
-	c.QueryTerms, c.QueryWeights = tally(8, func() int32 { return int32(topicBase[0] + zipfTopic()) })
+	c.QueryTerms, c.QueryWeights = tally(make([]int32, 8), make([]float32, 8), func() int32 { return int32(topicBase[0] + zipfTopic()) })
 	return c
 }
 
-// tally draws k term ids and returns the distinct ones in ascending
-// order with how often each was drawn (insertion sort and a linear
-// lookup: term vectors are tiny).
-func tally(k int, draw func() int32) ([]int32, []float32) {
-	ids, counts := make([]int32, 0, k), make([]float32, 0, k)
-	for ; k > 0; k-- {
+// tally makes len(ids) draws and returns the distinct ids in ascending
+// order and how often each was drawn, in place in ids and counts and
+// capped at their length (insertion sort: term vectors are tiny).
+func tally(ids []int32, counts []float32, draw func() int32) ([]int32, []float32) {
+	m := 0
+	for range ids {
 		id := draw()
 		i := 0
-		for i < len(ids) && ids[i] < id {
+		for i < m && ids[i] < id {
 			i++
 		}
-		if i < len(ids) && ids[i] == id {
+		if i < m && ids[i] == id {
 			counts[i]++
 			continue
 		}
-		ids, counts = append(ids, 0), append(counts, 0)
-		copy(ids[i+1:], ids[i:])
-		copy(counts[i+1:], counts[i:])
+		for j := m; j > i; j-- {
+			ids[j], counts[j] = ids[j-1], counts[j-1]
+		}
 		ids[i], counts[i] = id, 1
+		m++
 	}
-	return ids, counts
+	return ids[:m:m], counts[:m:m]
 }

@@ -85,7 +85,7 @@ type CB struct {
 // NewCB returns a clock firing every period seconds at clockHz, and at
 // least every cycle.
 func NewCB(clockHz, period float64) CB {
-	p := max(uint64(period*clockHz), 1)
+	p := max(uint64(float64(period*clockHz)), 1)
 	return CB{next: p, period: p}
 }
 

@@ -279,7 +279,7 @@ func (m *Machine) serviceL2(lineAddr mem.Addr, kind mem.Kind, core uint8) {
 		}
 		// Bus contention: queueing delay grows with utilization.
 		if util := m.busUtil(); util > queueFloor {
-			stall += m.cfg.Lat.Mem * m.cfg.Lat.QueueFactor * (util - queueFloor)
+			stall += float64(m.cfg.Lat.Mem * m.cfg.Lat.QueueFactor * (util - queueFloor))
 		}
 		m.stall += stall
 		m.windowDemand += m.lineXfer
@@ -317,9 +317,11 @@ func (m *Machine) busUtil() float64 {
 // Instructions returns total retired instructions seen so far.
 func (m *Machine) Instructions() uint64 { return m.st.af.Instructions() }
 
-// Cycles returns the modelled execution time in core cycles.
+// Cycles returns the modelled execution time in core cycles. A
+// float64(…) around a product in this package rounds it, so no GOARCH
+// fuses it into an add and every machine prints the same bytes.
 func (m *Machine) Cycles() float64 {
-	return float64(m.Instructions())*m.cfg.Lat.BaseCPI + m.stall
+	return float64(float64(m.Instructions())*m.cfg.Lat.BaseCPI) + m.stall
 }
 
 // IPC returns instructions per cycle.

@@ -65,7 +65,7 @@ func SVG(w io.Writer, opt SVGOptions, series []metrics.Series) error {
 
 	xpos := func(x float64) float64 {
 		if xmax == xmin {
-			return float64(marginL) + plotW/2
+			return float64(marginL) + float64(plotW/2)
 		}
 		if opt.LogX && xmin > 0 {
 			return float64(marginL) + plotW*(math.Log2(x)-math.Log2(xmin))/(math.Log2(xmax)-math.Log2(xmin))
@@ -73,7 +73,7 @@ func SVG(w io.Writer, opt SVGOptions, series []metrics.Series) error {
 		return float64(marginL) + plotW*(x-xmin)/(xmax-xmin)
 	}
 	ypos := func(y float64) float64 {
-		return float64(marginT) + plotH*(1-y/ymax)
+		return float64(marginT) + float64(plotH*(1-y/ymax))
 	}
 
 	var b strings.Builder

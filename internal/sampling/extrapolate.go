@@ -77,18 +77,18 @@ func (p *Plan) Estimate(deltas []cache.Stats, cfgSize uint64) (Estimate, error) 
 	for i, c := range p.Assign {
 		m := p.Intervals[i].FP.ProxyMisses(capLines)
 		sum[c] += m
-		sumsq[c] += m * m
+		sumsq[c] += float64(m * m)
 	}
 	var proxyTotal, variance float64
 	for c := 0; c < k; c++ {
 		n := float64(p.Clusters[c].Weight)
 		mean := sum[c] / n
-		v := sumsq[c]/n - mean*mean
+		v := sumsq[c]/n - float64(mean*mean)
 		if v < 0 {
 			v = 0
 		}
-		proxyTotal += n * mean
-		variance += n * n * v
+		proxyTotal += float64(n * mean)
+		variance += float64(n * n * v)
 	}
 
 	// Relative half-width in proxy space, applied to the true estimate
@@ -114,8 +114,8 @@ func (p *Plan) Estimate(deltas []cache.Stats, cfgSize uint64) (Estimate, error) 
 	var bias float64
 	for c := range p.Clusters {
 		rep := p.Clusters[c].Representative
-		bias += float64(p.Clusters[c].Weight) *
-			p.Intervals[rep].FP.SpuriousHits(capLines)
+		bias += float64(float64(p.Clusters[c].Weight) *
+			p.Intervals[rep].FP.SpuriousHits(capLines))
 	}
 
 	low := est - half - bias

@@ -156,7 +156,7 @@ func (fp *Fingerprint) ProxyMisses(capLines uint64) float64 {
 	m := float64(fp.Cold)
 	for b := 0; b < NumBuckets; b++ {
 		if n := fp.Hist[b]; n > 0 {
-			m += float64(n) * missFrac(b, capLines)
+			m += float64(float64(n) * missFrac(b, capLines))
 		}
 	}
 	return m
@@ -172,7 +172,7 @@ func (fp *Fingerprint) SpuriousHits(capLines uint64) float64 {
 	var s float64
 	for b := 0; b < NumBuckets; b++ {
 		if n := fp.HistStale[b]; n > 0 {
-			s += float64(n) * (1 - missFrac(b, capLines))
+			s += float64(float64(n) * (1 - missFrac(b, capLines)))
 		}
 	}
 	return s
@@ -553,11 +553,11 @@ func features(ivs []Interval) [][]float64 {
 		var sum, sumsq float64
 		for _, v := range vecs {
 			sum += v[d]
-			sumsq += v[d] * v[d]
+			sumsq += float64(v[d] * v[d])
 		}
 		n := float64(len(vecs))
 		mean := sum / n
-		variance := sumsq/n - mean*mean
+		variance := sumsq/n - float64(mean*mean)
 		if variance < 1e-12 {
 			for _, v := range vecs {
 				v[d] = 0
@@ -688,7 +688,7 @@ func sqDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

@@ -275,7 +275,7 @@ const DefaultMaxBytes = 1 << 30
 // Stats reports store effectiveness. The JSON form is the trace_store
 // record of cosimd's /v1/statusz.
 type Stats struct {
-	// Hits served from memory; DiskHits served by decoding a spill
+	// Hits served from memory; DiskHits served by reviving a spill
 	// file; Misses executed the workload.
 	Hits     uint64 `json:"hits"`
 	DiskHits uint64 `json:"disk_hits"`
@@ -627,12 +627,10 @@ func (s *Store) writeSpill(k Key, tr *Trace) {
 
 // writeSpillFile writes the magic, the spillSum checksum of the payload,
 // and the payload: the header, then the stream's chunks as they are.
-// The codec's own structure catches most stream corruption — records that fail to
-// decode, reserved bits, a wrong event count — but a bit flip inside a
-// delta payload can decode into a *different valid stream*, and a
-// flipped summary field has no structure at all. The checksum closes
-// both holes: any spill corruption degrades to a recompute, never to
-// wrong replayed numbers.
+// A bit flip inside a delta payload can decode into a *different valid
+// stream*, and a flipped summary field has no structure at all, so the
+// checksum, not the codec, guards the file: any spill corruption
+// degrades to a recompute, never to wrong replayed numbers.
 func writeSpillFile(w io.Writer, k Key, tr *Trace) error {
 	var hdr bytes.Buffer
 	if err := writeKeyAndSummary(&hdr, k, tr.Summary); err != nil {
@@ -705,23 +703,12 @@ func readSpillFile(r io.Reader, want Key) (*Trace, error) {
 	if got, recorded := h.Sum64(), binary.LittleEndian.Uint64(head[8:]); got != recorded {
 		return nil, fmt.Errorf("tracestore: spill checksum %#x != recorded %#x", got, recorded)
 	}
-	// Verify the stream decodes cleanly and matches the recorded length
-	// before trusting it — a corrupt spill degrades to a recompute.
-	p, err := tr.Player()
-	if err != nil {
+	// The checksum vouches for the bytes our encoder wrote, so only the
+	// stream's header is checked here: a retired codec version degrades
+	// to a recompute. The records are decoded once, by the replay, which
+	// fails the sweep on a corrupt record or a wrong event count.
+	if _, err := tr.Player(); err != nil {
 		return nil, err
-	}
-	var buf [64]trace.Ref
-	var n uint64
-	for k := p.NextBatch(buf[:]); k > 0; k = p.NextBatch(buf[:]) {
-		n += uint64(k)
-	}
-	if err := p.Err(); err != nil {
-		return nil, err
-	}
-	if n != sum.BusEvents {
-		return nil, fmt.Errorf("tracestore: spill stream length %d != recorded %d",
-			n, sum.BusEvents)
 	}
 	return tr, nil
 }

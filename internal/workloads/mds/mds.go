@@ -125,12 +125,17 @@ func (w *Workload) Build(sp *mem.Space, sched *softsdv.Scheduler, threads int) (
 	// cosine similarity of the two term vectors, gathered over the
 	// earlier sentence's terms from the current one's weights scattered
 	// into dense. An edge (prev, cur) only arises in cur's own loop, so
-	// stamp[prev] == cur marks it (or its zero similarity) as seen.
+	// stamp[prev] == cur marks it (or its zero similarity) as seen; each
+	// (sentence, term) pair adds at most one edge.
 	type edge struct {
 		a, b int32
 		s    float32
 	}
-	var edges []edge
+	total := 0
+	for _, s := range w.corpus.Sentences {
+		total += len(s)
+	}
+	edges := make([]edge, 0, total)
 	deg := make([]int32, n)
 	last := make([]int32, w.corpus.Vocab)
 	stamp := make([]int32, n)
@@ -154,8 +159,9 @@ func (w *Workload) Build(sp *mem.Space, sched *softsdv.Scheduler, threads int) (
 			}
 			stamp[prev] = cur
 			var s float32 // terms cur lacks add +0: the sum is the merge's
-			for k, pt := range w.corpus.Sentences[prev] {
-				s += w.corpus.Weights[prev][k] * dense[pt]
+			pterms, pwts := w.corpus.Sentences[prev], w.corpus.Weights[prev]
+			for k, pt := range pterms {
+				s += pwts[k] * dense[pt]
 			}
 			if s > 0 {
 				edges = append(edges, edge{prev, cur, s})
@@ -221,10 +227,6 @@ func (w *Workload) Build(sp *mem.Space, sched *softsdv.Scheduler, threads int) (
 	}
 
 	// Flattened term vectors for the MMR phase.
-	total := 0
-	for _, s := range w.corpus.Sentences {
-		total += len(s)
-	}
 	termArena := sp.NewArena("mds/terms", uint64(total)*8+uint64(n+1)*4+uint64(summaryLen)*4+1<<12)
 	w.termOff = termArena.Int32s(n + 1)
 	w.termIDs = termArena.Int32s(total)
