@@ -39,7 +39,7 @@ func GenSNP(seed int64, sequences, sites, blockSize int) *SNPMatrix {
 			}
 			for j := b; j < end; j++ {
 				// Flip probability grows with distance from founder.
-				pFlip := 0.05 + 0.02*float64(j-b)
+				pFlip := 0.05 + float64(0.02*float64(j-b))
 				if r.Float64() < pFlip {
 					row[j] = 1 - founder
 				} else {
@@ -95,7 +95,7 @@ func GenMicroarray(seed int64, samples, genes int, informativeFrac float64) *Mic
 		for g := 0; g < genes; g++ {
 			v := r.NormFloat64()
 			if isInf[g] {
-				v += 1.5 * y
+				v += float64(1.5 * y)
 			}
 			row[g] = v
 		}

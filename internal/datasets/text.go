@@ -58,7 +58,7 @@ func GenCorpus(seed int64, docs, sentencesPerDoc, termsPerSentence, vocab, topic
 			idSlab, wtSlab = idSlab[len(ids):], wtSlab[len(ids):]
 			var norm float64
 			for _, w := range ws {
-				norm += float64(w) * float64(w)
+				norm += float64(float64(w) * float64(w))
 			}
 			norm = math.Sqrt(norm)
 			for i := range ws {

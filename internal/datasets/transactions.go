@@ -50,7 +50,7 @@ func GenTransactions(seed int64, n, numItems, meanLen int) *Transactions {
 		for j := range items {
 			items[j] = int32(zipf())
 		}
-		patterns[i] = pattern{items: items, prob: 0.02 + r.Float64()*0.05}
+		patterns[i] = pattern{items: items, prob: 0.02 + float64(r.Float64()*0.05)}
 	}
 
 	t := &Transactions{

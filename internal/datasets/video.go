@@ -82,7 +82,7 @@ func GenVideo(seed int64, spec FrameSpec) *Video {
 			baseR:      uint8(40 + r.Intn(180)),
 			baseG:      uint8(40 + r.Intn(180)),
 			baseB:      uint8(40 + r.Intn(180)),
-			fieldShare: share + 0.05*r.Float64(),
+			fieldShare: share + float64(0.05*r.Float64()),
 			noiseSeed:  r.Int63(),
 		})
 		frame = end

@@ -19,9 +19,9 @@
 //     8-16 ways) keep a bounded LRU recency stack per set in one flat
 //     array: the stack holds the maxAssoc most recently used blocks of
 //     the set, so a block's index IS its Mattson distance and anything
-//     absent is provably deeper. A lookup is a short linear scan plus a
-//     move-to-front copy — no maps, no trees, cache-friendly. A dense
-//     array holds each set's top block again, so the probe most
+//     absent is provably deeper. A lookup is one pass that moves the
+//     block to the front as it scans — no maps, no trees, no copy. A
+//     dense array holds each set's top block again, so the probe most
 //     requests end at reads one word per set.
 //   - Deep families (fully-associative geometries) fall back to one
 //     Fenwick-tree stackdist.Analyzer per set, O(log n) per reference at
@@ -29,16 +29,17 @@
 //
 // Sets are bit-selected, so a family with more sets partitions one with
 // fewer (Hill & Smith's set refinement) and a line's distance can only
-// shrink as sets split. record visits the shallow families in that
-// order: what one family finds bounds, and often settles, its
-// neighbours' answers.
+// shrink as sets split. record probes the shallow families in that
+// order: a block on top of its set in one family tops its set in every
+// finer one, so one probe often settles them all, and OnBatch keeps the
+// loads it settles in the coarsest family out of record altogether.
 //
-// Cold detection and dirty state are line-granular and therefore shared
-// by every family: one open-addressed line table (block -> dirty
-// bitmask) whose membership doubles as the first-touch set, consulted
-// only by requests that need it (see charge). Its cells come in groups
-// of eight neighbouring blocks, so a streamed region probes memory the
-// previous probe already fetched.
+// Dirty state is line-granular and therefore shared by every family:
+// one open-addressed line table (block -> dirty bitmask) holds the
+// blocks a store has touched — any other block is clean in every
+// geometry — and only requests that need it consult it (see charge).
+// Its cells come in groups of eight neighbouring blocks, so a streamed
+// region probes memory the previous probe already fetched.
 //
 // The engine shares Dragonhead's AF and CB state (fsb.AF, fsb.CB): it
 // honors the start/stop emulation window, decodes control-message
@@ -76,7 +77,7 @@ import (
 const MaxTracked = 64
 
 // fastDepth is the deepest family served by the bounded-stack fast
-// path; beyond it the move-to-front copy would outgrow the Fenwick
+// path; beyond it the move-to-front pass would outgrow the Fenwick
 // analyzer's O(log n).
 const fastDepth = 256
 
@@ -100,7 +101,7 @@ type setFamily struct {
 
 	// floor is the smallest distance at which a request needs the line
 	// table: the least tracked associativity (a miss there reads and
-	// resets the dirty bit; a first touch, beyond every stack, inserts).
+	// resets the dirty bit; a first touch is beyond every stack).
 	floor uint32
 
 	// Fast path: per-set bounded LRU stacks (of block number plus one, so
@@ -130,27 +131,23 @@ func (f *setFamily) freeze() {
 	f.perSet = make(map[uint64]*stackdist.Analyzer)
 }
 
-// touchFast records one request in the bounded-stack representation,
-// given that the block's distance in this set is at least lo (and at
-// least 1: the caller has checked the top). It returns the exact stack
-// index when resident and maxAssoc otherwise — deeper or cold, which
-// only the line table can tell apart.
-func (f *setFamily) touchFast(set, key uint64, lo int) int {
-	base := int(set) * f.maxAssoc
-	s := f.stack[base : base+f.maxAssoc]
+// touchFast records one request in the bounded-stack representation.
+// One pass carries each slot's old key one slot down until it meets the
+// block, or lets the last key (the LRU block, or an empty slot) fall
+// off. It returns the exact stack index when resident and maxAssoc
+// otherwise — deeper or cold, a miss in every geometry of the family.
+func (f *setFamily) touchFast(set, key uint64) int {
+	s := f.stack[int(set)*f.maxAssoc:][:f.maxAssoc]
 	f.top[set] = key
-	for i := lo; i < len(s); i++ {
-		if s[i] == key {
-			copy(s[1:i+1], s[:i])
-			s[0] = key
+	carry := key
+	for i, k := range s {
+		s[i] = carry
+		if k == key {
 			return i
 		}
+		carry = k
 	}
-	// Not resident within maxAssoc: push the block on top (the LRU
-	// block, or an empty slot, falls off).
-	copy(s[1:], s[:len(s)-1])
-	s[0] = key
-	return f.maxAssoc
+	return len(s)
 }
 
 // touchSlow records one request in the Fenwick representation.
@@ -283,7 +280,8 @@ func (e *Engine) record(blk uint64, store bool, core uint8) {
 
 	// The first family, coarse to fine, with the block on top of its set.
 	// It and every finer family see distance 0: nothing moves, nothing
-	// misses, and k == 0 — one compare — is the common request.
+	// misses, and k == 0 — one compare — is the common request (the
+	// loads among them seldom get here: OnBatch counts them itself).
 	k := 0
 	for ; k < len(fams); k++ {
 		if f := fams[k]; f.top[blk&f.setMask] == key {
@@ -296,39 +294,33 @@ func (e *Engine) record(blk uint64, store bool, core uint8) {
 		c.mask |= e.finerBits[k]
 	}
 
-	// The coarser families, fine to coarse: a family's distance is a
-	// lower bound on its coarser neighbour's, so each scan starts where
-	// the last one ended, and a bound at or past a family's own depth
-	// (they need not be equal) leaves only the push.
-	lo := 1
+	// The coarser families, which the block does not top.
 	for i := k - 1; i >= 0; i-- {
 		f := fams[i]
-		d := f.touchFast(blk&f.setMask, key, lo)
-		if d > lo {
-			lo = d
+		if d := uint32(f.touchFast(blk&f.setMask, key)); d >= f.floor || store {
+			c = e.charge(f, d, c, key, store, core)
 		}
-		c = e.charge(f, uint32(d), c, key, store, core)
 	}
 	for _, f := range e.famList[e.nfast:] {
-		c = e.charge(f, f.touchSlow(blk&f.setMask, blk), c, key, store, core)
+		if d := f.touchSlow(blk&f.setMask, blk); d >= f.floor || store {
+			c = e.charge(f, d, c, key, store, core)
+		}
 	}
 }
 
-// charge applies a request at distance d in f to f's tracked geometries.
-// c is the block's line-table cell if the caller holds it; charge
-// consults the table only if it must — which includes every first touch,
-// since a cold block is beyond every stack — and returns the cell.
+// charge applies a request at distance d in f to f's tracked geometries;
+// record calls it only for a store or a distance of at least f.floor
+// (every first touch: a cold block is beyond every stack). c is the
+// block's line-table cell if the caller holds it — a store's always —
+// and charge otherwise looks it up without inserting. It returns c.
 func (e *Engine) charge(f *setFamily, d uint32, c *lineCell, key uint64, store bool, core uint8) *lineCell {
-	if d < f.floor && !store {
-		return c
-	}
 	if c == nil {
-		c = e.lines.at(key)
+		c = e.lines.get(key) // a load: the clean cell if never stored to
 	}
 	// By inclusion, the request misses in an A-way geometry iff its
 	// distance is >= A (cold and deep always qualify). A miss whose line
-	// was dirty at its previous access — never a cold one, whose cell is
-	// new — means the line was evicted dirty during the reuse gap:
+	// was dirty at its previous access — never a cold one, whose mask is
+	// zero — means the line was evicted dirty during the reuse gap:
 	// exactly one writeback of the simulated cache, charged here at
 	// reuse time.
 	for _, t := range f.tracked {
@@ -378,17 +370,42 @@ func (e *Engine) OnRef(r trace.Ref) {
 // OnBatch implements fsb.BatchSnooper: a run of bus events. An
 // in-window transaction inside one line is one request and goes straight
 // to record; messages, a closed window, zero sizes and straddlers take
-// OnRef.
+// OnRef. While every family is a bounded stack, a load whose block tops
+// its set in the coarsest family tops it in every finer one, so it
+// changes only counters: a call-free loop takes a run of such loads
+// from one core and adds its tallies once, before a message reads them.
 func (e *Engine) OnBatch(batch []trace.Ref) {
-	for i := range batch {
+	var top []uint64 // the coarsest family's, while the loop may run
+	if e.nfast > 0 && e.nfast == len(e.famList) {
+		top = e.famList[0].top
+	}
+	shift := e.lineShift
+	for i := 0; i < len(batch); i++ {
 		r := &batch[i]
-		first := uint64(r.Addr) >> e.lineShift
-		if e.af.Open && !fsb.IsMessage(*r) && r.Size != 0 &&
-			(uint64(r.Addr)+uint64(r.Size)-1)>>e.lineShift == first {
+		first := uint64(r.Addr) >> shift
+		if !e.af.Open || fsb.IsMessage(*r) || r.Size == 0 ||
+			(uint64(r.Addr)+uint64(r.Size)-1)>>shift != first {
+			e.OnRef(*r)
+			continue
+		}
+		if r.Kind != mem.Load || top == nil || top[first&uint64(len(top)-1)] != first+1 {
 			e.record(first, r.Kind == mem.Store, r.Core)
 			continue
 		}
-		e.OnRef(*r)
+		core, j := r.Core, i+1
+		for ; j < len(batch); j++ {
+			r := &batch[j]
+			line := uint64(r.Addr) >> shift
+			if r.Core != core || r.Kind != mem.Load || r.Addr > fsb.MaxRefAddr || r.Size == 0 ||
+				(uint64(r.Addr)+uint64(r.Size)-1)>>shift != line || top[line&uint64(len(top)-1)] != line+1 {
+				break
+			}
+		}
+		n := uint64(j - i)
+		e.accesses += n
+		e.loads += n
+		e.perCoreAccesses[core] += n
+		i = j - 1
 	}
 }
 

@@ -133,6 +133,81 @@ func TestTrackedStatsDifferential(t *testing.T) {
 	}
 }
 
+// TestLineTableHoldsStoredBlocks pins what the line table holds: only
+// blocks a store has touched, since a never-stored block's dirty mask
+// is zero in every geometry and a load only reads and clears mask bits.
+// A load-only stream leaves it empty; stores to k distinct blocks make
+// k members, which reloads after dirty evictions leave at k; and every
+// handle's Stats still equals the simulated cache's.
+func TestLineTableHoldsStoredBlocks(t *testing.T) {
+	eng, err := New(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trs []*Tracked
+	var caches []*cache.Cache
+	for _, cfg := range trackedConfigs() {
+		tr, err := eng.Track(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cache.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs, caches = append(trs, tr), append(caches, c)
+	}
+	bus := []fsb.Snooper{eng}
+	for _, c := range caches {
+		bus = append(bus, &busAdapter{c})
+	}
+	send := func(refs []trace.Ref) {
+		for _, r := range refs {
+			for _, s := range bus {
+				s.OnRef(r)
+			}
+		}
+	}
+	walk := func(n, stride uint64, kind mem.Kind) []trace.Ref {
+		refs := make([]trace.Ref, n)
+		for i := range refs {
+			refs[i] = trace.Ref{Addr: mem.Addr(uint64(i) * stride), Size: 8, Kind: kind, Core: uint8(i % 4)}
+		}
+		return refs
+	}
+	for _, s := range bus {
+		s.OnMsg(fsb.Message{Kind: fsb.MsgStart})
+	}
+	send(walk(4096, 64, mem.Load))
+	if eng.lines.n != 0 {
+		t.Fatalf("after a load-only stream the line table holds %d blocks, want 0", eng.lines.n)
+	}
+	const k = 37
+	send(walk(k, 3*64, mem.Store)) // k distinct blocks, some loaded before
+	if eng.lines.n != k {
+		t.Fatalf("after stores to %d blocks the line table holds %d", k, eng.lines.n)
+	}
+	send(walk(8192, 64, mem.Load)) // evicts the dirty blocks from every geometry
+	send(walk(k, 3*64, mem.Load))  // and reloads them
+	send(walk(k, 3*64, mem.Store)) // dirties them again: no new member
+	send(walk(2048, 64, mem.Load))
+	if eng.lines.n != k {
+		t.Fatalf("after reloads the line table holds %d blocks, want %d", eng.lines.n, k)
+	}
+	if eng.lines.clean != (lineCell{}) {
+		t.Fatalf("the clean cell reads %+v", eng.lines.clean)
+	}
+	for i, tr := range trs {
+		got, want := tr.Stats(), *caches[i].Stats()
+		if want.Writebacks == 0 {
+			t.Fatalf("%d B/%d-way: no writeback, so no dirty eviction was exercised", tr.cfg.Size, tr.cfg.Assoc)
+		}
+		if got != want {
+			t.Errorf("%d B/%d-way: analytic stats diverge\n got %+v\nwant %+v", tr.cfg.Size, tr.cfg.Assoc, got, want)
+		}
+	}
+}
+
 // TestTrackedWritebackByHand pins the writeback derivation on streams
 // small enough to verify on paper (direct-mapped, one set).
 func TestTrackedWritebackByHand(t *testing.T) {
@@ -341,15 +416,12 @@ func TestEngineMisuse(t *testing.T) {
 // stacks only; the other adds a fully associative (Fenwick) family.
 func TestOnBatchMatchesPerEvent(t *testing.T) {
 	g := newRefGen(11)
-	msg := func(k fsb.MsgKind, core uint8, v uint64) trace.Ref {
-		return fsb.EncodeMessage(fsb.Message{Kind: k, Core: core, Value: v})
-	}
-	stream := []trace.Ref{{Addr: 0x40, Size: 8}, msg(fsb.MsgStart, 0, 0)}
+	stream := []trace.Ref{{Addr: 0x40, Size: 8}, encMsg(fsb.MsgStart, 0, 0)}
 	var cycles uint64
 	core := uint8(0)
 	for run := 0; run < 400; run++ {
 		if run == 200 {
-			stream = append(stream, msg(fsb.MsgStop, 0, 0), trace.Ref{Addr: 0x80, Size: 8}, msg(fsb.MsgStart, 0, 0))
+			stream = append(stream, encMsg(fsb.MsgStop, 0, 0), trace.Ref{Addr: 0x80, Size: 8}, encMsg(fsb.MsgStart, 0, 0))
 		}
 		x := mem.Addr(g.next() % (1 << 16))
 		for k := 0; k < 24; k++ {
@@ -358,7 +430,7 @@ func TestOnBatchMatchesPerEvent(t *testing.T) {
 				core = uint8(g.next() % 4) // a switch inside the run
 			case 1:
 				cycles += 300
-				stream = append(stream, msg(fsb.MsgCycles, 0, cycles)) // a CB boundary inside the run
+				stream = append(stream, encMsg(fsb.MsgCycles, 0, cycles)) // a CB boundary inside the run
 			case 2:
 				stream = append(stream, trace.Ref{Addr: x&^63 + 60, Size: 8, Kind: mem.Load, Core: core})
 			case 3:
@@ -370,9 +442,92 @@ func TestOnBatchMatchesPerEvent(t *testing.T) {
 			}
 			stream = append(stream, trace.Ref{Addr: x, Size: 8, Kind: mem.Load, Core: core})
 		}
-		stream = append(stream, msg(fsb.MsgInstRetired, core, uint64(run)*100))
+		stream = append(stream, encMsg(fsb.MsgInstRetired, core, uint64(run)*100))
 	}
-	grids := map[string][]cache.Config{
+	var batches [][]trace.Ref
+	for i := 0; i < len(stream); i += 61 {
+		batches = append(batches, stream[i:min(i+61, len(stream))])
+	}
+	for name, cfgs := range batchGrids() {
+		checkBatchMatchesPerEvent(t, name, cfgs, batches, 100)
+	}
+}
+
+// TestOnBatchRunExits ends OnBatch's call-free run of top-of-set loads
+// at each of its exits in turn, and once not at all over a run longer
+// than a bus batch, and holds each case to one OnRef per event. One case
+// reloads X after 600 lines of other sets: X still tops every stack, but
+// a fully associative family must see the reload as deep, so the loop
+// stays off beside a Fenwick family. A run can only start once the
+// engine has frozen its families, so a first batch records a load of
+// line X, topping its set; the case's events follow in batches.
+func TestOnBatchRunExits(t *testing.T) {
+	const x, y = 0x10040, 0x20040 // lines 0x401 and 0x801: one set in every family of both grids
+	load := func(a mem.Addr, core uint8) trace.Ref { return trace.Ref{Addr: a, Size: 8, Kind: mem.Load, Core: core} }
+	loads := func(n int, a mem.Addr, core uint8) []trace.Ref {
+		refs := make([]trace.Ref, n)
+		for i := range refs {
+			refs[i] = load(a+mem.Addr(i%7*8), core)
+		}
+		return refs
+	}
+	cat := func(parts ...[]trace.Ref) []trace.Ref {
+		var out []trace.Ref
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	one := func(r trace.Ref) []trace.Ref { return []trace.Ref{r} }
+	// 600 lines outside X's set in every stack family, so X stays on top
+	// there while it sinks past the fully associative family's 512 ways.
+	var others []trace.Ref
+	for b := mem.Addr(0x1000); len(others) < 600; b++ {
+		if b%32 != 0x401%32 {
+			others = append(others, load(b<<6, 1))
+		}
+	}
+	cases := []struct {
+		name  string
+		exit  []trace.Ref
+		after mem.Addr // the address the run resumes on
+	}{
+		{"core switch", loads(1, x, 3), x},
+		{"cycles inside a run", one(encMsg(fsb.MsgCycles, 0, 450)), x},
+		{"stop and start", cat(one(encMsg(fsb.MsgStop, 0, 0)), loads(3, x, 1), one(encMsg(fsb.MsgStart, 0, 0))), x},
+		{"zero size", one(trace.Ref{Addr: x, Size: 0, Kind: mem.Load, Core: 1}), x},
+		{"straddler", one(trace.Ref{Addr: x + 60, Size: 8, Kind: mem.Load, Core: 1}), x},
+		{"store", one(trace.Ref{Addr: x + 8, Size: 4, Kind: mem.Store, Core: 1}), x},
+		{"not on top", loads(1, y, 1), x},
+		{"not on top, then on top", loads(1, y, 1), y},
+		{"on top of every stack after 600 other lines", others, x},
+	}
+	prefix := []trace.Ref{encMsg(fsb.MsgStart, 0, 0), load(x, 1), encMsg(fsb.MsgCycles, 0, 50)}
+	tail := []trace.Ref{encMsg(fsb.MsgInstRetired, 1, 900), encMsg(fsb.MsgCycles, 0, 950), encMsg(fsb.MsgStop, 0, 0)}
+	for name, cfgs := range batchGrids() {
+		for _, tc := range cases {
+			body := cat(loads(5, x, 1), tc.exit, loads(5, tc.after, 1))
+			checkBatchMatchesPerEvent(t, name+", "+tc.name, cfgs, [][]trace.Ref{prefix, body, tail}, 9)
+		}
+		// A run longer than a batch: every batch of it is one run.
+		long := loads(2*fsb.DefaultBatch+5, x, 1)
+		batches := [][]trace.Ref{prefix}
+		for i := 0; i < len(long); i += fsb.DefaultBatch {
+			batches = append(batches, long[i:min(i+fsb.DefaultBatch, len(long))])
+		}
+		checkBatchMatchesPerEvent(t, name+", a run over whole batches", cfgs, append(batches, tail), 9)
+	}
+}
+
+func encMsg(k fsb.MsgKind, core uint8, v uint64) trace.Ref {
+	return fsb.EncodeMessage(fsb.Message{Kind: k, Core: core, Value: v})
+}
+
+// batchGrids are the OnBatch tests' geometries: bounded stacks only,
+// where top-of-set loads take the call-free run, and a grid with a
+// fully associative (Fenwick) family, which must see every request.
+func batchGrids() map[string][]cache.Config {
+	return map[string][]cache.Config{
 		"stacks": {
 			{Name: "a", Size: 16 << 10, LineSize: 64, Assoc: 8},
 			{Name: "b", Size: 64 << 10, LineSize: 64, Assoc: 8},
@@ -383,44 +538,52 @@ func TestOnBatchMatchesPerEvent(t *testing.T) {
 			{Name: "fa", Size: 2 * fastDepth * 64, LineSize: 64},
 		},
 	}
-	for name, cfgs := range grids {
-		engines := [2]*Engine{}
-		tracked := [2][]*Tracked{}
-		for k := range engines {
-			e, err := New(64)
+}
+
+// checkBatchMatchesPerEvent feeds batches to one engine through OnBatch
+// and their events to another through OnRef, both tracking cfgs with
+// 100 µs samples at 1 MHz, and fails unless Accesses, Ignored,
+// Instructions and every handle's Stats and Samples agree, with at
+// least minSamples samples.
+func checkBatchMatchesPerEvent(t *testing.T, name string, cfgs []cache.Config, batches [][]trace.Ref, minSamples int) {
+	t.Helper()
+	engines := [2]*Engine{}
+	tracked := [2][]*Tracked{}
+	for k := range engines {
+		e, err := New(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.EnableSampling(1e6, 1e-4); err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range cfgs {
+			tr, err := e.Track(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.EnableSampling(1e6, 1e-4); err != nil {
-				t.Fatal(err)
-			}
-			for _, cfg := range cfgs {
-				tr, err := e.Track(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tracked[k] = append(tracked[k], tr)
-			}
-			engines[k] = e
+			tracked[k] = append(tracked[k], tr)
 		}
-		for i := 0; i < len(stream); i += 61 {
-			engines[0].OnBatch(stream[i:min(i+61, len(stream))])
-		}
-		for _, r := range stream {
+		engines[k] = e
+	}
+	for _, b := range batches {
+		engines[0].OnBatch(b)
+		for _, r := range b {
 			engines[1].OnRef(r)
 		}
-		got, want := engines[0], engines[1]
-		if got.Accesses() != want.Accesses() || got.Ignored() != want.Ignored() || got.Instructions() != want.Instructions() {
-			t.Fatalf("%s: accesses/ignored/instructions %d/%d/%d in batches, %d/%d/%d per event", name,
-				got.Accesses(), got.Ignored(), got.Instructions(), want.Accesses(), want.Ignored(), want.Instructions())
+	}
+	got, want := engines[0], engines[1]
+	if got.Accesses() != want.Accesses() || got.Ignored() != want.Ignored() || got.Instructions() != want.Instructions() {
+		t.Fatalf("%s: accesses/ignored/instructions %d/%d/%d in batches, %d/%d/%d per event", name,
+			got.Accesses(), got.Ignored(), got.Instructions(), want.Accesses(), want.Ignored(), want.Instructions())
+	}
+	for i, tr := range tracked[0] {
+		if g, w := tr.Stats(), tracked[1][i].Stats(); g != w {
+			t.Fatalf("%s, %s: Stats diverge\n got %+v\nwant %+v", name, cfgs[i].Name, g, w)
 		}
-		for i, tr := range tracked[0] {
-			if g, w := tr.Stats(), tracked[1][i].Stats(); g != w {
-				t.Fatalf("%s, %s: Stats diverge\n got %+v\nwant %+v", name, cfgs[i].Name, g, w)
-			}
-			if g, w := tr.Samples(), tracked[1][i].Samples(); len(w) < 100 || !reflect.DeepEqual(g, w) {
-				t.Fatalf("%s, %s: %d samples in batches, %d per event (want at least 100, equal)", name, cfgs[i].Name, len(g), len(w))
-			}
+		if g, w := tr.Samples(), tracked[1][i].Samples(); len(w) < minSamples || !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s, %s: %d samples in batches, %d per event (want at least %d, equal)\n got %+v\nwant %+v",
+				name, cfgs[i].Name, len(g), len(w), minSamples, g, w)
 		}
 	}
 }

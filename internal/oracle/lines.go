@@ -13,7 +13,7 @@ type lineCell struct {
 // minLines is the initial line-table size (a power of two).
 const minLines = 1 << 10
 
-// lineTable is the engine's set of touched blocks: open-addressed,
+// lineTable is the engine's set of stored-to blocks: open-addressed,
 // linearly probed, load <= 3/4, doubling. Blocks are never deleted, so
 // there are no tombstones. A key's home is cell key&7 of a group of 8
 // cells (128 B) that a Fibonacci hash of key>>3 picks, so neighbouring
@@ -23,8 +23,9 @@ const minLines = 1 << 10
 // is fused into the Record kernel.
 type lineTable struct {
 	cells []lineCell
-	shift uint // 64 - log2(len(cells))
-	n     int  // occupied cells = distinct blocks
+	shift uint     // 64 - log2(len(cells))
+	n     int      // occupied cells = distinct blocks
+	clean lineCell // any block never stored to: loads clear its bits, never set them
 }
 
 func newLineTable() lineTable {
@@ -50,7 +51,7 @@ func (t *lineTable) find(key uint64) int {
 	return i
 }
 
-// at returns key's cell, inserting it with a zero mask on first touch.
+// at returns key's cell, inserting it with a zero mask if absent.
 // The pointer is good until the next at.
 func (t *lineTable) at(key uint64) *lineCell {
 	i := t.find(key)
@@ -65,7 +66,17 @@ func (t *lineTable) at(key uint64) *lineCell {
 	return &t.cells[i]
 }
 
-// mask returns key's dirty bitmask, zero for a block never touched.
+// get returns key's cell, or the clean cell if key was never inserted:
+// a load's view, which inserts nothing. The pointer is good until at.
+func (t *lineTable) get(key uint64) *lineCell {
+	c := &t.cells[t.find(key)]
+	if c.key == 0 {
+		c = &t.clean
+	}
+	return c
+}
+
+// mask returns key's dirty bitmask, zero for a block never stored to.
 func (t *lineTable) mask(key uint64) uint64 { return t.cells[t.find(key)].mask }
 
 // grow doubles the table and rehashes every cell.

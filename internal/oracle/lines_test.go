@@ -64,10 +64,14 @@ func TestLineTableMatchesMap(t *testing.T) {
 				}
 			}
 			check()
-			// A key never inserted finds an empty cell.
+			// A key never inserted finds an empty cell, and get the
+			// clean one.
 			for _, k := range []uint64{1 << 50, 1<<50 + 1} {
 				if c := tab.cells[tab.find(k)]; c.key != 0 {
 					t.Fatalf("absent key %#x found cell {%#x, %#x}", k, c.key, c.mask)
+				}
+				if c := tab.get(k); c != &tab.clean || *c != (lineCell{}) {
+					t.Fatalf("get(%#x) = %p {%#x, %#x}, want the clean cell", k, c, c.key, c.mask)
 				}
 			}
 

@@ -333,7 +333,8 @@ var ladderSink uint64
 // streamRefs reads 64 MB of lines in order, one load each, with a
 // reference into a 256 KB hot region after every line — the shape of a
 // CSR sweep (matrix streamed once, vector reused): every streamed line
-// is a first touch, so it inserts into the line table.
+// is a first touch, a miss whose line-table probe finds no member, and
+// the hot region's stores keep the table's members.
 func streamRefs() []trace.Ref {
 	const lines, hot = 1 << 20, 256 << 10
 	g := newRefGen(11)
@@ -346,10 +347,11 @@ func streamRefs() []trace.Ref {
 	return refs
 }
 
-// BenchmarkEngineLadder times the analytic pass alone — track, record,
-// read Stats — so the layer can be worked on without a run of the
-// repository benchmark: "mixed" is refGen's 1 MB footprint, which fits
-// in a core's L2, "stream" a footprint that does not.
+// BenchmarkEngineLadder times the analytic pass alone — track, OnBatch
+// over bus-sized batches, read Stats — so the layer can be worked on
+// without a run of the repository benchmark: "mixed" is refGen's 1 MB
+// footprint, which fits in a core's L2, "stream" a footprint that does
+// not.
 func BenchmarkEngineLadder(b *testing.B) {
 	b.Run("mixed", func(b *testing.B) { benchLadder(b, newRefGen(5).refs(1<<18)) })
 	b.Run("stream", func(b *testing.B) { benchLadder(b, streamRefs()) })
@@ -369,7 +371,10 @@ func benchLadder(b *testing.B, refs []trace.Ref) {
 				b.Fatal(err)
 			}
 		}
-		deliver(refs, eng)
+		eng.OnMsg(fsb.Message{Kind: fsb.MsgStart})
+		for j := 0; j < len(refs); j += fsb.DefaultBatch {
+			eng.OnBatch(refs[j:min(j+fsb.DefaultBatch, len(refs))])
+		}
 		for _, tr := range tracked {
 			ladderSink += tr.Stats().Misses
 		}

@@ -161,7 +161,7 @@ func (w *Workload) Build(sp *mem.Space, sched *softsdv.Scheduler, threads int) (
 			var s float32 // terms cur lacks add +0: the sum is the merge's
 			pterms, pwts := w.corpus.Sentences[prev], w.corpus.Weights[prev]
 			for k, pt := range pterms {
-				s += pwts[k] * dense[pt]
+				s += float32(pwts[k] * dense[pt])
 			}
 			if s > 0 {
 				edges = append(edges, edge{prev, cur, s})
@@ -283,10 +283,10 @@ func (w *Workload) rankRows(t *softsdv.Thread, cur, next mem.Float32s, lo, hi in
 		var acc float32
 		for k := start; k < end; k++ {
 			c, v := unpackEntry(w.entries.At(t, k))
-			acc += v * cur.At(t, int(c))
+			acc += float32(v * cur.At(t, int(c)))
 			t.Exec(3) // unpack + multiply-accumulate + loop overhead
 		}
-		next.Set(t, i, (1-alpha)*w.q.At(t, i)+alpha*acc)
+		next.Set(t, i, float32((1-alpha)*w.q.At(t, i))+float32(alpha*acc))
 		t.Exec(2)
 	}
 }
@@ -361,7 +361,7 @@ func (w *Workload) mmr(t *softsdv.Thread, rank mem.Float32s) {
 					maxSim = sim
 				}
 			}
-			score := mmrLambda*rank.At(t, int(c)) - (1-mmrLambda)*maxSim
+			score := float32(mmrLambda*rank.At(t, int(c))) - float32((1-mmrLambda)*maxSim)
 			t.Exec(2)
 			if score > bestScore {
 				bestK, bestScore = k, score
@@ -385,7 +385,7 @@ func (w *Workload) simTraced(t *softsdv.Thread, a, b int) float32 {
 		t.Exec(1)
 		switch {
 		case ta == tb:
-			dot += w.termWts.At(t, ai) * w.termWts.At(t, bi)
+			dot += float32(w.termWts.At(t, ai) * w.termWts.At(t, bi))
 			ai++
 			bi++
 		case ta < tb:
@@ -405,7 +405,7 @@ func querySim(c *datasets.Corpus, i int) float32 {
 	for a < len(ts) && b < len(c.QueryTerms) {
 		switch {
 		case ts[a] == c.QueryTerms[b]:
-			dot += ws[a] * c.QueryWeights[b]
+			dot += float32(ws[a] * c.QueryWeights[b])
 			a++
 			b++
 		case ts[a] < c.QueryTerms[b]:

@@ -157,13 +157,13 @@ func (w *Workload) Build(sp *mem.Space, sched *softsdv.Scheduler, threads int) (
 				pixels := float64(frameBytes / 3)
 				hdn := float64(hd) / (3 * pixels / histStride)
 				pdn := float64(pd) / (255 * pixels)
-				diff := 0.6*hdn + 0.4*pdn
+				diff := float64(0.6*hdn) + float64(0.4*pdn)
 				// Adaptive threshold: a cut is a large jump relative to
 				// the running inter-frame difference.
 				if diff > 0.18 && diff > 3*prevDiff {
 					cuts = append(cuts, int32(f))
 				}
-				prevDiff = 0.5*prevDiff + 0.5*diff
+				prevDiff = float64(0.5*prevDiff) + float64(0.5*diff)
 			}
 
 			cur, prev = prev, cur

@@ -257,7 +257,7 @@ func miFromCounts(n, a, b, ab int) float64 {
 	for x := 0; x < 2; x++ {
 		for y := 0; y < 2; y++ {
 			if p[x][y] > 0 && pa[x] > 0 && pb[y] > 0 {
-				mi += p[x][y] * math.Log(p[x][y]/(pa[x]*pb[y]))
+				mi += float64(p[x][y] * math.Log(p[x][y]/(pa[x]*pb[y])))
 			}
 		}
 	}
@@ -279,7 +279,7 @@ func (w *Workload) bicDelta(t *softsdv.Thread, i, j int, ps []int32) float64 {
 	llOld := w.logLik(t, j, newPs)
 	llNew := w.logLik(t, j, withI)
 	// BIC penalty: extra free parameters = 2^|ps| (doubling configs).
-	penalty := 0.5 * math.Log(float64(N)) * float64(int(1)<<len(newPs))
+	penalty := float64(0.5 * math.Log(float64(N)) * float64(int(1)<<len(newPs)))
 	return (llNew - llOld) - penalty
 }
 
@@ -308,10 +308,10 @@ func (w *Workload) logLik(t *softsdv.Thread, j int, ps []int) float64 {
 			continue
 		}
 		if n0 > 0 {
-			ll += float64(n0) * math.Log(float64(n0)/float64(tot))
+			ll += float64(float64(n0) * math.Log(float64(n0)/float64(tot)))
 		}
 		if n1 > 0 {
-			ll += float64(n1) * math.Log(float64(n1)/float64(tot))
+			ll += float64(float64(n1) * math.Log(float64(n1)/float64(tot)))
 		}
 	}
 	return ll

@@ -215,20 +215,20 @@ func (w *Workload) train(t *softsdv.Thread, core, cur, active int, barrier *soft
 						var q float64
 						for g := 0; g < active; g++ {
 							xv := x.At(t, row+g)
-							dot += xv * wl.At(t, g)
-							q += xv * xv
+							dot += float64(xv * wl.At(t, g))
+							q += float64(xv * xv)
 							t.Exec(3)
 						}
 						qii[i-sLo] = q
 					} else {
 						for g := 0; g < active; g++ {
-							dot += x.At(t, row+g) * wl.At(t, g)
+							dot += float64(x.At(t, row+g) * wl.At(t, g))
 							t.Exec(2)
 						}
 					}
 					yi := w.y.At(t, i)
 					// Dual coordinate descent step for L1-loss SVM.
-					grad := yi*dot - 1
+					grad := float64(yi*dot) - 1
 					a := w.alpha.At(t, i)
 					q := qii[i-sLo]
 					if q == 0 {
@@ -245,7 +245,7 @@ func (w *Workload) train(t *softsdv.Thread, core, cur, active int, barrier *soft
 					t.Exec(8)
 					if dy != 0 {
 						for g := 0; g < active; g++ {
-							wl.Set(t, g, wl.At(t, g)+dy*x.At(t, row+g))
+							wl.Set(t, g, wl.At(t, g)+float64(dy*x.At(t, row+g)))
 							t.Exec(2)
 						}
 					} else if na == 0 || na == regularization {
@@ -353,14 +353,14 @@ func (w *Workload) ReferenceAccuracy() float64 {
 				row := i * w.genes
 				var dot, q float64
 				for g := 0; g < active; g++ {
-					dot += x[row+g] * wv[g]
-					q += x[row+g] * x[row+g]
+					dot += float64(x[row+g] * wv[g])
+					q += float64(x[row+g] * x[row+g])
 				}
 				if q == 0 {
 					q = 1
 				}
 				yi := data.Y[i]
-				grad := yi*dot - 1
+				grad := float64(yi*dot) - 1
 				na := alpha[i] - grad/q
 				if na < 0 {
 					na = 0
@@ -371,7 +371,7 @@ func (w *Workload) ReferenceAccuracy() float64 {
 				alpha[i] = na
 				if d != 0 {
 					for g := 0; g < active; g++ {
-						wv[g] += d * x[row+g]
+						wv[g] += float64(d * x[row+g])
 					}
 				}
 			}
