@@ -337,41 +337,34 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// clear resets the metadata arrays to the empty-cache state.
+// clear sets New's zeroed metadata arrays to the empty-cache state:
+// every tag and hint invalid, and every set's rank words those of an
+// empty set. Each is built for one set and copied to the rest.
 func (c *Cache) clear() {
-	c.pfLive = 0
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	for i := range c.flags {
-		c.flags[i] = 0
-	}
-	for i := range c.sectors {
-		c.sectors[i] = 0
-	}
-	for i := range c.mruTag {
-		c.mruTag[i] = invalidTag
-		c.mru[i] = 0
-	}
+	c.tags[0] = invalidTag
+	repeat(c.tags, 1)
 	if c.rankPath {
-		nsets := len(c.tags) / c.assoc
-		for s := 0; s < nsets; s++ {
-			for k := 0; k < c.rankWords; k++ {
-				var w uint64
-				for b := 0; b < 8; b++ {
-					way := k*8 + b
-					r := uint64(fillerRank)
-					if way < c.assoc {
-						// Empty ways start in way order: way assoc-1 holds
-						// the LRU rank, so fills consume invalid ways first
-						// — the same victim sequence as recency-order fill.
-						r = uint64(way)
-					}
-					w |= r << (8 * b)
-				}
-				c.ranks[s*c.rankWords+k] = w
+		c.mruTag[0] = invalidTag
+		repeat(c.mruTag, 1)
+		for way := 0; way < c.rankWords*8; way++ {
+			r := uint64(fillerRank)
+			if way < c.assoc {
+				// Empty ways start in way order: way assoc-1 holds the
+				// LRU rank, so fills consume invalid ways first — the
+				// same victim sequence as recency-order fill.
+				r = uint64(way)
 			}
+			c.ranks[way/8] |= r << (8 * (way % 8))
 		}
+		repeat(c.ranks, c.rankWords)
+	}
+}
+
+// repeat copies s[:n] over the rest of s, doubling the copied prefix
+// each time.
+func repeat(s []uint64, n int) {
+	for ; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
 	}
 }
 

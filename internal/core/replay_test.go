@@ -324,14 +324,16 @@ func TestReplayChecksEventCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	half := tr.Summary.BusEvents / 2
-	var enc trace.Encoder
-	short := trace.AppendHeader(nil)
-	for i := uint64(0); i < half; i++ {
-		r, _ := pl.Next()
-		if short, err = enc.Append(short, r); err != nil {
-			t.Fatal(err)
-		}
+	refs := make([]trace.Ref, half)
+	if n := pl.NextBatch(refs); n != len(refs) {
+		t.Fatalf("decoded %d records, want %d: %v", n, len(refs), pl.Err())
 	}
+	var enc trace.Encoder
+	short, err := enc.AppendBlocks(trace.AppendHeader(nil), refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short = enc.Flush(short)
 	store := tracestore.New(0, "")
 	if _, _, err := store.DoOutcome(TraceKey("FIMI", p, pc), func() (*tracestore.Trace, error) {
 		return tracestore.NewTrace(tr.Summary, short), nil
@@ -362,19 +364,24 @@ func TestSpillRevivalDecodesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first half of the captured records, and a copy whose middle
-	// record sets the reserved header bits.
+	// record sets the reserved header bits: the first record of the
+	// block that starts at the half of the half.
 	half := tr.Summary.BusEvents / 2
-	var enc trace.Encoder
-	short, mid := trace.AppendHeader(nil), 0
-	for i := uint64(0); i < half; i++ {
-		if i == half/2 {
-			mid = len(short)
-		}
-		r, _ := pl.Next()
-		if short, err = enc.Append(short, r); err != nil {
-			t.Fatal(err)
-		}
+	refs := make([]trace.Ref, half)
+	if n := pl.NextBatch(refs); n != len(refs) {
+		t.Fatalf("decoded %d records, want %d: %v", n, len(refs), pl.Err())
 	}
+	var enc trace.Encoder
+	short, err := enc.AppendBlocks(trace.AppendHeader(nil), refs[:half/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	short = enc.Flush(short)
+	mid := len(short) + 1
+	if short, err = enc.AppendBlocks(short, refs[half/2:]); err != nil {
+		t.Fatal(err)
+	}
+	short = enc.Flush(short)
 	reserved := slices.Clone(short)
 	reserved[mid] |= 0xc0
 	for _, c := range []struct {

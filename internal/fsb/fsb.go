@@ -207,7 +207,6 @@ const batchDepth = 4
 type Bus struct {
 	snoopers  []Snooper
 	events    uint64
-	msgs      uint64 // control messages, counted only for a registry
 	batchSize int
 	started   bool // events have flowed; attaching now would lose history
 	closed    bool
@@ -231,7 +230,6 @@ type Bus struct {
 // busTelemetry holds the bus's registered metrics.
 type busTelemetry struct {
 	events     *telemetry.Counter // fsb_events_total: refs + msgs broadcast
-	msgs       *telemetry.Counter // fsb_msgs_total: control messages broadcast
 	deliveries *telemetry.Counter // fsb_deliveries_total: events fanned out (events x snoopers)
 	batches    *telemetry.Counter // fsb_batches_total: batches delivered
 }
@@ -244,7 +242,6 @@ func (b *Bus) Instrument(r *telemetry.Registry) {
 	}
 	b.tel = &busTelemetry{
 		events:     r.Counter("fsb_events_total"),
-		msgs:       r.Counter("fsb_msgs_total"),
 		deliveries: r.Counter("fsb_deliveries_total"),
 		batches:    r.Counter("fsb_batches_total"),
 	}
@@ -341,7 +338,6 @@ func (b *Bus) Msg(m Message) {
 	}
 	b.begin()
 	b.events++
-	b.msgs++
 	for _, s := range b.snoopers {
 		s.OnMsg(m)
 	}
@@ -354,13 +350,6 @@ func (b *Bus) Refs(batch []trace.Ref) {
 	first := !b.started
 	b.begin()
 	b.events += uint64(len(batch))
-	if b.tel != nil {
-		for i := range batch {
-			if IsMessage(batch[i]) {
-				b.msgs++
-			}
-		}
-	}
 	if first {
 		b.fanOut()
 	}
@@ -492,7 +481,6 @@ func (b *Bus) Close() error {
 		// Totals push once at close: per-event increments would put two
 		// atomic adds in the producer's hot loop for no extra fidelity.
 		b.tel.events.Add(b.events)
-		b.tel.msgs.Add(b.msgs)
 		b.tel.deliveries.Add(b.events * uint64(len(b.snoopers)))
 	}
 	if b.workers != nil {

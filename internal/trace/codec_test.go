@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -34,7 +35,95 @@ func encodeAll(t testing.TB, refs []Ref) []byte {
 	return buf.Bytes()
 }
 
-// decodeNext drains data through the reference decoder.
+// Errors of refDecode.
+var (
+	errRefCorrupt   = errors.New("reference decoder: corrupt block")
+	errRefTruncated = errors.New("reference decoder: truncated block")
+)
+
+// refDecode is the tests' own decoder of the v4 layout, sharing no code
+// with StreamPlayer: it walks the flat bytes block by block, reads every
+// field a byte at a time, and checks a whole block — its count, every
+// header's reserved bits, and that all its bytes are there — before it
+// yields any of the block's records.
+func refDecode(data []byte) ([]Ref, error) {
+	if len(data) < 8 || string(data[:8]) != "CMPT\x04\x00\x00\x00" {
+		return nil, ErrBadMagic
+	}
+	var last [256]uint64
+	var core uint8
+	var out []Ref
+	for p := 8; p < len(data); {
+		n := int(data[p])
+		if n < 1 || n > 64 {
+			return out, errRefCorrupt
+		}
+		if p+1+n > len(data) {
+			return out, errRefTruncated
+		}
+		hdrs := data[p+1 : p+1+n]
+		for _, h := range hdrs {
+			if h&0xc0 != 0 {
+				return out, errRefCorrupt
+			}
+		}
+		q := p + 1 + n
+		blk := make([]Ref, 0, n)
+		for _, h := range hdrs {
+			r := Ref{Size: 8, Kind: mem.Kind(h & 1)}
+			if h&2 == 0 {
+				if q >= len(data) {
+					return out, errRefTruncated
+				}
+				core, q = data[q], q+1
+			}
+			r.Core = core
+			if h&4 == 0 {
+				if q >= len(data) {
+					return out, errRefTruncated
+				}
+				r.Size, q = data[q], q+1
+			}
+			width := int(h >> 3 & 7)
+			if width == 7 {
+				width = 8
+			}
+			if q+width > len(data) {
+				return out, errRefTruncated
+			}
+			var zig uint64
+			for i := width - 1; i >= 0; i-- {
+				zig = zig<<8 | uint64(data[q+i])
+			}
+			q += width
+			delta := zig >> 1
+			if zig&1 != 0 {
+				delta = ^delta
+			}
+			last[core] += delta
+			r.Addr = mem.Addr(last[core])
+			blk = append(blk, r)
+		}
+		out = append(out, blk...)
+		p = q
+	}
+	return out, nil
+}
+
+// sameOutcome reports whether a StreamPlayer error is the reference
+// decoder's kind of error: none, a truncation, or a corrupt block.
+func sameOutcome(err, ref error) bool {
+	switch ref {
+	case nil:
+		return err == nil
+	case errRefTruncated:
+		return errors.Is(err, io.ErrUnexpectedEOF)
+	default:
+		return err != nil && !errors.Is(err, io.ErrUnexpectedEOF)
+	}
+}
+
+// decodeNext drains data through Next.
 func decodeNext(data []byte) ([]Ref, error) {
 	p, err := NewStreamPlayer(data)
 	if err != nil {
@@ -179,8 +268,10 @@ func TestCodecRejectsExoticKind(t *testing.T) {
 }
 
 func TestCodecRejectsReservedHeaderBits(t *testing.T) {
-	data := append(magic[:len(magic):len(magic)], 0x80, 0x10) // reserved bit set
+	// One block of one record whose header sets a reserved bit.
+	data := append(magic[:len(magic):len(magic)], 1, 0x80|hdrSameCore|hdrSize8|1<<hdrLenShift, 0x10)
 	for name, decode := range map[string]func([]byte) ([]Ref, error){
+		"reference": refDecode,
 		"Next":      decodeNext,
 		"NextBatch": func(d []byte) ([]Ref, error) { return decodeBatch(d, 64) },
 	} {
@@ -194,16 +285,91 @@ func TestCodecTruncatedRecord(t *testing.T) {
 	refs := []Ref{{Addr: 0xDEADBEEF, Core: 9, Size: 4, Kind: mem.Store}}
 	data := encodeAll(t, refs)
 	for cut := len(data) - 1; cut > len(magic); cut-- {
-		if _, err := decodeNext(data[:cut]); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("cut at %d: want a truncation error, got %v", cut, err)
+		for name, decode := range map[string]func([]byte) ([]Ref, error){
+			"reference": refDecode,
+			"Next":      decodeNext,
+			"NextBatch": func(d []byte) ([]Ref, error) { return decodeBatch(d, 64) },
+		} {
+			if got, err := decode(data[:cut]); len(got) != 0 || (name == "reference") != (err == errRefTruncated) ||
+				(name != "reference") != errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s, cut at %d: %d records, err %v; want none and a truncation error", name, cut, len(got), err)
+			}
 		}
 	}
 }
 
+// TestBadBlockYieldsNothing: a block is checked whole before any of its
+// records is yielded. On a three-block stream whose middle block is cut
+// short at every offset, or has a bad count or a reserved bit set in
+// any header, NextBatch (at batch sizes that end inside blocks) and Next
+// yield exactly the first block's records and then an error.
+func TestBadBlockYieldsNothing(t *testing.T) {
+	refs := randomRefs(23, 2*BlockLen+5)
+	data := encodeAll(t, refs)
+	second := len(magic) + blockSize(t, data[len(magic):])
+	third := second + blockSize(t, data[second:])
+	bad := map[string][]byte{}
+	for cut := second + 1; cut < third; cut++ {
+		bad[fmt.Sprintf("cut at %d", cut)] = data[:cut]
+	}
+	for _, count := range []byte{0, BlockLen + 1, 255} {
+		c := slices.Clone(data)
+		c[second] = count
+		bad[fmt.Sprintf("count %d", count)] = c
+	}
+	for i := 0; i < BlockLen; i++ {
+		c := slices.Clone(data)
+		c[second+1+i] |= 0x40 << (i % 2)
+		bad[fmt.Sprintf("reserved bit in header %d", i)] = c
+	}
+	for name, stream := range bad {
+		for _, batch := range []int{0, 1, 7, 64, 4096} {
+			p, err := NewStreamPlayer(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := drainPlayer(p, batch)
+			if err == nil || len(got) != BlockLen || !slices.Equal(got, refs[:BlockLen]) {
+				t.Fatalf("%s, batch %d: %d records, err %v; want the first block's %d and an error", name, batch, len(got), err, BlockLen)
+			}
+			if strings.HasPrefix(name, "cut") != errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s, batch %d: err %v", name, batch, err)
+			}
+		}
+	}
+}
+
+// blockSize returns the length of the well-formed block data starts with.
+func blockSize(t *testing.T, data []byte) int {
+	t.Helper()
+	n := 1 + int(data[0])
+	for _, h := range data[1:n] {
+		n += int(fields[h].next)
+	}
+	return n
+}
+
+// drainPlayer decodes p to its end through NextBatch, batch records at a
+// time, or through Next for batch 0.
+func drainPlayer(p *StreamPlayer, batch int) ([]Ref, error) {
+	var out []Ref
+	if batch == 0 {
+		for r, ok := p.Next(); ok; r, ok = p.Next() {
+			out = append(out, r)
+		}
+		return out, p.Err()
+	}
+	dst := make([]Ref, batch)
+	for n := p.NextBatch(dst); n > 0; n = p.NextBatch(dst) {
+		out = append(out, dst[:n]...)
+	}
+	return out, p.Err()
+}
+
 // TestCrossVersionDetection: the version byte is part of the magic, so
 // a stream is either this codec's or rejected at the header — the
-// retired fixed-record v1 and varint v2 layouts and unknown versions
-// alike, whatever follows the header.
+// retired fixed-record v1, varint v2 and record-at-a-time v3 layouts and
+// unknown versions alike, whatever follows the header.
 func TestCrossVersionDetection(t *testing.T) {
 	refs := []Ref{
 		{Addr: 0x10_0000, Core: 1, Size: 8, Kind: mem.Load},
@@ -218,59 +384,53 @@ func TestCrossVersionDetection(t *testing.T) {
 	// Two well-formed v2 records: header, core, size and varint delta,
 	// then a same-core, size-8 record with a two-byte varint.
 	v2 := []byte("CMPT\x02\x00\x00\x00\x01\x05\x02\x80\x01\x06\x90\x02")
+	// The same three records as v3 wrote them: each a header byte (kind,
+	// same-core, size-8, length code), its core and size bytes unless
+	// elided, and its delta's bytes.
+	v3 := []byte("CMPT\x03\x00\x00\x00" +
+		"\x1c\x01\x00\x00\x20" + // load, core 1, 8 bytes, delta 0x10_0000 in 3 bytes
+		"\x0b\x02\x80" + // store, same core, size 2, delta 0x40 in 1 byte
+		"\x3d\x00\xff\xff\xff\xff\xff\xff\x01\x00") // store, core 0, 8 bytes, -2^48 in all 8 bytes
 	for name, data := range map[string][]byte{
 		"v1 file":            v1,
-		"v1 byte on v3 body": append([]byte("CMPT\x01\x00\x00\x00"), enc[len(magic):]...),
+		"v1 byte on v4 body": append([]byte("CMPT\x01\x00\x00\x00"), enc[len(magic):]...),
 		"v2 file":            v2,
-		"v2 byte on v3 body": append([]byte("CMPT\x02\x00\x00\x00"), enc[len(magic):]...),
-		"version 4":          append([]byte("CMPT\x04\x00\x00\x00"), enc[len(magic):]...),
+		"v2 byte on v4 body": append([]byte("CMPT\x02\x00\x00\x00"), enc[len(magic):]...),
+		"v3 file":            v3,
+		"v3 byte on v4 body": append([]byte("CMPT\x03\x00\x00\x00"), enc[len(magic):]...),
+		"version 5":          append([]byte("CMPT\x05\x00\x00\x00"), enc[len(magic):]...),
 	} {
 		if _, err := NewStreamPlayer(data); !errors.Is(err, ErrBadMagic) {
 			t.Errorf("%s: got %v, want ErrBadMagic", name, err)
 		}
+		if _, err := refDecode(data); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%s: reference decoder got %v, want ErrBadMagic", name, err)
+		}
 	}
 }
 
-// TestStreamPlayerMatchesReader pins the two decode loops to each other
-// on a valid stream: Next and NextBatch return the written records, on
-// a first pass and again after Rewind.
+// TestStreamPlayerMatchesReader pins both entry points to the reference
+// decoder on a valid stream of many blocks: Next and NextBatch return
+// the reference's records, on a first pass and again after Rewind.
 func TestStreamPlayerMatchesReader(t *testing.T) {
 	refs := randomRefs(11, 5000)
-	p, err := NewStreamPlayer(encodeAll(t, refs))
+	data := encodeAll(t, refs)
+	want, err := refDecode(data)
+	if err != nil || !slices.Equal(want, refs) {
+		t.Fatalf("reference decoder: %d records, err %v; want the %d written", len(want), err, len(refs))
+	}
+	p, err := NewStreamPlayer(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]Ref, 7)
 	for pass := 0; pass < 2; pass++ {
-		for i, want := range refs {
-			got, ok := p.Next()
-			if !ok {
-				t.Fatalf("pass %d: stream ended at record %d: %v", pass, i, p.Err())
+		for _, batch := range []int{0, 7} {
+			got, err := drainPlayer(p, batch)
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("pass %d, batch %d: %d records, err %v; the reference's %d", pass, batch, len(got), err, len(want))
 			}
-			if got != want {
-				t.Fatalf("pass %d record %d: got %+v, want %+v", pass, i, got, want)
-			}
+			p.Rewind()
 		}
-		if _, ok := p.Next(); ok || p.Err() != nil {
-			t.Fatalf("pass %d: want clean end of stream, ok=%v err=%v", pass, ok, p.Err())
-		}
-		p.Rewind()
-		for i := 0; i < len(refs); {
-			n := p.NextBatch(dst)
-			if n == 0 {
-				t.Fatalf("pass %d: batch decode ended at record %d: %v", pass, i, p.Err())
-			}
-			for _, got := range dst[:n] {
-				if got != refs[i] {
-					t.Fatalf("pass %d batch record %d: got %+v, want %+v", pass, i, got, refs[i])
-				}
-				i++
-			}
-		}
-		if n := p.NextBatch(dst); n != 0 || p.Err() != nil {
-			t.Fatalf("pass %d: want clean end of batch decode, n=%d err=%v", pass, n, p.Err())
-		}
-		p.Rewind()
 	}
 }
 
@@ -351,14 +511,15 @@ func TestStreamPlayerZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStreamPlayerSeek: a Seek to a Mark taken at any record boundary,
-// the end of stream included, resumes exactly the suffix one
-// uninterrupted NextBatch decode yields — on a stream cut in two at
-// every byte offset and into 1-byte chunks, so marks land on both sides
-// of seams and inside records that straddle them. The seeks run last to
-// first on a player already at end of stream.
+// TestStreamPlayerSeek: a Seek to a Mark taken at any record boundary —
+// every record index of both blocks, and the end of stream — resumes
+// exactly the suffix one uninterrupted NextBatch decode yields, on a
+// stream cut in two at every byte offset and into 1-byte chunks, so
+// marks land in blocks decoded in place and in blocks spliced across a
+// seam. The seeks run last to first on a player already at end of
+// stream.
 func TestStreamPlayerSeek(t *testing.T) {
-	data := encodeAll(t, randomRefs(17, 24))
+	data := encodeAll(t, randomRefs(17, BlockLen+24))
 	want, err := decodeBatch(data, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -405,13 +566,14 @@ func TestStreamPlayerSeek(t *testing.T) {
 }
 
 // TestNextBatchLengthCodes pins NextBatch's masked one-load delta
-// decode to Next: records whose zigzag deltas sit at both edges of every
-// length code (0; 1-6 bytes; code 7's 7-byte values stored in 8 bytes
-// and 2^64-1), plus corrupt copies with reserved header bit 6 or 7 set
-// or a last record whose length code runs past the end of the stream,
-// each cut into two chunks at every byte offset and drained by Next and
-// by NextBatch at batch sizes 1, 3 and 4096. Every drain must yield the
-// one-chunk Next drain's records and error.
+// decode to the reference decoder: records whose zigzag deltas sit at
+// both edges of every length code (0; 1-6 bytes; code 7's 7-byte values
+// stored in 8 bytes and 2^64-1), plus corrupt copies with reserved
+// header bit 6 or 7 set, a count of 0 or 65, or a last block whose
+// length code runs past the end of the stream, each cut into two chunks
+// at every byte offset — inside the count byte, the headers and the
+// fields — and drained by Next and by NextBatch at batch sizes 1, 3 and
+// 4096. Every drain must yield the reference's records and outcome.
 func TestNextBatchLengthCodes(t *testing.T) {
 	zigs := []uint64{0}
 	for k := 1; k <= 6; k++ {
@@ -425,62 +587,50 @@ func TestNextBatchLengthCodes(t *testing.T) {
 		last[core] += uint64(int64(z>>1) ^ -int64(z&1))
 		refs = append(refs, Ref{Addr: mem.Addr(last[core]), Core: uint8(core), Size: uint8(4 + 4*(i%3/2)), Kind: mem.Kind(i % 2)})
 	}
-	// Encode record by record to check each length code and keep each
-	// record's offset.
 	var enc Encoder
-	valid := AppendHeader(nil)
-	starts := make([]int, len(refs))
-	for i, r := range refs {
-		starts[i] = len(valid)
-		var err error
-		if valid, err = enc.Append(valid, r); err != nil {
-			t.Fatal(err)
-		}
-		code := int(valid[starts[i]] >> hdrLenShift & 7)
+	valid, err := enc.AppendBlocks(AppendHeader(nil), refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid = enc.Flush(valid)
+	// One block: its count byte, then a header per record.
+	hdrs := valid[len(magic)+1 : len(magic)+1+len(refs)]
+	for i, h := range hdrs {
+		code := int(h >> hdrLenShift & 7)
 		if want := min((bits.Len64(zigs[i])+7)/8, 7); code != want {
 			t.Fatalf("zigzag delta %#x: length code %d, want %d", zigs[i], code, want)
 		}
-		if got, want := len(valid)-starts[i], 1+int(deltaLen[code])+int(^valid[starts[i]]>>1&1)+int(^valid[starts[i]]>>2&1); got != want {
-			t.Fatalf("zigzag delta %#x: %d-byte record, want %d", zigs[i], got, want)
-		}
 	}
-	if got, err := decodeNext(valid); err != nil || len(got) != len(refs) || got[len(got)-1] != refs[len(refs)-1] {
+	if got, err := refDecode(valid); err != nil || !slices.Equal(got, refs) {
 		t.Fatalf("reference decode: %d records, err %v", len(got), err)
 	}
 	flip := func(at int, bit byte) []byte {
-		c := append([]byte(nil), valid...)
+		c := slices.Clone(valid)
 		c[at] |= bit
 		return c
 	}
-	// The last record claims an 8-byte delta and holds 7.
-	overlong := append(append([]byte(nil), valid...), hdrSameCore|hdrSize8|7<<hdrLenShift, 1, 2, 3, 4, 5, 6, 7)
-
-	drain := func(p *StreamPlayer, batch int) ([]Ref, error) {
-		var out []Ref
-		if batch == 0 {
-			for r, ok := p.Next(); ok; r, ok = p.Next() {
-				out = append(out, r)
-			}
-			return out, p.Err()
-		}
-		dst := make([]Ref, batch)
-		for n := p.NextBatch(dst); n > 0; n = p.NextBatch(dst) {
-			out = append(out, dst[:n]...)
-		}
-		return out, p.Err()
+	count := func(n byte) []byte {
+		c := slices.Clone(valid)
+		c[len(magic)] = n
+		return c
 	}
+	// A second block whose record claims an 8-byte delta and holds 7.
+	overlong := append(slices.Clone(valid), 1, hdrSameCore|hdrSize8|7<<hdrLenShift, 1, 2, 3, 4, 5, 6, 7)
+
 	for name, data := range map[string][]byte{
 		"valid":             valid,
-		"bit 6, last":       flip(starts[len(starts)-1], 1<<6),
-		"bit 7, mid-stream": flip(starts[len(starts)/2], 1<<7),
+		"bit 6, last":       flip(len(magic)+len(refs), 1<<6),
+		"bit 7, mid-stream": flip(len(magic)+1+len(refs)/2, 1<<7),
+		"count 0":           count(0),
+		"count 65":          count(BlockLen + 1),
 		"overlong":          overlong,
 	} {
-		want, wantErr := decodeNext(data)
+		want, wantErr := refDecode(data)
 		switch {
 		case name == "valid" && wantErr != nil,
-			name == "overlong" && !errors.Is(wantErr, io.ErrUnexpectedEOF),
-			name != "valid" && name != "overlong" && (wantErr == nil || !strings.Contains(wantErr.Error(), "reserved")):
-			t.Fatalf("%s: Next err %v", name, wantErr)
+			name == "overlong" && (wantErr != errRefTruncated || len(want) != len(refs)),
+			name != "valid" && name != "overlong" && wantErr != errRefCorrupt:
+			t.Fatalf("%s: reference err %v", name, wantErr)
 		}
 		for c := len(magic); c <= len(data); c++ {
 			for _, batch := range []int{0, 1, 3, 4096} {
@@ -488,15 +638,10 @@ func TestNextBatchLengthCodes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := drain(p, batch)
-				if fmt.Sprint(err) != fmt.Sprint(wantErr) || len(got) != len(want) {
-					t.Fatalf("%s cut at %d, batch %d: %d records, err %v; one chunk: %d, err %v",
+				got, err := drainPlayer(p, batch)
+				if !sameOutcome(err, wantErr) || !slices.Equal(got, want) {
+					t.Fatalf("%s cut at %d, batch %d: %d records, err %v; reference: %d, err %v",
 						name, c, batch, len(got), err, len(want), wantErr)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s cut at %d, batch %d: record %d is %+v, one chunk's %+v", name, c, batch, i, got[i], want[i])
-					}
 				}
 			}
 		}

@@ -4,15 +4,16 @@
 // stream is captured once and replayed through many cache
 // configurations (the replay engine in internal/core).
 //
-// The wire format is a file header ("CMPT" + version byte 3) followed by
-// delta records: one packed header byte (kind, core-elision and
-// size-elision flags, the delta's byte length), optional core and size
-// bytes, and the reference address as a little-endian zigzag delta
-// against the issuing core's previous address. Because the DEX scheduler
-// emits long same-core slices of spatially local references, typical
-// records shrink to 2-4 bytes — a 4-8x reduction against a fixed
-// 16-byte record that lets full-scale streams stay resident in the trace
-// store — and a decoder finds the next record from this one's header.
+// The wire format is a file header ("CMPT" + version byte 4) followed by
+// blocks of up to BlockLen delta records: a count byte, one packed
+// header byte per record (kind, core-elision and size-elision flags, the
+// delta's byte length), then each record's fields — the core and size
+// bytes unless elided, and the address as a little-endian zigzag delta
+// against the issuing core's previous one. Every block but a stream's
+// last holds BlockLen records. Typical records shrink to 2-4 bytes, 4-8x
+// below a fixed 16-byte record, since the DEX scheduler emits long
+// same-core slices of local references; and with the headers first a
+// decoder finds every record's fields without waiting on the last one.
 package trace
 
 import (
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 
 	"cmpmem/internal/mem"
 )
@@ -52,16 +54,24 @@ func (r Ref) Units(shift uint) (first, last uint64) {
 
 // magic is the 8-byte file header: "CMPT" plus the codec version byte.
 // Any other header, an earlier codec version's included, is ErrBadMagic.
-var magic = [8]byte{'C', 'M', 'P', 'T', 3, 0, 0, 0}
+var magic = [8]byte{'C', 'M', 'P', 'T', 4, 0, 0, 0}
 
-// MaxRecSize bounds a record: header + core + size + 8-byte delta.
-const MaxRecSize = 11
+// BlockLen is the most records a block holds, and MaxBlockSize its most
+// bytes: the count, BlockLen headers, and BlockLen records' core and size
+// bytes and 8-byte deltas. The codec's loops index a window of bytes from
+// a block's start, and its masked delta load reads up to slack bytes
+// past the block's end.
+const (
+	BlockLen     = 64
+	MaxBlockSize = 1 + BlockLen + BlockLen*10
+	window       = 1 << 10
+	slack        = 8
+)
 
 // Header-byte fields. Bits 3-5 hold the delta's length code: code c
 // stores the zigzag delta in c bytes for c <= 6, and code 7 in all 8.
-// The remaining bits are reserved and must be zero; the reader rejects
-// records that set them, so corrupt or misdetected streams fail loudly
-// instead of decoding to garbage.
+// The reserved bits must be zero: a block whose headers set them fails
+// loudly instead of decoding to garbage.
 const (
 	hdrStore    = 1 << 0 // kind is store (load otherwise)
 	hdrSameCore = 1 << 1 // core byte elided: same core as previous record
@@ -70,15 +80,22 @@ const (
 	hdrReserved = 0xc0
 )
 
-// deltaLen and deltaMask give a length code's delta byte count and the
-// mask that keeps those bytes of an 8-byte little-endian load; recLen
-// gives the length of the record a header byte starts.
+// deltaLen gives a length code's delta bytes; fields, for a header
+// byte, where its record's size byte and delta start among its fields,
+// the mask keeping the delta of an 8-byte load, and where the next
+// record's fields start.
 var (
-	deltaLen  = [8]uint8{0, 1, 2, 3, 4, 5, 6, 8}
-	deltaMask = [8]uint64{0, 1<<8 - 1, 1<<16 - 1, 1<<24 - 1, 1<<32 - 1, 1<<40 - 1, 1<<48 - 1, 1<<64 - 1}
-	recLen    = func() (t [256]uint8) {
+	deltaLen = [8]uint8{0, 1, 2, 3, 4, 5, 6, 8}
+	fields   = func() (t [256]struct {
+		mask              uint64
+		size, delta, next uint8
+	}) {
 		for h := range t {
-			t[h] = uint8(1 + ^h>>1&1 + ^h>>2&1 + int(deltaLen[h>>hdrLenShift&7]))
+			n := deltaLen[h>>hdrLenShift&7]
+			t[h].size = uint8(^h >> 1 & 1)
+			t[h].delta = t[h].size + uint8(^h>>2&1)
+			t[h].mask = 1<<(8*n) - 1
+			t[h].next = t[h].delta + n
 		}
 		return t
 	}()
@@ -88,111 +105,187 @@ var (
 // expected file header.
 var ErrBadMagic = errors.New("trace: bad magic (not a cmpmem trace file)")
 
+// errTruncated reports a block whose bytes run past the stream's end.
+var errTruncated = fmt.Errorf("trace: truncated block: %w", io.ErrUnexpectedEOF)
+
 // AppendHeader appends the file header to dst.
 func AppendHeader(dst []byte) []byte { return append(dst, magic[:]...) }
 
-// Encoder is the record encoder. It holds the delta state — the last
-// address per issuing core and the previous record's core for the
-// same-core elision — so a stream's records must all pass through one
-// Encoder, in order, after its header.
+// Encoder is the block encoder. It holds the delta state (each core's
+// last address, the previous record's core) and the open block's
+// records, so a stream's records all pass through one Encoder, in order.
 type Encoder struct {
 	last     [256]mem.Addr
 	prevCore uint8
+	open     [BlockLen]Ref // the open block's records, encoded once it fills
+	nopen    int
+	encoded  uint64 // records in the appended blocks
 }
 
-// Append appends r's record, at most MaxRecSize bytes, to dst. A kind
-// the codec cannot carry is an error and leaves dst and the delta state
-// as they were.
-func (e *Encoder) Append(dst []byte, r Ref) ([]byte, error) {
+// Count returns the number of records the Encoder has taken.
+func (e *Encoder) Count() uint64 { return e.encoded + uint64(e.nopen) }
+
+// AppendBlocks takes refs and appends to dst every block they complete;
+// the open block's records wait for more records or Flush. A kind the
+// codec cannot carry ends the stream before it: the records ahead of it
+// are taken, their last block closed, and the error returned.
+func (e *Encoder) AppendBlocks(dst []byte, refs []Ref) ([]byte, error) {
+	var err error
+	for i := range refs {
+		if refs[i].Kind > mem.Store {
+			refs, err = refs[:i], fmt.Errorf("trace: codec cannot encode kind %d (load/store only)", refs[i].Kind)
+			break
+		}
+	}
+	for len(refs) > 0 {
+		if e.nopen == 0 && len(refs) >= BlockLen {
+			dst, refs = e.appendBlock(dst, refs[:BlockLen]), refs[BlockLen:]
+			continue
+		}
+		k := copy(e.open[e.nopen:], refs)
+		refs = refs[k:]
+		if e.nopen += k; e.nopen == BlockLen {
+			dst = e.Flush(dst)
+		}
+	}
+	if err != nil {
+		dst = e.Flush(dst)
+	}
+	return dst, err
+}
+
+// Add takes one record as AppendBlocks takes a batch of one, without a
+// batch its caller would build and the Encoder read back from memory.
+func (e *Encoder) Add(dst []byte, r Ref) ([]byte, error) {
 	if r.Kind > mem.Store {
-		return dst, fmt.Errorf("trace: codec cannot encode kind %d (load/store only)", r.Kind)
+		return e.Flush(dst), fmt.Errorf("trace: codec cannot encode kind %d (load/store only)", r.Kind)
 	}
-	at := len(dst)
-	hdr := byte(r.Kind) // hdrStore for a store
-	dst = append(dst, 0)
-	if r.Core == e.prevCore {
-		hdr |= hdrSameCore
-	} else {
-		dst = append(dst, r.Core)
+	e.open[e.nopen] = r
+	if e.nopen++; e.nopen < BlockLen {
+		return dst, nil
 	}
-	if r.Size == 8 {
-		hdr |= hdrSize8
-	} else {
-		dst = append(dst, r.Size)
+	return e.Flush(dst), nil
+}
+
+// Flush appends the open block, if any: the last block of a stream, or
+// a short one that the records taken after it follow.
+func (e *Encoder) Flush(dst []byte) []byte {
+	if n := e.nopen; n > 0 {
+		e.nopen = 0
+		return e.appendBlock(dst, e.open[:n])
 	}
-	delta := int64(uint64(r.Addr) - uint64(e.last[r.Core]))
-	zig := uint64(delta)<<1 ^ uint64(delta>>63)
-	code := min((bits.Len64(zig)+7)>>3, 7)
-	dst[at] = hdr | byte(code)<<hdrLenShift
-	e.last[r.Core] = r.Addr
-	e.prevCore = r.Core
-	// One 8-byte store; the record keeps the delta's low bytes.
-	n := len(dst) + int(deltaLen[code])
-	return binary.LittleEndian.AppendUint64(dst, zig)[:n], nil
+	return dst
+}
+
+// appendBlock appends refs, 1 to BlockLen loads and stores, as a block.
+func (e *Encoder) appendBlock(dst []byte, refs []Ref) []byte {
+	at, n := len(dst), 0
+	dst = slices.Grow(dst, window+slack)
+	n, e.prevCore = encode(dst[at:at+window+slack], refs, &e.last, e.prevCore)
+	e.encoded += uint64(len(refs))
+	return dst[:at+n]
+}
+
+// encode is appendBlock's loop, with no call and its state in locals:
+// it writes refs as one block at the start of b, after a record of core,
+// and returns the block's length and its last record's core. Each field
+// is stored, then kept or overwritten as the cursor moves or not.
+func encode(b []byte, refs []Ref, last *[256]mem.Addr, core uint8) (int, uint8) {
+	b = b[: window+slack : window+slack]
+	b[0] = byte(len(refs))
+	hdrs := b[1 : 1+len(refs)]
+	pos := 1 + len(refs)
+	for i := range hdrs {
+		r := &refs[i]
+		hdr := byte(r.Kind) | hdrSameCore | hdrSize8
+		if b[pos&(window-1)] = r.Core; r.Core != core {
+			hdr, pos = hdr&^hdrSameCore, pos+1
+		}
+		if b[pos&(window-1)] = r.Size; r.Size != 8 {
+			hdr, pos = hdr&^hdrSize8, pos+1
+		}
+		core = r.Core
+		delta := int64(uint64(r.Addr) - uint64(last[core]))
+		last[core] = r.Addr
+		zig := uint64(delta)<<1 ^ uint64(delta>>63)
+		code := min((bits.Len64(zig)+7)>>3, 7)
+		hdrs[i] = hdr | byte(code)<<hdrLenShift
+		d := pos & (window - 1)
+		binary.LittleEndian.PutUint64(b[d:d+8:d+8], zig)
+		pos += int(deltaLen[code])
+	}
+	return pos, core
 }
 
 // Writer encodes Refs to an io.Writer.
 type Writer struct {
-	w     *bufio.Writer
-	enc   Encoder
-	buf   [MaxRecSize]byte
-	count uint64
-	err   error
+	w   *bufio.Writer
+	enc Encoder
+	blk []byte // the block being written
+	err error
 }
 
 // NewWriterV2 writes the file header and returns a Writer. It writes the
-// one codec, version 3; the name keeps its old suffix because bench's
-// trace.encode probe calls it by this name.
+// one codec, version 4, a block at a time; the name keeps its old suffix
+// because bench's trace.encode probe calls it by this name.
 func NewWriterV2(w io.Writer) (*Writer, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(magic[:]); err != nil {
 		return nil, fmt.Errorf("trace: writing header: %w", err)
 	}
-	return &Writer{w: bw}, nil
+	return &Writer{w: bw, blk: make([]byte, 0, window+slack)}, nil
 }
 
 // Write appends one record. Errors are sticky.
 func (w *Writer) Write(r Ref) error {
-	if w.err != nil {
-		return w.err
-	}
-	rec, err := w.enc.Append(w.buf[:0], r)
-	if err == nil {
-		if _, err = w.w.Write(rec); err != nil {
-			err = fmt.Errorf("trace: writing record: %w", err)
+	if w.err == nil {
+		var blk []byte
+		if blk, w.err = w.enc.Add(w.blk[:0], r); len(blk) > 0 && w.err == nil {
+			w.put(blk)
 		}
 	}
-	if err != nil {
-		w.err = err
-		return err
+	return w.err
+}
+
+// put writes blocks to the buffer.
+func (w *Writer) put(blk []byte) {
+	if _, err := w.w.Write(blk); err != nil {
+		w.err = fmt.Errorf("trace: writing record: %w", err)
 	}
-	w.count++
-	return nil
 }
 
 // Count returns the number of records written so far.
-func (w *Writer) Count() uint64 { return w.count }
+func (w *Writer) Count() uint64 { return w.enc.Count() }
 
-// Flush flushes buffered records to the underlying writer.
+// Flush closes the open block and flushes buffered records to the
+// underlying writer.
 func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
+	if w.err == nil {
+		if w.put(w.enc.Flush(w.blk[:0])); w.err == nil {
+			w.err = w.w.Flush()
+		}
 	}
-	return w.w.Flush()
+	return w.err
 }
 
-// StreamPlayer decodes an encoded trace stream (header included) in
-// place, with no per-record allocation, from chunks that cut it anywhere
-// — a record, even the header, may straddle several — so the decoder
-// owns the boundaries: NextBatch's hot loop decodes the records lying
-// wholly inside a chunk, Next (the seam) those near its end.
+// StreamPlayer decodes an encoded trace stream (header included) with
+// no per-record allocation, from chunks that cut it anywhere. A block
+// near its chunk's end, or across it, is spliced into the seam buffer;
+// any other is decoded in place, by the same loop.
 type StreamPlayer struct {
 	chunks [][]byte
-	ci     int    // index of the chunk being decoded
+	ci     int    // index of the chunk holding the cursor
 	data   []byte // chunks[ci]
-	pos    int    // cursor in data
+	pos    int    // cursor in data: the block after the open one
 	err    error
-	seam   [MaxRecSize]byte // one record spliced across a chunk boundary
+
+	// The open block from its count byte on, in place or in seam; where
+	// that byte lies; its records; the next one's index and field offset.
+	blk      []byte
+	bci, bat int
+	cnt, idx int
+	off      int
+	seam     [window + slack]byte
 
 	// Delta state, mirroring the Encoder.
 	last     [256]mem.Addr
@@ -209,26 +302,39 @@ func NewStreamPlayer(chunks ...[]byte) (*StreamPlayer, error) {
 	return p, nil
 }
 
-// Mark is a record boundary of a stream: the cursor and the delta
-// state the records before it left, so decoding can resume there.
+// Mark is a record boundary of a stream: where the record's block
+// starts, the record's index in it, and the delta state the records
+// before it left, so decoding can resume there.
 type Mark struct {
-	ci, pos  int
-	last     [256]mem.Addr
-	prevCore uint8
+	ci, pos, idx int
+	last         [256]mem.Addr
+	prevCore     uint8
 }
 
 // Mark returns the boundary before the record the next Next or
 // NextBatch call decodes.
 func (p *StreamPlayer) Mark() Mark {
-	return Mark{ci: p.ci, pos: p.pos, last: p.last, prevCore: p.prevCore}
+	m := Mark{ci: p.ci, pos: p.pos, last: p.last, prevCore: p.prevCore}
+	if p.idx < p.cnt {
+		m.ci, m.pos, m.idx = p.bci, p.bat, p.idx
+	}
+	return m
 }
 
 // Seek resumes decoding at m, a Mark taken on a player over the same
 // chunks: the records that follow are exactly those that followed m, a
-// record straddling a chunk seam included. A failed player stays failed.
+// block straddling a chunk seam included. A failed player stays failed.
 func (p *StreamPlayer) Seek(m Mark) {
 	p.ci, p.data, p.pos = m.ci, p.chunks[m.ci], m.pos
 	p.last, p.prevCore = m.last, m.prevCore
+	p.cnt, p.idx = 0, 0
+	if m.idx > 0 && p.open() {
+		// The headers before the record place its fields.
+		for _, h := range p.blk[1 : 1+m.idx] {
+			p.off += int(fields[h].next)
+		}
+		p.idx = m.idx
+	}
 }
 
 // Err returns the decode error that terminated playback, or nil after a
@@ -238,29 +344,21 @@ func (p *StreamPlayer) Err() error { return p.err }
 // Rewind resets the player to the first record.
 func (p *StreamPlayer) Rewind() {
 	*p = StreamPlayer{chunks: p.chunks, ci: -1}
-	p.advance(0) // onto the first non-empty chunk
-	if w := p.window(); len(w) < len(magic) || [len(magic)]byte(w) != magic {
+	if p.splice(len(magic)) < len(magic) || [len(magic)]byte(p.seam[:]) != magic {
 		p.err = ErrBadMagic
 		return
 	}
 	p.advance(len(magic))
 }
 
-// window returns at least MaxRecSize bytes of the stream from the
-// cursor on (fewer only at its end), spliced into p.seam at a seam.
-func (p *StreamPlayer) window() []byte {
-	rest := p.data[p.pos:]
-	if len(rest) >= MaxRecSize || p.ci+1 >= len(p.chunks) {
-		return rest
+// splice copies up to n bytes of the stream from the cursor on into
+// p.seam and returns how many it copied: fewer only at the stream's end.
+func (p *StreamPlayer) splice(n int) int {
+	k := copy(p.seam[:n], p.data[p.pos:])
+	for ci := p.ci + 1; k < n && ci < len(p.chunks); ci++ {
+		k += copy(p.seam[k:n], p.chunks[ci])
 	}
-	w := append(p.seam[:0], rest...)
-	for _, c := range p.chunks[p.ci+1:] {
-		w = append(w, c[:min(len(c), MaxRecSize-len(w))]...)
-		if len(w) == MaxRecSize {
-			break
-		}
-	}
-	return w
+	return k
 }
 
 // advance moves the cursor n bytes on, across chunk boundaries.
@@ -271,107 +369,97 @@ func (p *StreamPlayer) advance(n int) {
 	}
 }
 
-// Next returns the next record, or ok=false at end of stream or on a
-// decode error (check Err to distinguish). It is the plain reference
-// decoder and NextBatch's seam path.
-func (p *StreamPlayer) Next() (Ref, bool) {
-	if p.err != nil {
-		return Ref{}, false
+// open makes the block at the cursor the open block, once its count and
+// every header check out and its bytes are all there, and moves the
+// cursor past it. It returns false at the end of the stream or on a
+// decode error (p.err), having yielded none of a bad block's records.
+func (p *StreamPlayer) open() bool {
+	p.advance(0)
+	blk, avail := p.data[p.pos:], MaxBlockSize
+	if len(blk) < window+slack {
+		blk, avail = p.seam[:], p.splice(MaxBlockSize)
+		if avail == 0 {
+			return false
+		}
 	}
-	w := p.window()
-	if len(w) == 0 {
-		return Ref{}, false
+	cnt := int(blk[0])
+	if cnt == 0 || cnt > BlockLen {
+		p.err = fmt.Errorf("trace: corrupt block (count %d)", cnt)
+		return false
 	}
-	hdr := w[0]
-	if hdr&hdrReserved != 0 {
-		p.err = fmt.Errorf("trace: corrupt record (reserved header bits %#x set)", hdr&hdrReserved)
-		return Ref{}, false
+	if 1+cnt > avail {
+		p.err = errTruncated
+		return false
 	}
-	// n counts the header and the core and size bytes it does not elide.
-	n := 1 + int(^hdr>>1&1) + int(^hdr>>2&1)
-	vn := int(deltaLen[hdr>>hdrLenShift&7])
-	if n+vn > len(w) {
-		return Ref{}, p.truncate()
+	size, hdrs := 1+cnt, byte(0)
+	for _, h := range blk[1 : 1+cnt] {
+		size += int(fields[h].next)
+		hdrs |= h
 	}
-	core, size := p.prevCore, uint8(8)
-	if hdr&hdrSameCore == 0 {
-		core = w[1]
+	if hdrs&hdrReserved != 0 {
+		p.err = fmt.Errorf("trace: corrupt record (reserved header bits %#x set)", hdrs&hdrReserved)
+		return false
 	}
-	if hdr&hdrSize8 == 0 {
-		size = w[n-1]
+	if size > avail {
+		p.err = errTruncated
+		return false
 	}
-	var zig uint64
-	for i := n + vn - 1; i >= n; i-- {
-		zig = zig<<8 | uint64(w[i])
-	}
-	p.advance(n + vn)
-	addr := p.last[core] + mem.Addr(int64(zig>>1)^-int64(zig&1))
-	p.last[core] = addr
-	p.prevCore = core
-	return Ref{Addr: addr, Core: core, Size: size, Kind: mem.Kind(hdr & hdrStore)}, true
+	p.blk, p.bci, p.bat = blk, p.ci, p.pos
+	p.cnt, p.idx, p.off = cnt, 0, 1+cnt
+	p.advance(size)
+	return true
 }
 
-// truncate records a mid-record end of data and stops playback.
-func (p *StreamPlayer) truncate() bool {
-	p.err = fmt.Errorf("trace: truncated record: %w", io.ErrUnexpectedEOF)
-	return false
+// Next returns the next record, or ok=false at end of stream or on a
+// decode error (check Err to distinguish): NextBatch over one record.
+func (p *StreamPlayer) Next() (Ref, bool) {
+	var r [1]Ref
+	ok := p.NextBatch(r[:]) == 1
+	return r[0], ok
 }
 
 // NextBatch decodes up to len(dst) records into dst and returns how
-// many were produced. It is the replay hot path's entry point: the
-// decode loop runs with the cursor and the same-core state in locals,
-// and while MaxRecSize bytes remain in the chunk no record can run off
-// its end, so it needs no truncation checks; the last few records of a
-// chunk go through Next. A short return means end of stream or a decode
-// error (check Err). The output is identical to repeated Next calls.
+// many it produced: fewer only at end of stream or on a decode error
+// (check Err). It is the replay hot path: a block's headers place its
+// records' fields, so its loop's cursor moves by one add per record.
 func (p *StreamPlayer) NextBatch(dst []Ref) int {
-	if p.err != nil {
-		return 0
-	}
-	data := p.data
-	pos := p.pos
-	core := p.prevCore
 	n := 0
-	for n < len(dst) {
-		if len(data)-pos < MaxRecSize {
-			p.pos, p.prevCore = pos, core
-			r, ok := p.Next()
-			if !ok {
-				return n
-			}
-			dst[n] = r
-			n++
-			data, pos, core = p.data, p.pos, p.prevCore
-			continue
-		}
-		hdr := data[pos]
-		if hdr&hdrReserved != 0 {
-			p.err = fmt.Errorf("trace: corrupt record (reserved header bits %#x set)", hdr&hdrReserved)
-			break
-		}
-		// The header alone places the delta (d) and the next record
-		// (recLen), so the cursor never waits on this record's bytes.
-		d := pos + 1 + int(^hdr>>1&1) + int(^hdr>>2&1)
-		code := hdr >> hdrLenShift & 7
+	for n < len(dst) && p.err == nil && (p.idx < p.cnt || p.open()) {
+		out := dst[n:min(len(dst), n+p.cnt-p.idx)]
+		p.off, p.prevCore = decode(out, p.blk[1+p.idx:], p.blk, &p.last, p.off, p.prevCore)
+		p.idx += len(out)
+		n += len(out)
+	}
+	return n
+}
+
+// decode is NextBatch's loop, with the field cursor, the running core
+// and its last address in locals: it decodes len(out) records, whose
+// headers hdrs starts with and whose fields start at b[off], after a
+// record of core, and returns where the next record's fields start and
+// its core. One load masked to its length reads any delta.
+func decode(out []Ref, hdrs []byte, b []byte, last *[256]mem.Addr, off int, core uint8) (int, uint8) {
+	hdrs = hdrs[:len(out)]
+	b = b[: window+slack : window+slack]
+	addr := last[core]
+	for i, hdr := range hdrs {
 		if hdr&hdrSameCore == 0 {
-			core = data[pos+1]
+			last[core] = addr
+			core = b[off&(window-1)]
+			addr = last[core]
 		}
-		// Loading the size byte ahead of its test measured a few percent
-		// faster on the MDS, PLSA and RSEARCH captures.
-		size, sb := uint8(8), data[d-1]
+		f := &fields[hdr]
+		// The size byte loads ahead of its test: a few percent faster.
+		size, sb := uint8(8), b[(off+int(f.size))&(window-1)]
 		if hdr&hdrSize8 == 0 {
 			size = sb
 		}
-		// At least 8 bytes follow the header fields: one load, masked
-		// to the delta's length, reads any delta.
-		zig := binary.LittleEndian.Uint64(data[d:]) & deltaMask[code]
-		pos += int(recLen[hdr])
-		addr := p.last[core] + mem.Addr(int64(zig>>1)^-int64(zig&1))
-		p.last[core] = addr
-		dst[n] = Ref{Addr: addr, Core: core, Size: size, Kind: mem.Kind(hdr & hdrStore)}
-		n++
+		d := (off + int(f.delta)) & (window - 1)
+		zig := binary.LittleEndian.Uint64(b[d:d+8:d+8]) & f.mask
+		off += int(f.next)
+		addr += mem.Addr(int64(zig>>1) ^ -int64(zig&1))
+		out[i] = Ref{Addr: addr, Core: core, Size: size, Kind: mem.Kind(hdr & hdrStore)}
 	}
-	p.pos = pos
-	p.prevCore = core
-	return n
+	last[core] = addr
+	return off, core
 }

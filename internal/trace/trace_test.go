@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -53,9 +54,11 @@ func TestCodecRoundTripSmall(t *testing.T) {
 }
 
 // TestCodecRoundTripProperty: any sequence of records round-trips
-// through the reference decoder.
+// through the reference decoder and through Next.
 func TestCodecRoundTripProperty(t *testing.T) {
-	check := func(addrs []uint64, seed int64) bool { return roundTrips(addrs, seed, decodeNext) }
+	check := func(addrs []uint64, seed int64) bool {
+		return roundTrips(addrs, seed, refDecode) && roundTrips(addrs, seed, decodeNext)
+	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
@@ -66,7 +69,8 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 		"NOTATRACEFILE###",
 		"CMPT\x01\x00\x00\x00" + strings.Repeat("\x00", 16), // the retired v1 codec
 		"CMPT\x02\x00\x00\x00\x06\x10",                      // the retired v2 codec
-		"CMPT\x03\x00\x00",                                  // short
+		"CMPT\x03\x00\x00\x00\x06\x10",                      // the retired v3 codec
+		"CMPT\x04\x00\x00",                                  // short
 		"",
 	} {
 		if _, err := NewStreamPlayer([]byte(data)); !errors.Is(err, ErrBadMagic) {
@@ -75,17 +79,18 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 	}
 }
 
-// TestReaderTruncatedRecord: a stream chopped mid-record reports a
-// truncation through the batch decoder, after the whole records.
+// TestReaderTruncatedRecord: a stream chopped inside its second block
+// reports a truncation through the batch decoder, after the first
+// block's records and none of the second's.
 func TestReaderTruncatedRecord(t *testing.T) {
-	refs := []Ref{{Addr: 1, Size: 8}, {Addr: 0xDEAD_BEEF_0000, Core: 4, Size: 2}}
+	refs := randomRefs(5, BlockLen+2)
 	data := encodeAll(t, refs)
 	got, err := decodeBatch(data[:len(data)-3], 64)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("got %v, want a truncation error", err)
 	}
-	if len(got) != 1 || got[0] != refs[0] {
-		t.Errorf("whole records before the cut: got %v, want %v", got, refs[:1])
+	if !slices.Equal(got, refs[:BlockLen]) {
+		t.Errorf("records before the cut: got %d, want the first block's %d", len(got), BlockLen)
 	}
 }
 

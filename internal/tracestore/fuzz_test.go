@@ -20,7 +20,7 @@ func fuzzRefs(seed int64, cores uint8, bad int32) []trace.Ref {
 	ncores := 1 + int(cores)%255
 	var enc trace.Encoder
 	var refs []trace.Ref
-	var scratch [trace.MaxRecSize]byte
+	var blocks []byte
 	var addr [256]uint64
 	core := 0
 	for n := 0; n <= 2*chunkSize+rng.Intn(chunkSize); {
@@ -36,10 +36,9 @@ func fuzzRefs(seed int64, cores uint8, bad int32) []trace.Ref {
 			delta = -delta
 		}
 		addr[core] += delta
-		r := trace.Ref{Addr: mem.Addr(addr[core]), Core: uint8(core), Size: size, Kind: mem.Kind(rng.Intn(2))}
-		rec, _ := enc.Append(scratch[:0], r)
-		n += len(rec)
-		refs = append(refs, r)
+		refs = append(refs, trace.Ref{Addr: mem.Addr(addr[core]), Core: uint8(core), Size: size, Kind: mem.Kind(rng.Intn(2))})
+		blocks, _ = enc.AppendBlocks(blocks[:0], refs[len(refs)-1:])
+		n += len(blocks)
 	}
 	if bad >= 0 {
 		refs[int(bad)%len(refs)].Kind = mem.Kind(2 + bad%254)
@@ -81,43 +80,61 @@ func FuzzRecorderMatchesWriter(f *testing.F) {
 	f.Add(int64(3), uint8(254), []byte{255, 1, 0, 17}, int32(-1)) // 255 cores, mixed cuts
 	f.Add(int64(4), uint8(3), []byte{13, 200}, int32(5))          // an invalid kind early
 	f.Add(int64(5), uint8(31), []byte{7}, int32(1<<31-1))         // ... late
-	// ... and on each event the first seam splices in through the scratch
-	// record, the last of them the one it cuts, and on the first event
-	// wholly past that seam.
+	// ... and on the first and the last record of the block the first
+	// seam cuts, and on the first record of the block after it.
 	refs, n := fuzzRefs(6, 100, -1), len(trace.AppendHeader(nil))
 	var enc trace.Encoder
-	for i, r := range refs {
-		if chunkSize-n < trace.MaxRecSize {
-			f.Add(int64(6), uint8(100), []byte{1, 2, 3, 5, 8}, int32(i))
+	for i := 0; n < chunkSize; i += trace.BlockLen {
+		blk, _ := enc.AppendBlocks(nil, refs[i:i+trace.BlockLen])
+		if n += len(blk); n > chunkSize {
+			for _, at := range []int{i, i + trace.BlockLen - 1, i + trace.BlockLen} {
+				f.Add(int64(6), uint8(100), []byte{1, 2, 3, 5, 8}, int32(at))
+			}
 		}
-		if n >= chunkSize {
-			break
-		}
-		rec, _ := enc.Append(nil, r)
-		n += len(rec)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, cores uint8, cuts []byte, bad int32) {
 		checkRecorder(t, fuzzRefs(seed, cores, bad), cuts)
 	})
 }
 
-// TestRecorderSeamOffsets: a maximal record starts at every offset that
-// puts it within MaxRecSize bytes of the first seam, and then the stream
-// goes on in maximal records across the next seams.
+// TestRecorderSeamOffsets: the first seam cuts a block of maximal
+// records at offsets inside its count byte's place, its headers and its
+// fields, and then the stream goes on in maximal records across the
+// next seams.
 func TestRecorderSeamOffsets(t *testing.T) {
-	for left := 0; left <= trace.MaxRecSize; left++ {
-		// One-byte records (same core, 8 bytes, no delta) fill the first
-		// chunk up to left bytes before the seam.
-		var refs []trace.Ref
-		for free := chunkSize - len(trace.AppendHeader(nil)) - left; free > 0; free-- {
-			refs = append(refs, trace.Ref{Size: 8})
+	const maxBlock = 1 + trace.BlockLen*11
+	if maxBlock != trace.MaxBlockSize {
+		t.Fatalf("a block of maximal records takes %d B, MaxBlockSize is %d", maxBlock, trace.MaxBlockSize)
+	}
+	// Records with no field bytes (same core, 8 bytes, no delta) and
+	// with one (a 1-byte delta) place the block of maximal records: x
+	// blocks of the first kind take 65 B each, and one block with j of
+	// the second kind 65+j B.
+	tiny := func(n int, deltas int) []trace.Ref {
+		refs := make([]trace.Ref, n)
+		for i := range refs {
+			// A step of one, zigzag 2, for the first deltas records.
+			refs[i] = trace.Ref{Addr: mem.Addr(min(i+1, deltas)), Size: 8}
 		}
-		// Then 11-byte records: a new core, a 3-byte size, and a delta of
+		return refs
+	}
+	for _, off := range []int{0, 1, 2, 33, trace.BlockLen - 1, trace.BlockLen, trace.BlockLen + 1, trace.BlockLen + 2, 400, maxBlock - 2, maxBlock - 1} {
+		before := chunkSize - len(trace.AppendHeader(nil)) - off
+		x := (before - 65) / 65
+		j := before - 65 - 65*x
+		refs := tiny(trace.BlockLen*x, 0)
+		refs = append(refs, tiny(trace.BlockLen, j)...)
+		// Then maximal records: a new core, a 3-byte size, and a delta of
 		// 1<<63, whose zigzag form takes all eight delta bytes.
-		for i := 0; i < 2*chunkSize/trace.MaxRecSize; i++ {
+		for i := 0; i < 2*chunkSize/11; i++ {
 			refs = append(refs, trace.Ref{Addr: mem.Addr(uint64(1+i/2) % 2 << 63), Core: uint8(1 + i%2), Size: 3})
 		}
 		checkRecorder(t, refs, []byte{255, 0, 1, 7})
+		var enc trace.Encoder
+		head, _ := enc.AppendBlocks(trace.AppendHeader(nil), refs[:len(refs)-2*chunkSize/11])
+		if len(head) != chunkSize-off {
+			t.Fatalf("offset %d: the blocks before the maximal ones take %d B, want %d", off, len(head), chunkSize-off)
+		}
 	}
 }
 
@@ -142,6 +159,13 @@ func checkRecorder(t *testing.T, refs []trace.Ref, cuts []byte) {
 		}
 		rest = rest[k:]
 	}
+	tr, err := rec.Finish(Summary{Workload: "FUZZ"})
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("recorder error %v, writer error %v", err, wantErr)
+	}
+	if n := rec.enc.Count(); n != wantN {
+		t.Fatalf("recorder took %d events, the writer %d", n, wantN)
+	}
 	for i, c := range rec.chunks {
 		if cap(c) != chunkSize || (i < len(rec.chunks)-1 && len(c) != chunkSize) {
 			t.Fatalf("chunk %d of %d: len %d cap %d, want every chunk but the last full at %d", i, len(rec.chunks), len(c), cap(c), chunkSize)
@@ -149,13 +173,6 @@ func checkRecorder(t *testing.T, refs []trace.Ref, cuts []byte) {
 	}
 	if got := slices.Concat(rec.chunks...); !bytes.Equal(got, want) {
 		t.Fatalf("recorder holds %d B, the writer wrote %d B; first difference at %d", len(got), len(want), firstDiff(got, want))
-	}
-	if rec.events != wantN {
-		t.Fatalf("recorder took %d events, the writer %d", rec.events, wantN)
-	}
-	tr, err := rec.Finish(Summary{Workload: "FUZZ"})
-	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-		t.Fatalf("recorder error %v, writer error %v", err, wantErr)
 	}
 	if err != nil {
 		return

@@ -191,17 +191,16 @@ func (t *Trace) SizeBytes() uint64 {
 }
 
 // Recorder accumulates a bus-event stream during live capture, encoding
-// each event straight into the compact trace codec — the raw []Ref form of
-// a full run never materializes — and straight into fixed-size chunks,
-// so what a capture holds is what it stores. A record goes into the
-// last chunk in place while MaxRecSize bytes remain there, and through
-// a scratch record across the seam otherwise.
+// it straight into the compact trace codec — the raw []Ref form of a
+// full run never materializes — and into fixed-size chunks, so what a
+// capture holds is what it stores. The encoder turns each batch into
+// whole blocks, which the recorder copies into the chunks, cutting them
+// anywhere; Finish closes the last block.
 type Recorder struct {
-	enc     trace.Encoder
-	chunks  [][]byte
-	scratch [trace.MaxRecSize]byte
-	events  uint64
-	err     error
+	enc    trace.Encoder
+	chunks [][]byte
+	blocks []byte // the blocks a batch completed, on their way into the chunks
+	err    error
 }
 
 // NewRecorder returns an empty recorder.
@@ -210,48 +209,39 @@ func NewRecorder() *Recorder {
 }
 
 // Add appends one event; errors are sticky and surface in Finish.
-func (r *Recorder) Add(ref trace.Ref) { r.AddBatch([]trace.Ref{ref}) }
+func (r *Recorder) Add(ref trace.Ref) {
+	if r.err != nil {
+		return
+	}
+	// Most records only join the open block: nothing to store or copy.
+	if b, err := r.enc.Add(r.blocks[:0], ref); len(b) > 0 || err != nil {
+		r.blocks, r.err = b, err
+		r.put(b)
+	}
+}
 
 // AddBatch appends events in order; errors are sticky and surface in
 // Finish.
 func (r *Recorder) AddBatch(refs []trace.Ref) {
-	if r.err != nil {
-		return
+	if r.err == nil {
+		r.blocks, r.err = r.enc.AppendBlocks(r.blocks[:0], refs)
+		r.put(r.blocks)
 	}
-	c := r.chunks[len(r.chunks)-1]
-	for i, ref := range refs {
-		var err error
-		if chunkSize-len(c) >= trace.MaxRecSize {
-			c, err = r.enc.Append(c, ref)
-		} else {
-			c, err = r.seam(c, ref)
-		}
-		if err != nil {
-			r.err = err
-			refs = refs[:i]
-			break
-		}
-	}
-	r.chunks[len(r.chunks)-1] = c
-	r.events += uint64(len(refs))
 }
 
-// seam encodes ref through the scratch record and splits it between the
-// last chunk, c, and a new one where it does not fit; it returns the
-// last chunk.
-func (r *Recorder) seam(c []byte, ref trace.Ref) ([]byte, error) {
-	rec, err := r.enc.Append(r.scratch[:0], ref)
-	if err != nil {
-		return c, err
+// put copies b to the end of the stream, filling the last chunk and
+// starting a new one where it is full.
+func (r *Recorder) put(b []byte) {
+	for len(b) > 0 {
+		last := len(r.chunks) - 1
+		if len(r.chunks[last]) == chunkSize {
+			r.chunks = append(r.chunks, make([]byte, 0, chunkSize))
+			last++
+		}
+		c := r.chunks[last]
+		k := min(len(b), chunkSize-len(c))
+		r.chunks[last], b = append(c, b[:k]...), b[k:]
 	}
-	k := min(len(rec), chunkSize-len(c))
-	if c = append(c, rec[:k]...); k == len(rec) {
-		return c, nil
-	}
-	r.chunks[len(r.chunks)-1] = c
-	c = append(make([]byte, 0, chunkSize), rec[k:]...)
-	r.chunks = append(r.chunks, c)
-	return c, nil
 }
 
 // Finish seals the stream and returns the memoizable trace.
@@ -259,7 +249,8 @@ func (r *Recorder) Finish(sum Summary) (*Trace, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	sum.BusEvents = r.events
+	r.put(r.enc.Flush(r.blocks[:0]))
+	sum.BusEvents = r.enc.Count()
 	tr := &Trace{Summary: sum, chunks: r.chunks}
 	for _, c := range r.chunks {
 		tr.n += len(c)

@@ -256,7 +256,8 @@ func TestCorruptSpillRecomputes(t *testing.T) {
 // TestSpillHeadVersions: a version 3 spill heads its payload with the
 // CRC-32C of it in the low half of the checksum and its CRC-32/IEEE in
 // the high half. A spill in the version 2 layout (magic byte 2, FNV-1a-64
-// of the payload) is recomputed once, and the spill that recompute
+// of the payload), and a version 3 spill whose stream the retired codec
+// v3 wrote, are each recomputed once, and the spill that recompute
 // writes revives from disk.
 func TestSpillHeadVersions(t *testing.T) {
 	var spill bytes.Buffer
@@ -273,24 +274,33 @@ func TestSpillHeadVersions(t *testing.T) {
 	h := fnv.New64a()
 	h.Write(payload)
 	binary.LittleEndian.PutUint64(v2[8:16], h.Sum64())
-	dir := t.TempDir()
-	if err := os.WriteFile(New(0, dir).spillPath(key(4)), v2, 0o644); err != nil {
+	// 300 codec v3 records: a header byte (load, same core, 8 bytes, a
+	// 1-byte delta) and a delta of +8 each.
+	var v3 bytes.Buffer
+	stream := append([]byte("CMPT\x03\x00\x00\x00"), bytes.Repeat([]byte{0x0e, 0x10}, 300)...)
+	if err := writeSpillFile(&v3, key(4), NewTrace(fakeTrace(4, 300).Summary, stream)); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []Outcome{OutcomeMiss, OutcomeDisk} {
-		var calls int32
-		tr, outcome, err := New(0, dir).DoOutcome(key(4), func() (*Trace, error) {
-			atomic.AddInt32(&calls, 1)
-			return fakeTrace(4, 300), nil
-		})
-		if err != nil {
+	for name, file := range map[string][]byte{"version 2 spill": v2, "codec v3 stream": v3.Bytes()} {
+		dir := t.TempDir()
+		if err := os.WriteFile(New(0, dir).spillPath(key(4)), file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if outcome != want || calls != int32(1-i) {
-			t.Errorf("store %d: outcome %v after %d executions, want %v after %d", i, outcome, calls, want, 1-i)
-		}
-		if got := decodeAll(t, tr); len(got) != 300 {
-			t.Errorf("store %d: stream has %d records, want 300", i, len(got))
+		for i, want := range []Outcome{OutcomeMiss, OutcomeDisk} {
+			var calls int32
+			tr, outcome, err := New(0, dir).DoOutcome(key(4), func() (*Trace, error) {
+				atomic.AddInt32(&calls, 1)
+				return fakeTrace(4, 300), nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if outcome != want || calls != int32(1-i) {
+				t.Errorf("%s, store %d: outcome %v after %d executions, want %v after %d", name, i, outcome, calls, want, 1-i)
+			}
+			if got := decodeAll(t, tr); len(got) != 300 {
+				t.Errorf("%s, store %d: stream has %d records, want 300", name, i, len(got))
+			}
 		}
 	}
 }
